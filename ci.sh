@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo gate: invariant lint, format, lints, docs, full test suite,
-# criterion smoke run. Opt-in concurrency-audit lanes:
+# perfbench and criterion smoke runs. Opt-in concurrency-audit lanes:
 #   OCDD_CI_LOOM=1  — loom interleaving models (scheduler + epoch cache)
 #   OCDD_CI_TSAN=1  — ThreadSanitizer pass (needs a nightly toolchain)
 #   OCDD_CI_MIRI=1  — Miri pass over ocdd-core (needs the miri component)
@@ -251,6 +251,24 @@ grep -q '"f1": 1.000000' results/BENCH_approx.json || {
     echo "bench_approx smoke: sampled pipeline diverged from the exhaustive baseline"
     exit 1
 }
+
+echo "==> perfbench smoke (every workload, seed 1, 1 s, untraced)"
+# perfbench is a workspace of its own, so `cargo test --workspace` never
+# compiles it: an API change in ocdd-relation or ocdd-core could break the
+# benchmark unnoticed. Build it and run each workload briefly; the last
+# stdout line of every run must report a correct run with no failures.
+for workload in dense_search tall_ingest approx_sample append_stream; do
+    perfbench_last="$(CARGO_TARGET_DIR=.bench_build cargo run --quiet --offline --release \
+        --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+    if ! grep -q '"correct": true' <<<"$perfbench_last" ||
+        ! grep -q '"failed": 0,' <<<"$perfbench_last"; then
+        echo "perfbench smoke: $workload did not report a correct run with 0 failures:"
+        echo "$perfbench_last"
+        exit 1
+    fi
+    echo "perfbench smoke: $workload correct, 0 failed"
+done
 
 echo "==> criterion smoke (cargo bench -- --test)"
 cargo bench -p ocdd-bench -- --test

@@ -25,7 +25,7 @@ use crate::config::DiscoveryConfig;
 use crate::deps::{Ocd, Od};
 use crate::results::DiscoveryResult;
 use crate::search::discover;
-use ocdd_relation::{Error, Relation, Result, Value};
+use ocdd_relation::{Error, Relation, Result, TypingMode, Value};
 
 /// What an append or deletion changed.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -90,6 +90,18 @@ impl IncrementalDiscovery {
         }
     }
 
+    /// Rank-encode the current raw values, borrowing them (the encoder
+    /// copies only distinct values into the dictionaries).
+    fn encode(&self) -> Result<Relation> {
+        Relation::from_column_slices(
+            self.names
+                .iter()
+                .map(String::as_str)
+                .zip(self.data.iter().map(Vec::as_slice)),
+            TypingMode::Infer,
+        )
+    }
+
     /// The current dependency state.
     pub fn result(&self) -> &DiscoveryResult {
         &self.result
@@ -117,13 +129,7 @@ impl IncrementalDiscovery {
             }
         }
         // Rebuild the relation: rank codes are global, so appends re-encode.
-        let named: Vec<(String, Vec<Value>)> = self
-            .names
-            .iter()
-            .cloned()
-            .zip(self.data.iter().cloned())
-            .collect();
-        self.relation = Relation::from_columns(named)?;
+        self.relation = self.encode()?;
 
         let mut delta = Delta::default();
 
@@ -170,10 +176,10 @@ impl IncrementalDiscovery {
         // grown relation. The set of *valid* dependencies is anti-monotone
         // under row addition, so nothing brand new can appear at candidates
         // the original search visited.
-        let rel = self.relation.clone();
+        let rel = &self.relation;
         let mut invalid_ocds = Vec::new();
         self.result.ocds.retain(|ocd| {
-            let ok = check_ocd(&rel, &ocd.lhs, &ocd.rhs).is_valid();
+            let ok = check_ocd(rel, &ocd.lhs, &ocd.rhs).is_valid();
             if !ok {
                 invalid_ocds.push(ocd.clone());
             }
@@ -181,7 +187,7 @@ impl IncrementalDiscovery {
         });
         let mut invalid_ods = Vec::new();
         self.result.ods.retain(|od| {
-            let ok = check_od(&rel, &od.lhs, &od.rhs).is_valid();
+            let ok = check_od(rel, &od.lhs, &od.rhs).is_valid();
             if !ok {
                 invalid_ods.push(od.clone());
             }
@@ -205,7 +211,7 @@ impl IncrementalDiscovery {
                 continue;
             }
             let (ocds, ods, checks) = crate::search::resume_after_od_invalidation(
-                &rel,
+                rel,
                 &universe,
                 &od.lhs,
                 &od.rhs,
@@ -266,13 +272,7 @@ impl IncrementalDiscovery {
                 keep
             });
         }
-        let named: Vec<(String, Vec<Value>)> = self
-            .names
-            .iter()
-            .cloned()
-            .zip(self.data.iter().cloned())
-            .collect();
-        self.relation = Relation::from_columns(named)?;
+        self.relation = self.encode()?;
 
         let old = std::mem::replace(&mut self.result, discover(&self.relation, &self.config));
         let old_ocds: std::collections::HashSet<&Ocd> = old.ocds.iter().collect();

@@ -665,13 +665,10 @@ impl<'a> Parser<'a> {
             };
             let digit = match c {
                 b'0'..=b'9' => u32::from(c - b'0'),
-                // lint: allow(overflow-prone-arith, c is in b'a'..=b'f' by the match arm, so the sum is at most 15)
                 b'a'..=b'f' => u32::from(c - b'a') + 10,
-                // lint: allow(overflow-prone-arith, c is in b'A'..=b'F' by the match arm, so the sum is at most 15)
                 b'A'..=b'F' => u32::from(c - b'A') + 10,
                 _ => return self.err("bad hex digit in \\u escape"),
             };
-            // lint: allow(overflow-prone-arith, v holds at most three prior hex digits (v < 0x1000), so v * 16 + digit <= 0xFFFF)
             v = v * 16 + digit;
         }
         Ok(v)

@@ -6,8 +6,11 @@
 //! two cells of the same column then reduce to integer comparisons, which is
 //! what makes the candidate checker's inner loop cheap.
 
-use crate::datatype::{infer_type, DataType};
-use crate::value::Value;
+use crate::datatype::{infer_type, DataType, TypingMode};
+use crate::value::{Cell, Value};
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::collections::HashMap;
 
 /// Physical storage width of a column's rank codes.
 ///
@@ -53,7 +56,7 @@ pub enum NarrowCodes {
 impl NarrowCodes {
     /// Build the narrowest mirror that fits `distinct` dense ranks
     /// (ranks are `0..distinct`, so `distinct ≤ 2^w` fits width `w`).
-    fn build(codes: &[u32], distinct: usize) -> NarrowCodes {
+    pub(crate) fn build(codes: &[u32], distinct: usize) -> NarrowCodes {
         if distinct <= 1 << 8 {
             // lint: allow(lossy-cast, codes are dense ranks < distinct <= 2^8 on this arm, so each fits u8)
             NarrowCodes::U8(codes.iter().map(|&c| c as u8).collect())
@@ -106,7 +109,7 @@ pub struct Column {
     /// Sorted distinct values; `dictionary[code]` decodes a rank.
     pub dictionary: Vec<Value>,
     /// Narrowed mirror of `codes` when the distinct count fits (see
-    /// [`CodeWidth`]); kept in sync by [`Column::encode`] and
+    /// [`CodeWidth`]); kept in sync by every constructor and by
     /// [`Column::widen_code_width`].
     pub narrow: NarrowCodes,
     /// Column metadata.
@@ -114,45 +117,79 @@ pub struct Column {
 }
 
 impl Column {
-    /// Rank-encode `values` under the given name.
-    ///
-    /// The caller is responsible for having homogenized the values first
-    /// (see [`crate::datatype::homogenize`]); encoding sorts whatever total
-    /// order the values currently have.
-    // lint: allow(panic-reachability, order is a permutation of 0..values.len(), so every order-derived index is in bounds)
+    /// Rank-encode `values` under the given name, as given: no re-typing,
+    /// so a column mixing numbers and strings ranks every number before
+    /// every string ([`Value`] order). Relations re-type their columns
+    /// first (see [`crate::datatype::TypingMode`]); this is the raw form.
     pub fn encode(name: impl Into<String>, values: Vec<Value>) -> Column {
-        let data_type = infer_type(values.iter());
-        let has_nulls = values.iter().any(Value::is_null);
+        let cells: Vec<Cell<'_>> = values.iter().map(Cell::of).collect();
+        Column::encode_cells(name.into(), &cells, None)
+    }
 
-        // Row ids are u32 across the whole pipeline; encode is where a
+    /// The rank encoder: every column of every relation — CSV ingest,
+    /// [`crate::Relation::from_columns_typed`] and [`Column::encode`] —
+    /// is built here from borrowed [`Cell`]s.
+    ///
+    /// With `typing` set the column is re-typed first: its type is the
+    /// narrowest of `Int ⊂ Float ⊂ Str` covering the non-NULL cells
+    /// (`Str` when there are none, and always `Str` under
+    /// [`TypingMode::ForceLexicographic`]), and in a `Str` column every
+    /// number is ranked and stored as its [`Value`] display form. `None`
+    /// ranks the cells as given.
+    ///
+    /// Non-NULL rows are ranked on a primitive key — the `i64` of an `Int`
+    /// column, the text of a `Str` column, the [`Value`] order otherwise —
+    /// and each distinct key becomes one dense rank (NULL, when present,
+    /// is rank 0). Only distinct values are copied into the dictionary.
+    /// Where distinct values compare equal (`Int(2)`/`Float(2.0)`,
+    /// `0`/`-0.0`, only possible in a `Float` or raw column), the
+    /// dictionary keeps the value of the *lowest* row.
+    pub(crate) fn encode_cells(
+        name: String,
+        cells: &[Cell<'_>],
+        typing: Option<TypingMode>,
+    ) -> Column {
+        // Row ids are u32 across the whole pipeline; encoding is where a
         // column's rows first get ids, so the bound is enforced here.
-        let m = values.len();
+        let m = cells.len();
         assert!(
             m <= u32::MAX as usize,
             "row ids are u32: {m} rows exceed the supported maximum"
         );
-        // Sort indices by value to assign dense ranks in O(m log m).
-        let mut order: Vec<u32> = (0..m as u32).collect();
-        order.sort_unstable_by(|&a, &b| values[a as usize].cmp(&values[b as usize]));
-
-        let mut codes = vec![0u32; values.len()];
-        let mut dictionary = Vec::new();
-        let mut rank = 0u32;
-        for (pos, &row) in order.iter().enumerate() {
-            let v = &values[row as usize];
-            if pos == 0 {
-                // lint: allow(hot-loop-alloc, load-time dictionary build; each clone is the dictionary's owned entry for a new distinct value)
-                dictionary.push(v.clone());
-            } else {
-                let prev = &values[order[pos - 1] as usize];
-                if v != prev {
-                    // lint: allow(overflow-prone-arith, rank increments at most once per row and m <= u32::MAX by the encode assert)
-                    rank += 1;
-                    // lint: allow(hot-loop-alloc, load-time dictionary build; each clone is the dictionary's owned entry for a new distinct value)
-                    dictionary.push(v.clone());
-                }
+        let (mut nulls, mut ints, mut floats, mut strs) = (0usize, 0usize, 0usize, 0usize);
+        for cell in cells {
+            match cell {
+                Cell::Null => nulls += 1,
+                Cell::Int(_) => ints += 1,
+                Cell::Float(_) => floats += 1,
+                Cell::Str(_) => strs += 1,
             }
-            codes[row as usize] = rank;
+        }
+        let inferred = if strs > 0 || ints + floats == 0 {
+            DataType::Str
+        } else if floats > 0 {
+            DataType::Float
+        } else {
+            DataType::Int
+        };
+        let as_text = match typing {
+            Some(TypingMode::ForceLexicographic) => true,
+            Some(TypingMode::Infer) => inferred == DataType::Str,
+            None => false,
+        };
+        let data_type = if as_text { DataType::Str } else { inferred };
+
+        let mut codes = vec![0u32; m];
+        let mut dictionary = Vec::new();
+        if nulls > 0 {
+            dictionary.push(Value::Null);
+        }
+        if data_type == DataType::Int {
+            rank_ints(cells, &mut codes, &mut dictionary);
+        } else if as_text || ints + floats == 0 {
+            rank_text(cells, &mut codes, &mut dictionary);
+        } else {
+            rank_by_value_order(cells, &mut codes, &mut dictionary);
         }
 
         let distinct = dictionary.len();
@@ -162,11 +199,53 @@ impl Column {
             dictionary,
             narrow,
             meta: ColumnMeta {
-                name: name.into(),
+                name,
                 data_type,
                 distinct,
-                has_nulls,
+                has_nulls: nulls > 0,
             },
+        }
+    }
+
+    /// The column restricted to the rows of `keep` (in that order),
+    /// re-ranked densely without re-sorting: the parent's codes already
+    /// order the values, so the codes in use are marked, prefix-summed
+    /// into new ranks, and only their dictionary entries are copied. Type,
+    /// NULL flag and distinct count are re-derived from those entries,
+    /// which gives exactly what re-encoding the selected values would.
+    // lint: allow(panic-reachability, row contract: callers pass rows < len(); codes index the dictionary by construction)
+    pub(crate) fn select(&self, keep: &[usize]) -> Column {
+        // Mark the codes in use (1), then overwrite each mark with its
+        // exclusive prefix sum: the number of used codes below it.
+        let mut rank = vec![0u32; self.dictionary.len()];
+        for &row in keep {
+            rank[self.codes[row] as usize] = 1;
+        }
+        let mut dictionary = Vec::new();
+        for (value, slot) in self.dictionary.iter().zip(rank.iter_mut()) {
+            if *slot == 1 {
+                // lint: allow(lossy-cast, the dictionary has at most one entry per parent row, and rows <= u32::MAX by the encode assert)
+                *slot = dictionary.len() as u32;
+                // lint: allow(hot-loop-alloc, one owned copy per distinct value the selection keeps)
+                dictionary.push(value.clone());
+            }
+        }
+        let codes: Vec<u32> = keep
+            .iter()
+            .map(|&row| rank[self.codes[row] as usize])
+            .collect();
+        let distinct = dictionary.len();
+        let narrow = NarrowCodes::build(&codes, distinct);
+        Column {
+            codes,
+            narrow,
+            meta: ColumnMeta {
+                name: self.meta.name.clone(),
+                data_type: infer_type(&dictionary),
+                distinct,
+                has_nulls: dictionary.first().is_some_and(Value::is_null),
+            },
+            dictionary,
         }
     }
 
@@ -209,9 +288,136 @@ impl Column {
 
     /// Decode the value of row `row`.
     #[inline]
-    // lint: allow(panic-reachability, row contract: callers pass row < len(); codes index the dictionary by construction of encode)
     pub fn value(&self, row: usize) -> &Value {
         &self.dictionary[self.codes[row] as usize]
+    }
+}
+
+/// Rank an `Int` column's cells: a counting pass over the value range
+/// `lo..=hi` when it spans fewer than four slots per row, else a sort of
+/// `(key, row)` pairs.
+// lint: allow(panic-reachability, offsets are abs_diff(lo) <= span < rank.len() for every Int cell, and codes/cells have equal length)
+fn rank_ints(cells: &[Cell<'_>], codes: &mut [u32], dictionary: &mut Vec<Value>) {
+    let ints = cells.iter().filter_map(|cell| match *cell {
+        Cell::Int(i) => Some(i),
+        _ => None,
+    });
+    let (Some(lo), Some(hi)) = (ints.clone().min(), ints.clone().max()) else {
+        return;
+    };
+    let span = usize::try_from(hi.abs_diff(lo))
+        .ok()
+        .filter(|&span| span < cells.len().saturating_mul(4));
+    let Some(span) = span else {
+        let mut keys: Vec<(i64, u32)> = Vec::with_capacity(cells.len());
+        for (row, cell) in cells.iter().enumerate() {
+            if let Cell::Int(i) = *cell {
+                // lint: allow(lossy-cast, row is an enumerate index < cells.len() <= u32::MAX by the encode assert)
+                keys.push((i, row as u32));
+            }
+        }
+        keys.sort_unstable();
+        rank_runs(&keys, |a, b| a == b, |&i| Value::Int(i), codes, dictionary);
+        return;
+    };
+    // lint: allow(lossy-cast, abs_diff(lo) <= span, which fits usize by the try_from above)
+    let offset = |i: i64| i.abs_diff(lo) as usize;
+    // Mark the values present, then overwrite each mark with its rank.
+    let mut rank = vec![0u32; span + 1];
+    for i in ints {
+        rank[offset(i)] = 1;
+    }
+    for (value, slot) in (lo..=hi).zip(rank.iter_mut()) {
+        if *slot == 1 {
+            // lint: allow(lossy-cast, the dictionary holds at most one entry per row, and rows <= u32::MAX by the encode assert)
+            *slot = dictionary.len() as u32;
+            dictionary.push(Value::Int(value));
+        }
+    }
+    for (code, cell) in codes.iter_mut().zip(cells) {
+        if let Cell::Int(i) = *cell {
+            *code = rank[offset(i)];
+        }
+    }
+}
+
+/// Rank a `Str` column's cells (numbers keyed by their display form):
+/// each distinct text gets a provisional id through a hash map, the
+/// distinct texts alone are sorted, and every row is remapped to its
+/// text's rank. Equal texts are identical, so any row represents them.
+// lint: allow(panic-reachability, provisional ids are < ids.len() == rank.len(), and codes/cells have equal length)
+fn rank_text(cells: &[Cell<'_>], codes: &mut [u32], dictionary: &mut Vec<Value>) {
+    let mut ids: HashMap<Cow<'_, str>, u32> = HashMap::new();
+    for (code, cell) in codes.iter_mut().zip(cells) {
+        let text = match *cell {
+            Cell::Null => continue,
+            Cell::Str(s) => Cow::Borrowed(s),
+            // lint: allow(hot-loop-alloc, load-time re-typing: a number in a Str column is ranked and stored as its display string)
+            Cell::Int(i) => Cow::Owned(i.to_string()),
+            // lint: allow(hot-loop-alloc, load-time re-typing: a number in a Str column is ranked and stored as its display string)
+            Cell::Float(f) => Cow::Owned(f.to_string()),
+        };
+        // lint: allow(lossy-cast, at most one provisional id per row, and rows <= u32::MAX by the encode assert)
+        let next = ids.len() as u32;
+        *code = *ids.entry(text).or_insert(next);
+    }
+    let mut distinct: Vec<(Cow<'_, str>, u32)> = ids.into_iter().collect();
+    distinct.sort_unstable();
+    let mut rank = vec![0u32; distinct.len()];
+    for (text, id) in distinct {
+        // lint: allow(lossy-cast, the dictionary holds at most one entry per row, and rows <= u32::MAX by the encode assert)
+        rank[id as usize] = dictionary.len() as u32;
+        dictionary.push(Value::Str(text.into_owned()));
+    }
+    for (code, cell) in codes.iter_mut().zip(cells) {
+        if !matches!(cell, Cell::Null) {
+            *code = rank[*code as usize];
+        }
+    }
+}
+
+/// Rank a `Float` (or raw mixed) column's cells by sorting `(cell, row)`
+/// pairs in [`Value`] order.
+fn rank_by_value_order(cells: &[Cell<'_>], codes: &mut [u32], dictionary: &mut Vec<Value>) {
+    let mut keys: Vec<(Cell<'_>, u32)> = Vec::with_capacity(cells.len());
+    for (row, cell) in cells.iter().enumerate() {
+        if !matches!(cell, Cell::Null) {
+            // lint: allow(lossy-cast, row is an enumerate index < cells.len() <= u32::MAX by the encode assert)
+            keys.push((*cell, row as u32));
+        }
+    }
+    keys.sort_unstable_by(|a, b| a.0.order(&b.0).then(a.1.cmp(&b.1)));
+    rank_runs(
+        &keys,
+        |a, b| a.order(b) == Ordering::Equal,
+        |cell| cell.to_value(),
+        codes,
+        dictionary,
+    );
+}
+
+/// Give each run of equal keys in `sorted` the next dense rank, appending
+/// the run's first key — its lowest row, as ties sort by row — to the
+/// dictionary.
+// lint: allow(panic-reachability, every row is an enumerate index of the encoded column, so row < cells.len() == codes.len())
+fn rank_runs<K>(
+    sorted: &[(K, u32)],
+    same: impl Fn(&K, &K) -> bool,
+    decode: impl Fn(&K) -> Value,
+    codes: &mut [u32],
+    dictionary: &mut Vec<Value>,
+) {
+    let mut run: Option<&K> = None;
+    let mut code = 0u32;
+    for (key, row) in sorted {
+        if !run.is_some_and(|first| same(first, key)) {
+            // lint: allow(lossy-cast, the dictionary holds at most one entry per row, and rows <= u32::MAX by the encode assert)
+            code = dictionary.len() as u32;
+            dictionary.push(decode(key));
+            run = Some(key);
+        }
+        // lint: allow(lossy-cast, row is a u32 row id in [0, u32::MAX], so the cast to usize widens)
+        codes[*row as usize] = code;
     }
 }
 
@@ -329,5 +535,40 @@ mod tests {
         assert_eq!(col.meta.distinct, 3);
         assert_eq!(col.dictionary.len(), 3);
         assert_eq!(col.len(), 1000);
+    }
+
+    #[test]
+    fn int_counting_and_sorting_paths_rank_alike() {
+        // A span under four slots per row takes the counting pass; one
+        // far value forces the sort of (key, row) pairs instead.
+        let near = ints(&[-3, 5, -3, 0, 5, 2]);
+        let mut far = near.clone();
+        far.push(Value::Int(i64::MAX));
+        far.push(Value::Int(i64::MIN));
+        let counted = Column::encode("a", near);
+        let sorted = Column::encode("a", far);
+        assert_eq!(counted.codes, vec![0, 3, 0, 1, 3, 2]);
+        let shifted: Vec<u32> = counted.codes.iter().map(|c| c + 1).collect();
+        assert_eq!(&sorted.codes[..6], shifted.as_slice());
+        assert_eq!(&sorted.codes[6..], &[5, 0]);
+        assert_eq!(sorted.dictionary[5], Value::Int(i64::MAX));
+    }
+
+    #[test]
+    fn text_ranks_key_numbers_by_display_form() {
+        let vals = [
+            Value::Int(10),
+            Value::Str("9".into()),
+            Value::Null,
+            Value::Float(-0.0),
+            Value::Str("10".into()),
+        ];
+        let cells: Vec<Cell<'_>> = vals.iter().map(Cell::of).collect();
+        let col = Column::encode_cells("t".into(), &cells, Some(TypingMode::Infer));
+        assert_eq!(col.meta.data_type, DataType::Str);
+        // NULL < "-0" < "10" (twice: Int(10) displays as "10") < "9".
+        assert_eq!(col.codes, vec![2, 3, 0, 1, 2]);
+        assert_eq!(col.dictionary[1], Value::Str("-0".into()));
+        assert_eq!(col.meta.distinct, 4);
     }
 }

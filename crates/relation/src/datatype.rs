@@ -76,7 +76,12 @@ pub fn infer_type<'a>(values: impl IntoIterator<Item = &'a Value>) -> DataType {
 /// their string form so the whole column orders lexicographically (this is
 /// what a relational system with a `VARCHAR` column would do). Under
 /// [`TypingMode::ForceLexicographic`] every non-NULL value becomes a string.
-pub fn homogenize(values: &mut [Value], mode: TypingMode) {
+///
+/// The rank encoder applies this rule on the fly without materializing
+/// the strings; this form is the reference the differential tests check
+/// it against.
+#[cfg(test)]
+pub(crate) fn homogenize(values: &mut [Value], mode: TypingMode) {
     let target = match mode {
         TypingMode::ForceLexicographic => DataType::Str,
         TypingMode::Infer => infer_type(values.iter()),

@@ -1,9 +1,9 @@
 //! The [`Relation`] type: an immutable, rank-encoded, column-major table.
 
 use crate::column::{CodeWidth, Column, ColumnMeta, NarrowCodes};
-use crate::datatype::{homogenize, TypingMode};
+use crate::datatype::TypingMode;
 use crate::error::{Error, Result};
-use crate::value::Value;
+use crate::value::{Cell, Value};
 
 /// Index of a column within a relation (attribute identifier).
 pub type ColumnId = usize;
@@ -20,14 +20,40 @@ pub struct Relation {
 }
 
 impl Relation {
-    /// Build a relation from named value columns, homogenizing each column
-    /// under the given [`TypingMode`] before rank encoding.
+    /// Build a relation from named value columns, re-typing each column
+    /// under the given [`TypingMode`] before rank encoding (see
+    /// [`Relation::from_column_slices`]).
     ///
     /// All columns must have the same length.
     pub fn from_columns_typed(
         named: Vec<(String, Vec<Value>)>,
         mode: TypingMode,
     ) -> Result<Relation> {
+        Self::from_column_slices(
+            named
+                .iter()
+                .map(|(name, vals)| (name.as_str(), vals.as_slice())),
+            mode,
+        )
+    }
+
+    /// [`Relation::from_columns_typed`] with the default [`TypingMode::Infer`].
+    pub fn from_columns(named: Vec<(String, Vec<Value>)>) -> Result<Relation> {
+        Self::from_columns_typed(named, TypingMode::Infer)
+    }
+
+    /// Build a relation from borrowed named value columns: each column is
+    /// typed as the narrowest of `Int ⊂ Float ⊂ Str` covering its non-NULL
+    /// values (always `Str` under [`TypingMode::ForceLexicographic`]),
+    /// numbers in a `Str` column are stored as their display strings, and
+    /// the column is rank encoded. Only distinct values are copied.
+    ///
+    /// All columns must have the same length.
+    pub fn from_column_slices<'a>(
+        named: impl IntoIterator<Item = (&'a str, &'a [Value])>,
+        mode: TypingMode,
+    ) -> Result<Relation> {
+        let named: Vec<(&str, &[Value])> = named.into_iter().collect();
         let num_rows = named.first().map_or(0, |(_, v)| v.len());
         for (_, vals) in &named {
             if vals.len() != num_rows {
@@ -39,17 +65,18 @@ impl Relation {
         }
         let columns = named
             .into_iter()
-            .map(|(name, mut vals)| {
-                homogenize(&mut vals, mode);
-                Column::encode(name, vals)
+            .map(|(name, vals)| {
+                let cells: Vec<Cell<'_>> = vals.iter().map(Cell::of).collect();
+                Column::encode_cells(name.to_owned(), &cells, Some(mode))
             })
             .collect();
         Ok(Relation { columns, num_rows })
     }
 
-    /// [`Relation::from_columns_typed`] with the default [`TypingMode::Infer`].
-    pub fn from_columns(named: Vec<(String, Vec<Value>)>) -> Result<Relation> {
-        Self::from_columns_typed(named, TypingMode::Infer)
+    /// A relation over already-encoded columns of `num_rows` rows each.
+    pub(crate) fn from_encoded(columns: Vec<Column>, num_rows: usize) -> Relation {
+        debug_assert!(columns.iter().all(|c| c.len() == num_rows));
+        Relation { columns, num_rows }
     }
 
     /// Number of tuples `|r|`.
@@ -115,7 +142,6 @@ impl Relation {
 
     /// Decode the original value of cell `(row, col)`.
     #[inline]
-    // lint: allow(panic-reachability, ColumnId contract: callers pass col < num_columns())
     pub fn value(&self, row: usize, col: ColumnId) -> &Value {
         self.columns[col].value(row)
     }
@@ -165,9 +191,11 @@ impl Relation {
 
     /// A new relation containing exactly the rows of `rows` (parent row
     /// ids, in the given order; ids past the last row are skipped).
-    /// Columns are re-encoded so ranks stay dense over the selected
+    /// Columns are re-ranked so ranks stay dense over the selected
     /// subset — the invariant every checker and the manifest hash rely
-    /// on. This is the row-map materialization primitive of
+    /// on — by remapping the parent's codes, not by re-sorting values;
+    /// the result equals [`Relation::from_columns`] over the selected
+    /// values. This is the row-map materialization primitive of
     /// [`crate::sample`].
     pub fn select_rows(&self, rows: &[u32]) -> Relation {
         let keep: Vec<usize> = rows
@@ -175,14 +203,7 @@ impl Relation {
             .map(|&r| r as usize)
             .filter(|&r| r < self.num_rows)
             .collect();
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| {
-                let vals: Vec<Value> = keep.iter().map(|&r| c.value(r).clone()).collect();
-                Column::encode(c.meta.name.clone(), vals)
-            })
-            .collect();
+        let columns = self.columns.iter().map(|c| c.select(&keep)).collect();
         Relation {
             columns,
             num_rows: keep.len(),
@@ -360,5 +381,118 @@ mod tests {
         // Natural: 9 < 10. Lexicographic: "10" < "9".
         assert!(nat.code(1, 0) < nat.code(0, 0));
         assert!(lex.code(0, 0) < lex.code(1, 0));
+    }
+
+    /// A 20-row relation with an Int column, a Float column mixing equal
+    /// Int/Float and `0`/`-0.0` values, a Str column with stringified
+    /// numbers, and an all-NULL column.
+    fn mixed(mode: TypingMode) -> Relation {
+        let ints = (0..20).map(|i| Value::Int((i * 7) % 11 - 3)).collect();
+        let floats = (0..20)
+            .map(|i| match i % 5 {
+                0 => Value::Int(2),
+                1 => Value::Float(2.0),
+                2 => Value::Float(-0.0),
+                3 => Value::Null,
+                _ => Value::Float(f64::from(i) / 8.0),
+            })
+            .collect();
+        let strs = (0..20)
+            .map(|i| match i % 4 {
+                0 => Value::Str(format!("s{}", i % 3)),
+                1 => Value::Int(i64::from(i)),
+                2 => Value::Null,
+                _ => Value::Float(0.5),
+            })
+            .collect();
+        let nulls = vec![Value::Null; 20];
+        Relation::from_columns_typed(
+            vec![
+                ("i".into(), ints),
+                ("f".into(), floats),
+                ("s".into(), strs),
+                ("n".into(), nulls),
+            ],
+            mode,
+        )
+        .unwrap()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn select_rows_equals_from_columns_over_the_selected_values(
+            rows in proptest::collection::vec(0u32..24, 0..40)
+        ) {
+            for mode in [TypingMode::Infer, TypingMode::ForceLexicographic] {
+                let parent = mixed(mode);
+                let got = parent.select_rows(&rows);
+                let kept: Vec<usize> = rows.iter().map(|&r| r as usize).filter(|&r| r < 20).collect();
+                let named = (0..parent.num_columns())
+                    .map(|c| {
+                        let vals = kept.iter().map(|&r| parent.value(r, c).clone()).collect();
+                        (parent.meta(c).name.clone(), vals)
+                    })
+                    .collect();
+                let want = Relation::from_columns(named).unwrap();
+                proptest::prop_assert_eq!(got.num_rows(), want.num_rows());
+                for c in 0..got.num_columns() {
+                    proptest::prop_assert_eq!(got.codes(c), want.codes(c));
+                    proptest::prop_assert_eq!(got.meta(c), want.meta(c));
+                    proptest::prop_assert_eq!(got.narrow_codes(c), want.narrow_codes(c));
+                    for r in 0..got.num_rows() {
+                        proptest::prop_assert_eq!(got.value(r, c), want.value(r, c));
+                    }
+                }
+                proptest::prop_assert_eq!(
+                    crate::manifest::manifest_hash(&got),
+                    crate::manifest::manifest_hash(&want)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn from_column_slices_matches_owned_constructor() {
+        let named = vec![
+            (
+                "a".to_string(),
+                vec![Value::Int(3), Value::Null, Value::Int(1)],
+            ),
+            (
+                "b".to_string(),
+                vec![Value::Str("x".into()), Value::Int(10), Value::Int(9)],
+            ),
+        ];
+        let owned = Relation::from_columns(named.clone()).unwrap();
+        let borrowed = Relation::from_column_slices(
+            named.iter().map(|(n, v)| (n.as_str(), v.as_slice())),
+            TypingMode::Infer,
+        )
+        .unwrap();
+        assert_eq!(
+            crate::manifest::manifest_hash(&owned),
+            crate::manifest::manifest_hash(&borrowed)
+        );
+        // "10" < "9" < "x" once the mixed column is re-typed as Str.
+        assert_eq!(borrowed.codes(1), &[2, 0, 1]);
+        assert_eq!(borrowed.value(1, 1), &Value::Str("10".into()));
+    }
+
+    #[test]
+    fn equal_values_keep_the_lowest_rows_representative() {
+        let named = vec![(
+            "f".to_string(),
+            vec![
+                Value::Float(-0.0),
+                Value::Int(2),
+                Value::Int(0),
+                Value::Float(2.0),
+            ],
+        )];
+        let r = Relation::from_columns(named).unwrap();
+        assert_eq!(r.meta(0).distinct, 2);
+        assert_eq!(r.value(2, 0).to_string(), "-0");
+        assert_eq!(r.value(3, 0).to_string(), "2");
+        assert!(matches!(r.value(3, 0), Value::Int(2)));
     }
 }

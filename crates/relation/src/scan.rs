@@ -878,10 +878,22 @@ mod tests {
         Relation::from_columns(named).unwrap()
     }
 
+    /// Held by every test that records scans in the process-global
+    /// kernel counters, so `scans_bump_kernel_counters` sees exactly its
+    /// own scan while the test runner runs the others in parallel.
+    static SCAN_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn counters_guard() -> std::sync::MutexGuard<'static, ()> {
+        SCAN_COUNTERS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// Run the blockwise scans directly (bypassing the small-input
     /// dispatch) and assert they match the scalar oracles exactly,
     /// at the relation's natural width and after widening.
     fn assert_blocks_match_scalar(rel: &Relation, lhs: &[ColumnId], rhs: &[ColumnId]) {
+        let _counters = counters_guard();
         let index = sort_index_by(rel, lhs);
         if index.is_empty() {
             return;
@@ -924,6 +936,7 @@ mod tests {
 
     #[test]
     fn scans_bump_kernel_counters() {
+        let _counters = counters_guard();
         let rel = rel_from(vec![(0..200).collect(), (0..200).collect()]);
         let index = sort_index_by(&rel, &[0]);
         let before = kernel_stats::snapshot();
@@ -1066,6 +1079,7 @@ mod tests {
 
         #[test]
         fn differential_random_columns(words in prop::collection::vec(0u64..u64::MAX, 1..220)) {
+            let _counters = counters_guard();
             let rel = columns_from_words(&words);
             for (lhs, rhs) in [
                 (vec![0], vec![1]),
@@ -1084,6 +1098,7 @@ mod tests {
 
         #[test]
         fn differential_width_sweep(words in prop::collection::vec(0u64..u64::MAX, 65..200)) {
+            let _counters = counters_guard();
             let rel = columns_from_words(&words);
             let (lhs, rhs) = (vec![0], vec![1, 2]);
             let index = sort_index_by(&rel, &lhs);
@@ -1099,6 +1114,7 @@ mod tests {
 
         #[test]
         fn differential_tie_heavy_binary(bits in prop::collection::vec(0u64..4, 64..200)) {
+            let _counters = counters_guard();
             // Near-all-ties data: long eq runs stress the fold early
             // exits and the first-violation word filters.
             let a: Vec<i64> = bits.iter().map(|&b| i64::from(b == 0)).collect();

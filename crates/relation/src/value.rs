@@ -2,7 +2,8 @@
 //!
 //! §4.3 of the paper fixes the semantics for real-world data: `NULL` compares
 //! equal to `NULL` (`SET ANSI_NULLS ON`) and sorts before every non-NULL
-//! value (`NULLS FIRST`). Numeric columns use the natural numeric order;
+//! value (`NULLS FIRST`). Numeric columns use the natural numeric order,
+//! exact for every `i64` (integers are never rounded through `f64`);
 //! string columns use lexicographic (byte-wise UTF-8) order.
 
 use std::cmp::Ordering;
@@ -35,45 +36,120 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    /// Numeric rank of the type used to order heterogeneous values.
-    #[inline]
-    fn type_rank(&self) -> u8 {
-        match self {
-            Value::Null => 0,
-            Value::Int(_) | Value::Float(_) => 1,
-            Value::Str(_) => 2,
-        }
-    }
-
-    /// Numeric view of an `Int` or `Float` value.
-    #[inline]
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
     /// Parse a raw text token into a value, trying `Int`, then `Float`,
     /// then falling back to `Str`. `null_tokens` (e.g. `""`, `"?"`,
     /// `"NULL"`) map to [`Value::Null`]. Float NaN parses to NULL to keep
     /// the total-order invariant.
     pub fn parse(token: &str, null_tokens: &[&str]) -> Value {
+        Cell::parse(token, null_tokens).to_value()
+    }
+}
+
+/// A borrowed, classified cell: what [`Value::parse`] decides about a
+/// token, without owning its text. The rank encoder
+/// ([`crate::column`]) sorts these, so CSV fields and `Value::Str`
+/// payloads are ranked in place and only distinct values are copied.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Cell<'a> {
+    /// SQL NULL.
+    Null,
+    /// 64-bit signed integer.
+    Int(i64),
+    /// Non-NaN 64-bit float.
+    Float(f64),
+    /// UTF-8 text.
+    Str(&'a str),
+}
+
+impl<'a> Cell<'a> {
+    /// Classify a raw token exactly as [`Value::parse`] documents.
+    pub(crate) fn parse(token: &'a str, null_tokens: &[&str]) -> Cell<'a> {
         if null_tokens.contains(&token) {
-            return Value::Null;
+            return Cell::Null;
         }
         if let Ok(i) = token.parse::<i64>() {
-            return Value::Int(i);
+            return Cell::Int(i);
         }
         if let Ok(f) = token.parse::<f64>() {
             if f.is_nan() {
-                return Value::Null;
+                return Cell::Null;
             }
-            return Value::Float(f);
+            return Cell::Float(f);
         }
-        Value::Str(token.to_owned())
+        Cell::Str(token)
     }
+
+    /// The borrowed view of a stored value.
+    #[inline]
+    pub(crate) fn of(v: &'a Value) -> Cell<'a> {
+        match v {
+            Value::Null => Cell::Null,
+            Value::Int(i) => Cell::Int(*i),
+            Value::Float(f) => Cell::Float(*f),
+            Value::Str(s) => Cell::Str(s),
+        }
+    }
+
+    /// An owned value equal to this cell.
+    pub(crate) fn to_value(self) -> Value {
+        match self {
+            Cell::Null => Value::Null,
+            Cell::Int(i) => Value::Int(i),
+            Cell::Float(f) => Value::Float(f),
+            Cell::Str(s) => Value::Str(s.to_owned()),
+        }
+    }
+
+    /// Numeric rank of the type used to order heterogeneous values.
+    #[inline]
+    fn type_rank(&self) -> u8 {
+        match self {
+            Cell::Null => 0,
+            Cell::Int(_) | Cell::Float(_) => 1,
+            Cell::Str(_) => 2,
+        }
+    }
+
+    /// The [`Value`] order: `NULL` first, numbers by exact numeric value,
+    /// strings byte-wise, heterogeneous values by type.
+    pub(crate) fn order(&self, other: &Cell<'_>) -> Ordering {
+        match (self, other) {
+            (Cell::Null, Cell::Null) => Ordering::Equal,
+            (Cell::Str(a), Cell::Str(b)) => a.cmp(b),
+            (Cell::Int(a), Cell::Int(b)) => a.cmp(b),
+            (Cell::Int(a), Cell::Float(b)) => cmp_int_float(*a, *b),
+            (Cell::Float(a), Cell::Int(b)) => cmp_int_float(*b, *a).reverse(),
+            // Stored floats are never NaN, so partial_cmp cannot fail.
+            // lint: allow(no-panic, proven invariant: Value construction rejects NaN, so partial_cmp of stored floats is total)
+            (Cell::Float(a), Cell::Float(b)) => a.partial_cmp(b).expect("no NaN stored in Value"),
+            (a, b) => a.type_rank().cmp(&b.type_rank()),
+        }
+    }
+}
+
+/// `2^63` as an `f64` (exact): the first float above every `i64`.
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// Exact order of an integer against a non-NaN float. Converting `i` to
+/// `f64` would round above `2^53` and make distinct values tie, so the
+/// float is split into its integral part (exact as an `i64` inside the
+/// `i64` range) and its fraction instead.
+fn cmp_int_float(i: i64, f: f64) -> Ordering {
+    if f >= TWO_POW_63 {
+        return Ordering::Less;
+    }
+    if f < -TWO_POW_63 {
+        return Ordering::Greater;
+    }
+    let whole = f.trunc();
+    // lint: allow(lossy-cast, whole is integral and in [-2^63, 2^63) by the two guards above, so the cast is exact)
+    let whole_int = whole as i64;
+    let fraction = f - whole;
+    let by_fraction = 0.0f64
+        .partial_cmp(&fraction)
+        // lint: allow(no-panic, proven invariant: Value construction rejects NaN, so the fraction of a stored float is comparable)
+        .expect("no NaN stored in Value");
+    i.cmp(&whole_int).then(by_fraction)
 }
 
 impl PartialEq for Value {
@@ -94,18 +170,9 @@ impl PartialOrd for Value {
 }
 
 impl Ord for Value {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        match (self, other) {
-            (Value::Null, Value::Null) => Ordering::Equal,
-            (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            (a, b) => match (a.as_f64(), b.as_f64()) {
-                // Both numeric: natural numeric order. Stored floats are
-                // never NaN, so partial_cmp cannot fail.
-                // lint: allow(no-panic, proven invariant: Value construction rejects NaN, so partial_cmp of stored floats is total)
-                (Some(x), Some(y)) => x.partial_cmp(&y).expect("no NaN stored in Value"),
-                _ => a.type_rank().cmp(&b.type_rank()),
-            },
-        }
+        Cell::of(self).order(&Cell::of(other))
     }
 }
 
@@ -118,11 +185,12 @@ impl std::hash::Hash for Value {
                 i.hash(state);
             }
             Value::Float(f) => {
-                // Hash consistent with Ord/Eq: an integral float hashes like
-                // the equal Int (Int(2) == Float(2.0) under our Ord).
-                if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f <= i64::MAX as f64 {
+                // Hash consistent with Ord/Eq: an integral float in the
+                // i64 range hashes like the equal Int (Int(2) == Float(2.0)
+                // under our Ord); no other float equals an Int.
+                if f.fract() == 0.0 && *f >= -TWO_POW_63 && *f < TWO_POW_63 {
                     1u8.hash(state);
-                    // lint: allow(lossy-cast, the branch guard pins f to an integral value within [i64::MIN, i64::MAX])
+                    // lint: allow(lossy-cast, the branch guard pins f to an integral value within [-2^63, 2^63), so the cast is exact)
                     (*f as i64).hash(state);
                 } else {
                     2u8.hash(state);
@@ -276,5 +344,43 @@ mod tests {
         assert_eq!(Value::Int(42).to_string(), "42");
         assert_eq!(Value::Str("x".into()).to_string(), "x");
         assert_eq!(Value::Null.to_string(), "");
+    }
+
+    #[test]
+    fn integers_order_exactly_above_2_pow_53() {
+        let two_53 = 1i64 << 53;
+        // As f64 these all round to 2^53 and used to tie.
+        assert!(Value::Int(two_53) < Value::Int(two_53 + 1));
+        assert_ne!(Value::Int(two_53), Value::Int(two_53 + 1));
+        assert!(Value::Int(i64::MAX - 1) < Value::Int(i64::MAX));
+        // Int vs Float is exact too.
+        assert!(Value::Int(two_53 + 1) > Value::Float(9_007_199_254_740_992.0));
+        assert_eq!(Value::Int(two_53), Value::Float(9_007_199_254_740_992.0));
+        assert!(Value::Int(i64::MAX) < Value::Float(9_223_372_036_854_775_808.0));
+        assert!(Value::Int(i64::MIN) == Value::Float(-9_223_372_036_854_775_808.0));
+        assert!(Value::Int(i64::MIN) > Value::Float(f64::NEG_INFINITY));
+        assert!(Value::Int(-1) < Value::Float(-0.5));
+        assert!(Value::Int(0) > Value::Float(-0.5));
+        assert!(Value::Float(2.5) > Value::Int(2));
+        assert_eq!(Value::Int(0), Value::Float(-0.0));
+    }
+
+    #[test]
+    fn hash_consistent_with_exact_eq() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let h = |v: &Value| {
+            let mut s = DefaultHasher::new();
+            v.hash(&mut s);
+            s.finish()
+        };
+        let two_53 = 1i64 << 53;
+        assert_ne!(h(&Value::Int(two_53)), h(&Value::Int(two_53 + 1)));
+        assert_eq!(
+            h(&Value::Int(two_53)),
+            h(&Value::Float(9_007_199_254_740_992.0))
+        );
+        assert_eq!(h(&Value::Int(0)), h(&Value::Float(-0.0)));
+        assert_eq!(h(&Value::Float(0.0)), h(&Value::Float(-0.0)));
     }
 }
