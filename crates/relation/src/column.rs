@@ -10,7 +10,6 @@ use crate::datatype::{infer_type, DataType, TypingMode};
 use crate::value::{Cell, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 /// Physical storage width of a column's rank codes.
 ///
@@ -117,38 +116,23 @@ pub struct Column {
 }
 
 impl Column {
-    /// Rank-encode `values` under the given name, as given: no re-typing,
-    /// so a column mixing numbers and strings ranks every number before
-    /// every string ([`Value`] order). Relations re-type their columns
-    /// first (see [`crate::datatype::TypingMode`]); this is the raw form.
-    pub fn encode(name: impl Into<String>, values: Vec<Value>) -> Column {
-        let cells: Vec<Cell<'_>> = values.iter().map(Cell::of).collect();
-        Column::encode_cells(name.into(), &cells, None)
-    }
-
-    /// The rank encoder: every column of every relation — CSV ingest,
-    /// [`crate::Relation::from_columns_typed`] and [`Column::encode`] —
-    /// is built here from borrowed [`Cell`]s.
+    /// The rank encoder: every column of every relation — CSV ingest and
+    /// [`crate::Relation::from_columns_typed`] — is built here from
+    /// borrowed [`Cell`]s.
     ///
-    /// With `typing` set the column is re-typed first: its type is the
-    /// narrowest of `Int ⊂ Float ⊂ Str` covering the non-NULL cells
-    /// (`Str` when there are none, and always `Str` under
-    /// [`TypingMode::ForceLexicographic`]), and in a `Str` column every
-    /// number is ranked and stored as its [`Value`] display form. `None`
-    /// ranks the cells as given.
+    /// The column's type is the narrowest of `Int ⊂ Float ⊂ Str` covering
+    /// the non-NULL cells (`Str` when there are none, and always `Str`
+    /// under [`TypingMode::ForceLexicographic`]); in a `Str` column every
+    /// number is ranked and stored as its [`Value`] display form.
     ///
     /// Non-NULL rows are ranked on a primitive key — the `i64` of an `Int`
-    /// column, the text of a `Str` column, the [`Value`] order otherwise —
-    /// and each distinct key becomes one dense rank (NULL, when present,
-    /// is rank 0). Only distinct values are copied into the dictionary.
-    /// Where distinct values compare equal (`Int(2)`/`Float(2.0)`,
-    /// `0`/`-0.0`, only possible in a `Float` or raw column), the
+    /// column, the text of a `Str` column, the [`Value`] order of a `Float`
+    /// column — and each distinct key becomes one dense rank (NULL, when
+    /// present, is rank 0). Only distinct values are copied into the
+    /// dictionary. Where distinct values compare equal (`Int(2)`/
+    /// `Float(2.0)`, `0`/`-0.0`, only possible in a `Float` column), the
     /// dictionary keeps the value of the *lowest* row.
-    pub(crate) fn encode_cells(
-        name: String,
-        cells: &[Cell<'_>],
-        typing: Option<TypingMode>,
-    ) -> Column {
+    pub(crate) fn encode_cells(name: String, cells: &[Cell<'_>], typing: TypingMode) -> Column {
         // Row ids are u32 across the whole pipeline; encoding is where a
         // column's rows first get ids, so the bound is enforced here.
         let m = cells.len();
@@ -165,31 +149,24 @@ impl Column {
                 Cell::Str(_) => strs += 1,
             }
         }
-        let inferred = if strs > 0 || ints + floats == 0 {
-            DataType::Str
-        } else if floats > 0 {
-            DataType::Float
-        } else {
-            DataType::Int
-        };
-        let as_text = match typing {
-            Some(TypingMode::ForceLexicographic) => true,
-            Some(TypingMode::Infer) => inferred == DataType::Str,
-            None => false,
-        };
-        let data_type = if as_text { DataType::Str } else { inferred };
+        let data_type =
+            if typing == TypingMode::ForceLexicographic || strs > 0 || ints + floats == 0 {
+                DataType::Str
+            } else if floats > 0 {
+                DataType::Float
+            } else {
+                DataType::Int
+            };
 
         let mut codes = vec![0u32; m];
         let mut dictionary = Vec::new();
         if nulls > 0 {
             dictionary.push(Value::Null);
         }
-        if data_type == DataType::Int {
-            rank_ints(cells, &mut codes, &mut dictionary);
-        } else if as_text || ints + floats == 0 {
-            rank_text(cells, &mut codes, &mut dictionary);
-        } else {
-            rank_by_value_order(cells, &mut codes, &mut dictionary);
+        match data_type {
+            DataType::Int => rank_ints(cells, &mut codes, &mut dictionary),
+            DataType::Float => rank_floats(cells, &mut codes, &mut dictionary),
+            DataType::Str => rank_text(cells, &mut codes, &mut dictionary),
         }
 
         let distinct = dictionary.len();
@@ -293,62 +270,24 @@ impl Column {
     }
 }
 
-/// Rank an `Int` column's cells: a counting pass over the value range
-/// `lo..=hi` when it spans fewer than four slots per row, else a sort of
-/// `(key, row)` pairs.
-// lint: allow(panic-reachability, offsets are abs_diff(lo) <= span < rank.len() for every Int cell, and codes/cells have equal length)
+/// Rank an `Int` column's cells by sorting `(key, row)` pairs.
 fn rank_ints(cells: &[Cell<'_>], codes: &mut [u32], dictionary: &mut Vec<Value>) {
-    let ints = cells.iter().filter_map(|cell| match *cell {
-        Cell::Int(i) => Some(i),
-        _ => None,
-    });
-    let (Some(lo), Some(hi)) = (ints.clone().min(), ints.clone().max()) else {
-        return;
-    };
-    let span = usize::try_from(hi.abs_diff(lo))
-        .ok()
-        .filter(|&span| span < cells.len().saturating_mul(4));
-    let Some(span) = span else {
-        let mut keys: Vec<(i64, u32)> = Vec::with_capacity(cells.len());
-        for (row, cell) in cells.iter().enumerate() {
-            if let Cell::Int(i) = *cell {
-                // lint: allow(lossy-cast, row is an enumerate index < cells.len() <= u32::MAX by the encode assert)
-                keys.push((i, row as u32));
-            }
-        }
-        keys.sort_unstable();
-        rank_runs(&keys, |a, b| a == b, |&i| Value::Int(i), codes, dictionary);
-        return;
-    };
-    // lint: allow(lossy-cast, abs_diff(lo) <= span, which fits usize by the try_from above)
-    let offset = |i: i64| i.abs_diff(lo) as usize;
-    // Mark the values present, then overwrite each mark with its rank.
-    let mut rank = vec![0u32; span + 1];
-    for i in ints {
-        rank[offset(i)] = 1;
-    }
-    for (value, slot) in (lo..=hi).zip(rank.iter_mut()) {
-        if *slot == 1 {
-            // lint: allow(lossy-cast, the dictionary holds at most one entry per row, and rows <= u32::MAX by the encode assert)
-            *slot = dictionary.len() as u32;
-            dictionary.push(Value::Int(value));
-        }
-    }
-    for (code, cell) in codes.iter_mut().zip(cells) {
+    let mut keys: Vec<(i64, u32)> = Vec::with_capacity(cells.len());
+    for (row, cell) in cells.iter().enumerate() {
         if let Cell::Int(i) = *cell {
-            *code = rank[offset(i)];
+            // lint: allow(lossy-cast, row is an enumerate index < cells.len() <= u32::MAX by the encode assert)
+            keys.push((i, row as u32));
         }
     }
+    keys.sort_unstable();
+    rank_runs(&keys, |a, b| a == b, |&i| Value::Int(i), codes, dictionary);
 }
 
-/// Rank a `Str` column's cells (numbers keyed by their display form):
-/// each distinct text gets a provisional id through a hash map, the
-/// distinct texts alone are sorted, and every row is remapped to its
-/// text's rank. Equal texts are identical, so any row represents them.
-// lint: allow(panic-reachability, provisional ids are < ids.len() == rank.len(), and codes/cells have equal length)
+/// Rank a `Str` column's cells by sorting `(text, row)` pairs; numbers
+/// are keyed by their display form.
 fn rank_text(cells: &[Cell<'_>], codes: &mut [u32], dictionary: &mut Vec<Value>) {
-    let mut ids: HashMap<Cow<'_, str>, u32> = HashMap::new();
-    for (code, cell) in codes.iter_mut().zip(cells) {
+    let mut keys: Vec<(Cow<'_, str>, u32)> = Vec::with_capacity(cells.len());
+    for (row, cell) in cells.iter().enumerate() {
         let text = match *cell {
             Cell::Null => continue,
             Cell::Str(s) => Cow::Borrowed(s),
@@ -357,28 +296,22 @@ fn rank_text(cells: &[Cell<'_>], codes: &mut [u32], dictionary: &mut Vec<Value>)
             // lint: allow(hot-loop-alloc, load-time re-typing: a number in a Str column is ranked and stored as its display string)
             Cell::Float(f) => Cow::Owned(f.to_string()),
         };
-        // lint: allow(lossy-cast, at most one provisional id per row, and rows <= u32::MAX by the encode assert)
-        let next = ids.len() as u32;
-        *code = *ids.entry(text).or_insert(next);
+        // lint: allow(lossy-cast, row is an enumerate index < cells.len() <= u32::MAX by the encode assert)
+        keys.push((text, row as u32));
     }
-    let mut distinct: Vec<(Cow<'_, str>, u32)> = ids.into_iter().collect();
-    distinct.sort_unstable();
-    let mut rank = vec![0u32; distinct.len()];
-    for (text, id) in distinct {
-        // lint: allow(lossy-cast, the dictionary holds at most one entry per row, and rows <= u32::MAX by the encode assert)
-        rank[id as usize] = dictionary.len() as u32;
-        dictionary.push(Value::Str(text.into_owned()));
-    }
-    for (code, cell) in codes.iter_mut().zip(cells) {
-        if !matches!(cell, Cell::Null) {
-            *code = rank[*code as usize];
-        }
-    }
+    keys.sort_unstable();
+    rank_runs(
+        &keys,
+        |a, b| a == b,
+        |text| Value::Str(text.as_ref().to_owned()),
+        codes,
+        dictionary,
+    );
 }
 
-/// Rank a `Float` (or raw mixed) column's cells by sorting `(cell, row)`
-/// pairs in [`Value`] order.
-fn rank_by_value_order(cells: &[Cell<'_>], codes: &mut [u32], dictionary: &mut Vec<Value>) {
+/// Rank a `Float` column's cells (`Int` and `Float`) by sorting
+/// `(cell, row)` pairs in [`Value`] order.
+fn rank_floats(cells: &[Cell<'_>], codes: &mut [u32], dictionary: &mut Vec<Value>) {
     let mut keys: Vec<(Cell<'_>, u32)> = Vec::with_capacity(cells.len());
     for (row, cell) in cells.iter().enumerate() {
         if !matches!(cell, Cell::Null) {
@@ -429,9 +362,14 @@ mod tests {
         vals.iter().map(|&v| Value::Int(v)).collect()
     }
 
+    fn encode(name: &str, values: Vec<Value>) -> Column {
+        let cells: Vec<Cell<'_>> = values.iter().map(Cell::of).collect();
+        Column::encode_cells(name.to_owned(), &cells, TypingMode::Infer)
+    }
+
     #[test]
     fn encode_assigns_dense_ranks_in_value_order() {
-        let col = Column::encode("a", ints(&[30, 10, 20, 10]));
+        let col = encode("a", ints(&[30, 10, 20, 10]));
         assert_eq!(col.codes, vec![2, 0, 1, 0]);
         assert_eq!(col.meta.distinct, 3);
         assert_eq!(col.dictionary, ints(&[10, 20, 30]));
@@ -439,7 +377,7 @@ mod tests {
 
     #[test]
     fn encode_null_gets_rank_zero() {
-        let col = Column::encode("a", vec![Value::Int(5), Value::Null, Value::Int(1)]);
+        let col = encode("a", vec![Value::Int(5), Value::Null, Value::Int(1)]);
         assert_eq!(col.codes[1], 0, "NULL sorts first");
         assert!(col.meta.has_nulls);
         assert_eq!(col.dictionary[0], Value::Null);
@@ -453,7 +391,7 @@ mod tests {
             Value::Str("a".into()),
             Value::Str("b".into()),
         ];
-        let col = Column::encode("s", values.clone());
+        let col = encode("s", values.clone());
         for i in 0..values.len() {
             for j in 0..values.len() {
                 assert_eq!(
@@ -467,28 +405,18 @@ mod tests {
 
     #[test]
     fn constant_column_detected() {
-        let col = Column::encode("c", ints(&[7, 7, 7]));
+        let col = encode("c", ints(&[7, 7, 7]));
         assert!(col.meta.is_constant());
-        let col = Column::encode("c", vec![Value::Null, Value::Null]);
+        let col = encode("c", vec![Value::Null, Value::Null]);
         assert!(col.meta.is_constant());
-        let col = Column::encode("c", Vec::new());
+        let col = encode("c", Vec::new());
         assert!(col.meta.is_constant());
-    }
-
-    #[test]
-    fn value_decodes_original() {
-        let vals = vec![Value::Str("x".into()), Value::Int(3), Value::Null];
-        // Mixed columns are unusual but still encodable (typed Str overall).
-        let col = Column::encode("m", vals.clone());
-        for (i, v) in vals.iter().enumerate() {
-            assert_eq!(col.value(i), v);
-        }
     }
 
     #[test]
     fn narrow_mirror_matches_full_width_codes() {
         // 3 distinct -> u8 mirror.
-        let col = Column::encode("a", ints(&[30, 10, 20, 10]));
+        let col = encode("a", ints(&[30, 10, 20, 10]));
         assert_eq!(col.code_width(), CodeWidth::U8);
         match &col.narrow {
             NarrowCodes::U8(n) => {
@@ -497,7 +425,7 @@ mod tests {
             other => panic!("expected u8 mirror, got {other:?}"),
         }
         // 300 distinct -> u16 mirror.
-        let col = Column::encode("b", ints(&(0..300).collect::<Vec<i64>>()));
+        let col = encode("b", ints(&(0..300).collect::<Vec<i64>>()));
         assert_eq!(col.code_width(), CodeWidth::U16);
         match &col.narrow {
             NarrowCodes::U16(n) => {
@@ -509,15 +437,15 @@ mod tests {
 
     #[test]
     fn width_boundaries_are_exact() {
-        let col = Column::encode("a", ints(&(0..256).collect::<Vec<i64>>()));
+        let col = encode("a", ints(&(0..256).collect::<Vec<i64>>()));
         assert_eq!(col.code_width(), CodeWidth::U8, "256 distinct fits u8");
-        let col = Column::encode("a", ints(&(0..257).collect::<Vec<i64>>()));
+        let col = encode("a", ints(&(0..257).collect::<Vec<i64>>()));
         assert_eq!(col.code_width(), CodeWidth::U16, "257 distinct needs u16");
     }
 
     #[test]
     fn widen_code_width_only_widens() {
-        let mut col = Column::encode("a", ints(&[1, 2, 1]));
+        let mut col = encode("a", ints(&[1, 2, 1]));
         assert_eq!(col.code_width(), CodeWidth::U8);
         col.widen_code_width(CodeWidth::U16);
         assert_eq!(col.code_width(), CodeWidth::U16);
@@ -531,27 +459,10 @@ mod tests {
     #[test]
     fn duplicate_heavy_column_small_dictionary() {
         let vals: Vec<Value> = (0..1000).map(|i| Value::Int(i % 3)).collect();
-        let col = Column::encode("q", vals);
+        let col = encode("q", vals);
         assert_eq!(col.meta.distinct, 3);
         assert_eq!(col.dictionary.len(), 3);
         assert_eq!(col.len(), 1000);
-    }
-
-    #[test]
-    fn int_counting_and_sorting_paths_rank_alike() {
-        // A span under four slots per row takes the counting pass; one
-        // far value forces the sort of (key, row) pairs instead.
-        let near = ints(&[-3, 5, -3, 0, 5, 2]);
-        let mut far = near.clone();
-        far.push(Value::Int(i64::MAX));
-        far.push(Value::Int(i64::MIN));
-        let counted = Column::encode("a", near);
-        let sorted = Column::encode("a", far);
-        assert_eq!(counted.codes, vec![0, 3, 0, 1, 3, 2]);
-        let shifted: Vec<u32> = counted.codes.iter().map(|c| c + 1).collect();
-        assert_eq!(&sorted.codes[..6], shifted.as_slice());
-        assert_eq!(&sorted.codes[6..], &[5, 0]);
-        assert_eq!(sorted.dictionary[5], Value::Int(i64::MAX));
     }
 
     #[test]
@@ -564,7 +475,7 @@ mod tests {
             Value::Str("10".into()),
         ];
         let cells: Vec<Cell<'_>> = vals.iter().map(Cell::of).collect();
-        let col = Column::encode_cells("t".into(), &cells, Some(TypingMode::Infer));
+        let col = Column::encode_cells("t".into(), &cells, TypingMode::Infer);
         assert_eq!(col.meta.data_type, DataType::Str);
         // NULL < "-0" < "10" (twice: Int(10) displays as "10") < "9".
         assert_eq!(col.codes, vec![2, 3, 0, 1, 2]);

@@ -67,7 +67,7 @@ impl Relation {
             .into_iter()
             .map(|(name, vals)| {
                 let cells: Vec<Cell<'_>> = vals.iter().map(Cell::of).collect();
-                Column::encode_cells(name.to_owned(), &cells, Some(mode))
+                Column::encode_cells(name.to_owned(), &cells, mode)
             })
             .collect();
         Ok(Relation { columns, num_rows })
