@@ -16,7 +16,8 @@
 //!   patience sorting.
 //! * **Functional dependency** (`X → Y` as sets, split violations): within
 //!   each `X`-equivalence class, keep the most frequent `Y`-projection;
-//!   everything else must go.
+//!   everything else must go. The classes are contiguous runs of the same
+//!   `(X, Y)` order, so one walk over it yields both components.
 //!
 //! An approximate OD holds at tolerance `ε` when both error components are
 //! at most `ε·m`. (The exact joint minimum removal is NP-hard in general;
@@ -64,13 +65,17 @@ use crate::runtime::{Budget, TerminationReason};
 use crate::search::{EscalationJob, EscalationKind, EscalationVerdict};
 use ocdd_relation::scan::{note_scan, select_kernel, BlockEq, ScanKernel, BLOCK_PAIRS};
 use ocdd_relation::sort::{cmp_rows, sort_index_by};
-use ocdd_relation::{manifest_hash, Relation, Sample, SampleSpec, SampleStrategy};
-use std::collections::{BTreeMap, BTreeSet};
+use ocdd_relation::{manifest_hash, ColumnId, Relation, Sample, SampleSpec, SampleStrategy};
+use std::collections::BTreeSet;
 
-/// Row passes one error decomposition costs: two projection-rank scans,
-/// the `(lhs, rhs)` sort and the LNDS — the documented cost model behind
-/// [`ApproxStats::sample_row_scans`] / [`ApproxStats::full_row_scans`]
-/// (one fused checker scan costs one pass).
+/// Row passes one error decomposition costs — the documented cost model
+/// behind [`ApproxStats::sample_row_scans`] / [`ApproxStats::full_row_scans`]
+/// (one fused checker scan costs one pass). A decomposition runs the
+/// `(lhs, rhs)` sort, two projection-rank scans (LHS ranks along that
+/// sort, RHS ranks along an RHS index) and one fused walk that feeds the
+/// LNDS and reads the split count off the LHS classes. The model stays at
+/// the four passes it has always charged, so row-scan counts remain
+/// comparable across revisions.
 pub const ERR_PASSES: u64 = 4;
 
 /// Error decomposition of an OD candidate.
@@ -117,26 +122,6 @@ impl OdError {
     }
 }
 
-/// Length of the longest non-decreasing subsequence (patience sorting,
-/// `O(m log m)`).
-fn longest_nondecreasing_subsequence(seq: &[u64]) -> usize {
-    // tails[k] = smallest possible tail of a non-decreasing subsequence of
-    // length k+1.
-    let mut tails: Vec<u64> = Vec::new();
-    // lint: allow(unprobed-loop, patience pass over one estimate's sample sequence, bounded by the sample rows)
-    for &v in seq {
-        // First tail strictly greater than v gets replaced (non-decreasing,
-        // so equal tails extend).
-        let pos = tails.partition_point(|&t| t <= v);
-        if pos == tails.len() {
-            tails.push(v);
-        } else if let Some(t) = tails.get_mut(pos) {
-            *t = v;
-        }
-    }
-    tails.len()
-}
-
 /// Rank lookup by permuted row id; `r` always comes from a permutation of
 /// `0..ranks.len()`, so the fallback is unreachable.
 #[inline]
@@ -156,7 +141,8 @@ fn projection_ranks(rel: &Relation, cols: &AttrList) -> Vec<u64> {
     projection_ranks_on(rel, cols, &index)
 }
 
-/// [`projection_ranks`] over a pre-built sorted index.
+/// [`projection_ranks`] over a pre-built index sorted by `cols` (ties may
+/// be ordered by further columns, as in [`SortedRows`]).
 fn projection_ranks_on(rel: &Relation, cols: &AttrList, index: &[u32]) -> Vec<u64> {
     let m = index.len();
     let mut ranks = vec![0u64; m];
@@ -229,63 +215,170 @@ fn rank_at_u32(index: &[u32], pos: usize) -> u32 {
     index.get(pos).copied().unwrap_or(0)
 }
 
-/// Compute the exact error decomposition of the OD `lhs → rhs`.
-pub fn od_error(rel: &Relation, lhs: &AttrList, rhs: &AttrList) -> OdError {
-    let m = rel.num_rows();
-    debug_assert!(
-        m <= u32::MAX as usize,
-        "row ids are u32 by the relation contract"
-    );
-    if m == 0 {
-        return OdError {
-            swap_removals: 0,
-            split_removals: 0,
-            rows: 0,
-        };
-    }
-    let lhs_rank = projection_ranks(rel, lhs);
-    let rhs_rank = projection_ranks(rel, rhs);
+/// Patience-sorting state of a longest non-decreasing subsequence:
+/// `tails[k]` is the smallest value ending a non-decreasing chain of
+/// length `k + 1` among the values pushed so far (`O(log m)` per push).
+#[derive(Default)]
+struct Patience {
+    tails: Vec<u64>,
+}
 
-    // Swap component: sort by (lhs, rhs), take LNDS of the rhs ranks.
-    let mut order: Vec<u32> = (0..m as u32).collect();
-    order.sort_unstable_by_key(|&r| (rank_at(&lhs_rank, r), rank_at(&rhs_rank, r)));
-    let rhs_seq: Vec<u64> = order.iter().map(|&r| rank_at(&rhs_rank, r)).collect();
-    let swap_removals = m - longest_nondecreasing_subsequence(&rhs_seq);
-
-    // Split component: per lhs class, keep the plurality rhs projection.
-    // BTreeMap keeps the walk deterministic (and groups the (l, y) pairs
-    // by l for the single-pass plurality fold below).
-    let mut class_counts: BTreeMap<(u64, u64), usize> = BTreeMap::new();
-    // lint: allow(unprobed-loop, one pass over the sample-row rank pairs of a single estimate)
-    for (&l, &y) in lhs_rank.iter().zip(rhs_rank.iter()) {
-        *class_counts.entry((l, y)).or_insert(0) += 1;
-    }
-    let mut split_removals = 0usize;
-    let mut cur: Option<u64> = None;
-    let mut total = 0usize;
-    let mut best = 0usize;
-    // lint: allow(unprobed-loop, plurality fold over the sample's equivalence classes, bounded by the sample rows)
-    for (&(l, _), &count) in &class_counts {
-        if cur != Some(l) {
-            split_removals += total - best;
-            cur = Some(l);
-            total = 0;
-            best = 0;
+impl Patience {
+    /// Push the next value and return the `k` whose chain (of length
+    /// `k + 1`) it now ends. Equal values extend a chain, so `v` replaces
+    /// the first tail strictly greater than it.
+    #[inline]
+    fn push(&mut self, v: u64) -> usize {
+        let k = self.tails.partition_point(|&t| t <= v);
+        match self.tails.get_mut(k) {
+            Some(t) => *t = v,
+            None => self.tails.push(v),
         }
-        total += count;
-        best = best.max(count);
+        k
     }
-    split_removals += total - best;
 
+    /// Length of the longest non-decreasing subsequence pushed so far.
+    fn len(&self) -> usize {
+        self.tails.len()
+    }
+}
+
+/// One LHS equivalence class, as a [`SortedRows::walk`] reports it.
+#[derive(Clone, Copy)]
+struct Class {
+    /// First position of the class's run in [`SortedRows::order`].
+    start: usize,
+    /// One past its last position.
+    end: usize,
+    /// The class's most frequent RHS rank (the smallest on a tie).
+    plurality: u64,
+    /// Rows of the class carrying `plurality`.
+    count: usize,
+}
+
+impl Class {
+    /// Rows disagreeing with the plurality: the class's split removals.
+    fn minority(&self) -> usize {
+        self.end - self.start - self.count
+    }
+}
+
+/// The rows of one error decomposition, sorted once.
+///
+/// `order` sorts the rows by `lhs ++ rhs` with already-seen columns
+/// dropped (a repeated column cannot reorder rows its first occurrence
+/// left tied). Each LHS class is therefore one contiguous run of `order`,
+/// and inside a run the rows ascend by their RHS projection, so rows equal
+/// on both sides are adjacent. This is the `(lhs_rank, rhs_rank)` order
+/// the decomposition is defined over, up to the order among rows equal on
+/// both sides, which all carry the same RHS rank.
+struct SortedRows {
+    /// Row ids in `(lhs, rhs)` order.
+    order: Vec<u32>,
+    /// Dense LHS projection rank per row id, read off `order`.
+    lhs_rank: Vec<u64>,
+    /// Dense RHS projection rank per row id.
+    rhs_rank: Vec<u64>,
+}
+
+impl SortedRows {
+    fn new(rel: &Relation, lhs: &AttrList, rhs: &AttrList) -> SortedRows {
+        debug_assert!(
+            rel.num_rows() <= u32::MAX as usize,
+            "row ids are u32 by the relation contract"
+        );
+        let mut key: Vec<ColumnId> = Vec::with_capacity(lhs.len() + rhs.len());
+        // lint: allow(unprobed-loop, one pass over the two attribute lists, bounded by the schema width)
+        for &c in lhs.as_slice().iter().chain(rhs.as_slice()) {
+            if !key.contains(&c) {
+                key.push(c);
+            }
+        }
+        let order = sort_index_by(rel, &key);
+        let lhs_rank = projection_ranks_on(rel, lhs, &order);
+        let rhs_rank = projection_ranks(rel, rhs);
+        SortedRows {
+            order,
+            lhs_rank,
+            rhs_rank,
+        }
+    }
+
+    /// The fused walk over `order`: hands every position and its RHS rank
+    /// to `step` (the LNDS input), and every LHS class to `class` once its
+    /// run ends.
+    fn walk(&self, mut step: impl FnMut(usize, u64), mut class: impl FnMut(Class)) {
+        let Some(&first) = self.order.first() else {
+            return;
+        };
+        let mut lhs = rank_at(&self.lhs_rank, first);
+        let mut cur = Class {
+            start: 0,
+            end: 0,
+            plurality: rank_at(&self.rhs_rank, first),
+            count: 0,
+        };
+        // RHS rank and length of the current equal-rank run in the class;
+        // RHS ranks ascend inside a class, so each rank is one run.
+        let (mut run_rank, mut run) = (cur.plurality, 0usize);
+        // lint: allow(unprobed-loop, fused LNDS and split walk over one decomposition's sorted rows, bounded by the rows of the measured instance)
+        for (pos, &row) in self.order.iter().enumerate() {
+            let (l, y) = (rank_at(&self.lhs_rank, row), rank_at(&self.rhs_rank, row));
+            step(pos, y);
+            if l != lhs {
+                cur.end = pos;
+                class(cur);
+                lhs = l;
+                cur = Class {
+                    start: pos,
+                    end: pos,
+                    plurality: y,
+                    count: 0,
+                };
+                run = 0;
+            } else if y != run_rank {
+                run = 0;
+            }
+            run_rank = y;
+            run += 1;
+            if run > cur.count {
+                cur.count = run;
+                cur.plurality = y;
+            }
+        }
+        cur.end = self.order.len();
+        class(cur);
+    }
+}
+
+/// Compute the exact error decomposition of the OD `lhs → rhs`.
+///
+/// Both components come from one `(lhs, rhs)` sort and one walk over it:
+/// the swap component is `m − LNDS` of the RHS ranks in that order, and
+/// the split component sums each LHS class's rows outside its plurality
+/// RHS rank.
+pub fn od_error(rel: &Relation, lhs: &AttrList, rhs: &AttrList) -> OdError {
+    let sorted = SortedRows::new(rel, lhs, rhs);
+    let mut lnds = Patience::default();
+    let mut split_removals = 0usize;
+    sorted.walk(
+        |_, y| {
+            lnds.push(y);
+        },
+        |c| split_removals += c.minority(),
+    );
+    let m = sorted.order.len();
     OdError {
-        swap_removals,
+        swap_removals: m - lnds.len(),
         split_removals,
         rows: m,
     }
 }
 
-/// Error of the OCD `x ~ y` (swap component of `XY → YX`; the split
-/// component is structurally zero there, see Theorem 4.1 discussion).
+/// Error of the OCD `x ~ y`: the swap component of `XY → YX`. Its split
+/// component is always zero, because `XY` and `YX` hold the same
+/// attributes: rows equal on one side are equal on the other, so every
+/// LHS class carries a single RHS projection.
 pub fn ocd_error(rel: &Relation, x: &AttrList, y: &AttrList) -> OdError {
     od_error(rel, &x.concat(y), &y.concat(x))
 }
@@ -299,72 +392,54 @@ pub fn ocd_error(rel: &Relation, x: &AttrList, y: &AttrList) -> OdError {
 /// witnesses are exact for each component (see [`od_error`]), and removing
 /// them always yields an instance on which the OD holds.
 pub fn removal_witnesses(rel: &Relation, lhs: &AttrList, rhs: &AttrList) -> Vec<u32> {
-    let m = rel.num_rows();
-    debug_assert!(
-        m <= u32::MAX as usize,
-        "row ids are u32 by the relation contract"
-    );
-    if m == 0 {
-        return Vec::new();
-    }
-    let lhs_rank = projection_ranks(rel, lhs);
-    let rhs_rank = projection_ranks(rel, rhs);
-
+    let sorted = SortedRows::new(rel, lhs, rhs);
+    let m = sorted.order.len();
     let mut witnesses: Vec<u32> = Vec::new();
-
     // Swap side: patience sorting with predecessor links recovers one
-    // longest non-decreasing subsequence; everything outside it goes.
-    let mut order: Vec<u32> = (0..m as u32).collect();
-    order.sort_unstable_by_key(|&r| (rank_at(&lhs_rank, r), rank_at(&rhs_rank, r)));
-    let seq: Vec<u64> = order.iter().map(|&r| rank_at(&rhs_rank, r)).collect();
-    let mut tails: Vec<usize> = Vec::new(); // positions into seq
-    let mut prev: Vec<Option<usize>> = vec![None; seq.len()];
-    for (pos, &v) in seq.iter().enumerate() {
-        let insert = tails.partition_point(|&t| seq.get(t).copied().unwrap_or(0) <= v);
-        if insert > 0 {
-            if let (Some(p), Some(&t)) = (prev.get_mut(pos), tails.get(insert - 1)) {
-                *p = Some(t);
+    // longest non-decreasing chain of positions. It keeps every run of
+    // equal RHS ranks whole, so which rows it keeps does not depend on
+    // the order among rows equal on both sides.
+    let mut lnds = Patience::default();
+    let mut ends: Vec<usize> = Vec::new(); // ends[k]: position ending chain k
+    let mut prev: Vec<Option<usize>> = vec![None; m];
+    sorted.walk(
+        |pos, y| {
+            let k = lnds.push(y);
+            let link = k.checked_sub(1).and_then(|j| ends.get(j)).copied();
+            if let Some(p) = prev.get_mut(pos) {
+                *p = link;
             }
-        }
-        if insert == tails.len() {
-            tails.push(pos);
-        } else if let Some(t) = tails.get_mut(insert) {
-            *t = pos;
-        }
-    }
-    let mut keep = vec![false; seq.len()];
-    let mut cursor = tails.last().copied();
+            match ends.get_mut(k) {
+                Some(e) => *e = pos,
+                None => ends.push(pos),
+            }
+        },
+        // Split side: rows disagreeing with their LHS class plurality.
+        |c| {
+            let rows = sorted.order.get(c.start..c.end).unwrap_or_default();
+            witnesses.extend(
+                rows.iter()
+                    .copied()
+                    .filter(|&r| rank_at(&sorted.rhs_rank, r) != c.plurality),
+            );
+        },
+    );
+    let mut keep = vec![false; m];
+    let mut cursor = ends.last().copied();
     while let Some(p) = cursor {
         if let Some(k) = keep.get_mut(p) {
             *k = true;
         }
         cursor = prev.get(p).copied().flatten();
     }
-    for (&kept, &row) in keep.iter().zip(order.iter()) {
-        if !kept {
-            witnesses.push(row);
-        }
-    }
-
-    // Split side: rows disagreeing with their LHS class plurality.
-    let mut counts: BTreeMap<(u64, u64), usize> = BTreeMap::new();
-    for (&l, &y) in lhs_rank.iter().zip(rhs_rank.iter()) {
-        *counts.entry((l, y)).or_insert(0) += 1;
-    }
-    let mut best: BTreeMap<u64, (usize, u64)> = BTreeMap::new();
-    for (&(l, y), &count) in &counts {
-        let entry = best.entry(l).or_insert((0, 0));
-        // Deterministic tie-break: prefer the smaller rhs rank.
-        if count > entry.0 || (count == entry.0 && y < entry.1) {
-            *entry = (count, y);
-        }
-    }
-    for (r, (&l, &y)) in lhs_rank.iter().zip(rhs_rank.iter()).enumerate() {
-        if best.get(&l).is_some_and(|&(_, by)| by != y) {
-            // lint: allow(lossy-cast, r indexes lhs_rank whose length is m <= u32::MAX rows)
-            witnesses.push(r as u32);
-        }
-    }
+    witnesses.extend(
+        sorted
+            .order
+            .iter()
+            .zip(&keep)
+            .filter(|&(_, &kept)| !kept)
+            .map(|(&row, _)| row),
+    );
 
     witnesses.sort_unstable();
     witnesses.dedup();
@@ -631,14 +706,14 @@ impl LevelCtx<'_> {
             let est = od_error(self.sample_rel, lhs, rhs);
             self.sample_passes += ERR_PASSES * est.rows as u64;
             stats.estimated += 1;
+            // Accept needs *both* components clearly within ε
+            // (`worst + hw ≤ ε`); reject needs *either* clearly beyond it,
+            // which holds exactly when the worse one is (`worst − hw > ε`).
             let worst = est.swap_error().max(est.split_error());
-            let best_case = est.swap_error().min(est.split_error());
-            // Accept needs *both* components clearly within ε; reject
-            // needs *either* clearly beyond.
             *dir = if worst + self.hw <= self.epsilon {
                 stats.accepted_by_sample += 1;
                 DirState::Holds
-            } else if best_case.max(worst) - self.hw > self.epsilon {
+            } else if worst - self.hw > self.epsilon {
                 stats.rejected_by_sample += 1;
                 DirState::Fails
             } else {
@@ -1096,6 +1171,145 @@ fn finalize_candidate(
     }
 }
 
+/// Differential-test oracle of [`od_error`] and [`removal_witnesses`]
+/// without the shared `(lhs, rhs)` sort: each side's ranks come from a
+/// comparator sort and the scalar comparator walk, the LNDS runs over a
+/// `(lhs_rank, rhs_rank)` sort of the rows, and the split side counts
+/// `(lhs_rank, rhs_rank)` pairs in a map.
+#[cfg(test)]
+mod oracle {
+    use super::{projection_ranks_scalar, rank_at, AttrList, OdError, Relation};
+    use ocdd_relation::sort::sort_index_by_comparator;
+    use std::collections::BTreeMap;
+
+    /// Length of the longest non-decreasing subsequence (patience sorting,
+    /// `O(m log m)`).
+    pub(super) fn longest_nondecreasing_subsequence(seq: &[u64]) -> usize {
+        // tails[k] = smallest possible tail of a non-decreasing
+        // subsequence of length k+1.
+        let mut tails: Vec<u64> = Vec::new();
+        for &v in seq {
+            // First tail strictly greater than v gets replaced
+            // (non-decreasing, so equal tails extend).
+            let pos = tails.partition_point(|&t| t <= v);
+            if pos == tails.len() {
+                tails.push(v);
+            } else if let Some(t) = tails.get_mut(pos) {
+                *t = v;
+            }
+        }
+        tails.len()
+    }
+
+    fn ranks(rel: &Relation, cols: &AttrList) -> Vec<u64> {
+        projection_ranks_scalar(rel, cols, &sort_index_by_comparator(rel, cols.as_slice()))
+    }
+
+    /// Both sides' ranks, the rows in `(lhs_rank, rhs_rank)` order, and
+    /// the `(lhs_rank, rhs_rank)` pair counts.
+    #[allow(clippy::type_complexity)]
+    fn decompose(
+        rel: &Relation,
+        lhs: &AttrList,
+        rhs: &AttrList,
+    ) -> (Vec<u64>, Vec<u64>, Vec<u32>, BTreeMap<(u64, u64), usize>) {
+        let m = rel.num_rows();
+        let lhs_rank = ranks(rel, lhs);
+        let rhs_rank = ranks(rel, rhs);
+        let mut order: Vec<u32> = (0..m as u32).collect();
+        order.sort_unstable_by_key(|&r| (rank_at(&lhs_rank, r), rank_at(&rhs_rank, r)));
+        let mut counts: BTreeMap<(u64, u64), usize> = BTreeMap::new();
+        for (&l, &y) in lhs_rank.iter().zip(rhs_rank.iter()) {
+            *counts.entry((l, y)).or_insert(0) += 1;
+        }
+        (lhs_rank, rhs_rank, order, counts)
+    }
+
+    pub(super) fn od_error(rel: &Relation, lhs: &AttrList, rhs: &AttrList) -> OdError {
+        let m = rel.num_rows();
+        let (_, rhs_rank, order, counts) = decompose(rel, lhs, rhs);
+        let rhs_seq: Vec<u64> = order.iter().map(|&r| rank_at(&rhs_rank, r)).collect();
+        let swap_removals = m - longest_nondecreasing_subsequence(&rhs_seq);
+        // Per lhs class, keep the plurality rhs projection (the map groups
+        // the (l, y) pairs by l).
+        let mut split_removals = 0usize;
+        let mut cur: Option<u64> = None;
+        let (mut total, mut best) = (0usize, 0usize);
+        for (&(l, _), &count) in &counts {
+            if cur != Some(l) {
+                split_removals += total - best;
+                cur = Some(l);
+                total = 0;
+                best = 0;
+            }
+            total += count;
+            best = best.max(count);
+        }
+        split_removals += total - best;
+        OdError {
+            swap_removals,
+            split_removals,
+            rows: m,
+        }
+    }
+
+    pub(super) fn removal_witnesses(rel: &Relation, lhs: &AttrList, rhs: &AttrList) -> Vec<u32> {
+        let (lhs_rank, rhs_rank, order, counts) = decompose(rel, lhs, rhs);
+        let mut witnesses: Vec<u32> = Vec::new();
+
+        // Swap side: patience sorting with predecessor links recovers one
+        // longest non-decreasing subsequence; everything outside it goes.
+        let seq: Vec<u64> = order.iter().map(|&r| rank_at(&rhs_rank, r)).collect();
+        let mut tails: Vec<usize> = Vec::new(); // positions into seq
+        let mut prev: Vec<Option<usize>> = vec![None; seq.len()];
+        for (pos, &v) in seq.iter().enumerate() {
+            let insert = tails.partition_point(|&t| seq.get(t).copied().unwrap_or(0) <= v);
+            if insert > 0 {
+                if let (Some(p), Some(&t)) = (prev.get_mut(pos), tails.get(insert - 1)) {
+                    *p = Some(t);
+                }
+            }
+            if insert == tails.len() {
+                tails.push(pos);
+            } else if let Some(t) = tails.get_mut(insert) {
+                *t = pos;
+            }
+        }
+        let mut keep = vec![false; seq.len()];
+        let mut cursor = tails.last().copied();
+        while let Some(p) = cursor {
+            if let Some(k) = keep.get_mut(p) {
+                *k = true;
+            }
+            cursor = prev.get(p).copied().flatten();
+        }
+        for (&kept, &row) in keep.iter().zip(order.iter()) {
+            if !kept {
+                witnesses.push(row);
+            }
+        }
+
+        // Split side: rows disagreeing with their LHS class plurality.
+        let mut best: BTreeMap<u64, (usize, u64)> = BTreeMap::new();
+        for (&(l, y), &count) in &counts {
+            let entry = best.entry(l).or_insert((0, 0));
+            // Deterministic tie-break: prefer the smaller rhs rank.
+            if count > entry.0 || (count == entry.0 && y < entry.1) {
+                *entry = (count, y);
+            }
+        }
+        for (r, (&l, &y)) in lhs_rank.iter().zip(rhs_rank.iter()).enumerate() {
+            if best.get(&l).is_some_and(|&(_, by)| by != y) {
+                witnesses.push(r as u32);
+            }
+        }
+
+        witnesses.sort_unstable();
+        witnesses.dedup();
+        witnesses
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1116,11 +1330,93 @@ mod tests {
 
     #[test]
     fn lnds_basics() {
-        assert_eq!(longest_nondecreasing_subsequence(&[]), 0);
-        assert_eq!(longest_nondecreasing_subsequence(&[1, 2, 2, 3]), 4);
-        assert_eq!(longest_nondecreasing_subsequence(&[3, 2, 1]), 1);
-        assert_eq!(longest_nondecreasing_subsequence(&[1, 3, 2, 4]), 3);
-        assert_eq!(longest_nondecreasing_subsequence(&[2, 2, 1, 1, 2]), 3);
+        use oracle::longest_nondecreasing_subsequence as lnds;
+        assert_eq!(lnds(&[]), 0);
+        assert_eq!(lnds(&[1, 2, 2, 3]), 4);
+        assert_eq!(lnds(&[3, 2, 1]), 1);
+        assert_eq!(lnds(&[1, 3, 2, 4]), 3);
+        assert_eq!(lnds(&[2, 2, 1, 1, 2]), 3);
+    }
+
+    /// A relation of four columns over `rows` rows, one in five cells
+    /// NULL, with 2, 3, 5 and 12 distinct values: enough ties for classes,
+    /// runs and equal-key groups of every size.
+    fn nully_relation(rows: usize, seed: u64) -> Relation {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cols = [2i64, 3, 5, 12]
+            .iter()
+            .enumerate()
+            .map(|(c, &card)| {
+                let vals = (0..rows)
+                    .map(|_| {
+                        if rng.random_range(0..5) == 0 {
+                            Value::Null
+                        } else {
+                            Value::Int(rng.random_range(0..card))
+                        }
+                    })
+                    .collect();
+                (format!("c{c}"), vals)
+            })
+            .collect();
+        Relation::from_columns(cols).unwrap()
+    }
+
+    /// The one-sort decomposition and the oracle agree on both removal
+    /// counts and on the exact witness vector.
+    fn matches_oracle(
+        r: &Relation,
+        lhs: &AttrList,
+        rhs: &AttrList,
+    ) -> Result<(), proptest::TestCaseError> {
+        let (got, want) = (od_error(r, lhs, rhs), oracle::od_error(r, lhs, rhs));
+        proptest::prop_assert_eq!(got, want, "{} -> {}", lhs, rhs);
+        proptest::prop_assert_eq!(
+            removal_witnesses(r, lhs, rhs),
+            oracle::removal_witnesses(r, lhs, rhs),
+            "witnesses of {} -> {}",
+            lhs,
+            rhs
+        );
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2000))]
+
+        /// Sides of 1–3 columns drawn from four, so columns repeat within
+        /// a side and across the two sides.
+        #[test]
+        fn one_sort_decomposition_matches_oracle(
+            rows in 0usize..=60,
+            seed in 0u64..1 << 32,
+            lhs in proptest::collection::vec(0usize..4, 1..=3),
+            rhs in proptest::collection::vec(0usize..4, 1..=3),
+        ) {
+            let r = nully_relation(rows, seed);
+            let (lhs, rhs) = (l(&lhs), l(&rhs));
+            matches_oracle(&r, &lhs, &rhs)?;
+            matches_oracle(&r, &lhs.concat(&rhs), &rhs.concat(&lhs))?;
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
+
+        /// Past one scan block the LHS and RHS ranks come from the
+        /// blockwise kernels instead of the scalar walk.
+        #[test]
+        fn one_sort_decomposition_matches_oracle_past_one_block(
+            rows in BLOCK_PAIRS + 1..=400,
+            seed in 0u64..1 << 32,
+            lhs in proptest::collection::vec(0usize..4, 1..=3),
+            rhs in proptest::collection::vec(0usize..4, 1..=3),
+        ) {
+            let r = nully_relation(rows, seed);
+            matches_oracle(&r, &l(&lhs), &l(&rhs))?;
+        }
     }
 
     #[test]

@@ -296,6 +296,17 @@ fn cmd_profile(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
+    if p.algo == "approx" {
+        // The range checks also refuse NaN, which compares false.
+        if !(0.0..=1.0).contains(&p.epsilon) {
+            eprintln!("ocdd: --epsilon must be in [0, 1], got {}", p.epsilon);
+            return ExitCode::FAILURE;
+        }
+        if let Some(c) = p.confidence.filter(|&c| !(c > 0.0 && c < 1.0)) {
+            eprintln!("ocdd: --confidence must be in (0, 1), got {c}");
+            return ExitCode::FAILURE;
+        }
+    }
     let rel = match read_csv_path(&p.path, &p.csv) {
         Ok(r) => r,
         Err(e) => {

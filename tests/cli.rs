@@ -134,3 +134,44 @@ fn profile_json_output_is_machine_readable() {
         "got: {text}"
     );
 }
+
+#[test]
+fn approx_rejects_out_of_range_epsilon_and_confidence() {
+    let dir = std::env::temp_dir().join("ocdd_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("approx_flags.csv");
+    let rows: String = (0..300).map(|i| format!("{i},{}\n", i / 3)).collect();
+    std::fs::write(&path, format!("a,b\n{rows}")).unwrap();
+    let csv = path.to_str().unwrap();
+    let approx = |flags: &[&str]| {
+        let mut args = vec!["profile", csv, "--algo", "approx"];
+        args.extend_from_slice(flags);
+        ocdd(&args)
+    };
+
+    for eps in ["NaN", "-0.5", "1.5", "inf"] {
+        let out = approx(&["--epsilon", eps]);
+        assert!(!out.status.success(), "--epsilon {eps} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--epsilon must be in [0, 1]"), "got: {err}");
+    }
+    for conf in ["NaN", "1.5", "1", "0", "-0.1"] {
+        let out = approx(&["--sample", "100", "--confidence", conf]);
+        assert!(!out.status.success(), "--confidence {conf} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--confidence must be in (0, 1)"), "got: {err}");
+    }
+
+    // The closed ends of ε's range and an interior confidence still run.
+    for flags in [
+        &["--epsilon", "0"][..],
+        &["--epsilon", "1"],
+        &["--sample", "100", "--confidence", "0.5"],
+    ] {
+        let out = approx(flags);
+        assert!(out.status.success(), "{flags:?} failed: {out:?}");
+    }
+    let text = stdout(&approx(&["--epsilon", "0.01"]));
+    assert!(text.contains("[a] ~ [b]"), "got: {text}");
+    assert!(text.contains("[a] -> [b]"), "got: {text}");
+}
