@@ -1,35 +1,23 @@
 //! Ablation benchmarks for the design choices called out in DESIGN.md:
 //!
-//! * **sort cache** — the paper's checker re-sorts per candidate (§5.3.1
-//!   leaves sorted-partition reuse as out of scope); the cached-prefix
-//!   refinement is our optional optimization.
+//! * **checker backend** — the paper's checker re-sorts per candidate
+//!   (§5.3.1 leaves sorted-partition reuse as out of scope); sorted
+//!   partitions are our optional optimization.
 //! * **candidate dedup** — a candidate has up to two parents; deduplication
 //!   trades a hash set for duplicate checks.
-//! * **scheduling** — the paper's static per-branch queues vs rayon
-//!   work-stealing.
+//! * **scheduling** — one worker vs the work-stealing scheduler.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ocdd_core::{discover, DiscoveryConfig, ParallelMode};
 use ocdd_datasets::{Dataset, RowScale};
 use std::hint::black_box;
 
-fn bench_sort_cache(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_sort_cache");
+fn bench_discovery_checker(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ablation_discovery_checker");
     group.sample_size(10);
     let rel = Dataset::Dbtesma1k.generate(RowScale::Default);
     group.bench_function("resort_per_candidate(paper)", |b| {
         b.iter(|| black_box(discover(&rel, &DiscoveryConfig::default())))
-    });
-    group.bench_function("cached_prefix_refinement", |b| {
-        b.iter(|| {
-            black_box(discover(
-                &rel,
-                &DiscoveryConfig {
-                    checker: ocdd_core::CheckerBackend::PrefixCache,
-                    ..Default::default()
-                },
-            ))
-        })
     });
     group.bench_function("sorted_partitions", |b| {
         b.iter(|| {
@@ -72,8 +60,7 @@ fn bench_scheduling(c: &mut Criterion) {
     let rel = Dataset::Dbtesma1k.generate(RowScale::Default);
     for (name, mode) in [
         ("sequential", ParallelMode::Sequential),
-        ("static_queues_4(paper)", ParallelMode::StaticQueues(4)),
-        ("rayon_4", ParallelMode::Rayon(4)),
+        ("work_stealing_4", ParallelMode::WorkStealing(4)),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
@@ -92,7 +79,7 @@ fn bench_scheduling(c: &mut Criterion) {
 
 fn bench_checker_backends(c: &mut Criterion) {
     use ocdd_core::sorted_partitions::PartitionChecker;
-    use ocdd_core::{check_od, AttrList, SortCache};
+    use ocdd_core::{check_od, AttrList};
     use ocdd_datasets::{ColumnSpec, TableSpec};
     use std::hint::black_box as bb;
 
@@ -131,49 +118,9 @@ fn bench_checker_backends(c: &mut Criterion) {
             }
         })
     });
-    group.bench_function("sorted_index_prefix_cache", |b| {
-        b.iter(|| {
-            let mut cache = SortCache::new(&rel);
-            for (x, y) in &workload {
-                bb(cache.check_od(x, y));
-            }
-        })
-    });
     group.bench_function("sorted_partitions(s5.3.1)", |b| {
         b.iter(|| {
             let mut checker = PartitionChecker::new(&rel);
-            for (x, y) in &workload {
-                bb(checker.check_od(x, y));
-            }
-        })
-    });
-    // Shared-cache variants: the second pass simulates a sibling worker
-    // arriving after the cache is warm.
-    group.bench_function("prefix_cache_shared_warm", |b| {
-        use ocdd_core::SharedPrefixCache;
-        use std::sync::Arc;
-        let shared = Arc::new(SharedPrefixCache::<Vec<u32>>::new(256 << 20));
-        let mut warm = SortCache::with_shared(&rel, Arc::clone(&shared));
-        for (x, y) in &workload {
-            bb(warm.check_od(x, y));
-        }
-        b.iter(|| {
-            let mut cache = SortCache::with_shared(&rel, Arc::clone(&shared));
-            for (x, y) in &workload {
-                bb(cache.check_od(x, y));
-            }
-        })
-    });
-    group.bench_function("sorted_partitions_shared_warm", |b| {
-        use ocdd_core::SharedPrefixCache;
-        use std::sync::Arc;
-        let shared = Arc::new(SharedPrefixCache::new(256 << 20));
-        let mut warm = PartitionChecker::with_shared(&rel, Arc::clone(&shared));
-        for (x, y) in &workload {
-            bb(warm.check_od(x, y));
-        }
-        b.iter(|| {
-            let mut checker = PartitionChecker::with_shared(&rel, Arc::clone(&shared));
             for (x, y) in &workload {
                 bb(checker.check_od(x, y));
             }
@@ -184,7 +131,7 @@ fn bench_checker_backends(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_sort_cache,
+    bench_discovery_checker,
     bench_dedup,
     bench_scheduling,
     bench_checker_backends

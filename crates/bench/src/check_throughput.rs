@@ -23,7 +23,7 @@
 //! same workload under criterion for statistical timing.
 
 use ocdd_core::sorted_partitions::{PartitionChecker, SortedPartition};
-use ocdd_core::{AttrList, CacheStats, EpochPrefixCache, SortCache};
+use ocdd_core::{AttrList, CacheStats, EpochPrefixCache};
 use ocdd_datasets::{ColumnSpec, TableSpec};
 use ocdd_relation::sort::{cmp_rows, sort_index_by_comparator};
 use ocdd_relation::{ColumnId, Relation};
@@ -78,8 +78,7 @@ pub fn workload_relation(rows: usize, seed: u64) -> Relation {
 }
 
 /// The candidate workload: BFS-like contexts whose LHS lists share
-/// prefixes, exactly the access pattern [`SortCache`]/[`PartitionChecker`]
-/// amortize. Every candidate `(x, y)` is replayed as the three checks the
+/// prefixes, exactly the access pattern [`PartitionChecker`] amortizes. Every candidate `(x, y)` is replayed as the three checks the
 /// search performs per surviving candidate: the OCD check `xy → yx`
 /// (Theorem 4.1) and both OD directions `x → y`, `y → x`.
 pub fn workload_candidates(num_cols: usize) -> Vec<(AttrList, AttrList)> {
@@ -157,12 +156,6 @@ pub enum Backend {
     /// path). The delta against [`Backend::ResortRadix`] isolates the
     /// scan-kernel speedup at identical sort cost.
     ResortRadixBlock,
-    /// Worker-private sorted-index prefix cache.
-    PrefixCache,
-    /// Sorted-index prefix cache backed by an epoch-published shared
-    /// store ([`EpochPrefixCache`]): snapshot reads, publish per level —
-    /// the work-stealing mode's cache design.
-    PrefixCacheEpoch,
     /// Worker-private sorted partitions (§5.3.1) with the dispatched
     /// blockwise/SIMD class walk.
     SortedPartitions,
@@ -170,7 +163,9 @@ pub enum Backend {
     /// the ablation partner of [`Backend::SortedPartitions`]: the pair
     /// isolates the blockwise-walk speedup at identical partition cost.
     SortedPartitionsScalar,
-    /// Sorted partitions backed by an epoch-published shared store.
+    /// Sorted partitions backed by an epoch-published shared store
+    /// ([`EpochPrefixCache`]): snapshot reads, publish per level — the
+    /// search's `shared_cache` design.
     SortedPartitionsEpoch,
 }
 
@@ -232,31 +227,6 @@ pub const DEFAULT_SPECS: &[RunSpec] = &[
     RunSpec {
         name: "resort_radix_block_x8",
         backend: Backend::ResortRadixBlock,
-        workers: 8,
-    },
-    RunSpec {
-        name: "prefix_cache_private",
-        backend: Backend::PrefixCache,
-        workers: 1,
-    },
-    RunSpec {
-        name: "prefix_cache_epoch_x1",
-        backend: Backend::PrefixCacheEpoch,
-        workers: 1,
-    },
-    RunSpec {
-        name: "prefix_cache_epoch_x2",
-        backend: Backend::PrefixCacheEpoch,
-        workers: 2,
-    },
-    RunSpec {
-        name: "prefix_cache_epoch_x4",
-        backend: Backend::PrefixCacheEpoch,
-        workers: 4,
-    },
-    RunSpec {
-        name: "prefix_cache_epoch_x8",
-        backend: Backend::PrefixCacheEpoch,
         workers: 8,
     },
     RunSpec {
@@ -346,7 +316,6 @@ enum WorkerChecker<'r> {
     Comparator(&'r Relation),
     Radix(&'r Relation),
     RadixBlock(&'r Relation),
-    Sort(Box<SortCache<'r>>),
     Parts(Box<PartitionChecker<'r>>),
     PartsScalar(&'r Relation, Box<PartitionChecker<'r>>),
 }
@@ -354,7 +323,6 @@ enum WorkerChecker<'r> {
 impl<'r> WorkerChecker<'r> {
     fn begin_level(&mut self) {
         match self {
-            WorkerChecker::Sort(c) => c.begin_level(),
             WorkerChecker::Parts(c) => c.begin_level(),
             WorkerChecker::PartsScalar(_, c) => c.begin_level(),
             _ => {}
@@ -363,7 +331,6 @@ impl<'r> WorkerChecker<'r> {
 
     fn publish_pending(&mut self) {
         match self {
-            WorkerChecker::Sort(c) => c.publish_pending(),
             WorkerChecker::Parts(c) => c.publish_pending(),
             WorkerChecker::PartsScalar(_, c) => c.publish_pending(),
             _ => {}
@@ -377,7 +344,6 @@ impl<'r> WorkerChecker<'r> {
                 ocdd_core::check::check_od_scalar(rel, lhs, rhs).is_valid()
             }
             WorkerChecker::RadixBlock(rel) => ocdd_core::check::check_od(rel, lhs, rhs).is_valid(),
-            WorkerChecker::Sort(c) => c.check_od(lhs, rhs).is_valid(),
             WorkerChecker::Parts(c) => c.check_od(lhs, rhs).is_valid(),
             WorkerChecker::PartsScalar(rel, c) => c
                 .partition_for(lhs.as_slice())
@@ -412,19 +378,12 @@ pub fn run_spec(
     let workers = spec.workers.max(1);
     let wall_start = Instant::now();
 
-    let mut sort_epoch: Option<Arc<EpochPrefixCache<Vec<u32>>>> = None;
     let mut parts_epoch: Option<Arc<EpochPrefixCache<SortedPartition>>> = None;
     let mut checkers: Vec<WorkerChecker<'_>> = (0..workers)
         .map(|_| match spec.backend {
             Backend::SeedComparator => WorkerChecker::Comparator(rel),
             Backend::ResortRadix => WorkerChecker::Radix(rel),
             Backend::ResortRadixBlock => WorkerChecker::RadixBlock(rel),
-            Backend::PrefixCache => WorkerChecker::Sort(Box::new(SortCache::new(rel))),
-            Backend::PrefixCacheEpoch => {
-                let shared = sort_epoch
-                    .get_or_insert_with(|| Arc::new(EpochPrefixCache::new(cache_budget_bytes)));
-                WorkerChecker::Sort(Box::new(SortCache::with_epoch(rel, Arc::clone(shared))))
-            }
             Backend::SortedPartitions => WorkerChecker::Parts(Box::new(PartitionChecker::new(rel))),
             Backend::SortedPartitionsScalar => {
                 WorkerChecker::PartsScalar(rel, Box::new(PartitionChecker::new(rel)))
@@ -470,9 +429,7 @@ pub fn run_spec(
         modeled += critical + publish_start.elapsed();
     }
 
-    let cache = sort_epoch
-        .map(|c| c.stats())
-        .or_else(|| parts_epoch.map(|c| c.stats()));
+    let cache = parts_epoch.map(|c| c.stats());
     RunResult {
         spec,
         checks: candidates.len() as u64 * CHECKS_PER_CANDIDATE,
@@ -598,7 +555,7 @@ fn one_worker_baseline<'a>(results: &'a [RunResult], r: &RunResult) -> Option<&'
 ///   "environment": {"rustc": "rustc 1.95.0 (...)", "cpu_features": ["sse2", "avx2"],
 ///                   "simd_feature": false, "block_kernel": "block"},
 ///   "configs": [
-///     {"name": "prefix_cache_epoch_x4", "workers": 4, "checks": 786,
+///     {"name": "sorted_partitions_epoch_x4", "workers": 4, "checks": 786,
 ///      "elapsed_ms": 1234.5, "wall_ms": 4800.2, "checks_per_sec": 636.7,
 ///      "speedup_vs_seed": 4.1, "speedup_vs_1worker": 3.2,
 ///      "cache": {"hits": 0, "misses": 0, "evictions": 0, "resident_bytes": 0}}
@@ -674,10 +631,7 @@ mod tests {
             assert!(r.checks_per_sec() > 0.0);
             assert!(r.wall >= r.elapsed || r.spec.workers == 1);
             // Epoch configurations expose cache stats; the rest do not.
-            let epoch = matches!(
-                r.spec.backend,
-                Backend::PrefixCacheEpoch | Backend::SortedPartitionsEpoch
-            );
+            let epoch = r.spec.backend == Backend::SortedPartitionsEpoch;
             assert_eq!(r.cache.is_some(), epoch, "{}", r.spec.name);
         }
         let json = matrix_to_json(&rel, candidates.len(), &results);
@@ -687,7 +641,7 @@ mod tests {
             "\"parallel_model\": \"level_synchronous_critical_path\"",
             "seed_resort_comparator",
             "resort_radix_block_x1",
-            "prefix_cache_epoch_x4",
+            "sorted_partitions_epoch_x4",
             "sorted_partitions_scalar_x1",
             "sorted_partitions_epoch_x8",
             "\"speedup_vs_seed\"",

@@ -323,14 +323,14 @@ pub fn run_fig5(opts: &ExpOptions) -> Report {
 /// more checks to spread over queues).
 ///
 /// Two measurements per (dataset, thread-count):
-/// * **measured** wall-clock of the static-queue run — meaningful only on
-///   a machine with that many cores;
+/// * **measured** wall-clock of a `WorkStealing(t)` run — meaningful only
+///   on a machine with that many cores;
 /// * **simulated** time from per-branch cost profiling
 ///   ([`ocdd_core::profile_branches`]): the level-2 branches are assigned
-///   round-robin to K queues exactly like the real scheduler, and the
-///   simulated parallel time is `reduction + max queue load`. This is the
-///   speedup the partitioning achieves independent of the host's core
-///   count (single-core CI boxes measure flat wall-clock).
+///   round-robin to K queues as in the paper's parallelization (§4.2.2),
+///   and the simulated parallel time is `reduction + max queue load`. This
+///   is the speedup that partitioning achieves independent of the host's
+///   core count.
 pub fn run_fig6(opts: &ExpOptions) -> Report {
     let mut report = Report::new(
         "Figure 6 / Table 8 — multithreaded scalability",
@@ -370,7 +370,7 @@ pub fn run_fig6(opts: &ExpOptions) -> Report {
             let mode = if t <= 1 {
                 ParallelMode::Sequential
             } else {
-                ParallelMode::StaticQueues(t)
+                ParallelMode::WorkStealing(t)
             };
             let mut total = Duration::ZERO;
             let mut checks = 0;
@@ -402,8 +402,8 @@ pub fn run_fig6(opts: &ExpOptions) -> Report {
     report.note(
         "Normalized to the single-thread time per dataset (Figure 6's y-axis). \
          The simulated columns replay the measured per-branch costs through the \
-         static round-robin queue assignment of §4.2.2; on a multi-core host the \
-         measured columns approach them.",
+         round-robin queue assignment of §4.2.2; the measured columns run the \
+         work-stealing driver with that many workers.",
     );
     report.note(format!(
         "Host parallelism while measuring: {} core(s).",
@@ -468,11 +468,12 @@ pub fn run_fig7(opts: &ExpOptions) -> Report {
 /// **Ablations** — the design choices DESIGN.md calls out, measured on
 /// DBTESMA_1K and HORSE:
 ///
-/// * faithful re-sort per candidate vs the cached-prefix refinement
-///   (the optimization §5.3.1 leaves out of scope);
+/// * faithful re-sort per candidate vs sorted partitions (the
+///   optimization §5.3.1 leaves out of scope);
 /// * per-level candidate dedup on vs off;
 /// * column reduction on vs off;
-/// * sequential vs static queues vs rayon scheduling.
+/// * one worker vs the work-stealing scheduler, with and without the
+///   shared partition cache.
 pub fn run_ablation(opts: &ExpOptions) -> Report {
     let mut report = Report::new(
         "Ablations — design-choice measurements",
@@ -515,16 +516,6 @@ pub fn run_ablation(opts: &ExpOptions) -> Report {
         let base = discovery_config(opts.budget);
         run("baseline (paper-faithful)", ds, &rel, &base, &mut report);
         run(
-            "sort cache (prefix refinement)",
-            ds,
-            &rel,
-            &DiscoveryConfig {
-                checker: ocdd_core::CheckerBackend::PrefixCache,
-                ..base.clone()
-            },
-            &mut report,
-        );
-        run(
             "sorted partitions (§5.3.1)",
             ds,
             &rel,
@@ -555,44 +546,22 @@ pub fn run_ablation(opts: &ExpOptions) -> Report {
             &mut report,
         );
         run(
-            "static queues ×4",
+            "work stealing ×4",
             ds,
             &rel,
             &DiscoveryConfig {
-                mode: ParallelMode::StaticQueues(4),
+                mode: ParallelMode::WorkStealing(4),
                 ..base.clone()
             },
             &mut report,
         );
         run(
-            "rayon ×4",
-            ds,
-            &rel,
-            &DiscoveryConfig {
-                mode: ParallelMode::Rayon(4),
-                ..base.clone()
-            },
-            &mut report,
-        );
-        run(
-            "prefix cache + shared ×4",
-            ds,
-            &rel,
-            &DiscoveryConfig {
-                checker: ocdd_core::CheckerBackend::PrefixCache,
-                mode: ParallelMode::StaticQueues(4),
-                shared_cache: true,
-                ..base.clone()
-            },
-            &mut report,
-        );
-        run(
-            "sorted partitions + shared ×4",
+            "sorted partitions + shared, work stealing ×4",
             ds,
             &rel,
             &DiscoveryConfig {
                 checker: ocdd_core::CheckerBackend::SortedPartitions,
-                mode: ParallelMode::StaticQueues(4),
+                mode: ParallelMode::WorkStealing(4),
                 shared_cache: true,
                 ..base.clone()
             },

@@ -490,7 +490,7 @@ pub fn triage(estimate: f64, half_width: f64, epsilon: f64) -> Triage {
 #[derive(Debug, Clone)]
 pub struct ApproxConfig {
     /// The underlying discovery configuration (budget, level cap, mode —
-    /// escalations parallelize under `ParallelMode::WorkStealing`,
+    /// the escalation waves run on the search driver's workers,
     /// checker/cache knobs are honored by the escalation checkers).
     pub base: DiscoveryConfig,
     /// Target sample size; `None` (or any value ≥ the relation's rows)

@@ -20,13 +20,10 @@
 //! ones. Worst case is `O(m log m + m·|Y|)` comparisons for `m` rows.
 
 use crate::deps::AttrList;
-use crate::shared_cache::{EpochPrefixCache, EpochSnapshot, SharedPrefixCache};
 use ocdd_relation::scan;
-use ocdd_relation::sort::{cmp_rows, refine_index, sort_index_by};
+use ocdd_relation::sort::{cmp_rows, sort_index_by};
 use ocdd_relation::{ColumnId, Relation};
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Outcome of checking an OD candidate `X → Y` against an instance, with a
 /// witness pair of rows for violations.
@@ -164,257 +161,6 @@ pub fn check_ocd(rel: &Relation, x: &AttrList, y: &AttrList) -> CheckOutcome {
     let xy = x.concat(y);
     let yx = y.concat(x);
     check_od(rel, &xy, &yx)
-}
-
-/// A memoizing checker that caches sorted indexes per LHS prefix.
-///
-/// The faithful algorithm re-sorts the relation for every candidate. Since
-/// a candidate's LHS `XY` shares the prefix `X` with its parent's `X…`
-/// lists, caching the permutation for each prefix and *refining* it
-/// ([`refine_index`]) amortizes most of the sort. This is the optimization
-/// the paper leaves as out of scope (§5.3.1, "sorted partitions"); it is
-/// off by default and measured by the ablation bench.
-///
-/// The store is either worker-private (a plain `HashMap`, unbounded) or a
-/// run-wide [`SharedPrefixCache`] ([`SortCache::with_shared`]): in the
-/// parallel modes the shared tier lets workers reuse each other's sorted
-/// prefixes and bounds memory to the configured byte budget.
-pub struct SortCache<'r> {
-    rel: &'r Relation,
-    cache: HashMap<Vec<ColumnId>, Arc<Vec<u32>>>,
-    shared: Option<Arc<SharedPrefixCache<Vec<u32>>>>,
-    epoch: Option<EpochTier<Vec<u32>>>,
-    /// Number of cache hits (full or prefix), for ablation reporting.
-    pub hits: u64,
-    /// Number of full sorts performed.
-    pub misses: u64,
-}
-
-/// Per-worker state of the epoch-published cache mode: an immutable
-/// snapshot refreshed at level boundaries, plus a local insert buffer
-/// drained (in insertion order, for deterministic publish stamps) when the
-/// driver publishes between levels. Lookups take no lock; lookup counters
-/// are flushed alongside the buffer.
-pub(crate) struct EpochTier<V> {
-    cache: Arc<EpochPrefixCache<V>>,
-    snapshot: EpochSnapshot<V>,
-    pending: HashMap<Vec<ColumnId>, Arc<V>>,
-    pending_order: Vec<Vec<ColumnId>>,
-    flushed_hits: u64,
-    flushed_misses: u64,
-}
-
-impl<V: crate::shared_cache::CacheWeight> EpochTier<V> {
-    pub(crate) fn new(cache: Arc<EpochPrefixCache<V>>) -> EpochTier<V> {
-        let snapshot = cache.snapshot();
-        EpochTier {
-            cache,
-            snapshot,
-            pending: HashMap::new(),
-            pending_order: Vec::new(),
-            flushed_hits: 0,
-            flushed_misses: 0,
-        }
-    }
-
-    /// Refresh the snapshot — call when a new level starts.
-    pub(crate) fn begin_level(&mut self) {
-        self.snapshot = self.cache.snapshot();
-    }
-
-    /// Exact lookup across the local buffer and the snapshot.
-    pub(crate) fn get(&self, key: &[ColumnId]) -> Option<Arc<V>> {
-        if let Some(v) = self.pending.get(key) {
-            return Some(Arc::clone(v));
-        }
-        self.snapshot.get(key)
-    }
-
-    /// Longest cached *proper* prefix of `key`, preferring the buffer at
-    /// equal length.
-    // lint: allow(panic-reachability, &key[..len] takes proper prefixes with len < key.len() from the loop range)
-    pub(crate) fn longest_prefix(&self, key: &[ColumnId]) -> Option<(usize, Arc<V>)> {
-        // lint: allow(unprobed-loop, proper-prefix scan bounded by one candidate's attribute-list length)
-        for len in (1..key.len()).rev() {
-            if let Some(v) = self.pending.get(&key[..len]) {
-                return Some((len, Arc::clone(v)));
-            }
-            if let Some(v) = self.snapshot.get(&key[..len]) {
-                return Some((len, v));
-            }
-        }
-        None
-    }
-
-    pub(crate) fn buffer(&mut self, key: Vec<ColumnId>, value: Arc<V>) {
-        if self.pending.insert(key.clone(), value).is_none() {
-            self.pending_order.push(key);
-        }
-    }
-
-    /// Drain the local buffer into the shared cache (one publish) and
-    /// flush the lookup-counter deltas. Called by the driver between
-    /// levels, on the driver thread — never on the check hot path.
-    pub(crate) fn publish(&mut self, hits: u64, misses: u64) {
-        if !self.pending_order.is_empty() {
-            let pending = &mut self.pending;
-            self.cache.publish(
-                self.pending_order
-                    .drain(..)
-                    .filter_map(|k| pending.remove(&k).map(|v| (k, v))),
-            );
-        }
-        self.cache
-            .record_lookups(hits - self.flushed_hits, misses - self.flushed_misses);
-        self.flushed_hits = hits;
-        self.flushed_misses = misses;
-    }
-}
-
-impl<'r> SortCache<'r> {
-    /// Create an empty worker-private cache over `rel`.
-    pub fn new(rel: &'r Relation) -> SortCache<'r> {
-        SortCache {
-            rel,
-            cache: HashMap::new(),
-            shared: None,
-            epoch: None,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Create a cache backed by a run-wide shared store. The private map
-    /// is not used: every index lives in (and is evicted from) `shared`.
-    pub fn with_shared(
-        rel: &'r Relation,
-        shared: Arc<SharedPrefixCache<Vec<u32>>>,
-    ) -> SortCache<'r> {
-        SortCache {
-            rel,
-            cache: HashMap::new(),
-            shared: Some(shared),
-            epoch: None,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Create a cache backed by an epoch-published shared store
-    /// ([`EpochPrefixCache`]): reads go to an immutable snapshot (no lock
-    /// per check), inserts are buffered locally until
-    /// [`SortCache::publish_pending`]. Used by the work-stealing mode.
-    pub fn with_epoch(rel: &'r Relation, cache: Arc<EpochPrefixCache<Vec<u32>>>) -> SortCache<'r> {
-        SortCache {
-            rel,
-            cache: HashMap::new(),
-            shared: None,
-            epoch: Some(EpochTier::new(cache)),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Refresh the epoch snapshot at a level boundary. No-op for the
-    /// private and lock-striped modes.
-    pub fn begin_level(&mut self) {
-        if let Some(tier) = &mut self.epoch {
-            tier.begin_level();
-        }
-    }
-
-    /// Publish locally-buffered indexes and flush lookup counters to the
-    /// epoch cache. No-op for the private and lock-striped modes.
-    pub fn publish_pending(&mut self) {
-        if let Some(tier) = &mut self.epoch {
-            tier.publish(self.hits, self.misses);
-        }
-    }
-
-    /// Sorted index for `cols`, reusing the longest cached prefix.
-    // lint: allow(panic-reachability, longest_prefix returns len < cols.len() by its proper-prefix contract, so both split ranges are in bounds)
-    pub fn index_for(&mut self, cols: &[ColumnId]) -> Arc<Vec<u32>> {
-        if let Some(tier) = &mut self.epoch {
-            if let Some(idx) = tier.get(cols) {
-                self.hits += 1;
-                return idx;
-            }
-            let index = match tier.longest_prefix(cols) {
-                Some((len, base)) => {
-                    self.hits += 1;
-                    Arc::new(refine_index(self.rel, &base, &cols[..len], &cols[len..]))
-                }
-                None => {
-                    self.misses += 1;
-                    Arc::new(sort_index_by(self.rel, cols))
-                }
-            };
-            tier.buffer(cols.to_vec(), Arc::clone(&index));
-            return index;
-        }
-        if let Some(shared) = &self.shared {
-            if let Some(idx) = shared.get(cols) {
-                self.hits += 1;
-                return idx;
-            }
-            let index = match shared.longest_prefix(cols) {
-                Some((len, base)) => {
-                    self.hits += 1;
-                    Arc::new(refine_index(self.rel, &base, &cols[..len], &cols[len..]))
-                }
-                None => {
-                    self.misses += 1;
-                    Arc::new(sort_index_by(self.rel, cols))
-                }
-            };
-            shared.insert(cols.to_vec(), Arc::clone(&index));
-            return index;
-        }
-        if let Some(idx) = self.cache.get(cols) {
-            self.hits += 1;
-            return Arc::clone(idx);
-        }
-        // Longest cached proper prefix.
-        let mut best: usize = 0;
-        // lint: allow(unprobed-loop, proper-prefix scan bounded by one candidate's attribute-list length)
-        for len in (1..cols.len()).rev() {
-            if self.cache.contains_key(&cols[..len]) {
-                best = len;
-                break;
-            }
-        }
-        let index = if best > 0 {
-            self.hits += 1;
-            let base = Arc::clone(&self.cache[&cols[..best]]);
-            Arc::new(refine_index(self.rel, &base, &cols[..best], &cols[best..]))
-        } else {
-            self.misses += 1;
-            Arc::new(sort_index_by(self.rel, cols))
-        };
-        self.cache.insert(cols.to_vec(), Arc::clone(&index));
-        index
-    }
-
-    /// Check `lhs → rhs` using the cache.
-    pub fn check_od(&mut self, lhs: &AttrList, rhs: &AttrList) -> CheckOutcome {
-        let index = self.index_for(lhs.as_slice());
-        scan_sorted(self.rel, lhs.as_slice(), rhs.as_slice(), &index)
-    }
-
-    /// Check `x ~ y` using the cache (single check `XY → YX`).
-    pub fn check_ocd(&mut self, x: &AttrList, y: &AttrList) -> CheckOutcome {
-        let xy = x.concat(y);
-        let yx = y.concat(x);
-        self.check_od(&xy, &yx)
-    }
-
-    /// Fused direction check after a validated OCD — cached counterpart of
-    /// [`check_od_after_ocd`]: reuses (and warms) the prefix cache for the
-    /// `lhs` index, then runs the split-only scan.
-    pub fn check_od_after_ocd(&mut self, lhs: &AttrList, rhs: &AttrList) -> bool {
-        let index = self.index_for(lhs.as_slice());
-        scan_sorted_splits_only(self.rel, lhs.as_slice(), rhs.as_slice(), &index)
-    }
 }
 
 /// Reference checker: validate `lhs → rhs` by the pairwise Definition 2.2,
@@ -596,92 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn sort_cache_agrees_with_uncached() {
-        let r = rel(&[
-            ("a", &[3, 1, 4, 1, 5, 9, 2, 6]),
-            ("b", &[2, 7, 1, 8, 2, 8, 1, 8]),
-            ("c", &[1, 1, 2, 2, 3, 3, 4, 4]),
-        ]);
-        let mut cache = SortCache::new(&r);
-        let lists = [
-            (l(&[0]), l(&[1])),
-            (l(&[0, 1]), l(&[2])),
-            (l(&[0, 2]), l(&[1])),
-            (l(&[2, 0]), l(&[1])),
-            (l(&[0, 1]), l(&[2])), // repeat: full cache hit
-        ];
-        for (x, y) in &lists {
-            assert_eq!(cache.check_od(x, y), check_od(&r, x, y));
-            assert_eq!(
-                cache.check_ocd(x, y).is_valid(),
-                check_ocd(&r, x, y).is_valid()
-            );
-        }
-        assert!(cache.hits >= 1, "prefix reuse expected");
-    }
-
-    #[test]
-    fn shared_sort_cache_agrees_with_uncached() {
-        let r = rel(&[
-            ("a", &[3, 1, 4, 1, 5, 9, 2, 6]),
-            ("b", &[2, 7, 1, 8, 2, 8, 1, 8]),
-            ("c", &[1, 1, 2, 2, 3, 3, 4, 4]),
-        ]);
-        let shared = Arc::new(SharedPrefixCache::new(1 << 20));
-        let mut one = SortCache::with_shared(&r, Arc::clone(&shared));
-        let mut two = SortCache::with_shared(&r, Arc::clone(&shared));
-        let lists = [
-            (l(&[0]), l(&[1])),
-            (l(&[0, 1]), l(&[2])),
-            (l(&[0, 2]), l(&[1])),
-            (l(&[2, 0]), l(&[1])),
-        ];
-        for (x, y) in &lists {
-            assert_eq!(one.check_od(x, y), check_od(&r, x, y));
-        }
-        // The second worker reuses everything the first one built.
-        for (x, y) in &lists {
-            assert_eq!(two.check_od(x, y), check_od(&r, x, y));
-        }
-        assert_eq!(two.misses, 0, "all prefixes were already shared");
-        assert!(shared.stats().hits > 0);
-    }
-
-    #[test]
-    fn epoch_sort_cache_agrees_and_shares_across_publishes() {
-        let r = rel(&[
-            ("a", &[3, 1, 4, 1, 5, 9, 2, 6]),
-            ("b", &[2, 7, 1, 8, 2, 8, 1, 8]),
-            ("c", &[1, 1, 2, 2, 3, 3, 4, 4]),
-        ]);
-        let cache = Arc::new(EpochPrefixCache::new(1 << 20));
-        let mut one = SortCache::with_epoch(&r, Arc::clone(&cache));
-        let mut two = SortCache::with_epoch(&r, Arc::clone(&cache));
-        let lists = [
-            (l(&[0]), l(&[1])),
-            (l(&[0, 1]), l(&[2])),
-            (l(&[0, 2]), l(&[1])),
-            (l(&[2, 0]), l(&[1])),
-        ];
-        for (x, y) in &lists {
-            assert_eq!(one.check_od(x, y), check_od(&r, x, y));
-        }
-        // Unpublished work is invisible to the sibling worker …
-        assert_eq!(cache.snapshot().len(), 0);
-        one.publish_pending();
-        two.begin_level();
-        // … and fully visible after publish + snapshot refresh.
-        for (x, y) in &lists {
-            assert_eq!(two.check_od(x, y), check_od(&r, x, y));
-        }
-        assert_eq!(two.misses, 0, "all prefixes arrived via the snapshot");
-        two.publish_pending();
-        let s = cache.stats();
-        assert_eq!(s.misses, one.misses);
-        assert_eq!(s.hits, one.hits + two.hits);
-    }
-
-    #[test]
     fn fused_direction_check_matches_full_check_after_valid_ocd() {
         // Exhaustive over small two-column relations: whenever the OCD
         // x ~ y holds, the split-only direction check must agree with the
@@ -712,11 +372,6 @@ mod tests {
                     check_od_after_ocd(&r, &y, &x),
                     check_od(&r, &y, &x).is_valid(),
                     "y→x on {bits_a}/{bits_b}"
-                );
-                let mut cache = SortCache::new(&r);
-                assert_eq!(
-                    cache.check_od_after_ocd(&x, &y),
-                    check_od(&r, &x, &y).is_valid()
                 );
             }
         }

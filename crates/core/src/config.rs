@@ -4,31 +4,22 @@ use crate::runtime::RunController;
 use crate::snapshot::CheckpointPolicy;
 use std::time::Duration;
 
-/// How the candidate tree is traversed (§4.2.2).
+/// How the candidate tree is traversed (§4.2.2). Both modes run the same
+/// level-synchronous driver and return byte-identical results; they differ
+/// only in how many workers check a level's candidates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParallelMode {
-    /// Single-threaded breadth-first search (Algorithm 1 as written).
+    /// Breadth-first search on one worker (Algorithm 1 as written).
     #[default]
     Sequential,
-    /// The paper's parallelization: the level-2 branches are partitioned
-    /// round-robin into `k` queues and each queue's subtree is explored by
-    /// its own thread. A candidate belongs to exactly one level-2 branch
-    /// (its seed pair is the pair of first attributes of its two sides), so
-    /// subtrees never exchange work.
-    StaticQueues(usize),
-    /// Work-stealing alternative: each BFS level is processed by a rayon
-    /// pool of `k` threads. Better load balance when branches are skewed;
-    /// measured against `StaticQueues` by the ablation bench.
-    Rayon(usize),
     /// Level-synchronous batch scheduler: each level's candidates are
     /// grouped into batches by their shared sort-key prefix (the `X` of
-    /// the single OCD check `XY → YX`), so the prefix index is
-    /// materialized once per batch and refined per candidate. Batches are
-    /// executed by `k` workers over work-stealing deques
-    /// ([`crate::scheduler`]); with `shared_cache` the workers read an
-    /// epoch-published immutable cache snapshot and buffer inserts
-    /// locally, publishing between levels — no lock on the check hot
-    /// path. Results are byte-identical to every other mode.
+    /// the single OCD check `XY → YX`), so the prefix is materialized once
+    /// per batch and refined per candidate. Batches are executed by `k`
+    /// workers over work-stealing deques ([`crate::scheduler`]), and the
+    /// run reports their [`crate::scheduler::SchedulerStats`]. The paper's
+    /// own K-queue parallelization (round-robin level-2 branches) is
+    /// reproduced by simulation over [`crate::search::profile_branches`].
     WorkStealing(usize),
 }
 
@@ -39,10 +30,6 @@ pub enum CheckerBackend {
     /// (the paper's faithful behaviour). The default.
     #[default]
     Resort,
-    /// Cache sorted indexes per LHS prefix and refine them for longer
-    /// lists ([`crate::check::SortCache`]). Same results, fewer full
-    /// sorts.
-    PrefixCache,
     /// Sorted partitions with incremental refinement
     /// ([`crate::sorted_partitions::PartitionChecker`]) — the
     /// linear-row-scaling method §5.3.1 mentions as possible future work.
@@ -61,13 +48,12 @@ pub struct DiscoveryConfig {
     pub dedup_candidates: bool,
     /// Which checker backend validates candidates; see [`CheckerBackend`].
     pub checker: CheckerBackend,
-    /// Share one prefix cache (sorted indexes for
-    /// [`CheckerBackend::PrefixCache`], partitions for
-    /// [`CheckerBackend::SortedPartitions`]) across every worker of the
-    /// run instead of keeping a private cache per worker. Off by default;
-    /// it never changes results, only how often prefixes are recomputed.
-    /// No effect under [`CheckerBackend::Resort`], which caches nothing by
-    /// definition.
+    /// Share one epoch-published partition cache
+    /// ([`crate::shared_cache::EpochPrefixCache`]) across every worker of
+    /// the run, in either [`ParallelMode`], instead of keeping a private
+    /// memo per worker. Off by default; it never changes results, only how
+    /// often prefixes are recomputed. No effect under
+    /// [`CheckerBackend::Resort`], which caches nothing by definition.
     pub shared_cache: bool,
     /// Byte budget of the shared cache: above it, least-recently-used
     /// entries are evicted (and recomputed on demand if needed again).
@@ -121,20 +107,6 @@ impl Default for DiscoveryConfig {
     }
 }
 
-impl DiscoveryConfig {
-    /// Convenience constructor for an `n`-thread static-queue run.
-    pub fn with_threads(n: usize) -> DiscoveryConfig {
-        DiscoveryConfig {
-            mode: if n <= 1 {
-                ParallelMode::Sequential
-            } else {
-                ParallelMode::StaticQueues(n)
-            },
-            ..DiscoveryConfig::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,17 +130,5 @@ mod tests {
             "no external cancellation by default"
         );
         assert!(c.checkpoint.is_none(), "checkpointing is opt-in");
-    }
-
-    #[test]
-    fn with_threads_one_is_sequential() {
-        assert_eq!(
-            DiscoveryConfig::with_threads(1).mode,
-            ParallelMode::Sequential
-        );
-        assert_eq!(
-            DiscoveryConfig::with_threads(4).mode,
-            ParallelMode::StaticQueues(4)
-        );
     }
 }

@@ -74,7 +74,7 @@ pub use approximate::{
     hoeffding_half_width, ocd_error, od_error, removal_witnesses, triage, ApproxConfig,
     ApproxStats, ApproximateOcd, ApproximateResult, OdError, Triage, ERR_PASSES,
 };
-pub use check::{check_ocd, check_od, check_od_after_ocd, CheckOutcome, SortCache};
+pub use check::{check_ocd, check_od, check_od_after_ocd, CheckOutcome};
 pub use config::{CheckerBackend, DiscoveryConfig, ParallelMode};
 pub use deps::{AttrList, Ocd, Od, OrderEquivalence};
 pub use reduction::{columns_reduction, Reduction};
@@ -82,7 +82,7 @@ pub use results::{DiscoveryResult, LevelStats};
 pub use runtime::{FaultPlan, RunController, TerminationReason, DEADLINE_CHECK_INTERVAL};
 pub use scheduler::{SchedulerStats, WorkerSchedStats};
 pub use search::{discover, discover_resume, profile_branches, BranchCost};
-pub use shared_cache::{CacheStats, EpochPrefixCache, EpochSnapshot, SharedPrefixCache};
+pub use shared_cache::{CacheStats, EpochPrefixCache, EpochSnapshot};
 pub use snapshot::{
     latest_snapshot, list_snapshots, parse_snapshot, read_snapshot, snapshot_to_json, ApproxMeta,
     CheckpointPolicy, CheckpointStats, SearchSnapshot, SnapshotError, SNAPSHOT_VERSION,

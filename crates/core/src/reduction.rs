@@ -157,7 +157,7 @@ pub fn columns_reduction(rel: &Relation) -> Reduction {
 }
 
 /// Column reduction with the `n(n-1)` single-column OD checks spread over
-/// `threads` rayon workers. The checks are independent, so the result is
+/// `threads` scoped threads. The checks are independent, so the result is
 /// identical to the sequential run (enforced by tests); only wall-clock
 /// changes. `discover` picks the thread count from its
 /// [`crate::config::ParallelMode`].
@@ -189,21 +189,7 @@ pub fn columns_reduction_with_threads(rel: &Relation, threads: usize) -> Reducti
             _ => false,
         }
     };
-    let run_checks = |pairs: &[(usize, usize)]| -> Vec<bool> {
-        pairs.iter().map(|&(i, j)| check_pair(i, j)).collect()
-    };
-    let results: Vec<bool> = if threads > 1 && !pairs.is_empty() {
-        use rayon::prelude::*;
-        // Pool creation only fails on resource exhaustion; the checks are
-        // correct at any parallelism, so degrade to the sequential path
-        // instead of panicking.
-        match rayon::ThreadPoolBuilder::new().num_threads(threads).build() {
-            Ok(pool) => pool.install(|| pairs.par_iter().map(|&(i, j)| check_pair(i, j)).collect()),
-            Err(_) => run_checks(&pairs),
-        }
-    } else {
-        run_checks(&pairs)
-    };
+    let results = crate::runtime::par_map(&pairs, threads, |&(i, j)| check_pair(i, j));
     let checks = pairs.len() as u64;
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); k];
     let mut edge = vec![false; k * k];

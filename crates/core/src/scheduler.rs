@@ -1,5 +1,6 @@
-//! Work-stealing batch scheduler for the level-synchronous search mode
-//! ([`crate::config::ParallelMode::WorkStealing`]).
+//! Work-stealing batch scheduler of the level-synchronous search driver
+//! (one worker under `Sequential`, `k` under
+//! [`crate::config::ParallelMode::WorkStealing`]).
 //!
 //! The unit of scheduling is a **batch**: all candidates of one BFS level
 //! that share the same sort-key prefix (the `X` of the single OCD check
@@ -15,7 +16,7 @@
 //! Scheduling is *not* part of the result: batches are executed
 //! speculatively and the driver re-imposes canonical candidate order (and
 //! replays the per-branch check allowances) in an input-ordered post-filter
-//! — see `search::run_workstealing_levels`. Steal counts are surfaced in
+//! — see `search::run_levels`. Steal counts are surfaced in
 //! [`SchedulerStats`] purely as observability.
 
 use crate::sync_shim::Mutex;

@@ -9,43 +9,44 @@
 //! the extensions of its left side (Theorem 3.9); an invalid direction
 //! spawns children `XA ~ Y` (resp. `X ~ YA`) for every unused attribute `A`.
 //!
-//! Four execution modes implement the same traversal; see
-//! [`crate::config::ParallelMode`]. Results are canonically sorted so all
-//! modes return identical output. The `WorkStealing` mode additionally
-//! groups each level's candidates into **prefix batches** (one batch per
-//! distinct `X` side, the shared sort-key prefix of the level's `XY → YX`
-//! checks) and schedules the batches over work-stealing deques
-//! ([`crate::scheduler`]); its shared cache is epoch-published
-//! ([`crate::shared_cache::EpochPrefixCache`]) so no lock is taken on the
+//! One level-synchronous driver runs the traversal for both
+//! [`crate::config::ParallelMode`]s; `Sequential` is its one-worker case.
+//! Each level's candidates are grouped into **prefix batches** (one batch
+//! per distinct `X` side, the shared sort-key prefix of the level's
+//! `XY → YX` checks), the batches are scheduled over work-stealing deques
+//! ([`crate::scheduler`]), and an input-ordered post-filter replays the
+//! level in canonical candidate order — so results are identical whatever
+//! the worker count. The shared cache is epoch-published
+//! ([`crate::shared_cache::EpochPrefixCache`]), so no lock is taken on the
 //! check hot path.
 //!
 //! ## Failure and budget semantics
 //!
 //! The unit of both distribution *and* degradation is the level-2 branch
 //! (the pair of first attributes; a candidate never leaves its branch).
-//! Each branch runs inside `catch_unwind`: a panicking check quarantines
-//! only that branch — its partial results are discarded, the surviving
+//! Each check runs inside `catch_unwind`: a panicking check quarantines
+//! only its branch — the branch's results are discarded, the surviving
 //! branches merge normally, and the run reports
 //! [`TerminationReason::WorkerFailure`] instead of crashing.
 //!
 //! `max_checks` is enforced through deterministic **per-branch
 //! allowances**: the budget left after reduction is split evenly over the
 //! branches in canonical seed order, and each branch stops on its own
-//! account. Because a branch's traversal order is identical in every
-//! execution mode, a budget-truncated run returns byte-identical partial
-//! results under `Sequential`, `StaticQueues`, and `Rayon`. (The old
-//! global counter stopped whichever worker raced past it first.) The
-//! wall-clock budget and cancellation remain global and amortized — those
-//! are inherently timing-dependent.
+//! account. Because a branch's candidates appear within each level in
+//! branch-local BFS order, the post-filter stops every branch at the same
+//! candidate whatever the worker count, so a budget-truncated run returns
+//! byte-identical partial results under `Sequential` and `WorkStealing(k)`.
+//! The wall-clock budget and cancellation remain global and amortized —
+//! those are inherently timing-dependent.
 
-use crate::check::{check_ocd, check_od_after_ocd, SortCache};
+use crate::check::{check_ocd, check_od_after_ocd};
 use crate::config::{CheckerBackend, DiscoveryConfig, ParallelMode};
 use crate::deps::{AttrList, Ocd, Od};
 use crate::reduction::{columns_reduction, Reduction};
 use crate::results::{DiscoveryResult, LevelStats};
 use crate::runtime::{panic_message, Budget, StopCause, TerminationReason};
 use crate::scheduler::{SchedulerStats, StealQueues, WorkerSchedStats};
-use crate::shared_cache::{CacheStats, EpochPrefixCache, SharedPrefixCache};
+use crate::shared_cache::EpochPrefixCache;
 use crate::snapshot::{
     CandidatePair, CheckpointRecorder, SearchSnapshot, SnapshotBranch, SnapshotError,
     SnapshotFailure, SNAPSHOT_VERSION,
@@ -53,7 +54,6 @@ use crate::snapshot::{
 use crate::sorted_partitions::{PartitionChecker, SortedPartition};
 use ocdd_relation::sort::kernel_stats;
 use ocdd_relation::{ColumnId, Relation};
-use rayon::prelude::*;
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -117,73 +117,28 @@ impl Emission {
     }
 }
 
-/// The run-wide shared prefix caches, when enabled: one per backend kind
-/// (only the configured backend's slot is populated). Cloned `Arc`s are
-/// handed to every worker's [`Checker`].
-struct SharedCaches {
-    sort: Option<Arc<SharedPrefixCache<Vec<u32>>>>,
-    parts: Option<Arc<SharedPrefixCache<SortedPartition>>>,
-    /// Epoch-published (read-mostly) variants, used by `WorkStealing` mode:
-    /// workers read an immutable snapshot lock-free and buffer inserts
-    /// locally; the driver publishes between levels.
-    sort_epoch: Option<Arc<EpochPrefixCache<Vec<u32>>>>,
-    parts_epoch: Option<Arc<EpochPrefixCache<SortedPartition>>>,
+/// The run-wide epoch partition cache, present when `shared_cache` is set
+/// under [`CheckerBackend::SortedPartitions`] (`Resort` caches nothing).
+/// Cloned `Arc`s are handed to every worker's [`Checker`].
+type SharedCache = Option<Arc<EpochPrefixCache<SortedPartition>>>;
+
+fn shared_cache(config: &DiscoveryConfig) -> SharedCache {
+    if !config.shared_cache || config.checker != CheckerBackend::SortedPartitions {
+        return None;
+    }
+    #[allow(unused_mut)]
+    let mut cache = EpochPrefixCache::new(config.cache_budget_bytes);
+    #[cfg(any(test, feature = "fault-injection"))]
+    cache.set_fault_plan(config.fault.clone());
+    Some(Arc::new(cache))
 }
 
-impl SharedCaches {
-    fn from_config(config: &DiscoveryConfig) -> SharedCaches {
-        let mut caches = SharedCaches {
-            sort: None,
-            parts: None,
-            sort_epoch: None,
-            parts_epoch: None,
-        };
-        if !config.shared_cache {
-            return caches;
-        }
-        let epoch = matches!(config.mode, ParallelMode::WorkStealing(_));
-        match config.checker {
-            // Resort caches nothing by definition.
-            CheckerBackend::Resort => {}
-            CheckerBackend::PrefixCache if epoch => {
-                #[allow(unused_mut)]
-                let mut cache = EpochPrefixCache::new(config.cache_budget_bytes);
-                #[cfg(any(test, feature = "fault-injection"))]
-                cache.set_fault_plan(config.fault.clone());
-                caches.sort_epoch = Some(Arc::new(cache));
-            }
-            CheckerBackend::PrefixCache => {
-                #[allow(unused_mut)]
-                let mut cache = SharedPrefixCache::new(config.cache_budget_bytes);
-                #[cfg(any(test, feature = "fault-injection"))]
-                cache.set_fault_plan(config.fault.clone());
-                caches.sort = Some(Arc::new(cache));
-            }
-            CheckerBackend::SortedPartitions if epoch => {
-                #[allow(unused_mut)]
-                let mut cache = EpochPrefixCache::new(config.cache_budget_bytes);
-                #[cfg(any(test, feature = "fault-injection"))]
-                cache.set_fault_plan(config.fault.clone());
-                caches.parts_epoch = Some(Arc::new(cache));
-            }
-            CheckerBackend::SortedPartitions => {
-                #[allow(unused_mut)]
-                let mut cache = SharedPrefixCache::new(config.cache_budget_bytes);
-                #[cfg(any(test, feature = "fault-injection"))]
-                cache.set_fault_plan(config.fault.clone());
-                caches.parts = Some(Arc::new(cache));
-            }
-        }
-        caches
-    }
-
-    fn stats(&self) -> Option<CacheStats> {
-        self.sort
-            .as_ref()
-            .map(|c| c.stats())
-            .or_else(|| self.parts.as_ref().map(|c| c.stats()))
-            .or_else(|| self.sort_epoch.as_ref().map(|c| c.stats()))
-            .or_else(|| self.parts_epoch.as_ref().map(|c| c.stats()))
+/// Worker threads of a mode: `k` for `WorkStealing(k)`, one for
+/// `Sequential`.
+fn worker_count(mode: ParallelMode) -> usize {
+    match mode {
+        ParallelMode::Sequential => 1,
+        ParallelMode::WorkStealing(k) => k.max(1),
     }
 }
 
@@ -191,8 +146,6 @@ impl SharedCaches {
 enum CheckerBackendState<'r> {
     /// Re-sort per candidate (paper-faithful).
     Plain(&'r Relation),
-    /// Sorted-index prefix cache.
-    Cached(SortCache<'r>),
     /// Sorted partitions with incremental refinement.
     Partitions(Box<PartitionChecker<'r>>),
 }
@@ -205,23 +158,15 @@ struct Checker<'r> {
 }
 
 impl<'r> Checker<'r> {
-    fn new(rel: &'r Relation, config: &DiscoveryConfig, shared: &SharedCaches) -> Checker<'r> {
+    fn new(rel: &'r Relation, config: &DiscoveryConfig, shared: &SharedCache) -> Checker<'r> {
         let backend = match config.checker {
             CheckerBackend::Resort => CheckerBackendState::Plain(rel),
-            CheckerBackend::PrefixCache => {
-                CheckerBackendState::Cached(match (&shared.sort_epoch, &shared.sort) {
-                    (Some(cache), _) => SortCache::with_epoch(rel, Arc::clone(cache)),
-                    (None, Some(cache)) => SortCache::with_shared(rel, Arc::clone(cache)),
-                    (None, None) => SortCache::new(rel),
-                })
+            CheckerBackend::SortedPartitions => {
+                CheckerBackendState::Partitions(Box::new(match shared {
+                    Some(cache) => PartitionChecker::with_epoch(rel, Arc::clone(cache)),
+                    None => PartitionChecker::new(rel),
+                }))
             }
-            CheckerBackend::SortedPartitions => CheckerBackendState::Partitions(Box::new(
-                match (&shared.parts_epoch, &shared.parts) {
-                    (Some(cache), _) => PartitionChecker::with_epoch(rel, Arc::clone(cache)),
-                    (None, Some(cache)) => PartitionChecker::with_shared(rel, Arc::clone(cache)),
-                    (None, None) => PartitionChecker::new(rel),
-                },
-            )),
         };
         Checker {
             backend,
@@ -237,7 +182,6 @@ impl<'r> Checker<'r> {
         }
         match &mut self.backend {
             CheckerBackendState::Plain(rel) => check_ocd(rel, x, y).is_valid(),
-            CheckerBackendState::Cached(c) => c.check_ocd(x, y).is_valid(),
             CheckerBackendState::Partitions(p) => p.check_ocd(x, y).is_valid(),
         }
     }
@@ -253,29 +197,24 @@ impl<'r> Checker<'r> {
         }
         match &mut self.backend {
             CheckerBackendState::Plain(rel) => check_od_after_ocd(rel, x, y),
-            CheckerBackendState::Cached(c) => c.check_od_after_ocd(x, y),
             CheckerBackendState::Partitions(p) => p.check_od_after_ocd(x, y),
         }
     }
 
-    /// Refresh the epoch-cache snapshot at a level boundary (no-op for the
-    /// other cache tiers).
+    /// Refresh the epoch-cache snapshot at a level boundary (no-op without
+    /// a shared cache).
     fn begin_level(&mut self) {
-        match &mut self.backend {
-            CheckerBackendState::Plain(_) => {}
-            CheckerBackendState::Cached(c) => c.begin_level(),
-            CheckerBackendState::Partitions(p) => p.begin_level(),
+        if let CheckerBackendState::Partitions(p) = &mut self.backend {
+            p.begin_level();
         }
     }
 
     /// Hand this worker's buffered epoch-cache inserts to the shared cache
-    /// (no-op for the other cache tiers). Called by the driver between
-    /// levels, in worker order, so publish epochs are deterministic.
+    /// (no-op without a shared cache). Called between levels, in worker
+    /// order, so publish epochs are deterministic.
     fn publish_pending(&mut self) {
-        match &mut self.backend {
-            CheckerBackendState::Plain(_) => {}
-            CheckerBackendState::Cached(c) => c.publish_pending(),
-            CheckerBackendState::Partitions(p) => p.publish_pending(),
+        if let CheckerBackendState::Partitions(p) = &mut self.backend {
+            p.publish_pending();
         }
     }
 }
@@ -386,10 +325,12 @@ fn branch_allowances(max_checks: Option<u64>, already_spent: u64, branches: usiz
     }
 }
 
-/// A subtree traversal used by the branch-sequential modes: BFS over
-/// `seeds` until the tree is exhausted, the branch allowance is spent, or
-/// the global budget (time / cancellation) stops the run. Accumulates into
-/// `acc`.
+/// A single-checker subtree traversal: BFS over `seeds` until the tree is
+/// exhausted, the branch allowance is spent, or the global budget (time /
+/// cancellation) stops the run. Accumulates into `acc`. Serves
+/// [`profile_branches`] and [`resume_after_od_invalidation`], whose seeds
+/// each form one branch. The checker's epoch tier is published at every
+/// level boundary, so a shared cache's byte budget holds here too.
 #[allow(clippy::too_many_arguments)]
 fn run_subtree(
     universe: &[ColumnId],
@@ -446,6 +387,8 @@ fn run_subtree(
             }
         }
         acc.levels.push(stats);
+        checker.publish_pending();
+        checker.begin_level();
         if config.dedup_candidates {
             dedup_level(&mut next);
         }
@@ -468,14 +411,16 @@ struct SearchAccumulator {
     check_budget_hit: bool,
 }
 
+#[cfg(test)]
 impl SearchAccumulator {
+    /// Fold one branch's accumulator into the run's (the tests'
+    /// branch-at-a-time oracle).
     fn merge(&mut self, other: SearchAccumulator) {
         self.ocds.extend(other.ocds);
         self.ods.extend(other.ods);
         self.generated += other.generated;
         self.level_capped |= other.level_capped;
         self.check_budget_hit |= other.check_budget_hit;
-        // lint: allow(unprobed-loop, stats fold bounded by the number of search levels)
         for stat in other.levels {
             match self.levels.iter_mut().find(|s| s.level == stat.level) {
                 Some(mine) => {
@@ -496,60 +441,7 @@ struct BranchFailure {
     message: String,
 }
 
-/// Run a queue of `(seed, allowance)` branches sequentially, isolating
-/// each branch behind `catch_unwind`. A panicking branch loses its partial
-/// accumulator (the quarantine: its results may be inconsistent) and is
-/// recorded as a [`BranchFailure`]; the checker is rebuilt afterwards so a
-/// possibly half-updated private cache cannot leak into later branches.
-/// Used directly by `Sequential` mode and by every `StaticQueues` worker.
-fn run_queue(
-    rel: &Relation,
-    universe: &[ColumnId],
-    queue: Vec<(Candidate, u64)>,
-    config: &DiscoveryConfig,
-    budget: &Budget,
-    shared: &SharedCaches,
-) -> (SearchAccumulator, Vec<BranchFailure>) {
-    let mut acc = SearchAccumulator::default();
-    let mut failures = Vec::new();
-    let mut checker = Checker::new(rel, config, shared);
-    for (seed, allowance) in queue {
-        if budget.is_stopped() {
-            break;
-        }
-        let branch = seed.branch();
-        // UnwindSafe: `budget` and the shared caches are atomics/poison-
-        // recovering mutexes; `checker` is the one piece of state a panic
-        // can leave inconsistent, and it is rebuilt below on failure.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut local = SearchAccumulator::default();
-            run_subtree(
-                universe,
-                vec![seed],
-                config,
-                budget,
-                &mut checker,
-                allowance,
-                &mut local,
-            );
-            local
-        }));
-        match outcome {
-            Ok(local) => acc.merge(local),
-            Err(payload) => {
-                failures.push(BranchFailure {
-                    branch,
-                    message: panic_message(payload.as_ref()),
-                });
-                checker = Checker::new(rel, config, shared);
-            }
-        }
-    }
-    (acc, failures)
-}
-
-/// Per-branch bookkeeping for the speculative level drivers (`Rayon`,
-/// `WorkStealing`).
+/// Per-branch bookkeeping of the level driver.
 struct BranchState {
     allowance: u64,
     spent: u64,
@@ -557,8 +449,8 @@ struct BranchState {
     failed: bool,
 }
 
-/// What speculatively processing one candidate produced under a
-/// level-synchronous driver (`Rayon`, `WorkStealing`).
+/// What speculatively processing one candidate produced under the level
+/// driver.
 enum SpecOutcome {
     /// The global budget had already stopped the run.
     Skipped,
@@ -568,7 +460,7 @@ enum SpecOutcome {
     Panicked(String),
 }
 
-/// Seed the per-branch bookkeeping of a speculative level driver.
+/// Seed the per-branch bookkeeping of the level driver.
 fn branch_states(queue: &[(Candidate, u64)]) -> HashMap<(ColumnId, ColumnId), BranchState> {
     queue
         .iter()
@@ -586,14 +478,14 @@ fn branch_states(queue: &[(Candidate, u64)]) -> HashMap<(ColumnId, ColumnId), Br
         .collect()
 }
 
-/// The input-ordered post-filter shared by the speculative level drivers:
-/// walk the level's outcomes in candidate order, replay the per-branch
-/// allowance accounting, quarantine panicked branches, and assemble the
-/// next level into the reused `next` buffer. Because a branch's candidates
-/// appear within each level in branch-local BFS order, every branch is
-/// truncated at exactly the candidate the branch-sequential modes would —
+/// The input-ordered post-filter of the level driver: walk the level's
+/// outcomes in candidate order, replay the per-branch allowance
+/// accounting, quarantine panicked branches, and assemble the next level
+/// into the reused `next` buffer. Because a branch's candidates appear
+/// within each level in branch-local BFS order, every branch is truncated
+/// at exactly the candidate a branch-at-a-time traversal would stop at —
 /// speculative work past that point is dropped, keeping results and
-/// `checks` byte-identical across modes.
+/// `checks` byte-identical whatever the worker count.
 #[allow(clippy::too_many_arguments)]
 fn absorb_level_outcomes(
     level: &[Candidate],
@@ -669,11 +561,11 @@ fn absorb_level_outcomes(
     }
 }
 
-/// Position of a level-synchronous driver in the search: the per-branch
-/// allowance bookkeeping plus the current frontier. Built either from the
-/// level-2 seed queue (fresh run) or from a [`SearchSnapshot`] (resume) —
-/// the two are indistinguishable to the drivers, which is exactly what
-/// makes `resume == uninterrupted` hold.
+/// Position of the level driver in the search: the per-branch allowance
+/// bookkeeping plus the current frontier. Built either from the level-2
+/// seed queue (fresh run) or from a [`SearchSnapshot`] (resume) — the two
+/// are indistinguishable to the driver, which is exactly what makes
+/// `resume == uninterrupted` hold.
 struct LevelCursor {
     states: HashMap<(ColumnId, ColumnId), BranchState>,
     level: Vec<Candidate>,
@@ -745,7 +637,7 @@ fn record_checkpoint(
     acc: &SearchAccumulator,
     failures: &[BranchFailure],
     budget: &Budget,
-    shared: &SharedCaches,
+    shared: &SharedCache,
 ) {
     if !rec.wants(level_no) {
         return;
@@ -784,7 +676,7 @@ fn record_checkpoint(
         checks: budget.checks(),
         elapsed_ms: rec.elapsed_ms(),
         kernels: rec.kernels_now(),
-        cache: rec.cache_meta(shared.stats()),
+        cache: rec.cache_meta(shared.as_ref().map(|c| c.stats())),
         approx: None,
         pruned: rec.pruned_pairs(),
         termination: None,
@@ -792,247 +684,41 @@ fn record_checkpoint(
     rec.write_boundary(snap);
 }
 
-/// Level-synchronous sequential driver, used by `Sequential` (and
-/// `StaticQueues`, which has no global frontier to dump) whenever a
-/// checkpoint recorder is installed or a run is resumed. One checker
-/// processes the whole level in candidate order and the outcomes go
-/// through the same input-ordered post-filter as the parallel drivers
-/// ([`absorb_level_outcomes`]) — which is the existing proof that its
-/// results are byte-identical to `run_queue`'s depth-first-by-branch
-/// traversal. Candidate panics are isolated exactly as in the `Rayon`
-/// driver: caught per candidate, the possibly-inconsistent checker
-/// rebuilt, the branch quarantined by the post-filter.
-#[allow(clippy::too_many_arguments)]
-fn run_sequential_levels(
-    rel: &Relation,
-    universe: &[ColumnId],
-    cursor: LevelCursor,
-    config: &DiscoveryConfig,
-    budget: &Budget,
-    shared: &SharedCaches,
-    acc: &mut SearchAccumulator,
-    failures: &mut Vec<BranchFailure>,
-    mut recorder: Option<&mut CheckpointRecorder>,
-) {
-    let LevelCursor {
-        mut states,
-        mut level,
-        mut level_no,
-    } = cursor;
-    let mut next: Vec<Candidate> = Vec::new();
-    let mut next_parts: Vec<((ColumnId, ColumnId), Vec<Candidate>)> = Vec::new();
-    let mut checker = Checker::new(rel, config, shared);
-    // Initial boundary: a kill at any point during the first level already
-    // has a resume point.
-    if let Some(rec) = recorder.as_deref_mut() {
-        record_checkpoint(
-            rec, level_no, &level, &states, acc, failures, budget, shared,
-        );
-    }
-    while !level.is_empty() && !budget.is_stopped() {
-        if config.max_level.is_some_and(|max| level_no > max) {
-            acc.level_capped = true;
-            break;
-        }
-        checker.begin_level();
-        let mut results: Vec<SpecOutcome> = Vec::with_capacity(level.len());
-        for cand in &level {
-            let skip = budget.is_stopped()
-                || states
-                    .get(&cand.branch())
-                    .is_none_or(|s| s.stopped || s.failed);
-            if skip {
-                // The post-filter ignores the outcome of a stopped or
-                // failed branch, so the check can be elided entirely.
-                results.push(SpecOutcome::Skipped);
-                continue;
-            }
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                #[cfg(any(test, feature = "fault-injection"))]
-                if let Some(plan) = &config.fault {
-                    plan.before_candidate(cand.branch());
-                }
-                let mut em = Emission::default();
-                process_candidate(universe, cand, &mut checker, &mut em);
-                em
-            }));
-            match outcome {
-                Ok(em) => {
-                    budget.probe();
-                    results.push(SpecOutcome::Done(em));
-                }
-                Err(payload) => {
-                    // Quarantine the possibly-inconsistent checker state
-                    // before the next candidate.
-                    checker = Checker::new(rel, config, shared);
-                    checker.begin_level();
-                    results.push(SpecOutcome::Panicked(panic_message(payload.as_ref())));
-                }
-            }
-        }
-        absorb_level_outcomes(
-            &level,
-            results,
-            &mut states,
-            level_no,
-            config,
-            budget,
-            acc,
-            failures,
-            &mut next,
-            &mut next_parts,
-            recorder.as_deref_mut(),
-        );
-        checker.publish_pending();
-        std::mem::swap(&mut level, &mut next);
-        level_no += 1;
-        // Dump the completed boundary — but not a level cut short by the
-        // global time budget or cancellation, whose skipped candidates
-        // would be silently lost on resume. The previous boundary stays
-        // the resume point in that case.
-        if !budget.is_stopped() {
-            if let Some(rec) = recorder.as_deref_mut() {
-                record_checkpoint(
-                    rec, level_no, &level, &states, acc, failures, budget, shared,
-                );
-            }
-        }
-    }
-}
-
-/// The `Rayon` mode driver: per-level `par_iter` over *all* branches'
-/// candidates, then a single-threaded, input-ordered post-filter that
-/// replays the per-branch allowance accounting. Because the rayon shim's
-/// `collect` preserves input order and a branch's candidates appear within
-/// each level in branch-local BFS order, the post-filter truncates every
-/// branch at exactly the candidate the branch-sequential modes would —
-/// speculative work past that point is dropped, keeping results and
-/// `checks` byte-identical across modes. Panics are caught per candidate
-/// (the shim's join would abort otherwise); a panicked branch is marked
-/// failed and its candidates are ignored from then on, while its
-/// earlier-level emissions are stripped by the caller's quarantine filter.
-#[allow(clippy::too_many_arguments)]
-fn run_rayon_levels(
-    rel: &Relation,
-    universe: &[ColumnId],
-    cursor: LevelCursor,
-    config: &DiscoveryConfig,
-    budget: &Budget,
-    shared: &SharedCaches,
-    acc: &mut SearchAccumulator,
-    failures: &mut Vec<BranchFailure>,
-    mut recorder: Option<&mut CheckpointRecorder>,
-) {
-    let LevelCursor {
-        mut states,
-        mut level,
-        mut level_no,
-    } = cursor;
-    // Reused level-to-level, see `absorb_level_outcomes`.
-    let mut next: Vec<Candidate> = Vec::new();
-    let mut next_parts: Vec<((ColumnId, ColumnId), Vec<Candidate>)> = Vec::new();
-    if let Some(rec) = recorder.as_deref_mut() {
-        record_checkpoint(
-            rec, level_no, &level, &states, acc, failures, budget, shared,
-        );
-    }
-    while !level.is_empty() && !budget.is_stopped() {
-        if config.max_level.is_some_and(|max| level_no > max) {
-            acc.level_capped = true;
-            break;
-        }
-        let results: Vec<SpecOutcome> = level
-            .par_iter()
-            .map_init(
-                || Checker::new(rel, config, shared),
-                |checker, cand| {
-                    if budget.is_stopped() {
-                        return SpecOutcome::Skipped;
-                    }
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        #[cfg(any(test, feature = "fault-injection"))]
-                        if let Some(plan) = &config.fault {
-                            plan.before_candidate(cand.branch());
-                        }
-                        let mut em = Emission::default();
-                        process_candidate(universe, cand, checker, &mut em);
-                        em
-                    }));
-                    match outcome {
-                        Ok(em) => {
-                            budget.probe();
-                            SpecOutcome::Done(em)
-                        }
-                        Err(payload) => {
-                            // Quarantine the possibly-inconsistent private
-                            // checker state before the next candidate.
-                            *checker = Checker::new(rel, config, shared);
-                            SpecOutcome::Panicked(panic_message(payload.as_ref()))
-                        }
-                    }
-                },
-            )
-            .collect();
-
-        absorb_level_outcomes(
-            &level,
-            results,
-            &mut states,
-            level_no,
-            config,
-            budget,
-            acc,
-            failures,
-            &mut next,
-            &mut next_parts,
-            recorder.as_deref_mut(),
-        );
-        std::mem::swap(&mut level, &mut next);
-        level_no += 1;
-        if !budget.is_stopped() {
-            if let Some(rec) = recorder.as_deref_mut() {
-                record_checkpoint(
-                    rec, level_no, &level, &states, acc, failures, budget, shared,
-                );
-            }
-        }
-    }
-}
-
-/// Group a level's candidates into prefix batches: one batch per distinct
-/// `x` side — the shared sort-key prefix of the level's `XY → YX` checks —
-/// in order of first appearance, each holding its candidate indexes in
-/// level order. The first candidate of a batch materializes the `X` prefix
-/// index (or partition) in the worker's cache; the remaining members refine
-/// it, so keeping a batch on one worker turns the prefix from a per-check
-/// cache lookup into a guaranteed warm hit without touching shared state.
-fn level_batches(level: &[Candidate]) -> Vec<(AttrList, Vec<usize>)> {
-    let mut by_key: HashMap<&AttrList, usize> = HashMap::with_capacity(level.len());
+/// Group items into prefix batches: one batch per distinct `prefix(item)`
+/// — the shared sort-key prefix of their first check — in order of first
+/// appearance, each holding its item indexes in input order. For a level's
+/// candidates the prefix is the `x` side of the `XY → YX` check: the first
+/// candidate of a batch materializes the `X` partition (or index) in the
+/// worker's cache and the rest refine it, so keeping a batch on one worker
+/// turns the prefix from a per-check cache lookup into a guaranteed warm
+/// hit without touching shared state.
+fn prefix_batches<T>(items: &[T], prefix: impl Fn(&T) -> &AttrList) -> Vec<(AttrList, Vec<usize>)> {
+    let mut by_key: HashMap<&AttrList, usize> = HashMap::with_capacity(items.len());
     let mut batches: Vec<(AttrList, Vec<usize>)> = Vec::new();
-    // lint: allow(unprobed-loop, batching pass, one iteration per level candidate)
-    for (i, cand) in level.iter().enumerate() {
-        match by_key.get(&cand.x) {
+    // lint: allow(unprobed-loop, batching pass, one iteration per level candidate or escalation job)
+    for (i, item) in items.iter().enumerate() {
+        let key = prefix(item);
+        match by_key.get(key) {
             Some(&b) => {
                 if let Some(batch) = batches.get_mut(b) {
                     batch.1.push(i);
                 }
             }
             None => {
-                by_key.insert(&cand.x, batches.len());
-                batches.push((cand.x.clone(), vec![i]));
+                by_key.insert(key, batches.len());
+                batches.push((key.clone(), vec![i]));
             }
         }
     }
     batches
 }
 
-/// Run one prefix batch on a `WorkStealing` worker, pushing a
+/// Run one prefix batch on a driver worker, pushing a
 /// `(candidate index, outcome)` pair for every member.
 ///
 /// The cancellation/time budget is polled *immediately* (not amortized)
 /// once per batch — [`Budget::probe_now`] — so a cancelled run stops
-/// within one batch; within the batch the cheaper amortized probe is kept,
-/// matching the other modes' cadence. A panicking candidate is caught
+/// within one batch; within the batch the cheaper amortized probe is kept. A panicking candidate is caught
 /// here: the possibly-inconsistent checker is rebuilt and the batch
 /// *resumes after the panicked member*, so sibling branches sharing the
 /// prefix are not lost (their outcomes stand; the failed candidate's own
@@ -1045,7 +731,7 @@ fn run_batch<'r>(
     level: &[Candidate],
     checker: &mut Checker<'r>,
     config: &DiscoveryConfig,
-    shared: &SharedCaches,
+    shared: &SharedCache,
     budget: &Budget,
     out: &mut Vec<(usize, SpecOutcome)>,
 ) {
@@ -1068,7 +754,7 @@ fn run_batch<'r>(
                         out.push((i, SpecOutcome::Skipped));
                         continue;
                     }
-                    // lint: allow(panic-reachability, members hold level indexes built by level_batches, so i < level.len())
+                    // lint: allow(panic-reachability, members hold level indexes built by prefix_batches, so i < level.len())
                     let cand = &level[i];
                     #[cfg(any(test, feature = "fault-injection"))]
                     if let Some(plan) = &config.fault {
@@ -1098,45 +784,116 @@ fn run_batch<'r>(
     }
 }
 
-/// The `WorkStealing` mode driver: level-synchronous prefix-batch execution
-/// over hand-rolled work-stealing deques ([`StealQueues`]).
+/// Drain `batches` with one worker per checker — a scoped thread each, or
+/// the calling thread when there is one checker — over hand-rolled
+/// work-stealing deques ([`StealQueues`]): the batches are dealt
+/// round-robin, and each worker pops its own deque from the front
+/// (preserving prefix locality) and steals from the back of a victim's.
+/// `run` executes one batch's member indexes; the `(index, outcome)`
+/// pairs land in `slots`. Afterwards every checker's buffered cache
+/// inserts are published in worker order, so epoch stamps (and hence
+/// evictions) are deterministic for a schedule-independent insert set.
+///
+/// Returns the panic text of a worker that died (isolation itself
+/// failing): its outcomes died with it and its slots stay `None`.
+fn run_workers<'r, T: Send>(
+    checkers: &mut [Checker<'r>],
+    wstats: &mut [WorkerSchedStats],
+    batches: &[(AttrList, Vec<usize>)],
+    slots: &mut [Option<T>],
+    run: impl Fn(&[usize], &mut Checker<'r>, &mut Vec<(usize, T)>) + Sync,
+) -> Option<String> {
+    let queues = StealQueues::new(checkers.len(), batches.len());
+    let drain = |w: usize, checker: &mut Checker<'r>, wstats: &mut WorkerSchedStats| {
+        checker.begin_level();
+        let mut local: Vec<(usize, T)> = Vec::new();
+        // lint: allow(unprobed-loop, drains the dealt batches, bounded by their count; each batch runner polls the budget)
+        while let Some((b, stolen)) = queues.pop(w) {
+            wstats.batches += 1;
+            wstats.steals += u64::from(stolen);
+            if let Some((_, members)) = batches.get(b) {
+                run(members, checker, &mut local);
+            }
+        }
+        local
+    };
+    let mut worker_death: Option<String> = None;
+    let mut scatter = |joined: std::thread::Result<Vec<(usize, T)>>| match joined {
+        Ok(local) => {
+            // lint: allow(unprobed-loop, slot scatter, one move per computed outcome)
+            for (i, outcome) in local {
+                if let Some(slot) = slots.get_mut(i) {
+                    *slot = Some(outcome);
+                }
+            }
+        }
+        Err(payload) => worker_death = Some(panic_message(payload.as_ref())),
+    };
+    if let ([checker], [wstats]) = (&mut *checkers, &mut *wstats) {
+        // One worker runs on the calling thread: a fresh thread per level
+        // measurably slowed the sequential search on `dense_search`.
+        scatter(catch_unwind(AssertUnwindSafe(|| drain(0, checker, wstats))));
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = checkers
+                .iter_mut()
+                .zip(wstats.iter_mut())
+                .enumerate()
+                .map(|(w, (checker, wstats))| {
+                    let drain = &drain;
+                    scope.spawn(move || drain(w, checker, wstats))
+                })
+                .collect();
+            // lint: allow(unprobed-loop, join loop bounded by the worker count)
+            for handle in handles {
+                scatter(handle.join());
+            }
+        });
+    }
+    // lint: allow(unprobed-loop, publish loop bounded by the worker count)
+    for checker in checkers {
+        checker.publish_pending();
+    }
+    worker_death
+}
+
+/// The search driver: level-synchronous prefix-batch execution on
+/// `worker_count(config.mode)` workers — one for `Sequential`, `k` for
+/// `WorkStealing(k)` — whichever way the run started (fresh, checkpointed
+/// or resumed from `cursor`).
 ///
 /// Per level: candidates are grouped into prefix batches
-/// ([`level_batches`]), the batches are dealt round-robin over `k` worker
-/// deques, and `k` scoped threads drain them — own deque from the front
-/// (preserving prefix locality), victims from the back. Workers keep their
-/// [`Checker`] across levels; under an epoch shared cache they read the
-/// level's immutable snapshot lock-free and buffer inserts locally, and the
-/// driver publishes the buffers between levels in worker order (so epoch
-/// stamps, and hence evictions, are deterministic for a given schedule-
-/// independent insert set). Outcomes land in a per-worker list tagged with
-/// candidate indexes and are replayed through the same input-ordered
-/// post-filter as the `Rayon` driver ([`absorb_level_outcomes`]), which is
-/// what makes results byte-identical with the branch-sequential modes.
+/// ([`prefix_batches`]) and drained by the workers ([`run_workers`]).
+/// Workers keep their [`Checker`] across levels; under a shared cache they
+/// read the level's immutable snapshot lock-free and buffer inserts
+/// locally until the level's publish. The outcomes, tagged with candidate
+/// indexes, are replayed through the input-ordered post-filter
+/// ([`absorb_level_outcomes`]), which is what makes results independent of
+/// the worker count and schedule.
 ///
-/// A worker thread dying (isolation itself failing) loses its level
-/// outcomes: the missing entries are treated as panics, quarantining the
-/// affected branches, and the remaining deques are still drained by the
-/// surviving workers.
+/// A worker thread dying loses its level outcomes: the missing entries are
+/// treated as panics, quarantining the affected branches, while the
+/// surviving workers still drain the remaining deques. Returns the
+/// scheduler counters under `WorkStealing`, `None` under `Sequential`.
 #[allow(clippy::too_many_arguments)]
-fn run_workstealing_levels(
+fn run_levels(
     rel: &Relation,
     universe: &[ColumnId],
     cursor: LevelCursor,
-    workers: usize,
     config: &DiscoveryConfig,
     budget: &Budget,
-    shared: &SharedCaches,
+    shared: &SharedCache,
     acc: &mut SearchAccumulator,
     failures: &mut Vec<BranchFailure>,
     mut recorder: Option<&mut CheckpointRecorder>,
-) -> SchedulerStats {
-    let k = workers.max(1);
+) -> Option<SchedulerStats> {
+    let k = worker_count(config.mode);
     let LevelCursor {
         mut states,
         mut level,
         mut level_no,
     } = cursor;
+    // Reused level-to-level, see `absorb_level_outcomes`.
     let mut next: Vec<Candidate> = Vec::new();
     let mut next_parts: Vec<((ColumnId, ColumnId), Vec<Candidate>)> = Vec::new();
     let mut checkers: Vec<Checker<'_>> =
@@ -1146,6 +903,8 @@ fn run_workstealing_levels(
         levels: 0,
         workers: vec![WorkerSchedStats::default(); k],
     };
+    // Initial boundary: a kill at any point during the first level already
+    // has a resume point.
     if let Some(rec) = recorder.as_deref_mut() {
         record_checkpoint(
             rec, level_no, &level, &states, acc, failures, budget, shared,
@@ -1157,57 +916,21 @@ fn run_workstealing_levels(
             break;
         }
         sched.levels += 1;
-        let batches = level_batches(&level);
+        let batches = prefix_batches(&level, |c| &c.x);
         sched.batches += batches.len() as u64;
-        let queues = StealQueues::new(k, batches.len());
-
         let mut slots: Vec<Option<SpecOutcome>> = Vec::with_capacity(level.len());
         slots.resize_with(level.len(), || None);
-        let mut worker_death: Option<String> = None;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = checkers
-                .iter_mut()
-                .zip(sched.workers.iter_mut())
-                .enumerate()
-                .map(|(w, (checker, wstats))| {
-                    let queues = &queues;
-                    let batches = &batches;
-                    let level = &level;
-                    scope.spawn(move || {
-                        checker.begin_level();
-                        let mut local: Vec<(usize, SpecOutcome)> = Vec::new();
-                        while let Some((b, stolen)) = queues.pop(w) {
-                            wstats.batches += 1;
-                            wstats.steals += u64::from(stolen);
-                            let Some(batch) = batches.get(b) else {
-                                continue;
-                            };
-                            run_batch(
-                                rel, universe, &batch.1, level, checker, config, shared, budget,
-                                &mut local,
-                            );
-                        }
-                        local
-                    })
-                })
-                .collect();
-            // lint: allow(unprobed-loop, join loop bounded by the worker count)
-            for handle in handles {
-                match handle.join() {
-                    Ok(local) => {
-                        for (i, outcome) in local {
-                            if let Some(slot) = slots.get_mut(i) {
-                                *slot = Some(outcome);
-                            }
-                        }
-                    }
-                    // `run_batch` isolates candidate panics, so a dead
-                    // worker means the isolation itself failed; its level
-                    // outcomes died with it and surface as panics below.
-                    Err(payload) => worker_death = Some(panic_message(payload.as_ref())),
-                }
-            }
-        });
+        let worker_death = run_workers(
+            &mut checkers,
+            &mut sched.workers,
+            &batches,
+            &mut slots,
+            |members, checker, out| {
+                run_batch(
+                    rel, universe, members, &level, checker, config, shared, budget, out,
+                )
+            },
+        );
         let results: Vec<SpecOutcome> = slots
             .into_iter()
             .map(|slot| {
@@ -1234,14 +957,12 @@ fn run_workstealing_levels(
             &mut next_parts,
             recorder.as_deref_mut(),
         );
-        // Publish buffered cache inserts in worker order: deterministic
-        // epoch stamps for the next level's snapshot.
-        // lint: allow(unprobed-loop, publish loop bounded by the worker count)
-        for checker in &mut checkers {
-            checker.publish_pending();
-        }
         std::mem::swap(&mut level, &mut next);
         level_no += 1;
+        // Dump the completed boundary — but not a level cut short by the
+        // global time budget or cancellation, whose skipped candidates
+        // would be silently lost on resume. The previous boundary stays
+        // the resume point in that case.
         if !budget.is_stopped() {
             if let Some(rec) = recorder.as_deref_mut() {
                 record_checkpoint(
@@ -1250,7 +971,7 @@ fn run_workstealing_levels(
             }
         }
     }
-    sched
+    matches!(config.mode, ParallelMode::WorkStealing(_)).then_some(sched)
 }
 
 /// One full-data check requested by the approximate pipeline for a
@@ -1291,7 +1012,7 @@ pub(crate) enum EscalationKind {
 
 impl EscalationKind {
     /// The sort-key prefix this job's first scan materializes — the batch
-    /// grouping key (mirrors [`level_batches`]).
+    /// grouping key of [`prefix_batches`].
     fn prefix(&self) -> &AttrList {
         match self {
             EscalationKind::Ocd { x, .. } | EscalationKind::Od { x, .. } => x,
@@ -1374,7 +1095,7 @@ fn run_escalation_batch<'r>(
     jobs: &[EscalationJob],
     checker: &mut Checker<'r>,
     config: &DiscoveryConfig,
-    shared: &SharedCaches,
+    shared: &SharedCache,
     budget: &Budget,
     out: &mut Vec<(usize, EscalationVerdict)>,
 ) {
@@ -1426,16 +1147,14 @@ fn run_escalation_batch<'r>(
     }
 }
 
-/// Execute the approximate pipeline's full-data escalation wave.
-///
-/// Jobs are grouped into prefix batches (one per distinct `x` side, like
-/// [`level_batches`]) so a batch's first check materializes the shared
-/// sort prefix and the rest hit it warm. Under
-/// [`ParallelMode::WorkStealing`] the batches are dealt over
-/// [`StealQueues`] and drained by scoped workers with per-worker
-/// [`Checker`]s (epoch caches are published after the wave); every other
-/// mode drains them inline on one checker. Verdicts come back indexed by
-/// job — the result is deterministic regardless of mode or schedule.
+/// Execute the approximate pipeline's full-data escalation wave on the
+/// search driver's pieces: jobs are grouped into prefix batches
+/// ([`prefix_batches`], keyed by the sort prefix of each job's first scan)
+/// so a batch's first check materializes the shared prefix and the rest
+/// hit it warm, and the batches are drained by [`run_workers`] on
+/// `worker_count(config.mode)` workers with per-worker [`Checker`]s.
+/// Verdicts come back indexed by job — the result is deterministic
+/// regardless of mode or schedule.
 pub(crate) fn run_escalations(
     rel: &Relation,
     config: &DiscoveryConfig,
@@ -1445,138 +1164,53 @@ pub(crate) fn run_escalations(
     if jobs.is_empty() {
         return Vec::new();
     }
-    let shared = SharedCaches::from_config(config);
-    // Prefix batches in order of first appearance (lookup map only — its
-    // iteration order is never observed).
-    let mut by_key: HashMap<&AttrList, usize> = HashMap::with_capacity(jobs.len());
-    let mut batches: Vec<Vec<usize>> = Vec::new();
-    // lint: allow(unprobed-loop, batching pass bounded by the escalation job count)
-    for (i, job) in jobs.iter().enumerate() {
-        match by_key.get(job.kind.prefix()) {
-            Some(&b) => {
-                if let Some(batch) = batches.get_mut(b) {
-                    batch.push(i);
-                }
-            }
-            None => {
-                by_key.insert(job.kind.prefix(), batches.len());
-                batches.push(vec![i]);
-            }
-        }
-    }
-
-    let workers = match config.mode {
-        ParallelMode::WorkStealing(k) => k.max(1),
-        _ => 1,
-    };
-    let mut slots: Vec<Option<EscalationVerdict>> = Vec::with_capacity(jobs.len());
-    slots.resize_with(jobs.len(), || None);
-
-    if workers == 1 {
+    let shared = shared_cache(config);
+    let batches = prefix_batches(jobs, |job| job.kind.prefix());
+    let workers = worker_count(config.mode);
+    let mut checkers: Vec<Checker<'_>> = (0..workers)
+        .map(|_| Checker::new(rel, config, &shared))
+        .collect();
+    let mut slots: Vec<Option<EscalationVerdict>> = vec![None; jobs.len()];
+    run_workers(
+        &mut checkers,
+        &mut vec![WorkerSchedStats::default(); workers],
+        &batches,
+        &mut slots,
+        |members, checker, out| {
+            run_escalation_batch(rel, members, jobs, checker, config, &shared, budget, out)
+        },
+    );
+    // A dead worker loses its verdicts; recompute them on this thread.
+    let lost: Vec<usize> = (0..jobs.len())
+        .filter(|&i| slots.get(i).is_some_and(Option::is_none))
+        .collect();
+    if !lost.is_empty() {
         let mut checker = Checker::new(rel, config, &shared);
-        checker.begin_level();
         let mut local: Vec<(usize, EscalationVerdict)> = Vec::new();
-        for members in &batches {
-            run_escalation_batch(
-                rel,
-                members,
-                jobs,
-                &mut checker,
-                config,
-                &shared,
-                budget,
-                &mut local,
-            );
-        }
+        run_escalation_batch(
+            rel,
+            &lost,
+            jobs,
+            &mut checker,
+            config,
+            &shared,
+            budget,
+            &mut local,
+        );
         checker.publish_pending();
-        // lint: allow(unprobed-loop, slot scatter, one move per computed verdict)
+        // lint: allow(unprobed-loop, slot scatter, one move per recomputed verdict)
         for (i, v) in local {
             if let Some(slot) = slots.get_mut(i) {
                 *slot = Some(v);
             }
         }
-    } else {
-        let mut checkers: Vec<Checker<'_>> = (0..workers)
-            .map(|_| Checker::new(rel, config, &shared))
-            .collect();
-        let queues = StealQueues::new(workers, batches.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = checkers
-                .iter_mut()
-                .enumerate()
-                .map(|(w, checker)| {
-                    let queues = &queues;
-                    let batches = &batches;
-                    let shared = &shared;
-                    scope.spawn(move || {
-                        checker.begin_level();
-                        let mut local: Vec<(usize, EscalationVerdict)> = Vec::new();
-                        while let Some((b, _stolen)) = queues.pop(w) {
-                            let Some(members) = batches.get(b) else {
-                                continue;
-                            };
-                            run_escalation_batch(
-                                rel, members, jobs, checker, config, shared, budget, &mut local,
-                            );
-                        }
-                        local
-                    })
-                })
-                .collect();
-            // lint: allow(unprobed-loop, join loop bounded by the worker count)
-            for handle in handles {
-                if let Ok(local) = handle.join() {
-                    for (i, v) in local {
-                        if let Some(slot) = slots.get_mut(i) {
-                            *slot = Some(v);
-                        }
-                    }
-                }
-                // A dead worker loses its verdicts; the sequential retry
-                // below recomputes them deterministically.
-            }
-        });
-        // lint: allow(unprobed-loop, publish loop bounded by the worker count)
-        for checker in &mut checkers {
-            checker.publish_pending();
-        }
-        // Retry lost slots inline (worker death / lost outcomes).
-        if slots.iter().any(Option::is_none) {
-            let mut checker = Checker::new(rel, config, &shared);
-            checker.begin_level();
-            let mut local: Vec<(usize, EscalationVerdict)> = Vec::new();
-            for (i, slot) in slots.iter().enumerate() {
-                if slot.is_none() {
-                    run_escalation_batch(
-                        rel,
-                        &[i],
-                        jobs,
-                        &mut checker,
-                        config,
-                        &shared,
-                        budget,
-                        &mut local,
-                    );
-                }
-            }
-            checker.publish_pending();
-            // lint: allow(unprobed-loop, slot scatter, one move per computed verdict)
-            for (i, v) in local {
-                if let Some(slot) = slots.get_mut(i) {
-                    *slot = Some(v);
-                }
-            }
-        }
     }
-
     slots
         .into_iter()
         .map(|slot| {
             slot.unwrap_or(EscalationVerdict {
                 skipped: true,
-                exact: false,
-                error: None,
-                rows_scanned: 0,
+                ..EscalationVerdict::default()
             })
         })
         .collect()
@@ -1607,7 +1241,7 @@ pub(crate) fn resume_after_od_invalidation(
         })
         .collect();
     let budget = Budget::new(config, crate::runtime::now(), 0);
-    let shared = SharedCaches::from_config(config);
+    let shared = shared_cache(config);
     let mut checker = Checker::new(rel, config, &shared);
     let mut acc = SearchAccumulator::default();
     // The seeds all belong to one branch, so the whole `max_checks` budget
@@ -1626,7 +1260,7 @@ pub(crate) fn resume_after_od_invalidation(
 }
 
 /// Cost profile of one level-2 branch — the unit of distribution of the
-/// paper's static-queue parallelization (§4.2.2). A candidate belongs to
+/// paper's K-queue parallelization (§4.2.2). A candidate belongs to
 /// exactly one branch (the pair of first attributes of its sides), so
 /// branch costs fully determine how any K-queue assignment balances.
 #[derive(Debug, Clone)]
@@ -1644,10 +1278,11 @@ pub struct BranchCost {
 /// Profile every level-2 branch of the search individually: run column
 /// reduction (timed), then each seed's subtree sequentially.
 ///
-/// Used by the Figure 6 harness to *simulate* the static-queue speedup on
-/// machines without enough cores to measure it: for K queues, the
+/// Used by the Figure 6 harness to *simulate* the paper's K-queue speedup
+/// on machines without enough cores to measure it: for K queues, the
 /// simulated parallel time is `reduction + max over queues of the queue's
-/// summed branch costs` (round-robin assignment, as in the search itself).
+/// summed branch costs`, with the branches assigned round-robin as in
+/// §4.2.2.
 pub fn profile_branches(
     rel: &Relation,
     config: &DiscoveryConfig,
@@ -1667,7 +1302,7 @@ pub fn profile_branches(
     for seed in seed_candidates(&reduction.attributes) {
         let seed_pair = seed.branch();
         let budget = Budget::new(config, crate::runtime::now(), 0);
-        let shared = SharedCaches::from_config(config);
+        let shared = shared_cache(config);
         let mut checker = Checker::new(rel, config, &shared);
         let mut acc = SearchAccumulator::default();
         let allowance = config.max_checks.unwrap_or(u64::MAX);
@@ -1724,141 +1359,24 @@ pub fn discover(rel: &Relation, config: &DiscoveryConfig) -> DiscoveryResult {
         .map(|policy| CheckpointRecorder::new(policy, rel, config, start, kernels_before));
 
     let budget = Budget::new(config, start, reduction.checks);
-    let shared = SharedCaches::from_config(config);
+    let shared = shared_cache(config);
     let seeds = seed_candidates(&reduction.attributes);
     let allowances = branch_allowances(config.max_checks, reduction.checks, seeds.len());
-    let queue: Vec<(Candidate, u64)> = seeds.into_iter().zip(allowances).collect();
-    let universe = &reduction.attributes;
+    let cursor = LevelCursor::from_queue(seeds.into_iter().zip(allowances).collect());
 
     let mut acc = SearchAccumulator::default();
     let mut failures: Vec<BranchFailure> = Vec::new();
-    let mut scheduler: Option<SchedulerStats> = None;
-    match config.mode {
-        // With a checkpoint recorder installed, the branch-sequential
-        // modes switch to the level-synchronous sequential driver — it is
-        // the only traversal with a global frontier to dump, and its
-        // results are byte-identical by the post-filter argument
-        // (`StaticQueues`' round-robin partition changes nothing about
-        // what is checked, only on which thread).
-        ParallelMode::Sequential | ParallelMode::StaticQueues(_) if recorder.is_some() => {
-            run_sequential_levels(
-                rel,
-                universe,
-                LevelCursor::from_queue(queue),
-                config,
-                &budget,
-                &shared,
-                &mut acc,
-                &mut failures,
-                recorder.as_mut(),
-            );
-        }
-        ParallelMode::Sequential => {
-            let (a, f) = run_queue(rel, universe, queue, config, &budget, &shared);
-            acc.merge(a);
-            failures.extend(f);
-        }
-        ParallelMode::StaticQueues(k) => {
-            let k = k.max(1);
-            // Round-robin partition of the level-2 branches (§4.2.2). Each
-            // candidate's whole subtree stays within its seed's queue.
-            let mut queues: Vec<Vec<(Candidate, u64)>> = (0..k).map(|_| Vec::new()).collect();
-            // lint: allow(unprobed-loop, round-robin partition of the level-2 seeds, one push per branch)
-            for (i, entry) in queue.into_iter().enumerate() {
-                if let Some(q) = queues.get_mut(i % k) {
-                    q.push(entry);
-                }
-            }
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = queues
-                    .into_iter()
-                    .map(|worker_queue| {
-                        let branches: Vec<(ColumnId, ColumnId)> =
-                            worker_queue.iter().map(|(seed, _)| seed.branch()).collect();
-                        let budget = &budget;
-                        let shared = &shared;
-                        let handle = scope.spawn(move || {
-                            run_queue(rel, universe, worker_queue, config, budget, shared)
-                        });
-                        (branches, handle)
-                    })
-                    .collect();
-                // lint: allow(unprobed-loop, join loop bounded by the worker count)
-                for (branches, handle) in handles {
-                    match handle.join() {
-                        Ok((a, f)) => {
-                            acc.merge(a);
-                            failures.extend(f);
-                        }
-                        // `run_queue` already isolates branch panics, so a
-                        // dead worker means the isolation itself failed —
-                        // quarantine its whole queue rather than crash.
-                        Err(payload) => {
-                            let message = panic_message(payload.as_ref());
-                            failures.extend(branches.into_iter().map(|branch| BranchFailure {
-                                branch,
-                                message: message.clone(),
-                            }));
-                        }
-                    }
-                }
-            });
-        }
-        ParallelMode::Rayon(k) => {
-            match rayon::ThreadPoolBuilder::new()
-                .num_threads(k.max(1))
-                .build()
-            {
-                Ok(pool) => pool.install(|| {
-                    run_rayon_levels(
-                        rel,
-                        universe,
-                        LevelCursor::from_queue(queue),
-                        config,
-                        &budget,
-                        &shared,
-                        &mut acc,
-                        &mut failures,
-                        recorder.as_mut(),
-                    );
-                }),
-                // No pool — degrade to a sequential path instead of
-                // aborting; results are identical by construction.
-                Err(_) if recorder.is_some() => {
-                    run_sequential_levels(
-                        rel,
-                        universe,
-                        LevelCursor::from_queue(queue),
-                        config,
-                        &budget,
-                        &shared,
-                        &mut acc,
-                        &mut failures,
-                        recorder.as_mut(),
-                    );
-                }
-                Err(_) => {
-                    let (a, f) = run_queue(rel, universe, queue, config, &budget, &shared);
-                    acc.merge(a);
-                    failures.extend(f);
-                }
-            }
-        }
-        ParallelMode::WorkStealing(k) => {
-            scheduler = Some(run_workstealing_levels(
-                rel,
-                universe,
-                LevelCursor::from_queue(queue),
-                k,
-                config,
-                &budget,
-                &shared,
-                &mut acc,
-                &mut failures,
-                recorder.as_mut(),
-            ));
-        }
-    }
+    let scheduler = run_levels(
+        rel,
+        &reduction.attributes,
+        cursor,
+        config,
+        &budget,
+        &shared,
+        &mut acc,
+        &mut failures,
+        recorder.as_mut(),
+    );
 
     finalize_result(
         reduction,
@@ -1882,12 +1400,10 @@ pub fn discover(rel: &Relation, config: &DiscoveryConfig) -> DiscoveryResult {
 /// have produced — the same OCDs/ODs/constants/equivalence classes, the
 /// same `checks`, `candidates_generated`, per-level stats, and termination
 /// reason — across every [`ParallelMode`] and cache configuration, because
-/// the level drivers cannot distinguish a snapshot-built `LevelCursor`
-/// from a fresh one. (`StaticQueues` resumes on the level-synchronous
-/// sequential driver, which checks the same candidates on one thread.)
-/// Wall-clock `elapsed` and kernel counters continue cumulatively from the
-/// dump; the time budget, if any, restarts at the resume (timing is not
-/// part of the deterministic result).
+/// the level driver cannot distinguish a snapshot-built `LevelCursor` from
+/// a fresh one. Wall-clock `elapsed` and kernel counters continue
+/// cumulatively from the dump; the time budget, if any, restarts at the
+/// resume (timing is not part of the deterministic result).
 ///
 /// When `config.checkpoint` is also set, the resumed run keeps dumping at
 /// level boundaries, so a resume can itself be killed and resumed.
@@ -1920,8 +1436,7 @@ pub fn discover_resume(
     // includes the reduction checks, so the resumed run's `checks` column
     // continues exactly where the interrupted run left off.
     let budget = Budget::new(config, start, snap.checks);
-    let shared = SharedCaches::from_config(config);
-    let universe = &reduction.attributes;
+    let shared = shared_cache(config);
 
     let mut acc = SearchAccumulator {
         ocds: snap
@@ -1947,71 +1462,17 @@ pub fn discover_resume(
             message: f.message.clone(),
         })
         .collect();
-    let cursor = LevelCursor::from_snapshot(snap);
-
-    let mut scheduler: Option<SchedulerStats> = None;
-    match config.mode {
-        ParallelMode::Sequential | ParallelMode::StaticQueues(_) => {
-            run_sequential_levels(
-                rel,
-                universe,
-                cursor,
-                config,
-                &budget,
-                &shared,
-                &mut acc,
-                &mut failures,
-                recorder.as_mut(),
-            );
-        }
-        ParallelMode::Rayon(k) => {
-            match rayon::ThreadPoolBuilder::new()
-                .num_threads(k.max(1))
-                .build()
-            {
-                Ok(pool) => pool.install(|| {
-                    run_rayon_levels(
-                        rel,
-                        universe,
-                        cursor,
-                        config,
-                        &budget,
-                        &shared,
-                        &mut acc,
-                        &mut failures,
-                        recorder.as_mut(),
-                    );
-                }),
-                Err(_) => {
-                    run_sequential_levels(
-                        rel,
-                        universe,
-                        cursor,
-                        config,
-                        &budget,
-                        &shared,
-                        &mut acc,
-                        &mut failures,
-                        recorder.as_mut(),
-                    );
-                }
-            }
-        }
-        ParallelMode::WorkStealing(k) => {
-            scheduler = Some(run_workstealing_levels(
-                rel,
-                universe,
-                cursor,
-                k,
-                config,
-                &budget,
-                &shared,
-                &mut acc,
-                &mut failures,
-                recorder.as_mut(),
-            ));
-        }
-    }
+    let scheduler = run_levels(
+        rel,
+        &reduction.attributes,
+        LevelCursor::from_snapshot(snap),
+        config,
+        &budget,
+        &shared,
+        &mut acc,
+        &mut failures,
+        recorder.as_mut(),
+    );
 
     let elapsed = std::time::Duration::from_millis(snap.elapsed_ms).saturating_add(start.elapsed());
     let kernels = kernel_stats::snapshot()
@@ -2034,14 +1495,8 @@ pub fn discover_resume(
 /// by [`discover`] and [`discover_resume`] — reduction is deterministic,
 /// so a resume recomputes the same facts the dump's run saw).
 fn run_reduction(rel: &Relation, config: &DiscoveryConfig) -> Reduction {
-    let reduction_threads = match config.mode {
-        ParallelMode::Sequential => 1,
-        ParallelMode::StaticQueues(k) | ParallelMode::Rayon(k) | ParallelMode::WorkStealing(k) => {
-            k.max(1)
-        }
-    };
     if config.column_reduction {
-        crate::reduction::columns_reduction_with_threads(rel, reduction_threads)
+        crate::reduction::columns_reduction_with_threads(rel, worker_count(config.mode))
     } else {
         Reduction {
             attributes: (0..rel.num_columns()).collect(),
@@ -2059,7 +1514,7 @@ fn finalize_result(
     acc: SearchAccumulator,
     failures: Vec<BranchFailure>,
     budget: &Budget,
-    shared: &SharedCaches,
+    shared: &SharedCache,
     scheduler: Option<SchedulerStats>,
     elapsed: std::time::Duration,
     kernels: kernel_stats::KernelCounts,
@@ -2067,12 +1522,11 @@ fn finalize_result(
 ) -> DiscoveryResult {
     let mut acc = acc;
     // Quarantine filter: drop the dependencies rooted in failed branches.
-    // The branch-sequential paths already lost them with the branch's
-    // accumulator; under `Rayon` (and a dead StaticQueues worker) emissions
-    // from earlier levels may linger and are stripped here, so a faulty
-    // run's OCD/OD sets equal the fault-free run minus exactly the
-    // quarantined branches. (Per-level stats and generation counters stay
-    // best-effort under failure.)
+    // A branch's emissions from the levels before its failure are still in
+    // the accumulator and are stripped here, so a faulty run's OCD/OD sets
+    // equal the fault-free run minus exactly the quarantined branches.
+    // (Per-level stats and generation counters stay best-effort under
+    // failure.)
     if !failures.is_empty() {
         let failed: HashSet<(ColumnId, ColumnId)> = failures.iter().map(|f| f.branch).collect();
         acc.ocds.retain(|o| !failed.contains(&ocd_branch(o)));
@@ -2109,7 +1563,7 @@ fn finalize_result(
     });
 
     // Canonical ordering: shorter dependencies first (the BFS guarantee),
-    // then lexicographic — identical across all execution modes.
+    // then lexicographic — identical whatever the worker count.
     let mut ocds = acc.ocds;
     ocds.sort_by(|a, b| {
         (a.lhs.len() + a.rhs.len(), &a.lhs, &a.rhs).cmp(&(
@@ -2143,7 +1597,7 @@ fn finalize_result(
         levels,
         elapsed,
         termination,
-        cache: shared.stats(),
+        cache: shared.as_ref().map(|c| c.stats()),
         scheduler,
         kernels,
         checkpoint,
@@ -2166,6 +1620,122 @@ mod tests {
 
     fn l(ids: &[usize]) -> AttrList {
         AttrList::from_slice(ids)
+    }
+
+    /// Independent oracle for the level driver: column reduction, then each
+    /// level-2 branch's whole subtree on one checker, one branch at a time
+    /// in canonical seed order with its `branch_allowances` share
+    /// ([`run_subtree`]), merged into one accumulator. It shares the
+    /// per-candidate step and the result assembly with [`discover`], but
+    /// none of the level batching, scheduling or post-filter.
+    fn discover_by_branches(rel: &Relation, config: &DiscoveryConfig) -> DiscoveryResult {
+        let start = crate::runtime::now();
+        let reduction = run_reduction(rel, config);
+        let budget = Budget::new(config, start, reduction.checks);
+        let shared = shared_cache(config);
+        let mut checker = Checker::new(rel, config, &shared);
+        let seeds = seed_candidates(&reduction.attributes);
+        let allowances = branch_allowances(config.max_checks, reduction.checks, seeds.len());
+        let mut acc = SearchAccumulator::default();
+        for (seed, allowance) in seeds.into_iter().zip(allowances) {
+            let mut branch = SearchAccumulator::default();
+            run_subtree(
+                &reduction.attributes,
+                vec![seed],
+                config,
+                &budget,
+                &mut checker,
+                allowance,
+                &mut branch,
+            );
+            acc.merge(branch);
+        }
+        finalize_result(
+            reduction,
+            acc,
+            Vec::new(),
+            &budget,
+            &shared,
+            None,
+            start.elapsed(),
+            kernel_stats::KernelCounts::default(),
+            None,
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The level driver against the branch-at-a-time oracle on random
+        /// 3–5-column relations, across worker counts, checker backends,
+        /// shared-cache settings, check budgets and a level cap: the same
+        /// dependencies, checks, termination, per-level stats and
+        /// generation count. A column is either random cells in `0..4` or
+        /// a staircase `row / width` (ascending or descending): staircases
+        /// of different widths are OCDs but no ODs, so their lattices grow
+        /// deep enough for duplicate children and mid-level budget stops.
+        #[test]
+        fn driver_matches_branch_oracle(
+            cols in 3usize..=5,
+            rows in proptest::prelude::prop::collection::vec(
+                proptest::prelude::prop::collection::vec(0i64..4, 5..=5),
+                1..=14,
+            ),
+            shapes in proptest::prelude::prop::collection::vec(-4i64..=4, 5..=5),
+            cap in 0u64..=600,
+            capped in 0usize..2,
+        ) {
+            use proptest::prop_assert_eq;
+            let n = rows.len() as i64;
+            let r = Relation::from_columns(
+                (0..cols)
+                    .map(|c| {
+                        let cells = rows.iter().enumerate().map(|(i, row)| {
+                            let i = i as i64;
+                            Value::Int(match shapes[c] {
+                                0 => row[c],
+                                w if w > 0 => i / w,
+                                w => (n - 1 - i) / -w,
+                            })
+                        });
+                        (format!("c{c}"), cells.collect())
+                    })
+                    .collect(),
+            )
+            .unwrap();
+            let max_checks = (1..=300).contains(&cap).then_some(cap);
+            let max_level = (capped == 1).then_some(3);
+            for checker in [CheckerBackend::Resort, CheckerBackend::SortedPartitions] {
+                for shared_cache in [false, true] {
+                    let base = DiscoveryConfig {
+                        checker,
+                        shared_cache,
+                        max_checks,
+                        max_level,
+                        ..DiscoveryConfig::default()
+                    };
+                    let oracle = discover_by_branches(&r, &base);
+                    for mode in [
+                        ParallelMode::Sequential,
+                        ParallelMode::WorkStealing(1),
+                        ParallelMode::WorkStealing(3),
+                    ] {
+                        let run = discover(&r, &DiscoveryConfig { mode, ..base.clone() });
+                        let tag = format!("{mode:?}/{checker:?}/shared={shared_cache}/{max_checks:?}/{max_level:?}");
+                        prop_assert_eq!(&oracle.ocds, &run.ocds, "{}: ocds", tag);
+                        prop_assert_eq!(&oracle.ods, &run.ods, "{}: ods", tag);
+                        prop_assert_eq!(oracle.checks, run.checks, "{}: checks", tag);
+                        prop_assert_eq!(&oracle.termination, &run.termination, "{}", tag);
+                        prop_assert_eq!(&oracle.levels, &run.levels, "{}: levels", tag);
+                        prop_assert_eq!(
+                            oracle.candidates_generated,
+                            run.candidates_generated,
+                            "{}: generated", tag
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -2283,25 +1853,14 @@ mod tests {
                 .collect();
             let r = Relation::from_columns(data).unwrap();
             let seq = discover(&r, &DiscoveryConfig::default());
-            let par = discover(
-                &r,
-                &DiscoveryConfig {
-                    mode: ParallelMode::StaticQueues(3),
-                    ..Default::default()
-                },
+            let oracle = discover_by_branches(&r, &DiscoveryConfig::default());
+            assert_eq!(seq.ocds, oracle.ocds, "case {case}: branch oracle differs");
+            assert_eq!(seq.ods, oracle.ods, "case {case}");
+            assert_eq!(
+                seq.checks, oracle.checks,
+                "case {case}: same candidate tree"
             );
-            let ray = discover(
-                &r,
-                &DiscoveryConfig {
-                    mode: ParallelMode::Rayon(3),
-                    ..Default::default()
-                },
-            );
-            assert_eq!(seq.ocds, par.ocds, "case {case}: static queues differ");
-            assert_eq!(seq.ods, par.ods, "case {case}");
-            assert_eq!(seq.ocds, ray.ocds, "case {case}: rayon differs");
-            assert_eq!(seq.ods, ray.ods, "case {case}");
-            assert_eq!(seq.checks, par.checks, "case {case}: same candidate tree");
+            assert!(seq.scheduler.is_none(), "sequential reports no scheduler");
             for workers in [1, 4] {
                 let ws = discover(
                     &r,
@@ -2338,7 +1897,7 @@ mod tests {
             c(&[1, 3], &[2]),
             c(&[1], &[3]),
         ];
-        let batches = level_batches(&level);
+        let batches = prefix_batches(&level, |c| &c.x);
         let keys: Vec<&AttrList> = batches.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![&l(&[0]), &l(&[1]), &l(&[1, 3])]);
         assert_eq!(batches[0].1, vec![0, 1, 3]);
@@ -2398,21 +1957,16 @@ mod tests {
             .collect();
         let r = Relation::from_columns(data).unwrap();
         let plain = discover(&r, &DiscoveryConfig::default());
-        for backend in [
-            CheckerBackend::PrefixCache,
-            CheckerBackend::SortedPartitions,
-        ] {
-            let alt = discover(
-                &r,
-                &DiscoveryConfig {
-                    checker: backend,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(plain.ocds, alt.ocds, "{backend:?}");
-            assert_eq!(plain.ods, alt.ods, "{backend:?}");
-            assert_eq!(plain.checks, alt.checks, "{backend:?}: same tree");
-        }
+        let partitions = discover(
+            &r,
+            &DiscoveryConfig {
+                checker: CheckerBackend::SortedPartitions,
+                ..Default::default()
+            },
+        );
+        assert_eq!(plain.ocds, partitions.ocds);
+        assert_eq!(plain.ods, partitions.ods);
+        assert_eq!(plain.checks, partitions.checks, "same tree");
     }
 
     #[test]
@@ -2433,16 +1987,8 @@ mod tests {
         let r = Relation::from_columns(data).unwrap();
         let baseline = discover(&r, &DiscoveryConfig::default());
         assert!(baseline.cache.is_none(), "no shared cache by default");
-        for backend in [
-            CheckerBackend::Resort,
-            CheckerBackend::PrefixCache,
-            CheckerBackend::SortedPartitions,
-        ] {
-            for mode in [
-                ParallelMode::Sequential,
-                ParallelMode::StaticQueues(3),
-                ParallelMode::WorkStealing(3),
-            ] {
+        for backend in [CheckerBackend::Resort, CheckerBackend::SortedPartitions] {
+            for mode in [ParallelMode::Sequential, ParallelMode::WorkStealing(3)] {
                 let shared = discover(
                     &r,
                     &DiscoveryConfig {
@@ -2477,21 +2023,19 @@ mod tests {
             ("d", &[1, 2, 3, 4, 5, 6]),
         ]);
         let baseline = discover(&r, &DiscoveryConfig::default());
-        for backend in [
-            CheckerBackend::PrefixCache,
-            CheckerBackend::SortedPartitions,
-        ] {
+        for mode in [ParallelMode::Sequential, ParallelMode::WorkStealing(2)] {
             let squeezed = discover(
                 &r,
                 &DiscoveryConfig {
-                    checker: backend,
+                    mode,
+                    checker: CheckerBackend::SortedPartitions,
                     shared_cache: true,
                     cache_budget_bytes: 256,
                     ..Default::default()
                 },
             );
-            assert_eq!(baseline.ocds, squeezed.ocds, "{backend:?}");
-            assert_eq!(baseline.ods, squeezed.ods, "{backend:?}");
+            assert_eq!(baseline.ocds, squeezed.ocds, "{mode:?}");
+            assert_eq!(baseline.ods, squeezed.ods, "{mode:?}");
         }
     }
 
@@ -2733,7 +2277,7 @@ mod tests {
     }
 
     #[test]
-    fn static_queues_branch_panic_quarantines_only_that_branch() {
+    fn branch_panic_quarantines_only_that_branch() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(42);
@@ -2744,7 +2288,7 @@ mod tests {
                 continue;
             }
             exercised += 1;
-            assert_branch_quarantined(&r, ParallelMode::StaticQueues(4), &format!("case {case}"));
+            assert_branch_quarantined(&r, ParallelMode::WorkStealing(4), &format!("case {case}"));
         }
         assert!(exercised >= 3, "test data must contain OCDs");
     }
@@ -2759,8 +2303,6 @@ mod tests {
         ]);
         for (mode, label) in [
             (ParallelMode::Sequential, "sequential"),
-            (ParallelMode::StaticQueues(4), "static_queues"),
-            (ParallelMode::Rayon(3), "rayon"),
             (ParallelMode::WorkStealing(3), "work_stealing"),
         ] {
             assert_branch_quarantined(&r, mode, label);
@@ -2772,8 +2314,6 @@ mod tests {
         let r = staircase(4, 24);
         for (mode, label) in [
             (ParallelMode::Sequential, "sequential"),
-            (ParallelMode::StaticQueues(2), "static_queues"),
-            (ParallelMode::Rayon(2), "rayon"),
             (ParallelMode::WorkStealing(2), "work_stealing"),
         ] {
             let clean = discover(
@@ -2809,12 +2349,11 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(9);
         let r = random_rel(&mut rng);
-        // Covers both shared-cache designs: lock-striped (StaticQueues)
-        // and epoch-published (WorkStealing).
-        for mode in [ParallelMode::StaticQueues(3), ParallelMode::WorkStealing(3)] {
+        // The epoch cache under one worker and under three.
+        for mode in [ParallelMode::Sequential, ParallelMode::WorkStealing(3)] {
             let base = DiscoveryConfig {
                 mode,
-                checker: CheckerBackend::PrefixCache,
+                checker: CheckerBackend::SortedPartitions,
                 shared_cache: true,
                 ..DiscoveryConfig::default()
             };
@@ -2863,8 +2402,6 @@ mod tests {
         let full = discover(&r, &DiscoveryConfig::default());
         for (mode, label) in [
             (ParallelMode::Sequential, "sequential"),
-            (ParallelMode::StaticQueues(3), "static_queues"),
-            (ParallelMode::Rayon(3), "rayon"),
             (ParallelMode::WorkStealing(3), "work_stealing"),
         ] {
             let controller = RunController::new();
@@ -2896,7 +2433,7 @@ mod tests {
         let controller = RunController::new();
         let canceller = controller.clone();
         let config = DiscoveryConfig {
-            mode: ParallelMode::StaticQueues(4),
+            mode: ParallelMode::WorkStealing(4),
             controller: Some(controller),
             time_budget: Some(Duration::from_secs(30)),
             ..DiscoveryConfig::default()
@@ -2951,12 +2488,7 @@ mod tests {
             delete_on_complete: false,
             ..CheckpointPolicy::new(&dir)
         };
-        for mode in [
-            ParallelMode::Sequential,
-            ParallelMode::StaticQueues(3),
-            ParallelMode::Rayon(3),
-            ParallelMode::WorkStealing(3),
-        ] {
+        for mode in [ParallelMode::Sequential, ParallelMode::WorkStealing(3)] {
             let ck = discover(
                 &r,
                 &DiscoveryConfig {
@@ -3003,8 +2535,7 @@ mod tests {
             let snap = read_snapshot(dump).unwrap();
             for mode in [
                 ParallelMode::Sequential,
-                ParallelMode::StaticQueues(3),
-                ParallelMode::Rayon(2),
+                ParallelMode::WorkStealing(2),
                 ParallelMode::WorkStealing(3),
             ] {
                 let resumed = discover_resume(

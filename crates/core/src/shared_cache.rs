@@ -1,25 +1,18 @@
-//! A sharded, byte-budgeted prefix cache shared by every worker of a run.
+//! The run-wide prefix cache shared by every worker of a discovery run.
 //!
-//! The per-worker caches ([`crate::check::SortCache`],
-//! [`crate::sorted_partitions::PartitionChecker`]) rebuild the same prefix
-//! artefacts once *per thread*: in the parallel modes the sorted index (or
-//! partition) of a popular prefix like `[A]` is recomputed by every worker
-//! that meets it. [`SharedPrefixCache`] lifts that store to the run level:
-//! one concurrent map, keyed by attribute-list prefix, visible to all
-//! workers of `StaticQueues` and `Rayon` runs.
+//! A [`crate::sorted_partitions::PartitionChecker`] memoizes partitions per
+//! attribute-list prefix. With a private memo, every worker rebuilds the
+//! partition of a popular prefix like `[A]` on its own. With
+//! `DiscoveryConfig::shared_cache` set, the workers of a run share one
+//! [`EpochPrefixCache`] instead, in either parallel mode:
 //!
-//! Design:
-//!
-//! * **Sharding** — keys hash to one of a fixed number of shards, each a
-//!   `Mutex<HashMap>`. Workers touching different prefixes never contend.
+//! * **Epoch publishing** — each worker reads an immutable snapshot,
+//!   lock-free, for a whole level and buffers its inserts locally (its
+//!   `EpochTier`); the search driver publishes the buffers between levels,
+//!   in worker order.
 //! * **Byte budget** — each entry carries its approximate heap size (via
-//!   [`CacheWeight`]). When the resident total exceeds the budget, shards
-//!   are swept round-robin and their least-recently-touched entries are
-//!   dropped until the total fits again.
-//! * **Approximate LRU** — a global atomic clock stamps every hit; eviction
-//!   picks the oldest stamp *within a shard*, not globally. Cheap, and
-//!   close enough: the cache only ever trades recomputation for memory,
-//!   never correctness.
+//!   [`CacheWeight`]). A publish that takes the resident total over the
+//!   budget evicts the oldest insertion epochs until it fits again.
 //!
 //! The cache stores values behind `Arc`, so an evicted entry stays alive
 //! for workers still holding it. Counters (hits / misses / evictions /
@@ -45,7 +38,7 @@ impl CacheWeight for Vec<u32> {
     }
 }
 
-/// Point-in-time counters of a [`SharedPrefixCache`].
+/// Point-in-time counters of an [`EpochPrefixCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Exact-key lookups that found an entry.
@@ -60,204 +53,18 @@ pub struct CacheStats {
     pub entries: u64,
 }
 
-struct Entry<V> {
-    value: Arc<V>,
-    bytes: usize,
-    last_touch: u64,
-}
-
-type Shard<V> = Mutex<HashMap<Vec<ColumnId>, Entry<V>>>;
-
-/// Concurrent prefix-keyed cache with a global byte budget.
-pub struct SharedPrefixCache<V> {
-    shards: Vec<Shard<V>>,
-    budget_bytes: usize,
-    clock: AtomicU64,
-    resident: AtomicUsize,
-    entries: AtomicUsize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    #[cfg(any(test, feature = "fault-injection"))]
-    fault: Option<Arc<crate::runtime::FaultPlan>>,
-}
-
-/// The cache is purely advisory — a worker that panicked while holding a
-/// shard lock leaves behind a map that is still structurally valid (the
-/// mutation under the lock is a single `HashMap` operation), so poisoning
-/// is recovered instead of propagated: the surviving workers keep the
-/// cache, they don't inherit the panic.
+/// The cache is purely advisory — a worker that panicked while holding the
+/// snapshot lock leaves behind a map that is still structurally valid (a
+/// publish swaps in a fully built map), so poisoning is recovered instead
+/// of propagated: the surviving workers keep the cache, they don't inherit
+/// the panic.
 fn recover<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
     r.unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Shard count: enough that a dozen workers rarely collide, small enough
-/// that a budget sweep stays cheap.
-const NUM_SHARDS: usize = 64;
-
 /// Fixed per-entry overhead charged against the budget (map slot, `Arc`
 /// control block, key header) on top of the key and value bytes.
 const ENTRY_OVERHEAD: usize = 96;
-
-impl<V: CacheWeight> SharedPrefixCache<V> {
-    /// Create a cache bounded by `budget_bytes` of (approximate) value
-    /// memory. A budget of 0 disables storage entirely — every lookup
-    /// misses, which is occasionally useful for ablation.
-    pub fn new(budget_bytes: usize) -> SharedPrefixCache<V> {
-        SharedPrefixCache {
-            shards: (0..NUM_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            budget_bytes,
-            clock: AtomicU64::new(0),
-            resident: AtomicUsize::new(0),
-            entries: AtomicUsize::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            #[cfg(any(test, feature = "fault-injection"))]
-            fault: None,
-        }
-    }
-
-    /// Attach a fault-injection plan (test / `fault-injection` builds
-    /// only). Must be called before the cache is shared across workers.
-    #[cfg(any(test, feature = "fault-injection"))]
-    pub(crate) fn set_fault_plan(&mut self, fault: Option<Arc<crate::runtime::FaultPlan>>) {
-        self.fault = fault;
-    }
-
-    // lint: allow(panic-reachability, the index is reduced modulo NUM_SHARDS, the length of the shard array)
-    fn shard_for(&self, key: &[ColumnId]) -> &Shard<V> {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        // Reduce modulo the shard count in u64 *before* casting: on a
-        // 32-bit host `as usize` would drop the high hash bits first —
-        // harmless while NUM_SHARDS is a power of two (only the low bits
-        // feed the remainder) but silently skewed for any other count,
-        // and the narrowing is what the lossy-cast rule flags.
-        &self.shards[(h.finish() % NUM_SHARDS as u64) as usize]
-    }
-
-    /// Exact lookup; bumps the LRU stamp on hit.
-    pub fn get(&self, key: &[ColumnId]) -> Option<Arc<V>> {
-        let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut shard = recover(self.shard_for(key).lock());
-        match shard.get_mut(key) {
-            Some(entry) => {
-                entry.last_touch = now;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.value))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Longest cached *proper* prefix of `key` (silent: no hit/miss
-    /// accounting — callers follow up with the decisive exact lookup or
-    /// insert).
-    // lint: allow(panic-reachability, &key[..len] takes proper prefixes with len < key.len() from the loop range)
-    pub fn longest_prefix(&self, key: &[ColumnId]) -> Option<(usize, Arc<V>)> {
-        let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        for len in (1..key.len()).rev() {
-            let prefix = &key[..len];
-            let mut shard = recover(self.shard_for(prefix).lock());
-            if let Some(entry) = shard.get_mut(prefix) {
-                entry.last_touch = now;
-                return Some((len, Arc::clone(&entry.value)));
-            }
-        }
-        None
-    }
-
-    /// Insert (or overwrite) `key → value`, then enforce the byte budget.
-    pub fn insert(&self, key: Vec<ColumnId>, value: Arc<V>) {
-        let bytes =
-            value.weight_bytes() + key.len() * std::mem::size_of::<ColumnId>() + ENTRY_OVERHEAD;
-        if self.budget_bytes == 0 || bytes > self.budget_bytes {
-            return; // would be evicted immediately; don't bother
-        }
-        // Fault injection: an "eviction storm" drops every insert on the
-        // floor, forcing workers to recompute each prefix — results must
-        // not change, only the counters.
-        #[cfg(any(test, feature = "fault-injection"))]
-        if self.fault.as_ref().is_some_and(|f| f.drops_cache_inserts()) {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut shard = recover(self.shard_for(&key).lock());
-            // lint: allow(lock-order, name-based call resolution false edge: the receiver is the shard's plain HashMap, whose insert acquires nothing)
-            if let Some(old) = shard.insert(
-                key,
-                Entry {
-                    value,
-                    bytes,
-                    last_touch: now,
-                },
-            ) {
-                self.resident.fetch_sub(old.bytes, Ordering::Relaxed);
-                self.entries.fetch_sub(1, Ordering::Relaxed);
-            }
-            self.resident.fetch_add(bytes, Ordering::Relaxed);
-            self.entries.fetch_add(1, Ordering::Relaxed);
-        }
-        self.enforce_budget();
-    }
-
-    /// Drop least-recently-touched entries until the resident total fits
-    /// the budget. Each round scans the shard minima and evicts the oldest
-    /// stamp found — approximate because a concurrent hit may re-stamp the
-    /// victim between the scan and the removal, which only costs a
-    /// recomputation later, never correctness.
-    fn enforce_budget(&self) {
-        // Bounded sweep: at worst every entry is evicted once.
-        let mut guard = self.entries.load(Ordering::Relaxed) + 1;
-        while self.resident.load(Ordering::Relaxed) > self.budget_bytes && guard > 0 {
-            guard -= 1;
-            let mut victim: Option<(usize, Vec<ColumnId>, u64)> = None;
-            for (s, shard) in self.shards.iter().enumerate() {
-                let shard = recover(shard.lock());
-                if let Some((k, e)) = shard.iter().min_by_key(|(_, e)| e.last_touch) {
-                    if victim.as_ref().is_none_or(|(_, _, t)| e.last_touch < *t) {
-                        // lint: allow(hot-loop-alloc, eviction slow path; the key clone must outlive the shard lock, which is released before removal)
-                        victim = Some((s, k.clone(), e.last_touch));
-                    }
-                }
-            }
-            let Some((s, key, _)) = victim else { break };
-            let Some(slot) = self.shards.get(s) else {
-                break;
-            };
-            let mut shard = recover(slot.lock());
-            if let Some(e) = shard.remove(&key) {
-                self.resident.fetch_sub(e.bytes, Ordering::Relaxed);
-                self.entries.fetch_sub(1, Ordering::Relaxed);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Snapshot the counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            resident_bytes: self.resident.load(Ordering::Relaxed) as u64,
-            entries: self.entries.load(Ordering::Relaxed) as u64,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Epoch-published cache for the work-stealing scheduler
-// ---------------------------------------------------------------------------
 
 struct EpochEntry<V> {
     value: Arc<V>,
@@ -326,11 +133,10 @@ impl<V> EpochSnapshot<V> {
     }
 }
 
-/// Read-mostly prefix cache for the level-synchronous work-stealing
-/// scheduler ([`crate::config::ParallelMode::WorkStealing`]).
+/// Read-mostly prefix cache for the level-synchronous search driver.
 ///
-/// Where [`SharedPrefixCache`] takes a shard lock on every lookup, this
-/// cache publishes an **immutable snapshot** once per level: workers clone
+/// Rather than taking a lock on every lookup, this cache publishes an
+/// **immutable snapshot** once per level: workers clone
 /// the snapshot `Arc` when the level starts, read it lock-free for the
 /// whole level, and buffer their own inserts locally. Between levels the
 /// driver drains the per-worker buffers *in worker order* and calls
@@ -475,6 +281,86 @@ impl<V: CacheWeight> EpochPrefixCache<V> {
     }
 }
 
+/// Per-worker state of the epoch-published cache mode: an immutable
+/// snapshot refreshed at level boundaries, plus a local insert buffer
+/// drained (in insertion order, for deterministic publish stamps) when the
+/// driver publishes between levels. Lookups take no lock; lookup counters
+/// are flushed alongside the buffer.
+pub(crate) struct EpochTier<V> {
+    cache: Arc<EpochPrefixCache<V>>,
+    snapshot: EpochSnapshot<V>,
+    pending: HashMap<Vec<ColumnId>, Arc<V>>,
+    pending_order: Vec<Vec<ColumnId>>,
+    flushed_hits: u64,
+    flushed_misses: u64,
+}
+
+impl<V: CacheWeight> EpochTier<V> {
+    pub(crate) fn new(cache: Arc<EpochPrefixCache<V>>) -> EpochTier<V> {
+        let snapshot = cache.snapshot();
+        EpochTier {
+            cache,
+            snapshot,
+            pending: HashMap::new(),
+            pending_order: Vec::new(),
+            flushed_hits: 0,
+            flushed_misses: 0,
+        }
+    }
+
+    /// Refresh the snapshot — call when a new level starts.
+    pub(crate) fn begin_level(&mut self) {
+        self.snapshot = self.cache.snapshot();
+    }
+
+    /// Exact lookup across the local buffer and the snapshot.
+    pub(crate) fn get(&self, key: &[ColumnId]) -> Option<Arc<V>> {
+        if let Some(v) = self.pending.get(key) {
+            return Some(Arc::clone(v));
+        }
+        self.snapshot.get(key)
+    }
+
+    /// Longest cached *proper* prefix of `key`, preferring the buffer at
+    /// equal length.
+    // lint: allow(panic-reachability, &key[..len] takes proper prefixes with len < key.len() from the loop range)
+    pub(crate) fn longest_prefix(&self, key: &[ColumnId]) -> Option<(usize, Arc<V>)> {
+        for len in (1..key.len()).rev() {
+            if let Some(v) = self.pending.get(&key[..len]) {
+                return Some((len, Arc::clone(v)));
+            }
+            if let Some(v) = self.snapshot.get(&key[..len]) {
+                return Some((len, v));
+            }
+        }
+        None
+    }
+
+    pub(crate) fn buffer(&mut self, key: Vec<ColumnId>, value: Arc<V>) {
+        if self.pending.insert(key.clone(), value).is_none() {
+            self.pending_order.push(key);
+        }
+    }
+
+    /// Drain the local buffer into the shared cache (one publish) and
+    /// flush the lookup-counter deltas. Called by the driver between
+    /// levels, on the driver thread — never on the check hot path.
+    pub(crate) fn publish(&mut self, hits: u64, misses: u64) {
+        if !self.pending_order.is_empty() {
+            let pending = &mut self.pending;
+            self.cache.publish(
+                self.pending_order
+                    .drain(..)
+                    .filter_map(|k| pending.remove(&k).map(|v| (k, v))),
+            );
+        }
+        self.cache
+            .record_lookups(hits - self.flushed_hits, misses - self.flushed_misses);
+        self.flushed_hits = hits;
+        self.flushed_misses = misses;
+    }
+}
+
 /// Interleaving models of the snapshot-publish protocol, run by the loom
 /// lane (`cargo test -p ocdd-core --features loom`, `OCDD_CI_LOOM=1
 /// ./ci.sh`). See `crates/shims/loom` and DESIGN.md §10.
@@ -534,62 +420,6 @@ mod tests {
 
     fn idx(vals: &[u32]) -> Arc<Vec<u32>> {
         Arc::new(vals.to_vec())
-    }
-
-    #[test]
-    fn get_after_insert_hits() {
-        let cache: SharedPrefixCache<Vec<u32>> = SharedPrefixCache::new(1 << 20);
-        assert!(cache.get(&[0]).is_none());
-        cache.insert(vec![0], idx(&[2, 0, 1]));
-        assert_eq!(cache.get(&[0]).unwrap().as_slice(), &[2, 0, 1]);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-    }
-
-    #[test]
-    fn longest_prefix_finds_deepest() {
-        let cache: SharedPrefixCache<Vec<u32>> = SharedPrefixCache::new(1 << 20);
-        cache.insert(vec![3], idx(&[0]));
-        cache.insert(vec![3, 1], idx(&[1]));
-        let (len, v) = cache.longest_prefix(&[3, 1, 4]).unwrap();
-        assert_eq!(len, 2);
-        assert_eq!(v.as_slice(), &[1]);
-        // A proper prefix only: the full key is not considered.
-        assert!(cache.longest_prefix(&[3]).is_none());
-    }
-
-    #[test]
-    fn budget_evicts_oldest() {
-        // Budget for roughly two entries of 100 u32s each.
-        let per_entry = 100 * 4 + 8 + ENTRY_OVERHEAD;
-        let cache: SharedPrefixCache<Vec<u32>> = SharedPrefixCache::new(2 * per_entry + 16);
-        let big = idx(&vec![7u32; 100]);
-        cache.insert(vec![0], Arc::clone(&big));
-        cache.insert(vec![1], Arc::clone(&big));
-        // Touch [1] so [0] is the LRU victim.
-        assert!(cache.get(&[1]).is_some());
-        cache.insert(vec![2], big);
-        let s = cache.stats();
-        assert!(s.evictions >= 1, "stats: {s:?}");
-        assert!(s.resident_bytes <= (2 * per_entry + 16) as u64);
-        // The newest entry survives.
-        assert!(cache.get(&[2]).is_some());
-    }
-
-    #[test]
-    fn zero_budget_stores_nothing() {
-        let cache: SharedPrefixCache<Vec<u32>> = SharedPrefixCache::new(0);
-        cache.insert(vec![0], idx(&[1, 2, 3]));
-        assert!(cache.get(&[0]).is_none());
-        assert_eq!(cache.stats().entries, 0);
-    }
-
-    #[test]
-    fn oversized_value_is_rejected_not_thrashed() {
-        let cache: SharedPrefixCache<Vec<u32>> = SharedPrefixCache::new(64);
-        cache.insert(vec![0], idx(&vec![0u32; 1000]));
-        assert_eq!(cache.stats().entries, 0);
-        assert_eq!(cache.stats().evictions, 0);
     }
 
     #[test]
@@ -695,29 +525,5 @@ mod tests {
             }
         });
         assert_eq!(cache.stats().hits, 128);
-    }
-
-    #[test]
-    fn concurrent_access_is_consistent() {
-        let cache: Arc<SharedPrefixCache<Vec<u32>>> = Arc::new(SharedPrefixCache::new(1 << 22));
-        std::thread::scope(|scope| {
-            for t in 0..8usize {
-                let cache = Arc::clone(&cache);
-                scope.spawn(move || {
-                    for i in 0..200usize {
-                        let key = vec![(i % 17), t % 3];
-                        match cache.get(&key) {
-                            Some(v) => assert_eq!(v.len(), key[0] + 1),
-                            None => {
-                                cache.insert(key.clone(), idx(&vec![9u32; key[0] + 1]));
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        let s = cache.stats();
-        assert!(s.hits > 0 && s.entries > 0);
-        assert_eq!(s.evictions, 0, "budget is ample: {s:?}");
     }
 }

@@ -1808,7 +1808,7 @@ mod tests {
         // Non-semantic knobs (mode, checker, caches) may differ freely.
         let different_backend = DiscoveryConfig {
             mode: crate::config::ParallelMode::WorkStealing(4),
-            checker: crate::config::CheckerBackend::PrefixCache,
+            checker: crate::config::CheckerBackend::SortedPartitions,
             shared_cache: true,
             ..DiscoveryConfig::default()
         };

@@ -18,12 +18,12 @@
 //! for `d` distinct values, never a comparison sort. A
 //! [`PartitionChecker`] memoizes partitions per list prefix, so sibling
 //! candidates sharing a prefix pay for it once; with
-//! [`PartitionChecker::with_shared`] the memo is a run-wide
-//! [`SharedPrefixCache`] reused across workers.
+//! [`PartitionChecker::with_epoch`] the memo is a run-wide
+//! [`EpochPrefixCache`] reused across workers.
 
-use crate::check::{CheckOutcome, EpochTier};
+use crate::check::CheckOutcome;
 use crate::deps::AttrList;
-use crate::shared_cache::{CacheWeight, EpochPrefixCache, SharedPrefixCache};
+use crate::shared_cache::{CacheWeight, EpochPrefixCache, EpochTier};
 use ocdd_relation::scan::{self, BlockEq, BlockLex, ScanKernel, BLOCK_PAIRS};
 use ocdd_relation::{ColumnId, Relation};
 use std::collections::HashMap;
@@ -379,13 +379,12 @@ impl CacheWeight for SortedPartition {
 
 /// Memoizing checker over sorted partitions, keyed by list prefix.
 ///
-/// The memo is worker-private by default; [`PartitionChecker::with_shared`]
-/// swaps it for a run-wide [`SharedPrefixCache`] so all workers of a
-/// parallel run refine each other's partitions instead of their own copies.
+/// The memo is worker-private by default; [`PartitionChecker::with_epoch`]
+/// swaps it for a run-wide [`EpochPrefixCache`] so all workers of a run
+/// refine each other's partitions instead of their own copies.
 pub struct PartitionChecker<'r> {
     rel: &'r Relation,
     cache: HashMap<Vec<ColumnId>, Arc<SortedPartition>>,
-    shared: Option<Arc<SharedPrefixCache<SortedPartition>>>,
     epoch: Option<EpochTier<SortedPartition>>,
     /// The empty-list partition (one class, every row).
     unit: Arc<SortedPartition>,
@@ -394,10 +393,10 @@ pub struct PartitionChecker<'r> {
     /// Partitions built from scratch (column base cases).
     pub base_builds: u64,
     /// Epoch-mode lookups satisfied by the snapshot or local buffer
-    /// (exactly or via a proper prefix); 0 in the other modes.
+    /// (exactly or via a proper prefix); 0 with a private memo.
     pub hits: u64,
     /// Epoch-mode lookups with no usable prefix (built from the unit
-    /// partition); 0 in the other modes.
+    /// partition); 0 with a private memo.
     pub misses: u64,
 }
 
@@ -410,28 +409,8 @@ impl<'r> PartitionChecker<'r> {
         PartitionChecker {
             rel,
             cache,
-            shared: None,
             epoch: None,
             unit,
-            refinements: 0,
-            base_builds: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Create a checker whose memo is a run-wide shared store. The private
-    /// map is not used: partitions live in (and are evicted from) `shared`.
-    pub fn with_shared(
-        rel: &'r Relation,
-        shared: Arc<SharedPrefixCache<SortedPartition>>,
-    ) -> PartitionChecker<'r> {
-        PartitionChecker {
-            rel,
-            cache: HashMap::new(),
-            shared: Some(shared),
-            epoch: None,
-            unit: Arc::new(SortedPartition::unit(rel.num_rows())),
             refinements: 0,
             base_builds: 0,
             hits: 0,
@@ -442,8 +421,8 @@ impl<'r> PartitionChecker<'r> {
     /// Create a checker whose memo is an epoch-published shared store
     /// ([`EpochPrefixCache`]): reads go to an immutable snapshot (no lock
     /// per check), new partitions are buffered locally until
-    /// [`PartitionChecker::publish_pending`]. Used by the work-stealing
-    /// mode.
+    /// [`PartitionChecker::publish_pending`]. Used when the run sets
+    /// `shared_cache`.
     pub fn with_epoch(
         rel: &'r Relation,
         cache: Arc<EpochPrefixCache<SortedPartition>>,
@@ -451,7 +430,6 @@ impl<'r> PartitionChecker<'r> {
         PartitionChecker {
             rel,
             cache: HashMap::new(),
-            shared: None,
             epoch: Some(EpochTier::new(cache)),
             unit: Arc::new(SortedPartition::unit(rel.num_rows())),
             refinements: 0,
@@ -461,8 +439,8 @@ impl<'r> PartitionChecker<'r> {
         }
     }
 
-    /// Refresh the epoch snapshot at a level boundary. No-op for the
-    /// private and lock-striped modes.
+    /// Refresh the epoch snapshot at a level boundary. No-op with a
+    /// private memo.
     pub fn begin_level(&mut self) {
         if let Some(tier) = &mut self.epoch {
             tier.begin_level();
@@ -470,7 +448,7 @@ impl<'r> PartitionChecker<'r> {
     }
 
     /// Publish locally-buffered partitions and flush lookup counters to
-    /// the epoch cache. No-op for the private and lock-striped modes.
+    /// the epoch cache. No-op with a private memo.
     pub fn publish_pending(&mut self) {
         if let Some(tier) = &mut self.epoch {
             tier.publish(self.hits, self.misses);
@@ -516,11 +494,7 @@ impl<'r> PartitionChecker<'r> {
             }
             return part;
         }
-        if let Some(shared) = &self.shared {
-            if let Some(p) = shared.get(cols) {
-                return p;
-            }
-        } else if let Some(p) = self.cache.get(cols) {
+        if let Some(p) = self.cache.get(cols) {
             return Arc::clone(p);
         }
         let parent = self.partition_for(&cols[..cols.len() - 1]);
@@ -530,12 +504,7 @@ impl<'r> PartitionChecker<'r> {
             self.refinements += 1;
         }
         let refined = Arc::new(parent.refined(self.rel, cols[cols.len() - 1]));
-        match &self.shared {
-            Some(shared) => shared.insert(cols.to_vec(), Arc::clone(&refined)),
-            None => {
-                self.cache.insert(cols.to_vec(), Arc::clone(&refined));
-            }
-        }
+        self.cache.insert(cols.to_vec(), Arc::clone(&refined));
         refined
     }
 
@@ -696,36 +665,6 @@ mod tests {
         assert_eq!(checker.base_builds, 1);
         assert_eq!(checker.refinements, 2);
         assert_eq!(checker.cached(), 4); // [], [0], [0,1], [0,2]
-    }
-
-    #[test]
-    fn shared_checker_agrees_and_reuses_across_workers() {
-        let r = rel(&[
-            ("a", &[1, 2, 1, 2, 3]),
-            ("b", &[1, 1, 2, 2, 3]),
-            ("c", &[1, 2, 3, 4, 5]),
-        ]);
-        let shared = Arc::new(SharedPrefixCache::new(1 << 20));
-        let mut one = PartitionChecker::with_shared(&r, Arc::clone(&shared));
-        let mut two = PartitionChecker::with_shared(&r, Arc::clone(&shared));
-        let lists = [l(&[0]), l(&[1]), l(&[0, 1]), l(&[1, 2])];
-        for x in &lists {
-            for y in &lists {
-                assert_eq!(
-                    one.check_od(x, y).is_valid(),
-                    check_od(&r, x, y).is_valid(),
-                    "{x} -> {y}"
-                );
-            }
-        }
-        // Worker two finds every partition already built by worker one.
-        for x in &lists {
-            for y in &lists {
-                assert_eq!(two.check_od(x, y).is_valid(), check_od(&r, x, y).is_valid());
-            }
-        }
-        assert_eq!(two.base_builds + two.refinements, 0, "fully shared");
-        assert!(shared.stats().hits > 0);
     }
 
     #[test]

@@ -107,7 +107,7 @@ pub struct FnItem {
 }
 
 impl FnItem {
-    /// Human-readable name: `core::check::SortCache::index_for`.
+    /// Human-readable name: `core::sorted_partitions::PartitionChecker::partition_for`.
     pub fn display(&self) -> String {
         match &self.owner {
             Some(o) => format!("{}::{}::{}", self.module, o, self.name),
@@ -807,7 +807,7 @@ mod tests {
     fn fns_and_owners_are_extracted() {
         let w = ws(&[(
             "crates/core/src/check.rs",
-            "pub fn free() {}\nimpl SortCache {\n    pub fn index_for(&self) {}\n}\n\
+            "pub fn free() {}\nimpl Memo {\n    pub fn index_for(&self) {}\n}\n\
              impl std::fmt::Display for Diagnostic {\n    fn fmt(&self) {}\n}\n",
         )]);
         let names: Vec<(String, Option<String>)> = w
@@ -816,7 +816,7 @@ mod tests {
             .map(|f| (f.name.clone(), f.owner.clone()))
             .collect();
         assert!(names.contains(&("free".into(), None)));
-        assert!(names.contains(&("index_for".into(), Some("SortCache".into()))));
+        assert!(names.contains(&("index_for".into(), Some("Memo".into()))));
         assert!(names.contains(&("fmt".into(), Some("Diagnostic".into()))));
     }
 

@@ -2,8 +2,8 @@
 //! upgraded to a cross-file semantic analyzer in ISSUE 5).
 //!
 //! The compiler cannot see the invariants this reproduction's correctness
-//! rests on: byte-identical results across Sequential/Rayon/WorkStealing
-//! backends, panic-quarantined workers, and `Relaxed` stats counters that
+//! rests on: byte-identical results across Sequential/WorkStealing
+//! runs, panic-quarantined workers, and `Relaxed` stats counters that
 //! must never feed back into results. `ocdd-lint` enforces them over every
 //! workspace `.rs` file — line rules on masked text, and three semantic
 //! rules over a token-level workspace model with a conservative call

@@ -133,7 +133,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              approximate.rs emits through the same deterministic-container\n\
              contract), or into json.rs at all, is a finding:\n\
              byte-identical output\n\
-             across Sequential/Rayon/WorkStealing backends is the\n\
+             across Sequential/WorkStealing runs is the\n\
              determinism contract of DESIGN.md §9. Local HashMaps whose\n\
              contents are sorted before escape are fine — this rule\n\
              subsumes the old blanket HashMap ban."
@@ -334,8 +334,6 @@ const SHARED_CACHE_STATS_FIELDS: &[&str] = &[
     ".misses",
     ".evictions",
     ".resident",
-    ".entries",
-    ".clock",
     ".next_epoch",
     ".publishes",
 ];

@@ -203,7 +203,6 @@ impl Column {
             if *slot == 1 {
                 // lint: allow(lossy-cast, the dictionary has at most one entry per parent row, and rows <= u32::MAX by the encode assert)
                 *slot = dictionary.len() as u32;
-                // lint: allow(hot-loop-alloc, one owned copy per distinct value the selection keeps)
                 dictionary.push(value.clone());
             }
         }
@@ -291,9 +290,7 @@ fn rank_text(cells: &[Cell<'_>], codes: &mut [u32], dictionary: &mut Vec<Value>)
         let text = match *cell {
             Cell::Null => continue,
             Cell::Str(s) => Cow::Borrowed(s),
-            // lint: allow(hot-loop-alloc, load-time re-typing: a number in a Str column is ranked and stored as its display string)
             Cell::Int(i) => Cow::Owned(i.to_string()),
-            // lint: allow(hot-loop-alloc, load-time re-typing: a number in a Str column is ranked and stored as its display string)
             Cell::Float(f) => Cow::Owned(f.to_string()),
         };
         // lint: allow(lossy-cast, row is an enumerate index < cells.len() <= u32::MAX by the encode assert)

@@ -20,8 +20,8 @@
 //!
 //! All kernels are stable, so ties keep their original row order, exactly
 //! like the comparison sorts they replace. The comparator path survives as
-//! [`sort_index_by_comparator`] / [`refine_index_comparator`] — the
-//! differential-test oracle and the paper-literal fallback.
+//! [`sort_index_by_comparator`] — the differential-test oracle and the
+//! paper-literal fallback.
 //!
 //! [`kernel_stats`] counts which kernel ran (process-global relaxed
 //! atomics; snapshot deltas feed the discovery result and the ablation
@@ -312,26 +312,6 @@ impl RefineState {
         }
     }
 
-    /// State for an existing permutation already sorted by `prefix`.
-    // lint: allow(panic-reachability, i ranges over 1..m with base and runs both of length m)
-    fn from_sorted(rel: &Relation, base: &[u32], prefix: &[ColumnId]) -> RefineState {
-        let m = base.len();
-        let mut runs = vec![0u32; m];
-        let mut current = 0u32;
-        for i in 1..m {
-            if cmp_rows(rel, prefix, base[i - 1] as usize, base[i] as usize) != Ordering::Equal {
-                // lint: allow(overflow-prone-arith, current increments at most once per row and m <= u32::MAX by the row-id contract)
-                current += 1;
-            }
-            runs[i] = current;
-        }
-        RefineState {
-            rows: base.to_vec(),
-            runs,
-            num_runs: if m == 0 { 0 } else { current as usize + 1 },
-        }
-    }
-
     /// Refine by one more column: two stable counting scatters. After the
     /// call, `rows` is ordered by (previous runs, `col`) and `runs` holds
     /// the new, finer run ids.
@@ -434,29 +414,6 @@ pub fn sort_index_by_single(rel: &Relation, col: ColumnId) -> Vec<u32> {
     sort_index_by(rel, &[col])
 }
 
-/// Refine an existing permutation `base` (already sorted by some prefix `P`)
-/// into one sorted by `P ++ cols`, reusing the work done for the prefix.
-///
-/// This is the building block of the cached-prefix optimization: run ids of
-/// the `P`-equal classes are recovered in one scan, then each extra column
-/// costs two stable counting scatters (`O(m + distinct)`), never a
-/// comparison sort.
-pub fn refine_index(
-    rel: &Relation,
-    base: &[u32],
-    prefix: &[ColumnId],
-    cols: &[ColumnId],
-) -> Vec<u32> {
-    if cols.is_empty() || base.len() <= 1 {
-        return base.to_vec();
-    }
-    let mut state = RefineState::from_sorted(rel, base, prefix);
-    for &c in cols {
-        state.refine_by(rel, c);
-    }
-    state.rows
-}
-
 /// Comparison-sort implementation of [`sort_index_by`]: the paper-literal
 /// path, kept as the differential-test oracle and fallback.
 pub fn sort_index_by_comparator(rel: &Relation, cols: &[ColumnId]) -> Vec<u32> {
@@ -479,32 +436,6 @@ pub fn sort_index_by_comparator(rel: &Relation, cols: &[ColumnId]) -> Vec<u32> {
             index
         }
     }
-}
-
-/// Comparison-sort implementation of [`refine_index`] (oracle/fallback).
-pub fn refine_index_comparator(
-    rel: &Relation,
-    base: &[u32],
-    prefix: &[ColumnId],
-    cols: &[ColumnId],
-) -> Vec<u32> {
-    kernel_stats::bump_comparator();
-    let mut out = base.to_vec();
-    let n = out.len();
-    let mut start = 0;
-    while start < n {
-        let mut end = start + 1;
-        while end < n
-            && cmp_rows(rel, prefix, out[start] as usize, out[end] as usize) == Ordering::Equal
-        {
-            end += 1;
-        }
-        if end - start > 1 {
-            out[start..end].sort_by(|&a, &b| cmp_rows(rel, cols, a as usize, b as usize));
-        }
-        start = end;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -557,14 +488,6 @@ mod tests {
         b.push_row(vec![Value::Int(-5)]).unwrap();
         let r = b.finish();
         assert_eq!(sort_index_by_single(&r, 0), vec![1, 2, 0]);
-    }
-
-    #[test]
-    fn refine_matches_full_sort() {
-        let r = rel(&[(2, 1), (1, 9), (2, 0), (1, 3), (2, 1)]);
-        let by_a = sort_index_by(&r, &[0]);
-        let refined = refine_index(&r, &by_a, &[0], &[1]);
-        assert_eq!(refined, sort_index_by(&r, &[0, 1]));
     }
 
     #[test]
@@ -642,21 +565,6 @@ mod tests {
     }
 
     #[test]
-    fn refine_matches_comparator_oracle() {
-        for seed in 0..12u64 {
-            let r = pseudo_random_relation(4, 48, 4, seed + 101);
-            let base = sort_index_by(&r, &[2]);
-            for cols in [vec![0], vec![0, 1], vec![3, 1, 0]] {
-                assert_eq!(
-                    refine_index(&r, &base, &[2], &cols),
-                    refine_index_comparator(&r, &base, &[2], &cols),
-                    "seed {seed}, cols {cols:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn packed_radix_large_input_uses_wide_digits() {
         // > 2^14 rows exercises the 16-bit digit path.
         let rows = 20_000;
@@ -709,6 +617,5 @@ mod tests {
         .unwrap();
         assert!(sort_index_by(&r, &[0]).is_empty());
         assert!(sort_index_by(&r, &[0, 1]).is_empty());
-        assert!(refine_index(&r, &[], &[0], &[1]).is_empty());
     }
 }

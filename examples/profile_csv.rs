@@ -5,7 +5,7 @@
 //!     [--top-k K] [--budget SECS] [--no-header] [--sep C]
 //! ```
 //!
-//! * `--threads N` — run the paper's static-queue parallel mode.
+//! * `--threads N` — run the work-stealing scheduler on N workers.
 //! * `--lex` — treat every column as a string (FASTOD's typing, §5.2.2).
 //! * `--top-k K` — only profile the K most diverse columns (§5.4).
 //! * `--budget SECS` — per-run wall-clock budget (partial results after).
@@ -41,7 +41,7 @@ fn main() {
             "--threads" => {
                 let n: usize = iter.next().expect("--threads N").parse().expect("number");
                 config = DiscoveryConfig {
-                    mode: ocddiscover::ParallelMode::StaticQueues(n),
+                    mode: ocddiscover::ParallelMode::WorkStealing(n),
                     ..config
                 };
             }

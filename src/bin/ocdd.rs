@@ -13,6 +13,9 @@
 //! ocdd list                               # list bundled datasets
 //! ```
 //!
+//! `--threads N` runs the work-stealing scheduler on N workers when N > 1
+//! and the sequential search otherwise; results are identical either way.
+//!
 //! `--checkpoint-dir` turns on durable checkpointing: the search dumps its
 //! frontier at every level boundary (atomic tmp+fsync+rename writes), and
 //! `--resume` rebuilds the frontier from a dump (or the newest dump in a
@@ -57,7 +60,7 @@ unsafe fn libc_sigpipe_default() {
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  ocdd profile <file.csv> [--algo ocdd|order|fastod|tane|bidi|approx] \
-         [--threads N] [--mode static|rayon|steal] [--lex] [--epsilon E] [--budget SECS] \
+         [--threads N] [--lex] [--epsilon E] [--budget SECS] \
          [--top-k K] [--no-header] [--sep C] [--show-table] [--json] [--out FILE] \
          [--checkpoint-dir D] [--checkpoint-every N] [--checkpoint-keep N] \
          [--resume FILE|DIR] [--sample N] [--confidence C] [--seed S] \
@@ -106,7 +109,6 @@ fn parse_profile(args: &[String]) -> Option<ProfileArgs> {
         check_delay_ms: None,
     };
     let mut threads: usize = 1;
-    let mut mode = "static".to_owned();
     let mut ckpt_dir: Option<String> = None;
     let mut ckpt_every: Option<usize> = None;
     let mut ckpt_keep: Option<usize> = None;
@@ -115,7 +117,6 @@ fn parse_profile(args: &[String]) -> Option<ProfileArgs> {
         match arg.as_str() {
             "--algo" => out.algo = iter.next()?.clone(),
             "--threads" => threads = iter.next()?.parse().ok()?,
-            "--mode" => mode = iter.next()?.clone(),
             "--lex" => out.csv.typing = TypingMode::ForceLexicographic,
             "--epsilon" => out.epsilon = iter.next()?.parse().ok()?,
             "--sample" => out.sample = Some(iter.next()?.parse().ok()?),
@@ -158,15 +159,10 @@ fn parse_profile(args: &[String]) -> Option<ProfileArgs> {
     } else if ckpt_every.is_some() || ckpt_keep.is_some() {
         return None; // interval/retention without --checkpoint-dir
     }
-    out.config.mode = if threads <= 1 && mode != "steal" {
+    out.config.mode = if threads <= 1 {
         ParallelMode::Sequential
     } else {
-        match mode.as_str() {
-            "static" => ParallelMode::StaticQueues(threads),
-            "rayon" => ParallelMode::Rayon(threads),
-            "steal" => ParallelMode::WorkStealing(threads.max(1)),
-            _ => return None,
-        }
+        ParallelMode::WorkStealing(threads)
     };
     (!out.path.is_empty()).then_some(out)
 }

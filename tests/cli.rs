@@ -175,3 +175,73 @@ fn approx_rejects_out_of_range_epsilon_and_confidence() {
     assert!(text.contains("[a] ~ [b]"), "got: {text}");
     assert!(text.contains("[a] -> [b]"), "got: {text}");
 }
+
+/// Drop one `"key":value,` member — a number or a complete object — from a
+/// one-line JSON report.
+fn drop_member(json: &str, key: &str) -> String {
+    let needle = format!("\"{key}\":");
+    let Some(start) = json.find(&needle) else {
+        return json.to_owned();
+    };
+    let rest = &json[start + needle.len()..];
+    let mut depth = 0i32;
+    let end = rest
+        .char_indices()
+        .find(|&(_, c)| {
+            match c {
+                '{' | '[' => depth += 1,
+                '}' | ']' => depth -= 1,
+                ',' if depth == 0 => return true,
+                _ => {}
+            }
+            false
+        })
+        .map_or(rest.len(), |(i, _)| i + 1);
+    format!("{}{}", &json[..start], &rest[end..])
+}
+
+#[test]
+fn threads_alone_pick_the_mode_and_keep_the_report() {
+    let dir = std::env::temp_dir().join("ocdd_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("threads.csv");
+    std::fs::write(
+        &path,
+        stdout(&ocdd(&["dataset", "hepatitis", "--rows", "120"])),
+    )
+    .unwrap();
+    let report = |threads: &str| {
+        let out = ocdd(&[
+            "profile",
+            path.to_str().unwrap(),
+            "--json",
+            "--threads",
+            threads,
+        ]);
+        assert!(out.status.success(), "--threads {threads} failed: {out:?}");
+        let json = stdout(&out);
+        let scheduled = json.contains("\"scheduler\":");
+        (
+            scheduled,
+            drop_member(&drop_member(&json, "elapsed_ms"), "scheduler"),
+        )
+    };
+    let (one_scheduled, one) = report("1");
+    let (two_scheduled, two) = report("2");
+    assert!(!one_scheduled, "--threads 1 runs the sequential search");
+    assert!(
+        two_scheduled,
+        "--threads 2 runs the work-stealing scheduler"
+    );
+    assert!(one.contains("\"ocds\":[{"), "got: {one}");
+    assert_eq!(one, two);
+}
+
+#[test]
+fn mode_flag_is_rejected_with_usage() {
+    let out = ocdd(&["profile", "table.csv", "--mode", "steal"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("usage:"), "got: {err}");
+    assert!(!err.contains("--mode"), "usage still lists --mode: {err}");
+}

@@ -20,16 +20,13 @@ fn branch_of(ocd: &ocddiscover::Ocd) -> (usize, usize) {
     (ocd.lhs.as_slice()[0], ocd.rhs.as_slice()[0])
 }
 
-/// A panic injected into one level-2 branch of a `StaticQueues(4)` run is
-/// quarantined: the run reports `WorkerFailure` naming exactly that branch
-/// and loses only dependencies rooted in it.
+/// A panic injected into one level-2 branch of a default (sequential) run
+/// is quarantined: the run reports `WorkerFailure` naming exactly that
+/// branch and loses only dependencies rooted in it.
 #[test]
 fn branch_panic_is_quarantined_behind_the_facade() {
     let rel = Dataset::Hepatitis.generate(RowScale::Rows(120));
-    let config = DiscoveryConfig {
-        mode: ParallelMode::StaticQueues(4),
-        ..DiscoveryConfig::default()
-    };
+    let config = DiscoveryConfig::default();
     let clean = discover(&rel, &config);
     assert!(clean.complete());
     let branch = branch_of(clean.ocds.first().expect("hepatitis has OCDs"));
@@ -81,7 +78,7 @@ fn cancellation_from_another_thread_stops_the_run() {
     let res = discover(
         &rel,
         &DiscoveryConfig {
-            mode: ParallelMode::StaticQueues(4),
+            mode: ParallelMode::WorkStealing(4),
             controller: Some(controller),
             // Failsafe so a missed cancellation cannot hang the test.
             time_budget: Some(Duration::from_secs(30)),
@@ -120,9 +117,9 @@ fn injected_latency_degrades_to_time_budget() {
 }
 
 /// A panic injected into a `WorkStealing` run is quarantined exactly like
-/// the other modes: the run reports `WorkerFailure` naming the branch, and
-/// the surviving branches match the fault-free run — even though batches
-/// execute speculatively on stealing workers.
+/// a sequential one: the run reports `WorkerFailure` naming the branch,
+/// and the surviving branches match the fault-free run — even though
+/// batches execute speculatively on stealing workers.
 #[test]
 fn workstealing_branch_panic_is_quarantined() {
     let rel = Dataset::Hepatitis.generate(RowScale::Rows(120));
@@ -162,16 +159,15 @@ fn workstealing_branch_panic_is_quarantined() {
 }
 
 /// A cache under a permanent eviction storm is a pure performance
-/// degradation: results are identical to the fault-free run. Covers both
-/// the lock-striped (`StaticQueues`) and epoch-published (`WorkStealing`)
-/// shared-cache designs.
+/// degradation: results are identical to the fault-free run. Covers the
+/// epoch-published shared cache under one worker and under three.
 #[test]
 fn eviction_storm_is_result_neutral() {
     let rel = Dataset::Hepatitis.generate(RowScale::Rows(120));
-    for mode in [ParallelMode::StaticQueues(3), ParallelMode::WorkStealing(3)] {
+    for mode in [ParallelMode::Sequential, ParallelMode::WorkStealing(3)] {
         let config = DiscoveryConfig {
             mode,
-            checker: ocddiscover::CheckerBackend::PrefixCache,
+            checker: ocddiscover::CheckerBackend::SortedPartitions,
             shared_cache: true,
             ..DiscoveryConfig::default()
         };

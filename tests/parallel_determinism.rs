@@ -1,4 +1,4 @@
-//! Every execution mode must return exactly the same dependencies, checks
+//! Every worker count must return exactly the same dependencies, checks
 //! and statistics — parallelism may only change wall-clock time. The same
 //! holds for checker backends and the shared prefix cache: they are pure
 //! performance knobs.
@@ -15,10 +15,8 @@ fn assert_same_results(ds: Dataset, rows: usize) {
         ds.name()
     );
     for mode in [
-        ParallelMode::StaticQueues(2),
-        ParallelMode::StaticQueues(7),
-        ParallelMode::Rayon(3),
         ParallelMode::WorkStealing(1),
+        ParallelMode::WorkStealing(2),
         ParallelMode::WorkStealing(4),
     ] {
         let par = discover(
@@ -74,17 +72,8 @@ fn full_mode_backend_cache_matrix_is_deterministic() {
     let rel = Dataset::Horse.generate(RowScale::Rows(220));
     let baseline = discover(&rel, &DiscoveryConfig::default());
     assert!(baseline.complete());
-    for mode in [
-        ParallelMode::Sequential,
-        ParallelMode::StaticQueues(4),
-        ParallelMode::Rayon(4),
-        ParallelMode::WorkStealing(4),
-    ] {
-        for backend in [
-            CheckerBackend::Resort,
-            CheckerBackend::PrefixCache,
-            CheckerBackend::SortedPartitions,
-        ] {
+    for mode in [ParallelMode::Sequential, ParallelMode::WorkStealing(4)] {
+        for backend in [CheckerBackend::Resort, CheckerBackend::SortedPartitions] {
             for shared_cache in [false, true] {
                 let config = DiscoveryConfig {
                     mode,
@@ -127,33 +116,27 @@ fn full_mode_backend_cache_matrix_is_deterministic() {
 fn tiny_shared_cache_budget_matches_baseline() {
     let rel = Dataset::Hepatitis.generate(RowScale::Rows(120));
     let baseline = discover(&rel, &DiscoveryConfig::default());
-    for backend in [
-        CheckerBackend::PrefixCache,
-        CheckerBackend::SortedPartitions,
-    ] {
-        // Both shared-cache designs: lock-striped (StaticQueues) and
-        // epoch-published (WorkStealing).
-        for mode in [ParallelMode::StaticQueues(3), ParallelMode::WorkStealing(3)] {
-            let run = discover(
-                &rel,
-                &DiscoveryConfig {
-                    mode,
-                    checker: backend,
-                    shared_cache: true,
-                    cache_budget_bytes: 2_048,
-                    ..DiscoveryConfig::default()
-                },
-            );
-            assert_eq!(baseline.ocds, run.ocds, "{backend:?}/{mode:?}");
-            assert_eq!(baseline.ods, run.ods, "{backend:?}/{mode:?}");
-            assert_eq!(baseline.checks, run.checks, "{backend:?}/{mode:?}");
-        }
+    // The epoch cache under one worker and under three.
+    for mode in [ParallelMode::Sequential, ParallelMode::WorkStealing(3)] {
+        let run = discover(
+            &rel,
+            &DiscoveryConfig {
+                mode,
+                checker: CheckerBackend::SortedPartitions,
+                shared_cache: true,
+                cache_budget_bytes: 2_048,
+                ..DiscoveryConfig::default()
+            },
+        );
+        assert_eq!(baseline.ocds, run.ocds, "{mode:?}");
+        assert_eq!(baseline.ods, run.ods, "{mode:?}");
+        assert_eq!(baseline.checks, run.checks, "{mode:?}");
     }
 }
 
 /// A `max_checks` budget that trips mid-level must still be deterministic:
 /// the budget is split into per-branch allowances in canonical seed order,
-/// so every execution mode truncates the search at exactly the same
+/// so every worker count truncates the search at exactly the same
 /// candidates and returns an identical partial result.
 #[test]
 fn mid_level_check_budget_truncates_identically_across_modes() {
@@ -175,10 +158,8 @@ fn mid_level_check_budget_truncates_identically_across_modes() {
     assert!(seq.ocds.len() < full.ocds.len(), "budget must truncate");
     assert!(seq.ocds.iter().all(|o| full.ocds.contains(o)));
     for mode in [
-        ParallelMode::StaticQueues(2),
-        ParallelMode::StaticQueues(5),
-        ParallelMode::Rayon(3),
         ParallelMode::WorkStealing(1),
+        ParallelMode::WorkStealing(2),
         ParallelMode::WorkStealing(4),
     ] {
         let par = discover(
@@ -212,16 +193,8 @@ fn code_width_sweep_is_deterministic() {
     for width in [CodeWidth::U8, CodeWidth::U16, CodeWidth::U32] {
         let mut rel = natural.clone();
         rel.widen_code_width(width);
-        for mode in [
-            ParallelMode::Sequential,
-            ParallelMode::StaticQueues(3),
-            ParallelMode::WorkStealing(3),
-        ] {
-            for backend in [
-                CheckerBackend::Resort,
-                CheckerBackend::PrefixCache,
-                CheckerBackend::SortedPartitions,
-            ] {
+        for mode in [ParallelMode::Sequential, ParallelMode::WorkStealing(3)] {
+            for backend in [CheckerBackend::Resort, CheckerBackend::SortedPartitions] {
                 let run = discover(
                     &rel,
                     &DiscoveryConfig {
@@ -281,7 +254,7 @@ fn strip_observability(json: &str) -> String {
 /// Checkpoint/resume sweep: dump every level boundary of a run, then for
 /// every boundary k pretend the process died right after it — resuming
 /// from the level-k dump must reproduce the uninterrupted run exactly, in
-/// every execution mode and both shared-cache settings, down to the JSON
+/// both modes and both shared-cache settings, down to the JSON
 /// report (modulo the observability keys, which track wall-clock and
 /// scheduling). The real SIGKILL version of this sweep lives in
 /// tests/crash_resume.rs; this one covers the full mode × cache matrix.
@@ -318,11 +291,7 @@ fn resume_from_every_level_boundary_matches_uninterrupted() {
     assert!(dumps.len() >= 2, "expected several level boundaries");
     for dump in &dumps {
         let snap = read_snapshot(dump).expect("read dump");
-        for mode in [
-            ParallelMode::Sequential,
-            ParallelMode::Rayon(3),
-            ParallelMode::WorkStealing(4),
-        ] {
+        for mode in [ParallelMode::Sequential, ParallelMode::WorkStealing(4)] {
             for shared_cache in [false, true] {
                 let config = DiscoveryConfig {
                     mode,
@@ -361,7 +330,7 @@ fn resume_from_every_level_boundary_matches_uninterrupted() {
 fn per_level_stats_agree_across_modes() {
     let rel = Dataset::Horse.generate(RowScale::Rows(200));
     let seq = discover(&rel, &DiscoveryConfig::default());
-    for mode in [ParallelMode::StaticQueues(4), ParallelMode::WorkStealing(4)] {
+    for mode in [ParallelMode::WorkStealing(2), ParallelMode::WorkStealing(4)] {
         let par = discover(
             &rel,
             &DiscoveryConfig {
