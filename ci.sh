@@ -172,18 +172,6 @@ diff "$SMOKE_DIR/ref.norm" "$SMOKE_DIR/res.norm" || {
 }
 echo "resume smoke: SIGKILLed run resumed byte-identically; dump-dot ok"
 
-if [[ "$(rustc -vV | sed -n 's/^host: //p')" == x86_64-* ]]; then
-    echo "==> simd scan-kernel lane (--features simd)"
-    # The explicit SSE2/AVX2 kernels replace the portable blockwise folds;
-    # the scan/check/partition differential suites re-run against them so
-    # the intrinsics are held to the same byte-identical-outcome bar
-    # (DESIGN.md §12).
-    cargo test -q -p ocdd-relation --features simd
-    cargo test -q -p ocdd-core --features simd
-else
-    echo "==> simd lane skipped (x86-64 only; host is $(rustc -vV | sed -n 's/^host: //p'))"
-fi
-
 if [[ "${OCDD_CI_LOOM:-0}" == "1" ]]; then
     echo "==> loom interleaving models (ocdd-core --features loom)"
     # Swaps the scheduler/epoch-cache primitives for the model-checking
@@ -254,15 +242,23 @@ grep -q '"f1": 1.000000' "$approx_smoke_json" || {
 }
 rm -f "$approx_smoke_json"
 
-echo "==> perfbench smoke (every workload, seed 1, 1 s, untraced)"
+echo "==> perfbench smoke + work-counter gate (every workload, seed 1, 1 s, untraced)"
 # perfbench is a workspace of its own, so `cargo test --workspace` never
 # compiles it: an API change in ocdd-relation or ocdd-core could break the
 # benchmark unnoticed. Build it and run each workload briefly; the last
 # stdout line of every run must report a correct run with no failures.
+# The line before it carries the run's deterministic work: the
+# reduction's check count and the `counters` of both configurations.
+# Every counter not under `observed.` (those follow cache hits and worker
+# timing) must equal its line in results/perfbench_counters.txt, one
+# "<workload> <counter> <value>" line each, so a change in checks, sorts
+# or rows scanned fails here unless the same change re-records the file.
+counters_now="$(mktemp)"
 for workload in dense_search tall_ingest approx_sample append_stream; do
-    perfbench_last="$(CARGO_TARGET_DIR=.bench_build cargo run --quiet --offline --release \
+    perfbench_out="$(CARGO_TARGET_DIR=.bench_build cargo run --quiet --offline --release \
         --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+        --workload "$workload" --seed 1 --seconds 1 --trace 0)"
+    perfbench_last="$(tail -n 1 <<<"$perfbench_out")"
     if ! grep -q '"correct": true' <<<"$perfbench_last" ||
         ! grep -q '"failed": 0,' <<<"$perfbench_last"; then
         echo "perfbench smoke: $workload did not report a correct run with 0 failures:"
@@ -270,12 +266,25 @@ for workload in dense_search tall_ingest approx_sample append_stream; do
         exit 1
     fi
     echo "perfbench smoke: $workload correct, 0 failed"
+    perfbench_work="$(tail -n 2 <<<"$perfbench_out" | head -n 1)"
+    sed -n 's/.*"reduction_checks": \([0-9a-z]*\),.*/reduction_checks \1/p' \
+        <<<"$perfbench_work" | sed "s/^/$workload /" >>"$counters_now"
+    for config in engine faithful; do
+        sed -n "s/.*\"$config\": {\([^}]*\)}.*/\1/p" <<<"$perfbench_work" | tr ',' '\n' |
+            sed -n 's/^ *"\([^"]*\)": \([0-9]*\)$/\1 \2/p' | sed '/^observed\./d' |
+            sed "s/^/$workload $config./" >>"$counters_now"
+    done
 done
+if ! diff results/perfbench_counters.txt "$counters_now"; then
+    echo "perfbench counters: the work above (< recorded, > this run) drifted from"
+    echo "results/perfbench_counters.txt. If the change is intended, re-record with"
+    echo "  cp $counters_now results/perfbench_counters.txt"
+    exit 1
+fi
+rm -f "$counters_now"
+echo "perfbench counters: every workload's work matches results/perfbench_counters.txt"
 
 echo "==> criterion smoke (cargo bench -- --test)"
 cargo bench -p ocdd-bench -- --test
-
-echo "==> check_throughput criterion group (worker-scaling sweep)"
-cargo bench -p ocdd-bench --bench check_throughput -- --test
 
 echo "==> ci.sh: all green"

@@ -77,7 +77,7 @@ fn bench_scheduling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_checker_backends(c: &mut Criterion) {
+fn bench_backends(c: &mut Criterion) {
     use ocdd_core::sorted_partitions::PartitionChecker;
     use ocdd_core::{check_od, AttrList};
     use ocdd_datasets::{ColumnSpec, TableSpec};
@@ -134,6 +134,6 @@ criterion_group!(
     bench_discovery_checker,
     bench_dedup,
     bench_scheduling,
-    bench_checker_backends
+    bench_backends
 );
 criterion_main!(benches);

@@ -35,7 +35,7 @@ fn random_pair_relation(rows: usize) -> ocdd_relation::Relation {
     .generate(8)
 }
 
-fn bench_check(c: &mut Criterion) {
+fn bench_candidate_checks(c: &mut Criterion) {
     let mut group = c.benchmark_group("check_candidate");
     for rows in [1_000usize, 10_000, 100_000] {
         let valid = valid_pair_relation(rows);
@@ -65,5 +65,5 @@ fn bench_check(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_check);
+criterion_group!(benches, bench_candidate_checks);
 criterion_main!(benches);

@@ -1,9 +1,7 @@
 //! Criterion timing of the adjacent-pair scan kernels in isolation:
-//! the per-pair scalar oracle vs the blockwise branchless kernel (or the
-//! explicit SIMD kernel when compiled with `--features simd` — the
-//! `dispatched` id covers whichever large-scan kernel the build selects,
-//! see `environment_json`'s `block_kernel` field), swept across the three
-//! rank-code widths and two value distributions:
+//! the per-pair scalar oracle vs the dispatched blockwise branchless
+//! kernel (`block`), swept across the three rank-code widths and two
+//! value distributions:
 //!
 //! * `ties` — 200 classes over the sorted column, rhs co-monotone with
 //!   ties, so the lexicographic fold stays open and both columns are
@@ -16,7 +14,7 @@
 //! these are throughput numbers, not early-exit numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ocdd_relation::scan::{block_kernel, od_scan, od_scan_scalar, ScanKernel};
+use ocdd_relation::scan::{od_scan, od_scan_scalar};
 use ocdd_relation::sort::sort_index_by;
 use ocdd_relation::{CodeWidth, Relation, Value};
 use std::hint::black_box;
@@ -40,10 +38,6 @@ fn relation(tie_heavy: bool) -> Relation {
 }
 
 fn bench_scan_kernels(c: &mut Criterion) {
-    let dispatched = match block_kernel() {
-        ScanKernel::Simd => "simd",
-        _ => "block",
-    };
     let mut group = c.benchmark_group("scan_kernels");
     group.sample_size(10);
     for (profile, tie_heavy) in [("ties", true), ("unique", false)] {
@@ -62,7 +56,7 @@ fn bench_scan_kernels(c: &mut Criterion) {
             group.bench_function(label("scalar"), |b| {
                 b.iter(|| black_box(od_scan_scalar(&rel, &[0], &[1], &index)))
             });
-            group.bench_function(label(dispatched), |b| {
+            group.bench_function(label("block"), |b| {
                 b.iter(|| black_box(od_scan(&rel, &[0], &[1], &index)))
             });
         }

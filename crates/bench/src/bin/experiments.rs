@@ -53,7 +53,7 @@ fn main() {
             "--full" => opts.full = true,
             "--budget" => {
                 let secs: f64 = take("--budget").parse().unwrap_or_else(|_| usage());
-                opts.budget = Duration::from_secs_f64(secs);
+                opts.budget = Duration::try_from_secs_f64(secs).unwrap_or_else(|_| usage());
             }
             "--threads" => {
                 opts.threads = take("--threads")

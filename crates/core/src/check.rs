@@ -132,8 +132,7 @@ pub fn check_od(rel: &Relation, lhs: &AttrList, rhs: &AttrList) -> CheckOutcome 
 }
 
 /// [`check_od`] pinned to the scalar scan kernel: the historical per-pair
-/// checker, kept as the differential oracle and the `resort_radix`
-/// bench backend's fixed semantics.
+/// checker, kept as the differential oracle.
 pub fn check_od_scalar(rel: &Relation, lhs: &AttrList, rhs: &AttrList) -> CheckOutcome {
     let index = sort_index_by(rel, lhs.as_slice());
     scan_sorted_scalar(rel, lhs.as_slice(), rhs.as_slice(), &index)
@@ -412,7 +411,7 @@ mod tests {
         .unwrap()
     }
 
-    // Inputs beyond one block force the blockwise (or SIMD) path; the
+    // Inputs beyond one block force the blockwise path; the
     // full CheckOutcome — including witness rows — must be byte-identical
     // to the pinned scalar oracle, and the fused split-only scan must
     // agree with its oracle on the same index.

@@ -26,7 +26,8 @@
 //! {"counting", "packed_radix", "chained_refine", "comparator"},
 //! "scans": {"scalar", "block", "simd"}}` — which sort/scan kernels the
 //! run's checks dispatched to (observability; the dependencies found are
-//! kernel-independent). A checkpointed run carries `"checkpoint":
+//! kernel-independent; `simd` always reads 0 and keeps the report's
+//! shape). A checkpointed run carries `"checkpoint":
 //! {"snapshots_written", "files_deleted", "write_errors", "last_level"}` —
 //! again observability only.
 

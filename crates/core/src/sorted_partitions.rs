@@ -167,7 +167,7 @@ impl SortedPartition {
         if scan::select_kernel(pairs) == ScanKernel::Scalar {
             return self.check_od_scalar(rel, rhs);
         }
-        scan::note_scan(scan::block_kernel());
+        scan::note_scan(ScanKernel::Block);
         match self.first_block_violation(rel, rhs.as_slice()) {
             None => CheckOutcome::Valid,
             Some(pos) => {
@@ -307,7 +307,7 @@ impl SortedPartition {
         if scan::select_kernel(pairs) == ScanKernel::Scalar {
             return self.check_od_splits_only_scalar(rel, rhs);
         }
-        scan::note_scan(scan::block_kernel());
+        scan::note_scan(ScanKernel::Block);
         let rhs_cols = rhs.as_slice();
         let total = self.rows.len() - 1;
         let mut eq = BlockEq::default();

@@ -1,7 +1,7 @@
 //! Crash-safe artifact writes for the whole workspace.
 //!
 //! Every durable artifact this repository produces — search-state
-//! checkpoints, `BENCH_check.json`, `results/lint_findings.json`, JSON
+//! checkpoints, `BENCH_approx.json`, `results/lint_findings.json`, JSON
 //! reports written by the CLI — must survive the writing process dying at
 //! any instruction. A plain `File::create` + `write` can be interrupted
 //! half-way and leave a truncated file that *looks* like a finished

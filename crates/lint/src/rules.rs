@@ -170,7 +170,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              \n\
              Direct file writes (`fs::write`, `File::create`,\n\
              `OpenOptions`) are confined to crates/iosafe: every artifact\n\
-             the workspace persists — checkpoint dumps, BENCH_check.json,\n\
+             the workspace persists — checkpoint dumps, BENCH_approx.json,\n\
              lint findings, bench TSVs — must go through\n\
              `ocdd_iosafe::atomic_write` (tmp + fsync + rename), so a\n\
              crash or SIGKILL can truncate a private tmp file but never a\n\
@@ -216,9 +216,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             "hot-loop-alloc\n\
              \n\
              The scan/check/sort kernels are allocation-free by design\n\
-             (DESIGN.md §6): scratch buffers are reused across calls, and\n\
-             BENCH_check.json regressions historically trace back to an\n\
-             allocation creeping into a per-row or per-candidate loop.\n\
+             (DESIGN.md §6): scratch buffers are reused across calls, so\n\
+             an allocation creeping into a per-row or per-candidate loop\n\
+             is a check-throughput regression.\n\
              This rule flags allocation sites — `Vec::new` /\n\
              `with_capacity` / `vec![..]`, `String` / `format!` /\n\
              `.to_string()` / `.to_owned()`, `Box::new`, `.clone()`,\n\

@@ -21,8 +21,7 @@
 //!   of Algorithm 2.
 //! * Blockwise, branchless adjacent-pair scan kernels ([`scan`]) — the
 //!   check hot loop, width-dispatched over the narrowed code mirrors
-//!   ([`CodeWidth`]) with an optional `simd` feature for explicit
-//!   SSE2/AVX2 paths.
+//!   ([`CodeWidth`]) in portable, safe Rust that LLVM autovectorizes.
 //! * Deterministic, seeded row sampling ([`sample`]) — provenance-carrying
 //!   sample relations for the sample-first approximate discovery pipeline.
 //!

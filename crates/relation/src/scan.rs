@@ -15,9 +15,7 @@
 //!    columns with branchless byte masks: for every pair the block keeps
 //!    `{eq, lt, gt}` bytes (`0xFF`/`0x00`), and a column folds in as
 //!    `lt |= eq & ~e & ~g; gt |= eq & g; eq &= e`. The loops are written
-//!    so LLVM autovectorizes them; the optional `simd` cargo feature
-//!    swaps in explicit x86-64 SSE2/AVX2 intrinsics plus software
-//!    prefetch on the gathers.
+//!    so LLVM autovectorizes them.
 //! 3. **Filter** the block for the first violating pair with word-wide
 //!    mask arithmetic. Early exit is per block; the caller preserves the
 //!    exact scalar first-witness by classifying (or rescanning) the hit
@@ -46,10 +44,6 @@ use std::cmp::Ordering;
 /// handful of `u64` words.
 pub const BLOCK_PAIRS: usize = 64;
 
-/// How far ahead of the gather cursor the `simd` feature prefetches.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-const PREFETCH_AHEAD: usize = 24;
-
 /// An all-zero selection mask: selects no pair.
 const ZERO_SEL: [u8; BLOCK_PAIRS] = [0; BLOCK_PAIRS];
 
@@ -62,20 +56,6 @@ pub enum ScanKernel {
     Scalar,
     /// Blockwise branchless kernels, autovectorized portable Rust.
     Block,
-    /// Blockwise kernels with explicit SSE2/AVX2 intrinsics (the `simd`
-    /// cargo feature on x86-64).
-    Simd,
-}
-
-/// The blockwise kernel family this build dispatches to: [`ScanKernel::Simd`]
-/// when the `simd` feature is compiled in on x86-64, else
-/// [`ScanKernel::Block`].
-pub fn block_kernel() -> ScanKernel {
-    if cfg!(all(feature = "simd", target_arch = "x86_64")) {
-        ScanKernel::Simd
-    } else {
-        ScanKernel::Block
-    }
 }
 
 /// Kernel the dispatcher picks for a scan of `pairs` adjacent pairs:
@@ -85,7 +65,7 @@ pub fn select_kernel(pairs: usize) -> ScanKernel {
     if pairs < BLOCK_PAIRS {
         ScanKernel::Scalar
     } else {
-        block_kernel()
+        ScanKernel::Block
     }
 }
 
@@ -96,7 +76,6 @@ pub fn note_scan(kernel: ScanKernel) {
     match kernel {
         ScanKernel::Scalar => kernel_stats::bump_scan_scalar(),
         ScanKernel::Block => kernel_stats::bump_scan_block(),
-        ScanKernel::Simd => kernel_stats::bump_scan_simd(),
     }
 }
 
@@ -148,17 +127,17 @@ impl BlockLex {
             NarrowCodes::U8(codes) => {
                 let mut buf = [0u8; BLOCK_PAIRS + 1];
                 gather_into(codes, window, &mut buf);
-                fold_lex_u8(&buf, self);
+                fold_lex(&buf, &mut self.eq, &mut self.lt, &mut self.gt);
             }
             NarrowCodes::U16(codes) => {
                 let mut buf = [0u16; BLOCK_PAIRS + 1];
                 gather_into(codes, window, &mut buf);
-                fold_lex_u16(&buf, self);
+                fold_lex(&buf, &mut self.eq, &mut self.lt, &mut self.gt);
             }
             NarrowCodes::U32 => {
                 let mut buf = [0u32; BLOCK_PAIRS + 1];
                 gather_into(rel.codes(col), window, &mut buf);
-                fold_lex_u32(&buf, self);
+                fold_lex(&buf, &mut self.eq, &mut self.lt, &mut self.gt);
             }
         }
     }
@@ -255,17 +234,17 @@ impl BlockEq {
             NarrowCodes::U8(codes) => {
                 let mut buf = [0u8; BLOCK_PAIRS + 1];
                 gather_into(codes, window, &mut buf);
-                fold_eq_u8(&buf, self);
+                fold_eq(&buf, &mut self.eq);
             }
             NarrowCodes::U16(codes) => {
                 let mut buf = [0u16; BLOCK_PAIRS + 1];
                 gather_into(codes, window, &mut buf);
-                fold_eq_u16(&buf, self);
+                fold_eq(&buf, &mut self.eq);
             }
             NarrowCodes::U32 => {
                 let mut buf = [0u32; BLOCK_PAIRS + 1];
                 gather_into(rel.codes(col), window, &mut buf);
-                fold_eq_u32(&buf, self);
+                fold_eq(&buf, &mut self.eq);
             }
         }
     }
@@ -312,35 +291,20 @@ fn word64(bytes: &[u8]) -> u64 {
 }
 
 /// Gather `codes[row]` for every row of `window` into the front of
-/// `buf`. With the `simd` feature the gather runs `PREFETCH_AHEAD` rows
-/// of software prefetch ahead of the cursor.
+/// `buf`.
 #[inline]
 fn gather_into<T: Copy>(codes: &[T], window: &[u32], buf: &mut [T; BLOCK_PAIRS + 1]) {
-    for (k, (slot, &row)) in buf.iter_mut().zip(window).enumerate() {
-        prefetch_ahead(codes, window, k);
+    for (slot, &row) in buf.iter_mut().zip(window) {
         // lint: allow(panic-reachability, window rows come from a permutation/partition of the same relation, so row < codes.len())
         *slot = codes[row as usize];
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline]
-fn prefetch_ahead<T>(codes: &[T], window: &[u32], k: usize) {
-    if let Some(&ahead) = window.get(k + PREFETCH_AHEAD) {
-        simd::prefetch(codes, ahead as usize);
-    }
-}
-
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-#[inline]
-fn prefetch_ahead<T>(_codes: &[T], _window: &[u32], _k: usize) {}
-
-/// Portable branchless lexicographic fold: for each adjacent pair
+/// Branchless lexicographic fold: for each adjacent pair
 /// `(buf[i], buf[i+1])` update `{eq, lt, gt}` byte masks. Pure byte
 /// arithmetic over fixed-size slices, written for autovectorization.
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
 #[inline]
-fn fold_lex_portable<T: Copy + Ord>(buf: &[T], eq: &mut [u8], lt: &mut [u8], gt: &mut [u8]) {
+fn fold_lex<T: Copy + Ord>(buf: &[T], eq: &mut [u8], lt: &mut [u8], gt: &mut [u8]) {
     let Some((_, hi)) = buf.split_first() else {
         return;
     };
@@ -358,10 +322,9 @@ fn fold_lex_portable<T: Copy + Ord>(buf: &[T], eq: &mut [u8], lt: &mut [u8], gt:
     }
 }
 
-/// Portable equality-only fold (see `fold_lex_portable`).
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+/// Equality-only fold (see `fold_lex`).
 #[inline]
-fn fold_eq_portable<T: Copy + Eq>(buf: &[T], eq: &mut [u8]) {
+fn fold_eq<T: Copy + Eq>(buf: &[T], eq: &mut [u8]) {
     let Some((_, hi)) = buf.split_first() else {
         return;
     };
@@ -369,30 +332,6 @@ fn fold_eq_portable<T: Copy + Eq>(buf: &[T], eq: &mut [u8]) {
         *e &= 0u8.wrapping_sub(u8::from(a == b));
     }
 }
-
-macro_rules! width_folds {
-    ($fold_lex:ident, $fold_eq:ident, $ty:ty) => {
-        #[inline]
-        fn $fold_lex(buf: &[$ty; BLOCK_PAIRS + 1], st: &mut BlockLex) {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            simd::$fold_lex(buf, st);
-            #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-            fold_lex_portable(buf, &mut st.eq, &mut st.lt, &mut st.gt);
-        }
-
-        #[inline]
-        fn $fold_eq(buf: &[$ty; BLOCK_PAIRS + 1], st: &mut BlockEq) {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            simd::$fold_eq(buf, st);
-            #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-            fold_eq_portable(buf, &mut st.eq);
-        }
-    };
-}
-
-width_folds!(fold_lex_u8, fold_eq_u8, u8);
-width_folds!(fold_lex_u16, fold_eq_u16, u16);
-width_folds!(fold_lex_u32, fold_eq_u32, u32);
 
 /// Position of the first adjacent pair of `index` (pre-sorted by `lhs`)
 /// violating the OD `lhs → rhs`: the pair decreases on `rhs`, or is tied
@@ -589,271 +528,6 @@ fn split_scan_blocks(
     None
 }
 
-/// Explicit x86-64 SSE2/AVX2 kernels (the `simd` cargo feature).
-///
-/// This is the one module of the crate allowed to contain `unsafe`: the
-/// crate-level lint is relaxed from the workspace `forbid` to `deny`
-/// precisely so this allow can exist, and every unsafe block's contract
-/// is either "SSE2 is part of the x86-64 baseline ABI" (no runtime
-/// detection needed) or "AVX2 was runtime-detected". All loads/stores
-/// are unaligned (`loadu`/`storeu`) over fixed-size arrays whose bounds
-/// the offsets respect by construction (`BLOCK_PAIRS + 1` scratch, 4×16
-/// or 2×32 lane tiles).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[allow(unsafe_code)]
-mod simd {
-    use super::{BlockEq, BlockLex, BLOCK_PAIRS};
-    use core::arch::x86_64::{
-        __m128i, __m256i, _mm256_and_si256, _mm256_andnot_si256, _mm256_cmpeq_epi8,
-        _mm256_loadu_si256, _mm256_max_epu8, _mm256_or_si256, _mm256_set1_epi8,
-        _mm256_storeu_si256, _mm_and_si128, _mm_andnot_si128, _mm_cmpeq_epi16, _mm_cmpeq_epi32,
-        _mm_cmpeq_epi8, _mm_cmpgt_epi16, _mm_cmpgt_epi32, _mm_loadu_si128, _mm_max_epu8,
-        _mm_or_si128, _mm_packs_epi16, _mm_packs_epi32, _mm_prefetch, _mm_set1_epi16,
-        _mm_set1_epi32, _mm_set1_epi8, _mm_storeu_si128, _mm_xor_si128, _MM_HINT_T0,
-    };
-    use std::arch::is_x86_feature_detected;
-
-    /// Prefetch the cache line holding `codes[idx]` (T0 hint). The
-    /// bounds check keeps the pointer inside the allocation; prefetch
-    /// dereferences nothing, so the hint itself cannot fault.
-    #[inline]
-    pub(super) fn prefetch<T>(codes: &[T], idx: usize) {
-        if let Some(p) = codes.get(idx) {
-            // SAFETY: `p` is a valid reference and `_mm_prefetch` only
-            // hints the cache — no memory access is performed. SSE is in
-            // the x86-64 baseline.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>((p as *const T).cast()) }
-        }
-    }
-
-    pub(super) fn fold_lex_u8(buf: &[u8; BLOCK_PAIRS + 1], st: &mut BlockLex) {
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 was runtime-detected on this CPU.
-            unsafe { fold_lex_u8_avx2(buf, st) }
-        } else {
-            // SAFETY: SSE2 is part of the x86-64 baseline ABI.
-            unsafe { fold_lex_u8_sse2(buf, st) }
-        }
-    }
-
-    pub(super) fn fold_lex_u16(buf: &[u16; BLOCK_PAIRS + 1], st: &mut BlockLex) {
-        // SAFETY: SSE2 is part of the x86-64 baseline ABI.
-        unsafe { fold_lex_u16_sse2(buf, st) }
-    }
-
-    pub(super) fn fold_lex_u32(buf: &[u32; BLOCK_PAIRS + 1], st: &mut BlockLex) {
-        // SAFETY: SSE2 is part of the x86-64 baseline ABI.
-        unsafe { fold_lex_u32_sse2(buf, st) }
-    }
-
-    pub(super) fn fold_eq_u8(buf: &[u8; BLOCK_PAIRS + 1], st: &mut BlockEq) {
-        // SAFETY: SSE2 is part of the x86-64 baseline ABI.
-        unsafe { fold_eq_u8_sse2(buf, st) }
-    }
-
-    pub(super) fn fold_eq_u16(buf: &[u16; BLOCK_PAIRS + 1], st: &mut BlockEq) {
-        // SAFETY: SSE2 is part of the x86-64 baseline ABI.
-        unsafe { fold_eq_u16_sse2(buf, st) }
-    }
-
-    pub(super) fn fold_eq_u32(buf: &[u32; BLOCK_PAIRS + 1], st: &mut BlockEq) {
-        // SAFETY: SSE2 is part of the x86-64 baseline ABI.
-        unsafe { fold_eq_u32_sse2(buf, st) }
-    }
-
-    /// Fold 16 byte-wide pair verdicts `(e, g)` at byte offset `off`
-    /// into the block state: `lt |= eq & ~e & ~g; gt |= eq & g; eq &= e`.
-    ///
-    /// SAFETY (callers): `off + 16 ≤ BLOCK_PAIRS` so every unaligned
-    /// load/store stays inside the state arrays.
-    #[target_feature(enable = "sse2")]
-    #[inline]
-    unsafe fn update16(st: &mut BlockLex, off: usize, e: __m128i, g: __m128i) {
-        let pe: *mut __m128i = st.eq.as_mut_ptr().add(off).cast();
-        let pl: *mut __m128i = st.lt.as_mut_ptr().add(off).cast();
-        let pg: *mut __m128i = st.gt.as_mut_ptr().add(off).cast();
-        let open = _mm_loadu_si128(pe.cast_const());
-        let l = _mm_andnot_si128(g, _mm_andnot_si128(e, _mm_set1_epi8(-1)));
-        _mm_storeu_si128(
-            pl,
-            _mm_or_si128(_mm_loadu_si128(pl.cast_const()), _mm_and_si128(open, l)),
-        );
-        _mm_storeu_si128(
-            pg,
-            _mm_or_si128(_mm_loadu_si128(pg.cast_const()), _mm_and_si128(open, g)),
-        );
-        _mm_storeu_si128(pe, _mm_and_si128(open, e));
-    }
-
-    /// SAFETY (callers): requires SSE2 (x86-64 baseline).
-    #[target_feature(enable = "sse2")]
-    unsafe fn fold_lex_u8_sse2(buf: &[u8; BLOCK_PAIRS + 1], st: &mut BlockLex) {
-        let p = buf.as_ptr();
-        for blk in 0..4 {
-            let off = blk * 16;
-            // Reads offsets off..off+16 and off+1..off+17 ≤ 65: in bounds.
-            let a = _mm_loadu_si128(p.add(off).cast());
-            let b = _mm_loadu_si128(p.add(off + 1).cast());
-            let e = _mm_cmpeq_epi8(a, b);
-            // Unsigned a > b ⟺ a == max(a,b) and a != b.
-            let g = _mm_andnot_si128(e, _mm_cmpeq_epi8(_mm_max_epu8(a, b), a));
-            update16(st, off, e, g);
-        }
-    }
-
-    /// SAFETY (callers): requires AVX2 (runtime-detected).
-    #[target_feature(enable = "avx2")]
-    unsafe fn fold_lex_u8_avx2(buf: &[u8; BLOCK_PAIRS + 1], st: &mut BlockLex) {
-        let p = buf.as_ptr();
-        for blk in 0..2 {
-            let off = blk * 32;
-            // Reads offsets off..off+32 and off+1..off+33 ≤ 65: in bounds.
-            let a = _mm256_loadu_si256(p.add(off).cast());
-            let b = _mm256_loadu_si256(p.add(off + 1).cast());
-            let e = _mm256_cmpeq_epi8(a, b);
-            let g = _mm256_andnot_si256(e, _mm256_cmpeq_epi8(_mm256_max_epu8(a, b), a));
-            let pe: *mut __m256i = st.eq.as_mut_ptr().add(off).cast();
-            let pl: *mut __m256i = st.lt.as_mut_ptr().add(off).cast();
-            let pg: *mut __m256i = st.gt.as_mut_ptr().add(off).cast();
-            let open = _mm256_loadu_si256(pe.cast_const());
-            let l = _mm256_andnot_si256(g, _mm256_andnot_si256(e, _mm256_set1_epi8(-1)));
-            _mm256_storeu_si256(
-                pl,
-                _mm256_or_si256(
-                    _mm256_loadu_si256(pl.cast_const()),
-                    _mm256_and_si256(open, l),
-                ),
-            );
-            _mm256_storeu_si256(
-                pg,
-                _mm256_or_si256(
-                    _mm256_loadu_si256(pg.cast_const()),
-                    _mm256_and_si256(open, g),
-                ),
-            );
-            _mm256_storeu_si256(pe, _mm256_and_si256(open, e));
-        }
-    }
-
-    /// SAFETY (callers): requires SSE2 (x86-64 baseline).
-    #[target_feature(enable = "sse2")]
-    unsafe fn fold_lex_u16_sse2(buf: &[u16; BLOCK_PAIRS + 1], st: &mut BlockLex) {
-        let p = buf.as_ptr();
-        // SSE2 has no unsigned 16-bit compare: flip the sign bit and use
-        // the signed one. Two 8-lane tiles pack to 16 byte verdicts.
-        let bias = _mm_set1_epi16(i16::MIN);
-        for blk in 0..4 {
-            let off = blk * 16;
-            // Reads elements up to off+9+8 = 65: in bounds.
-            let a0 = _mm_loadu_si128(p.add(off).cast());
-            let b0 = _mm_loadu_si128(p.add(off + 1).cast());
-            let a1 = _mm_loadu_si128(p.add(off + 8).cast());
-            let b1 = _mm_loadu_si128(p.add(off + 9).cast());
-            let e = _mm_packs_epi16(_mm_cmpeq_epi16(a0, b0), _mm_cmpeq_epi16(a1, b1));
-            let g0 = _mm_cmpgt_epi16(_mm_xor_si128(a0, bias), _mm_xor_si128(b0, bias));
-            let g1 = _mm_cmpgt_epi16(_mm_xor_si128(a1, bias), _mm_xor_si128(b1, bias));
-            let g = _mm_packs_epi16(g0, g1);
-            update16(st, off, e, g);
-        }
-    }
-
-    /// Compare 4 `u32` pairs starting at element `off`: `(eq, gt)` lane
-    /// masks. SAFETY (callers): SSE2, and `off + 5 ≤ BLOCK_PAIRS - 3`
-    /// so both loads stay inside the 65-element buffer.
-    #[target_feature(enable = "sse2")]
-    #[inline]
-    unsafe fn cmp4_u32(p: *const u32, off: usize, bias: __m128i) -> (__m128i, __m128i) {
-        let a = _mm_loadu_si128(p.add(off).cast());
-        let b = _mm_loadu_si128(p.add(off + 1).cast());
-        (
-            _mm_cmpeq_epi32(a, b),
-            _mm_cmpgt_epi32(_mm_xor_si128(a, bias), _mm_xor_si128(b, bias)),
-        )
-    }
-
-    /// SAFETY (callers): requires SSE2 (x86-64 baseline).
-    #[target_feature(enable = "sse2")]
-    unsafe fn fold_lex_u32_sse2(buf: &[u32; BLOCK_PAIRS + 1], st: &mut BlockLex) {
-        let p = buf.as_ptr();
-        let bias = _mm_set1_epi32(i32::MIN);
-        for blk in 0..4 {
-            let off = blk * 16;
-            // Reads elements up to off+12+1+4 = 65: in bounds.
-            let (e0, g0) = cmp4_u32(p, off, bias);
-            let (e1, g1) = cmp4_u32(p, off + 4, bias);
-            let (e2, g2) = cmp4_u32(p, off + 8, bias);
-            let (e3, g3) = cmp4_u32(p, off + 12, bias);
-            // packs saturates -1 → -1 and 0 → 0, so the canonical masks
-            // survive the 32→16→8 narrowing in lane order.
-            let e = _mm_packs_epi16(_mm_packs_epi32(e0, e1), _mm_packs_epi32(e2, e3));
-            let g = _mm_packs_epi16(_mm_packs_epi32(g0, g1), _mm_packs_epi32(g2, g3));
-            update16(st, off, e, g);
-        }
-    }
-
-    /// SAFETY (callers): `off + 16 ≤ BLOCK_PAIRS`, SSE2.
-    #[target_feature(enable = "sse2")]
-    #[inline]
-    unsafe fn update_eq16(st: &mut BlockEq, off: usize, e: __m128i) {
-        let pe: *mut __m128i = st.eq.as_mut_ptr().add(off).cast();
-        _mm_storeu_si128(pe, _mm_and_si128(_mm_loadu_si128(pe.cast_const()), e));
-    }
-
-    /// SAFETY (callers): requires SSE2 (x86-64 baseline).
-    #[target_feature(enable = "sse2")]
-    unsafe fn fold_eq_u8_sse2(buf: &[u8; BLOCK_PAIRS + 1], st: &mut BlockEq) {
-        let p = buf.as_ptr();
-        for blk in 0..4 {
-            let off = blk * 16;
-            let a = _mm_loadu_si128(p.add(off).cast());
-            let b = _mm_loadu_si128(p.add(off + 1).cast());
-            update_eq16(st, off, _mm_cmpeq_epi8(a, b));
-        }
-    }
-
-    /// SAFETY (callers): requires SSE2 (x86-64 baseline).
-    #[target_feature(enable = "sse2")]
-    unsafe fn fold_eq_u16_sse2(buf: &[u16; BLOCK_PAIRS + 1], st: &mut BlockEq) {
-        let p = buf.as_ptr();
-        for blk in 0..4 {
-            let off = blk * 16;
-            let e0 = _mm_cmpeq_epi16(
-                _mm_loadu_si128(p.add(off).cast()),
-                _mm_loadu_si128(p.add(off + 1).cast()),
-            );
-            let e1 = _mm_cmpeq_epi16(
-                _mm_loadu_si128(p.add(off + 8).cast()),
-                _mm_loadu_si128(p.add(off + 9).cast()),
-            );
-            update_eq16(st, off, _mm_packs_epi16(e0, e1));
-        }
-    }
-
-    /// SAFETY (callers): requires SSE2 (x86-64 baseline).
-    #[target_feature(enable = "sse2")]
-    unsafe fn fold_eq_u32_sse2(buf: &[u32; BLOCK_PAIRS + 1], st: &mut BlockEq) {
-        let p = buf.as_ptr();
-        for blk in 0..4 {
-            let off = blk * 16;
-            let eq4 = |o: usize| {
-                // SAFETY: same bounds as the caller tile; SSE2 enabled in
-                // the enclosing target_feature scope.
-                unsafe {
-                    _mm_cmpeq_epi32(
-                        _mm_loadu_si128(p.add(o).cast()),
-                        _mm_loadu_si128(p.add(o + 1).cast()),
-                    )
-                }
-            };
-            let e = _mm_packs_epi16(
-                _mm_packs_epi32(eq4(off), eq4(off + 4)),
-                _mm_packs_epi32(eq4(off + 8), eq4(off + 12)),
-            );
-            update_eq16(st, off, e);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -925,13 +599,8 @@ mod tests {
     fn dispatch_thresholds() {
         assert_eq!(select_kernel(0), ScanKernel::Scalar);
         assert_eq!(select_kernel(BLOCK_PAIRS - 1), ScanKernel::Scalar);
-        assert_eq!(select_kernel(BLOCK_PAIRS), block_kernel());
-        assert_eq!(select_kernel(1_000_000), block_kernel());
-        if cfg!(all(feature = "simd", target_arch = "x86_64")) {
-            assert_eq!(block_kernel(), ScanKernel::Simd);
-        } else {
-            assert_eq!(block_kernel(), ScanKernel::Block);
-        }
+        assert_eq!(select_kernel(BLOCK_PAIRS), ScanKernel::Block);
+        assert_eq!(select_kernel(1_000_000), ScanKernel::Block);
     }
 
     #[test]
@@ -944,6 +613,7 @@ mod tests {
         let delta = kernel_stats::snapshot().since(&before);
         assert_eq!(delta.total_scans(), 1);
         assert_eq!(delta.scan_scalar, 0, "200 rows must dispatch blockwise");
+        assert_eq!(delta.scan_simd, 0);
     }
 
     #[test]

@@ -125,7 +125,7 @@ fn parse_profile(args: &[String]) -> Option<ProfileArgs> {
             "--stratify" => out.stratify = Some(iter.next()?.clone()),
             "--budget" => {
                 let secs: f64 = iter.next()?.parse().ok()?;
-                out.config.time_budget = Some(Duration::from_secs_f64(secs));
+                out.config.time_budget = Some(Duration::try_from_secs_f64(secs).ok()?);
             }
             "--top-k" => out.top_k = Some(iter.next()?.parse().ok()?),
             "--no-header" => out.csv.has_header = false,

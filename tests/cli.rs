@@ -176,6 +176,25 @@ fn approx_rejects_out_of_range_epsilon_and_confidence() {
     assert!(text.contains("[a] -> [b]"), "got: {text}");
 }
 
+#[test]
+fn budget_rejects_unrepresentable_durations_with_usage() {
+    let dir = std::env::temp_dir().join("ocdd_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("budget.csv");
+    std::fs::write(&path, "a,b\n1,1\n2,2\n3,3\n").unwrap();
+    let csv = path.to_str().unwrap();
+    for secs in ["-1", "NaN", "inf", "1e300"] {
+        let out = ocdd(&["profile", csv, "--budget", secs]);
+        assert_eq!(out.status.code(), Some(2), "--budget {secs}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage:"), "--budget {secs}: {err}");
+    }
+    for secs in ["0", "5"] {
+        let out = ocdd(&["profile", csv, "--budget", secs]);
+        assert!(out.status.success(), "--budget {secs} failed: {out:?}");
+    }
+}
+
 /// Drop one `"key":value,` member — a number or a complete object — from a
 /// one-line JSON report.
 fn drop_member(json: &str, key: &str) -> String {
