@@ -35,6 +35,12 @@ fn bench_reduction(c: &mut Criterion) {
             b.iter(|| black_box(columns_reduction(rel)))
         });
     }
+    // Tall and narrow: one row walk per column pair dominates.
+    let rows = 60_000;
+    let rel = ocdd_datasets::tpch::lineitem(rows, 1);
+    group.bench_with_input(BenchmarkId::new("lineitem", rows), &rel, |b, rel| {
+        b.iter(|| black_box(columns_reduction(rel)))
+    });
     group.finish();
 }
 

@@ -8,7 +8,8 @@
 //! ```
 //!
 //! Reports print as markdown and are written as TSV under `--out`
-//! (default `results/`).
+//! (default `results/`). A `--threads` count above
+//! [`ocdd_core::MAX_WORKERS`] is a usage error.
 
 use ocdd_bench::experiments::{
     run_ablation, run_fig2, run_fig3, run_fig4, run_fig5, run_fig6, run_fig7, run_numbers,
@@ -58,7 +59,13 @@ fn main() {
             "--threads" => {
                 opts.threads = take("--threads")
                     .split(',')
-                    .map(|t| t.trim().parse().unwrap_or_else(|_| usage()))
+                    .map(|t| {
+                        t.trim()
+                            .parse()
+                            .ok()
+                            .filter(|&t| t <= ocdd_core::MAX_WORKERS)
+                            .unwrap_or_else(|| usage())
+                    })
                     .collect();
             }
             "--reps" => opts.reps = take("--reps").parse().unwrap_or_else(|_| usage()),

@@ -23,6 +23,13 @@ pub enum ParallelMode {
     WorkStealing(usize),
 }
 
+/// The largest worker count the command-line tools accept for `--threads`
+/// (`ocdd profile`, `experiments`); above it they print their usage text
+/// and exit 2. The engine takes any [`ParallelMode::WorkStealing`] count:
+/// a level never runs more threads than it has batches, and each worker
+/// beyond that costs one idle checker.
+pub const MAX_WORKERS: usize = 1024;
+
 /// How candidate checks are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CheckerBackend {

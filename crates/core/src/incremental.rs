@@ -17,12 +17,15 @@
 //! * an **order-equivalence class splits**: the collapsed columns become
 //!   distinct search dimensions.
 //!
-//! Both are detected exactly, and the fallback re-run is itself just
-//! [`crate::discover`], so correctness never depends on the fast path.
+//! Both are detected exactly — a class split by one
+//! [`crate::reduction`] pair pass per (representative, member) pair — and
+//! the fallback re-run is itself just [`crate::discover`], so correctness
+//! never depends on the fast path.
 
 use crate::check::{check_ocd, check_od};
 use crate::config::DiscoveryConfig;
 use crate::deps::{Ocd, Od};
+use crate::reduction::pair_pass;
 use crate::results::DiscoveryResult;
 use crate::search::discover;
 use ocdd_relation::{Error, Relation, Result, TypingMode, Value};
@@ -140,11 +143,9 @@ impl IncrementalDiscovery {
             }
         }
         for class in &self.result.equivalence_classes {
-            let rep = crate::deps::AttrList::single(class[0]);
             let still_holds = class[1..].iter().all(|&other| {
-                let o = crate::deps::AttrList::single(other);
-                check_od(&self.relation, &rep, &o).is_valid()
-                    && check_od(&self.relation, &o, &rep).is_valid()
+                let v = pair_pass(&self.relation, class[0], other);
+                v.forward && v.backward
             });
             if !still_holds {
                 delta.split_classes.push(class.clone());
@@ -391,6 +392,40 @@ mod tests {
             let fresh = discover(inc.relation(), &DiscoveryConfig::default());
             assert_eq!(inc.result().ocds, fresh.ocds, "seed {seed}");
             assert_eq!(inc.result().ods, fresh.ods, "seed {seed}");
+        }
+
+        // The class {a, b} meets NULLs in b. NULL sorts first, so one next
+        // to the smallest a keeps the class; one next to the largest a
+        // splits it, and only through the NULL.
+        let initial = Relation::from_columns(vec![
+            ("a".into(), ints(&[1, 2, 3, 4])),
+            ("b".into(), ints(&[10, 20, 30, 40])),
+            ("c".into(), ints(&[2, 1, 2, 1])),
+        ])
+        .unwrap();
+        let mut inc = IncrementalDiscovery::new(&initial, DiscoveryConfig::default());
+        assert_eq!(inc.result().equivalence_classes, vec![vec![0, 1]]);
+        let row = |a, b, c| vec![Value::Int(a), b, Value::Int(c)];
+        for (batch, splits) in [
+            (
+                vec![row(0, Value::Null, 1), row(5, Value::Int(50), 2)],
+                false,
+            ),
+            (
+                vec![row(6, Value::Int(60), 1), row(7, Value::Null, 2)],
+                true,
+            ),
+        ] {
+            let delta = inc.append_rows(batch).unwrap();
+            assert_eq!(delta.split_classes.len(), usize::from(splits), "{delta:?}");
+            let fresh = discover(inc.relation(), &DiscoveryConfig::default());
+            assert_eq!(inc.result().ocds, fresh.ocds, "NULL split {splits}");
+            assert_eq!(inc.result().ods, fresh.ods, "NULL split {splits}");
+            assert_eq!(
+                inc.result().equivalence_classes,
+                fresh.equivalence_classes,
+                "NULL split {splits}"
+            );
         }
     }
 

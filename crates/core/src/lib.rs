@@ -75,7 +75,7 @@ pub use approximate::{
     ApproxStats, ApproximateOcd, ApproximateResult, OdError, Triage, ERR_PASSES,
 };
 pub use check::{check_ocd, check_od, check_od_after_ocd, CheckOutcome};
-pub use config::{CheckerBackend, DiscoveryConfig, ParallelMode};
+pub use config::{CheckerBackend, DiscoveryConfig, ParallelMode, MAX_WORKERS};
 pub use deps::{AttrList, Ocd, Od, OrderEquivalence};
 pub use reduction::{columns_reduction, Reduction};
 pub use results::{DiscoveryResult, LevelStats};

@@ -5,17 +5,23 @@
 //! 1. **Removal of constant columns.** A constant column is ordered by every
 //!    attribute list, so it would generate a huge number of trivial ODs.
 //! 2. **Reduction of order-equivalent columns.** All `n(n-1)` single-column
-//!    OD candidates `A → B` are checked; the valid ones form a digraph whose
+//!    OD candidates `A → B` are decided; the valid ones form a digraph whose
 //!    strongly connected components (computed with Tarjan's algorithm, as in
 //!    the paper) are exactly the order-equivalence classes `A ↔ B ↔ …`.
 //!    One representative per class is kept.
+//!
+//! The `A → B` verdicts come from one `O(m)` pair pass per unordered pair
+//! `{A, B}` (`pair_pass`) instead of the paper's sort and scan per ordered
+//! pair. The pass also decides `[A] ~ [B]`, and [`Reduction`] keeps all
+//! three verdicts (`PairVerdicts`) so that level 2 of the search can read
+//! them instead of checking the pair again. The phase still counts
+//! `n(n-1)` checks.
 //!
 //! The dependencies implied by the removed columns (constancy facts,
 //! equivalences, and the one-directional single-column ODs among
 //! representatives) are part of the algorithm's output and are re-expanded
 //! by [`crate::expand`].
 
-use crate::check::check_od;
 use crate::deps::{AttrList, Od, OrderEquivalence};
 use ocdd_relation::{ColumnId, Relation};
 
@@ -34,8 +40,12 @@ pub struct Reduction {
     /// the reverse does not hold (these edges survive the SCC collapse and
     /// are results in their own right).
     pub single_ods: Vec<Od>,
-    /// Number of OD checks performed by this phase.
+    /// Number of single-column OD checks this phase stands for: `k(k-1)`
+    /// for `k` live columns, one per ordered pair.
     pub checks: u64,
+    /// The pair pass's verdicts over the live columns, read by level 2 of
+    /// the search. `None` when the phase did not run.
+    pub(crate) pairs: Option<PairVerdicts>,
 }
 
 impl Reduction {
@@ -63,6 +73,104 @@ impl Reduction {
             }
         }
         col
+    }
+}
+
+/// The three verdicts of one unordered column pair `{A, B}`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PairVerdict {
+    /// `[A] ~ [B]`: no swap.
+    pub(crate) compatible: bool,
+    /// `[A] → [B]`.
+    pub(crate) forward: bool,
+    /// `[B] → [A]`.
+    pub(crate) backward: bool,
+}
+
+/// Decide `[A] ~ [B]`, `[A] → [B]` and `[B] → [A]` in one walk over the
+/// rows, with no sort: the set-based order compatibility `{}: A ~ B` of
+/// Szlichta et al. (arXiv 1608.06169).
+///
+/// The walk records the minimum and maximum B-code of every A-code, and the
+/// minimum and maximum A-code of every B-code.
+/// - `A ~ B` holds iff, taking the A-codes in ascending order, each code's
+///   minimum is at least the running maximum of the earlier codes. A row
+///   pair with `A` rising and `B` falling is exactly a code whose minimum
+///   falls below an earlier maximum. Since every minimum is at most its
+///   maximum, the running maximum is the previous code's maximum.
+/// - `A → B` holds iff `A ~ B` holds and every A-code has minimum =
+///   maximum (no split). `B → A` is the mirror case.
+///
+/// NULL is rank 0 and sorts first, so it needs no special case. The
+/// verdicts equal [`crate::check::check_ocd`], `check_od(A, B)` and
+/// `check_od(B, A)` on every input (a proptest below holds them to it).
+// lint: allow(panic-reachability, codes are dense ranks < meta.distinct and both tables are sized distinct, so every code indexes in bounds; windows(2) yields length-2 slices)
+pub(crate) fn pair_pass(rel: &Relation, a: ColumnId, b: ColumnId) -> PairVerdict {
+    let (codes_a, codes_b) = (rel.codes(a), rel.codes(b));
+    // (min, max) of the other column per code. Ranks are dense, so every
+    // code occurs and leaves its (MAX, 0) start behind.
+    let mut b_of_a = vec![(u32::MAX, 0u32); rel.meta(a).distinct];
+    let mut a_of_b = vec![(u32::MAX, 0u32); rel.meta(b).distinct];
+    for (&ca, &cb) in codes_a.iter().zip(codes_b) {
+        // lint: allow(lossy-cast, ca is a u32 rank code in [0, u32::MAX], so the cast to usize widens)
+        let e = &mut b_of_a[ca as usize];
+        e.0 = e.0.min(cb);
+        e.1 = e.1.max(cb);
+        // lint: allow(lossy-cast, cb is a u32 rank code in [0, u32::MAX], so the cast to usize widens)
+        let e = &mut a_of_b[cb as usize];
+        e.0 = e.0.min(ca);
+        e.1 = e.1.max(ca);
+    }
+    let compatible = b_of_a.windows(2).all(|w| w[0].1 <= w[1].0);
+    let constant_per_code = |t: &[(u32, u32)]| t.iter().all(|&(lo, hi)| lo == hi);
+    PairVerdict {
+        compatible,
+        forward: compatible && constant_per_code(&b_of_a),
+        backward: compatible && constant_per_code(&a_of_b),
+    }
+}
+
+/// The pair pass's verdicts over every ordered pair of live columns, as
+/// kept by [`Reduction`] for level 2 of the search.
+#[derive(Debug, Clone)]
+pub(crate) struct PairVerdicts {
+    /// Position of each column among the live ones; `None` for constants.
+    slot: Vec<Option<usize>>,
+    /// Number of live columns.
+    k: usize,
+    /// Per ordered live pair `i * k + j`: [`COMPATIBLE`] when
+    /// `[Ai] ~ [Aj]`, [`ORDERS`] when `[Ai] → [Aj]`.
+    bits: Vec<u8>,
+}
+
+/// [`PairVerdicts`] bit: the pair is order compatible.
+const COMPATIBLE: u8 = 1;
+/// [`PairVerdicts`] bit: the first column orders the second.
+const ORDERS: u8 = 2;
+
+impl PairVerdicts {
+    /// The verdict bits of `[a]` against `[b]`, `None` unless both are
+    /// live columns.
+    fn bits(&self, a: ColumnId, b: ColumnId) -> Option<u8> {
+        let i = (*self.slot.get(a)?)?;
+        let j = (*self.slot.get(b)?)?;
+        self.bits.get(i * self.k + j).copied()
+    }
+
+    /// `[a] ~ [b]`, or `None` when either side is not one live column.
+    pub(crate) fn ocd(&self, x: &AttrList, y: &AttrList) -> Option<bool> {
+        match (x.as_slice(), y.as_slice()) {
+            ([a], [b]) => self.bits(*a, *b).map(|v| v & COMPATIBLE != 0),
+            _ => None,
+        }
+    }
+
+    /// `[a] → [b]`, or `None` when either side is not one live column.
+    pub(crate) fn od(&self, x: &AttrList, y: &AttrList) -> Option<bool> {
+        match (x.as_slice(), y.as_slice()) {
+            ([a], [b]) => self.bits(*a, *b).map(|v| v & ORDERS != 0),
+            _ => None,
+        }
     }
 }
 
@@ -156,49 +264,46 @@ pub fn columns_reduction(rel: &Relation) -> Reduction {
     columns_reduction_with_threads(rel, 1)
 }
 
-/// Column reduction with the `n(n-1)` single-column OD checks spread over
-/// `threads` scoped threads. The checks are independent, so the result is
-/// identical to the sequential run (enforced by tests); only wall-clock
-/// changes. `discover` picks the thread count from its
+/// Column reduction with the pair pass of every unordered live column
+/// pair spread over `threads` scoped threads. The passes are independent,
+/// so the result is identical to the sequential run (enforced by tests);
+/// only wall-clock changes. `discover` picks the thread count from its
 /// [`crate::config::ParallelMode`].
-// lint: allow(panic-reachability, indices are bounded by construction — i and j range over 0..k with edge sized k*k, every SCC is non-empty, and every live column lands in exactly one equivalence class)
+// lint: allow(panic-reachability, indices are bounded by construction — i and j range over 0..k with bits sized k*k, every SCC is non-empty, and every live column lands in exactly one equivalence class)
 pub fn columns_reduction_with_threads(rel: &Relation, threads: usize) -> Reduction {
     let n = rel.num_columns();
     let mut constants = Vec::new();
     let mut live: Vec<ColumnId> = Vec::new();
-    for c in 0..n {
+    let mut slot = vec![None; n];
+    for (c, slot) in slot.iter_mut().enumerate() {
         if rel.meta(c).is_constant() {
             constants.push(c);
         } else {
+            *slot = Some(live.len());
             live.push(c);
         }
     }
 
-    // Digraph of valid single-column ODs among live columns.
+    // One pass per unordered live pair; each answers both directions.
     let k = live.len();
     let pairs: Vec<(usize, usize)> = (0..k)
-        .flat_map(|i| (0..k).filter(move |&j| j != i).map(move |j| (i, j)))
+        .flat_map(|i| (i + 1..k).map(move |j| (i, j)))
         .collect();
-    // Total by construction: pairs only ever hold indexes < live.len(), and
-    // `get`-based access keeps the closure panic-free either way.
-    let check_pair = |i: usize, j: usize| -> bool {
-        match (live.get(i), live.get(j)) {
-            (Some(&a), Some(&b)) => {
-                check_od(rel, &AttrList::single(a), &AttrList::single(b)).is_valid()
-            }
-            _ => false,
-        }
-    };
-    let results = crate::runtime::par_map(&pairs, threads, |&(i, j)| check_pair(i, j));
-    let checks = pairs.len() as u64;
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); k];
-    let mut edge = vec![false; k * k];
-    for (&(i, j), &valid) in pairs.iter().zip(&results) {
-        if valid {
-            adj[i].push(j);
-            edge[i * k + j] = true;
-        }
+    let results =
+        crate::runtime::par_map(&pairs, threads, |&(i, j)| pair_pass(rel, live[i], live[j]));
+    let mut bits = vec![0u8; k * k];
+    for (&(i, j), v) in pairs.iter().zip(&results) {
+        let both = if v.compatible { COMPATIBLE } else { 0 };
+        bits[i * k + j] = both | if v.forward { ORDERS } else { 0 };
+        bits[j * k + i] = both | if v.backward { ORDERS } else { 0 };
     }
+    // The paper checks every ordered pair: k(k-1) single-column ODs.
+    let checks = 2 * pairs.len() as u64;
+
+    // Digraph of valid single-column ODs among live columns.
+    let adj: Vec<Vec<usize>> = (0..k)
+        .map(|i| (0..k).filter(|&j| bits[i * k + j] & ORDERS != 0).collect())
+        .collect();
 
     let sccs = tarjan_scc(&adj);
 
@@ -227,16 +332,14 @@ pub fn columns_reduction_with_threads(rel: &Relation, threads: usize) -> Reducti
     };
     let mut single_ods = Vec::new();
     let mut seen = std::collections::HashSet::new();
-    for i in 0..k {
-        for j in 0..k {
-            if edge[i * k + j] {
-                let (ci, cj) = (rep_index(live[i]), rep_index(live[j]));
-                if ci != cj && seen.insert((ci, cj)) {
-                    single_ods.push(Od::new(
-                        AttrList::single(classes[ci][0]),
-                        AttrList::single(classes[cj][0]),
-                    ));
-                }
+    for (i, successors) in adj.iter().enumerate() {
+        for &j in successors {
+            let (ci, cj) = (rep_index(live[i]), rep_index(live[j]));
+            if ci != cj && seen.insert((ci, cj)) {
+                single_ods.push(Od::new(
+                    AttrList::single(classes[ci][0]),
+                    AttrList::single(classes[cj][0]),
+                ));
             }
         }
     }
@@ -251,6 +354,7 @@ pub fn columns_reduction_with_threads(rel: &Relation, threads: usize) -> Reducti
         equivalence_classes,
         single_ods,
         checks,
+        pairs: Some(PairVerdicts { slot, k, bits }),
     }
 }
 
@@ -347,6 +451,86 @@ mod tests {
         let red = columns_reduction(&r);
         assert_eq!(red.attributes, Vec::<usize>::new());
         assert_eq!(red.constants, vec![0, 1]);
+    }
+
+    /// Column `c` of a pair-pass test relation over `n` rows. `kind`:
+    /// 0 random cells in `0..4`, -1 standing for NULL (ties and NULLs);
+    /// 1 and 2 ascending and descending staircases of width `w`; 3 all
+    /// distinct values in random order.
+    fn shaped_column(kind: u8, w: usize, cells: &[i64], n: usize) -> Vec<Value> {
+        (0..n)
+            .map(|i| match kind {
+                0 if cells[i] < 0 => Value::Null,
+                0 => Value::Int(cells[i]),
+                1 => Value::Int((i / w) as i64),
+                2 => Value::Int(((n - 1 - i) / w) as i64),
+                _ => Value::Int(cells[i] * 64 + i as i64),
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The pass's three verdicts equal `check_ocd`, `check_od(A, B)`
+        /// and `check_od(B, A)`, and the reduction's table repeats them
+        /// for every ordered pair of live columns.
+        #[test]
+        fn pair_pass_matches_sort_based_checks(
+            rows in proptest::prelude::prop::collection::vec(
+                proptest::prelude::prop::collection::vec(-1i64..4, 3..=3),
+                0..=14,
+            ),
+            kinds in proptest::prelude::prop::collection::vec(0u8..4, 3..=3),
+            widths in proptest::prelude::prop::collection::vec(1usize..=4, 3..=3),
+        ) {
+            use crate::check::{check_ocd, check_od};
+            use proptest::prop_assert_eq;
+            let n = rows.len();
+            let r = Relation::from_columns(
+                (0..3)
+                    .map(|c| {
+                        let cells: Vec<i64> = rows.iter().map(|row| row[c]).collect();
+                        (format!("c{c}"), shaped_column(kinds[c], widths[c], &cells, n))
+                    })
+                    .collect(),
+            )
+            .unwrap();
+            let red = columns_reduction(&r);
+            let table = red.pairs.as_ref().expect("the reduction keeps its verdicts");
+            for a in 0..3 {
+                for b in 0..3 {
+                    if a == b {
+                        continue;
+                    }
+                    let (x, y) = (AttrList::single(a), AttrList::single(b));
+                    let ocd = check_ocd(&r, &x, &y).is_valid();
+                    let forward = check_od(&r, &x, &y).is_valid();
+                    let backward = check_od(&r, &y, &x).is_valid();
+                    let v = pair_pass(&r, a, b);
+                    prop_assert_eq!(v.compatible, ocd, "{} ~ {}", a, b);
+                    prop_assert_eq!(v.forward, forward, "{} -> {}", a, b);
+                    prop_assert_eq!(v.backward, backward, "{} -> {}", b, a);
+                    let live = !r.meta(a).is_constant() && !r.meta(b).is_constant();
+                    prop_assert_eq!(table.ocd(&x, &y), live.then_some(ocd));
+                    prop_assert_eq!(table.od(&x, &y), live.then_some(forward));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_answers_only_single_live_columns() {
+        let r = rel(&[("a", &[1, 2, 3]), ("k", &[9, 9, 9]), ("b", &[1, 1, 2])]);
+        let red = columns_reduction(&r);
+        let table = red.pairs.as_ref().unwrap();
+        let l = AttrList::from_slice;
+        assert_eq!(table.od(&l(&[0]), &l(&[2])), Some(true));
+        assert_eq!(table.od(&l(&[2]), &l(&[0])), Some(false));
+        assert_eq!(table.ocd(&l(&[2]), &l(&[0])), Some(true));
+        assert_eq!(table.ocd(&l(&[0]), &l(&[1])), None, "constant column");
+        assert_eq!(table.ocd(&l(&[0]), &l(&[5])), None, "no such column");
+        assert_eq!(table.ocd(&l(&[0, 2]), &l(&[0])), None, "two-column side");
     }
 
     #[test]

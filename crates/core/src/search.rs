@@ -8,6 +8,10 @@
 //! `Y → X` are checked: a valid direction is emitted as an OD and prunes
 //! the extensions of its left side (Theorem 3.9); an invalid direction
 //! spawns children `XA ~ Y` (resp. `X ~ YA`) for every unused attribute `A`.
+//! Under [`CheckerBackend::SortedPartitions`], level 2 reads the three
+//! verdicts of `[A] ~ [B]` that the column reduction's pair pass already
+//! computed ([`crate::reduction`]); `Resort` keeps Algorithm 2's sort and
+//! scan at every level. The `checks` accounting is the same either way.
 //!
 //! One level-synchronous driver runs the traversal for both
 //! [`crate::config::ParallelMode`]s; `Sequential` is its one-worker case.
@@ -42,7 +46,7 @@
 use crate::check::{check_ocd, check_od_after_ocd};
 use crate::config::{CheckerBackend, DiscoveryConfig, ParallelMode};
 use crate::deps::{AttrList, Ocd, Od};
-use crate::reduction::{columns_reduction, Reduction};
+use crate::reduction::{columns_reduction, PairVerdicts, Reduction};
 use crate::results::{DiscoveryResult, LevelStats};
 use crate::runtime::{panic_message, Budget, StopCause, TerminationReason};
 use crate::scheduler::{SchedulerStats, StealQueues, WorkerSchedStats};
@@ -153,32 +157,56 @@ enum CheckerBackendState<'r> {
 /// Per-worker checker state for the configured [`CheckerBackend`].
 struct Checker<'r> {
     backend: CheckerBackendState<'r>,
+    /// The reduction's single-column verdicts, which answer level 2 under
+    /// [`CheckerBackend::SortedPartitions`]. Always `None` under `Resort`,
+    /// whose level 2 keeps the paper's sort and scan.
+    pairs: Option<&'r PairVerdicts>,
     #[cfg(any(test, feature = "fault-injection"))]
     fault: Option<Arc<crate::runtime::FaultPlan>>,
 }
 
 impl<'r> Checker<'r> {
-    fn new(rel: &'r Relation, config: &DiscoveryConfig, shared: &SharedCache) -> Checker<'r> {
-        let backend = match config.checker {
-            CheckerBackend::Resort => CheckerBackendState::Plain(rel),
-            CheckerBackend::SortedPartitions => {
+    /// A checker for `config`; `pairs` is kept only under
+    /// [`CheckerBackend::SortedPartitions`].
+    fn new(
+        rel: &'r Relation,
+        config: &DiscoveryConfig,
+        shared: &SharedCache,
+        pairs: Option<&'r PairVerdicts>,
+    ) -> Checker<'r> {
+        let (backend, pairs) = match config.checker {
+            CheckerBackend::Resort => (CheckerBackendState::Plain(rel), None),
+            CheckerBackend::SortedPartitions => (
                 CheckerBackendState::Partitions(Box::new(match shared {
                     Some(cache) => PartitionChecker::with_epoch(rel, Arc::clone(cache)),
                     None => PartitionChecker::new(rel),
-                }))
-            }
+                })),
+                pairs,
+            ),
         };
         Checker {
             backend,
+            pairs,
             #[cfg(any(test, feature = "fault-injection"))]
             fault: config.fault.clone(),
         }
+    }
+
+    /// A fresh checker replacing one that a caught panic may have left
+    /// inconsistent. The verdict table is immutable, so it carries over.
+    fn rebuilt(&self, rel: &'r Relation, config: &DiscoveryConfig, shared: &SharedCache) -> Self {
+        let mut fresh = Checker::new(rel, config, shared, self.pairs);
+        fresh.begin_level();
+        fresh
     }
 
     fn check_ocd(&mut self, x: &AttrList, y: &AttrList) -> bool {
         #[cfg(any(test, feature = "fault-injection"))]
         if let Some(plan) = &self.fault {
             plan.check_latency();
+        }
+        if let Some(valid) = self.pairs.and_then(|t| t.ocd(x, y)) {
+            return valid;
         }
         match &mut self.backend {
             CheckerBackendState::Plain(rel) => check_ocd(rel, x, y).is_valid(),
@@ -194,6 +222,9 @@ impl<'r> Checker<'r> {
         #[cfg(any(test, feature = "fault-injection"))]
         if let Some(plan) = &self.fault {
             plan.check_latency();
+        }
+        if let Some(valid) = self.pairs.and_then(|t| t.od(x, y)) {
+            return valid;
         }
         match &mut self.backend {
             CheckerBackendState::Plain(rel) => check_od_after_ocd(rel, x, y),
@@ -776,19 +807,20 @@ fn run_batch<'r>(
                     members[failed_at],
                     SpecOutcome::Panicked(panic_message(payload.as_ref())),
                 ));
-                *checker = Checker::new(rel, config, shared);
-                checker.begin_level();
+                *checker = checker.rebuilt(rel, config, shared);
                 pos = failed_at + 1;
             }
         }
     }
 }
 
-/// Drain `batches` with one worker per checker — a scoped thread each, or
-/// the calling thread when there is one checker — over hand-rolled
-/// work-stealing deques ([`StealQueues`]): the batches are dealt
-/// round-robin, and each worker pops its own deque from the front
-/// (preserving prefix locality) and steals from the back of a victim's.
+/// Drain `batches` with one worker per checker, but never more workers
+/// than batches — a scoped thread each, or the calling thread when one
+/// worker remains — over hand-rolled work-stealing deques
+/// ([`StealQueues`]): the batches are dealt round-robin, and each worker
+/// pops its own deque from the front (preserving prefix locality) and
+/// steals from the back of a victim's. Checkers beyond the batch count sit
+/// the level out.
 /// `run` executes one batch's member indexes; the `(index, outcome)`
 /// pairs land in `slots`. Afterwards every checker's buffered cache
 /// inserts are published in worker order, so epoch stamps (and hence
@@ -803,7 +835,8 @@ fn run_workers<'r, T: Send>(
     slots: &mut [Option<T>],
     run: impl Fn(&[usize], &mut Checker<'r>, &mut Vec<(usize, T)>) + Sync,
 ) -> Option<String> {
-    let queues = StealQueues::new(checkers.len(), batches.len());
+    let workers = checkers.len().min(batches.len()).max(1);
+    let queues = StealQueues::new(workers, batches.len());
     let drain = |w: usize, checker: &mut Checker<'r>, wstats: &mut WorkerSchedStats| {
         checker.begin_level();
         let mut local: Vec<(usize, T)> = Vec::new();
@@ -829,15 +862,18 @@ fn run_workers<'r, T: Send>(
         }
         Err(payload) => worker_death = Some(panic_message(payload.as_ref())),
     };
-    if let ([checker], [wstats]) = (&mut *checkers, &mut *wstats) {
+    if workers == 1 {
         // One worker runs on the calling thread: a fresh thread per level
         // measurably slowed the sequential search on `dense_search`.
-        scatter(catch_unwind(AssertUnwindSafe(|| drain(0, checker, wstats))));
+        if let (Some(checker), Some(wstats)) = (checkers.first_mut(), wstats.first_mut()) {
+            scatter(catch_unwind(AssertUnwindSafe(|| drain(0, checker, wstats))));
+        }
     } else {
         std::thread::scope(|scope| {
             let handles: Vec<_> = checkers
                 .iter_mut()
                 .zip(wstats.iter_mut())
+                .take(workers)
                 .enumerate()
                 .map(|(w, (checker, wstats))| {
                     let drain = &drain;
@@ -878,7 +914,7 @@ fn run_workers<'r, T: Send>(
 #[allow(clippy::too_many_arguments)]
 fn run_levels(
     rel: &Relation,
-    universe: &[ColumnId],
+    reduction: &Reduction,
     cursor: LevelCursor,
     config: &DiscoveryConfig,
     budget: &Budget,
@@ -888,6 +924,7 @@ fn run_levels(
     mut recorder: Option<&mut CheckpointRecorder>,
 ) -> Option<SchedulerStats> {
     let k = worker_count(config.mode);
+    let universe = reduction.attributes.as_slice();
     let LevelCursor {
         mut states,
         mut level,
@@ -896,8 +933,9 @@ fn run_levels(
     // Reused level-to-level, see `absorb_level_outcomes`.
     let mut next: Vec<Candidate> = Vec::new();
     let mut next_parts: Vec<((ColumnId, ColumnId), Vec<Candidate>)> = Vec::new();
-    let mut checkers: Vec<Checker<'_>> =
-        (0..k).map(|_| Checker::new(rel, config, shared)).collect();
+    let mut checkers: Vec<Checker<'_>> = (0..k)
+        .map(|_| Checker::new(rel, config, shared, reduction.pairs.as_ref()))
+        .collect();
     let mut sched = SchedulerStats {
         batches: 0,
         levels: 0,
@@ -1133,8 +1171,7 @@ fn run_escalation_batch<'r>(
         match verdict {
             Ok(v) => out.push((i, v)),
             Err(_) => {
-                *checker = Checker::new(rel, config, shared);
-                checker.begin_level();
+                *checker = checker.rebuilt(rel, config, shared);
                 out.push((
                     i,
                     EscalationVerdict {
@@ -1168,7 +1205,7 @@ pub(crate) fn run_escalations(
     let batches = prefix_batches(jobs, |job| job.kind.prefix());
     let workers = worker_count(config.mode);
     let mut checkers: Vec<Checker<'_>> = (0..workers)
-        .map(|_| Checker::new(rel, config, &shared))
+        .map(|_| Checker::new(rel, config, &shared, None))
         .collect();
     let mut slots: Vec<Option<EscalationVerdict>> = vec![None; jobs.len()];
     run_workers(
@@ -1185,7 +1222,7 @@ pub(crate) fn run_escalations(
         .filter(|&i| slots.get(i).is_some_and(Option::is_none))
         .collect();
     if !lost.is_empty() {
-        let mut checker = Checker::new(rel, config, &shared);
+        let mut checker = Checker::new(rel, config, &shared, None);
         let mut local: Vec<(usize, EscalationVerdict)> = Vec::new();
         run_escalation_batch(
             rel,
@@ -1242,7 +1279,7 @@ pub(crate) fn resume_after_od_invalidation(
         .collect();
     let budget = Budget::new(config, crate::runtime::now(), 0);
     let shared = shared_cache(config);
-    let mut checker = Checker::new(rel, config, &shared);
+    let mut checker = Checker::new(rel, config, &shared, None);
     let mut acc = SearchAccumulator::default();
     // The seeds all belong to one branch, so the whole `max_checks` budget
     // is its allowance.
@@ -1303,7 +1340,7 @@ pub fn profile_branches(
         let seed_pair = seed.branch();
         let budget = Budget::new(config, crate::runtime::now(), 0);
         let shared = shared_cache(config);
-        let mut checker = Checker::new(rel, config, &shared);
+        let mut checker = Checker::new(rel, config, &shared, None);
         let mut acc = SearchAccumulator::default();
         let allowance = config.max_checks.unwrap_or(u64::MAX);
         let t = crate::runtime::now();
@@ -1368,7 +1405,7 @@ pub fn discover(rel: &Relation, config: &DiscoveryConfig) -> DiscoveryResult {
     let mut failures: Vec<BranchFailure> = Vec::new();
     let scheduler = run_levels(
         rel,
-        &reduction.attributes,
+        &reduction,
         cursor,
         config,
         &budget,
@@ -1464,7 +1501,7 @@ pub fn discover_resume(
         .collect();
     let scheduler = run_levels(
         rel,
-        &reduction.attributes,
+        &reduction,
         LevelCursor::from_snapshot(snap),
         config,
         &budget,
@@ -1633,7 +1670,7 @@ mod tests {
         let reduction = run_reduction(rel, config);
         let budget = Budget::new(config, start, reduction.checks);
         let shared = shared_cache(config);
-        let mut checker = Checker::new(rel, config, &shared);
+        let mut checker = Checker::new(rel, config, &shared, None);
         let seeds = seed_candidates(&reduction.attributes);
         let allowances = branch_allowances(config.max_checks, reduction.checks, seeds.len());
         let mut acc = SearchAccumulator::default();
@@ -1974,12 +2011,19 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};
         let mut rng = StdRng::seed_from_u64(11);
+        // Three random columns plus a staircase pair of widths 3 and 5:
+        // an OCD but no OD, so the search reaches level 3, past the
+        // level-2 verdicts the reduction hands the partition checker.
         let data: Vec<(String, Vec<Value>)> = (0..5)
             .map(|c| {
                 (
                     format!("c{c}"),
-                    (0..40)
-                        .map(|_| Value::Int(rng.random_range(0..3)))
+                    (0..40i64)
+                        .map(|i| match c {
+                            3 => Value::Int(i / 3),
+                            4 => Value::Int(i / 5),
+                            _ => Value::Int(rng.random_range(0..3)),
+                        })
                         .collect(),
                 )
             })
@@ -1987,6 +2031,11 @@ mod tests {
         let r = Relation::from_columns(data).unwrap();
         let baseline = discover(&r, &DiscoveryConfig::default());
         assert!(baseline.cache.is_none(), "no shared cache by default");
+        let deep = baseline
+            .levels
+            .iter()
+            .any(|s| s.level >= 3 && s.candidates > 0);
+        assert!(deep, "the staircase pair reaches level 3");
         for backend in [CheckerBackend::Resort, CheckerBackend::SortedPartitions] {
             for mode in [ParallelMode::Sequential, ParallelMode::WorkStealing(3)] {
                 let shared = discover(
@@ -2005,8 +2054,10 @@ mod tests {
                 if backend == CheckerBackend::Resort {
                     assert!(shared.cache.is_none(), "Resort caches nothing");
                 } else {
+                    // Level 2 reads the reduction's verdicts; every deeper
+                    // candidate goes through the cache.
                     let stats = shared.cache.expect("cache stats present");
-                    assert!(stats.hits + stats.misses > 0);
+                    assert!(stats.hits + stats.misses > 0, "{mode:?}: cache unused");
                 }
             }
         }

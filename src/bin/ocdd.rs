@@ -15,6 +15,7 @@
 //!
 //! `--threads N` runs the work-stealing scheduler on N workers when N > 1
 //! and the sequential search otherwise; results are identical either way.
+//! N above [`MAX_WORKERS`] is a usage error.
 //!
 //! `--checkpoint-dir` turns on durable checkpointing: the search dumps its
 //! frontier at every level boundary (atomic tmp+fsync+rename writes), and
@@ -42,7 +43,7 @@ use ocddiscover::relation::{write_csv, TypingMode};
 use ocddiscover::{
     discover, discover_resume, latest_snapshot, manifest_hash, read_csv_path, read_snapshot,
     snapshot_to_dot, CheckpointPolicy, CsvOptions, DiscoveryConfig, DiscoveryResult, ParallelMode,
-    Relation, SampleStrategy, SearchSnapshot,
+    Relation, SampleStrategy, SearchSnapshot, MAX_WORKERS,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -116,7 +117,9 @@ fn parse_profile(args: &[String]) -> Option<ProfileArgs> {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--algo" => out.algo = iter.next()?.clone(),
-            "--threads" => threads = iter.next()?.parse().ok()?,
+            "--threads" => {
+                threads = iter.next()?.parse().ok().filter(|&t| t <= MAX_WORKERS)?;
+            }
             "--lex" => out.csv.typing = TypingMode::ForceLexicographic,
             "--epsilon" => out.epsilon = iter.next()?.parse().ok()?,
             "--sample" => out.sample = Some(iter.next()?.parse().ok()?),

@@ -34,7 +34,7 @@ pub use ocdd_core::{
     read_snapshot, snapshot_to_dot, ApproxConfig, ApproxStats, ApproximateResult, AttrList,
     CheckOutcome, CheckerBackend, CheckpointPolicy, DiscoveryConfig, DiscoveryResult, FaultPlan,
     Ocd, Od, OrderEquivalence, ParallelMode, RunController, SchedulerStats, SearchSnapshot,
-    SnapshotError, TerminationReason, WorkerSchedStats,
+    SnapshotError, TerminationReason, WorkerSchedStats, MAX_WORKERS,
 };
 pub use ocdd_relation::{
     manifest_hash, read_csv_path, read_csv_str, CsvOptions, Relation, SampleSpec, SampleStrategy,

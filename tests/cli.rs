@@ -264,3 +264,22 @@ fn mode_flag_is_rejected_with_usage() {
     assert!(err.contains("usage:"), "got: {err}");
     assert!(!err.contains("--mode"), "usage still lists --mode: {err}");
 }
+
+#[test]
+fn threads_above_the_worker_cap_print_usage() {
+    let dir = std::env::temp_dir().join("ocdd_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("many_threads.csv");
+    std::fs::write(&path, "a,b,c\n1,2,3\n2,1,3\n3,3,1\n").unwrap();
+    let csv = path.to_str().unwrap();
+    let cap = ocddiscover::MAX_WORKERS;
+    for threads in [cap + 1, 200_000] {
+        let out = ocdd(&["profile", csv, "--threads", &threads.to_string()]);
+        assert_eq!(out.status.code(), Some(2), "--threads {threads}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage:"), "--threads {threads}: {err}");
+    }
+    // At the cap, a level spawns no more threads than it has batches.
+    let out = ocdd(&["profile", csv, "--threads", &cap.to_string()]);
+    assert!(out.status.success(), "--threads {cap}: {out:?}");
+}
