@@ -132,45 +132,60 @@ echo "==> checkpoint/resume crash smoke (SIGKILL + ocdd --resume)"
 # A real child process is SIGKILLed mid-search and resumed from its newest
 # dump; the resumed JSON report must match an uninterrupted reference
 # byte-for-byte once the wall-clock/checkpoint-counter keys are stripped.
-# (The in-process kill-at-every-level sweeps live in parallel_determinism
-# and the core suite; tests/crash_resume.rs is the cargo-test twin of this
-# lane.)
+# The exact search runs first, then the approximate pipeline on the same
+# table (its report has no wall-clock or checkpoint key, so nothing is
+# stripped). (The in-process kill-at-every-level sweeps live in
+# parallel_determinism and the core suite; tests/crash_resume.rs is the
+# cargo-test twin of this lane.)
 cargo build -q --features fault-injection
 OCDD_BIN=target/debug/ocdd
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 "$OCDD_BIN" dataset hepatitis --rows 150 >"$SMOKE_DIR/table.csv"
-"$OCDD_BIN" profile "$SMOKE_DIR/table.csv" --json --out "$SMOKE_DIR/ref.json" >/dev/null
-"$OCDD_BIN" profile "$SMOKE_DIR/table.csv" \
-    --checkpoint-dir "$SMOKE_DIR/ckpt" --checkpoint-keep 0 \
-    --check-delay-ms 3 --json --out "$SMOKE_DIR/crash.json" >/dev/null 2>&1 &
-SMOKE_PID=$!
-for _ in $(seq 1 600); do
-    if compgen -G "$SMOKE_DIR/ckpt/ckpt-*.json" >/dev/null; then break; fi
-    if ! kill -0 "$SMOKE_PID" 2>/dev/null; then
-        echo "resume smoke: checkpointed run finished before any dump was seen"
-        exit 1
-    fi
-    sleep 0.1
-done
-sleep 0.3 # let it get into the level so the kill lands mid-work
-kill -9 "$SMOKE_PID" 2>/dev/null || true
-wait "$SMOKE_PID" 2>/dev/null || true
-"$OCDD_BIN" profile "$SMOKE_DIR/table.csv" --resume "$SMOKE_DIR/ckpt" \
-    --json --out "$SMOKE_DIR/res.json" >/dev/null
+# resume_smoke <tag> [profile flags...]: an uninterrupted reference in
+# $SMOKE_DIR/<tag>/ref.json, the SIGKILLed-and-resumed report in res.json.
+resume_smoke() {
+    local tag="$1" dir="$SMOKE_DIR/$1"
+    shift
+    mkdir -p "$dir"
+    "$OCDD_BIN" profile "$SMOKE_DIR/table.csv" "$@" --json --out "$dir/ref.json" >/dev/null
+    "$OCDD_BIN" profile "$SMOKE_DIR/table.csv" "$@" \
+        --checkpoint-dir "$dir/ckpt" --checkpoint-keep 0 \
+        --check-delay-ms 3 --json --out "$dir/crash.json" >/dev/null 2>&1 &
+    local pid=$!
+    for _ in $(seq 1 600); do
+        if compgen -G "$dir/ckpt/ckpt-*.json" >/dev/null; then break; fi
+        if ! kill -0 "$pid" 2>/dev/null; then
+            echo "resume smoke ($tag): checkpointed run finished before any dump was seen"
+            exit 1
+        fi
+        sleep 0.1
+    done
+    sleep 0.3 # let it get into the level so the kill lands mid-work
+    kill -9 "$pid" 2>/dev/null || true
+    wait "$pid" 2>/dev/null || true
+    "$OCDD_BIN" profile "$SMOKE_DIR/table.csv" "$@" --resume "$dir/ckpt" \
+        --json --out "$dir/res.json" >/dev/null
+}
+resume_smoke exact
 normalize='s/"elapsed_ms":[0-9.]*,//; s/"checkpoint":{[^}]*},//'
-sed "$normalize" "$SMOKE_DIR/ref.json" >"$SMOKE_DIR/ref.norm"
-sed "$normalize" "$SMOKE_DIR/res.json" >"$SMOKE_DIR/res.norm"
-diff "$SMOKE_DIR/ref.norm" "$SMOKE_DIR/res.norm" || {
+sed "$normalize" "$SMOKE_DIR/exact/ref.json" >"$SMOKE_DIR/exact/ref.norm"
+sed "$normalize" "$SMOKE_DIR/exact/res.json" >"$SMOKE_DIR/exact/res.norm"
+diff "$SMOKE_DIR/exact/ref.norm" "$SMOKE_DIR/exact/res.norm" || {
     echo "resume smoke: resumed report differs from the uninterrupted reference"
     exit 1
 }
-"$OCDD_BIN" dump-dot "$SMOKE_DIR/ckpt" --csv "$SMOKE_DIR/table.csv" |
+"$OCDD_BIN" dump-dot "$SMOKE_DIR/exact/ckpt" --csv "$SMOKE_DIR/table.csv" |
     grep -q '^digraph ocdd_lattice {' || {
     echo "resume smoke: dump-dot did not emit a DOT digraph"
     exit 1
 }
-echo "resume smoke: SIGKILLed run resumed byte-identically; dump-dot ok"
+resume_smoke approx --algo approx --sample 60 --epsilon 0.05
+diff "$SMOKE_DIR/approx/ref.json" "$SMOKE_DIR/approx/res.json" || {
+    echo "resume smoke: resumed approximate report differs from the uninterrupted reference"
+    exit 1
+}
+echo "resume smoke: SIGKILLed exact and approximate runs resumed byte-identically; dump-dot ok"
 
 if [[ "${OCDD_CI_LOOM:-0}" == "1" ]]; then
     echo "==> loom interleaving models (ocdd-core --features loom)"

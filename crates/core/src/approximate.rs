@@ -26,12 +26,14 @@
 //!
 //! # The sample-first pipeline
 //!
-//! [`discover_approximate_with`] runs the OCDDISCOVER traversal against a
+//! [`discover_approximate_with`] runs the OCDDISCOVER traversal on the
+//! same level driver as the exact search (`crate::search`), against a
 //! deterministic, seeded row sample ([`ocdd_relation::sample`], DESIGN.md
-//! §14) instead of the full relation. Per candidate it computes the
-//! swap/split error *estimate* on the sample, widens it by a
-//! Hoeffding-style confidence half-width ([`hoeffding_half_width`]) and
-//! triages ([`triage`]):
+//! §14) instead of the full relation: the ε-triage is a mode of the
+//! driver's per-worker checker. Per check it computes the swap/split
+//! error *estimate* on the sample, widens it by a Hoeffding-style
+//! confidence half-width ([`hoeffding_half_width`]) and triages
+//! ([`triage`]):
 //!
 //! * **Accept** — estimate + half-width ≤ ε: emitted on the sample's
 //!   evidence alone (heuristic: the full-data error could exceed ε with
@@ -41,12 +43,17 @@
 //!   in the same heuristic sense the fixed-threshold checker always had
 //!   (approximate ODs are not downward closed), and the rejection itself
 //!   errs on the side of pruning only clearly-bad candidates.
-//! * **Borderline** — the interval straddles ε: the candidate is
-//!   *escalated* to a full-data check, batched onto the work-stealing
-//!   scheduler with the blockwise scan kernels and epoch prefix caches
-//!   (`crate::search::run_escalations`). A full-data-exact OCD lets the
-//!   OD directions reuse the fused split-only `check_od_after_ocd` scan
-//!   instead of a fresh error decomposition.
+//! * **Borderline** — the interval straddles ε: the check *escalates*
+//!   inline to a full-data check on the same worker's exact backend,
+//!   where the batch's prefix partition is already warm. A full-data-exact
+//!   OCD lets the OD directions reuse the fused split-only
+//!   `check_od_after_ocd` scan instead of a fresh error decomposition.
+//!
+//! Each candidate's triage counts and OCD error travel in its driver
+//! emission, so budgets, branch quarantine, checkpoints and resume follow
+//! the exact search's rules (DESIGN.md §8, §13). Approximate runs skip the
+//! column reduction: near-constant columns are precisely what ε-tolerance
+//! is for.
 //!
 //! With `sample_rows >= rel.num_rows()` (or `None`) the sample is the
 //! relation itself, the half-width is zero, nothing is ever borderline,
@@ -61,12 +68,11 @@
 
 use crate::config::DiscoveryConfig;
 use crate::deps::{AttrList, Ocd, Od};
-use crate::runtime::{Budget, TerminationReason};
-use crate::search::{EscalationJob, EscalationKind, EscalationVerdict};
+use crate::runtime::TerminationReason;
+use crate::snapshot::{to_micros, ApproxMeta, SearchSnapshot, SnapshotError};
 use ocdd_relation::scan::{note_scan, select_kernel, BlockEq, ScanKernel, BLOCK_PAIRS};
 use ocdd_relation::sort::{cmp_rows, sort_index_by};
 use ocdd_relation::{manifest_hash, ColumnId, Relation, Sample, SampleSpec, SampleStrategy};
-use std::collections::BTreeSet;
 
 /// Row passes one error decomposition costs — the documented cost model
 /// behind [`ApproxStats::sample_row_scans`] / [`ApproxStats::full_row_scans`]
@@ -489,9 +495,12 @@ pub fn triage(estimate: f64, half_width: f64, epsilon: f64) -> Triage {
 /// Configuration of the sample-first pipeline.
 #[derive(Debug, Clone)]
 pub struct ApproxConfig {
-    /// The underlying discovery configuration (budget, level cap, mode —
-    /// the escalation waves run on the search driver's workers,
-    /// checker/cache knobs are honored by the escalation checkers).
+    /// The underlying discovery configuration. The run uses the exact
+    /// search's level driver, so its mode, budgets (`max_checks` as
+    /// per-branch allowances), level cap, candidate dedup, checkpoints and
+    /// fault hooks apply as they do there; the checker and cache knobs
+    /// pick the backend that borderline checks escalate to.
+    /// `column_reduction` is ignored: approximate runs never reduce.
     pub base: DiscoveryConfig,
     /// Target sample size; `None` (or any value ≥ the relation's rows)
     /// runs exhaustively on the full data.
@@ -646,116 +655,293 @@ pub fn discover_approximate(
     )
 }
 
-/// Direction verdict of a pending (escalation-bearing) candidate.
-#[derive(Debug, Clone, Copy)]
-enum DirState {
-    /// Not yet evaluated (OCD still escalated).
-    Unknown,
-    /// Holds at ε.
-    Holds,
-    /// Fails at ε: extend the children.
-    Fails,
-    /// Escalated; index into the OD wave's job list.
-    Escalated(usize),
-}
-
-/// A candidate whose verdict needs a full-data escalation wave.
-struct Pending {
-    x: AttrList,
-    y: AttrList,
-    /// Index into the OCD wave's job list, when the OCD itself was
-    /// borderline.
-    ocd_job: Option<usize>,
-    /// Best-known OCD swap error as a `(removals, rows)` rational —
-    /// the sample estimate until a full-data verdict replaces it.
-    ocd_err: (usize, usize),
-    /// `[x → y, y → x]` verdicts.
-    dirs: [DirState; 2],
-    /// Dropped without budget spend (escalation skipped by a stopped
-    /// budget); mirrors the exact search dropping unprocessed candidates.
-    dropped: bool,
-    /// OCD escalation came back above tolerance: prune, spend 1.
-    rejected: bool,
-}
-
-/// Per-level working state the pipeline threads through its phases.
-struct LevelCtx<'a> {
-    sample_rel: &'a Relation,
-    hw: f64,
+/// The ε-triage of an approximate run: the mode the search driver's
+/// per-worker checker runs in (`crate::search`). Every check is estimated
+/// on the sample and triaged with the Hoeffding half-width; a borderline
+/// one escalates inline to the same checker's exact backend on the full
+/// relation, where the batch's prefix is already warm.
+pub(crate) struct SampleTriage<'r> {
+    /// The full relation, which escalations measure.
+    rel: &'r Relation,
+    /// The sample: the relation itself when the run is exhaustive.
+    sample: &'r Relation,
+    /// Confidence half-width of every estimate (0 when exhaustive,
+    /// infinite for an empty sample of a non-empty relation).
+    half_width: f64,
+    /// Allowed row-removal fraction per error component.
     epsilon: f64,
+    /// The sample is the whole relation: estimates are exact, and their
+    /// passes count as full-data passes.
     exhaustive: bool,
-    sample_passes: u64,
 }
 
-impl LevelCtx<'_> {
-    /// Estimate both OD directions of an accepted OCD on the sample and
-    /// triage them; borderline directions queue an escalation job.
-    fn triage_directions(
-        &mut self,
+/// Triage accounting of one candidate. It travels in the candidate's
+/// driver emission, and the post-filter sums it into the run's
+/// [`ApproxStats`] counters exactly as it sums `checks`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct TriageTally {
+    /// See [`ApproxStats::estimated`].
+    pub(crate) estimated: u64,
+    /// See [`ApproxStats::accepted_by_sample`].
+    pub(crate) accepted_by_sample: u64,
+    /// See [`ApproxStats::rejected_by_sample`].
+    pub(crate) rejected_by_sample: u64,
+    /// See [`ApproxStats::escalated`].
+    pub(crate) escalated: u64,
+    /// See [`ApproxStats::sample_row_scans`].
+    pub(crate) sample_row_scans: u64,
+    /// See [`ApproxStats::full_row_scans`].
+    pub(crate) full_row_scans: u64,
+}
+
+impl std::ops::AddAssign for TriageTally {
+    fn add_assign(&mut self, other: TriageTally) {
+        self.estimated += other.estimated;
+        self.accepted_by_sample += other.accepted_by_sample;
+        self.rejected_by_sample += other.rejected_by_sample;
+        self.escalated += other.escalated;
+        self.sample_row_scans += other.sample_row_scans;
+        self.full_row_scans += other.full_row_scans;
+    }
+}
+
+/// An OCD the triage let through.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TriagedOcd {
+    /// Swap removals on the measured instance: the sample for a sample
+    /// accept, the full data after an escalation.
+    pub(crate) removals: usize,
+    /// Rows of the measured instance.
+    pub(crate) rows: usize,
+    /// The full data proved the OCD exact, so a borderline OD direction
+    /// may use the fused split-only scan.
+    pub(crate) full_exact: bool,
+}
+
+impl SampleTriage<'_> {
+    /// Charge one sample estimate to `tally`.
+    fn charge_estimate(&self, est: &OdError, tally: &mut TriageTally) {
+        tally.estimated += 1;
+        let passes = ERR_PASSES * est.rows as u64;
+        if self.exhaustive {
+            tally.full_row_scans += passes;
+        } else {
+            tally.sample_row_scans += passes;
+        }
+    }
+
+    /// The OCD `x ~ y` at ε, or `None` when it fails. A borderline
+    /// estimate escalates to `exact`, the checker's full-data check, and
+    /// when that fails at ε > 0 to the full error decomposition.
+    pub(crate) fn ocd(
+        &self,
         x: &AttrList,
         y: &AttrList,
-        ocd_exact: bool,
-        od_jobs: &mut Vec<EscalationJob>,
-        stats: &mut ApproxStats,
-    ) -> [DirState; 2] {
-        let mut dirs = [DirState::Unknown; 2];
-        // lint: allow(unprobed-loop, exactly two iterations, one per OD direction)
-        for (d, dir) in dirs.iter_mut().enumerate() {
-            let forward = d == 0;
-            let (lhs, rhs) = if forward { (x, y) } else { (y, x) };
-            let est = od_error(self.sample_rel, lhs, rhs);
-            self.sample_passes += ERR_PASSES * est.rows as u64;
-            stats.estimated += 1;
-            // Accept needs *both* components clearly within ε
-            // (`worst + hw ≤ ε`); reject needs *either* clearly beyond it,
-            // which holds exactly when the worse one is (`worst − hw > ε`).
-            let worst = est.swap_error().max(est.split_error());
-            *dir = if worst + self.hw <= self.epsilon {
-                stats.accepted_by_sample += 1;
-                DirState::Holds
-            } else if worst - self.hw > self.epsilon {
-                stats.rejected_by_sample += 1;
-                DirState::Fails
-            } else {
-                stats.escalated += 1;
-                let job = od_jobs.len();
-                od_jobs.push(EscalationJob {
-                    kind: EscalationKind::Od {
-                        x: x.clone(),
-                        y: y.clone(),
-                        forward,
-                        ocd_exact,
-                    },
-                    need_error: self.epsilon > 0.0,
-                });
-                DirState::Escalated(job)
-            };
+        tally: &mut TriageTally,
+        exact: impl FnOnce() -> bool,
+    ) -> Option<TriagedOcd> {
+        let est = ocd_error(self.sample, x, y);
+        self.charge_estimate(&est, tally);
+        match triage(est.swap_error(), self.half_width, self.epsilon) {
+            Triage::Reject => {
+                tally.rejected_by_sample += 1;
+                None
+            }
+            Triage::Accept => {
+                tally.accepted_by_sample += 1;
+                Some(TriagedOcd {
+                    removals: est.swap_removals,
+                    rows: est.rows,
+                    // A sample accept proves exactness only when the
+                    // sample is the full data.
+                    full_exact: self.exhaustive && est.swap_removals == 0,
+                })
+            }
+            Triage::Borderline => {
+                tally.escalated += 1;
+                let m = self.rel.num_rows();
+                tally.full_row_scans += m as u64;
+                if exact() {
+                    return Some(TriagedOcd {
+                        removals: 0,
+                        rows: m,
+                        full_exact: true,
+                    });
+                }
+                if self.epsilon <= 0.0 {
+                    return None;
+                }
+                let e = ocd_error(self.rel, x, y);
+                tally.full_row_scans += ERR_PASSES * m as u64;
+                (e.swap_error() <= self.epsilon).then_some(TriagedOcd {
+                    removals: e.swap_removals,
+                    rows: e.rows,
+                    full_exact: false,
+                })
+            }
         }
-        dirs
+    }
+
+    /// The direction `lhs → rhs` of a candidate whose OCD `ocd` let
+    /// through. Accept needs *both* error components clearly within ε;
+    /// reject needs *either* clearly beyond it, which holds exactly when
+    /// the worse one is. A borderline estimate escalates: after a
+    /// full-data-exact OCD to `fused`, which re-runs the checker's OCD
+    /// check and then its split-only scan (`None` when the OCD check
+    /// fails); otherwise, or when that scan fails at ε > 0, to the full
+    /// error decomposition.
+    pub(crate) fn od(
+        &self,
+        lhs: &AttrList,
+        rhs: &AttrList,
+        ocd: TriagedOcd,
+        tally: &mut TriageTally,
+        fused: impl FnOnce() -> Option<bool>,
+    ) -> bool {
+        let est = od_error(self.sample, lhs, rhs);
+        self.charge_estimate(&est, tally);
+        let worst = est.swap_error().max(est.split_error());
+        match triage(worst, self.half_width, self.epsilon) {
+            Triage::Accept => {
+                tally.accepted_by_sample += 1;
+                return true;
+            }
+            Triage::Reject => {
+                tally.rejected_by_sample += 1;
+                return false;
+            }
+            Triage::Borderline => tally.escalated += 1,
+        }
+        let m = self.rel.num_rows() as u64;
+        if ocd.full_exact {
+            if let Some(valid) = fused() {
+                tally.full_row_scans += 2 * m;
+                if valid {
+                    return true;
+                }
+                if self.epsilon <= 0.0 {
+                    return false;
+                }
+            }
+        }
+        let e = od_error(self.rel, lhs, rhs);
+        tally.full_row_scans += ERR_PASSES * m;
+        e.is_exact() || e.holds_at(self.epsilon)
+    }
+}
+
+/// The sample of one approximate run, with the [`ApproxStats`] fields
+/// that are fixed before the search starts.
+struct SampledRun {
+    /// The drawn sample; `None` when the run is exhaustive.
+    sample: Option<Sample>,
+    stats: ApproxStats,
+}
+
+impl SampledRun {
+    fn draw(rel: &Relation, cfg: &ApproxConfig) -> SampledRun {
+        let m = rel.num_rows();
+        let spec = cfg.sample_spec(m);
+        let exhaustive = spec.rows >= m;
+        // The exhaustive "sample" is the relation itself — no copy, and the
+        // degenerate pipeline is byte-identical to full-data discovery.
+        let sample = (!exhaustive).then(|| Sample::build(rel, &spec));
+        let stats = ApproxStats {
+            sample_rows: sample.as_ref().map_or(m, |s| s.relation.num_rows()),
+            total_rows: m,
+            seed: cfg.seed,
+            sample_manifest: sample
+                .as_ref()
+                .map_or_else(|| manifest_hash(rel), |s| s.provenance.sample_manifest),
+            exhaustive,
+            ..ApproxStats::default()
+        };
+        SampledRun { sample, stats }
+    }
+
+    /// The sampling metadata every checkpoint dump of the run carries;
+    /// the dump fills in the accumulated errors and counters.
+    fn meta(&self, cfg: &ApproxConfig) -> ApproxMeta {
+        ApproxMeta {
+            seed: cfg.seed,
+            sample_rows: self.stats.sample_rows as u64,
+            total_rows: self.stats.total_rows as u64,
+            strategy: cfg.strategy.label().to_string(),
+            strategy_column: cfg.strategy.column().map(|c| c as u64),
+            sample_manifest: self.stats.sample_manifest,
+            epsilon_micros: to_micros(cfg.epsilon),
+            confidence_micros: to_micros(cfg.confidence),
+            ..ApproxMeta::default()
+        }
+    }
+
+    /// Run the search from the level-2 seeds, or from `resume`'s boundary,
+    /// on the level driver with every checker in triage mode.
+    fn run(
+        self,
+        rel: &Relation,
+        cfg: &ApproxConfig,
+        resume: Option<&SearchSnapshot>,
+    ) -> ApproximateResult {
+        let sample_rel = self.sample.as_ref().map_or(rel, |s| &s.relation);
+        let s = sample_rel.num_rows();
+        let exhaustive = self.stats.exhaustive;
+        // Exhaustive estimates are exact (zero width); an empty sample of a
+        // non-empty relation can prove nothing, so everything escalates.
+        let half_width = if exhaustive {
+            0.0
+        } else if s == 0 {
+            f64::INFINITY
+        } else {
+            hoeffding_half_width(s, cfg.confidence)
+        };
+        let triage = SampleTriage {
+            rel,
+            sample: sample_rel,
+            half_width,
+            epsilon: cfg.epsilon,
+            exhaustive,
+        };
+        let meta = self.meta(cfg);
+        let (mut out, tally) =
+            crate::search::discover_triaged(rel, &cfg.base, &triage, meta, resume);
+        let mut stats = self.stats;
+        stats.estimated = tally.estimated;
+        stats.accepted_by_sample = tally.accepted_by_sample;
+        stats.rejected_by_sample = tally.rejected_by_sample;
+        stats.escalated = tally.escalated;
+        stats.sample_row_scans = tally.sample_row_scans;
+        stats.full_row_scans = tally.full_row_scans;
+        stats.full_checks_saved = if exhaustive {
+            0
+        } else {
+            tally.estimated.saturating_sub(tally.escalated)
+        };
+        out.approx = Some(stats);
+        out
     }
 }
 
 /// The sample-first discovery pipeline (see the module docs).
 pub fn discover_approximate_with(rel: &Relation, cfg: &ApproxConfig) -> ApproximateResult {
-    run_pipeline(rel, cfg, None)
+    SampledRun::draw(rel, cfg).run(rel, cfg, None)
 }
 
 /// Resume an approximate run from a checkpoint dump.
 ///
-/// Beyond the exact resume's version/manifest/config gates
+/// Beyond the exact resume's version/manifest/config/consistency gates
 /// ([`crate::SearchSnapshot::validate`]), the dump's sampling metadata
 /// must match the resume configuration *and* the sample re-drawn from it
 /// must hash to the dumped sample manifest — the resumed levels are
 /// triaged against the very rows the interrupted run saw, so the combined
-/// run equals an uninterrupted one. Any mismatch is rejected with
-/// [`crate::SnapshotError::SampleMismatch`], mirroring the manifest-hash
-/// check on the parent relation.
+/// run equals an uninterrupted one, [`ApproxStats`] included. Any
+/// mismatch is rejected with [`crate::SnapshotError::SampleMismatch`],
+/// mirroring the manifest-hash check on the parent relation.
 pub fn discover_approximate_resume(
     rel: &Relation,
     cfg: &ApproxConfig,
-    snap: &crate::snapshot::SearchSnapshot,
-) -> Result<ApproximateResult, crate::snapshot::SnapshotError> {
-    use crate::snapshot::{to_micros, SnapshotError};
+    snap: &SearchSnapshot,
+) -> Result<ApproximateResult, SnapshotError> {
     snap.validate(rel, &cfg.base)?;
     let Some(meta) = &snap.approx else {
         return Err(SnapshotError::SampleMismatch("approx"));
@@ -776,18 +962,13 @@ pub fn discover_approximate_resume(
         return Err(SnapshotError::SampleMismatch("confidence"));
     }
     let m = rel.num_rows();
-    let spec = cfg.sample_spec(m);
-    if meta.sample_rows != spec.rows as u64 || meta.total_rows != m as u64 {
+    if meta.sample_rows != cfg.sample_spec(m).rows as u64 || meta.total_rows != m as u64 {
         return Err(SnapshotError::SampleMismatch("sample_rows"));
     }
     // Re-draw the sample and require the same bytes (manifest) the
     // interrupted run triaged on.
-    let sample_manifest = if spec.rows >= m {
-        manifest_hash(rel)
-    } else {
-        Sample::build(rel, &spec).provenance.sample_manifest
-    };
-    if meta.sample_manifest != sample_manifest {
+    let run = SampledRun::draw(rel, cfg);
+    if meta.sample_manifest != run.stats.sample_manifest {
         return Err(SnapshotError::SampleMismatch("sample_manifest"));
     }
     if meta.ocd_errors.len() != snap.ocds.len() {
@@ -795,380 +976,18 @@ pub fn discover_approximate_resume(
             "approx.ocd_errors must align with the ocds array".to_string(),
         ));
     }
-    let mut ocds = Vec::with_capacity(snap.ocds.len());
-    // lint: allow(unprobed-loop, bounded by snap.ocds.len(): one metadata record per already-discovered OCD)
-    for (p, &(removals, rows)) in snap.ocds.iter().zip(&meta.ocd_errors) {
-        // Snapshot counts are serialized as u64; on 32-bit hosts they may
-        // not fit usize, so reject rather than silently truncate.
-        let removals = usize::try_from(removals).map_err(|_| {
-            SnapshotError::Parse("approx.ocd_errors removal count overflows usize".to_string())
-        })?;
-        let rows = usize::try_from(rows).map_err(|_| {
-            SnapshotError::Parse("approx.ocd_errors row count overflows usize".to_string())
-        })?;
-        ocds.push(ApproximateOcd::from_parts(
-            Ocd::new(AttrList::from_slice(&p.x), AttrList::from_slice(&p.y)),
-            removals,
-            rows,
+    // Snapshot counts are serialized as u64; on 32-bit hosts they may
+    // not fit usize, so reject rather than silently truncate.
+    if meta
+        .ocd_errors
+        .iter()
+        .any(|&(removals, rows)| usize::try_from(removals.max(rows)).is_err())
+    {
+        return Err(SnapshotError::Parse(
+            "approx.ocd_errors count overflows usize".to_string(),
         ));
     }
-    let ods = snap
-        .ods
-        .iter()
-        .map(|p| Od::new(AttrList::from_slice(&p.x), AttrList::from_slice(&p.y)))
-        .collect();
-    let level = snap
-        .frontier
-        .iter()
-        .map(|p| (AttrList::from_slice(&p.x), AttrList::from_slice(&p.y)))
-        .collect();
-    Ok(run_pipeline(
-        rel,
-        cfg,
-        Some(ApproxResumeState {
-            level_no: snap.level,
-            level,
-            ocds,
-            ods,
-            checks: snap.checks,
-        }),
-    ))
-}
-
-/// Resumed state handed to [`run_pipeline`] by
-/// [`crate::discover_approximate_resume`].
-pub(crate) struct ApproxResumeState {
-    /// Level number of the dumped frontier.
-    pub(crate) level_no: usize,
-    /// The dumped frontier.
-    pub(crate) level: Vec<(AttrList, AttrList)>,
-    /// Accumulated OCDs (with their error rationals).
-    pub(crate) ocds: Vec<ApproximateOcd>,
-    /// Accumulated ODs.
-    pub(crate) ods: Vec<Od>,
-    /// Checks spent before the dump.
-    pub(crate) checks: u64,
-}
-
-/// Pipeline driver, shared by the fresh and resumed entry points.
-pub(crate) fn run_pipeline(
-    rel: &Relation,
-    cfg: &ApproxConfig,
-    resume: Option<ApproxResumeState>,
-) -> ApproximateResult {
-    let start = crate::runtime::now();
-    let m = rel.num_rows();
-    let spec = cfg.sample_spec(m);
-    let exhaustive = spec.rows >= m;
-    // The exhaustive "sample" is the relation itself — no copy, and the
-    // degenerate pipeline is byte-identical to full-data discovery.
-    let sample_store: Option<Sample> = if exhaustive {
-        None
-    } else {
-        Some(Sample::build(rel, &spec))
-    };
-    let sample_rel: &Relation = sample_store.as_ref().map_or(rel, |s| &s.relation);
-    let s = sample_rel.num_rows();
-    let mut stats = ApproxStats {
-        sample_rows: s,
-        total_rows: m,
-        seed: cfg.seed,
-        sample_manifest: sample_store
-            .as_ref()
-            .map_or_else(|| manifest_hash(rel), |smp| smp.provenance.sample_manifest),
-        exhaustive,
-        ..ApproxStats::default()
-    };
-    // Exhaustive estimates are exact (zero width); an empty sample of a
-    // non-empty relation can prove nothing, so everything escalates.
-    let hw = if exhaustive {
-        0.0
-    } else if s == 0 {
-        f64::INFINITY
-    } else {
-        hoeffding_half_width(s, cfg.confidence)
-    };
-
-    // Same amortized budget as the exhaustive search; see
-    // `discover_bidirectional` for the polling contract.
-    let initial_checks = resume.as_ref().map_or(0, |r| r.checks);
-    let budget = Budget::new(&cfg.base, start, initial_checks);
-    let mut level_capped = false;
-    let mut out = ApproximateResult::default();
-
-    // Approximate runs skip column reduction: near-constant columns are
-    // precisely what ε-tolerance is for.
-    let universe: Vec<usize> = (0..rel.num_columns()).collect();
-    let (mut level, mut level_no) = match resume {
-        Some(st) => {
-            out.ocds = st.ocds;
-            out.ods = st.ods;
-            (st.level, st.level_no)
-        }
-        None => {
-            let mut seed_level: Vec<(AttrList, AttrList)> = Vec::new();
-            // lint: allow(unprobed-loop, level-2 seeding, bounded by the reduced universe width squared)
-            for (i, &a) in universe.iter().enumerate() {
-                for &b in &universe[i + 1..] {
-                    seed_level.push((AttrList::single(a), AttrList::single(b)));
-                }
-            }
-            (seed_level, 2usize)
-        }
-    };
-
-    let mut recorder = crate::snapshot::approx_recorder(rel, cfg, &stats);
-    if let Some(rec) = recorder.as_mut() {
-        rec.record_boundary(level_no, &level, &out, &budget);
-    }
-
-    'outer: while !level.is_empty() {
-        if cfg.base.max_level.is_some_and(|max| level_no > max) {
-            level_capped = true;
-            break;
-        }
-        let mut next: Vec<(AttrList, AttrList)> = Vec::new();
-        let mut ctx = LevelCtx {
-            sample_rel,
-            hw,
-            epsilon: cfg.epsilon,
-            exhaustive,
-            sample_passes: 0,
-        };
-        let mut pending: Vec<Pending> = Vec::new();
-        let mut ocd_jobs: Vec<EscalationJob> = Vec::new();
-        let mut od_jobs: Vec<EscalationJob> = Vec::new();
-
-        // Phase A — estimate every candidate on the sample; candidates
-        // fully decided by the sample finalize inline (identical control
-        // flow, spends and emission order to the pre-pipeline checker in
-        // the exhaustive case); escalation-bearing ones go to `pending`.
-        for (x, y) in &level {
-            if !budget.probe() {
-                break 'outer;
-            }
-            let est = ocd_error(sample_rel, x, y);
-            ctx.sample_passes += ERR_PASSES * est.rows as u64;
-            stats.estimated += 1;
-            match triage(est.swap_error(), hw, cfg.epsilon) {
-                Triage::Reject => {
-                    stats.rejected_by_sample += 1;
-                    budget.spend(1);
-                }
-                Triage::Accept => {
-                    stats.accepted_by_sample += 1;
-                    // A sample accept proves exactness only when the
-                    // sample is the full data.
-                    let ocd_exact = exhaustive && est.swap_removals == 0;
-                    let dirs = ctx.triage_directions(x, y, ocd_exact, &mut od_jobs, &mut stats);
-                    if dirs
-                        .iter()
-                        .any(|d| matches!(d, DirState::Escalated(_) | DirState::Unknown))
-                    {
-                        pending.push(Pending {
-                            x: x.clone(),
-                            y: y.clone(),
-                            ocd_job: None,
-                            ocd_err: (est.swap_removals, est.rows),
-                            dirs,
-                            dropped: false,
-                            rejected: false,
-                        });
-                    } else {
-                        finalize_candidate(
-                            x,
-                            y,
-                            (est.swap_removals, est.rows),
-                            &dirs,
-                            &universe,
-                            &mut out,
-                            &mut next,
-                        );
-                        budget.spend(3);
-                    }
-                }
-                Triage::Borderline => {
-                    stats.escalated += 1;
-                    let job = ocd_jobs.len();
-                    ocd_jobs.push(EscalationJob {
-                        kind: EscalationKind::Ocd {
-                            x: x.clone(),
-                            y: y.clone(),
-                        },
-                        need_error: cfg.epsilon > 0.0,
-                    });
-                    pending.push(Pending {
-                        x: x.clone(),
-                        y: y.clone(),
-                        ocd_job: Some(job),
-                        ocd_err: (est.swap_removals, est.rows),
-                        dirs: [DirState::Unknown; 2],
-                        dropped: false,
-                        rejected: false,
-                    });
-                }
-            }
-        }
-
-        // Phase B — OCD escalation wave on the full data; survivors get
-        // their OD directions estimated (possibly queueing OD jobs).
-        if !ocd_jobs.is_empty() {
-            let verdicts = crate::search::run_escalations(rel, &cfg.base, &ocd_jobs, &budget);
-            stats.full_row_scans += verdicts.iter().map(|v| v.rows_scanned).sum::<u64>();
-            // lint: allow(unprobed-loop, one pass over the level's pending candidates; the escalation waves around it poll the budget per job)
-            for p in pending.iter_mut() {
-                let Some(job) = p.ocd_job else { continue };
-                let Some(v) = verdicts.get(job) else {
-                    p.dropped = true;
-                    continue;
-                };
-                if v.skipped {
-                    p.dropped = true;
-                    continue;
-                }
-                let holds = v.exact || v.error.is_some_and(|e| e.swap_error() <= cfg.epsilon);
-                if !holds {
-                    p.rejected = true;
-                    continue;
-                }
-                p.ocd_err = match v.error {
-                    Some(e) => (e.swap_removals, e.rows),
-                    None => (0, m),
-                };
-                if budget.is_stopped() {
-                    p.dropped = true;
-                    continue;
-                }
-                p.dirs = ctx.triage_directions(&p.x, &p.y, v.exact, &mut od_jobs, &mut stats);
-            }
-        }
-
-        // Phase C — OD escalation wave (directions from phases A and B).
-        let od_verdicts: Vec<EscalationVerdict> = if od_jobs.is_empty() {
-            Vec::new()
-        } else {
-            let verdicts = crate::search::run_escalations(rel, &cfg.base, &od_jobs, &budget);
-            stats.full_row_scans += verdicts.iter().map(|v| v.rows_scanned).sum::<u64>();
-            verdicts
-        };
-
-        // Phase D — finalize pending candidates in level order.
-        for p in &pending {
-            if p.dropped {
-                continue;
-            }
-            if p.rejected {
-                budget.spend(1);
-                continue;
-            }
-            let mut dirs = [DirState::Unknown; 2];
-            let mut dropped = false;
-            // lint: allow(unprobed-loop, exactly two iterations, one per OD direction)
-            for (d, dir) in p.dirs.iter().enumerate() {
-                dirs[d] = match dir {
-                    DirState::Escalated(job) => match od_verdicts.get(*job) {
-                        Some(v) if !v.skipped => {
-                            let holds = v.exact || v.error.is_some_and(|e| e.holds_at(cfg.epsilon));
-                            if holds {
-                                DirState::Holds
-                            } else {
-                                DirState::Fails
-                            }
-                        }
-                        _ => {
-                            dropped = true;
-                            DirState::Unknown
-                        }
-                    },
-                    DirState::Unknown => {
-                        dropped = true;
-                        DirState::Unknown
-                    }
-                    other => *other,
-                };
-            }
-            if dropped {
-                continue;
-            }
-            finalize_candidate(&p.x, &p.y, p.ocd_err, &dirs, &universe, &mut out, &mut next);
-            budget.spend(3);
-        }
-
-        if ctx.exhaustive {
-            stats.full_row_scans += ctx.sample_passes;
-        } else {
-            stats.sample_row_scans += ctx.sample_passes;
-        }
-
-        let mut seen: BTreeSet<(AttrList, AttrList)> = BTreeSet::new();
-        next.retain(|c| seen.insert(c.clone()));
-        level = next;
-        level_no += 1;
-        if !budget.is_stopped() {
-            if let Some(rec) = recorder.as_mut() {
-                rec.record_boundary(level_no, &level, &out, &budget);
-            }
-        }
-    }
-
-    out.checks = budget.checks();
-    out.termination = match budget.cause() {
-        Some(cause) => cause.into(),
-        None if level_capped => TerminationReason::LevelCap,
-        None => TerminationReason::Complete,
-    };
-    stats.full_checks_saved = if exhaustive {
-        0
-    } else {
-        stats.estimated.saturating_sub(stats.escalated)
-    };
-    out.ocds.sort_by(|a, b| a.ocd.cmp(&b.ocd));
-    out.ods.sort();
-    if let Some(rec) = recorder.as_mut() {
-        rec.finish(level_no, &level, &out, &budget, &stats);
-    }
-    out.approx = Some(stats);
-    out
-}
-
-/// Emit a decided candidate: the OCD, each holding direction's OD, and
-/// the children of each failing direction — the exact emission and
-/// child-generation order of the pre-pipeline checker.
-fn finalize_candidate(
-    x: &AttrList,
-    y: &AttrList,
-    ocd_err: (usize, usize),
-    dirs: &[DirState; 2],
-    universe: &[usize],
-    out: &mut ApproximateResult,
-    next: &mut Vec<(AttrList, AttrList)>,
-) {
-    out.ocds.push(ApproximateOcd::from_parts(
-        Ocd::new(x.clone(), y.clone()),
-        ocd_err.0,
-        ocd_err.1,
-    ));
-    let unused: Vec<usize> = universe
-        .iter()
-        .copied()
-        .filter(|&a| !x.contains(a) && !y.contains(a))
-        .collect();
-    if matches!(dirs[0], DirState::Holds) {
-        out.ods.push(Od::new(x.clone(), y.clone()));
-    } else {
-        // lint: allow(unprobed-loop, child generation bounded by the unused attributes of one candidate (schema width))
-        for &a in &unused {
-            next.push((x.with_appended(a), y.clone()));
-        }
-    }
-    if matches!(dirs[1], DirState::Holds) {
-        out.ods.push(Od::new(y.clone(), x.clone()));
-    } else {
-        // lint: allow(unprobed-loop, child generation bounded by the unused attributes of one candidate (schema width))
-        for &a in &unused {
-            next.push((x.clone(), y.with_appended(a)));
-        }
-    }
+    Ok(run.run(rel, cfg, Some(snap)))
 }
 
 /// Differential-test oracle of [`od_error`] and [`removal_witnesses`]
@@ -1843,7 +1662,80 @@ mod tests {
             assert_eq!(resumed.ocds, full.ocds, "dump {}", dump.display());
             assert_eq!(resumed.ods, full.ods, "dump {}", dump.display());
             assert_eq!(resumed.checks, full.checks, "dump {}", dump.display());
+            assert_eq!(resumed.approx, full.approx, "dump {}", dump.display());
             assert!(resumed.complete());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Columns rising in row order with distinct tie widths: every OCD
+    /// holds and no OD does, so the lattice runs `cols` levels deep.
+    fn staircase(cols: usize, rows: usize) -> Relation {
+        let cols: Vec<(String, Vec<Value>)> = (0..cols)
+            .map(|c| {
+                let vals = (0..rows).map(|r| Value::Int((r / (c + 2)) as i64));
+                (format!("c{c}"), vals.collect())
+            })
+            .collect();
+        Relation::from_columns(cols).unwrap()
+    }
+
+    #[test]
+    fn dedup_off_checks_duplicates_and_keeps_the_result() {
+        let r = staircase(4, 40);
+        let dedup = discover_approximate_with(&r, &sampled_cfg(20, 0.05));
+        let mut cfg = sampled_cfg(20, 0.05);
+        cfg.base.dedup_candidates = false;
+        let all = discover_approximate_with(&r, &cfg);
+        assert_eq!(all.ocds, dedup.ocds);
+        assert_eq!(all.ods, dedup.ods);
+        assert!(
+            all.checks > dedup.checks,
+            "{} vs {}",
+            all.checks,
+            dedup.checks
+        );
+    }
+
+    #[test]
+    fn stopped_run_resumes_to_the_uninterrupted_result() {
+        use crate::config::ParallelMode;
+        use crate::runtime::FaultPlan;
+        use crate::snapshot::{list_snapshots, read_snapshot};
+        use std::time::Duration;
+        let r = staircase(5, 80);
+        let full = discover_approximate_with(&r, &sampled_cfg(40, 0.05));
+        assert!(full.complete());
+
+        // Every check sleeps, so the time budget stops the run mid-level.
+        let dir = ckpt_dir("stopped");
+        let mut stopping = checkpointed_cfg(&dir, 40, 0.05);
+        stopping.base.time_budget = Some(Duration::from_millis(40));
+        let delay = FaultPlan::delay_checks(Duration::from_millis(1));
+        stopping.base.fault = Some(std::sync::Arc::new(delay));
+        let stopped = discover_approximate_with(&r, &stopping);
+        assert_eq!(stopped.termination, TerminationReason::TimeBudget);
+
+        // Each boundary dump and the `-final` copy of the last one resume
+        // to the uninterrupted run, stats included.
+        let dumps = list_snapshots(&dir, None).expect("dump dir");
+        assert!(
+            dumps.iter().any(|d| d.to_string_lossy().contains("-final")),
+            "{dumps:?}"
+        );
+        for dump in &dumps {
+            let snap = read_snapshot(dump).expect("readable dump");
+            for mode in [ParallelMode::Sequential, ParallelMode::WorkStealing(2)] {
+                let mut cfg = sampled_cfg(40, 0.05);
+                cfg.base.mode = mode;
+                let resumed = discover_approximate_resume(&r, &cfg, &snap).expect("valid resume");
+                let tag = format!("{mode:?} from {}", dump.display());
+                assert_eq!(resumed.ocds, full.ocds, "{tag}");
+                assert_eq!(resumed.ods, full.ods, "{tag}");
+                assert_eq!(resumed.checks, full.checks, "{tag}");
+                assert_eq!(resumed.termination, full.termination, "{tag}");
+                assert_eq!(resumed.approx, full.approx, "{tag}");
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

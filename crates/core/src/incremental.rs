@@ -211,7 +211,7 @@ impl IncrementalDiscovery {
             if !retained.contains(&host) {
                 continue;
             }
-            let (ocds, ods, checks) = crate::search::resume_after_od_invalidation(
+            let (ocds, ods, checks, termination) = crate::search::resume_after_od_invalidation(
                 rel,
                 &universe,
                 &od.lhs,
@@ -221,6 +221,11 @@ impl IncrementalDiscovery {
             self.result.ocds.extend(ocds);
             self.result.ods.extend(ods);
             self.result.checks += checks;
+            // The first re-open that stops short (budget, cancellation or
+            // quarantine) leaves the whole result partial.
+            if self.result.termination.is_complete() {
+                self.result.termination = termination;
+            }
         }
         // Canonical order + dedup (resumed subtrees can overlap).
         self.result.ocds.sort_by(|a, b| {
@@ -368,6 +373,40 @@ mod tests {
             .ods
             .iter()
             .any(|od| od.to_string() == "[0] -> [1]"));
+    }
+
+    #[test]
+    fn a_cut_short_reopen_marks_the_result_partial() {
+        use crate::runtime::{RunController, TerminationReason};
+        // a -> b holds, b -> a does not, and c is noise: the children
+        // [a, c] ~ [b] of the OD were pruned.
+        let r = rel(&[
+            ("a", &[1, 2, 3, 4]),
+            ("b", &[1, 1, 2, 2]),
+            ("c", &[3, 1, 4, 2]),
+        ]);
+        let controller = RunController::new();
+        let config = DiscoveryConfig {
+            controller: Some(controller.clone()),
+            ..DiscoveryConfig::default()
+        };
+        let mut inc = IncrementalDiscovery::new(&r, config);
+        assert!(inc.result().complete());
+        controller.cancel();
+        // (4, 3) splits a = 4 but keeps a ~ b, so the append re-opens the
+        // pruned subtree — and the cancelled run cannot finish it.
+        let delta = inc.append_rows(vec![ints(&[4, 3, 5])]).unwrap();
+        assert!(!delta.full_rerun);
+        assert!(delta
+            .invalidated_ods
+            .iter()
+            .any(|od| od.to_string() == "[0] -> [1]"));
+        assert!(inc
+            .result()
+            .ocds
+            .iter()
+            .any(|o| o.to_string() == "[0] ~ [1]"));
+        assert_eq!(inc.result().termination, TerminationReason::Cancelled);
     }
 
     #[test]

@@ -229,9 +229,10 @@ impl Budget {
     }
 
     /// Record `n` checks *and* enforce the global `max_checks` cap — used
-    /// by the sequential entry points (bidirectional, approximate) where a
-    /// single traversal makes global accounting deterministic. Returns
-    /// false once the run must stop.
+    /// only by bidirectional discovery, whose own single-threaded level
+    /// loop makes global accounting deterministic (every other entry point
+    /// runs on the search driver's per-branch allowances). Returns false
+    /// once the run must stop.
     pub(crate) fn spend(&self, n: u64) -> bool {
         // lint: allow(atomics-audit, single-traversal entry points only; the monotone counter needs no ordering with other memory)
         let total = self.checks.fetch_add(n, Ordering::Relaxed) + n;

@@ -43,16 +43,19 @@
 //! The wall-clock budget and cancellation remain global and amortized —
 //! those are inherently timing-dependent.
 
+use crate::approximate::{
+    ApproximateOcd, ApproximateResult, SampleTriage, TriageTally, TriagedOcd,
+};
 use crate::check::{check_ocd, check_od_after_ocd};
 use crate::config::{CheckerBackend, DiscoveryConfig, ParallelMode};
 use crate::deps::{AttrList, Ocd, Od};
 use crate::reduction::{columns_reduction, PairVerdicts, Reduction};
 use crate::results::{DiscoveryResult, LevelStats};
-use crate::runtime::{panic_message, Budget, StopCause, TerminationReason};
+use crate::runtime::{panic_message, Budget, TerminationReason};
 use crate::scheduler::{SchedulerStats, StealQueues, WorkerSchedStats};
 use crate::shared_cache::EpochPrefixCache;
 use crate::snapshot::{
-    CandidatePair, CheckpointRecorder, SearchSnapshot, SnapshotBranch, SnapshotError,
+    ApproxMeta, CandidatePair, CheckpointRecorder, SearchSnapshot, SnapshotBranch, SnapshotError,
     SnapshotFailure, SNAPSHOT_VERSION,
 };
 use crate::sorted_partitions::{PartitionChecker, SortedPartition};
@@ -100,6 +103,10 @@ fn od_branch(od: &Od) -> (ColumnId, ColumnId) {
     (a.min(b), a.max(b))
 }
 
+/// What the ε-triage found about one candidate: its OCD's
+/// `(removals, rows)` error, if the OCD held, and its triage accounting.
+type TriageFindings = (Option<(usize, usize)>, TriageTally);
+
 /// What processing one candidate produced.
 #[derive(Debug, Default)]
 struct Emission {
@@ -108,8 +115,13 @@ struct Emission {
     children: Vec<Candidate>,
     checks: u64,
     generated: u64,
+    /// Set under the ε-triage. Boxed because exact runs never set it, and
+    /// the driver moves one emission per candidate through three
+    /// level-sized buffers.
+    triage: Option<Box<TriageFindings>>,
 }
 
+#[cfg(test)]
 impl Emission {
     /// Reset for reuse across candidates, keeping the vector capacities.
     fn clear(&mut self) {
@@ -118,6 +130,7 @@ impl Emission {
         self.children.clear();
         self.checks = 0;
         self.generated = 0;
+        self.triage = None;
     }
 }
 
@@ -154,6 +167,31 @@ enum CheckerBackendState<'r> {
     Partitions(Box<PartitionChecker<'r>>),
 }
 
+impl CheckerBackendState<'_> {
+    fn check_ocd(&mut self, x: &AttrList, y: &AttrList) -> bool {
+        match self {
+            CheckerBackendState::Plain(rel) => check_ocd(rel, x, y).is_valid(),
+            CheckerBackendState::Partitions(p) => p.check_ocd(x, y).is_valid(),
+        }
+    }
+
+    fn check_od_after_ocd(&mut self, lhs: &AttrList, rhs: &AttrList) -> bool {
+        match self {
+            CheckerBackendState::Plain(rel) => check_od_after_ocd(rel, lhs, rhs),
+            CheckerBackendState::Partitions(p) => p.check_od_after_ocd(lhs, rhs),
+        }
+    }
+}
+
+/// The ε-triage mode of a [`Checker`] in an approximate run: the shared
+/// triage, and what it has found about the candidate in hand.
+struct TriageState<'r> {
+    triage: &'r SampleTriage<'r>,
+    /// The candidate's OCD, once the triage let it through.
+    ocd: Option<TriagedOcd>,
+    tally: TriageTally,
+}
+
 /// Per-worker checker state for the configured [`CheckerBackend`].
 struct Checker<'r> {
     backend: CheckerBackendState<'r>,
@@ -161,6 +199,9 @@ struct Checker<'r> {
     /// [`CheckerBackend::SortedPartitions`]. Always `None` under `Resort`,
     /// whose level 2 keeps the paper's sort and scan.
     pairs: Option<&'r PairVerdicts>,
+    /// Set in an approximate run: every check goes through the ε-triage,
+    /// which escalates borderline checks to `backend`.
+    triage: Option<TriageState<'r>>,
     #[cfg(any(test, feature = "fault-injection"))]
     fault: Option<Arc<crate::runtime::FaultPlan>>,
 }
@@ -173,6 +214,7 @@ impl<'r> Checker<'r> {
         config: &DiscoveryConfig,
         shared: &SharedCache,
         pairs: Option<&'r PairVerdicts>,
+        triage: Option<&'r SampleTriage<'r>>,
     ) -> Checker<'r> {
         let (backend, pairs) = match config.checker {
             CheckerBackend::Resort => (CheckerBackendState::Plain(rel), None),
@@ -187,15 +229,22 @@ impl<'r> Checker<'r> {
         Checker {
             backend,
             pairs,
+            triage: triage.map(|triage| TriageState {
+                triage,
+                ocd: None,
+                tally: TriageTally::default(),
+            }),
             #[cfg(any(test, feature = "fault-injection"))]
             fault: config.fault.clone(),
         }
     }
 
     /// A fresh checker replacing one that a caught panic may have left
-    /// inconsistent. The verdict table is immutable, so it carries over.
+    /// inconsistent. The verdict table and the triage are immutable, so
+    /// they carry over.
     fn rebuilt(&self, rel: &'r Relation, config: &DiscoveryConfig, shared: &SharedCache) -> Self {
-        let mut fresh = Checker::new(rel, config, shared, self.pairs);
+        let triage = self.triage.as_ref().map(|t| t.triage);
+        let mut fresh = Checker::new(rel, config, shared, self.pairs, triage);
         fresh.begin_level();
         fresh
     }
@@ -205,30 +254,58 @@ impl<'r> Checker<'r> {
         if let Some(plan) = &self.fault {
             plan.check_latency();
         }
+        if let Some(t) = &mut self.triage {
+            let backend = &mut self.backend;
+            t.ocd = t.triage.ocd(x, y, &mut t.tally, || backend.check_ocd(x, y));
+            return t.ocd.is_some();
+        }
         if let Some(valid) = self.pairs.and_then(|t| t.ocd(x, y)) {
             return valid;
         }
-        match &mut self.backend {
-            CheckerBackendState::Plain(rel) => check_ocd(rel, x, y).is_valid(),
-            CheckerBackendState::Partitions(p) => p.check_ocd(x, y).is_valid(),
-        }
+        self.backend.check_ocd(x, y)
     }
 
-    /// Fused OD direction check, valid only right after `check_ocd(x, y)`
-    /// returned true for the enclosing candidate: the valid OCD rules out
-    /// swap witnesses, so only the cheaper split-only scan remains (see
-    /// [`crate::check::check_od_after_ocd`]). Same verdict as `check_od`.
-    fn check_od_after_ocd(&mut self, x: &AttrList, y: &AttrList) -> bool {
+    /// Fused check of one OD direction of `cand` (`x → y` when `forward`),
+    /// valid only right after `check_ocd` returned true for `cand`: the
+    /// valid OCD rules out swap witnesses, so only the cheaper split-only
+    /// scan remains (see [`crate::check::check_od_after_ocd`]). Same
+    /// verdict as `check_od`.
+    fn check_od_after_ocd(&mut self, cand: &Candidate, forward: bool) -> bool {
         #[cfg(any(test, feature = "fault-injection"))]
         if let Some(plan) = &self.fault {
             plan.check_latency();
         }
-        if let Some(valid) = self.pairs.and_then(|t| t.od(x, y)) {
+        let (lhs, rhs) = if forward {
+            (&cand.x, &cand.y)
+        } else {
+            (&cand.y, &cand.x)
+        };
+        if let Some(t) = &mut self.triage {
+            let Some(ocd) = t.ocd else {
+                return false;
+            };
+            let backend = &mut self.backend;
+            // The split-only scan is sound only right after the OCD
+            // validated on this checker, so the escalation re-runs it.
+            let fused = || {
+                backend
+                    .check_ocd(&cand.x, &cand.y)
+                    .then(|| backend.check_od_after_ocd(lhs, rhs))
+            };
+            return t.triage.od(lhs, rhs, ocd, &mut t.tally, fused);
+        }
+        if let Some(valid) = self.pairs.and_then(|t| t.od(lhs, rhs)) {
             return valid;
         }
-        match &mut self.backend {
-            CheckerBackendState::Plain(rel) => check_od_after_ocd(rel, x, y),
-            CheckerBackendState::Partitions(p) => p.check_od_after_ocd(x, y),
+        self.backend.check_od_after_ocd(lhs, rhs)
+    }
+
+    /// Hand the ε-triage's findings about the candidate just processed to
+    /// its emission (no-op for an exact checker).
+    fn settle(&mut self, out: &mut Emission) {
+        if let Some(t) = &mut self.triage {
+            let error = t.ocd.take().map(|o| (o.removals, o.rows));
+            out.triage = Some(Box::new((error, std::mem::take(&mut t.tally))));
         }
     }
 
@@ -259,10 +336,21 @@ fn process_candidate(
     out: &mut Emission,
 ) {
     out.checks += 1;
-    if !checker.check_ocd(&cand.x, &cand.y) {
-        // Pruning rule (Theorem 3.7): the whole subtree is invalid.
-        return;
+    // Pruning rule (Theorem 3.7): an invalid OCD prunes the whole subtree.
+    if checker.check_ocd(&cand.x, &cand.y) {
+        expand_valid(universe, cand, checker, out);
     }
+    checker.settle(out);
+}
+
+/// Emit the valid OCD `cand`, check its two OD directions and generate
+/// the children of each failing one.
+fn expand_valid(
+    universe: &[ColumnId],
+    cand: &Candidate,
+    checker: &mut Checker<'_>,
+    out: &mut Emission,
+) {
     out.ocds.push(Ocd::new(cand.x.clone(), cand.y.clone()));
 
     let unused: Vec<ColumnId> = universe
@@ -274,7 +362,7 @@ fn process_candidate(
     // Direction X -> Y (Algorithm 3 lines 3-9). The OCD `X ~ Y` just
     // validated, so the direction checks use the fused split-only scan.
     out.checks += 1;
-    if checker.check_od_after_ocd(&cand.x, &cand.y) {
+    if checker.check_od_after_ocd(cand, true) {
         out.ods.push(Od::new(cand.x.clone(), cand.y.clone()));
     } else {
         // lint: allow(unprobed-loop, child generation bounded by the unused attributes of one candidate (schema width))
@@ -289,7 +377,7 @@ fn process_candidate(
 
     // Direction Y -> X (Algorithm 3 lines 10-16).
     out.checks += 1;
-    if checker.check_od_after_ocd(&cand.y, &cand.x) {
+    if checker.check_od_after_ocd(cand, false) {
         out.ods.push(Od::new(cand.y.clone(), cand.x.clone()));
     } else {
         // lint: allow(unprobed-loop, child generation bounded by the unused attributes of one candidate (schema width))
@@ -358,10 +446,10 @@ fn branch_allowances(max_checks: Option<u64>, already_spent: u64, branches: usiz
 
 /// A single-checker subtree traversal: BFS over `seeds` until the tree is
 /// exhausted, the branch allowance is spent, or the global budget (time /
-/// cancellation) stops the run. Accumulates into `acc`. Serves
-/// [`profile_branches`] and [`resume_after_od_invalidation`], whose seeds
-/// each form one branch. The checker's epoch tier is published at every
-/// level boundary, so a shared cache's byte budget holds here too.
+/// cancellation) stops the run. Accumulates into `acc`. The branch-at-a-time
+/// oracle of the driver tests; it shares only the per-candidate step with
+/// [`run_levels`].
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
 fn run_subtree(
     universe: &[ColumnId],
@@ -433,6 +521,9 @@ fn run_subtree(
 #[derive(Debug, Default)]
 struct SearchAccumulator {
     ocds: Vec<Ocd>,
+    /// Under the ε-triage: each OCD's `(removals, rows)` error, aligned
+    /// with `ocds`. Empty for an exact run.
+    ocd_errors: Vec<(usize, usize)>,
     ods: Vec<Od>,
     generated: u64,
     levels: Vec<LevelStats>,
@@ -440,6 +531,84 @@ struct SearchAccumulator {
     level_capped: bool,
     /// A branch ran out of its `max_checks` allowance.
     check_budget_hit: bool,
+    /// Under the ε-triage: the absorbed candidates' accounting.
+    tally: TriageTally,
+}
+
+impl SearchAccumulator {
+    /// The results a dump accumulated, its approximate errors and triage
+    /// accounting included.
+    fn from_snapshot(snap: &SearchSnapshot) -> SearchAccumulator {
+        let approx = snap.approx.as_ref();
+        // `discover_approximate_resume` refuses counts beyond `usize`.
+        let count = |n: u64| usize::try_from(n).unwrap_or(usize::MAX);
+        SearchAccumulator {
+            ocds: snap
+                .ocds
+                .iter()
+                .map(|p| Ocd::new(AttrList::from_slice(&p.x), AttrList::from_slice(&p.y)))
+                .collect(),
+            ocd_errors: approx.map_or_else(Vec::new, |a| {
+                a.ocd_errors
+                    .iter()
+                    .map(|&(removals, rows)| (count(removals), count(rows)))
+                    .collect()
+            }),
+            ods: snap
+                .ods
+                .iter()
+                .map(|p| Od::new(AttrList::from_slice(&p.x), AttrList::from_slice(&p.y)))
+                .collect(),
+            generated: snap.generated,
+            levels: snap.levels.clone(),
+            level_capped: snap.level_capped,
+            check_budget_hit: snap.check_budget_hit,
+            tally: approx.map_or_else(TriageTally::default, |a| TriageTally {
+                estimated: a.estimated,
+                accepted_by_sample: a.accepted_by_sample,
+                rejected_by_sample: a.rejected_by_sample,
+                escalated: a.escalated,
+                sample_row_scans: a.sample_row_scans,
+                full_row_scans: a.full_row_scans,
+            }),
+        }
+    }
+
+    /// The end of a traversal: strip the dependencies rooted in failed
+    /// branches and classify why it stopped. A branch's emissions from the
+    /// levels before its failure are still in the accumulator and are
+    /// stripped here, so a faulty run's OCD/OD sets equal the fault-free
+    /// run minus exactly the quarantined branches. (Per-level stats,
+    /// generation and triage counters stay best-effort under failure.)
+    fn settle(&mut self, failures: &[BranchFailure], budget: &Budget) -> TerminationReason {
+        if failures.is_empty() {
+            return match budget.cause() {
+                Some(cause) => cause.into(),
+                None if self.check_budget_hit => TerminationReason::CheckBudget,
+                None if self.level_capped => TerminationReason::LevelCap,
+                None => TerminationReason::Complete,
+            };
+        }
+        let failed: HashSet<(ColumnId, ColumnId)> = failures.iter().map(|f| f.branch).collect();
+        if !self.ocd_errors.is_empty() {
+            let kept = self.ocds.iter().map(|o| !failed.contains(&ocd_branch(o)));
+            self.ocd_errors = kept
+                .zip(&self.ocd_errors)
+                .filter_map(|(keep, &e)| keep.then_some(e))
+                .collect();
+        }
+        self.ocds.retain(|o| !failed.contains(&ocd_branch(o)));
+        self.ods.retain(|o| !failed.contains(&od_branch(o)));
+        let mut branches: Vec<(ColumnId, ColumnId)> = failed.into_iter().collect();
+        branches.sort_unstable();
+        TerminationReason::WorkerFailure {
+            branches,
+            message: failures
+                .first()
+                .map(|f| f.message.clone())
+                .unwrap_or_default(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -537,7 +706,7 @@ fn absorb_level_outcomes(
     };
     // (branch, children) in candidate order; flattened after the pass so a
     // branch stopping mid-level drops *all* its level children, exactly as
-    // `run_subtree`'s early return does.
+    // a branch-at-a-time traversal stopping there would.
     next_parts.clear();
     // lint: allow(unprobed-loop, one bookkeeping pass over the level's outcomes; the checks themselves ran under per-batch budget polls)
     for (cand, outcome) in level.iter().zip(outcomes) {
@@ -575,6 +744,11 @@ fn absorb_level_outcomes(
                 acc.ocds.extend(em.ocds);
                 acc.ods.extend(em.ods);
                 acc.generated += em.generated;
+                if let Some(triage) = em.triage {
+                    let (error, tally) = *triage;
+                    acc.ocd_errors.extend(error);
+                    acc.tally += tally;
+                }
                 next_parts.push((branch, em.children));
             }
         }
@@ -611,6 +785,34 @@ impl LevelCursor {
             states,
             level,
             level_no: 2,
+        }
+    }
+
+    /// The level-2 seeds over `reduction`'s universe, each branch with its
+    /// share of the check budget left after the reduction.
+    fn seeds(reduction: &Reduction, config: &DiscoveryConfig) -> LevelCursor {
+        let seeds = seed_candidates(&reduction.attributes);
+        let allowances = branch_allowances(config.max_checks, reduction.checks, seeds.len());
+        LevelCursor::from_queue(seeds.into_iter().zip(allowances).collect())
+    }
+
+    /// A frontier at `level_no` whose candidates all belong to one branch,
+    /// which gets the whole `max_checks` budget as its allowance.
+    fn one_branch(level: Vec<Candidate>, level_no: usize, config: &DiscoveryConfig) -> LevelCursor {
+        let mut states = HashMap::new();
+        if let Some(first) = level.first() {
+            let state = BranchState {
+                allowance: config.max_checks.unwrap_or(u64::MAX),
+                spent: 0,
+                stopped: false,
+                failed: false,
+            };
+            states.insert(first.branch(), state);
+        }
+        LevelCursor {
+            states,
+            level,
+            level_no,
         }
     }
 
@@ -656,7 +858,9 @@ fn pair_of(x: &AttrList, y: &AttrList) -> CandidatePair {
 /// Dump the boundary entering `level_no` if the recorder's interval wants
 /// it: the frontier, the per-branch accounting (sorted — `states` is a
 /// `HashMap`), the accumulated results, and the budget/kernel counters
-/// that make a resumed run's observability continue seamlessly. Panic-free
+/// that make a resumed run's observability continue seamlessly. An
+/// approximate run's dump also carries its sampling metadata, every OCD's
+/// error and the triage counters (the `approx` object). Panic-free
 /// and IO-error-swallowing by the recorder's contract — a checkpoint
 /// failure must never kill the search.
 #[allow(clippy::too_many_arguments)]
@@ -708,7 +912,20 @@ fn record_checkpoint(
         elapsed_ms: rec.elapsed_ms(),
         kernels: rec.kernels_now(),
         cache: rec.cache_meta(shared.as_ref().map(|c| c.stats())),
-        approx: None,
+        approx: rec.approx_meta().map(|meta| ApproxMeta {
+            ocd_errors: acc
+                .ocd_errors
+                .iter()
+                .map(|&(removals, rows)| (removals as u64, rows as u64))
+                .collect(),
+            estimated: acc.tally.estimated,
+            accepted_by_sample: acc.tally.accepted_by_sample,
+            rejected_by_sample: acc.tally.rejected_by_sample,
+            escalated: acc.tally.escalated,
+            sample_row_scans: acc.tally.sample_row_scans,
+            full_row_scans: acc.tally.full_row_scans,
+            ..meta.clone()
+        }),
         pruned: rec.pruned_pairs(),
         termination: None,
     };
@@ -909,12 +1126,13 @@ fn run_workers<'r, T: Send>(
 ///
 /// A worker thread dying loses its level outcomes: the missing entries are
 /// treated as panics, quarantining the affected branches, while the
-/// surviving workers still drain the remaining deques. Returns the
-/// scheduler counters under `WorkStealing`, `None` under `Sequential`.
+/// surviving workers still drain the remaining deques. With `triage`, every
+/// checker runs the ε-triage of an approximate run. Returns the scheduler
+/// counters under `WorkStealing`, `None` under `Sequential`.
 #[allow(clippy::too_many_arguments)]
-fn run_levels(
-    rel: &Relation,
-    reduction: &Reduction,
+fn run_levels<'r>(
+    rel: &'r Relation,
+    reduction: &'r Reduction,
     cursor: LevelCursor,
     config: &DiscoveryConfig,
     budget: &Budget,
@@ -922,6 +1140,7 @@ fn run_levels(
     acc: &mut SearchAccumulator,
     failures: &mut Vec<BranchFailure>,
     mut recorder: Option<&mut CheckpointRecorder>,
+    triage: Option<&'r SampleTriage<'r>>,
 ) -> Option<SchedulerStats> {
     let k = worker_count(config.mode);
     let universe = reduction.attributes.as_slice();
@@ -933,8 +1152,8 @@ fn run_levels(
     // Reused level-to-level, see `absorb_level_outcomes`.
     let mut next: Vec<Candidate> = Vec::new();
     let mut next_parts: Vec<((ColumnId, ColumnId), Vec<Candidate>)> = Vec::new();
-    let mut checkers: Vec<Checker<'_>> = (0..k)
-        .map(|_| Checker::new(rel, config, shared, reduction.pairs.as_ref()))
+    let mut checkers: Vec<Checker<'r>> = (0..k)
+        .map(|_| Checker::new(rel, config, shared, reduction.pairs.as_ref(), triage))
         .collect();
     let mut sched = SchedulerStats {
         batches: 0,
@@ -1012,262 +1231,22 @@ fn run_levels(
     matches!(config.mode, ParallelMode::WorkStealing(_)).then_some(sched)
 }
 
-/// One full-data check requested by the approximate pipeline for a
-/// borderline candidate (see `crate::approximate`).
-#[derive(Debug, Clone)]
-pub(crate) struct EscalationJob {
-    /// What to verify.
-    pub(crate) kind: EscalationKind,
-    /// Compute the exact error decomposition when the fast validity check
-    /// fails (ε > 0 runs need the removal counts; ε = 0 runs only need
-    /// the boolean).
-    pub(crate) need_error: bool,
-}
-
-/// The dependency shape of an [`EscalationJob`].
-#[derive(Debug, Clone)]
-pub(crate) enum EscalationKind {
-    /// Verify the OCD `x ~ y`.
-    Ocd {
-        /// Left side.
-        x: AttrList,
-        /// Right side.
-        y: AttrList,
-    },
-    /// Verify one OD direction of candidate `(x, y)`.
-    Od {
-        /// Candidate left side.
-        x: AttrList,
-        /// Candidate right side.
-        y: AttrList,
-        /// `true` checks `x → y`, `false` checks `y → x`.
-        forward: bool,
-        /// The enclosing OCD is exactly valid on the full data, enabling
-        /// the fused split-only `check_od_after_ocd` fast path.
-        ocd_exact: bool,
-    },
-}
-
-impl EscalationKind {
-    /// The sort-key prefix this job's first scan materializes — the batch
-    /// grouping key of [`prefix_batches`].
-    fn prefix(&self) -> &AttrList {
-        match self {
-            EscalationKind::Ocd { x, .. } | EscalationKind::Od { x, .. } => x,
-        }
-    }
-}
-
-/// Outcome of one escalation job.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct EscalationVerdict {
-    /// The job never ran (stopped budget or a panicking check); the
-    /// pipeline drops the candidate, mirroring how the exact search drops
-    /// unprocessed candidates on a stop.
-    pub(crate) skipped: bool,
-    /// The dependency is exactly valid on the full data.
-    pub(crate) exact: bool,
-    /// Exact error decomposition, when the fast check failed and the job
-    /// asked for it.
-    pub(crate) error: Option<crate::approximate::OdError>,
-    /// Row passes over the full relation this job cost (the
-    /// [`crate::approximate::ERR_PASSES`] cost model).
-    pub(crate) rows_scanned: u64,
-}
-
-/// Run one escalation job against the full relation on a warm [`Checker`].
-fn run_escalation_job(
-    rel: &Relation,
-    checker: &mut Checker<'_>,
-    job: &EscalationJob,
-) -> EscalationVerdict {
-    let m = rel.num_rows() as u64;
-    let mut v = EscalationVerdict::default();
-    match &job.kind {
-        EscalationKind::Ocd { x, y } => {
-            v.rows_scanned = m;
-            if checker.check_ocd(x, y) {
-                v.exact = true;
-            } else if job.need_error {
-                v.error = Some(crate::approximate::ocd_error(rel, x, y));
-                v.rows_scanned += crate::approximate::ERR_PASSES * m;
-            }
-        }
-        EscalationKind::Od {
-            x,
-            y,
-            forward,
-            ocd_exact,
-        } => {
-            let (lhs, rhs) = if *forward { (x, y) } else { (y, x) };
-            // The fused split-only scan is sound only right after the
-            // enclosing OCD validated on this checker, so re-establish it
-            // (warm: the x-prefix index/partition is cached).
-            if *ocd_exact && checker.check_ocd(x, y) {
-                v.rows_scanned = 2 * m;
-                if checker.check_od_after_ocd(lhs, rhs) {
-                    v.exact = true;
-                    return v;
-                }
-                if !job.need_error {
-                    return v;
-                }
-            }
-            v.error = Some(crate::approximate::od_error(rel, lhs, rhs));
-            v.rows_scanned += crate::approximate::ERR_PASSES * m;
-            if let Some(e) = v.error {
-                v.exact = e.is_exact();
-            }
-        }
-    }
-    v
-}
-
-/// Drain one batch of escalation jobs on a worker, catching per-job panics
-/// (a panicked job yields a `skipped` verdict and a rebuilt checker, the
-/// same quarantine-not-abort contract as [`run_batch`]).
-#[allow(clippy::too_many_arguments)]
-fn run_escalation_batch<'r>(
-    rel: &'r Relation,
-    members: &[usize],
-    jobs: &[EscalationJob],
-    checker: &mut Checker<'r>,
-    config: &DiscoveryConfig,
-    shared: &SharedCache,
-    budget: &Budget,
-    out: &mut Vec<(usize, EscalationVerdict)>,
-) {
-    if !budget.probe_now() {
-        out.extend(members.iter().map(|&i| {
-            (
-                i,
-                EscalationVerdict {
-                    skipped: true,
-                    ..EscalationVerdict::default()
-                },
-            )
-        }));
-        return;
-    }
-    // lint: allow(unprobed-loop, polls budget.is_stopped() every job; each verdict scan is one bounded full-table pass)
-    for &i in members {
-        let Some(job) = jobs.get(i) else { continue };
-        if budget.is_stopped() {
-            out.push((
-                i,
-                EscalationVerdict {
-                    skipped: true,
-                    ..EscalationVerdict::default()
-                },
-            ));
-            continue;
-        }
-        let verdict = {
-            let checker = &mut *checker;
-            catch_unwind(AssertUnwindSafe(move || {
-                run_escalation_job(rel, checker, job)
-            }))
-        };
-        match verdict {
-            Ok(v) => out.push((i, v)),
-            Err(_) => {
-                *checker = checker.rebuilt(rel, config, shared);
-                out.push((
-                    i,
-                    EscalationVerdict {
-                        skipped: true,
-                        ..EscalationVerdict::default()
-                    },
-                ));
-            }
-        }
-    }
-}
-
-/// Execute the approximate pipeline's full-data escalation wave on the
-/// search driver's pieces: jobs are grouped into prefix batches
-/// ([`prefix_batches`], keyed by the sort prefix of each job's first scan)
-/// so a batch's first check materializes the shared prefix and the rest
-/// hit it warm, and the batches are drained by [`run_workers`] on
-/// `worker_count(config.mode)` workers with per-worker [`Checker`]s.
-/// Verdicts come back indexed by job — the result is deterministic
-/// regardless of mode or schedule.
-pub(crate) fn run_escalations(
-    rel: &Relation,
-    config: &DiscoveryConfig,
-    jobs: &[EscalationJob],
-    budget: &Budget,
-) -> Vec<EscalationVerdict> {
-    if jobs.is_empty() {
-        return Vec::new();
-    }
-    let shared = shared_cache(config);
-    let batches = prefix_batches(jobs, |job| job.kind.prefix());
-    let workers = worker_count(config.mode);
-    let mut checkers: Vec<Checker<'_>> = (0..workers)
-        .map(|_| Checker::new(rel, config, &shared, None))
-        .collect();
-    let mut slots: Vec<Option<EscalationVerdict>> = vec![None; jobs.len()];
-    run_workers(
-        &mut checkers,
-        &mut vec![WorkerSchedStats::default(); workers],
-        &batches,
-        &mut slots,
-        |members, checker, out| {
-            run_escalation_batch(rel, members, jobs, checker, config, &shared, budget, out)
-        },
-    );
-    // A dead worker loses its verdicts; recompute them on this thread.
-    let lost: Vec<usize> = (0..jobs.len())
-        .filter(|&i| slots.get(i).is_some_and(Option::is_none))
-        .collect();
-    if !lost.is_empty() {
-        let mut checker = Checker::new(rel, config, &shared, None);
-        let mut local: Vec<(usize, EscalationVerdict)> = Vec::new();
-        run_escalation_batch(
-            rel,
-            &lost,
-            jobs,
-            &mut checker,
-            config,
-            &shared,
-            budget,
-            &mut local,
-        );
-        checker.publish_pending();
-        // lint: allow(unprobed-loop, slot scatter, one move per recomputed verdict)
-        for (i, v) in local {
-            if let Some(slot) = slots.get_mut(i) {
-                *slot = Some(v);
-            }
-        }
-    }
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.unwrap_or(EscalationVerdict {
-                skipped: true,
-                ..EscalationVerdict::default()
-            })
-        })
-        .collect()
-}
-
 /// Resume the search below a candidate whose OD direction `od.lhs → od.rhs`
 /// has just been invalidated (used by [`crate::incremental`]).
 ///
 /// When `X → Y` held, Algorithm 3 pruned the children `XA ~ Y`
 /// (Theorem 3.9 made them derivable). Once the OD breaks on a grown
 /// instance those children become genuine candidates again; this helper
-/// re-runs the BFS over exactly that subtree and returns the emissions and
-/// the number of checks spent.
+/// re-runs the level driver over exactly that subtree, one branch with the
+/// whole `max_checks` budget as its allowance, and returns the emissions,
+/// the checks spent and why the re-open stopped.
 pub(crate) fn resume_after_od_invalidation(
     rel: &Relation,
     universe: &[ColumnId],
     od_lhs: &AttrList,
     od_rhs: &AttrList,
     config: &DiscoveryConfig,
-) -> (Vec<Ocd>, Vec<Od>, u64) {
+) -> (Vec<Ocd>, Vec<Od>, u64, TerminationReason) {
     let seeds: Vec<Candidate> = universe
         .iter()
         .copied()
@@ -1277,23 +1256,28 @@ pub(crate) fn resume_after_od_invalidation(
             y: od_rhs.clone(),
         })
         .collect();
+    let level_no = od_lhs.len() + od_rhs.len() + 1;
+    let reduction = Reduction {
+        attributes: universe.to_vec(),
+        ..Reduction::default()
+    };
     let budget = Budget::new(config, crate::runtime::now(), 0);
-    let shared = shared_cache(config);
-    let mut checker = Checker::new(rel, config, &shared, None);
     let mut acc = SearchAccumulator::default();
-    // The seeds all belong to one branch, so the whole `max_checks` budget
-    // is its allowance.
-    let allowance = config.max_checks.unwrap_or(u64::MAX);
-    run_subtree(
-        universe,
-        seeds,
+    let mut failures = Vec::new();
+    run_levels(
+        rel,
+        &reduction,
+        LevelCursor::one_branch(seeds, level_no, config),
         config,
         &budget,
-        &mut checker,
-        allowance,
+        &shared_cache(config),
         &mut acc,
+        &mut failures,
+        None,
+        None,
     );
-    (acc.ocds, acc.ods, budget.checks())
+    let termination = acc.settle(&failures, &budget);
+    (acc.ocds, acc.ods, budget.checks(), termination)
 }
 
 /// Cost profile of one level-2 branch — the unit of distribution of the
@@ -1313,7 +1297,8 @@ pub struct BranchCost {
 }
 
 /// Profile every level-2 branch of the search individually: run column
-/// reduction (timed), then each seed's subtree sequentially.
+/// reduction (timed), then each seed's subtree on the level driver with
+/// one worker.
 ///
 /// Used by the Figure 6 harness to *simulate* the paper's K-queue speedup
 /// on machines without enough cores to measure it: for K queues, the
@@ -1328,33 +1313,35 @@ pub fn profile_branches(
     let reduction = if config.column_reduction {
         columns_reduction(rel)
     } else {
-        Reduction {
-            attributes: (0..rel.num_columns()).collect(),
-            ..Reduction::default()
-        }
+        unreduced(rel)
     };
     let reduction_time = t0.elapsed();
 
+    // One worker, so each branch is timed on one thread.
+    let config = DiscoveryConfig {
+        mode: ParallelMode::Sequential,
+        ..config.clone()
+    };
     let mut costs = Vec::new();
     for seed in seed_candidates(&reduction.attributes) {
-        let seed_pair = seed.branch();
-        let budget = Budget::new(config, crate::runtime::now(), 0);
-        let shared = shared_cache(config);
-        let mut checker = Checker::new(rel, config, &shared, None);
+        let branch = seed.branch();
+        let budget = Budget::new(&config, crate::runtime::now(), 0);
         let mut acc = SearchAccumulator::default();
-        let allowance = config.max_checks.unwrap_or(u64::MAX);
         let t = crate::runtime::now();
-        run_subtree(
-            &reduction.attributes,
-            vec![seed],
-            config,
+        run_levels(
+            rel,
+            &reduction,
+            LevelCursor::one_branch(vec![seed], 2, &config),
+            &config,
             &budget,
-            &mut checker,
-            allowance,
+            &shared_cache(&config),
             &mut acc,
+            &mut Vec::new(),
+            None,
+            None,
         );
         costs.push(BranchCost {
-            seed: seed_pair,
+            seed: branch,
             elapsed: t.elapsed(),
             checks: budget.checks(),
             valid_ocds: acc.ocds.len() as u64,
@@ -1397,9 +1384,7 @@ pub fn discover(rel: &Relation, config: &DiscoveryConfig) -> DiscoveryResult {
 
     let budget = Budget::new(config, start, reduction.checks);
     let shared = shared_cache(config);
-    let seeds = seed_candidates(&reduction.attributes);
-    let allowances = branch_allowances(config.max_checks, reduction.checks, seeds.len());
-    let cursor = LevelCursor::from_queue(seeds.into_iter().zip(allowances).collect());
+    let cursor = LevelCursor::seeds(&reduction, config);
 
     let mut acc = SearchAccumulator::default();
     let mut failures: Vec<BranchFailure> = Vec::new();
@@ -1413,12 +1398,13 @@ pub fn discover(rel: &Relation, config: &DiscoveryConfig) -> DiscoveryResult {
         &mut acc,
         &mut failures,
         recorder.as_mut(),
+        None,
     );
 
     finalize_result(
         reduction,
         acc,
-        failures,
+        &failures,
         &budget,
         &shared,
         scheduler,
@@ -1428,10 +1414,22 @@ pub fn discover(rel: &Relation, config: &DiscoveryConfig) -> DiscoveryResult {
     )
 }
 
+/// The quarantine set a dump recorded.
+fn failures_of(snap: &SearchSnapshot) -> Vec<BranchFailure> {
+    snap.failures
+        .iter()
+        .map(|f| BranchFailure {
+            branch: f.branch,
+            message: f.message.clone(),
+        })
+        .collect()
+}
+
 /// Resume a checkpointed run from a [`SearchSnapshot`] (see
 /// [`crate::snapshot`]): validate the dump against `rel` and `config`
-/// (version, manifest hash, semantic config fingerprint), rebuild the
-/// frontier and per-branch accounting, and replay the remaining levels.
+/// (version, manifest hash, semantic config fingerprint, column ids and
+/// branch records), rebuild the frontier and per-branch accounting, and
+/// replay the remaining levels.
 ///
 /// The result is **byte-identical** to what the uninterrupted run would
 /// have produced — the same OCDs/ODs/constants/equivalence classes, the
@@ -1475,30 +1473,8 @@ pub fn discover_resume(
     let budget = Budget::new(config, start, snap.checks);
     let shared = shared_cache(config);
 
-    let mut acc = SearchAccumulator {
-        ocds: snap
-            .ocds
-            .iter()
-            .map(|p| Ocd::new(AttrList::from_slice(&p.x), AttrList::from_slice(&p.y)))
-            .collect(),
-        ods: snap
-            .ods
-            .iter()
-            .map(|p| Od::new(AttrList::from_slice(&p.x), AttrList::from_slice(&p.y)))
-            .collect(),
-        generated: snap.generated,
-        levels: snap.levels.clone(),
-        level_capped: snap.level_capped,
-        check_budget_hit: snap.check_budget_hit,
-    };
-    let mut failures: Vec<BranchFailure> = snap
-        .failures
-        .iter()
-        .map(|f| BranchFailure {
-            branch: f.branch,
-            message: f.message.clone(),
-        })
-        .collect();
+    let mut acc = SearchAccumulator::from_snapshot(snap);
+    let mut failures = failures_of(snap);
     let scheduler = run_levels(
         rel,
         &reduction,
@@ -1509,6 +1485,7 @@ pub fn discover_resume(
         &mut acc,
         &mut failures,
         recorder.as_mut(),
+        None,
     );
 
     let elapsed = std::time::Duration::from_millis(snap.elapsed_ms).saturating_add(start.elapsed());
@@ -1518,7 +1495,7 @@ pub fn discover_resume(
     Ok(finalize_result(
         reduction,
         acc,
-        failures,
+        &failures,
         &budget,
         &shared,
         scheduler,
@@ -1528,6 +1505,99 @@ pub fn discover_resume(
     ))
 }
 
+/// An approximate run on the level driver (see [`crate::approximate`]):
+/// every worker's checker runs `triage`, from the level-2 seeds over every
+/// column — approximate runs skip the column reduction — or from the
+/// boundary of `resume`, which the caller has validated. Checkpoint dumps
+/// carry `meta` with the accumulated errors and counters. Returns the
+/// result without its stats, and the summed triage accounting.
+pub(crate) fn discover_triaged(
+    rel: &Relation,
+    config: &DiscoveryConfig,
+    triage: &SampleTriage<'_>,
+    meta: ApproxMeta,
+    resume: Option<&SearchSnapshot>,
+) -> (ApproximateResult, TriageTally) {
+    let start = crate::runtime::now();
+    let kernels_before = kernel_stats::snapshot();
+    let reduction = unreduced(rel);
+    let (cursor, mut acc, mut failures, checks) = match resume {
+        Some(snap) => (
+            LevelCursor::from_snapshot(snap),
+            SearchAccumulator::from_snapshot(snap),
+            failures_of(snap),
+            snap.checks,
+        ),
+        None => (
+            LevelCursor::seeds(&reduction, config),
+            SearchAccumulator::default(),
+            Vec::new(),
+            0,
+        ),
+    };
+    let mut recorder = config.checkpoint.clone().map(|policy| {
+        match resume {
+            Some(snap) => CheckpointRecorder::resuming(policy, snap, config, start, kernels_before),
+            None => CheckpointRecorder::new(policy, rel, config, start, kernels_before),
+        }
+        .with_approx(meta)
+    });
+    let budget = Budget::new(config, start, checks);
+    run_levels(
+        rel,
+        &reduction,
+        cursor,
+        config,
+        &budget,
+        &shared_cache(config),
+        &mut acc,
+        &mut failures,
+        recorder.as_mut(),
+        Some(triage),
+    );
+    let termination = acc.settle(&failures, &budget);
+    if let Some(rec) = recorder.as_mut() {
+        rec.finish(&termination);
+    }
+    let tally = acc.tally;
+    (triaged_result(acc, budget.checks(), termination), tally)
+}
+
+/// The tail of [`discover_triaged`]: the approximate result in its
+/// canonical order (OCDs, then ODs, each sorted by their sides).
+fn triaged_result(
+    acc: SearchAccumulator,
+    checks: u64,
+    termination: TerminationReason,
+) -> ApproximateResult {
+    let mut ocds: Vec<ApproximateOcd> = acc
+        .ocds
+        .into_iter()
+        .zip(acc.ocd_errors)
+        .map(|(ocd, (removals, rows))| ApproximateOcd::from_parts(ocd, removals, rows))
+        .collect();
+    ocds.sort_by(|a, b| a.ocd.cmp(&b.ocd));
+    ocds.dedup_by(|a, b| a.ocd == b.ocd);
+    let mut ods = acc.ods;
+    ods.sort();
+    ods.dedup();
+    ApproximateResult {
+        ocds,
+        ods,
+        checks,
+        termination,
+        approx: None,
+    }
+}
+
+/// The reduction of a run without column reduction: every column stays.
+fn unreduced(rel: &Relation) -> Reduction {
+    Reduction {
+        attributes: (0..rel.num_columns()).collect(),
+        ..Reduction::default()
+    }
+}
+
 /// The column-reduction preprocessing of a run, threaded by mode (shared
 /// by [`discover`] and [`discover_resume`] — reduction is deterministic,
 /// so a resume recomputes the same facts the dump's run saw).
@@ -1535,21 +1605,19 @@ fn run_reduction(rel: &Relation, config: &DiscoveryConfig) -> Reduction {
     if config.column_reduction {
         crate::reduction::columns_reduction_with_threads(rel, worker_count(config.mode))
     } else {
-        Reduction {
-            attributes: (0..rel.num_columns()).collect(),
-            ..Reduction::default()
-        }
+        unreduced(rel)
     }
 }
 
 /// The shared tail of [`discover`] and [`discover_resume`]: quarantine
-/// filtering, termination classification, canonical ordering, the
-/// checkpoint recorder's end-of-run GC, and the result assembly.
+/// filtering and termination ([`SearchAccumulator::settle`]), canonical
+/// ordering, the checkpoint recorder's end-of-run GC, and the result
+/// assembly.
 #[allow(clippy::too_many_arguments)]
 fn finalize_result(
     reduction: Reduction,
-    acc: SearchAccumulator,
-    failures: Vec<BranchFailure>,
+    mut acc: SearchAccumulator,
+    failures: &[BranchFailure],
     budget: &Budget,
     shared: &SharedCache,
     scheduler: Option<SchedulerStats>,
@@ -1557,40 +1625,7 @@ fn finalize_result(
     kernels: kernel_stats::KernelCounts,
     recorder: Option<&mut CheckpointRecorder>,
 ) -> DiscoveryResult {
-    let mut acc = acc;
-    // Quarantine filter: drop the dependencies rooted in failed branches.
-    // A branch's emissions from the levels before its failure are still in
-    // the accumulator and are stripped here, so a faulty run's OCD/OD sets
-    // equal the fault-free run minus exactly the quarantined branches.
-    // (Per-level stats and generation counters stay best-effort under
-    // failure.)
-    if !failures.is_empty() {
-        let failed: HashSet<(ColumnId, ColumnId)> = failures.iter().map(|f| f.branch).collect();
-        acc.ocds.retain(|o| !failed.contains(&ocd_branch(o)));
-        acc.ods.retain(|o| !failed.contains(&od_branch(o)));
-    }
-
-    let termination = if failures.is_empty() {
-        match budget.cause() {
-            Some(StopCause::Cancelled) => TerminationReason::Cancelled,
-            Some(StopCause::TimeBudget) => TerminationReason::TimeBudget,
-            Some(StopCause::CheckBudget) => TerminationReason::CheckBudget,
-            None if acc.check_budget_hit => TerminationReason::CheckBudget,
-            None if acc.level_capped => TerminationReason::LevelCap,
-            None => TerminationReason::Complete,
-        }
-    } else {
-        let mut branches: Vec<(ColumnId, ColumnId)> = failures.iter().map(|f| f.branch).collect();
-        branches.sort_unstable();
-        branches.dedup();
-        TerminationReason::WorkerFailure {
-            branches,
-            message: failures
-                .first()
-                .map(|f| f.message.clone())
-                .unwrap_or_default(),
-        }
-    };
+    let termination = acc.settle(failures, budget);
 
     // End-of-run checkpoint bookkeeping: GC the dumps of a complete run,
     // or persist a `-final` dump carrying the termination of an early stop.
@@ -1670,7 +1705,7 @@ mod tests {
         let reduction = run_reduction(rel, config);
         let budget = Budget::new(config, start, reduction.checks);
         let shared = shared_cache(config);
-        let mut checker = Checker::new(rel, config, &shared, None);
+        let mut checker = Checker::new(rel, config, &shared, None, None);
         let seeds = seed_candidates(&reduction.attributes);
         let allowances = branch_allowances(config.max_checks, reduction.checks, seeds.len());
         let mut acc = SearchAccumulator::default();
@@ -1690,7 +1725,7 @@ mod tests {
         finalize_result(
             reduction,
             acc,
-            Vec::new(),
+            &[],
             &budget,
             &shared,
             None,

@@ -198,8 +198,9 @@ pub struct CacheMeta {
 /// Floats (`epsilon`, `confidence`) are stored as exact integer
 /// micro-units because the dump parser deliberately accepts only unsigned
 /// integers; OCD errors are stored as `(removals, rows)` rationals for the
-/// same reason.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// same reason. The triage counters accumulated up to the boundary make a
+/// resumed run's [`crate::ApproxStats`] equal the uninterrupted run's.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ApproxMeta {
     /// Sampling seed of the run.
     pub seed: u64,
@@ -220,6 +221,18 @@ pub struct ApproxMeta {
     /// Per-OCD `(swap removals, rows)` error rationals, aligned with the
     /// dump's `ocds` array.
     pub ocd_errors: Vec<(u64, u64)>,
+    /// [`crate::ApproxStats::estimated`] so far.
+    pub estimated: u64,
+    /// [`crate::ApproxStats::accepted_by_sample`] so far.
+    pub accepted_by_sample: u64,
+    /// [`crate::ApproxStats::rejected_by_sample`] so far.
+    pub rejected_by_sample: u64,
+    /// [`crate::ApproxStats::escalated`] so far.
+    pub escalated: u64,
+    /// [`crate::ApproxStats::sample_row_scans`] so far.
+    pub sample_row_scans: u64,
+    /// [`crate::ApproxStats::full_row_scans`] so far.
+    pub full_row_scans: u64,
 }
 
 /// Convert a `[0, 1]` fraction to exact micro-units for a dump.
@@ -289,7 +302,9 @@ pub struct SearchSnapshot {
 pub enum SnapshotError {
     /// Filesystem error (message text).
     Io(String),
-    /// The file is not well-formed dump JSON.
+    /// The file is not a well-formed dump: bad JSON, a missing or mistyped
+    /// field, or contents that contradict the relation or each other (the
+    /// message names the field).
     Parse(String),
     /// The `"format"` magic is wrong — not an ocdd dump at all.
     BadMagic(String),
@@ -356,8 +371,10 @@ impl std::error::Error for SnapshotError {}
 
 impl SearchSnapshot {
     /// Validate this dump against a resume input and configuration:
-    /// version tag, manifest hash, and semantic config fingerprint (the
-    /// rejection rules of DESIGN.md §13).
+    /// version tag, manifest hash, semantic config fingerprint, and the
+    /// dump's own consistency — every column id below the relation's
+    /// column count, and a `branches` record for the branch of every
+    /// frontier candidate (the rejection rules of DESIGN.md §13).
     pub fn validate(&self, rel: &Relation, config: &DiscoveryConfig) -> Result<(), SnapshotError> {
         if self.version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion {
@@ -375,6 +392,55 @@ impl SearchSnapshot {
         let fp = SnapshotConfig::from_config(config);
         if let Some(knob) = self.config.mismatch(&fp) {
             return Err(SnapshotError::ConfigMismatch(knob));
+        }
+        self.check_ids(rel.num_columns())?;
+        // A candidate without its branch's record would be skipped
+        // silently: the driver keeps no state for it.
+        let recorded: std::collections::BTreeSet<(ColumnId, ColumnId)> =
+            self.branches.iter().map(|b| b.branch).collect();
+        for p in &self.frontier {
+            let branch = (
+                p.x.first().copied().unwrap_or(ColumnId::MAX),
+                p.y.first().copied().unwrap_or(ColumnId::MAX),
+            );
+            if !recorded.contains(&branch) {
+                return Err(SnapshotError::Parse(format!(
+                    "`branches` has no record of branch ({}, {}) of frontier candidate {:?} ~ {:?}",
+                    branch.0, branch.1, p.x, p.y
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Require every column id the dump names to be below `columns`.
+    fn check_ids(&self, columns: usize) -> Result<(), SnapshotError> {
+        let out_of_range = |field: &str, id: ColumnId| {
+            Err(SnapshotError::Parse(format!(
+                "`{field}` names column {id}, but the relation has {columns} columns"
+            )))
+        };
+        let pairs = [
+            ("frontier", &self.frontier),
+            ("ocds", &self.ocds),
+            ("ods", &self.ods),
+            ("pruned", &self.pruned),
+        ];
+        for (field, list) in pairs {
+            if let Some(&id) = list
+                .iter()
+                .flat_map(|p| p.x.iter().chain(&p.y))
+                .find(|&&id| id >= columns)
+            {
+                return out_of_range(field, id);
+            }
+        }
+        let branches = self.branches.iter().map(|b| ("branches", b.branch));
+        let failures = self.failures.iter().map(|f| ("failures", f.branch));
+        for (field, (a, b)) in branches.chain(failures) {
+            if let Some(id) = [a, b].into_iter().find(|&id| id >= columns) {
+                return out_of_range(field, id);
+            }
         }
         Ok(())
     }
@@ -537,7 +603,7 @@ pub fn snapshot_to_json(snap: &SearchSnapshot) -> String {
             .collect();
         let _ = write!(
             out,
-            "\"approx\":{{\"seed\":{},\"sample_rows\":{},\"total_rows\":{},\"strategy\":\"{}\",\"strategy_column\":{},\"sample_manifest\":\"{:016x}\",\"epsilon_micros\":{},\"confidence_micros\":{},\"ocd_errors\":[{}]}},",
+            "\"approx\":{{\"seed\":{},\"sample_rows\":{},\"total_rows\":{},\"strategy\":\"{}\",\"strategy_column\":{},\"sample_manifest\":\"{:016x}\",\"epsilon_micros\":{},\"confidence_micros\":{},\"ocd_errors\":[{}],",
             a.seed,
             a.sample_rows,
             a.total_rows,
@@ -547,6 +613,16 @@ pub fn snapshot_to_json(snap: &SearchSnapshot) -> String {
             a.epsilon_micros,
             a.confidence_micros,
             errs.join(","),
+        );
+        let _ = write!(
+            out,
+            "\"estimated\":{},\"accepted_by_sample\":{},\"rejected_by_sample\":{},\"escalated\":{},\"sample_row_scans\":{},\"full_row_scans\":{}}},",
+            a.estimated,
+            a.accepted_by_sample,
+            a.rejected_by_sample,
+            a.escalated,
+            a.sample_row_scans,
+            a.full_row_scans,
         );
     }
     let _ = write!(out, "\"pruned\":{},", pair_array(&snap.pruned));
@@ -1051,6 +1127,18 @@ pub fn parse_snapshot(text: &str) -> Result<SearchSnapshot, SnapshotError> {
                     "approx.confidence_micros",
                 )?,
                 ocd_errors,
+                estimated: as_u64(req(a, "estimated")?, "approx.estimated")?,
+                accepted_by_sample: as_u64(
+                    req(a, "accepted_by_sample")?,
+                    "approx.accepted_by_sample",
+                )?,
+                rejected_by_sample: as_u64(
+                    req(a, "rejected_by_sample")?,
+                    "approx.rejected_by_sample",
+                )?,
+                escalated: as_u64(req(a, "escalated")?, "approx.escalated")?,
+                sample_row_scans: as_u64(req(a, "sample_row_scans")?, "approx.sample_row_scans")?,
+                full_row_scans: as_u64(req(a, "full_row_scans")?, "approx.full_row_scans")?,
             })
         }
     };
@@ -1148,8 +1236,8 @@ pub fn latest_snapshot(dir: &Path) -> Result<PathBuf, SnapshotError> {
 // The checkpoint recorder driving dumps during a run
 // ---------------------------------------------------------------------------
 
-/// Run-scoped checkpoint writer, owned by `discover`/`discover_resume` and
-/// threaded into the level-synchronous drivers. Every method is
+/// Run-scoped checkpoint writer, owned by the exact and approximate entry
+/// points and threaded into the level driver. Every method is
 /// transitively panic-free and swallows IO errors into
 /// [`CheckpointStats::write_errors`]: a failing checkpoint must degrade
 /// durability, never correctness or liveness of the search.
@@ -1174,6 +1262,9 @@ pub(crate) struct CheckpointRecorder {
     /// The newest snapshot written, reused for the final dump.
     last: Option<SearchSnapshot>,
     stats: CheckpointStats,
+    /// The sampling metadata of an approximate run, which every dump's
+    /// `approx` object extends with the accumulated errors and counters.
+    approx: Option<ApproxMeta>,
 }
 
 impl CheckpointRecorder {
@@ -1200,6 +1291,7 @@ impl CheckpointRecorder {
             pruned: Vec::new(),
             last: None,
             stats: CheckpointStats::default(),
+            approx: None,
         }
     }
 
@@ -1228,7 +1320,19 @@ impl CheckpointRecorder {
             pruned: origin.pruned.clone(),
             last: None,
             stats: CheckpointStats::default(),
+            approx: None,
         }
+    }
+
+    /// The recorder of an approximate run with sampling metadata `meta`.
+    pub(crate) fn with_approx(mut self, meta: ApproxMeta) -> CheckpointRecorder {
+        self.approx = Some(meta);
+        self
+    }
+
+    /// The run's sampling metadata, when it is an approximate run.
+    pub(crate) fn approx_meta(&self) -> Option<&ApproxMeta> {
+        self.approx.as_ref()
     }
 
     /// Manifest hash of the run's input.
@@ -1383,141 +1487,6 @@ impl CheckpointRecorder {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Approximate-pipeline recorder
-// ---------------------------------------------------------------------------
-
-/// Checkpoint writer of the approximate pipeline
-/// ([`crate::approximate::run_pipeline`]): wraps a [`CheckpointRecorder`]
-/// and stamps every dump with the run's [`ApproxMeta`] so a resume can
-/// re-draw and validate the very sample the run triaged on. Same
-/// swallow-IO-errors contract as the exact recorder.
-pub(crate) struct ApproxRecorder {
-    inner: CheckpointRecorder,
-    meta: ApproxMeta,
-}
-
-/// Build the sampling metadata a dump of this approximate run carries
-/// (the `ocd_errors` array is filled per dump from the accumulated OCDs).
-pub(crate) fn approx_meta(
-    cfg: &crate::approximate::ApproxConfig,
-    stats: &crate::approximate::ApproxStats,
-) -> ApproxMeta {
-    ApproxMeta {
-        seed: cfg.seed,
-        sample_rows: stats.sample_rows as u64,
-        total_rows: stats.total_rows as u64,
-        strategy: cfg.strategy.label().to_string(),
-        strategy_column: cfg.strategy.column().map(|c| c as u64),
-        sample_manifest: stats.sample_manifest,
-        epsilon_micros: to_micros(cfg.epsilon),
-        confidence_micros: to_micros(cfg.confidence),
-        ocd_errors: Vec::new(),
-    }
-}
-
-/// Recorder for an approximate run, when its base configuration installs
-/// a [`CheckpointPolicy`]; `None` otherwise.
-pub(crate) fn approx_recorder(
-    rel: &Relation,
-    cfg: &crate::approximate::ApproxConfig,
-    stats: &crate::approximate::ApproxStats,
-) -> Option<ApproxRecorder> {
-    let policy = cfg.base.checkpoint.clone()?;
-    Some(ApproxRecorder {
-        inner: CheckpointRecorder::new(
-            policy,
-            rel,
-            &cfg.base,
-            crate::runtime::now(),
-            ocdd_relation::sort::kernel_stats::snapshot(),
-        ),
-        meta: approx_meta(cfg, stats),
-    })
-}
-
-impl ApproxRecorder {
-    /// Build the dump of the boundary entering `level_no`.
-    fn build(
-        &self,
-        level_no: usize,
-        level: &[(crate::deps::AttrList, crate::deps::AttrList)],
-        out: &crate::approximate::ApproximateResult,
-        budget: &crate::runtime::Budget,
-    ) -> SearchSnapshot {
-        let mut meta = self.meta.clone();
-        meta.ocd_errors = out
-            .ocds
-            .iter()
-            .map(|o| (o.removals as u64, o.rows as u64))
-            .collect();
-        let pair = |x: &crate::deps::AttrList, y: &crate::deps::AttrList| CandidatePair {
-            x: x.as_slice().to_vec(),
-            y: y.as_slice().to_vec(),
-        };
-        SearchSnapshot {
-            version: SNAPSHOT_VERSION,
-            manifest: self.inner.manifest(),
-            config: self.inner.fingerprint(),
-            level: level_no,
-            frontier: level.iter().map(|(x, y)| pair(x, y)).collect(),
-            branches: Vec::new(),
-            failures: Vec::new(),
-            ocds: out
-                .ocds
-                .iter()
-                .map(|o| pair(&o.ocd.lhs, &o.ocd.rhs))
-                .collect(),
-            ods: out.ods.iter().map(|o| pair(&o.lhs, &o.rhs)).collect(),
-            generated: 0,
-            levels: Vec::new(),
-            level_capped: false,
-            check_budget_hit: false,
-            checks: budget.checks(),
-            elapsed_ms: self.inner.elapsed_ms(),
-            kernels: self.inner.kernels_now(),
-            cache: self.inner.cache_meta(None),
-            approx: Some(meta),
-            pruned: Vec::new(),
-            termination: None,
-        }
-    }
-
-    /// Dump the boundary entering `level_no` if the policy's interval
-    /// wants it.
-    pub(crate) fn record_boundary(
-        &mut self,
-        level_no: usize,
-        level: &[(crate::deps::AttrList, crate::deps::AttrList)],
-        out: &crate::approximate::ApproximateResult,
-        budget: &crate::runtime::Budget,
-    ) {
-        if !self.inner.wants(level_no) {
-            return;
-        }
-        let snap = self.build(level_no, level, out, budget);
-        self.inner.write_boundary(snap);
-    }
-
-    /// End-of-run hook: refresh the resume point with the final
-    /// accumulated state on an early stop, then apply the exact
-    /// recorder's completion/final-dump protocol.
-    pub(crate) fn finish(
-        &mut self,
-        level_no: usize,
-        level: &[(crate::deps::AttrList, crate::deps::AttrList)],
-        out: &crate::approximate::ApproximateResult,
-        budget: &crate::runtime::Budget,
-        _stats: &crate::approximate::ApproxStats,
-    ) {
-        if !out.termination.is_complete() {
-            let snap = self.build(level_no, level, out, budget);
-            self.inner.write_boundary(snap);
-        }
-        self.inner.finish(&out.termination);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1642,6 +1611,12 @@ mod tests {
             epsilon_micros: 10_000,
             confidence_micros: 990_000,
             ocd_errors: vec![(0, 2_000), (17, 2_000)],
+            estimated: 91,
+            accepted_by_sample: 40,
+            rejected_by_sample: 38,
+            escalated: 13,
+            sample_row_scans: 728_000,
+            full_row_scans: 7_800_000,
         });
         snap.termination = Some(TerminationReason::WorkerFailure {
             branches: vec![(1, 2), (3, 4)],
@@ -1660,7 +1635,8 @@ mod tests {
             "\"termination\":{\"kind\":\"worker_failure\"",
             "\"scan_simd\":9",
             "\"strategy\":\"stratified\"",
-            "\"ocd_errors\":[[0,2000],[17,2000]]",
+            "\"ocd_errors\":[[0,2000],[17,2000]],\"estimated\":91",
+            "\"full_row_scans\":7800000}",
         ] {
             assert!(json.contains(key), "maximal dump must carry {key}: {json}");
         }
@@ -1682,6 +1658,12 @@ mod tests {
             epsilon_micros: 50_000,
             confidence_micros: 950_000,
             ocd_errors: vec![(3, 100)],
+            estimated: 5,
+            accepted_by_sample: 2,
+            rejected_by_sample: 2,
+            escalated: 1,
+            sample_row_scans: 2_000,
+            full_row_scans: 4_000,
         });
         let json = snapshot_to_json(&snap);
         let parsed = parse_snapshot(&json).expect("round trip");
@@ -1772,17 +1754,36 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn validate_rejects_wrong_relation_and_config() {
+    /// A 4-column relation the ids of [`sample_snapshot`] fit, and that
+    /// snapshot made valid for it under the default configuration.
+    fn valid_pair() -> (Relation, SearchSnapshot) {
         use ocdd_relation::{RelationBuilder, Value};
-        let mut b = RelationBuilder::new(vec!["a", "b"]);
-        b.push_row(vec![Value::Int(1), Value::Int(2)]).unwrap();
-        b.push_row(vec![Value::Int(2), Value::Int(1)]).unwrap();
+        let mut b = RelationBuilder::new(vec!["a", "b", "c", "d"]);
+        b.push_row(vec![
+            Value::Int(1),
+            Value::Int(2),
+            Value::Int(3),
+            Value::Int(4),
+        ])
+        .unwrap();
+        b.push_row(vec![
+            Value::Int(2),
+            Value::Int(1),
+            Value::Int(4),
+            Value::Int(3),
+        ])
+        .unwrap();
         let rel = b.finish();
-
         let mut snap = sample_snapshot();
         snap.manifest = manifest_hash(&rel);
         snap.config = SnapshotConfig::from_config(&DiscoveryConfig::default());
+        (rel, snap)
+    }
+
+    #[test]
+    fn validate_rejects_wrong_relation_and_config() {
+        use ocdd_relation::{RelationBuilder, Value};
+        let (rel, mut snap) = valid_pair();
 
         assert_eq!(snap.validate(&rel, &DiscoveryConfig::default()), Ok(()));
 
@@ -1820,6 +1821,69 @@ mod tests {
             snap.validate(&rel, &DiscoveryConfig::default()),
             Err(SnapshotError::UnsupportedVersion { .. })
         ));
+    }
+
+    /// The `Parse` message of a dump `validate` refuses.
+    fn refusal(rel: &Relation, snap: &SearchSnapshot) -> String {
+        match snap.validate(rel, &DiscoveryConfig::default()) {
+            Err(SnapshotError::Parse(message)) => message,
+            other => panic!("expected a Parse refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn validate_rejects_out_of_range_column_ids() {
+        let (rel, clean) = valid_pair();
+        type Corrupt = fn(&mut SearchSnapshot);
+        let cases: [(&str, Corrupt); 6] = [
+            ("frontier", |s| s.frontier[1].y.push(99)),
+            ("ocds", |s| s.ocds[0].x[0] = 99),
+            ("ods", |s| s.ods[0].y[0] = 99),
+            ("pruned", |s| s.pruned[0].x.push(99)),
+            ("branches", |s| s.branches[1].branch.1 = 99),
+            ("failures", |s| s.failures[0].branch.0 = 99),
+        ];
+        for (field, corrupt) in cases {
+            let mut snap = clean.clone();
+            corrupt(&mut snap);
+            let message = refusal(&rel, &snap);
+            assert!(
+                message.contains(&format!("`{field}` names column 99")),
+                "{field}: {message}"
+            );
+        }
+        // An id equal to the column count is out of range too.
+        let mut snap = clean;
+        snap.ocds[0].y[0] = 4;
+        assert!(refusal(&rel, &snap).contains("`ocds` names column 4"));
+    }
+
+    #[test]
+    fn validate_requires_a_branch_record_for_every_frontier_candidate() {
+        let (rel, mut snap) = valid_pair();
+        // Both frontier candidates belong to branch (0, 1).
+        snap.branches.retain(|b| b.branch != (0, 1));
+        let message = refusal(&rel, &snap);
+        assert!(
+            message.contains("`branches` has no record of branch (0, 1)"),
+            "{message}"
+        );
+
+        // A dump of the approximate pipeline before it ran on the level
+        // driver: a frontier, but no branch accounting at all.
+        let (_, mut old) = valid_pair();
+        old.branches.clear();
+        old.failures.clear();
+        old.approx = Some(ApproxMeta {
+            strategy: "uniform".to_string(),
+            ocd_errors: vec![(0, 2)],
+            ..ApproxMeta::default()
+        });
+        assert!(refusal(&rel, &old).contains("`branches` has no record"));
+
+        // An empty frontier needs no records.
+        old.frontier.clear();
+        assert_eq!(old.validate(&rel, &DiscoveryConfig::default()), Ok(()));
     }
 
     #[test]

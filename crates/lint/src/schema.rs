@@ -33,6 +33,7 @@ use std::collections::BTreeMap;
 /// `branches[]`/`failures[]`/pair objects, `levels[]`, `kernels`,
 /// `cache`, `approx`, and `termination`.
 pub const SNAPSHOT_SCHEMA_V1: &[&str] = &[
+    "accepted_by_sample",
     "allowance",
     "approx",
     "branches",
@@ -51,11 +52,14 @@ pub const SNAPSHOT_SCHEMA_V1: &[&str] = &[
     "elapsed_ms",
     "entries",
     "epsilon_micros",
+    "escalated",
+    "estimated",
     "evictions",
     "failed",
     "failures",
     "format",
     "frontier",
+    "full_row_scans",
     "generated",
     "hits",
     "kernels",
@@ -73,8 +77,10 @@ pub const SNAPSHOT_SCHEMA_V1: &[&str] = &[
     "ods",
     "packed_radix",
     "pruned",
+    "rejected_by_sample",
     "resident_bytes",
     "sample_manifest",
+    "sample_row_scans",
     "sample_rows",
     "scan_block",
     "scan_scalar",

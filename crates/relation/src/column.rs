@@ -190,7 +190,6 @@ impl Column {
     /// into new ranks, and only their dictionary entries are copied. Type,
     /// NULL flag and distinct count are re-derived from those entries,
     /// which gives exactly what re-encoding the selected values would.
-    // lint: allow(panic-reachability, row contract: callers pass rows < len(); codes index the dictionary by construction)
     pub(crate) fn select(&self, keep: &[usize]) -> Column {
         // Mark the codes in use (1), then overwrite each mark with its
         // exclusive prefix sum: the number of used codes below it.

@@ -283,3 +283,48 @@ fn threads_above_the_worker_cap_print_usage() {
     let out = ocdd(&["profile", csv, "--threads", &cap.to_string()]);
     assert!(out.status.success(), "--threads {cap}: {out:?}");
 }
+
+/// A dump naming a column the relation does not have is refused, with a
+/// message naming the field, instead of crashing the report writer.
+#[test]
+fn resume_refuses_a_dump_naming_a_missing_column() {
+    let dir = std::env::temp_dir().join(format!("ocdd_cli_bad_dump_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("table.csv");
+    std::fs::write(
+        &csv,
+        stdout(&ocdd(&["dataset", "hepatitis", "--rows", "60"])),
+    )
+    .unwrap();
+    let (csv, ckpt) = (csv.to_str().unwrap(), dir.join("ckpt"));
+    let run = ocdd(&[
+        "profile",
+        csv,
+        "--checkpoint-dir",
+        ckpt.to_str().unwrap(),
+        "--checkpoint-keep",
+        "0",
+        "--json",
+    ]);
+    assert!(run.status.success());
+    // The initial boundary dump has accumulated no OCD yet.
+    let dump = std::fs::read_dir(&ckpt)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.to_string_lossy().ends_with("-L0002.json"))
+        .expect("initial boundary dump");
+    let text = std::fs::read_to_string(&dump).unwrap();
+    assert!(text.contains("\"ocds\":[]"), "{text}");
+    std::fs::write(
+        &dump,
+        text.replace("\"ocds\":[]", "\"ocds\":[{\"x\":[99],\"y\":[0]}]"),
+    )
+    .unwrap();
+
+    let out = ocdd(&["profile", csv, "--resume", dump.to_str().unwrap(), "--json"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("`ocds` names column 99"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -76,7 +76,25 @@ fn published_dumps(dir: &Path) -> Vec<PathBuf> {
 
 #[test]
 fn sigkilled_run_resumes_to_the_uninterrupted_report() {
-    let work = std::env::temp_dir().join(format!("ocdd-crash-resume-{}", std::process::id()));
+    sigkill_and_resume("exact", &[]);
+}
+
+/// The approximate twin: the sampled pipeline runs on the same level
+/// driver, so its dumps resume the same way — triage counters included,
+/// since its report carries them.
+#[test]
+fn sigkilled_approximate_run_resumes_to_the_uninterrupted_report() {
+    sigkill_and_resume(
+        "approx",
+        &["--algo", "approx", "--sample", "60", "--epsilon", "0.05"],
+    );
+}
+
+/// Profile hepatitis (150 rows) with `algo` once uninterrupted, once
+/// checkpointed and SIGKILLed after its first dump, then resume from the
+/// newest dump and require the uninterrupted report.
+fn sigkill_and_resume(tag: &str, algo: &[&str]) {
+    let work = std::env::temp_dir().join(format!("ocdd-crash-resume-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&work).ok();
     std::fs::create_dir_all(&work).expect("create work dir");
     let csv = work.join("table.csv");
@@ -92,13 +110,15 @@ fn sigkilled_run_resumes_to_the_uninterrupted_report() {
 
     // Uninterrupted reference, default (sequential) mode.
     run_ok(
-        ocdd().args([
-            "profile",
-            csv.to_str().unwrap(),
-            "--json",
-            "--out",
-            ref_json.to_str().unwrap(),
-        ]),
+        ocdd()
+            .args([
+                "profile",
+                csv.to_str().unwrap(),
+                "--json",
+                "--out",
+                ref_json.to_str().unwrap(),
+            ])
+            .args(algo),
         "reference run",
     );
 
@@ -118,6 +138,7 @@ fn sigkilled_run_resumes_to_the_uninterrupted_report() {
             "--out",
             work.join("crash.json").to_str().unwrap(),
         ])
+        .args(algo)
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .spawn()
@@ -146,15 +167,17 @@ fn sigkilled_run_resumes_to_the_uninterrupted_report() {
 
     // Resume from the newest dump (directory form) at full speed.
     run_ok(
-        ocdd().args([
-            "profile",
-            csv.to_str().unwrap(),
-            "--resume",
-            ckpt.to_str().unwrap(),
-            "--json",
-            "--out",
-            res_json.to_str().unwrap(),
-        ]),
+        ocdd()
+            .args([
+                "profile",
+                csv.to_str().unwrap(),
+                "--resume",
+                ckpt.to_str().unwrap(),
+                "--json",
+                "--out",
+                res_json.to_str().unwrap(),
+            ])
+            .args(algo),
         "resumed run",
     );
 
@@ -163,7 +186,7 @@ fn sigkilled_run_resumes_to_the_uninterrupted_report() {
     assert_eq!(
         normalize(&reference),
         normalize(&resumed),
-        "resumed report differs from the uninterrupted one"
+        "{tag}: resumed report differs from the uninterrupted one"
     );
     std::fs::remove_dir_all(&work).ok();
 }

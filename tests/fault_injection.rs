@@ -158,6 +158,61 @@ fn workstealing_branch_panic_is_quarantined() {
     }
 }
 
+/// A sampled approximate run shares the exact search's quarantine: a
+/// panic injected into one level-2 branch — in its sample estimates or
+/// its escalations alike — reports `WorkerFailure` naming that branch,
+/// and every OCD (with its error) and OD outside it survives.
+#[test]
+fn approximate_branch_panic_is_quarantined() {
+    use ocddiscover::ApproxConfig;
+    let rel = Dataset::Hepatitis.generate(RowScale::Rows(120));
+    for mode in [ParallelMode::Sequential, ParallelMode::WorkStealing(3)] {
+        let cfg = ApproxConfig {
+            base: DiscoveryConfig {
+                mode,
+                ..DiscoveryConfig::default()
+            },
+            sample_rows: Some(60),
+            epsilon: 0.05,
+            ..ApproxConfig::default()
+        };
+        let clean = ocddiscover::discover_approximate_with(&rel, &cfg);
+        assert!(clean.complete());
+        let branch = branch_of(&clean.ocds.first().expect("hepatitis has OCDs").ocd);
+
+        let mut plan = FaultPlan::default();
+        plan.panic_on_branch = Some(branch);
+        let mut faulty_cfg = cfg.clone();
+        faulty_cfg.base.fault = Some(Arc::new(plan));
+        let faulty = ocddiscover::discover_approximate_with(&rel, &faulty_cfg);
+        match &faulty.termination {
+            TerminationReason::WorkerFailure { branches, message } => {
+                assert_eq!(branches.as_slice(), &[branch], "{mode:?}");
+                assert!(message.contains("injected panic"), "{mode:?}: {message}");
+            }
+            other => panic!("{mode:?}: expected WorkerFailure, got {other:?}"),
+        }
+        let expected: Vec<_> = clean
+            .ocds
+            .iter()
+            .filter(|a| branch_of(&a.ocd) != branch)
+            .cloned()
+            .collect();
+        assert_eq!(faulty.ocds, expected, "{mode:?}");
+        let od_branch = |od: &ocddiscover::Od| {
+            let (a, b) = (od.lhs.as_slice()[0], od.rhs.as_slice()[0]);
+            (a.min(b), a.max(b))
+        };
+        let expected_ods: Vec<_> = clean
+            .ods
+            .iter()
+            .filter(|od| od_branch(od) != branch)
+            .cloned()
+            .collect();
+        assert_eq!(faulty.ods, expected_ods, "{mode:?}");
+    }
+}
+
 /// A cache under a permanent eviction storm is a pure performance
 /// degradation: results are identical to the fault-free run. Covers the
 /// epoch-published shared cache under one worker and under three.

@@ -152,36 +152,61 @@ proptest! {
         }
     }
 
-    /// Differential: a genuinely sampled run (half the rows, ε = 0 so
-    /// every surviving candidate escalates) is deterministic for a fixed
-    /// seed — identical results and byte-identical JSON whichever
-    /// backend runs the escalation wave.
+    /// Differential: a genuinely sampled run (half the rows; at ε = 0
+    /// every surviving candidate escalates, at ε = 0.1 the borderline ones
+    /// need the full error) is deterministic for a fixed seed. Under both
+    /// checker backends, with and without the shared cache, and under a
+    /// random `max_checks` cap and a level cap, `Sequential` and
+    /// `WorkStealing(k)` agree on results, `checks`, termination, stats and
+    /// the JSON bytes — and the backend and cache never change results.
     #[test]
     fn sampled_escalations_deterministic_across_modes(
-        rel in small_relation(3, 20),
+        rel in small_relation(4, 20),
         seed in 0u64..1000,
+        eps in 0usize..2,
+        cap in 0u64..40,
+        capped in 0usize..2,
     ) {
         use ocddiscover::core::approximate::{discover_approximate_with, ApproxConfig};
         use ocddiscover::core::json::approx_result_to_json;
+        use ocddiscover::CheckerBackend;
 
-        let cfg = |mode| ApproxConfig {
-            base: DiscoveryConfig { mode, ..DiscoveryConfig::default() },
-            sample_rows: Some((rel.num_rows() / 2).max(1)),
-            epsilon: 0.0,
-            seed,
-            ..ApproxConfig::default()
-        };
-        let seq = discover_approximate_with(&rel, &cfg(ParallelMode::Sequential));
-        for mode in [ParallelMode::WorkStealing(2), ParallelMode::WorkStealing(3)] {
-            let par = discover_approximate_with(&rel, &cfg(mode));
-            prop_assert_eq!(&seq.ocds, &par.ocds, "mode {:?}", mode);
-            prop_assert_eq!(&seq.ods, &par.ods, "mode {:?}", mode);
-            prop_assert_eq!(seq.checks, par.checks, "mode {:?}", mode);
-            prop_assert_eq!(
-                approx_result_to_json(&seq, &rel),
-                approx_result_to_json(&par, &rel),
-                "JSON differs under {:?}", mode
-            );
+        let max_checks = (cap > 0).then_some(cap);
+        let max_level = (capped == 1).then_some(3);
+        let mut first: Option<String> = None;
+        for checker in [CheckerBackend::Resort, CheckerBackend::SortedPartitions] {
+            for shared_cache in [false, true] {
+                let cfg = |mode| ApproxConfig {
+                    base: DiscoveryConfig {
+                        mode,
+                        checker,
+                        shared_cache,
+                        max_checks,
+                        max_level,
+                        ..DiscoveryConfig::default()
+                    },
+                    sample_rows: Some((rel.num_rows() / 2).max(1)),
+                    epsilon: [0.0, 0.1][eps],
+                    seed,
+                    ..ApproxConfig::default()
+                };
+                let seq = discover_approximate_with(&rel, &cfg(ParallelMode::Sequential));
+                let json = approx_result_to_json(&seq, &rel);
+                for mode in [ParallelMode::WorkStealing(2), ParallelMode::WorkStealing(3)] {
+                    let par = discover_approximate_with(&rel, &cfg(mode));
+                    let tag = format!("{mode:?}/{checker:?}/shared={shared_cache}/{max_checks:?}/{max_level:?}");
+                    prop_assert_eq!(&seq.ocds, &par.ocds, "{}", tag);
+                    prop_assert_eq!(&seq.ods, &par.ods, "{}", tag);
+                    prop_assert_eq!(seq.checks, par.checks, "{}", tag);
+                    prop_assert_eq!(&seq.termination, &par.termination, "{}", tag);
+                    prop_assert_eq!(&seq.approx, &par.approx, "{}", tag);
+                    prop_assert_eq!(&json, &approx_result_to_json(&par, &rel), "JSON differs under {}", tag);
+                }
+                match &first {
+                    None => first = Some(json),
+                    Some(first) => prop_assert_eq!(first, &json, "{:?}/shared={}", checker, shared_cache),
+                }
+            }
         }
     }
 
