@@ -1,8 +1,9 @@
 //! Ablation benchmarks for the design choices called out in DESIGN.md:
 //!
 //! * **checker backend** — the paper's checker re-sorts per candidate
-//!   (§5.3.1 leaves sorted-partition reuse as out of scope); sorted
-//!   partitions are our optional optimization.
+//!   (§5.3.1 leaves sorted-partition reuse as out of scope); memoized
+//!   set-based canonical facts over context partitions are our optional
+//!   optimization.
 //! * **candidate dedup** — a candidate has up to two parents; deduplication
 //!   trades a hash set for duplicate checks.
 //! * **scheduling** — one worker vs the work-stealing scheduler.

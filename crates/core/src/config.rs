@@ -37,7 +37,7 @@ pub enum CheckerBackend {
     /// (the paper's faithful behaviour). The default.
     #[default]
     Resort,
-    /// Sorted partitions with incremental refinement
+    /// Memoized set-based canonical facts over context partitions
     /// ([`crate::sorted_partitions::PartitionChecker`]) — the
     /// linear-row-scaling method §5.3.1 mentions as possible future work.
     SortedPartitions,
@@ -55,11 +55,11 @@ pub struct DiscoveryConfig {
     pub dedup_candidates: bool,
     /// Which checker backend validates candidates; see [`CheckerBackend`].
     pub checker: CheckerBackend,
-    /// Share one epoch-published partition cache
+    /// Share one epoch-published cache of context partitions
     /// ([`crate::shared_cache::EpochPrefixCache`]) across every worker of
     /// the run, in either [`ParallelMode`], instead of keeping a private
     /// memo per worker. Off by default; it never changes results, only how
-    /// often prefixes are recomputed. No effect under
+    /// often partitions are recomputed. No effect under
     /// [`CheckerBackend::Resort`], which caches nothing by definition.
     pub shared_cache: bool,
     /// Byte budget of the shared cache: above it, least-recently-used

@@ -23,11 +23,12 @@
 //! never depends on the fast path.
 
 use crate::check::{check_ocd, check_od};
-use crate::config::DiscoveryConfig;
+use crate::config::{CheckerBackend, DiscoveryConfig};
 use crate::deps::{Ocd, Od};
 use crate::reduction::pair_pass;
 use crate::results::DiscoveryResult;
 use crate::search::discover;
+use crate::sorted_partitions::PartitionChecker;
 use ocdd_relation::{Error, Relation, Result, TypingMode, Value};
 
 /// What an append or deletion changed.
@@ -145,7 +146,7 @@ impl IncrementalDiscovery {
         for class in &self.result.equivalence_classes {
             let still_holds = class[1..].iter().all(|&other| {
                 let v = pair_pass(&self.relation, class[0], other);
-                v.forward && v.backward
+                v.forward() && v.backward()
             });
             if !still_holds {
                 delta.split_classes.push(class.clone());
@@ -176,11 +177,19 @@ impl IncrementalDiscovery {
         // Cheap path step 1: re-validate every held dependency on the
         // grown relation. The set of *valid* dependencies is anti-monotone
         // under row addition, so nothing brand new can appear at candidates
-        // the original search visited.
+        // the original search visited. Under `SortedPartitions` one
+        // canonical checker serves them all, so they share their facts.
         let rel = &self.relation;
+        let mut canonical = match self.config.checker {
+            CheckerBackend::SortedPartitions => Some(PartitionChecker::new(rel)),
+            CheckerBackend::Resort => None,
+        };
         let mut invalid_ocds = Vec::new();
         self.result.ocds.retain(|ocd| {
-            let ok = check_ocd(rel, &ocd.lhs, &ocd.rhs).is_valid();
+            let ok = match &mut canonical {
+                Some(c) => c.check_ocd(&ocd.lhs, &ocd.rhs),
+                None => check_ocd(rel, &ocd.lhs, &ocd.rhs).is_valid(),
+            };
             if !ok {
                 invalid_ocds.push(ocd.clone());
             }
@@ -188,7 +197,10 @@ impl IncrementalDiscovery {
         });
         let mut invalid_ods = Vec::new();
         self.result.ods.retain(|od| {
-            let ok = check_od(rel, &od.lhs, &od.rhs).is_valid();
+            let ok = match &mut canonical {
+                Some(c) => c.check_od(&od.lhs, &od.rhs),
+                None => check_od(rel, &od.lhs, &od.rhs).is_valid(),
+            };
             if !ok {
                 invalid_ods.push(od.clone());
             }
@@ -411,8 +423,20 @@ mod tests {
 
     #[test]
     fn incremental_state_matches_full_rerun() {
+        for checker in [CheckerBackend::Resort, CheckerBackend::SortedPartitions] {
+            state_matches_full_rerun(&DiscoveryConfig {
+                checker,
+                ..DiscoveryConfig::default()
+            });
+        }
+    }
+
+    /// Appends under `config` leave the state of a from-scratch run of the
+    /// faithful default configuration.
+    fn state_matches_full_rerun(config: &DiscoveryConfig) {
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};
+        let tag = format!("{:?}", config.checker);
         for seed in 0..15u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let gen_row = |rng: &mut StdRng| -> Vec<Value> {
@@ -423,14 +447,14 @@ mod tests {
                 b.push_row(gen_row(&mut rng)).unwrap();
             }
             let initial = b.finish();
-            let mut inc = IncrementalDiscovery::new(&initial, DiscoveryConfig::default());
+            let mut inc = IncrementalDiscovery::new(&initial, config.clone());
             for _ in 0..3 {
                 let batch: Vec<Vec<Value>> = (0..4).map(|_| gen_row(&mut rng)).collect();
                 inc.append_rows(batch).unwrap();
             }
             let fresh = discover(inc.relation(), &DiscoveryConfig::default());
-            assert_eq!(inc.result().ocds, fresh.ocds, "seed {seed}");
-            assert_eq!(inc.result().ods, fresh.ods, "seed {seed}");
+            assert_eq!(inc.result().ocds, fresh.ocds, "{tag}: seed {seed}");
+            assert_eq!(inc.result().ods, fresh.ods, "{tag}: seed {seed}");
         }
 
         // The class {a, b} meets NULLs in b. NULL sorts first, so one next
@@ -442,7 +466,7 @@ mod tests {
             ("c".into(), ints(&[2, 1, 2, 1])),
         ])
         .unwrap();
-        let mut inc = IncrementalDiscovery::new(&initial, DiscoveryConfig::default());
+        let mut inc = IncrementalDiscovery::new(&initial, config.clone());
         assert_eq!(inc.result().equivalence_classes, vec![vec![0, 1]]);
         let row = |a, b, c| vec![Value::Int(a), b, Value::Int(c)];
         for (batch, splits) in [
@@ -458,12 +482,12 @@ mod tests {
             let delta = inc.append_rows(batch).unwrap();
             assert_eq!(delta.split_classes.len(), usize::from(splits), "{delta:?}");
             let fresh = discover(inc.relation(), &DiscoveryConfig::default());
-            assert_eq!(inc.result().ocds, fresh.ocds, "NULL split {splits}");
-            assert_eq!(inc.result().ods, fresh.ods, "NULL split {splits}");
+            assert_eq!(inc.result().ocds, fresh.ocds, "{tag}: NULL split {splits}");
+            assert_eq!(inc.result().ods, fresh.ods, "{tag}: NULL split {splits}");
             assert_eq!(
                 inc.result().equivalence_classes,
                 fresh.equivalence_classes,
-                "NULL split {splits}"
+                "{tag}: NULL split {splits}"
             );
         }
     }

@@ -12,10 +12,10 @@
 //!
 //! The `A → B` verdicts come from one `O(m)` pair pass per unordered pair
 //! `{A, B}` (`pair_pass`) instead of the paper's sort and scan per ordered
-//! pair. The pass also decides `[A] ~ [B]`, and [`Reduction`] keeps all
-//! three verdicts (`PairVerdicts`) so that level 2 of the search can read
-//! them instead of checking the pair again. The phase still counts
-//! `n(n-1)` checks.
+//! pair. The pass also decides `[A] ~ [B]` and both FDs, and [`Reduction`]
+//! keeps them (`PairVerdicts`) so that the search's canonical checker
+//! ([`crate::sorted_partitions`]) can read them instead of walking the
+//! pair again. The phase still counts `n(n-1)` checks.
 //!
 //! The dependencies implied by the removed columns (constancy facts,
 //! equivalences, and the one-directional single-column ODs among
@@ -43,8 +43,8 @@ pub struct Reduction {
     /// Number of single-column OD checks this phase stands for: `k(k-1)`
     /// for `k` live columns, one per ordered pair.
     pub checks: u64,
-    /// The pair pass's verdicts over the live columns, read by level 2 of
-    /// the search. `None` when the phase did not run.
+    /// The pair pass's verdicts over the live columns, read by the
+    /// search's canonical checker. `None` when the phase did not run.
     pub(crate) pairs: Option<PairVerdicts>,
 }
 
@@ -76,20 +76,33 @@ impl Reduction {
     }
 }
 
-/// The three verdicts of one unordered column pair `{A, B}`.
+/// The verdicts of one unordered column pair `{A, B}`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PairVerdict {
     /// `[A] ~ [B]`: no swap.
     pub(crate) compatible: bool,
-    /// `[A] → [B]`.
-    pub(crate) forward: bool,
-    /// `[B] → [A]`.
-    pub(crate) backward: bool,
+    /// The FD `A → B`: every A-code meets one B-code.
+    pub(crate) determines: bool,
+    /// The FD `B → A`.
+    pub(crate) determined: bool,
 }
 
-/// Decide `[A] ~ [B]`, `[A] → [B]` and `[B] → [A]` in one walk over the
+impl PairVerdict {
+    /// The OD `[A] → [B]`: the OCD and the FD.
+    pub(crate) fn forward(&self) -> bool {
+        self.compatible && self.determines
+    }
+
+    /// The OD `[B] → [A]`.
+    pub(crate) fn backward(&self) -> bool {
+        self.compatible && self.determined
+    }
+}
+
+/// Decide `[A] ~ [B]` and the FDs `A → B` and `B → A` in one walk over the
 /// rows, with no sort: the set-based order compatibility `{}: A ~ B` of
-/// Szlichta et al. (arXiv 1608.06169).
+/// Szlichta et al. (arXiv 1608.06169) and the FDs it needs for
+/// `[A] → [B]` and `[B] → [A]`.
 ///
 /// The walk records the minimum and maximum B-code of every A-code, and the
 /// minimum and maximum A-code of every B-code.
@@ -98,12 +111,14 @@ pub(crate) struct PairVerdict {
 ///   pair with `A` rising and `B` falling is exactly a code whose minimum
 ///   falls below an earlier maximum. Since every minimum is at most its
 ///   maximum, the running maximum is the previous code's maximum.
-/// - `A → B` holds iff `A ~ B` holds and every A-code has minimum =
-///   maximum (no split). `B → A` is the mirror case.
+/// - The FD `A → B` holds iff every A-code has minimum = maximum (no
+///   split), and the OD `[A] → [B]` iff the FD and `A ~ B` hold. `B → A` is
+///   the mirror case.
 ///
-/// NULL is rank 0 and sorts first, so it needs no special case. The
-/// verdicts equal [`crate::check::check_ocd`], `check_od(A, B)` and
-/// `check_od(B, A)` on every input (a proptest below holds them to it).
+/// NULL is rank 0 and sorts first, so it needs no special case. On every
+/// input `compatible` equals [`crate::check::check_ocd`], and `forward()`
+/// and `backward()` equal `check_od(A, B)` and `check_od(B, A)` (a
+/// proptest below holds them to it).
 // lint: allow(panic-reachability, codes are dense ranks < meta.distinct and both tables are sized distinct, so every code indexes in bounds; windows(2) yields length-2 slices)
 pub(crate) fn pair_pass(rel: &Relation, a: ColumnId, b: ColumnId) -> PairVerdict {
     let (codes_a, codes_b) = (rel.codes(a), rel.codes(b));
@@ -121,17 +136,16 @@ pub(crate) fn pair_pass(rel: &Relation, a: ColumnId, b: ColumnId) -> PairVerdict
         e.0 = e.0.min(ca);
         e.1 = e.1.max(ca);
     }
-    let compatible = b_of_a.windows(2).all(|w| w[0].1 <= w[1].0);
     let constant_per_code = |t: &[(u32, u32)]| t.iter().all(|&(lo, hi)| lo == hi);
     PairVerdict {
-        compatible,
-        forward: compatible && constant_per_code(&b_of_a),
-        backward: compatible && constant_per_code(&a_of_b),
+        compatible: b_of_a.windows(2).all(|w| w[0].1 <= w[1].0),
+        determines: constant_per_code(&b_of_a),
+        determined: constant_per_code(&a_of_b),
     }
 }
 
 /// The pair pass's verdicts over every ordered pair of live columns, as
-/// kept by [`Reduction`] for level 2 of the search.
+/// kept by [`Reduction`] for the search's canonical checker.
 #[derive(Debug, Clone)]
 pub(crate) struct PairVerdicts {
     /// Position of each column among the live ones; `None` for constants.
@@ -139,38 +153,40 @@ pub(crate) struct PairVerdicts {
     /// Number of live columns.
     k: usize,
     /// Per ordered live pair `i * k + j`: [`COMPATIBLE`] when
-    /// `[Ai] ~ [Aj]`, [`ORDERS`] when `[Ai] → [Aj]`.
+    /// `[Ai] ~ [Aj]`, [`DETERMINES`] when the FD `Ai → Aj` holds.
     bits: Vec<u8>,
 }
 
 /// [`PairVerdicts`] bit: the pair is order compatible.
 const COMPATIBLE: u8 = 1;
-/// [`PairVerdicts`] bit: the first column orders the second.
-const ORDERS: u8 = 2;
+/// [`PairVerdicts`] bit: the first column functionally determines the
+/// second.
+const DETERMINES: u8 = 2;
+/// Both bits: the first column orders the second.
+const ORDERS: u8 = COMPATIBLE | DETERMINES;
 
 impl PairVerdicts {
-    /// The verdict bits of `[a]` against `[b]`, `None` unless both are
-    /// live columns.
+    /// The verdict bits of `a` against `b`, `None` unless they are two
+    /// distinct live columns.
     fn bits(&self, a: ColumnId, b: ColumnId) -> Option<u8> {
         let i = (*self.slot.get(a)?)?;
         let j = (*self.slot.get(b)?)?;
+        if i == j {
+            return None;
+        }
         self.bits.get(i * self.k + j).copied()
     }
 
-    /// `[a] ~ [b]`, or `None` when either side is not one live column.
-    pub(crate) fn ocd(&self, x: &AttrList, y: &AttrList) -> Option<bool> {
-        match (x.as_slice(), y.as_slice()) {
-            ([a], [b]) => self.bits(*a, *b).map(|v| v & COMPATIBLE != 0),
-            _ => None,
-        }
+    /// The OC fact `{}: a ~ b`, or `None` unless `a` and `b` are two
+    /// distinct live columns.
+    pub(crate) fn compatible(&self, a: ColumnId, b: ColumnId) -> Option<bool> {
+        self.bits(a, b).map(|v| v & COMPATIBLE != 0)
     }
 
-    /// `[a] → [b]`, or `None` when either side is not one live column.
-    pub(crate) fn od(&self, x: &AttrList, y: &AttrList) -> Option<bool> {
-        match (x.as_slice(), y.as_slice()) {
-            ([a], [b]) => self.bits(*a, *b).map(|v| v & ORDERS != 0),
-            _ => None,
-        }
+    /// The FD `a → b`, or `None` unless `a` and `b` are two distinct live
+    /// columns.
+    pub(crate) fn determines(&self, a: ColumnId, b: ColumnId) -> Option<bool> {
+        self.bits(a, b).map(|v| v & DETERMINES != 0)
     }
 }
 
@@ -294,15 +310,15 @@ pub fn columns_reduction_with_threads(rel: &Relation, threads: usize) -> Reducti
     let mut bits = vec![0u8; k * k];
     for (&(i, j), v) in pairs.iter().zip(&results) {
         let both = if v.compatible { COMPATIBLE } else { 0 };
-        bits[i * k + j] = both | if v.forward { ORDERS } else { 0 };
-        bits[j * k + i] = both | if v.backward { ORDERS } else { 0 };
+        bits[i * k + j] = both | if v.determines { DETERMINES } else { 0 };
+        bits[j * k + i] = both | if v.determined { DETERMINES } else { 0 };
     }
     // The paper checks every ordered pair: k(k-1) single-column ODs.
     let checks = 2 * pairs.len() as u64;
 
     // Digraph of valid single-column ODs among live columns.
     let adj: Vec<Vec<usize>> = (0..k)
-        .map(|i| (0..k).filter(|&j| bits[i * k + j] & ORDERS != 0).collect())
+        .map(|i| (0..k).filter(|&j| bits[i * k + j] == ORDERS).collect())
         .collect();
 
     let sccs = tarjan_scc(&adj);
@@ -472,9 +488,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
 
-        /// The pass's three verdicts equal `check_ocd`, `check_od(A, B)`
-        /// and `check_od(B, A)`, and the reduction's table repeats them
-        /// for every ordered pair of live columns.
+        /// The pass's verdicts equal `check_ocd`, `check_od(A, B)`,
+        /// `check_od(B, A)` and the FD `A → B` (the OD `[A] → [A, B]`), and
+        /// the reduction's table repeats them for every ordered pair of
+        /// live columns.
         #[test]
         fn pair_pass_matches_sort_based_checks(
             rows in proptest::prelude::prop::collection::vec(
@@ -507,13 +524,15 @@ mod tests {
                     let ocd = check_ocd(&r, &x, &y).is_valid();
                     let forward = check_od(&r, &x, &y).is_valid();
                     let backward = check_od(&r, &y, &x).is_valid();
+                    let fd = check_od(&r, &x, &AttrList::from_slice(&[a, b])).is_valid();
                     let v = pair_pass(&r, a, b);
                     prop_assert_eq!(v.compatible, ocd, "{} ~ {}", a, b);
-                    prop_assert_eq!(v.forward, forward, "{} -> {}", a, b);
-                    prop_assert_eq!(v.backward, backward, "{} -> {}", b, a);
+                    prop_assert_eq!(v.forward(), forward, "{} -> {}", a, b);
+                    prop_assert_eq!(v.backward(), backward, "{} -> {}", b, a);
+                    prop_assert_eq!(v.determines, fd, "FD {} -> {}", a, b);
                     let live = !r.meta(a).is_constant() && !r.meta(b).is_constant();
-                    prop_assert_eq!(table.ocd(&x, &y), live.then_some(ocd));
-                    prop_assert_eq!(table.od(&x, &y), live.then_some(forward));
+                    prop_assert_eq!(table.compatible(a, b), live.then_some(ocd));
+                    prop_assert_eq!(table.determines(a, b), live.then_some(fd));
                 }
             }
         }
@@ -524,13 +543,12 @@ mod tests {
         let r = rel(&[("a", &[1, 2, 3]), ("k", &[9, 9, 9]), ("b", &[1, 1, 2])]);
         let red = columns_reduction(&r);
         let table = red.pairs.as_ref().unwrap();
-        let l = AttrList::from_slice;
-        assert_eq!(table.od(&l(&[0]), &l(&[2])), Some(true));
-        assert_eq!(table.od(&l(&[2]), &l(&[0])), Some(false));
-        assert_eq!(table.ocd(&l(&[2]), &l(&[0])), Some(true));
-        assert_eq!(table.ocd(&l(&[0]), &l(&[1])), None, "constant column");
-        assert_eq!(table.ocd(&l(&[0]), &l(&[5])), None, "no such column");
-        assert_eq!(table.ocd(&l(&[0, 2]), &l(&[0])), None, "two-column side");
+        assert_eq!(table.determines(0, 2), Some(true));
+        assert_eq!(table.determines(2, 0), Some(false));
+        assert_eq!(table.compatible(2, 0), Some(true));
+        assert_eq!(table.compatible(0, 1), None, "constant column");
+        assert_eq!(table.compatible(0, 5), None, "no such column");
+        assert_eq!(table.compatible(2, 2), None, "one column");
     }
 
     #[test]

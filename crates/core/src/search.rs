@@ -8,10 +8,11 @@
 //! `Y → X` are checked: a valid direction is emitted as an OD and prunes
 //! the extensions of its left side (Theorem 3.9); an invalid direction
 //! spawns children `XA ~ Y` (resp. `X ~ YA`) for every unused attribute `A`.
-//! Under [`CheckerBackend::SortedPartitions`], level 2 reads the three
-//! verdicts of `[A] ~ [B]` that the column reduction's pair pass already
-//! computed ([`crate::reduction`]); `Resort` keeps Algorithm 2's sort and
-//! scan at every level. The `checks` accounting is the same either way.
+//! Under [`CheckerBackend::SortedPartitions`], every check is answered from
+//! memoized set-based facts ([`crate::sorted_partitions`]), and those of
+//! level 2 come from the column reduction's pair pass
+//! ([`crate::reduction`]); `Resort` keeps Algorithm 2's sort and scan at
+//! every level. The `checks` accounting is the same either way.
 //!
 //! One level-synchronous driver runs the traversal for both
 //! [`crate::config::ParallelMode`]s; `Sequential` is its one-worker case.
@@ -58,7 +59,7 @@ use crate::snapshot::{
     ApproxMeta, CandidatePair, CheckpointRecorder, SearchSnapshot, SnapshotBranch, SnapshotError,
     SnapshotFailure, SNAPSHOT_VERSION,
 };
-use crate::sorted_partitions::{PartitionChecker, SortedPartition};
+use crate::sorted_partitions::{ContextPartition, PartitionChecker};
 use ocdd_relation::sort::kernel_stats;
 use ocdd_relation::{ColumnId, Relation};
 use std::cell::Cell;
@@ -134,10 +135,11 @@ impl Emission {
     }
 }
 
-/// The run-wide epoch partition cache, present when `shared_cache` is set
-/// under [`CheckerBackend::SortedPartitions`] (`Resort` caches nothing).
-/// Cloned `Arc`s are handed to every worker's [`Checker`].
-type SharedCache = Option<Arc<EpochPrefixCache<SortedPartition>>>;
+/// The run-wide epoch cache of context partitions, present when
+/// `shared_cache` is set under [`CheckerBackend::SortedPartitions`]
+/// (`Resort` caches nothing). Cloned `Arc`s are handed to every worker's
+/// [`Checker`].
+type SharedCache = Option<Arc<EpochPrefixCache<ContextPartition>>>;
 
 fn shared_cache(config: &DiscoveryConfig) -> SharedCache {
     if !config.shared_cache || config.checker != CheckerBackend::SortedPartitions {
@@ -163,7 +165,7 @@ fn worker_count(mode: ParallelMode) -> usize {
 enum CheckerBackendState<'r> {
     /// Re-sort per candidate (paper-faithful).
     Plain(&'r Relation),
-    /// Sorted partitions with incremental refinement.
+    /// Memoized canonical facts over context partitions.
     Partitions(Box<PartitionChecker<'r>>),
 }
 
@@ -171,7 +173,7 @@ impl CheckerBackendState<'_> {
     fn check_ocd(&mut self, x: &AttrList, y: &AttrList) -> bool {
         match self {
             CheckerBackendState::Plain(rel) => check_ocd(rel, x, y).is_valid(),
-            CheckerBackendState::Partitions(p) => p.check_ocd(x, y).is_valid(),
+            CheckerBackendState::Partitions(p) => p.check_ocd(x, y),
         }
     }
 
@@ -195,10 +197,6 @@ struct TriageState<'r> {
 /// Per-worker checker state for the configured [`CheckerBackend`].
 struct Checker<'r> {
     backend: CheckerBackendState<'r>,
-    /// The reduction's single-column verdicts, which answer level 2 under
-    /// [`CheckerBackend::SortedPartitions`]. Always `None` under `Resort`,
-    /// whose level 2 keeps the paper's sort and scan.
-    pairs: Option<&'r PairVerdicts>,
     /// Set in an approximate run: every check goes through the ε-triage,
     /// which escalates borderline checks to `backend`.
     triage: Option<TriageState<'r>>,
@@ -207,8 +205,9 @@ struct Checker<'r> {
 }
 
 impl<'r> Checker<'r> {
-    /// A checker for `config`; `pairs` is kept only under
-    /// [`CheckerBackend::SortedPartitions`].
+    /// A checker for `config`. Under [`CheckerBackend::SortedPartitions`]
+    /// the reduction's verdicts `pairs` answer the facts they cover;
+    /// `Resort` keeps the paper's sort and scan at every level.
     fn new(
         rel: &'r Relation,
         config: &DiscoveryConfig,
@@ -216,19 +215,18 @@ impl<'r> Checker<'r> {
         pairs: Option<&'r PairVerdicts>,
         triage: Option<&'r SampleTriage<'r>>,
     ) -> Checker<'r> {
-        let (backend, pairs) = match config.checker {
-            CheckerBackend::Resort => (CheckerBackendState::Plain(rel), None),
-            CheckerBackend::SortedPartitions => (
-                CheckerBackendState::Partitions(Box::new(match shared {
+        let backend = match config.checker {
+            CheckerBackend::Resort => CheckerBackendState::Plain(rel),
+            CheckerBackend::SortedPartitions => CheckerBackendState::Partitions(Box::new(
+                match shared {
                     Some(cache) => PartitionChecker::with_epoch(rel, Arc::clone(cache)),
                     None => PartitionChecker::new(rel),
-                })),
-                pairs,
-            ),
+                }
+                .with_verdicts(pairs),
+            )),
         };
         Checker {
             backend,
-            pairs,
             triage: triage.map(|triage| TriageState {
                 triage,
                 ocd: None,
@@ -244,7 +242,11 @@ impl<'r> Checker<'r> {
     /// they carry over.
     fn rebuilt(&self, rel: &'r Relation, config: &DiscoveryConfig, shared: &SharedCache) -> Self {
         let triage = self.triage.as_ref().map(|t| t.triage);
-        let mut fresh = Checker::new(rel, config, shared, self.pairs, triage);
+        let pairs = match &self.backend {
+            CheckerBackendState::Partitions(p) => p.verdicts(),
+            CheckerBackendState::Plain(_) => None,
+        };
+        let mut fresh = Checker::new(rel, config, shared, pairs, triage);
         fresh.begin_level();
         fresh
     }
@@ -258,9 +260,6 @@ impl<'r> Checker<'r> {
             let backend = &mut self.backend;
             t.ocd = t.triage.ocd(x, y, &mut t.tally, || backend.check_ocd(x, y));
             return t.ocd.is_some();
-        }
-        if let Some(valid) = self.pairs.and_then(|t| t.ocd(x, y)) {
-            return valid;
         }
         self.backend.check_ocd(x, y)
     }
@@ -293,9 +292,6 @@ impl<'r> Checker<'r> {
                     .then(|| backend.check_od_after_ocd(lhs, rhs))
             };
             return t.triage.od(lhs, rhs, ocd, &mut t.tally, fused);
-        }
-        if let Some(valid) = self.pairs.and_then(|t| t.od(lhs, rhs)) {
-            return valid;
         }
         self.backend.check_od_after_ocd(lhs, rhs)
     }

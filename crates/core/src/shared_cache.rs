@@ -1,8 +1,8 @@
-//! The run-wide prefix cache shared by every worker of a discovery run.
+//! The run-wide partition cache shared by every worker of a discovery run.
 //!
-//! A [`crate::sorted_partitions::PartitionChecker`] memoizes partitions per
-//! attribute-list prefix. With a private memo, every worker rebuilds the
-//! partition of a popular prefix like `[A]` on its own. With
+//! A [`crate::sorted_partitions::PartitionChecker`] memoizes context
+//! partitions per sorted attribute set. With a private memo, every worker
+//! rebuilds the partition of a popular context like `{A}` on its own. With
 //! `DiscoveryConfig::shared_cache` set, the workers of a run share one
 //! [`EpochPrefixCache`] instead, in either parallel mode:
 //!
@@ -72,8 +72,9 @@ struct EpochEntry<V> {
     /// Monotone insertion stamp; eviction drops the oldest stamps first.
     /// Reads never re-stamp (they are lock-free on an immutable snapshot),
     /// so this is FIFO rather than LRU — the price of contention-free
-    /// lookups, and an acceptable one because prefixes computed in early
-    /// levels are exactly the ones that stop being useful first.
+    /// lookups, and an acceptable one because the small contexts of early
+    /// levels have mostly been refined into the larger ones later levels
+    /// read.
     epoch: u64,
 }
 
@@ -111,17 +112,6 @@ impl<V> EpochSnapshot<V> {
         self.map.get(key).map(|e| Arc::clone(&e.value))
     }
 
-    /// Longest *proper* prefix of `key` present in the snapshot.
-    // lint: allow(panic-reachability, &key[..len] takes proper prefixes with len < key.len() from the loop range)
-    pub fn longest_prefix(&self, key: &[ColumnId]) -> Option<(usize, Arc<V>)> {
-        for len in (1..key.len()).rev() {
-            if let Some(e) = self.map.get(&key[..len]) {
-                return Some((len, Arc::clone(&e.value)));
-            }
-        }
-        None
-    }
-
     /// Entries visible in this snapshot.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -133,7 +123,8 @@ impl<V> EpochSnapshot<V> {
     }
 }
 
-/// Read-mostly prefix cache for the level-synchronous search driver.
+/// Read-mostly cache for the level-synchronous search driver, keyed by
+/// attribute set.
 ///
 /// Rather than taking a lock on every lookup, this cache publishes an
 /// **immutable snapshot** once per level: workers clone
@@ -321,21 +312,6 @@ impl<V: CacheWeight> EpochTier<V> {
         self.snapshot.get(key)
     }
 
-    /// Longest cached *proper* prefix of `key`, preferring the buffer at
-    /// equal length.
-    // lint: allow(panic-reachability, &key[..len] takes proper prefixes with len < key.len() from the loop range)
-    pub(crate) fn longest_prefix(&self, key: &[ColumnId]) -> Option<(usize, Arc<V>)> {
-        for len in (1..key.len()).rev() {
-            if let Some(v) = self.pending.get(&key[..len]) {
-                return Some((len, Arc::clone(v)));
-            }
-            if let Some(v) = self.snapshot.get(&key[..len]) {
-                return Some((len, v));
-            }
-        }
-        None
-    }
-
     pub(crate) fn buffer(&mut self, key: Vec<ColumnId>, value: Arc<V>) {
         if self.pending.insert(key.clone(), value).is_none() {
             self.pending_order.push(key);
@@ -433,16 +409,6 @@ mod tests {
         let after = cache.snapshot();
         assert_eq!(after.get(&[0]).unwrap().as_slice(), &[2, 0, 1]);
         assert_eq!(after.len(), 1);
-    }
-
-    #[test]
-    fn epoch_longest_prefix_finds_deepest_proper_prefix() {
-        let cache: EpochPrefixCache<Vec<u32>> = EpochPrefixCache::new(1 << 20);
-        cache.publish(vec![(vec![3], idx(&[0])), (vec![3, 1], idx(&[1]))]);
-        let snap = cache.snapshot();
-        let (len, v) = snap.longest_prefix(&[3, 1, 4]).unwrap();
-        assert_eq!((len, v.as_slice()), (2, &[1u32][..]));
-        assert!(snap.longest_prefix(&[3]).is_none(), "proper prefixes only");
     }
 
     #[test]

@@ -107,7 +107,7 @@ pub struct FnItem {
 }
 
 impl FnItem {
-    /// Human-readable name: `core::sorted_partitions::PartitionChecker::partition_for`.
+    /// Human-readable name: `core::sorted_partitions::PartitionChecker::check_ocd`.
     pub fn display(&self) -> String {
         match &self.owner {
             Some(o) => format!("{}::{}::{}", self.module, o, self.name),

@@ -306,6 +306,24 @@ fn cmd_profile(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
+    if p.algo != "ocdd"
+        && p.algo != "approx"
+        && (p.resume.is_some() || p.out.is_some() || p.json || p.config.checkpoint.is_some())
+    {
+        eprintln!(
+            "ocdd: --resume/--out/--json/--checkpoint-dir require --algo ocdd or --algo approx"
+        );
+        return ExitCode::FAILURE;
+    }
+    if p.algo != "approx"
+        && (p.sample.is_some()
+            || p.confidence.is_some()
+            || p.seed.is_some()
+            || p.stratify.is_some())
+    {
+        eprintln!("ocdd: --sample/--confidence/--seed/--stratify require --algo approx");
+        return ExitCode::FAILURE;
+    }
     let rel = match read_csv_path(&p.path, &p.csv) {
         Ok(r) => r,
         Err(e) => {
@@ -320,22 +338,6 @@ fn cmd_profile(args: &[String]) -> ExitCode {
         }
     }
 
-    if p.algo != "ocdd"
-        && p.algo != "approx"
-        && (p.resume.is_some() || p.out.is_some() || p.config.checkpoint.is_some())
-    {
-        eprintln!("ocdd: --resume/--out/--checkpoint-dir require --algo ocdd or --algo approx");
-        return ExitCode::FAILURE;
-    }
-    if p.algo != "approx"
-        && (p.sample.is_some()
-            || p.confidence.is_some()
-            || p.seed.is_some()
-            || p.stratify.is_some())
-    {
-        eprintln!("ocdd: --sample/--confidence/--seed/--stratify require --algo approx");
-        return ExitCode::FAILURE;
-    }
     match p.algo.as_str() {
         "ocdd" => {
             if let Some(spec) = &p.resume {

@@ -136,6 +136,27 @@ fn profile_json_output_is_machine_readable() {
 }
 
 #[test]
+fn json_is_refused_by_algorithms_without_a_json_report() {
+    let dir = std::env::temp_dir().join("ocdd_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("json_algos.csv");
+    std::fs::write(&path, "a,b\n1,1\n1,2\n2,2\n2,3\n3,3\n").unwrap();
+    let report = dir.join("json_algos.json");
+    for algo in ["order", "fastod", "tane", "bidi"] {
+        for flags in [vec!["--json"], vec!["--out", report.to_str().unwrap()]] {
+            let mut args = vec!["profile", path.to_str().unwrap(), "--algo", algo];
+            args.extend(&flags);
+            let out = ocdd(&args);
+            assert_eq!(out.status.code(), Some(1), "{algo} {flags:?}: {out:?}");
+            assert!(stdout(&out).is_empty(), "{algo} {flags:?}: {out:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains(flags[0]), "{algo} {flags:?}: {err}");
+        }
+    }
+    assert!(!report.exists(), "a refused run writes no report");
+}
+
+#[test]
 fn approx_rejects_out_of_range_epsilon_and_confidence() {
     let dir = std::env::temp_dir().join("ocdd_cli_test");
     std::fs::create_dir_all(&dir).unwrap();

@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) on the core invariants.
 
 use ocddiscover::core::brute::all_lists;
-use ocddiscover::core::check::{check_od, check_od_pairwise};
+use ocddiscover::core::check::{check_ocd, check_od, check_od_pairwise};
 use ocddiscover::{discover, AttrList, DiscoveryConfig, ParallelMode, Relation, Value};
 use proptest::prelude::*;
 
@@ -357,7 +357,8 @@ proptest! {
         prop_assert!(check_od(&repaired, &x, &y).is_valid());
     }
 
-    /// Sorted-partition checking agrees with the sort-based checker.
+    /// The canonical checker agrees with the sort-based checker on OCDs
+    /// and ODs.
     #[test]
     fn partition_checker_agrees(rel in small_relation(3, 12)) {
         use ocddiscover::core::sorted_partitions::PartitionChecker;
@@ -366,7 +367,12 @@ proptest! {
         for x in &lists {
             for y in &lists {
                 prop_assert_eq!(
-                    checker.check_od(x, y).is_valid(),
+                    checker.check_ocd(x, y),
+                    check_ocd(&rel, x, y).is_valid(),
+                    "lists {} ~ {}", x, y
+                );
+                prop_assert_eq!(
+                    checker.check_od(x, y),
                     check_od(&rel, x, y).is_valid(),
                     "lists {} -> {}", x, y
                 );
