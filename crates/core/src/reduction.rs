@@ -46,6 +46,11 @@ pub struct Reduction {
     /// The pair pass's verdicts over the live columns, read by the
     /// search's canonical checker. `None` when the phase did not run.
     pub(crate) pairs: Option<PairVerdicts>,
+    /// Set when the columns are descending twins (column `a ^ 1` is the
+    /// twin of column `a`, see [`crate::bidirectional`]): the search then
+    /// seeds only even first attributes and never puts a column and its
+    /// twin into one candidate.
+    pub(crate) twinned: bool,
 }
 
 impl Reduction {
@@ -194,15 +199,9 @@ impl PairVerdicts {
 ///
 /// `adj[u]` lists the successors of node `u`. Returns the components in
 /// reverse topological order; nodes within a component keep discovery
-/// order. Public because the bidirectional reduction
-/// ([`crate::bidirectional`]) reuses it over the digraph of marked
-/// attributes.
-pub fn strongly_connected_components(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    tarjan_scc(adj)
-}
-
+/// order.
 // lint: allow(panic-reachability, every index is a node id < adj.len() — frames and the Tarjan stack only ever hold ids produced by iterating 0..n)
-fn tarjan_scc(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
+pub(crate) fn tarjan_scc(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
     let n = adj.len();
     const UNDEF: usize = usize::MAX;
     let mut index_of = vec![UNDEF; n];
@@ -371,6 +370,7 @@ pub fn columns_reduction_with_threads(rel: &Relation, threads: usize) -> Reducti
         single_ods,
         checks,
         pairs: Some(PairVerdicts { slot, k, bits }),
+        twinned: false,
     }
 }
 

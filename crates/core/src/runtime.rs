@@ -119,11 +119,10 @@ impl RunController {
 }
 
 /// Which limit tripped a [`Budget`], in trip order (first cause wins).
+/// `max_checks` is not one: the search driver enforces it through
+/// per-branch allowances (see `search::branch_allowances`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StopCause {
-    /// `max_checks` exceeded (only via [`Budget::spend`]; the branch-local
-    /// allowances of the main search account checks themselves).
-    CheckBudget,
     /// The wall-clock deadline passed.
     TimeBudget,
     /// The [`RunController`] was cancelled.
@@ -133,7 +132,6 @@ pub(crate) enum StopCause {
 impl From<StopCause> for TerminationReason {
     fn from(cause: StopCause) -> TerminationReason {
         match cause {
-            StopCause::CheckBudget => TerminationReason::CheckBudget,
             StopCause::TimeBudget => TerminationReason::TimeBudget,
             StopCause::Cancelled => TerminationReason::Cancelled,
         }
@@ -141,16 +139,14 @@ impl From<StopCause> for TerminationReason {
 }
 
 const STOP_NONE: u8 = 0;
-const STOP_CHECKS: u8 = 1;
-const STOP_TIME: u8 = 2;
-const STOP_CANCELLED: u8 = 3;
+const STOP_TIME: u8 = 1;
+const STOP_CANCELLED: u8 = 2;
 
 /// Shared, cooperatively-checked run budget: counts candidate checks and
 /// amortizes the expensive stop conditions (wall clock, cancellation flag)
 /// to one consultation per [`DEADLINE_CHECK_INTERVAL`] probes.
 pub(crate) struct Budget {
     checks: AtomicU64,
-    max_checks: u64,
     deadline: Option<Instant>,
     controller: Option<RunController>,
     stop: AtomicU8,
@@ -161,7 +157,6 @@ impl Budget {
     pub(crate) fn new(config: &DiscoveryConfig, start: Instant, initial_checks: u64) -> Budget {
         Budget {
             checks: AtomicU64::new(initial_checks),
-            max_checks: config.max_checks.unwrap_or(u64::MAX),
             deadline: config.time_budget.map(|d| start + d),
             controller: config.controller.clone(),
             stop: AtomicU8::new(STOP_NONE),
@@ -169,9 +164,8 @@ impl Budget {
         }
     }
 
-    /// Record `n` checks without enforcing `max_checks` — the main search
-    /// enforces its check budget through deterministic per-branch
-    /// allowances instead (see `search::branch_allowances`).
+    /// Record `n` checks. The search driver enforces `max_checks` itself,
+    /// through deterministic per-branch allowances.
     pub(crate) fn record(&self, n: u64) {
         // lint: allow(atomics-audit, observability counter; snapshotted once at run end, never read on the result path)
         self.checks.fetch_add(n, Ordering::Relaxed);
@@ -228,23 +222,8 @@ impl Budget {
         self.stop.load(Ordering::Relaxed) == STOP_NONE
     }
 
-    /// Record `n` checks *and* enforce the global `max_checks` cap — used
-    /// only by bidirectional discovery, whose own single-threaded level
-    /// loop makes global accounting deterministic (every other entry point
-    /// runs on the search driver's per-branch allowances). Returns false
-    /// once the run must stop.
-    pub(crate) fn spend(&self, n: u64) -> bool {
-        // lint: allow(atomics-audit, single-traversal entry points only; the monotone counter needs no ordering with other memory)
-        let total = self.checks.fetch_add(n, Ordering::Relaxed) + n;
-        if total > self.max_checks {
-            self.trip(StopCause::CheckBudget);
-        }
-        self.probe()
-    }
-
     fn trip(&self, cause: StopCause) {
         let code = match cause {
-            StopCause::CheckBudget => STOP_CHECKS,
             StopCause::TimeBudget => STOP_TIME,
             StopCause::Cancelled => STOP_CANCELLED,
         };
@@ -262,7 +241,6 @@ impl Budget {
     pub(crate) fn cause(&self) -> Option<StopCause> {
         // lint: allow(atomics-audit, read after the run's join barrier; the joining thread already synchronized with every writer)
         match self.stop.load(Ordering::Relaxed) {
-            STOP_CHECKS => Some(StopCause::CheckBudget),
             STOP_TIME => Some(StopCause::TimeBudget),
             STOP_CANCELLED => Some(StopCause::Cancelled),
             _ => None,
@@ -311,7 +289,10 @@ pub(crate) fn now() -> Instant {
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     /// Panic when a worker processes any candidate of this level-2 branch
-    /// (seed pair of first attributes, smaller id first).
+    /// (seed pair of first attributes, smaller id first). A bidirectional
+    /// run names its branches by twin ids: `2c` for column `c` ascending,
+    /// `2c + 1` for it descending (see
+    /// `ocdd_relation::Relation::with_descending_twins`).
     pub panic_on_branch: Option<(ColumnId, ColumnId)>,
     /// Panic on the n-th processed candidate (1-based, counted across all
     /// workers of the run).
@@ -435,20 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_spend_enforces_max_checks() {
-        let config = DiscoveryConfig {
-            max_checks: Some(10),
-            ..DiscoveryConfig::default()
-        };
-        let b = Budget::new(&config, Instant::now(), 4);
-        assert!(b.spend(3)); // 7
-        assert!(b.spend(3)); // 10, not over
-        assert!(!b.spend(1)); // 11 > 10
-        assert_eq!(b.cause(), Some(StopCause::CheckBudget));
-        assert_eq!(b.checks(), 11);
-    }
-
-    #[test]
     fn budget_record_never_trips_check_cause() {
         let config = DiscoveryConfig {
             max_checks: Some(2),
@@ -511,13 +478,13 @@ mod tests {
     #[test]
     fn first_cause_wins() {
         let config = DiscoveryConfig {
-            max_checks: Some(1),
+            time_budget: Some(Duration::ZERO),
             ..DiscoveryConfig::default()
         };
         let b = Budget::new(&config, Instant::now(), 0);
-        assert!(!b.spend(5));
+        assert!(!b.probe());
         b.trip(StopCause::Cancelled);
-        assert_eq!(b.cause(), Some(StopCause::CheckBudget));
+        assert_eq!(b.cause(), Some(StopCause::TimeBudget));
     }
 
     #[test]

@@ -42,7 +42,14 @@
 //! candidate whatever the worker count, so a budget-truncated run returns
 //! byte-identical partial results under `Sequential` and `WorkStealing(k)`.
 //! The wall-clock budget and cancellation remain global and amortized —
-//! those are inherently timing-dependent.
+//! those are inherently timing-dependent. A level they cut short ends the
+//! run, so the level after it is never built; nor is the level past
+//! `max_level`, whose candidates are only counted.
+//!
+//! Exact, approximate ([`crate::approximate`]), incremental
+//! ([`crate::incremental`]) and bidirectional ([`crate::bidirectional`])
+//! runs all go through this driver; the last runs it over descending twin
+//! columns, whose rules `Reduction::twinned` switches on.
 
 use crate::approximate::{
     ApproximateOcd, ApproximateResult, SampleTriage, TriageTally, TriagedOcd,
@@ -139,9 +146,9 @@ impl Emission {
 /// `shared_cache` is set under [`CheckerBackend::SortedPartitions`]
 /// (`Resort` caches nothing). Cloned `Arc`s are handed to every worker's
 /// [`Checker`].
-type SharedCache = Option<Arc<EpochPrefixCache<ContextPartition>>>;
+pub(crate) type SharedCache = Option<Arc<EpochPrefixCache<ContextPartition>>>;
 
-fn shared_cache(config: &DiscoveryConfig) -> SharedCache {
+pub(crate) fn shared_cache(config: &DiscoveryConfig) -> SharedCache {
     if !config.shared_cache || config.checker != CheckerBackend::SortedPartitions {
         return None;
     }
@@ -154,7 +161,7 @@ fn shared_cache(config: &DiscoveryConfig) -> SharedCache {
 
 /// Worker threads of a mode: `k` for `WorkStealing(k)`, one for
 /// `Sequential`.
-fn worker_count(mode: ParallelMode) -> usize {
+pub(crate) fn worker_count(mode: ParallelMode) -> usize {
     match mode {
         ParallelMode::Sequential => 1,
         ParallelMode::WorkStealing(k) => k.max(1),
@@ -324,35 +331,45 @@ impl<'r> Checker<'r> {
 }
 
 /// Check one candidate and, if it is a valid OCD, emit it and generate the
-/// next level (Algorithm 3).
+/// next level (Algorithm 3). A candidate's level is `|X| + |Y|`; at
+/// `max_level` its children are counted but not built, since no later
+/// level is checked.
 fn process_candidate(
-    universe: &[ColumnId],
+    reduction: &Reduction,
     cand: &Candidate,
     checker: &mut Checker<'_>,
     out: &mut Emission,
+    max_level: Option<usize>,
 ) {
     out.checks += 1;
     // Pruning rule (Theorem 3.7): an invalid OCD prunes the whole subtree.
     if checker.check_ocd(&cand.x, &cand.y) {
-        expand_valid(universe, cand, checker, out);
+        let build = max_level.is_none_or(|max| cand.x.len() + cand.y.len() < max);
+        expand_valid(reduction, cand, checker, out, build);
     }
     checker.settle(out);
 }
 
 /// Emit the valid OCD `cand`, check its two OD directions and generate
-/// the children of each failing one.
+/// the children of each failing one (only count them unless `build`).
 fn expand_valid(
-    universe: &[ColumnId],
+    reduction: &Reduction,
     cand: &Candidate,
     checker: &mut Checker<'_>,
     out: &mut Emission,
+    build: bool,
 ) {
     out.ocds.push(Ocd::new(cand.x.clone(), cand.y.clone()));
 
-    let unused: Vec<ColumnId> = universe
+    // An attribute is used when the candidate holds it or, over descending
+    // twins, its twin.
+    let held = |a: ColumnId| cand.x.contains(a) || cand.y.contains(a);
+    let used = |a: ColumnId| held(a) || (reduction.twinned && held(a ^ 1));
+    let unused: Vec<ColumnId> = reduction
+        .attributes
         .iter()
         .copied()
-        .filter(|&a| !cand.x.contains(a) && !cand.y.contains(a))
+        .filter(|&a| !used(a))
         .collect();
 
     // Direction X -> Y (Algorithm 3 lines 3-9). The OCD `X ~ Y` just
@@ -361,13 +378,12 @@ fn expand_valid(
     if checker.check_od_after_ocd(cand, true) {
         out.ods.push(Od::new(cand.x.clone(), cand.y.clone()));
     } else {
-        // lint: allow(unprobed-loop, child generation bounded by the unused attributes of one candidate (schema width))
-        for &a in &unused {
-            out.generated += 1;
-            out.children.push(Candidate {
+        out.generated += unused.len() as u64;
+        if build {
+            out.children.extend(unused.iter().map(|&a| Candidate {
                 x: cand.x.with_appended(a),
                 y: cand.y.clone(),
-            });
+            }));
         }
     }
 
@@ -376,13 +392,12 @@ fn expand_valid(
     if checker.check_od_after_ocd(cand, false) {
         out.ods.push(Od::new(cand.y.clone(), cand.x.clone()));
     } else {
-        // lint: allow(unprobed-loop, child generation bounded by the unused attributes of one candidate (schema width))
-        for &a in &unused {
-            out.generated += 1;
-            out.children.push(Candidate {
+        out.generated += unused.len() as u64;
+        if build {
+            out.children.extend(unused.iter().map(|&a| Candidate {
                 x: cand.x.clone(),
                 y: cand.y.with_appended(a),
-            });
+            }));
         }
     }
 }
@@ -448,7 +463,7 @@ fn branch_allowances(max_checks: Option<u64>, already_spent: u64, branches: usiz
 #[cfg(test)]
 #[allow(clippy::too_many_arguments)]
 fn run_subtree(
-    universe: &[ColumnId],
+    reduction: &Reduction,
     seeds: Vec<Candidate>,
     config: &DiscoveryConfig,
     budget: &Budget,
@@ -485,7 +500,7 @@ fn run_subtree(
                 plan.before_candidate(cand.branch());
             }
             em.clear();
-            process_candidate(universe, cand, checker, &mut em);
+            process_candidate(reduction, cand, checker, &mut em, None);
             stats.candidates += 1;
             stats.valid_ocds += em.ocds.len() as u64;
             stats.valid_ods += em.ods.len() as u64;
@@ -515,12 +530,12 @@ fn run_subtree(
 
 /// Mutable state shared by a traversal.
 #[derive(Debug, Default)]
-struct SearchAccumulator {
-    ocds: Vec<Ocd>,
+pub(crate) struct SearchAccumulator {
+    pub(crate) ocds: Vec<Ocd>,
     /// Under the ε-triage: each OCD's `(removals, rows)` error, aligned
     /// with `ocds`. Empty for an exact run.
     ocd_errors: Vec<(usize, usize)>,
-    ods: Vec<Od>,
+    pub(crate) ods: Vec<Od>,
     generated: u64,
     levels: Vec<LevelStats>,
     /// `max_level` truncated at least one branch.
@@ -576,7 +591,11 @@ impl SearchAccumulator {
     /// stripped here, so a faulty run's OCD/OD sets equal the fault-free
     /// run minus exactly the quarantined branches. (Per-level stats,
     /// generation and triage counters stay best-effort under failure.)
-    fn settle(&mut self, failures: &[BranchFailure], budget: &Budget) -> TerminationReason {
+    pub(crate) fn settle(
+        &mut self,
+        failures: &[BranchFailure],
+        budget: &Budget,
+    ) -> TerminationReason {
         if failures.is_empty() {
             return match budget.cause() {
                 Some(cause) => cause.into(),
@@ -632,7 +651,7 @@ impl SearchAccumulator {
 
 /// One quarantined level-2 branch.
 #[derive(Debug, Clone)]
-struct BranchFailure {
+pub(crate) struct BranchFailure {
     branch: (ColumnId, ColumnId),
     message: String,
 }
@@ -677,11 +696,12 @@ fn branch_states(queue: &[(Candidate, u64)]) -> HashMap<(ColumnId, ColumnId), Br
 /// The input-ordered post-filter of the level driver: walk the level's
 /// outcomes in candidate order, replay the per-branch allowance
 /// accounting, quarantine panicked branches, and assemble the next level
-/// into the reused `next` buffer. Because a branch's candidates appear
-/// within each level in branch-local BFS order, every branch is truncated
-/// at exactly the candidate a branch-at-a-time traversal would stop at —
-/// speculative work past that point is dropped, keeping results and
-/// `checks` byte-identical whatever the worker count.
+/// into the reused `next` buffer — left empty when the budget stopped the
+/// run or `max_level` allows no next level. Because a branch's candidates
+/// appear within each level in branch-local BFS order, every branch is
+/// truncated at exactly the candidate a branch-at-a-time traversal would
+/// stop at — speculative work past that point is dropped, keeping results
+/// and `checks` byte-identical whatever the worker count.
 #[allow(clippy::too_many_arguments)]
 fn absorb_level_outcomes(
     level: &[Candidate],
@@ -745,15 +765,27 @@ fn absorb_level_outcomes(
                     acc.ocd_errors.extend(error);
                     acc.tally += tally;
                 }
-                next_parts.push((branch, em.children));
+                if em.generated > 0 {
+                    next_parts.push((branch, em.children));
+                }
             }
         }
     }
     acc.levels.push(stats);
     next.clear();
+    // A level the budget cut short records no boundary and ends the run,
+    // so nothing would check the next level: do not build it.
+    if budget.is_stopped() {
+        next_parts.clear();
+        return;
+    }
+    // At `max_level` the children were counted, not built. A surviving
+    // branch that has some is cut by the cap.
+    let capped = config.max_level.is_some_and(|max| level_no >= max);
     // lint: allow(unprobed-loop, one pass over the level's surviving branches)
     for (branch, children) in next_parts.drain(..) {
         if states.get(&branch).is_some_and(|s| !s.stopped && !s.failed) {
+            acc.level_capped |= capped;
             next.extend(children);
         }
     }
@@ -767,7 +799,7 @@ fn absorb_level_outcomes(
 /// seed queue (fresh run) or from a [`SearchSnapshot`] (resume) — the two
 /// are indistinguishable to the driver, which is exactly what makes
 /// `resume == uninterrupted` hold.
-struct LevelCursor {
+pub(crate) struct LevelCursor {
     states: HashMap<(ColumnId, ColumnId), BranchState>,
     level: Vec<Candidate>,
     level_no: usize,
@@ -786,8 +818,8 @@ impl LevelCursor {
 
     /// The level-2 seeds over `reduction`'s universe, each branch with its
     /// share of the check budget left after the reduction.
-    fn seeds(reduction: &Reduction, config: &DiscoveryConfig) -> LevelCursor {
-        let seeds = seed_candidates(&reduction.attributes);
+    pub(crate) fn seeds(reduction: &Reduction, config: &DiscoveryConfig) -> LevelCursor {
+        let seeds = seed_candidates(reduction);
         let allowances = branch_allowances(config.max_checks, reduction.checks, seeds.len());
         LevelCursor::from_queue(seeds.into_iter().zip(allowances).collect())
     }
@@ -970,7 +1002,7 @@ fn prefix_batches<T>(items: &[T], prefix: impl Fn(&T) -> &AttrList) -> Vec<(Attr
 #[allow(clippy::too_many_arguments)]
 fn run_batch<'r>(
     rel: &'r Relation,
-    universe: &[ColumnId],
+    reduction: &Reduction,
     members: &[usize],
     level: &[Candidate],
     checker: &mut Checker<'r>,
@@ -1005,7 +1037,7 @@ fn run_batch<'r>(
                         plan.before_candidate(cand.branch());
                     }
                     let mut em = Emission::default();
-                    process_candidate(universe, cand, checker, &mut em);
+                    process_candidate(reduction, cand, checker, &mut em, config.max_level);
                     budget.probe();
                     out.push((i, SpecOutcome::Done(em)));
                 }
@@ -1126,7 +1158,7 @@ fn run_workers<'r, T: Send>(
 /// checker runs the ε-triage of an approximate run. Returns the scheduler
 /// counters under `WorkStealing`, `None` under `Sequential`.
 #[allow(clippy::too_many_arguments)]
-fn run_levels<'r>(
+pub(crate) fn run_levels<'r>(
     rel: &'r Relation,
     reduction: &'r Reduction,
     cursor: LevelCursor,
@@ -1139,7 +1171,6 @@ fn run_levels<'r>(
     triage: Option<&'r SampleTriage<'r>>,
 ) -> Option<SchedulerStats> {
     let k = worker_count(config.mode);
-    let universe = reduction.attributes.as_slice();
     let LevelCursor {
         mut states,
         mut level,
@@ -1180,7 +1211,7 @@ fn run_levels<'r>(
             &mut slots,
             |members, checker, out| {
                 run_batch(
-                    rel, universe, members, &level, checker, config, shared, budget, out,
+                    rel, reduction, members, &level, checker, config, shared, budget, out,
                 )
             },
         );
@@ -1319,7 +1350,7 @@ pub fn profile_branches(
         ..config.clone()
     };
     let mut costs = Vec::new();
-    for seed in seed_candidates(&reduction.attributes) {
+    for seed in seed_candidates(&reduction) {
         let branch = seed.branch();
         let budget = Budget::new(&config, crate::runtime::now(), 0);
         let mut acc = SearchAccumulator::default();
@@ -1347,12 +1378,21 @@ pub fn profile_branches(
 }
 
 /// Level-2 seed candidates over the reduced universe: all pairs `(Ai, Aj)`
-/// with `i < j` (OCDs are commutative, Algorithm 1 line 4).
-fn seed_candidates(universe: &[ColumnId]) -> Vec<Candidate> {
+/// with `i < j` (OCDs are commutative, Algorithm 1 line 4). Over
+/// descending twins, the first attribute is ascending (flipping every
+/// direction keeps a dependency valid) and the second is not its twin.
+fn seed_candidates(reduction: &Reduction) -> Vec<Candidate> {
+    let universe = &reduction.attributes;
     let mut seeds = Vec::new();
     // lint: allow(unprobed-loop, level-2 seeding, bounded by the reduced universe width squared)
     for (i, &a) in universe.iter().enumerate() {
+        if reduction.twinned && !a.is_multiple_of(2) {
+            continue;
+        }
         for &b in universe.iter().skip(i + 1) {
+            if reduction.twinned && b == a ^ 1 {
+                continue;
+            }
             seeds.push(Candidate {
                 x: AttrList::single(a),
                 y: AttrList::single(b),
@@ -1702,13 +1742,13 @@ mod tests {
         let budget = Budget::new(config, start, reduction.checks);
         let shared = shared_cache(config);
         let mut checker = Checker::new(rel, config, &shared, None, None);
-        let seeds = seed_candidates(&reduction.attributes);
+        let seeds = seed_candidates(&reduction);
         let allowances = branch_allowances(config.max_checks, reduction.checks, seeds.len());
         let mut acc = SearchAccumulator::default();
         for (seed, allowance) in seeds.into_iter().zip(allowances) {
             let mut branch = SearchAccumulator::default();
             run_subtree(
-                &reduction.attributes,
+                &reduction,
                 vec![seed],
                 config,
                 &budget,
@@ -1808,12 +1848,25 @@ mod tests {
 
     #[test]
     fn seeds_enumerate_unordered_pairs() {
-        let seeds = seed_candidates(&[0, 2, 5]);
+        let mut reduction = Reduction {
+            attributes: vec![0, 2, 5],
+            ..Reduction::default()
+        };
+        let seeds = seed_candidates(&reduction);
         assert_eq!(seeds.len(), 3);
         assert_eq!(seeds[0].x, l(&[0]));
         assert_eq!(seeds[0].y, l(&[2]));
         assert_eq!(seeds[2].x, l(&[2]));
         assert_eq!(seeds[2].y, l(&[5]));
+        // Twins of columns 0, 2 and 3: an ascending first mark, and never
+        // a column with its own twin.
+        reduction.attributes = vec![0, 1, 4, 5, 6, 7];
+        reduction.twinned = true;
+        let pairs: Vec<(ColumnId, ColumnId)> = seed_candidates(&reduction)
+            .iter()
+            .map(Candidate::branch)
+            .collect();
+        assert_eq!(pairs, [(0, 4), (0, 5), (0, 6), (0, 7), (4, 6), (4, 7)]);
     }
 
     #[test]
@@ -2592,51 +2645,111 @@ mod tests {
     fn resume_from_every_boundary_matches_uninterrupted() {
         use crate::snapshot::{list_snapshots, read_snapshot, CheckpointPolicy};
         let r = staircase(5, 60);
-        let full = discover(&r, &DiscoveryConfig::default());
-        assert!(full.complete());
+        // A complete run, and one whose last boundary follows the level
+        // `max_level` cut: an empty frontier with the cap recorded.
+        for max_level in [None, Some(3)] {
+            let base = DiscoveryConfig {
+                max_level,
+                ..DiscoveryConfig::default()
+            };
+            let full = discover(&r, &base);
+            let want = match max_level {
+                None => TerminationReason::Complete,
+                Some(_) => TerminationReason::LevelCap,
+            };
+            assert_eq!(full.termination, want);
 
-        // One checkpointed reference run keeping every boundary dump.
-        let dir = ckpt_dir("resume");
-        let config = DiscoveryConfig {
-            checkpoint: Some(CheckpointPolicy {
-                keep_last: 0,
-                delete_on_complete: false,
-                ..CheckpointPolicy::new(&dir)
-            }),
+            // One checkpointed reference run keeping every boundary dump.
+            let dir = ckpt_dir(&format!("resume-{}", max_level.unwrap_or(0)));
+            let config = DiscoveryConfig {
+                checkpoint: Some(CheckpointPolicy {
+                    keep_last: 0,
+                    delete_on_complete: false,
+                    ..CheckpointPolicy::new(&dir)
+                }),
+                ..base.clone()
+            };
+            let ck = discover(&r, &config);
+            assert_same_result(&full, &ck, "checkpointed reference");
+
+            // Resuming from every retained boundary — i.e. as if the process
+            // had been killed at any level — reproduces the uninterrupted
+            // result under every backend.
+            let dumps = list_snapshots(&dir, None).unwrap();
+            assert!(dumps.len() >= 2, "expected several boundaries: {dumps:?}");
+            for dump in &dumps {
+                let snap = read_snapshot(dump).unwrap();
+                for mode in [
+                    ParallelMode::Sequential,
+                    ParallelMode::WorkStealing(2),
+                    ParallelMode::WorkStealing(3),
+                ] {
+                    let config = DiscoveryConfig {
+                        mode,
+                        ..base.clone()
+                    };
+                    let resumed = discover_resume(&r, &config, &snap).unwrap();
+                    assert_same_result(
+                        &full,
+                        &resumed,
+                        &format!("{mode:?} from {}", dump.display()),
+                    );
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// The post-filter builds no level the driver will not check: none
+    /// after a budget stop, and none past `max_level`, where the children
+    /// are only counted and the cap is recorded.
+    #[test]
+    fn absorb_builds_no_unchecked_level() {
+        let r = staircase(3, 12);
+        let reduction = columns_reduction(&r);
+        let level = seed_candidates(&reduction);
+        let queue: Vec<(Candidate, u64)> = level.iter().map(|c| (c.clone(), u64::MAX)).collect();
+        let stopped = DiscoveryConfig {
+            time_budget: Some(Duration::ZERO),
             ..DiscoveryConfig::default()
         };
-        let ck = discover(&r, &config);
-        assert_same_result(&full, &ck, "checkpointed reference");
-
-        // Resuming from every retained boundary — i.e. as if the process
-        // had been killed at any level — reproduces the uninterrupted
-        // result under every backend.
-        let dumps = list_snapshots(&dir, None).unwrap();
-        assert!(dumps.len() >= 2, "expected several boundaries: {dumps:?}");
-        for dump in &dumps {
-            let snap = read_snapshot(dump).unwrap();
-            for mode in [
-                ParallelMode::Sequential,
-                ParallelMode::WorkStealing(2),
-                ParallelMode::WorkStealing(3),
-            ] {
-                let resumed = discover_resume(
-                    &r,
-                    &DiscoveryConfig {
-                        mode,
-                        ..DiscoveryConfig::default()
-                    },
-                    &snap,
-                )
-                .unwrap();
-                assert_same_result(
-                    &full,
-                    &resumed,
-                    &format!("{mode:?} from {}", dump.display()),
-                );
-            }
+        let capped = DiscoveryConfig {
+            max_level: Some(2),
+            ..DiscoveryConfig::default()
+        };
+        for config in [stopped, capped] {
+            let budget = Budget::new(&config, crate::runtime::now(), 0);
+            let _ = budget.probe_now();
+            let mut checker = Checker::new(&r, &config, &None, None, None);
+            let outcomes = level
+                .iter()
+                .map(|cand| {
+                    let mut em = Emission::default();
+                    process_candidate(&reduction, cand, &mut checker, &mut em, config.max_level);
+                    SpecOutcome::Done(em)
+                })
+                .collect();
+            let mut acc = SearchAccumulator::default();
+            let mut next = Vec::new();
+            absorb_level_outcomes(
+                &level,
+                outcomes,
+                &mut branch_states(&queue),
+                2,
+                &config,
+                &budget,
+                &mut acc,
+                &mut Vec::new(),
+                &mut next,
+                &mut Vec::new(),
+                None,
+            );
+            let tag = format!("{:?}/{:?}", config.time_budget, config.max_level);
+            assert!(next.is_empty(), "{tag}: built {} candidates", next.len());
+            assert_eq!(acc.levels[0].candidates, 3, "{tag}: every outcome absorbed");
+            assert_eq!(acc.generated, 5, "{tag}: children counted");
+            assert_eq!(acc.level_capped, budget.cause().is_none(), "{tag}");
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -224,6 +224,21 @@ impl Column {
         }
     }
 
+    /// The column ranked in reverse: code `distinct − 1 − c` for code `c`
+    /// and the dictionary reversed, so the values and the metadata stay
+    /// and NULL sorts last.
+    pub(crate) fn reversed(&self) -> Column {
+        // Codes are dense ranks below the dictionary length.
+        let top = u32::try_from(self.dictionary.len().saturating_sub(1)).unwrap_or(u32::MAX);
+        let codes: Vec<u32> = self.codes.iter().map(|&c| top - c).collect();
+        Column {
+            narrow: NarrowCodes::build(&codes, self.meta.distinct),
+            codes,
+            dictionary: self.dictionary.iter().rev().cloned().collect(),
+            meta: self.meta.clone(),
+        }
+    }
+
     /// Storage width of this column's narrowest code mirror.
     #[inline]
     pub fn code_width(&self) -> CodeWidth {

@@ -176,6 +176,22 @@ impl Relation {
         })
     }
 
+    /// A new relation in which every column is followed by its descending
+    /// twin: column `2c` is column `c`, and column `2c + 1` holds the same
+    /// values ranked in reverse (NULL last), with the same metadata.
+    /// Bidirectional discovery searches this relation.
+    pub fn with_descending_twins(&self) -> Relation {
+        let columns = self
+            .columns
+            .iter()
+            .flat_map(|c| [c.clone(), c.reversed()])
+            .collect();
+        Relation {
+            columns,
+            num_rows: self.num_rows,
+        }
+    }
+
     /// A new relation containing only the first `n` rows.
     /// Columns are re-encoded so ranks stay dense. Used by the
     /// row-scalability experiments.
@@ -344,6 +360,27 @@ mod tests {
         assert_eq!(p.column_names(), vec!["c", "a"]);
         assert_eq!(p.value(1, 1), &Value::Int(3));
         assert!(r.project(&[9]).is_err());
+    }
+
+    #[test]
+    fn descending_twins_reverse_ranks_and_keep_values() {
+        let r = sample();
+        let t = r.with_descending_twins();
+        assert_eq!((t.num_rows(), t.num_columns()), (3, 6));
+        for c in 0..r.num_columns() {
+            assert_eq!(t.codes(2 * c), r.codes(c));
+            assert_eq!(t.meta(2 * c + 1), r.meta(c), "metadata kept");
+            for row in 0..3 {
+                assert_eq!(t.value(row, 2 * c + 1), r.value(row, c), "values decode");
+            }
+        }
+        // Column a: 1, 3, 2 ranks 0, 2, 1 and its twin 2, 0, 1.
+        assert_eq!(t.codes(1), &[2, 0, 1]);
+        // Column b: x, y, NULL ranks 1, 2, 0; in the twin NULL sorts last.
+        assert_eq!(t.codes(3), &[1, 0, 2]);
+        assert_eq!(t.code_width(3), CodeWidth::U8);
+        // The constant column stays constant.
+        assert_eq!(t.codes(5), &[0, 0, 0]);
     }
 
     #[test]

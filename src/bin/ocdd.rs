@@ -14,8 +14,11 @@
 //! ```
 //!
 //! `--threads N` runs the work-stealing scheduler on N workers when N > 1
-//! and the sequential search otherwise; results are identical either way.
-//! N above [`MAX_WORKERS`] is a usage error.
+//! and the sequential search otherwise, for `--algo ocdd`, `approx` and
+//! `bidi` alike; results are identical either way. N above
+//! [`MAX_WORKERS`] is a usage error. `--top-k` needs `--algo ocdd` and
+//! `--epsilon` needs `--algo approx`; with another algorithm they are
+//! refused.
 //!
 //! `--checkpoint-dir` turns on durable checkpointing: the search dumps its
 //! frontier at every level boundary (atomic tmp+fsync+rename writes), and
@@ -73,12 +76,15 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// The ε of `--algo approx` when `--epsilon` is not given.
+const DEFAULT_EPSILON: f64 = 0.01;
+
 struct ProfileArgs {
     path: String,
     algo: String,
     config: DiscoveryConfig,
     csv: CsvOptions,
-    epsilon: f64,
+    epsilon: Option<f64>,
     sample: Option<usize>,
     confidence: Option<f64>,
     seed: Option<u64>,
@@ -97,7 +103,7 @@ fn parse_profile(args: &[String]) -> Option<ProfileArgs> {
         algo: "ocdd".to_owned(),
         config: DiscoveryConfig::default(),
         csv: CsvOptions::default(),
-        epsilon: 0.01,
+        epsilon: None,
         sample: None,
         confidence: None,
         seed: None,
@@ -121,7 +127,7 @@ fn parse_profile(args: &[String]) -> Option<ProfileArgs> {
                 threads = iter.next()?.parse().ok().filter(|&t| t <= MAX_WORKERS)?;
             }
             "--lex" => out.csv.typing = TypingMode::ForceLexicographic,
-            "--epsilon" => out.epsilon = iter.next()?.parse().ok()?,
+            "--epsilon" => out.epsilon = Some(iter.next()?.parse().ok()?),
             "--sample" => out.sample = Some(iter.next()?.parse().ok()?),
             "--confidence" => out.confidence = Some(iter.next()?.parse().ok()?),
             "--seed" => out.seed = Some(iter.next()?.parse().ok()?),
@@ -280,7 +286,9 @@ fn emit_approx_result(rel: &Relation, res: &ApproximateResult, p: &ProfileArgs) 
         }
         println!(
             "-- ε = {}, {} checks, {}",
-            p.epsilon, res.checks, res.termination
+            p.epsilon.unwrap_or(DEFAULT_EPSILON),
+            res.checks,
+            res.termination
         );
     }
     ExitCode::SUCCESS
@@ -295,10 +303,19 @@ fn cmd_profile(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
+    if p.top_k.is_some() && p.algo != "ocdd" {
+        eprintln!("ocdd: --top-k requires --algo ocdd");
+        return ExitCode::FAILURE;
+    }
+    if p.epsilon.is_some() && p.algo != "approx" {
+        eprintln!("ocdd: --epsilon requires --algo approx");
+        return ExitCode::FAILURE;
+    }
     if p.algo == "approx" {
         // The range checks also refuse NaN, which compares false.
-        if !(0.0..=1.0).contains(&p.epsilon) {
-            eprintln!("ocdd: --epsilon must be in [0, 1], got {}", p.epsilon);
+        let epsilon = p.epsilon.unwrap_or(DEFAULT_EPSILON);
+        if !(0.0..=1.0).contains(&epsilon) {
+            eprintln!("ocdd: --epsilon must be in [0, 1], got {epsilon}");
             return ExitCode::FAILURE;
         }
         if let Some(c) = p.confidence.filter(|&c| !(c > 0.0 && c < 1.0)) {
@@ -442,7 +459,7 @@ fn cmd_profile(args: &[String]) -> ExitCode {
             let mut cfg = ApproxConfig {
                 base: p.config.clone(),
                 sample_rows: p.sample,
-                epsilon: p.epsilon,
+                epsilon: p.epsilon.unwrap_or(DEFAULT_EPSILON),
                 ..ApproxConfig::default()
             };
             if let Some(c) = p.confidence {

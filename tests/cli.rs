@@ -349,3 +349,62 @@ fn resume_refuses_a_dump_naming_a_missing_column() {
     assert!(stderr.contains("`ocds` names column 99"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn top_k_and_epsilon_are_refused_outside_their_algorithms() {
+    let dir = std::env::temp_dir().join("ocdd_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("scoped_flags.csv");
+    std::fs::write(
+        &path,
+        stdout(&ocdd(&["dataset", "hepatitis", "--rows", "40"])),
+    )
+    .unwrap();
+    let csv = path.to_str().unwrap();
+    let refused = [
+        ("bidi", "--top-k", "3"),
+        ("fastod", "--top-k", "3"),
+        ("approx", "--top-k", "3"),
+        ("ocdd", "--epsilon", "0.1"),
+        ("bidi", "--epsilon", "0.1"),
+        ("order", "--epsilon", "0.1"),
+    ];
+    for (algo, flag, value) in refused {
+        let out = ocdd(&["profile", csv, "--algo", algo, flag, value]);
+        assert_eq!(out.status.code(), Some(1), "{algo} {flag}: {out:?}");
+        // Refused before the CSV is read: not even the summary is printed.
+        assert!(stdout(&out).is_empty(), "{algo} {flag}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "{algo} {flag}: {err}");
+    }
+    for (algo, flag, value) in [("ocdd", "--top-k", "3"), ("approx", "--epsilon", "0.1")] {
+        let out = ocdd(&["profile", csv, "--algo", algo, flag, value]);
+        assert!(out.status.success(), "{algo} {flag}: {out:?}");
+    }
+}
+
+/// The `--algo bidi` report on `ocdd dataset horse`, pinned byte for byte
+/// (72 OCDs, 7 ODs, 9,232 checks) and the same on one worker or three.
+#[test]
+fn bidi_report_on_horse_is_pinned() {
+    let dir = std::env::temp_dir().join("ocdd_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("horse_bidi.csv");
+    std::fs::write(&path, stdout(&ocdd(&["dataset", "horse"]))).unwrap();
+    let want = include_str!("fixtures/horse_bidi.txt");
+    assert_eq!(want.lines().filter(|l| l.starts_with("ocd ")).count(), 72);
+    assert_eq!(want.lines().filter(|l| l.starts_with("od ")).count(), 7);
+    assert!(want.ends_with("-- 9232 checks, complete\n"));
+    for threads in ["1", "3"] {
+        let out = ocdd(&[
+            "profile",
+            path.to_str().unwrap(),
+            "--algo",
+            "bidi",
+            "--threads",
+            threads,
+        ]);
+        assert!(out.status.success(), "--threads {threads}: {out:?}");
+        assert_eq!(stdout(&out), want, "--threads {threads}");
+    }
+}
