@@ -2,6 +2,8 @@
 //! numbers so they stay interpretable across machines and compiler
 //! upgrades. perfbench embeds [`environment_json`] in its report line.
 
+use ocdd_iosafe::json::quoted;
+
 /// CPU feature flags relevant to the autovectorized scan kernels, as
 /// detected on this host.
 #[cfg(target_arch = "x86_64")]
@@ -38,16 +40,19 @@ pub fn environment_json() -> String {
             .output()
             .ok()
             .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().replace(['"', '\\'], "_"))
+            .map(|s| s.trim().to_owned())
             .filter(|s| !s.is_empty())
             .unwrap_or_else(|| "unknown".to_owned());
-    let features: Vec<String> = detected_cpu_features()
-        .iter()
-        .map(|f| format!("\"{f}\""))
-        .collect();
+    environment_object(&rustc, &detected_cpu_features())
+}
+
+/// The environment object for a given toolchain string and feature list,
+/// every string escaped by the shared JSON codec.
+fn environment_object(rustc: &str, features: &[&str]) -> String {
+    let features: Vec<String> = features.iter().map(|f| quoted(f)).collect();
     format!(
-        "{{\"rustc\": \"{}\", \"cpu_features\": [{}]}}",
-        rustc,
+        "{{\"rustc\": {}, \"cpu_features\": [{}]}}",
+        quoted(rustc),
         features.join(", "),
     )
 }
@@ -55,19 +60,32 @@ pub fn environment_json() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ocdd_iosafe::json::{parse, Json};
 
     /// The object carries exactly `rustc` and `cpu_features`, and closes
     /// with `}` so a caller can splice further fields in.
     #[test]
     fn environment_json_key_set() {
         let json = environment_json();
-        assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        let parts: Vec<&str> = json.split('"').collect();
-        let keys: Vec<&str> = parts
-            .windows(2)
-            .filter(|w| w[1].starts_with(':'))
-            .map(|w| w[0])
+        assert!(json.ends_with('}'), "{json}");
+        let v = parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+        let keys: Vec<&str> = v
+            .as_object()
+            .expect("object")
+            .iter()
+            .map(|(k, _)| k.as_str())
             .collect();
         assert_eq!(keys, ["rustc", "cpu_features"], "{json}");
+        assert!(v.field("rustc", Json::as_str).is_ok(), "{json}");
+        let features = v.field("cpu_features", Json::as_array).expect("array");
+        assert!(features.iter().all(|f| f.as_str().is_some()), "{json}");
+    }
+
+    /// A toolchain string with quotes and backslashes survives intact.
+    #[test]
+    fn environment_strings_are_escaped_not_replaced() {
+        let rustc = "rustc 1.95.0 (\"nightly\" C:\\toolchains)";
+        let v = parse(&environment_object(rustc, &["sse2"])).expect("valid JSON");
+        assert_eq!(v.field("rustc", Json::as_str), Ok(rustc));
     }
 }

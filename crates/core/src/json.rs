@@ -1,4 +1,5 @@
-//! Hand-rolled JSON export of discovery results (no serde dependency).
+//! JSON export of discovery results, written through the workspace's one
+//! codec ([`ocdd_iosafe::json`]).
 //!
 //! The output is a stable, documented schema for downstream tooling:
 //!
@@ -14,264 +15,213 @@
 //! }
 //! ```
 //!
-//! `termination` is the [`crate::TerminationReason`] label
-//! (`complete` / `level_cap` / `check_budget` / `time_budget` /
-//! `cancelled` / `worker_failure`); `complete` is kept as the derived
-//! boolean. A `worker_failure` run additionally carries
+//! Both reports open with the same envelope: `rows`, `columns`,
+//! `complete`, `termination`, then for a `worker_failure` run
 //! `"failed_branches": [[colA, colB], ...]` (quarantined level-2 branch
-//! seed pairs, as column names) and `"failure_message"`. A `WorkStealing`
-//! run carries `"scheduler": {"batches", "levels", "steals", "workers":
-//! [{"batches", "steals"}, ...]}` — scheduling observability, not part of
-//! the deterministic result. Every run carries `"kernels": {"sorts":
-//! {"counting", "packed_radix", "chained_refine", "comparator"},
-//! "scans": {"scalar", "block", "simd"}}` — which sort/scan kernels the
-//! run's checks dispatched to (observability; the dependencies found are
-//! kernel-independent; `simd` always reads 0 and keeps the report's
-//! shape). A checkpointed run carries `"checkpoint":
-//! {"snapshots_written", "files_deleted", "write_errors", "last_level"}` —
-//! again observability only.
+//! seed pairs, as column names) and `"failure_message"`, then `checks`.
+//! `termination` is the [`crate::TerminationReason`] label (`complete` /
+//! `level_cap` / `check_budget` / `time_budget` / `cancelled` /
+//! `worker_failure`); `complete` is kept as the derived boolean. A
+//! `WorkStealing` run carries `"scheduler": {"batches", "levels",
+//! "steals", "workers": [{"batches", "steals"}, ...]}` — scheduling
+//! observability, not part of the deterministic result. Every exact run
+//! carries `"kernels": {"sorts": {"counting", "packed_radix",
+//! "chained_refine", "comparator"}, "scans": {"scalar", "block",
+//! "simd"}}` — which sort/scan kernels the run's checks dispatched to
+//! (observability; the dependencies found are kernel-independent; `simd`
+//! always reads 0 and keeps the report's shape). A checkpointed run
+//! carries `"checkpoint": {"snapshots_written", "files_deleted",
+//! "write_errors", "last_level"}` — again observability only.
+//!
+//! The writer is compact and appends in call order, so a report's bytes
+//! are fixed by the order of the calls below; `tests/json_golden.rs` pins
+//! them.
 
-use crate::deps::AttrList;
+use crate::deps::{AttrList, Od};
 use crate::results::DiscoveryResult;
-use ocdd_relation::Relation;
-use std::fmt::Write as _;
+use crate::runtime::TerminationReason;
+use ocdd_iosafe::json::Writer;
+use ocdd_relation::{ColumnId, Relation};
 
-/// Escape a string for a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// Write the column names of `cols` as an array.
+fn names(w: &mut Writer, cols: &[ColumnId], rel: &Relation) {
+    w.begin_array();
+    for &c in cols {
+        w.str(&rel.meta(c).name);
     }
-    out
+    w.end_array();
 }
 
-fn name_array(list: &AttrList, rel: &Relation) -> String {
-    let names: Vec<String> = list
-        .as_slice()
-        .iter()
-        .map(|&c| format!("\"{}\"", escape(&rel.meta(c).name)))
-        .collect();
-    format!("[{}]", names.join(","))
+/// Write `{"lhs": [..], "rhs": [..]` and leave the object open.
+fn sides(w: &mut Writer, lhs: &AttrList, rhs: &AttrList, rel: &Relation) {
+    w.begin_object().key("lhs");
+    names(w, lhs.as_slice(), rel);
+    w.key("rhs");
+    names(w, rhs.as_slice(), rel);
+}
+
+/// Write the `ods` member, the last of both reports.
+fn write_ods(w: &mut Writer, ods: &[Od], rel: &Relation) {
+    w.key("ods").begin_array();
+    for o in ods {
+        sides(w, &o.lhs, &o.rhs, rel);
+        w.end_object();
+    }
+    w.end_array();
+}
+
+/// Open the report object and write the envelope both reports share:
+/// `rows` through `checks`, with the quarantined branches and panic
+/// message of a `worker_failure` run.
+fn envelope(
+    rel: &Relation,
+    complete: bool,
+    termination: &TerminationReason,
+    checks: u64,
+) -> Writer {
+    let mut w = Writer::new();
+    w.begin_object();
+    w.key("rows").u64(rel.num_rows() as u64);
+    w.key("columns").u64(rel.num_columns() as u64);
+    w.key("complete").bool(complete);
+    w.key("termination").str(termination.label());
+    if let TerminationReason::WorkerFailure { branches, message } = termination {
+        w.key("failed_branches").begin_array();
+        for &(a, b) in branches {
+            names(&mut w, &[a, b], rel);
+        }
+        w.end_array();
+        w.key("failure_message").str(message);
+    }
+    w.key("checks").u64(checks);
+    w
 }
 
 /// Serialize a [`DiscoveryResult`] to JSON, resolving column ids to names
 /// through `rel`.
 pub fn result_to_json(result: &DiscoveryResult, rel: &Relation) -> String {
-    let mut out = String::new();
-    out.push('{');
-    let _ = write!(
-        out,
-        "\"rows\":{},\"columns\":{},\"complete\":{},\"termination\":\"{}\",",
-        rel.num_rows(),
-        rel.num_columns(),
-        result.complete(),
-        result.termination.label(),
-    );
-    if let crate::runtime::TerminationReason::WorkerFailure { branches, message } =
-        &result.termination
-    {
-        let pairs: Vec<String> = branches
-            .iter()
-            .map(|&(a, b)| {
-                format!(
-                    "[\"{}\",\"{}\"]",
-                    escape(&rel.meta(a).name),
-                    escape(&rel.meta(b).name)
-                )
-            })
-            .collect();
-        let _ = write!(
-            out,
-            "\"failed_branches\":[{}],\"failure_message\":\"{}\",",
-            pairs.join(","),
-            escape(message)
-        );
-    }
-    let _ = write!(
-        out,
-        "\"checks\":{},\"elapsed_ms\":{:.3},",
-        result.checks,
-        result.elapsed.as_secs_f64() * 1e3
-    );
+    let mut w = envelope(rel, result.complete(), &result.termination, result.checks);
+    w.key("elapsed_ms")
+        .fixed(result.elapsed.as_secs_f64() * 1e3, 3);
     let k = &result.kernels;
-    let _ = write!(
-        out,
-        "\"kernels\":{{\"sorts\":{{\"counting\":{},\"packed_radix\":{},\"chained_refine\":{},\"comparator\":{}}},\"scans\":{{\"scalar\":{},\"block\":{},\"simd\":{}}}}},",
-        k.counting,
-        k.packed_radix,
-        k.chained_refine,
-        k.comparator,
-        k.scan_scalar,
-        k.scan_block,
-        k.scan_simd,
-    );
+    w.key("kernels").begin_object();
+    w.key("sorts").begin_object();
+    w.key("counting").u64(k.counting);
+    w.key("packed_radix").u64(k.packed_radix);
+    w.key("chained_refine").u64(k.chained_refine);
+    w.key("comparator").u64(k.comparator);
+    w.end_object();
+    w.key("scans").begin_object();
+    w.key("scalar").u64(k.scan_scalar);
+    w.key("block").u64(k.scan_block);
+    w.key("simd").u64(k.scan_simd);
+    w.end_object().end_object();
     if let Some(sched) = &result.scheduler {
-        let workers: Vec<String> = sched
-            .workers
-            .iter()
-            .map(|w| format!("{{\"batches\":{},\"steals\":{}}}", w.batches, w.steals))
-            .collect();
-        let _ = write!(
-            out,
-            "\"scheduler\":{{\"batches\":{},\"levels\":{},\"steals\":{},\"workers\":[{}]}},",
-            sched.batches,
-            sched.levels,
-            sched.steals(),
-            workers.join(",")
-        );
+        w.key("scheduler").begin_object();
+        w.key("batches").u64(sched.batches);
+        w.key("levels").u64(sched.levels);
+        w.key("steals").u64(sched.steals());
+        w.key("workers").begin_array();
+        for worker in &sched.workers {
+            w.begin_object();
+            w.key("batches").u64(worker.batches);
+            w.key("steals").u64(worker.steals);
+            w.end_object();
+        }
+        w.end_array().end_object();
     }
     if let Some(ckpt) = &result.checkpoint {
-        let _ = write!(
-            out,
-            "\"checkpoint\":{{\"snapshots_written\":{},\"files_deleted\":{},\"write_errors\":{},\"last_level\":{}}},",
-            ckpt.snapshots_written, ckpt.files_deleted, ckpt.write_errors, ckpt.last_level,
-        );
+        w.key("checkpoint").begin_object();
+        w.key("snapshots_written").u64(ckpt.snapshots_written);
+        w.key("files_deleted").u64(ckpt.files_deleted);
+        w.key("write_errors").u64(ckpt.write_errors);
+        w.key("last_level").u64(ckpt.last_level as u64);
+        w.end_object();
     }
-
-    let constants: Vec<String> = result
-        .constants
-        .iter()
-        .map(|&c| format!("\"{}\"", escape(&rel.meta(c).name)))
-        .collect();
-    let _ = write!(out, "\"constants\":[{}],", constants.join(","));
-
-    let classes: Vec<String> = result
-        .equivalence_classes
-        .iter()
-        .map(|class| {
-            let names: Vec<String> = class
-                .iter()
-                .map(|&c| format!("\"{}\"", escape(&rel.meta(c).name)))
-                .collect();
-            format!("[{}]", names.join(","))
-        })
-        .collect();
-    let _ = write!(out, "\"equivalence_classes\":[{}],", classes.join(","));
-
-    let ocds: Vec<String> = result
-        .ocds
-        .iter()
-        .map(|o| {
-            format!(
-                "{{\"lhs\":{},\"rhs\":{}}}",
-                name_array(&o.lhs, rel),
-                name_array(&o.rhs, rel)
-            )
-        })
-        .collect();
-    let _ = write!(out, "\"ocds\":[{}],", ocds.join(","));
-
-    let ods: Vec<String> = result
-        .ods
-        .iter()
-        .map(|o| {
-            format!(
-                "{{\"lhs\":{},\"rhs\":{}}}",
-                name_array(&o.lhs, rel),
-                name_array(&o.rhs, rel)
-            )
-        })
-        .collect();
-    let _ = write!(out, "\"ods\":[{}]", ods.join(","));
-    out.push('}');
-    out
+    w.key("constants");
+    names(&mut w, &result.constants, rel);
+    w.key("equivalence_classes").begin_array();
+    for class in &result.equivalence_classes {
+        names(&mut w, class, rel);
+    }
+    w.end_array();
+    w.key("ocds").begin_array();
+    for o in &result.ocds {
+        sides(&mut w, &o.lhs, &o.rhs, rel);
+        w.end_object();
+    }
+    w.end_array();
+    write_ods(&mut w, &result.ods, rel);
+    w.end_object();
+    w.finish()
 }
 
 /// Serialize an [`ApproximateResult`](crate::ApproximateResult) to JSON.
 ///
-/// Same envelope as [`result_to_json`] where the fields coincide
-/// (`rows`/`columns`/`complete`/`termination`/`checks`/`ocds`/`ods`) —
-/// OCDs additionally carry their measured `error` with its exact
-/// `removals`/`rows` rational — plus an `"approx"` object with the
-/// pipeline's triage accounting: `sample_rows`, `total_rows`, `seed`,
+/// The envelope of [`result_to_json`] — quarantined branches and panic
+/// message included — then an `"approx"` object with the pipeline's
+/// triage accounting: `sample_rows`, `total_rows`, `seed`,
 /// `sample_manifest`, `exhaustive`, `estimated` (sample-phase
 /// validations), `accepted_by_sample`, `rejected_by_sample`, `escalated`
 /// (full-data verifications), `full_checks_saved`, and the
-/// `sample_row_scans`/`full_row_scans` cost model.
+/// `sample_row_scans`/`full_row_scans` cost model. OCDs additionally
+/// carry their measured `error` with its exact `removals`/`rows`
+/// rational.
 pub fn approx_result_to_json(result: &crate::ApproximateResult, rel: &Relation) -> String {
-    let mut out = String::new();
-    out.push('{');
-    let _ = write!(
-        out,
-        "\"rows\":{},\"columns\":{},\"complete\":{},\"termination\":\"{}\",\"checks\":{},",
-        rel.num_rows(),
-        rel.num_columns(),
-        result.complete(),
-        result.termination.label(),
-        result.checks,
-    );
+    let mut w = envelope(rel, result.complete(), &result.termination, result.checks);
     if let Some(a) = &result.approx {
-        let _ = write!(
-            out,
-            "\"approx\":{{\"sample_rows\":{},\"total_rows\":{},\"seed\":{},\"sample_manifest\":\"{:016x}\",\"exhaustive\":{},\"estimated\":{},\"accepted_by_sample\":{},\"rejected_by_sample\":{},\"escalated\":{},\"full_checks_saved\":{},\"sample_row_scans\":{},\"full_row_scans\":{}}},",
-            a.sample_rows,
-            a.total_rows,
-            a.seed,
-            a.sample_manifest,
-            a.exhaustive,
-            a.estimated,
-            a.accepted_by_sample,
-            a.rejected_by_sample,
-            a.escalated,
-            a.full_checks_saved,
-            a.sample_row_scans,
-            a.full_row_scans,
-        );
+        w.key("approx").begin_object();
+        w.key("sample_rows").u64(a.sample_rows as u64);
+        w.key("total_rows").u64(a.total_rows as u64);
+        w.key("seed").u64(a.seed);
+        w.key("sample_manifest")
+            .str(&format!("{:016x}", a.sample_manifest));
+        w.key("exhaustive").bool(a.exhaustive);
+        w.key("estimated").u64(a.estimated);
+        w.key("accepted_by_sample").u64(a.accepted_by_sample);
+        w.key("rejected_by_sample").u64(a.rejected_by_sample);
+        w.key("escalated").u64(a.escalated);
+        w.key("full_checks_saved").u64(a.full_checks_saved);
+        w.key("sample_row_scans").u64(a.sample_row_scans);
+        w.key("full_row_scans").u64(a.full_row_scans);
+        w.end_object();
     }
-    let ocds: Vec<String> = result
-        .ocds
-        .iter()
-        .map(|o| {
-            format!(
-                "{{\"lhs\":{},\"rhs\":{},\"error\":{:.6},\"removals\":{},\"rows\":{}}}",
-                name_array(&o.ocd.lhs, rel),
-                name_array(&o.ocd.rhs, rel),
-                o.error,
-                o.removals,
-                o.rows,
-            )
-        })
-        .collect();
-    let _ = write!(out, "\"ocds\":[{}],", ocds.join(","));
-    let ods: Vec<String> = result
-        .ods
-        .iter()
-        .map(|o| {
-            format!(
-                "{{\"lhs\":{},\"rhs\":{}}}",
-                name_array(&o.lhs, rel),
-                name_array(&o.rhs, rel)
-            )
-        })
-        .collect();
-    let _ = write!(out, "\"ods\":[{}]", ods.join(","));
-    out.push('}');
-    out
+    w.key("ocds").begin_array();
+    for o in &result.ocds {
+        sides(&mut w, &o.ocd.lhs, &o.ocd.rhs, rel);
+        w.key("error").fixed(o.error, 6);
+        w.key("removals").u64(o.removals as u64);
+        w.key("rows").u64(o.rows as u64);
+        w.end_object();
+    }
+    w.end_array();
+    write_ods(&mut w, &result.ods, rel);
+    w.end_object();
+    w.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{discover, DiscoveryConfig};
+    use ocdd_iosafe::json::{parse, Json};
     use ocdd_relation::Value;
 
-    #[test]
-    fn escaping_covers_specials() {
-        assert_eq!(escape("a\"b"), "a\\\"b");
-        assert_eq!(escape("a\\b"), "a\\\\b");
-        assert_eq!(escape("a\nb"), "a\\nb");
-        assert_eq!(escape("a\u{1}b"), "a\\u0001b");
-        assert_eq!(escape("plain"), "plain");
+    /// Parse a report and drop the named top-level members.
+    fn parsed_without(json: &str, keys: &[&str]) -> Json {
+        let mut v = parse(json).unwrap_or_else(|e| panic!("{e}: {json}"));
+        if let Json::Obj(fields) = &mut v {
+            fields.retain(|(k, _)| !keys.contains(&k.as_str()));
+        }
+        v
+    }
+
+    fn names_of(v: &Json) -> Vec<&str> {
+        v.as_array()
+            .expect("array of names")
+            .iter()
+            .map(|n| n.as_str().expect("name"))
+            .collect()
     }
 
     #[test]
@@ -332,6 +282,65 @@ mod tests {
         );
     }
 
+    /// An approximate run quarantines branches like an exact one, and its
+    /// report carries the same failure payload in the same place.
+    #[test]
+    fn approx_worker_failure_carries_branches_and_message() {
+        let rel = Relation::from_columns(vec![
+            ("a".to_string(), vec![Value::Int(1), Value::Int(2)]),
+            ("b".to_string(), vec![Value::Int(1), Value::Int(2)]),
+        ])
+        .unwrap();
+        let termination = crate::TerminationReason::WorkerFailure {
+            branches: vec![(1, 0)],
+            message: "injected \"panic\"".into(),
+        };
+        let approx = crate::ApproximateResult {
+            termination: termination.clone(),
+            checks: 3,
+            ..crate::ApproximateResult::default()
+        };
+        let v = parse(&approx_result_to_json(&approx, &rel)).expect("valid JSON");
+        let branches = v
+            .field("failed_branches", Json::as_array)
+            .expect("branches");
+        assert_eq!(branches.len(), 1);
+        assert_eq!(names_of(&branches[0]), ["b", "a"]);
+        assert_eq!(
+            v.field("failure_message", Json::as_str),
+            Ok("injected \"panic\"")
+        );
+        // The shared envelope: same members, same order, as the exact
+        // report of the same failure.
+        let exact = DiscoveryResult {
+            termination,
+            checks: 3,
+            ..DiscoveryResult::default()
+        };
+        let keys = |v: &Json| -> Vec<String> {
+            v.as_object()
+                .expect("object")
+                .iter()
+                .map(|(k, _)| k.clone())
+                .take_while(|k| k != "elapsed_ms" && k != "approx" && k != "ocds")
+                .collect()
+        };
+        let exact = parse(&result_to_json(&exact, &rel)).expect("valid JSON");
+        assert_eq!(keys(&v), keys(&exact));
+        assert_eq!(
+            keys(&v),
+            [
+                "rows",
+                "columns",
+                "complete",
+                "termination",
+                "failed_branches",
+                "failure_message",
+                "checks"
+            ]
+        );
+    }
+
     #[test]
     fn workstealing_run_emits_scheduler_stats() {
         let rel = Relation::from_columns(vec![
@@ -379,66 +388,37 @@ mod tests {
         assert!(json.contains("\"full_checks_saved\":0"), "{json}");
         assert!(json.contains("\"error\":0.000000"), "{json}");
         assert!(json.contains("\"removals\":0"), "{json}");
-        // Structural balance, same validator as the exact export test.
-        let mut depth = 0i32;
-        let mut in_str = false;
-        let mut escaped = false;
-        for c in json.chars() {
-            if in_str {
-                if escaped {
-                    escaped = false;
-                } else if c == '\\' {
-                    escaped = true;
-                } else if c == '"' {
-                    in_str = false;
-                }
-                continue;
-            }
-            match c {
-                '"' => in_str = true,
-                '{' | '[' => depth += 1,
-                '}' | ']' => depth -= 1,
-                _ => {}
-            }
-            assert!(depth >= 0);
+        // The document parses, and its OCDs read back with their errors.
+        let v = parsed_without(&json, &["approx"]);
+        let ocds = v.field("ocds", Json::as_array).expect("ocds");
+        assert_eq!(ocds.len(), res.ocds.len());
+        for (o, want) in ocds.iter().zip(&res.ocds) {
+            assert_eq!(o.field("error", Json::as_f64), Ok(want.error));
+            assert_eq!(o.field("rows", Json::as_usize), Ok(want.rows));
         }
-        assert_eq!(depth, 0);
+        assert_eq!(v.get("approx"), None);
     }
 
     #[test]
-    fn json_is_parseable_by_a_naive_validator() {
-        // Bracket/quote balance check — catches structural mistakes without
-        // a JSON dependency.
-        let rel = Relation::from_columns(vec![(
-            "weird \"name\"\n".to_string(),
-            vec![Value::Int(1), Value::Int(2)],
-        )])
-        .unwrap();
+    fn json_parses_with_awkward_column_names() {
+        let name = "weird \"name\"\n\\ \u{1} \u{1F980}";
+        let rel =
+            Relation::from_columns(vec![(name.to_string(), vec![Value::Int(1), Value::Int(1)])])
+                .unwrap();
         let result = discover(&rel, &DiscoveryConfig::default());
         let json = result_to_json(&result, &rel);
-        let mut depth = 0i32;
-        let mut in_str = false;
-        let mut escaped = false;
-        for c in json.chars() {
-            if in_str {
-                if escaped {
-                    escaped = false;
-                } else if c == '\\' {
-                    escaped = true;
-                } else if c == '"' {
-                    in_str = false;
-                }
-                continue;
-            }
-            match c {
-                '"' => in_str = true,
-                '{' | '[' => depth += 1,
-                '}' | ']' => depth -= 1,
-                _ => {}
-            }
-            assert!(depth >= 0);
-        }
-        assert_eq!(depth, 0);
-        assert!(!in_str);
+        let v = parsed_without(&json, &["elapsed_ms", "kernels"]);
+        assert!(v.field("elapsed_ms", Some).is_err());
+        assert_eq!(v.field("rows", Json::as_u64), Ok(2));
+        assert_eq!(v.field("complete", Json::as_bool), Ok(true));
+        assert!(
+            parse(&json)
+                .expect("valid JSON")
+                .field("elapsed_ms", Json::as_f64)
+                .is_ok_and(|ms| ms >= 0.0),
+            "{json}"
+        );
+        let constants = v.field("constants", Some).expect("constants");
+        assert_eq!(names_of(constants), [name]);
     }
 }

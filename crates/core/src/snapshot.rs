@@ -18,21 +18,23 @@
 //! synchronous backend, because the per-branch allowance replay of the
 //! speculative post-filter is itself deterministic.
 //!
-//! The serialization is hand-rolled JSON with a matching minimal parser
-//! (this repository deliberately has no serde); all integers are unsigned
-//! decimals, column references are ids over the *original* schema (stable
-//! under resume because the manifest pins the schema), and object keys are
-//! emitted in a fixed documented order so dumps of identical state are
-//! byte-identical too.
+//! Dumps are written and read through the workspace's one JSON codec
+//! ([`ocdd_iosafe::json`]): [`snapshot_to_json`] drives its compact
+//! writer member by member, and [`parse_snapshot`] reads each member
+//! through `Json::field`. All integers are unsigned decimals (the codec
+//! keeps number text, so `u64::MAX` survives), column references are ids
+//! over the *original* schema (stable under resume because the manifest
+//! pins the schema), and object keys are emitted in a fixed documented
+//! order so dumps of identical state are byte-identical too.
 
 use crate::config::DiscoveryConfig;
 use crate::results::LevelStats;
 use crate::runtime::TerminationReason;
 use crate::shared_cache::CacheStats;
+use ocdd_iosafe::json::{self, Json, JsonError, Writer};
 use ocdd_relation::sort::kernel_stats::KernelCounts;
 use ocdd_relation::{manifest_hash, ColumnId, Relation};
 use std::fmt;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -196,9 +198,9 @@ pub struct CacheMeta {
 /// on the parent relation.
 ///
 /// Floats (`epsilon`, `confidence`) are stored as exact integer
-/// micro-units because the dump parser deliberately accepts only unsigned
-/// integers; OCD errors are stored as `(removals, rows)` rationals for the
-/// same reason. The triage counters accumulated up to the boundary make a
+/// micro-units because every dump number is read with `as_u64`, which
+/// accepts only unsigned integers; OCD errors are stored as
+/// `(removals, rows)` rationals for the same reason. The triage counters accumulated up to the boundary make a
 /// resumed run's [`crate::ApproxStats`] equal the uninterrupted run's.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ApproxMeta {
@@ -447,538 +449,289 @@ impl SearchSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Serialization (writer)
+// Serialization
 // ---------------------------------------------------------------------------
 
-/// Escape a string for a JSON string literal (same rules as
-/// [`crate::json`]).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// Write an array of column ids.
+fn write_ids(w: &mut Writer, ids: &[ColumnId]) {
+    w.begin_array();
+    for &c in ids {
+        w.u64(c as u64);
     }
-    out
+    w.end_array();
 }
 
-fn id_array(ids: &[ColumnId]) -> String {
-    let parts: Vec<String> = ids.iter().map(|c| c.to_string()).collect();
-    format!("[{}]", parts.join(","))
+/// Write an array of `{"x": [..], "y": [..]}` pairs.
+fn write_pairs(w: &mut Writer, pairs: &[CandidatePair]) {
+    w.begin_array();
+    for p in pairs {
+        w.begin_object().key("x");
+        write_ids(w, &p.x);
+        w.key("y");
+        write_ids(w, &p.y);
+        w.end_object();
+    }
+    w.end_array();
 }
 
-fn pair_array(pairs: &[CandidatePair]) -> String {
-    let parts: Vec<String> = pairs
-        .iter()
-        .map(|p| format!("{{\"x\":{},\"y\":{}}}", id_array(&p.x), id_array(&p.y)))
-        .collect();
-    format!("[{}]", parts.join(","))
-}
-
-fn opt_u64_json(v: Option<u64>) -> String {
+/// Write a number, or `null` for `None`.
+fn write_opt(w: &mut Writer, v: Option<u64>) {
     match v {
-        Some(n) => n.to_string(),
-        None => "null".to_string(),
-    }
+        Some(n) => w.u64(n),
+        None => w.null(),
+    };
 }
 
-/// Serialize a [`TerminationReason`] for a dump. Round-trips through
-/// [`parse_termination_value`] for every variant, `WorkerFailure` payload
-/// included.
-fn termination_json(t: &TerminationReason) -> String {
-    match t {
-        TerminationReason::WorkerFailure { branches, message } => {
-            let pairs: Vec<String> = branches
-                .iter()
-                .map(|&(a, b)| format!("[{a},{b}]"))
-                .collect();
-            format!(
-                "{{\"kind\":\"worker_failure\",\"branches\":[{}],\"message\":\"{}\"}}",
-                pairs.join(","),
-                escape(message)
-            )
+/// A manifest hash as 16 hex digits.
+fn hex(v: u64) -> String {
+    format!("{v:016x}")
+}
+
+/// Write a [`TerminationReason`]; [`read_termination`] reads every
+/// variant back, `WorkerFailure` payload included.
+fn write_termination(w: &mut Writer, t: &TerminationReason) {
+    w.begin_object().key("kind").str(t.label());
+    if let TerminationReason::WorkerFailure { branches, message } = t {
+        w.key("branches").begin_array();
+        for &(a, b) in branches {
+            write_ids(w, &[a, b]);
         }
-        other => format!("{{\"kind\":\"{}\"}}", other.label()),
+        w.end_array();
+        w.key("message").str(message);
     }
+    w.end_object();
 }
 
 /// Serialize a dump to its canonical JSON text: fixed key order, unsigned
 /// decimal integers, ids over the original schema. Identical snapshots
 /// serialize byte-identically.
 pub fn snapshot_to_json(snap: &SearchSnapshot) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"format\":\"{SNAPSHOT_MAGIC}\",\"version\":{},\"manifest\":\"{:016x}\",",
-        snap.version, snap.manifest
-    );
-    let _ = write!(
-        out,
-        "\"config\":{{\"max_checks\":{},\"max_level\":{},\"dedup_candidates\":{},\"column_reduction\":{}}},",
-        opt_u64_json(snap.config.max_checks),
-        opt_u64_json(snap.config.max_level.map(|l| l as u64)),
-        snap.config.dedup_candidates,
-        snap.config.column_reduction,
-    );
-    let _ = write!(out, "\"level\":{},", snap.level);
-    let _ = write!(out, "\"frontier\":{},", pair_array(&snap.frontier));
-    let branches: Vec<String> = snap
-        .branches
-        .iter()
-        .map(|b| {
-            format!(
-                "{{\"x\":{},\"y\":{},\"allowance\":{},\"spent\":{},\"stopped\":{},\"failed\":{}}}",
-                b.branch.0, b.branch.1, b.allowance, b.spent, b.stopped, b.failed
-            )
-        })
-        .collect();
-    let _ = write!(out, "\"branches\":[{}],", branches.join(","));
-    let failures: Vec<String> = snap
-        .failures
-        .iter()
-        .map(|f| {
-            format!(
-                "{{\"x\":{},\"y\":{},\"message\":\"{}\"}}",
-                f.branch.0,
-                f.branch.1,
-                escape(&f.message)
-            )
-        })
-        .collect();
-    let _ = write!(out, "\"failures\":[{}],", failures.join(","));
-    let _ = write!(out, "\"ocds\":{},", pair_array(&snap.ocds));
-    let _ = write!(out, "\"ods\":{},", pair_array(&snap.ods));
-    let _ = write!(out, "\"generated\":{},", snap.generated);
-    let levels: Vec<String> = snap
-        .levels
-        .iter()
-        .map(|l| {
-            format!(
-                "{{\"level\":{},\"candidates\":{},\"valid_ocds\":{},\"valid_ods\":{}}}",
-                l.level, l.candidates, l.valid_ocds, l.valid_ods
-            )
-        })
-        .collect();
-    let _ = write!(out, "\"levels\":[{}],", levels.join(","));
-    let _ = write!(
-        out,
-        "\"level_capped\":{},\"check_budget_hit\":{},\"checks\":{},\"elapsed_ms\":{},",
-        snap.level_capped, snap.check_budget_hit, snap.checks, snap.elapsed_ms
-    );
+    let mut w = Writer::new();
+    w.begin_object();
+    w.key("format").str(SNAPSHOT_MAGIC);
+    w.key("version").u64(u64::from(snap.version));
+    w.key("manifest").str(&hex(snap.manifest));
+    let cfg = &snap.config;
+    w.key("config").begin_object().key("max_checks");
+    write_opt(&mut w, cfg.max_checks);
+    w.key("max_level");
+    write_opt(&mut w, cfg.max_level.map(|l| l as u64));
+    w.key("dedup_candidates").bool(cfg.dedup_candidates);
+    w.key("column_reduction").bool(cfg.column_reduction);
+    w.end_object();
+    w.key("level").u64(snap.level as u64);
+    w.key("frontier");
+    write_pairs(&mut w, &snap.frontier);
+    w.key("branches").begin_array();
+    for b in &snap.branches {
+        w.begin_object();
+        w.key("x").u64(b.branch.0 as u64);
+        w.key("y").u64(b.branch.1 as u64);
+        w.key("allowance").u64(b.allowance);
+        w.key("spent").u64(b.spent);
+        w.key("stopped").bool(b.stopped);
+        w.key("failed").bool(b.failed);
+        w.end_object();
+    }
+    w.end_array();
+    w.key("failures").begin_array();
+    for f in &snap.failures {
+        w.begin_object();
+        w.key("x").u64(f.branch.0 as u64);
+        w.key("y").u64(f.branch.1 as u64);
+        w.key("message").str(&f.message);
+        w.end_object();
+    }
+    w.end_array();
+    w.key("ocds");
+    write_pairs(&mut w, &snap.ocds);
+    w.key("ods");
+    write_pairs(&mut w, &snap.ods);
+    w.key("generated").u64(snap.generated);
+    w.key("levels").begin_array();
+    for l in &snap.levels {
+        w.begin_object();
+        w.key("level").u64(l.level as u64);
+        w.key("candidates").u64(l.candidates);
+        w.key("valid_ocds").u64(l.valid_ocds);
+        w.key("valid_ods").u64(l.valid_ods);
+        w.end_object();
+    }
+    w.end_array();
+    w.key("level_capped").bool(snap.level_capped);
+    w.key("check_budget_hit").bool(snap.check_budget_hit);
+    w.key("checks").u64(snap.checks);
+    w.key("elapsed_ms").u64(snap.elapsed_ms);
     let k = &snap.kernels;
-    let _ = write!(
-        out,
-        "\"kernels\":{{\"counting\":{},\"packed_radix\":{},\"chained_refine\":{},\"comparator\":{},\"scan_scalar\":{},\"scan_block\":{},\"scan_simd\":{}}},",
-        k.counting, k.packed_radix, k.chained_refine, k.comparator, k.scan_scalar, k.scan_block, k.scan_simd,
-    );
+    w.key("kernels").begin_object();
+    w.key("counting").u64(k.counting);
+    w.key("packed_radix").u64(k.packed_radix);
+    w.key("chained_refine").u64(k.chained_refine);
+    w.key("comparator").u64(k.comparator);
+    w.key("scan_scalar").u64(k.scan_scalar);
+    w.key("scan_block").u64(k.scan_block);
+    w.key("scan_simd").u64(k.scan_simd);
+    w.end_object();
+    w.key("cache");
     match &snap.cache {
-        None => out.push_str("\"cache\":null,"),
+        None => {
+            w.null();
+        }
         Some(c) => {
-            let _ = write!(
-                out,
-                "\"cache\":{{\"shared\":{},\"budget_bytes\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\"resident_bytes\":{},\"entries\":{}}},",
-                c.shared,
-                c.budget_bytes,
-                c.stats.hits,
-                c.stats.misses,
-                c.stats.evictions,
-                c.stats.resident_bytes,
-                c.stats.entries,
-            );
+            w.begin_object();
+            w.key("shared").bool(c.shared);
+            w.key("budget_bytes").u64(c.budget_bytes);
+            w.key("hits").u64(c.stats.hits);
+            w.key("misses").u64(c.stats.misses);
+            w.key("evictions").u64(c.stats.evictions);
+            w.key("resident_bytes").u64(c.stats.resident_bytes);
+            w.key("entries").u64(c.stats.entries);
+            w.end_object();
         }
     }
     if let Some(a) = &snap.approx {
-        let errs: Vec<String> = a
-            .ocd_errors
-            .iter()
-            .map(|&(r, m)| format!("[{r},{m}]"))
-            .collect();
-        let _ = write!(
-            out,
-            "\"approx\":{{\"seed\":{},\"sample_rows\":{},\"total_rows\":{},\"strategy\":\"{}\",\"strategy_column\":{},\"sample_manifest\":\"{:016x}\",\"epsilon_micros\":{},\"confidence_micros\":{},\"ocd_errors\":[{}],",
-            a.seed,
-            a.sample_rows,
-            a.total_rows,
-            escape(&a.strategy),
-            opt_u64_json(a.strategy_column),
-            a.sample_manifest,
-            a.epsilon_micros,
-            a.confidence_micros,
-            errs.join(","),
-        );
-        let _ = write!(
-            out,
-            "\"estimated\":{},\"accepted_by_sample\":{},\"rejected_by_sample\":{},\"escalated\":{},\"sample_row_scans\":{},\"full_row_scans\":{}}},",
-            a.estimated,
-            a.accepted_by_sample,
-            a.rejected_by_sample,
-            a.escalated,
-            a.sample_row_scans,
-            a.full_row_scans,
-        );
+        w.key("approx").begin_object();
+        w.key("seed").u64(a.seed);
+        w.key("sample_rows").u64(a.sample_rows);
+        w.key("total_rows").u64(a.total_rows);
+        w.key("strategy").str(&a.strategy);
+        w.key("strategy_column");
+        write_opt(&mut w, a.strategy_column);
+        w.key("sample_manifest").str(&hex(a.sample_manifest));
+        w.key("epsilon_micros").u64(a.epsilon_micros);
+        w.key("confidence_micros").u64(a.confidence_micros);
+        w.key("ocd_errors").begin_array();
+        for &(removals, rows) in &a.ocd_errors {
+            w.begin_array().u64(removals).u64(rows).end_array();
+        }
+        w.end_array();
+        w.key("estimated").u64(a.estimated);
+        w.key("accepted_by_sample").u64(a.accepted_by_sample);
+        w.key("rejected_by_sample").u64(a.rejected_by_sample);
+        w.key("escalated").u64(a.escalated);
+        w.key("sample_row_scans").u64(a.sample_row_scans);
+        w.key("full_row_scans").u64(a.full_row_scans);
+        w.end_object();
     }
-    let _ = write!(out, "\"pruned\":{},", pair_array(&snap.pruned));
+    w.key("pruned");
+    write_pairs(&mut w, &snap.pruned);
+    w.key("termination");
     match &snap.termination {
-        None => out.push_str("\"termination\":null}"),
-        Some(t) => {
-            let _ = write!(out, "\"termination\":{}}}", termination_json(t));
+        None => {
+            w.null();
         }
+        Some(t) => write_termination(&mut w, t),
     }
-    out
+    w.end_object();
+    w.finish()
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON parser (reader)
+// Deserialization
 // ---------------------------------------------------------------------------
 
-/// Parsed JSON value. Numbers are unsigned 64-bit integers — the dump
-/// format emits nothing else, and `u64` covers the `u64::MAX` allowance
-/// sentinel that an `f64` would silently round.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-const MAX_DEPTH: usize = 64;
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            b: text.as_bytes(),
-            i: 0,
-        }
-    }
-
-    fn err<T>(&self, msg: &str) -> Result<T, String> {
-        Err(format!("{msg} at byte {}", self.i))
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let c = self.peek();
-        if c.is_some() {
-            self.i += 1;
-        }
-        c
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn require(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            self.err(&format!("expected {:?}", c as char))
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        let bytes = lit.as_bytes();
-        if self.b.get(self.i..self.i + bytes.len()) == Some(bytes) {
-            self.i += bytes.len();
-            Ok(value)
-        } else {
-            self.err(&format!("expected `{lit}`"))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        let mut value: u64 = 0;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => {
-                    let digit = u64::from(c - b'0');
-                    value = match value.checked_mul(10).and_then(|v| v.checked_add(digit)) {
-                        Some(v) => v,
-                        None => return self.err("integer out of u64 range"),
-                    };
-                    self.i += 1;
-                }
-                b'.' | b'e' | b'E' | b'-' | b'+' => {
-                    return self.err("only unsigned integers are valid in dumps")
-                }
-                _ => break,
-            }
-        }
-        if self.i == start {
-            return self.err("expected digit");
-        }
-        Ok(Json::Num(value))
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let mut v: u32 = 0;
-        for _ in 0..4 {
-            let Some(c) = self.bump() else {
-                return self.err("truncated \\u escape");
-            };
-            let digit = match c {
-                b'0'..=b'9' => u32::from(c - b'0'),
-                b'a'..=b'f' => u32::from(c - b'a') + 10,
-                b'A'..=b'F' => u32::from(c - b'A') + 10,
-                _ => return self.err("bad hex digit in \\u escape"),
-            };
-            v = v * 16 + digit;
-        }
-        Ok(v)
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.require(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.i;
-            // Fast path: copy a run of plain bytes at once.
-            while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\') {
-                self.i += 1;
-            }
-            if self.i > start {
-                match std::str::from_utf8(self.b.get(start..self.i).unwrap_or_default()) {
-                    Ok(s) => out.push_str(s),
-                    Err(_) => return self.err("invalid utf-8 in string"),
-                }
-            }
-            match self.bump() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hi = self.hex4()?;
-                        let cp = if (0xD800..0xDC00).contains(&hi) {
-                            // Surrogate pair: require the low half.
-                            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                                return self.err("unpaired surrogate in \\u escape");
-                            }
-                            let lo = self.hex4()?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return self.err("bad low surrogate in \\u escape");
-                            }
-                            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                        } else {
-                            hi
-                        };
-                        match char::from_u32(cp) {
-                            Some(c) => out.push(c),
-                            None => return self.err("invalid code point in \\u escape"),
-                        }
-                    }
-                    _ => return self.err("bad escape in string"),
-                },
-                _ => return self.err("unterminated string"),
-            }
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
-        if depth > MAX_DEPTH {
-            return self.err("nesting too deep");
-        }
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => {
-                self.i += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.require(b':')?;
-                    let val = self.value(depth + 1)?;
-                    fields.push((key, val));
-                    self.skip_ws();
-                    match self.bump() {
-                        Some(b',') => continue,
-                        Some(b'}') => return Ok(Json::Obj(fields)),
-                        _ => return self.err("expected `,` or `}`"),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.i += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value(depth + 1)?);
-                    self.skip_ws();
-                    match self.bump() {
-                        Some(b',') => continue,
-                        Some(b']') => return Ok(Json::Arr(items)),
-                        _ => return self.err("expected `,` or `]`"),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c.is_ascii_digit() => self.number(),
-            _ => self.err("expected a JSON value"),
-        }
+impl From<JsonError> for SnapshotError {
+    fn from(e: JsonError) -> SnapshotError {
+        SnapshotError::Parse(e.to_string())
     }
 }
 
-fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser::new(text);
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.i != p.b.len() {
-        return p.err("trailing data after JSON document");
-    }
-    Ok(v)
+fn perr<T>(msg: &str) -> Result<T, SnapshotError> {
+    Err(SnapshotError::Parse(msg.to_string()))
 }
 
-// ---------------------------------------------------------------------------
-// Field extraction
-// ---------------------------------------------------------------------------
-
-fn perr<T>(msg: String) -> Result<T, SnapshotError> {
-    Err(SnapshotError::Parse(msg))
-}
-
-fn get<'v>(obj: &'v [(String, Json)], key: &str) -> Option<&'v Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn req<'v>(obj: &'v [(String, Json)], key: &str) -> Result<&'v Json, SnapshotError> {
-    get(obj, key).map_or_else(|| perr(format!("missing field `{key}`")), Ok)
-}
-
-fn as_obj<'v>(v: &'v Json, ctx: &str) -> Result<&'v [(String, Json)], SnapshotError> {
-    match v {
-        Json::Obj(fields) => Ok(fields),
-        _ => perr(format!("`{ctx}` must be an object")),
+/// A number or `null`, for [`Json::field`].
+fn opt_u64(v: &Json) -> Option<Option<u64>> {
+    if v.is_null() {
+        Some(None)
+    } else {
+        v.as_u64().map(Some)
     }
 }
 
-fn as_arr<'v>(v: &'v Json, ctx: &str) -> Result<&'v [Json], SnapshotError> {
-    match v {
-        Json::Arr(items) => Ok(items),
-        _ => perr(format!("`{ctx}` must be an array")),
+/// A manifest hash written by [`hex`]; `what` names the field.
+fn read_hex(text: &str, what: &str) -> Result<u64, SnapshotError> {
+    u64::from_str_radix(text, 16).or_else(|_| perr(&format!("`{what}` must be a hex string")))
+}
+
+fn read_ids(items: &[Json]) -> Result<Vec<ColumnId>, SnapshotError> {
+    let ids: Option<Vec<ColumnId>> = items.iter().map(Json::as_usize).collect();
+    ids.map_or_else(|| perr("column ids must be unsigned integers"), Ok)
+}
+
+/// A `[a, b]` branch seed pair.
+fn read_branch(v: &Json) -> Result<(ColumnId, ColumnId), SnapshotError> {
+    match read_ids(v.as_array().unwrap_or_default())?.as_slice() {
+        &[a, b] => Ok((a, b)),
+        _ => perr("a branch must be a pair of column ids"),
     }
 }
 
-fn as_u64(v: &Json, ctx: &str) -> Result<u64, SnapshotError> {
-    match v {
-        Json::Num(n) => Ok(*n),
-        _ => perr(format!("`{ctx}` must be an unsigned integer")),
-    }
-}
-
-fn as_usize(v: &Json, ctx: &str) -> Result<usize, SnapshotError> {
-    let n = as_u64(v, ctx)?;
-    usize::try_from(n).map_or_else(|_| perr(format!("`{ctx}` out of usize range")), Ok)
-}
-
-fn as_bool(v: &Json, ctx: &str) -> Result<bool, SnapshotError> {
-    match v {
-        Json::Bool(b) => Ok(*b),
-        _ => perr(format!("`{ctx}` must be a boolean")),
-    }
-}
-
-fn as_str<'v>(v: &'v Json, ctx: &str) -> Result<&'v str, SnapshotError> {
-    match v {
-        Json::Str(s) => Ok(s),
-        _ => perr(format!("`{ctx}` must be a string")),
-    }
-}
-
-fn opt_u64(v: &Json, ctx: &str) -> Result<Option<u64>, SnapshotError> {
-    match v {
-        Json::Null => Ok(None),
-        other => as_u64(other, ctx).map(Some),
-    }
-}
-
-fn id_list(v: &Json, ctx: &str) -> Result<Vec<ColumnId>, SnapshotError> {
-    as_arr(v, ctx)?
+fn read_pairs(items: &[Json]) -> Result<Vec<CandidatePair>, SnapshotError> {
+    items
         .iter()
-        .map(|item| as_usize(item, ctx))
-        .collect()
-}
-
-fn pair_list(v: &Json, ctx: &str) -> Result<Vec<CandidatePair>, SnapshotError> {
-    as_arr(v, ctx)?
-        .iter()
-        .map(|item| {
-            let obj = as_obj(item, ctx)?;
+        .map(|p| {
             Ok(CandidatePair {
-                x: id_list(req(obj, "x")?, ctx)?,
-                y: id_list(req(obj, "y")?, ctx)?,
+                x: read_ids(p.field("x", Json::as_array)?)?,
+                y: read_ids(p.field("y", Json::as_array)?)?,
             })
         })
         .collect()
 }
 
-/// Parse a serialized [`TerminationReason`] (the `"termination"` object).
-fn parse_termination_value(v: &Json) -> Result<TerminationReason, SnapshotError> {
-    let obj = as_obj(v, "termination")?;
-    let kind = as_str(req(obj, "kind")?, "termination.kind")?;
-    match kind {
+/// Read a [`TerminationReason`] written by [`write_termination`].
+fn read_termination(v: &Json) -> Result<TerminationReason, SnapshotError> {
+    match v.field("kind", Json::as_str)? {
         "complete" => Ok(TerminationReason::Complete),
         "level_cap" => Ok(TerminationReason::LevelCap),
         "check_budget" => Ok(TerminationReason::CheckBudget),
         "time_budget" => Ok(TerminationReason::TimeBudget),
         "cancelled" => Ok(TerminationReason::Cancelled),
-        "worker_failure" => {
-            let branches = as_arr(req(obj, "branches")?, "termination.branches")?
+        "worker_failure" => Ok(TerminationReason::WorkerFailure {
+            branches: v
+                .field("branches", Json::as_array)?
                 .iter()
-                .map(|pair| {
-                    let ids = id_list(pair, "termination.branches")?;
-                    match ids.as_slice() {
-                        [a, b] => Ok((*a, *b)),
-                        _ => perr("termination branch must be a pair".to_string()),
-                    }
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let message = as_str(req(obj, "message")?, "termination.message")?.to_string();
-            Ok(TerminationReason::WorkerFailure { branches, message })
-        }
-        other => perr(format!("unknown termination kind `{other}`")),
+                .map(read_branch)
+                .collect::<Result<_, _>>()?,
+            message: v.field("message", Json::as_str)?.to_string(),
+        }),
+        other => perr(&format!("unknown termination kind `{other}`")),
     }
+}
+
+/// Read the `approx` object of an approximate-run dump.
+fn read_approx(a: &Json) -> Result<ApproxMeta, SnapshotError> {
+    let ocd_errors = a
+        .field("ocd_errors", Json::as_array)?
+        .iter()
+        .map(|pair| match pair.as_array().unwrap_or_default() {
+            [r, m] => match (r.as_u64(), m.as_u64()) {
+                (Some(r), Some(m)) => Ok((r, m)),
+                _ => perr("an `ocd_errors` entry must hold unsigned integers"),
+            },
+            _ => perr("an `ocd_errors` entry must be a pair"),
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(ApproxMeta {
+        seed: a.field("seed", Json::as_u64)?,
+        sample_rows: a.field("sample_rows", Json::as_u64)?,
+        total_rows: a.field("total_rows", Json::as_u64)?,
+        strategy: a.field("strategy", Json::as_str)?.to_string(),
+        strategy_column: a.field("strategy_column", opt_u64)?,
+        sample_manifest: read_hex(
+            a.field("sample_manifest", Json::as_str)?,
+            "approx.sample_manifest",
+        )?,
+        epsilon_micros: a.field("epsilon_micros", Json::as_u64)?,
+        confidence_micros: a.field("confidence_micros", Json::as_u64)?,
+        ocd_errors,
+        estimated: a.field("estimated", Json::as_u64)?,
+        accepted_by_sample: a.field("accepted_by_sample", Json::as_u64)?,
+        rejected_by_sample: a.field("rejected_by_sample", Json::as_u64)?,
+        escalated: a.field("escalated", Json::as_u64)?,
+        sample_row_scans: a.field("sample_row_scans", Json::as_u64)?,
+        full_row_scans: a.field("full_row_scans", Json::as_u64)?,
+    })
 }
 
 /// Parse dump JSON text into a [`SearchSnapshot`], enforcing the magic and
@@ -986,183 +739,116 @@ fn parse_termination_value(v: &Json) -> Result<TerminationReason, SnapshotError>
 /// [`SearchSnapshot::validate`] — so tooling like `dump-dot` can read a
 /// dump without the original input at hand).
 pub fn parse_snapshot(text: &str) -> Result<SearchSnapshot, SnapshotError> {
-    let root = parse_json(text).map_err(SnapshotError::Parse)?;
-    let obj = as_obj(&root, "snapshot")?;
-
-    let magic = as_str(req(obj, "format")?, "format")?;
+    let root = json::parse(text)?;
+    let magic = root.field("format", Json::as_str)?;
     if magic != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic(magic.to_string()));
     }
-    let version = as_u64(req(obj, "version")?, "version")?;
+    let version = root.field("version", Json::as_u64)?;
     if version != u64::from(SNAPSHOT_VERSION) {
         return Err(SnapshotError::UnsupportedVersion {
             found: version,
             supported: SNAPSHOT_VERSION,
         });
     }
-    let manifest_text = as_str(req(obj, "manifest")?, "manifest")?;
-    let manifest = u64::from_str_radix(manifest_text, 16)
-        .map_err(|_| SnapshotError::Parse("`manifest` must be a hex string".to_string()))?;
-
-    let cfg = as_obj(req(obj, "config")?, "config")?;
+    let manifest = read_hex(root.field("manifest", Json::as_str)?, "manifest")?;
+    let cfg = root.field("config", Some)?;
     let config = SnapshotConfig {
-        max_checks: opt_u64(req(cfg, "max_checks")?, "config.max_checks")?,
-        max_level: opt_u64(req(cfg, "max_level")?, "config.max_level")?
+        max_checks: cfg.field("max_checks", opt_u64)?,
+        max_level: cfg
+            .field("max_level", opt_u64)?
             .map(|l| usize::try_from(l).unwrap_or(usize::MAX)),
-        dedup_candidates: as_bool(req(cfg, "dedup_candidates")?, "config.dedup_candidates")?,
-        column_reduction: as_bool(req(cfg, "column_reduction")?, "config.column_reduction")?,
+        dedup_candidates: cfg.field("dedup_candidates", Json::as_bool)?,
+        column_reduction: cfg.field("column_reduction", Json::as_bool)?,
     };
-
-    let branches = as_arr(req(obj, "branches")?, "branches")?
+    let branches = root
+        .field("branches", Json::as_array)?
         .iter()
-        .map(|item| {
-            let b = as_obj(item, "branches")?;
+        .map(|b| {
             Ok(SnapshotBranch {
-                branch: (
-                    as_usize(req(b, "x")?, "branches.x")?,
-                    as_usize(req(b, "y")?, "branches.y")?,
-                ),
-                allowance: as_u64(req(b, "allowance")?, "branches.allowance")?,
-                spent: as_u64(req(b, "spent")?, "branches.spent")?,
-                stopped: as_bool(req(b, "stopped")?, "branches.stopped")?,
-                failed: as_bool(req(b, "failed")?, "branches.failed")?,
+                branch: (b.field("x", Json::as_usize)?, b.field("y", Json::as_usize)?),
+                allowance: b.field("allowance", Json::as_u64)?,
+                spent: b.field("spent", Json::as_u64)?,
+                stopped: b.field("stopped", Json::as_bool)?,
+                failed: b.field("failed", Json::as_bool)?,
             })
         })
-        .collect::<Result<Vec<_>, SnapshotError>>()?;
-
-    let failures = as_arr(req(obj, "failures")?, "failures")?
+        .collect::<Result<_, SnapshotError>>()?;
+    let failures = root
+        .field("failures", Json::as_array)?
         .iter()
-        .map(|item| {
-            let f = as_obj(item, "failures")?;
+        .map(|f| {
             Ok(SnapshotFailure {
-                branch: (
-                    as_usize(req(f, "x")?, "failures.x")?,
-                    as_usize(req(f, "y")?, "failures.y")?,
-                ),
-                message: as_str(req(f, "message")?, "failures.message")?.to_string(),
+                branch: (f.field("x", Json::as_usize)?, f.field("y", Json::as_usize)?),
+                message: f.field("message", Json::as_str)?.to_string(),
             })
         })
-        .collect::<Result<Vec<_>, SnapshotError>>()?;
-
-    let levels = as_arr(req(obj, "levels")?, "levels")?
+        .collect::<Result<_, SnapshotError>>()?;
+    let levels = root
+        .field("levels", Json::as_array)?
         .iter()
-        .map(|item| {
-            let l = as_obj(item, "levels")?;
+        .map(|l| {
             Ok(LevelStats {
-                level: as_usize(req(l, "level")?, "levels.level")?,
-                candidates: as_u64(req(l, "candidates")?, "levels.candidates")?,
-                valid_ocds: as_u64(req(l, "valid_ocds")?, "levels.valid_ocds")?,
-                valid_ods: as_u64(req(l, "valid_ods")?, "levels.valid_ods")?,
+                level: l.field("level", Json::as_usize)?,
+                candidates: l.field("candidates", Json::as_u64)?,
+                valid_ocds: l.field("valid_ocds", Json::as_u64)?,
+                valid_ods: l.field("valid_ods", Json::as_u64)?,
             })
         })
-        .collect::<Result<Vec<_>, SnapshotError>>()?;
-
-    let k = as_obj(req(obj, "kernels")?, "kernels")?;
+        .collect::<Result<_, SnapshotError>>()?;
+    let k = root.field("kernels", Some)?;
     let kernels = KernelCounts {
-        counting: as_u64(req(k, "counting")?, "kernels.counting")?,
-        packed_radix: as_u64(req(k, "packed_radix")?, "kernels.packed_radix")?,
-        chained_refine: as_u64(req(k, "chained_refine")?, "kernels.chained_refine")?,
-        comparator: as_u64(req(k, "comparator")?, "kernels.comparator")?,
-        scan_scalar: as_u64(req(k, "scan_scalar")?, "kernels.scan_scalar")?,
-        scan_block: as_u64(req(k, "scan_block")?, "kernels.scan_block")?,
-        scan_simd: as_u64(req(k, "scan_simd")?, "kernels.scan_simd")?,
+        counting: k.field("counting", Json::as_u64)?,
+        packed_radix: k.field("packed_radix", Json::as_u64)?,
+        chained_refine: k.field("chained_refine", Json::as_u64)?,
+        comparator: k.field("comparator", Json::as_u64)?,
+        scan_scalar: k.field("scan_scalar", Json::as_u64)?,
+        scan_block: k.field("scan_block", Json::as_u64)?,
+        scan_simd: k.field("scan_simd", Json::as_u64)?,
     };
-
-    let cache = match req(obj, "cache")? {
-        Json::Null => None,
-        v => {
-            let c = as_obj(v, "cache")?;
-            Some(CacheMeta {
-                shared: as_bool(req(c, "shared")?, "cache.shared")?,
-                budget_bytes: as_u64(req(c, "budget_bytes")?, "cache.budget_bytes")?,
-                stats: CacheStats {
-                    hits: as_u64(req(c, "hits")?, "cache.hits")?,
-                    misses: as_u64(req(c, "misses")?, "cache.misses")?,
-                    evictions: as_u64(req(c, "evictions")?, "cache.evictions")?,
-                    resident_bytes: as_u64(req(c, "resident_bytes")?, "cache.resident_bytes")?,
-                    entries: as_u64(req(c, "entries")?, "cache.entries")?,
-                },
-            })
-        }
+    let cache = match root.field("cache", Some)? {
+        c if c.is_null() => None,
+        c => Some(CacheMeta {
+            shared: c.field("shared", Json::as_bool)?,
+            budget_bytes: c.field("budget_bytes", Json::as_u64)?,
+            stats: CacheStats {
+                hits: c.field("hits", Json::as_u64)?,
+                misses: c.field("misses", Json::as_u64)?,
+                evictions: c.field("evictions", Json::as_u64)?,
+                resident_bytes: c.field("resident_bytes", Json::as_u64)?,
+                entries: c.field("entries", Json::as_u64)?,
+            },
+        }),
     };
-
-    let termination = match req(obj, "termination")? {
-        Json::Null => None,
-        v => Some(parse_termination_value(v)?),
+    // Optional: exact-search dumps never carry it.
+    let approx = match root.get("approx") {
+        Some(a) if !a.is_null() => Some(read_approx(a)?),
+        _ => None,
     };
-
-    // Optional: absent (pre-§14 dump or exact-search dump) means `None`.
-    let approx = match get(obj, "approx") {
-        None | Some(Json::Null) => None,
-        Some(v) => {
-            let a = as_obj(v, "approx")?;
-            let sample_manifest_text =
-                as_str(req(a, "sample_manifest")?, "approx.sample_manifest")?;
-            let sample_manifest = u64::from_str_radix(sample_manifest_text, 16).map_err(|_| {
-                SnapshotError::Parse("`approx.sample_manifest` must be a hex string".to_string())
-            })?;
-            let ocd_errors = as_arr(req(a, "ocd_errors")?, "approx.ocd_errors")?
-                .iter()
-                .map(|pair| {
-                    let nums = as_arr(pair, "approx.ocd_errors")?;
-                    match nums {
-                        [r, m] => Ok((
-                            as_u64(r, "approx.ocd_errors")?,
-                            as_u64(m, "approx.ocd_errors")?,
-                        )),
-                        _ => perr("approx ocd_error must be a pair".to_string()),
-                    }
-                })
-                .collect::<Result<Vec<_>, SnapshotError>>()?;
-            Some(ApproxMeta {
-                seed: as_u64(req(a, "seed")?, "approx.seed")?,
-                sample_rows: as_u64(req(a, "sample_rows")?, "approx.sample_rows")?,
-                total_rows: as_u64(req(a, "total_rows")?, "approx.total_rows")?,
-                strategy: as_str(req(a, "strategy")?, "approx.strategy")?.to_string(),
-                strategy_column: opt_u64(req(a, "strategy_column")?, "approx.strategy_column")?,
-                sample_manifest,
-                epsilon_micros: as_u64(req(a, "epsilon_micros")?, "approx.epsilon_micros")?,
-                confidence_micros: as_u64(
-                    req(a, "confidence_micros")?,
-                    "approx.confidence_micros",
-                )?,
-                ocd_errors,
-                estimated: as_u64(req(a, "estimated")?, "approx.estimated")?,
-                accepted_by_sample: as_u64(
-                    req(a, "accepted_by_sample")?,
-                    "approx.accepted_by_sample",
-                )?,
-                rejected_by_sample: as_u64(
-                    req(a, "rejected_by_sample")?,
-                    "approx.rejected_by_sample",
-                )?,
-                escalated: as_u64(req(a, "escalated")?, "approx.escalated")?,
-                sample_row_scans: as_u64(req(a, "sample_row_scans")?, "approx.sample_row_scans")?,
-                full_row_scans: as_u64(req(a, "full_row_scans")?, "approx.full_row_scans")?,
-            })
-        }
+    let termination = match root.field("termination", Some)? {
+        t if t.is_null() => None,
+        t => Some(read_termination(t)?),
     };
-
     Ok(SearchSnapshot {
         version: SNAPSHOT_VERSION,
         manifest,
         config,
-        level: as_usize(req(obj, "level")?, "level")?,
-        frontier: pair_list(req(obj, "frontier")?, "frontier")?,
+        level: root.field("level", Json::as_usize)?,
+        frontier: read_pairs(root.field("frontier", Json::as_array)?)?,
         branches,
         failures,
-        ocds: pair_list(req(obj, "ocds")?, "ocds")?,
-        ods: pair_list(req(obj, "ods")?, "ods")?,
-        generated: as_u64(req(obj, "generated")?, "generated")?,
+        ocds: read_pairs(root.field("ocds", Json::as_array)?)?,
+        ods: read_pairs(root.field("ods", Json::as_array)?)?,
+        generated: root.field("generated", Json::as_u64)?,
         levels,
-        level_capped: as_bool(req(obj, "level_capped")?, "level_capped")?,
-        check_budget_hit: as_bool(req(obj, "check_budget_hit")?, "check_budget_hit")?,
-        checks: as_u64(req(obj, "checks")?, "checks")?,
-        elapsed_ms: as_u64(req(obj, "elapsed_ms")?, "elapsed_ms")?,
+        level_capped: root.field("level_capped", Json::as_bool)?,
+        check_budget_hit: root.field("check_budget_hit", Json::as_bool)?,
+        checks: root.field("checks", Json::as_u64)?,
+        elapsed_ms: root.field("elapsed_ms", Json::as_u64)?,
         kernels,
         cache,
         approx,
-        pruned: pair_list(req(obj, "pruned")?, "pruned")?,
+        pruned: read_pairs(root.field("pruned", Json::as_array)?)?,
         termination,
     })
 }

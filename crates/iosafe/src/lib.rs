@@ -1,4 +1,5 @@
-//! Crash-safe artifact writes for the whole workspace.
+//! The workspace's artifact boundary: crash-safe writes and the one JSON
+//! codec.
 //!
 //! Every durable artifact this repository produces — search-state
 //! checkpoints, `BENCH_approx.json`, `results/lint_findings.json`, JSON
@@ -17,8 +18,15 @@
 //! The `io-confinement` rule of `ocdd-lint` confines direct file-creation
 //! APIs (`File::create`, `fs::write`, `OpenOptions`) to this crate, so a
 //! determinism/durability audit has exactly one write path to review.
+//!
+//! [`json`] is the other half of that boundary: the one JSON string
+//! escape, compact writer and parser behind the reports, the
+//! `ocdd-snapshot/1` dumps, the `ocdd-lint` documents and its cache, and
+//! the benchmark environment block.
 
 #![deny(missing_docs)]
+
+pub mod json;
 
 use std::fs::{self, File};
 use std::io::{self, Write as _};

@@ -37,9 +37,12 @@ pub const HOT_PATH_FILES: &[&str] = &[
 ];
 
 /// Scope of the panic-free discipline (and of the workspace call graph):
-/// the algorithmic crates whose code runs inside discovery workers.
+/// the algorithmic crates whose code runs inside discovery workers, and
+/// the artifact boundary they write checkpoints and reports through.
 pub fn in_analysis_scope(path: &str) -> bool {
-    path.starts_with("crates/core/src/") || path.starts_with("crates/relation/src/")
+    path.starts_with("crates/core/src/")
+        || path.starts_with("crates/relation/src/")
+        || path.starts_with("crates/iosafe/src/")
 }
 
 /// Rust keywords that must not be mistaken for call or index receivers.

@@ -11,18 +11,19 @@
 //!   in parallel (`par_map`).
 //! - **Semantic stage.** The cross-file passes (call graph, locks, taint,
 //!   dataflow, schema parity, intervals) depend on exactly the in-scope
-//!   files (`crates/core`, `crates/relation`); their dependency closure is
-//!   fingerprinted as one combined hash. When it is unchanged, the entire
-//!   semantic result (diagnostics *and* in-scope hygiene) replays from
-//!   cache; otherwise the workspace model is rebuilt (unchanged files
-//!   parse in parallel, their cached line results still stand) and every
-//!   pass re-runs, individually timed.
+//!   files (`crates/core`, `crates/relation`, `crates/iosafe`); their
+//!   dependency closure is fingerprinted as one combined hash. When it is
+//!   unchanged, the entire semantic result (diagnostics *and* in-scope
+//!   hygiene) replays from cache; otherwise the workspace model is rebuilt
+//!   (unchanged files parse in parallel, their cached line results still
+//!   stand) and every pass re-runs, individually timed.
 //! - **Hygiene split.** `unused-allow`/`unknown-allow` for an out-of-scope
 //!   file depends only on that file's own line-rule uses, so it lives in
 //!   the per-file cache; for in-scope files it also depends on the
 //!   semantic passes and therefore lives in the semantic cache entry.
 //!
 //! The cache (`results/lint_cache.json`, schema `ocdd-lint-cache/1`) is
+//! encoded and decoded by the JSON codec (`ocdd_iosafe::json`) and
 //! written via `ocdd_iosafe::atomic_write` so a crash never publishes a
 //! torn cache; any parse failure, schema/rule-set mismatch, or unknown
 //! rule name degrades to a full cold run — the cache can make the run
@@ -31,7 +32,8 @@
 
 use crate::callgraph::{in_analysis_scope, AllowUses, FileModel, Workspace};
 use crate::rules::{Diagnostic, ALL_RULES, UNKNOWN_ALLOW, UNUSED_ALLOW};
-use crate::{check_file, esc, hygiene, Analysis, StaleAllow};
+use crate::{check_file, hygiene, Analysis, StaleAllow};
+use ocdd_iosafe::json::{self, Json, Writer};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::{Mutex, PoisonError};
@@ -106,218 +108,6 @@ pub(crate) fn par_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync
 }
 
 // ---------------------------------------------------------------------
-// Minimal JSON reader for the cache file. The lint crate deliberately
-// has no serde dependency; this handles exactly the subset the cache
-// writer below emits (objects, arrays, strings with basic escapes,
-// integers, booleans).
-// ---------------------------------------------------------------------
-
-#[derive(Debug)]
-enum Json {
-    Bool,
-    Num(i64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-    fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-}
-
-struct Reader<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-    fn eat(&mut self, c: u8) -> Option<()> {
-        self.ws();
-        if self.b.get(self.i) == Some(&c) {
-            self.i += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.b.get(self.i).copied()
-    }
-    fn value(&mut self) -> Option<Json> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => self.string().map(Json::Str),
-            b't' => self.lit("true").map(|_| Json::Bool),
-            b'f' => self.lit("false").map(|_| Json::Bool),
-            b'n' => self.lit("null").map(|_| Json::Bool),
-            _ => self.number(),
-        }
-    }
-    fn lit(&mut self, text: &str) -> Option<()> {
-        self.ws();
-        if self.b[self.i..].starts_with(text.as_bytes()) {
-            self.i += text.len();
-            Some(())
-        } else {
-            None
-        }
-    }
-    fn number(&mut self) -> Option<Json> {
-        self.ws();
-        let start = self.i;
-        if self.b.get(self.i) == Some(&b'-') {
-            self.i += 1;
-        }
-        while self.b.get(self.i).is_some_and(u8::is_ascii_digit) {
-            self.i += 1;
-        }
-        if self.i == start {
-            return None;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()?
-            .parse::<i64>()
-            .ok()
-            .map(Json::Num)
-    }
-    fn string(&mut self) -> Option<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let c = *self.b.get(self.i)?;
-            self.i += 1;
-            match c {
-                b'"' => return Some(out),
-                b'\\' => {
-                    let e = *self.b.get(self.i)?;
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self.b.get(self.i..self.i + 4)?;
-                            self.i += 4;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                        }
-                        _ => return None,
-                    }
-                }
-                _ => {
-                    // Resynchronize on UTF-8 boundaries: collect the full
-                    // multi-byte sequence.
-                    let width = match c {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let start = self.i - 1;
-                    self.i = start + width;
-                    out.push_str(std::str::from_utf8(self.b.get(start..self.i)?).ok()?);
-                }
-            }
-        }
-    }
-    fn array(&mut self) -> Option<Json> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Some(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => {
-                    self.i += 1;
-                }
-                b']' => {
-                    self.i += 1;
-                    return Some(Json::Arr(items));
-                }
-                _ => return None,
-            }
-        }
-    }
-    fn object(&mut self) -> Option<Json> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Some(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.eat(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            match self.peek()? {
-                b',' => {
-                    self.i += 1;
-                }
-                b'}' => {
-                    self.i += 1;
-                    return Some(Json::Obj(fields));
-                }
-                _ => return None,
-            }
-        }
-    }
-}
-
-fn parse_json(text: &str) -> Option<Json> {
-    let mut r = Reader {
-        b: text.as_bytes(),
-        i: 0,
-    };
-    let v = r.value()?;
-    r.ws();
-    (r.i == r.b.len()).then_some(v)
-}
-
-// ---------------------------------------------------------------------
 // Cache model.
 // ---------------------------------------------------------------------
 
@@ -360,61 +150,82 @@ struct Cache {
     semantic: Option<SemanticEntry>,
 }
 
-fn diag_to_json(d: &Diagnostic) -> String {
-    let chain: Vec<String> = d.chain.iter().map(|h| format!("\"{}\"", esc(h))).collect();
-    format!(
-        "{{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\", \"chain\": [{}]}}",
-        esc(d.rule),
-        esc(&d.path),
-        d.line,
-        esc(&d.message),
-        chain.join(", ")
-    )
+fn write_diag(w: &mut Writer, d: &Diagnostic) {
+    w.begin_object();
+    w.key("rule").str(d.rule);
+    w.key("file").str(&d.path);
+    w.key("line").u64(d.line as u64);
+    w.key("message").str(&d.message);
+    w.key("chain").begin_array();
+    for hop in &d.chain {
+        w.str(hop);
+    }
+    w.end_array().end_object();
 }
 
-fn diag_from_json(j: &Json) -> Option<Diagnostic> {
+fn read_diag(j: &Json) -> Option<Diagnostic> {
     Some(Diagnostic {
         rule: intern_rule(j.get("rule")?.as_str()?)?,
         path: j.get("file")?.as_str()?.to_owned(),
-        line: usize::try_from(j.get("line")?.as_i64()?).ok()?,
+        line: j.get("line")?.as_usize()?,
         message: j.get("message")?.as_str()?.to_owned(),
         chain: j
             .get("chain")?
-            .as_arr()?
+            .as_array()?
             .iter()
             .map(|h| h.as_str().map(str::to_owned))
             .collect::<Option<Vec<_>>>()?,
     })
 }
 
-fn stale_to_json(sa: &StaleAllow) -> String {
-    format!(
-        "{{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\"}}",
-        esc(&sa.path),
-        sa.line,
-        esc(&sa.rule)
-    )
+fn write_stale(w: &mut Writer, sa: &StaleAllow) {
+    w.begin_object();
+    w.key("file").str(&sa.path);
+    w.key("line").u64(sa.line as u64);
+    w.key("rule").str(&sa.rule);
+    w.end_object();
 }
 
-fn stale_from_json(j: &Json) -> Option<StaleAllow> {
+fn read_stale(j: &Json) -> Option<StaleAllow> {
     Some(StaleAllow {
         path: j.get("file")?.as_str()?.to_owned(),
-        line: usize::try_from(j.get("line")?.as_i64()?).ok()?,
+        line: j.get("line")?.as_usize()?,
         rule: j.get("rule")?.as_str()?.to_owned(),
     })
 }
 
-fn diags_array(j: &Json, key: &str) -> Option<Vec<Diagnostic>> {
-    j.get(key)?.as_arr()?.iter().map(diag_from_json).collect()
+/// Write the `diags`, `hyg` and `stales` members that per-file and
+/// semantic cache entries both carry.
+fn write_results(w: &mut Writer, diags: &[Diagnostic], hyg: &[Diagnostic], stales: &[StaleAllow]) {
+    for (key, list) in [("diags", diags), ("hyg", hyg)] {
+        w.key(key).begin_array();
+        for d in list {
+            write_diag(w, d);
+        }
+        w.end_array();
+    }
+    w.key("stales").begin_array();
+    for sa in stales {
+        write_stale(w, sa);
+    }
+    w.end_array();
 }
 
-fn stales_array(j: &Json, key: &str) -> Option<Vec<StaleAllow>> {
-    j.get(key)?.as_arr()?.iter().map(stale_from_json).collect()
+fn read_diags(j: &Json, key: &str) -> Option<Vec<Diagnostic>> {
+    j.get(key)?.as_array()?.iter().map(read_diag).collect()
+}
+
+fn read_stales(j: &Json) -> Option<Vec<StaleAllow>> {
+    j.get("stales")?
+        .as_array()?
+        .iter()
+        .map(read_stale)
+        .collect()
 }
 
 fn load_cache(path: &Path) -> Option<Cache> {
     let text = std::fs::read_to_string(path).ok()?;
-    let j = parse_json(&text)?;
+    let j = json::parse(&text).ok()?;
     if j.get("schema")?.as_str()? != CACHE_SCHEMA
         || j.get("ruleset")?.as_str()? != ruleset_version()
     {
@@ -422,36 +233,33 @@ fn load_cache(path: &Path) -> Option<Cache> {
     }
     let closure = u64::from_str_radix(j.get("closure")?.as_str()?, 16).ok()?;
     let mut files = HashMap::new();
-    for (path, entry) in j.get("files")?.as_obj()? {
+    for (path, entry) in j.get("files")?.as_object()? {
         let hash = u64::from_str_radix(entry.get("hash")?.as_str()?, 16).ok()?;
         let uses = entry
             .get("uses")?
-            .as_arr()?
+            .as_array()?
             .iter()
-            .map(|u| {
-                let pair = u.as_arr()?;
-                Some((
-                    usize::try_from(pair.first()?.as_i64()?).ok()?,
-                    intern_rule(pair.get(1)?.as_str()?)?,
-                ))
+            .map(|u| match u.as_array()? {
+                [line, rule] => Some((line.as_usize()?, intern_rule(rule.as_str()?)?)),
+                _ => None,
             })
             .collect::<Option<Vec<_>>>()?;
         files.insert(
             path.clone(),
             FileEntry {
                 hash,
-                diags: diags_array(entry, "diags")?,
+                diags: read_diags(entry, "diags")?,
                 uses,
-                hyg: diags_array(entry, "hyg")?,
-                stales: stales_array(entry, "stales")?,
+                hyg: read_diags(entry, "hyg")?,
+                stales: read_stales(entry)?,
             },
         );
     }
     let semantic = match j.get("semantic") {
         Some(sem) => Some(SemanticEntry {
-            diags: diags_array(sem, "diags")?,
-            hyg: diags_array(sem, "hyg")?,
-            stales: stales_array(sem, "stales")?,
+            diags: read_diags(sem, "diags")?,
+            hyg: read_diags(sem, "hyg")?,
+            stales: read_stales(sem)?,
         }),
         None => None,
     };
@@ -468,50 +276,31 @@ fn save_cache(
     entries: &[(String, FileEntry)],
     semantic: &SemanticEntry,
 ) -> std::io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("\"schema\": \"{CACHE_SCHEMA}\",\n"));
-    s.push_str(&format!("\"ruleset\": \"{}\",\n", esc(&ruleset_version())));
-    s.push_str(&format!("\"closure\": \"{closure:016x}\",\n"));
-    s.push_str("\"files\": {\n");
-    for (i, (p, e)) in entries.iter().enumerate() {
-        if i > 0 {
-            s.push_str(",\n");
+    let mut w = Writer::new();
+    w.begin_object();
+    w.key("schema").str(CACHE_SCHEMA);
+    w.key("ruleset").str(&ruleset_version());
+    w.key("closure").str(&format!("{closure:016x}"));
+    w.key("files").begin_object();
+    for (p, e) in entries {
+        w.key(p).begin_object();
+        w.key("hash").str(&format!("{:016x}", e.hash));
+        w.key("uses").begin_array();
+        for &(line, rule) in &e.uses {
+            w.begin_array().u64(line as u64).str(rule).end_array();
         }
-        let diags: Vec<String> = e.diags.iter().map(diag_to_json).collect();
-        let uses: Vec<String> = e
-            .uses
-            .iter()
-            .map(|(line, rule)| format!("[{line}, \"{rule}\"]"))
-            .collect();
-        let hyg: Vec<String> = e.hyg.iter().map(diag_to_json).collect();
-        let stales: Vec<String> = e.stales.iter().map(stale_to_json).collect();
-        s.push_str(&format!(
-            "\"{}\": {{\"hash\": \"{:016x}\", \"diags\": [{}], \"uses\": [{}], \
-             \"hyg\": [{}], \"stales\": [{}]}}",
-            esc(p),
-            e.hash,
-            diags.join(", "),
-            uses.join(", "),
-            hyg.join(", "),
-            stales.join(", ")
-        ));
+        w.end_array();
+        write_results(&mut w, &e.diags, &e.hyg, &e.stales);
+        w.end_object();
     }
-    s.push_str("\n},\n");
-    let diags: Vec<String> = semantic.diags.iter().map(diag_to_json).collect();
-    let hyg: Vec<String> = semantic.hyg.iter().map(diag_to_json).collect();
-    let stales: Vec<String> = semantic.stales.iter().map(stale_to_json).collect();
-    s.push_str(&format!(
-        "\"semantic\": {{\"diags\": [{}], \"hyg\": [{}], \"stales\": [{}]}}\n",
-        diags.join(", "),
-        hyg.join(", "),
-        stales.join(", ")
-    ));
-    s.push_str("}\n");
+    w.end_object();
+    w.key("semantic").begin_object();
+    write_results(&mut w, &semantic.diags, &semantic.hyg, &semantic.stales);
+    w.end_object().end_object();
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    ocdd_iosafe::atomic_write_str(path, &s)
+    ocdd_iosafe::atomic_write_str(path, &w.finish())
 }
 
 // ---------------------------------------------------------------------
@@ -822,9 +611,10 @@ mod tests {
             message: "inferred range [0, 70000] does not fit u8 \"quoted\"".into(),
             chain: vec!["`x` defined at line 3".into(), "`as u8` wraps".into()],
         };
-        let json = diag_to_json(&d);
-        let parsed = parse_json(&json).expect("parse");
-        assert_eq!(diag_from_json(&parsed).expect("roundtrip"), d);
+        let mut w = Writer::new();
+        write_diag(&mut w, &d);
+        let parsed = json::parse(&w.finish()).expect("parse");
+        assert_eq!(read_diag(&parsed).expect("roundtrip"), d);
     }
 
     #[test]

@@ -58,6 +58,7 @@ pub use rules::{canonical_rule, check_file, explain, Diagnostic, ALL_RULES};
 pub use source::SourceFile;
 
 use callgraph::{AllowUses, FileModel, Workspace};
+use ocdd_iosafe::json::quoted;
 use rules::{UNKNOWN_ALLOW, UNUSED_ALLOW};
 use std::path::{Path, PathBuf};
 
@@ -251,24 +252,6 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Analysis> {
     Ok(analyze(collect_files(root)?))
 }
 
-/// JSON string escaping shared by [`to_json`], [`to_sarif`] and the
-/// incremental engine's cache writer.
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Every rule name a finding can carry, in the order the `rules` counts
 /// object is emitted: the annotatable rules, then the meta rules.
 fn emitted_rules() -> Vec<&'static str> {
@@ -315,7 +298,7 @@ pub fn to_json(diags: &[Diagnostic], stats: Option<&EngineStats>) -> String {
             s.push_str(", ");
         }
         let n = diags.iter().filter(|d| d.rule == *rule).count();
-        s.push_str(&format!("\"{rule}\": {n}"));
+        s.push_str(&format!("{}: {n}", quoted(rule)));
     }
     s.push_str("},\n");
     if let Some(st) = stats {
@@ -329,7 +312,7 @@ pub fn to_json(diags: &[Diagnostic], stats: Option<&EngineStats>) -> String {
             if i > 0 {
                 s.push_str(", ");
             }
-            s.push_str(&format!("\"{}\": {}", esc(stage), ms));
+            s.push_str(&format!("{}: {ms}", quoted(stage)));
         }
         s.push_str("},\n");
     }
@@ -339,16 +322,16 @@ pub fn to_json(diags: &[Diagnostic], stats: Option<&EngineStats>) -> String {
             s.push(',');
         }
         s.push_str("\n    {");
-        s.push_str(&format!("\"rule\": \"{}\", ", esc(d.rule)));
-        s.push_str(&format!("\"file\": \"{}\", ", esc(&d.path)));
+        s.push_str(&format!("\"rule\": {}, ", quoted(d.rule)));
+        s.push_str(&format!("\"file\": {}, ", quoted(&d.path)));
         s.push_str(&format!("\"line\": {}, ", d.line));
-        s.push_str(&format!("\"message\": \"{}\", ", esc(&d.message)));
+        s.push_str(&format!("\"message\": {}, ", quoted(&d.message)));
         s.push_str("\"chain\": [");
         for (j, hop) in d.chain.iter().enumerate() {
             if j > 0 {
                 s.push_str(", ");
             }
-            s.push_str(&format!("\"{}\"", esc(hop)));
+            s.push_str(&quoted(hop));
         }
         s.push_str("]}");
     }
@@ -374,7 +357,7 @@ pub fn to_sarif(diags: &[Diagnostic]) -> String {
         if i > 0 {
             s.push_str(", ");
         }
-        s.push_str(&format!("{{\"id\": \"{rule}\"}}"));
+        s.push_str(&format!("{{\"id\": {}}}", quoted(rule)));
     }
     s.push_str("]}},\n");
     s.push_str("    \"results\": [");
@@ -388,13 +371,13 @@ pub fn to_sarif(diags: &[Diagnostic]) -> String {
             text.push_str(&d.chain.join(" -> "));
         }
         s.push_str("\n      {");
-        s.push_str(&format!("\"ruleId\": \"{}\", ", esc(d.rule)));
+        s.push_str(&format!("\"ruleId\": {}, ", quoted(d.rule)));
         s.push_str("\"level\": \"error\", ");
-        s.push_str(&format!("\"message\": {{\"text\": \"{}\"}}, ", esc(&text)));
+        s.push_str(&format!("\"message\": {{\"text\": {}}}, ", quoted(&text)));
         s.push_str(&format!(
             "\"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": \
-             {{\"uri\": \"{}\"}}, \"region\": {{\"startLine\": {}}}}}}}]",
-            esc(&d.path),
+             {{\"uri\": {}}}, \"region\": {{\"startLine\": {}}}}}}}]",
+            quoted(&d.path),
             d.line
         ));
         s.push('}');

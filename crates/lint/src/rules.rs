@@ -199,18 +199,23 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             "schema-parity\n\
              \n\
              The snapshot dump (`ocdd-snapshot/1`, snapshot.rs) and the\n\
-             result report (json.rs) are hand-rolled writers; snapshot.rs\n\
-             also hand-rolls the parser that resume trusts. This rule\n\
-             extracts the string-literal key sets on each side — `\\\"k\\\":`\n\
-             emissions in writer fns, `req(obj, \"k\")` / `get(obj, \"k\")`\n\
-             lookups in parser fns — and diffs writer keys vs reader keys\n\
-             vs the documented schema tables (crates/lint/src/schema.rs).\n\
+             result report (json.rs) are written through the JSON codec\n\
+             (ocdd_iosafe::json); snapshot.rs also reads dumps back through\n\
+             it for resume. This rule reads each side's key set off the\n\
+             codec's call forms — the string literal of `.key(\"k\")` on\n\
+             the writer side, of `.field(\"k\", ..)` / `.get(\"k\")` on\n\
+             the reader side, test code excluded — and diffs writer keys vs\n\
+             reader keys vs the documented schema tables\n\
+             (crates/lint/src/schema.rs).\n\
              A key written but never parsed is silently dropped on resume\n\
              (the PR 8 `approx`-object drift class); a key parsed but\n\
              never written makes resume reject every dump; an undocumented\n\
-             key means the schema doc lies. Fix by updating whichever of\n\
-             the three legs drifted — including the documented table when\n\
-             the format genuinely grew."
+             key means the schema doc lies. A scoped file that writes no\n\
+             key at all reports every documented key as never written, so\n\
+             a writer that stops using the call form cannot switch the\n\
+             rule off silently. Fix by updating whichever of the three\n\
+             legs drifted — including the documented table when the format\n\
+             genuinely grew."
         }
         HOT_LOOP_ALLOC => {
             "hot-loop-alloc\n\

@@ -1,17 +1,18 @@
-//! The `schema-parity` pass (ISSUE 9): cross-check the hand-rolled JSON
-//! writers and parsers against each other and against the documented
+//! The `schema-parity` pass (ISSUE 9): cross-check each JSON format's
+//! writer and parser against each other and against the documented
 //! schema tables kept here.
 //!
-//! The workspace persists two hand-rolled formats: the versioned search
-//! dump (`ocdd-snapshot/1`, `snapshot.rs` — writer *and* parser, since
-//! resume trusts it) and the result report (`json.rs` — writer only).
-//! Masking preserves byte positions, so a `Str` token's span slices the
-//! *raw* source to the literal exactly as written; writer keys are the
-//! `\"key\":` emissions inside those literals, reader keys are the
-//! string argument of bare `req(obj, "key")` / `get(obj, "key")` lookups.
-//! Key sets are compared flat per file — the formats never reuse a key
-//! name with two meanings, and a flat diff keeps the pass robust to how
-//! the emitters nest `format!` calls.
+//! The workspace persists two formats through the one JSON codec
+//! (`ocdd_iosafe::json`): the versioned search dump (`ocdd-snapshot/1`,
+//! `snapshot.rs` — writer *and* parser, since resume trusts it) and the
+//! result report (`json.rs` — writer only). The codec gives every member
+//! one call form on each side, and the pass reads the keys off those
+//! calls: writer keys are the string-literal argument of `.key("k")`,
+//! reader keys the first string-literal argument of `.field("k", …)` and
+//! `.get("k")`. Masking preserves byte positions, so a `Str` token's span
+//! slices the raw literal exactly as written. Key sets are compared flat
+//! per file — the formats never reuse a key name with two meanings, and
+//! a flat diff keeps the pass robust to how the writers nest.
 //!
 //! Three drift directions, three finding shapes:
 //! * **written but never parsed** — the PR 8 `"approx"` class: resume
@@ -20,8 +21,10 @@
 //!   Per-key diagnostic at the read site.
 //! * **documented table drift** — an undocumented written key gets a
 //!   per-key diagnostic; documented-but-absent keys aggregate into one
-//!   diagnostic (anchored at the first write site) so a stale table
-//!   reads as one finding, not dozens.
+//!   diagnostic (anchored at the first write site, or the file's first
+//!   line when it writes no key at all) so a stale table — or a writer
+//!   that stopped using the codec's call form — reads as one finding, not
+//!   dozens and not silence.
 
 use crate::callgraph::{allowed_at, AllowUses, FileModel, Workspace};
 use crate::rules::{Diagnostic, SCHEMA_PARITY};
@@ -164,7 +167,8 @@ struct Scope {
     schema_name: &'static str,
     /// Flattened documented key set.
     documented: &'static [&'static str],
-    /// Whether the file also hand-rolls a parser (`req`/`get` lookups).
+    /// Whether the file also reads the format back (`.field`/`.get`
+    /// lookups).
     has_reader: bool,
 }
 
@@ -196,74 +200,25 @@ fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
-/// Extract writer keys: every `\"key\":` occurrence inside the raw text
-/// of a non-test string literal. The escaped-quote form is how both
-/// emitters spell object keys inside `format!`/`push_str` literals.
-fn writer_keys(model: &FileModel, raw: &str) -> BTreeMap<String, KeySite> {
-    let mut out: BTreeMap<String, KeySite> = BTreeMap::new();
-    for (ti, t) in model.tokens.iter().enumerate() {
-        if t.kind != TokenKind::Str || model.is_test_line(t.line) {
-            continue;
-        }
-        let Some(lit) = raw.get(t.start..t.end) else {
-            continue;
-        };
-        let bytes = lit.as_bytes();
-        let mut i = 0;
-        while i + 3 < bytes.len() {
-            if bytes[i] != b'\\' || bytes[i + 1] != b'"' {
-                i += 1;
-                continue;
-            }
-            let start = i + 2;
-            let mut j = start;
-            while j < bytes.len() && is_ident_byte(bytes[j]) {
-                j += 1;
-            }
-            let closes = j > start
-                && bytes.get(j) == Some(&b'\\')
-                && bytes.get(j + 1) == Some(&b'"')
-                && bytes.get(j + 2) == Some(&b':');
-            if closes {
-                let key = &lit[start..j];
-                let line = t.line + lit[..i].bytes().filter(|&b| b == b'\n').count();
-                out.entry(key.to_owned())
-                    .or_insert(KeySite { line, tok: ti });
-                i = j + 3;
-            } else {
-                i += 2;
-            }
-        }
-    }
-    out
-}
-
-/// Extract reader keys: the string argument of bare `req(…, "key")` /
-/// `get(…, "key")` calls (method calls `.get(` are someone else's `get`).
-fn reader_keys(model: &FileModel, raw: &str) -> BTreeMap<String, KeySite> {
+/// Keys of the method calls `.name("key"…)` for each `name` in `names`
+/// on non-test lines: the string literal that opens the argument list.
+fn call_keys(model: &FileModel, raw: &str, names: &[&str]) -> BTreeMap<String, KeySite> {
     let mut out: BTreeMap<String, KeySite> = BTreeMap::new();
     let toks = &model.tokens;
     for (ti, t) in toks.iter().enumerate() {
         if t.kind != TokenKind::Ident
-            || (t.text != "req" && t.text != "get")
+            || !names.contains(&t.text.as_str())
             || model.is_test_line(t.line)
         {
             continue;
         }
-        let bare = ti
-            .checked_sub(1)
-            .map(|p| !toks[p].is_punct(".") && !toks[p].is_punct("::"))
-            .unwrap_or(true);
-        if !bare || !toks.get(ti + 1).is_some_and(|n| n.is_punct("(")) {
-            continue;
-        }
-        let close = crate::tokens::matching_close(toks, ti + 1);
-        let Some(arg) = (ti + 2..close).find_map(|j| {
-            let a = &toks[j];
-            (a.kind == TokenKind::Str).then_some(a)
-        }) else {
+        let method = ti.checked_sub(1).is_some_and(|p| toks[p].is_punct("."));
+        let Some([open, arg]) = toks.get(ti + 1..ti + 3) else {
             continue;
         };
+        if !method || !open.is_punct("(") || arg.kind != TokenKind::Str {
+            continue;
+        }
         let Some(lit) = raw.get(arg.start..arg.end) else {
             continue;
         };
@@ -278,6 +233,16 @@ fn reader_keys(model: &FileModel, raw: &str) -> BTreeMap<String, KeySite> {
     out
 }
 
+/// Writer keys: the codec's `.key("k")` calls.
+fn writer_keys(model: &FileModel, raw: &str) -> BTreeMap<String, KeySite> {
+    call_keys(model, raw, &["key"])
+}
+
+/// Reader keys: the codec's `.field("k", …)` and `.get("k")` calls.
+fn reader_keys(model: &FileModel, raw: &str) -> BTreeMap<String, KeySite> {
+    call_keys(model, raw, &["field", "get"])
+}
+
 /// The schema-parity pass over every scope whose file is present in the
 /// workspace.
 pub fn schema_parity(ws: &Workspace, uses: &mut AllowUses) -> Vec<Diagnostic> {
@@ -290,9 +255,6 @@ pub fn schema_parity(ws: &Workspace, uses: &mut AllowUses) -> Vec<Diagnostic> {
         let raw = model.src.raw_lines.join("\n");
         let written = writer_keys(model, &raw);
         let read = reader_keys(model, &raw);
-        if written.is_empty() {
-            continue;
-        }
 
         let mut push = |site: KeySite, message: String, chain: Vec<String>| {
             let fn_id = ws.enclosing_fn(fi, site.tok);
@@ -314,12 +276,12 @@ pub fn schema_parity(ws: &Workspace, uses: &mut AllowUses) -> Vec<Diagnostic> {
                     format!(
                         "key `\"{key}\"` is written by the serializer but never \
                          parsed — a resumed run silently drops it; add the \
-                         `req`/`get` lookup (and keep the {} table in sync)",
+                         `.field`/`.get` lookup (and keep the {} table in sync)",
                         scope.schema_name
                     ),
                     vec![
                         format!("written at {}:{}", scope.file, site.line + 1),
-                        "no matching `req`/`get` lookup in the parser".to_owned(),
+                        "no matching `.field`/`.get` lookup in the parser".to_owned(),
                     ],
                 );
             }
@@ -348,7 +310,7 @@ pub fn schema_parity(ws: &Workspace, uses: &mut AllowUses) -> Vec<Diagnostic> {
                         ),
                         vec![
                             format!("parsed at {}:{}", scope.file, site.line + 1),
-                            "no matching `\\\"key\\\":` emission in the serializer".to_owned(),
+                            "no matching `.key(..)` call in the serializer".to_owned(),
                         ],
                     );
                 }
@@ -365,7 +327,7 @@ pub fn schema_parity(ws: &Workspace, uses: &mut AllowUses) -> Vec<Diagnostic> {
                 .values()
                 .min_by_key(|s| (s.line, s.tok))
                 .copied()
-                .expect("written is non-empty");
+                .unwrap_or(KeySite { line: 0, tok: 0 });
             push(
                 anchor,
                 format!(
@@ -409,8 +371,8 @@ mod tests {
         // documented-but-absent finding for the rest of the table.
         let d = diags(
             "crates/core/src/snapshot.rs",
-            "pub fn write(s: &S) -> String { format!(\"{{\\\"seed\\\":{},\\\"level\\\":{}}}\", s.seed, s.level) }\n\
-             pub fn parse(obj: &Obj) { req(obj, \"seed\"); get(obj, \"level\"); }\n",
+            "pub fn write(w: &mut Writer, s: &S) { w.key(\"seed\").u64(s.seed); w.key(\"level\").u64(s.level); }\n\
+             pub fn parse(v: &Json) { v.field(\"seed\", Json::as_u64); v.get(\"level\"); }\n",
         );
         assert_eq!(d.len(), 1, "{d:#?}");
         assert!(d[0].message.contains("never written"));
@@ -421,10 +383,10 @@ mod tests {
     fn written_but_unparsed_key_is_flagged_at_the_write_site() {
         let d = diags(
             "crates/core/src/snapshot.rs",
-            "pub fn write(s: &S) -> String {\n\
-                 format!(\"{{\\\"seed\\\":{}}}\", s.seed)\n\
+            "pub fn write(w: &mut Writer, s: &S) {\n\
+                 w.key(\"seed\").u64(s.seed);\n\
              }\n\
-             pub fn parse(_obj: &Obj) {}\n",
+             pub fn parse(_v: &Json) {}\n",
         );
         assert!(
             d.iter()
@@ -437,10 +399,10 @@ mod tests {
     fn parsed_but_unwritten_key_is_flagged_at_the_read_site() {
         let d = diags(
             "crates/core/src/snapshot.rs",
-            "pub fn write(s: &S) -> String { format!(\"{{\\\"seed\\\":{}}}\", s.seed) }\n\
-             pub fn parse(obj: &Obj) {\n\
-                 req(obj, \"seed\");\n\
-                 req(obj, \"checksum\");\n\
+            "pub fn write(w: &mut Writer, s: &S) { w.key(\"seed\").u64(s.seed); }\n\
+             pub fn parse(v: &Json) {\n\
+                 v.field(\"seed\", Json::as_u64);\n\
+                 v.field(\"checksum\", Json::as_u64);\n\
              }\n",
         );
         assert!(
@@ -454,8 +416,8 @@ mod tests {
     fn undocumented_written_key_is_flagged() {
         let d = diags(
             "crates/core/src/snapshot.rs",
-            "pub fn write(s: &S) -> String { format!(\"{{\\\"wormhole\\\":{}}}\", s.x) }\n\
-             pub fn parse(obj: &Obj) { req(obj, \"wormhole\"); }\n",
+            "pub fn write(w: &mut Writer, s: &S) { w.key(\"wormhole\").u64(s.x); }\n\
+             pub fn parse(v: &Json) { v.field(\"wormhole\", Json::as_u64); }\n",
         );
         assert!(
             d.iter()
@@ -465,35 +427,46 @@ mod tests {
     }
 
     #[test]
-    fn method_get_calls_are_not_reader_lookups() {
+    fn only_method_calls_with_a_literal_first_argument_are_keys() {
         let ws = Workspace::build(vec![(
             "crates/core/src/snapshot.rs".to_owned(),
-            "pub fn parse(m: &Map) { m.get(\"not_a_schema_key\"); }\n".to_owned(),
+            "pub fn io(w: &mut Writer, v: &Json, k: &str) {\n\
+                 key(\"bare_call\"); get(v, \"bare_get\"); w.key(k); v.get(k);\n\
+                 v.field(\"a b\", Some); w.str(\"not_a_key\");\n\
+                 w.key(\"written\"); v.get(\"read\");\n\
+             }\n"
+            .to_owned(),
         )]);
         let model = &ws.files[0];
         let raw = model.src.raw_lines.join("\n");
-        assert!(reader_keys(model, &raw).is_empty());
+        let keys = |m: BTreeMap<String, KeySite>| m.into_keys().collect::<Vec<_>>();
+        assert_eq!(keys(writer_keys(model, &raw)), ["written"]);
+        assert_eq!(keys(reader_keys(model, &raw)), ["read"]);
     }
 
     #[test]
-    fn test_code_literals_are_ignored() {
+    fn a_scope_file_without_writer_calls_is_a_finding() {
+        // Test-code keys do not count, so this json.rs writes nothing:
+        // one aggregated finding at line 1 instead of silence.
         let d = diags(
             "crates/core/src/json.rs",
             "pub fn emit() -> String { String::new() }\n\
              #[cfg(test)]\n\
              mod tests {\n\
-                 fn t() { assert!(emit().contains(\"\\\"bogus\\\":1\")); }\n\
+                 fn t(w: &mut Writer) { w.key(\"bogus\"); }\n\
              }\n",
         );
-        // No non-test writer keys at all: the scope is skipped entirely.
-        assert!(d.is_empty(), "{d:#?}");
+        assert_eq!(d.len(), 1, "{d:#?}");
+        assert_eq!(d[0].line, 1);
+        assert!(d[0].message.contains("never written"), "{d:#?}");
+        assert!(!d[0].message.contains("bogus"), "{d:#?}");
     }
 
     #[test]
     fn out_of_scope_files_are_ignored() {
         let d = diags(
             "crates/core/src/visualize.rs",
-            "pub fn emit(s: &S) -> String { format!(\"{{\\\"mystery\\\":{}}}\", s.x) }\n",
+            "pub fn emit(w: &mut Writer, s: &S) { w.key(\"mystery\").u64(s.x); }\n",
         );
         assert!(d.is_empty(), "{d:#?}");
     }

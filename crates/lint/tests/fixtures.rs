@@ -450,7 +450,7 @@ fn schema_drift_fixture_exact_diagnostics() {
         drift.chain,
         vec![
             "written at crates/core/src/snapshot.rs:9",
-            "no matching `req`/`get` lookup in the parser",
+            "no matching `.field`/`.get` lookup in the parser",
         ]
     );
 }

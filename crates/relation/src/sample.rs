@@ -231,7 +231,11 @@ fn reservoir(items: &mut dyn Iterator<Item = u32>, k: usize, rng: &mut SplitMix6
 fn stratified(parent: &Relation, col: ColumnId, take: usize, seed: u64) -> Vec<u32> {
     let m = parent.num_rows();
     let codes = parent.codes(col);
-    let classes = codes.iter().copied().max().map_or(0, |c| c as usize + 1);
+    let classes = codes
+        .iter()
+        .copied()
+        .max()
+        .map_or(0, |c: u32| c as usize + 1);
     let mut counts = vec![0u64; classes];
     for &c in codes {
         if let Some(n) = counts.get_mut(c as usize) {

@@ -1,5 +1,6 @@
 //! End-to-end tests of the `ocdd` CLI binary.
 
+use ocdd_iosafe::json::{parse, Json};
 use std::process::Command;
 
 fn ocdd(args: &[&str]) -> std::process::Output {
@@ -216,28 +217,13 @@ fn budget_rejects_unrepresentable_durations_with_usage() {
     }
 }
 
-/// Drop one `"key":value,` member — a number or a complete object — from a
-/// one-line JSON report.
-fn drop_member(json: &str, key: &str) -> String {
-    let needle = format!("\"{key}\":");
-    let Some(start) = json.find(&needle) else {
-        return json.to_owned();
-    };
-    let rest = &json[start + needle.len()..];
-    let mut depth = 0i32;
-    let end = rest
-        .char_indices()
-        .find(|&(_, c)| {
-            match c {
-                '{' | '[' => depth += 1,
-                '}' | ']' => depth -= 1,
-                ',' if depth == 0 => return true,
-                _ => {}
-            }
-            false
-        })
-        .map_or(rest.len(), |(i, _)| i + 1);
-    format!("{}{}", &json[..start], &rest[end..])
+/// Parse a JSON report and drop the named top-level members.
+fn without(json: &str, keys: &[&str]) -> Json {
+    let mut v = parse(json).unwrap_or_else(|e| panic!("{e}: {json}"));
+    if let Json::Obj(fields) = &mut v {
+        fields.retain(|(k, _)| !keys.contains(&k.as_str()));
+    }
+    v
 }
 
 #[test]
@@ -260,11 +246,8 @@ fn threads_alone_pick_the_mode_and_keep_the_report() {
         ]);
         assert!(out.status.success(), "--threads {threads} failed: {out:?}");
         let json = stdout(&out);
-        let scheduled = json.contains("\"scheduler\":");
-        (
-            scheduled,
-            drop_member(&drop_member(&json, "elapsed_ms"), "scheduler"),
-        )
+        let scheduled = parse(&json).is_ok_and(|v| v.get("scheduler").is_some());
+        (scheduled, without(&json, &["elapsed_ms", "scheduler"]))
     };
     let (one_scheduled, one) = report("1");
     let (two_scheduled, two) = report("2");
@@ -273,7 +256,11 @@ fn threads_alone_pick_the_mode_and_keep_the_report() {
         two_scheduled,
         "--threads 2 runs the work-stealing scheduler"
     );
-    assert!(one.contains("\"ocds\":[{"), "got: {one}");
+    assert!(
+        one.field("ocds", Json::as_array)
+            .is_ok_and(|ocds| !ocds.is_empty()),
+        "got: {one:?}"
+    );
     assert_eq!(one, two);
 }
 

@@ -11,6 +11,7 @@
 
 #![cfg(feature = "fault-injection")]
 
+use ocdd_iosafe::json::{parse, Json};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -30,30 +31,14 @@ fn run_ok(cmd: &mut Command, what: &str) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
-/// Strip wall-clock and checkpoint-counter noise from a JSON report; the
-/// remaining bytes must match exactly between runs.
-fn normalize(json: &str) -> String {
-    let mut out = json.to_owned();
-    for key in ["\"elapsed_ms\":", "\"checkpoint\":"] {
-        while let Some(start) = out.find(key) {
-            let rest = &out[start + key.len()..];
-            let mut depth = 0i32;
-            let mut end = rest.len();
-            for (i, c) in rest.char_indices() {
-                match c {
-                    '{' => depth += 1,
-                    '}' => depth -= 1,
-                    ',' if depth == 0 => {
-                        end = i + 1;
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            out.replace_range(start..start + key.len() + end, "");
-        }
+/// Parse a JSON report and drop its wall-clock and checkpoint-counter
+/// members; the rest must match exactly between runs.
+fn normalize(json: &str) -> Json {
+    let mut v = parse(json).unwrap_or_else(|e| panic!("{e}: {json}"));
+    if let Json::Obj(fields) = &mut v {
+        fields.retain(|(k, _)| k != "elapsed_ms" && k != "checkpoint");
     }
-    out
+    v
 }
 
 /// Dump files in `dir` that finished their atomic rename (no tmp suffix).

@@ -3,6 +3,7 @@
 //! holds for checker backends and the shared prefix cache: they are pure
 //! performance knobs.
 
+use ocdd_iosafe::json::{parse, Json};
 use ocddiscover::datasets::{Dataset, RowScale};
 use ocddiscover::{discover, CheckerBackend, DiscoveryConfig, ParallelMode, TerminationReason};
 
@@ -218,37 +219,17 @@ fn code_width_sweep_is_deterministic() {
     }
 }
 
-/// Strip the observability-only keys (`elapsed_ms`, `kernels`,
-/// `scheduler`, `checkpoint`) from a JSON report, leaving exactly the
-/// deterministic result fields. Each key's value is a number or a complete
-/// object followed by a comma.
-fn strip_observability(json: &str) -> String {
-    let mut out = json.to_owned();
-    for key in [
-        "\"elapsed_ms\":",
-        "\"kernels\":",
-        "\"scheduler\":",
-        "\"checkpoint\":",
-    ] {
-        while let Some(start) = out.find(key) {
-            let rest = &out[start + key.len()..];
-            let mut depth = 0i32;
-            let mut end = rest.len();
-            for (i, c) in rest.char_indices() {
-                match c {
-                    '{' => depth += 1,
-                    '}' => depth -= 1,
-                    ',' if depth == 0 => {
-                        end = i + 1;
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            out.replace_range(start..start + key.len() + end, "");
-        }
+/// Parse a JSON report and drop its observability-only members
+/// (`elapsed_ms`, `kernels`, `scheduler`, `checkpoint`), leaving exactly
+/// the deterministic result fields.
+fn strip_observability(json: &str) -> Json {
+    let mut v = parse(json).unwrap_or_else(|e| panic!("{e}: {json}"));
+    if let Json::Obj(fields) = &mut v {
+        fields.retain(|(k, _)| {
+            !["elapsed_ms", "kernels", "scheduler", "checkpoint"].contains(&k.as_str())
+        });
     }
-    out
+    v
 }
 
 /// Checkpoint/resume sweep: dump every level boundary of a run, then for
