@@ -9,15 +9,20 @@
 //! that currently hold — one sorted scan each — instead of re-running the
 //! whole search.
 //!
-//! Two events break the cheap path and force a full re-run (reported in
+//! Three events break the cheap path and force a full re-run (reported in
 //! the returned [`Delta`]):
 //!
 //! * a **constant column demotes** (gains a second value): dependencies
 //!   *involving* it were never searched, so the reduced universe changes;
 //! * an **order-equivalence class splits**: the collapsed columns become
-//!   distinct search dimensions.
+//!   distinct search dimensions;
+//! * a **column is retyped** in a way that re-ranks its old values: a
+//!   string landing in an `Int` or `Float` column makes it `Str`, ordered
+//!   by display form (`"10" < "20" < "9"`), so the old rows no longer keep
+//!   their order and anti-monotonicity does not apply. `Int` → `Float`
+//!   keeps the numeric order and stays on the cheap path.
 //!
-//! Both are detected exactly — a class split by one
+//! All three are detected exactly — a class split by one
 //! [`crate::reduction`] pair pass per (representative, member) pair — and
 //! the fallback re-run is itself just [`crate::discover`], so correctness
 //! never depends on the fast path.
@@ -29,7 +34,7 @@ use crate::reduction::pair_pass;
 use crate::results::DiscoveryResult;
 use crate::search::discover;
 use crate::sorted_partitions::PartitionChecker;
-use ocdd_relation::{Error, Relation, Result, TypingMode, Value};
+use ocdd_relation::{DataType, Error, Relation, Result, TypingMode, Value};
 
 /// What an append or deletion changed.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -45,6 +50,9 @@ pub struct Delta {
     pub gained_ods: Vec<Od>,
     /// Constant columns that gained a second value.
     pub demoted_constants: Vec<usize>,
+    /// Columns whose new type orders their values differently (a string
+    /// in an `Int` or `Float` column makes it `Str`).
+    pub retyped_columns: Vec<usize>,
     /// Equivalence classes that no longer hold in full.
     pub split_classes: Vec<Vec<usize>>,
     /// True when the structural changes forced a full re-discovery.
@@ -59,6 +67,7 @@ impl Delta {
             && self.gained_ocds.is_empty()
             && self.gained_ods.is_empty()
             && self.demoted_constants.is_empty()
+            && self.retyped_columns.is_empty()
             && self.split_classes.is_empty()
     }
 }
@@ -133,11 +142,19 @@ impl IncrementalDiscovery {
             }
         }
         // Rebuild the relation: rank codes are global, so appends re-encode.
+        let old_types: Vec<DataType> = self.relation.schema().map(|m| m.data_type).collect();
         self.relation = self.encode()?;
 
         let mut delta = Delta::default();
 
         // Structural checks first.
+        for (c, (old, new)) in old_types.iter().zip(self.relation.schema()).enumerate() {
+            let keeps_order = *old == new.data_type
+                || (*old == DataType::Int && new.data_type == DataType::Float);
+            if !keeps_order {
+                delta.retyped_columns.push(c);
+            }
+        }
         for &c in &self.result.constants {
             if !self.relation.meta(c).is_constant() {
                 delta.demoted_constants.push(c);
@@ -153,9 +170,13 @@ impl IncrementalDiscovery {
             }
         }
 
-        if !delta.demoted_constants.is_empty() || !delta.split_classes.is_empty() {
-            // The reduced universe changed: the cheap path cannot see
-            // dependencies that were previously collapsed away.
+        if !delta.demoted_constants.is_empty()
+            || !delta.retyped_columns.is_empty()
+            || !delta.split_classes.is_empty()
+        {
+            // The reduced universe or a column's order changed: the cheap
+            // path cannot see dependencies that were collapsed away or
+            // that the old order ruled out.
             let old = std::mem::take(&mut self.result);
             self.result = discover(&self.relation, &self.config);
             delta.full_rerun = true;
@@ -325,6 +346,7 @@ impl IncrementalDiscovery {
                 .cloned()
                 .collect(),
             demoted_constants: Vec::new(),
+            retyped_columns: Vec::new(),
             split_classes: Vec::new(),
             full_rerun: true,
         })
@@ -508,6 +530,40 @@ mod tests {
             .ods
             .iter()
             .any(|od| { od.lhs == AttrList::single(0) && od.rhs == AttrList::single(1) }));
+    }
+
+    #[test]
+    fn retyping_append_reruns_and_int_to_float_does_not() {
+        for checker in [CheckerBackend::Resort, CheckerBackend::SortedPartitions] {
+            let config = DiscoveryConfig {
+                checker,
+                ..DiscoveryConfig::default()
+            };
+            // As numbers a and c disagree on every pair; as text "10" <
+            // "20" < "9" < "x" ranks a exactly as c.
+            let r = rel(&[("a", &[10, 9, 20]), ("c", &[1, 3, 2])]);
+            let mut inc = IncrementalDiscovery::new(&r, config.clone());
+            assert!(inc.result().equivalence_classes.is_empty());
+            let delta = inc
+                .append_rows(vec![vec![Value::Str("x".into()), Value::Int(4)]])
+                .unwrap();
+            assert!(delta.full_rerun, "{checker:?}: {delta:?}");
+            assert_eq!(delta.retyped_columns, vec![0], "{checker:?}");
+            let fresh = discover(inc.relation(), &config);
+            assert_eq!(fresh.equivalence_classes, vec![vec![0, 1]]);
+            assert_eq!(inc.result().equivalence_classes, fresh.equivalence_classes);
+            assert_eq!(inc.result().ocds, fresh.ocds, "{checker:?}");
+            assert_eq!(inc.result().ods, fresh.ods, "{checker:?}");
+
+            // A float in an Int column keeps the numeric order.
+            let mut inc = IncrementalDiscovery::new(&r, config);
+            let delta = inc
+                .append_rows(vec![vec![Value::Float(20.5), Value::Int(4)]])
+                .unwrap();
+            assert!(!delta.full_rerun, "{checker:?}: {delta:?}");
+            assert!(delta.retyped_columns.is_empty());
+            assert_eq!(inc.relation().meta(0).data_type, DataType::Float);
+        }
     }
 
     #[test]

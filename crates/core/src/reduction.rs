@@ -23,6 +23,7 @@
 //! by [`crate::expand`].
 
 use crate::deps::{AttrList, Od, OrderEquivalence};
+use ocdd_relation::pool::par_map;
 use ocdd_relation::{ColumnId, Relation};
 
 /// Output of the column-reduction phase.
@@ -304,16 +305,17 @@ pub fn columns_reduction_with_threads(rel: &Relation, threads: usize) -> Reducti
     let pairs: Vec<(usize, usize)> = (0..k)
         .flat_map(|i| (i + 1..k).map(move |j| (i, j)))
         .collect();
-    let results =
-        crate::runtime::par_map(&pairs, threads, |&(i, j)| pair_pass(rel, live[i], live[j]));
+    let verdicts = par_map(pairs, threads, |&(i, j)| {
+        (i, j, pair_pass(rel, live[i], live[j]))
+    });
     let mut bits = vec![0u8; k * k];
-    for (&(i, j), v) in pairs.iter().zip(&results) {
+    for &(i, j, ref v) in &verdicts {
         let both = if v.compatible { COMPATIBLE } else { 0 };
         bits[i * k + j] = both | if v.determines { DETERMINES } else { 0 };
         bits[j * k + i] = both | if v.determined { DETERMINES } else { 0 };
     }
     // The paper checks every ordered pair: k(k-1) single-column ODs.
-    let checks = 2 * pairs.len() as u64;
+    let checks = 2 * verdicts.len() as u64;
 
     // Digraph of valid single-column ODs among live columns.
     let adj: Vec<Vec<usize>> = (0..k)

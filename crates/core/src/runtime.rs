@@ -346,37 +346,6 @@ impl FaultPlan {
     }
 }
 
-/// Map `f` over `items` on up to `threads` scoped threads, one contiguous
-/// chunk per thread, returning the results in input order — the vector
-/// `items.iter().map(f).collect()` builds. A chunk whose thread dies is
-/// recomputed on the calling thread, so no result is ever lost.
-pub(crate) fn par_map<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let f = &f;
-    let parts: Vec<Option<Vec<R>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|part| scope.spawn(move || part.iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        handles.into_iter().map(|h| h.join().ok()).collect()
-    });
-    let mut out = Vec::with_capacity(items.len());
-    for (part, chunk_items) in parts.into_iter().zip(items.chunks(chunk)) {
-        match part {
-            Some(results) => out.extend(results),
-            None => out.extend(chunk_items.iter().map(f)),
-        }
-    }
-    out
-}
-
 /// Best-effort text of a caught panic payload.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -485,25 +454,6 @@ mod tests {
         assert!(!b.probe());
         b.trip(StopCause::Cancelled);
         assert_eq!(b.cause(), Some(StopCause::TimeBudget));
-    }
-
-    #[test]
-    fn par_map_keeps_input_order_and_recovers_dead_chunks() {
-        let items: Vec<u64> = (0..103).collect();
-        let expected: Vec<u64> = items.iter().map(|x| x * 3).collect();
-        for threads in [0, 1, 2, 4, 200] {
-            assert_eq!(par_map(&items, threads, |x| x * 3), expected, "{threads}");
-        }
-        // The first call for item 7 panics on its worker thread; the chunk
-        // is recomputed on the calling thread and the result is complete.
-        let first = AtomicBool::new(true);
-        let out = par_map(&items, 4, |&x| {
-            if x == 7 && first.swap(false, Ordering::SeqCst) {
-                panic!("injected worker death");
-            }
-            x * 3
-        });
-        assert_eq!(out, expected);
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //!
 //! 1. **Workspace facts** ([`Ctx`]) — integer `const`s (so
 //!    `BLOCK_PAIRS + 1` evaluates to 65), declared field/param types
-//!    harvested from `name: type` token patterns (joined when a name is
-//!    declared at several types — joins only ever widen, so the result
-//!    stays sound), and interprocedural *return summaries* for every fn
-//!    with a declared primitive return type.
+//!    harvested from `name: type` token patterns and read for `.field`
+//!    access (joined when a name is declared at several types — joins
+//!    only ever widen, so the result stays sound; a plain name the walk
+//!    has not bound is unknown), and interprocedural *return summaries*
+//!    for every fn with a declared primitive return type.
 //! 2. **A per-fn environment** ([`Env`]) — built by a single forward walk
 //!    over the body ([`walk_fn`]): `let` bindings (declared type meets
 //!    initializer interval), `for` loop bindings (`0..n` ranges,
@@ -55,7 +56,8 @@ pub struct Ctx {
     /// Integer `const NAME: ty = ...;` values by (unqualified) name.
     pub consts: HashMap<String, i128>,
     /// Scalar field/param declared ranges by name (`distinct: usize`),
-    /// joined across all declarations of the name.
+    /// joined across all declarations of the name; read only for
+    /// `.field` access, never for a plain name.
     pub fields: HashMap<String, Interval>,
     /// Container fields/params by name: element range, plus the length
     /// when declared as a fixed-size array (`lex: [u8; BLOCK_PAIRS]`).
@@ -548,7 +550,10 @@ impl<'a> Eval<'a> {
             return (val, close + 1);
         }
 
-        // Plain name: binding, then const, then field decl.
+        // Plain name: binding, then const. A name the walk has not bound
+        // is unknown: the by-name join of field and parameter declarations
+        // answers only `.field` access, since an unrelated declaration of
+        // the same name says nothing about a local.
         if qualifier.is_none() {
             if let Some(info) = self.env.get(name) {
                 return (
@@ -565,11 +570,6 @@ impl<'a> Eval<'a> {
         }
         if let Some(&c) = self.ctx.consts.get(name.as_str()) {
             return (Val::of(Interval::point(c)), j);
-        }
-        if let Some(range) = self.ctx.fields.get(name.as_str()) {
-            let mut v = Val::of(*range);
-            v.root = Some(last);
-            return (v, j);
         }
         let mut v = Val::unknown();
         v.root = Some(last);

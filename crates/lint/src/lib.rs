@@ -21,7 +21,7 @@
 //! | `overflow-prone-arith` | semantic | hot-path add/mul/shift proven wrap-free (intervals) |
 //! | `untracked-index-arith` | semantic | fixed-buffer indices proven in-bounds (intervals) |
 //! | `clock-confinement` | line | `Instant::now`/`SystemTime` only in `runtime.rs` |
-//! | `spawn-confinement` | line | thread spawns only in `search.rs`/`runtime.rs` |
+//! | `spawn-confinement` | line | thread spawns in core/relation only in core `search.rs` and relation `pool.rs` |
 //! | `atomics-audit` | line | every `Ordering::Relaxed` justified or allowlisted |
 //! | `lock-discipline` | line | `.lock().unwrap()` banned; poison is recovered |
 //!

@@ -22,7 +22,8 @@ pub const LOCK_ORDER: &str = "lock-order";
 pub const DETERMINISM_TAINT: &str = "determinism-taint";
 /// Rule identifier: wall-clock reads confined to `runtime.rs`.
 pub const CLOCK_CONFINEMENT: &str = "clock-confinement";
-/// Rule identifier: thread spawns confined to `search.rs`/`runtime.rs`.
+/// Rule identifier: thread spawns in core and relation confined to
+/// core's `search.rs` and relation's `pool.rs`.
 pub const SPAWN_CONFINEMENT: &str = "spawn-confinement";
 /// Rule identifier: `Ordering::Relaxed` requires a justification outside
 /// the shared-cache stats counters.
@@ -148,8 +149,11 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         SPAWN_CONFINEMENT => {
             "spawn-confinement\n\
              \n\
-             Thread spawns are confined to search.rs/runtime.rs: worker\n\
-             lifecycles must stay under the panic-quarantine machinery."
+             Thread spawns in crates/core and crates/relation are confined\n\
+             to core's search.rs (the level driver's workers) and\n\
+             relation's pool.rs (`par_map`, the one pool of ingest and the\n\
+             column reduction): worker lifecycles must stay under the\n\
+             driver's panic quarantine or the pool's recompute-on-panic."
         }
         ATOMICS_AUDIT => {
             "atomics-audit\n\
@@ -331,6 +335,10 @@ fn in_core_or_relation(path: &str) -> bool {
     path.starts_with("crates/core/src/") || path.starts_with("crates/relation/src/")
 }
 
+/// The files of core and relation that may spawn threads: the level
+/// driver's workers and the worker pool.
+const SPAWN_SITES: [&str; 2] = ["crates/core/src/search.rs", "crates/relation/src/pool.rs"];
+
 /// Stats-counter field accesses allowlisted for `Ordering::Relaxed` inside
 /// `shared_cache.rs` — observability counters that, by construction, never
 /// feed back into discovery results.
@@ -396,9 +404,8 @@ pub fn check_file(f: &SourceFile) -> (Vec<Diagnostic>, Vec<(usize, &'static str)
             );
         }
 
-        if f.path.starts_with("crates/core/src/")
-            && f.path != "crates/core/src/search.rs"
-            && f.path != "crates/core/src/runtime.rs"
+        if in_core_or_relation(&f.path)
+            && !SPAWN_SITES.contains(&f.path.as_str())
             && masked.contains("spawn(")
         {
             finding(
@@ -406,8 +413,9 @@ pub fn check_file(f: &SourceFile) -> (Vec<Diagnostic>, Vec<(usize, &'static str)
                 &mut used,
                 i,
                 SPAWN_CONFINEMENT,
-                "thread spawn outside search.rs/runtime.rs — worker lifecycles must \
-                 stay under the quarantine machinery"
+                "thread spawn outside core search.rs and relation pool.rs — worker \
+                 lifecycles must stay under the driver's quarantine or the pool's \
+                 recompute-on-panic"
                     .to_owned(),
             );
         }

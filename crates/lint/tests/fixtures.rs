@@ -218,13 +218,28 @@ fn direct_writes_are_allowed_inside_iosafe() {
 }
 
 #[test]
-fn spawn_is_allowed_in_search_and_runtime() {
-    for path in ["crates/core/src/search.rs", "crates/core/src/runtime.rs"] {
-        let diags = scan_content(path, "pub fn go() {\n    std::thread::spawn(|| {});\n}\n");
+fn spawn_is_allowed_in_search_and_the_pool() {
+    for path in ["crates/core/src/search.rs", "crates/relation/src/pool.rs"] {
+        let diags = scan_content(path, include_str!("fixtures/stray_spawn.rs"));
         assert!(
             !diags.iter().any(|d| d.rule == rules::SPAWN_CONFINEMENT),
             "{path}: {diags:#?}"
         );
+    }
+}
+
+#[test]
+fn stray_spawn_in_relation_is_a_finding() {
+    // The relation crate spawns only in its pool, and core's runtime.rs
+    // not at all.
+    for path in ["crates/relation/src/csv.rs", "crates/core/src/runtime.rs"] {
+        let diags = scan_content(path, include_str!("fixtures/stray_spawn.rs"));
+        assert_eq!(
+            shape(&diags),
+            vec![(6, rules::SPAWN_CONFINEMENT)],
+            "{path}: {diags:#?}"
+        );
+        assert!(diags[0].message.contains("relation pool.rs"), "{diags:#?}");
     }
 }
 
@@ -325,6 +340,18 @@ fn lossy_cast_fixture_exact_diagnostics() {
         ],
         "the witness must chain the def site to the wrap consequence"
     );
+}
+
+#[test]
+fn unbound_name_is_not_typed_by_an_unrelated_declaration() {
+    // `c` in the closure is bound by nothing the walk knows; the
+    // parameter `c: u8` of another fn must not lend it a range.
+    let diags = scan_content(
+        "crates/relation/src/sample.rs",
+        include_str!("fixtures/unbound_name.rs"),
+    );
+    assert_eq!(shape(&diags), vec![(6, rules::LOSSY_CAST)], "{diags:#?}");
+    assert!(diags[0].message.starts_with("`c as u8`"), "{diags:#?}");
 }
 
 #[test]

@@ -7,6 +7,7 @@
 //! what makes the candidate checker's inner loop cheap.
 
 use crate::datatype::{infer_type, DataType, TypingMode};
+use crate::pool::par_map;
 use crate::value::{Cell, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -115,10 +116,30 @@ pub struct Column {
     pub meta: ColumnMeta,
 }
 
+/// A column's values as the rank encoder reads them: CSV fields or
+/// stored [`Value`]s.
+pub(crate) trait CellSource: Send {
+    /// The number of rows.
+    fn rows(&self) -> usize;
+
+    /// Every row's cell, in row order.
+    fn cells(&self) -> impl Iterator<Item = Cell<'_>>;
+}
+
+impl CellSource for &[Value] {
+    fn rows(&self) -> usize {
+        self.len()
+    }
+
+    fn cells(&self) -> impl Iterator<Item = Cell<'_>> {
+        self.iter().map(Cell::of)
+    }
+}
+
 impl Column {
     /// The rank encoder: every column of every relation — CSV ingest and
     /// [`crate::Relation::from_columns_typed`] — is built here from
-    /// borrowed [`Cell`]s.
+    /// borrowed [`Cell`]s, read once in row order.
     ///
     /// The column's type is the narrowest of `Int ⊂ Float ⊂ Str` covering
     /// the non-NULL cells (`Str` when there are none, and always `Str`
@@ -128,46 +149,45 @@ impl Column {
     /// Non-NULL rows are ranked on a primitive key — the `i64` of an `Int`
     /// column, the text of a `Str` column, the [`Value`] order of a `Float`
     /// column — and each distinct key becomes one dense rank (NULL, when
-    /// present, is rank 0). Only distinct values are copied into the
-    /// dictionary. Where distinct values compare equal (`Int(2)`/
-    /// `Float(2.0)`, `0`/`-0.0`, only possible in a `Float` column), the
-    /// dictionary keeps the value of the *lowest* row.
-    pub(crate) fn encode_cells(name: String, cells: &[Cell<'_>], typing: TypingMode) -> Column {
+    /// present, is rank 0). The keys are collected at the narrowest type
+    /// seen so far and widened when a wider cell arrives, so no cell is
+    /// stored. Only distinct values are copied into the dictionary. Where
+    /// distinct values compare equal (`Int(2)`/`Float(2.0)`, `0`/`-0.0`,
+    /// only possible in a `Float` column), the dictionary keeps the value
+    /// of the *lowest* row.
+    pub(crate) fn encode(name: String, source: &impl CellSource, typing: TypingMode) -> Column {
         // Row ids are u32 across the whole pipeline; encoding is where a
         // column's rows first get ids, so the bound is enforced here.
-        let m = cells.len();
+        let m = source.rows();
         assert!(
             m <= u32::MAX as usize,
             "row ids are u32: {m} rows exceed the supported maximum"
         );
-        let (mut nulls, mut ints, mut floats, mut strs) = (0usize, 0usize, 0usize, 0usize);
-        for cell in cells {
-            match cell {
-                Cell::Null => nulls += 1,
-                Cell::Int(_) => ints += 1,
-                Cell::Float(_) => floats += 1,
-                Cell::Str(_) => strs += 1,
+        let mut keys = match typing {
+            TypingMode::Infer => Keys::Int(Vec::with_capacity(m)),
+            TypingMode::ForceLexicographic => Keys::Text(Vec::with_capacity(m)),
+        };
+        let mut nulls = 0usize;
+        for (row, cell) in (0..m).zip(source.cells()) {
+            if matches!(cell, Cell::Null) {
+                nulls += 1;
+            } else {
+                // lint: allow(lossy-cast, row < m <= u32::MAX by the assert above)
+                keys.push(cell, row as u32);
             }
         }
-        let data_type =
-            if typing == TypingMode::ForceLexicographic || strs > 0 || ints + floats == 0 {
-                DataType::Str
-            } else if floats > 0 {
-                DataType::Float
-            } else {
-                DataType::Int
-            };
+        let data_type = match &keys {
+            Keys::Int(keys) if !keys.is_empty() => DataType::Int,
+            Keys::Float(_) => DataType::Float,
+            Keys::Int(_) | Keys::Text(_) => DataType::Str,
+        };
 
         let mut codes = vec![0u32; m];
         let mut dictionary = Vec::new();
         if nulls > 0 {
             dictionary.push(Value::Null);
         }
-        match data_type {
-            DataType::Int => rank_ints(cells, &mut codes, &mut dictionary),
-            DataType::Float => rank_floats(cells, &mut codes, &mut dictionary),
-            DataType::Str => rank_text(cells, &mut codes, &mut dictionary),
-        }
+        keys.rank(&mut codes, &mut dictionary);
 
         let distinct = dictionary.len();
         let narrow = NarrowCodes::build(&codes, distinct);
@@ -182,6 +202,22 @@ impl Column {
                 has_nulls: nulls > 0,
             },
         }
+    }
+
+    /// Encode every named column with [`Column::encode`] on up to
+    /// `threads` workers of [`crate::pool::par_map`], one column at a
+    /// time; each source is freed as soon as its column is encoded. The
+    /// columns come back in input order, the same at every thread count.
+    /// Both encoder entry points — CSV ingest and
+    /// [`crate::Relation::from_column_slices`] — go through here.
+    pub(crate) fn encode_all<S: CellSource>(
+        sources: Vec<(String, S)>,
+        typing: TypingMode,
+        threads: usize,
+    ) -> Vec<Column> {
+        par_map(sources, threads, |(name, source)| {
+            Column::encode(name.clone(), source, typing)
+        })
     }
 
     /// The column restricted to the rows of `keep` (in that order),
@@ -283,67 +319,88 @@ impl Column {
     }
 }
 
-/// Rank an `Int` column's cells by sorting `(key, row)` pairs.
-fn rank_ints(cells: &[Cell<'_>], codes: &mut [u32], dictionary: &mut Vec<Value>) {
-    let mut keys: Vec<(i64, u32)> = Vec::with_capacity(cells.len());
-    for (row, cell) in cells.iter().enumerate() {
-        if let Cell::Int(i) = *cell {
-            // lint: allow(lossy-cast, row is an enumerate index < cells.len() <= u32::MAX by the encode assert)
-            keys.push((i, row as u32));
-        }
-    }
-    keys.sort_unstable();
-    rank_runs(&keys, |a, b| a == b, |&i| Value::Int(i), codes, dictionary);
+/// The ranking keys of a column's non-NULL rows, as `(key, row)` pairs
+/// in row order, at the narrowest type that covers every cell pushed.
+enum Keys<'a> {
+    /// Every cell so far is an `Int`.
+    Int(Vec<(i64, u32)>),
+    /// Numbers, at least one a `Float`; ordered as [`Value`]s.
+    Float(Vec<(Cell<'a>, u32)>),
+    /// Text: a `Str` cell arrived (numbers are keyed by their display
+    /// form), or the typing forces it.
+    Text(Vec<(Cow<'a, str>, u32)>),
 }
 
-/// Rank a `Str` column's cells by sorting `(text, row)` pairs; numbers
-/// are keyed by their display form.
-fn rank_text(cells: &[Cell<'_>], codes: &mut [u32], dictionary: &mut Vec<Value>) {
-    let mut keys: Vec<(Cow<'_, str>, u32)> = Vec::with_capacity(cells.len());
-    for (row, cell) in cells.iter().enumerate() {
-        let text = match *cell {
-            Cell::Null => continue,
-            Cell::Str(s) => Cow::Borrowed(s),
-            Cell::Int(i) => Cow::Owned(i.to_string()),
-            Cell::Float(f) => Cow::Owned(f.to_string()),
-        };
-        // lint: allow(lossy-cast, row is an enumerate index < cells.len() <= u32::MAX by the encode assert)
-        keys.push((text, row as u32));
+/// A `Str` column's key for a non-NULL cell: its text, or a number's
+/// [`Value`] display form.
+fn text_key(cell: Cell<'_>) -> Cow<'_, str> {
+    match cell {
+        Cell::Str(s) => Cow::Borrowed(s),
+        Cell::Int(i) => Cow::Owned(i.to_string()),
+        Cell::Float(f) => Cow::Owned(f.to_string()),
+        Cell::Null => Cow::Borrowed(""),
     }
-    keys.sort_unstable();
-    rank_runs(
-        &keys,
-        |a, b| a == b,
-        |text| Value::Str(text.as_ref().to_owned()),
-        codes,
-        dictionary,
-    );
 }
 
-/// Rank a `Float` column's cells (`Int` and `Float`) by sorting
-/// `(cell, row)` pairs in [`Value`] order.
-fn rank_floats(cells: &[Cell<'_>], codes: &mut [u32], dictionary: &mut Vec<Value>) {
-    let mut keys: Vec<(Cell<'_>, u32)> = Vec::with_capacity(cells.len());
-    for (row, cell) in cells.iter().enumerate() {
-        if !matches!(cell, Cell::Null) {
-            // lint: allow(lossy-cast, row is an enumerate index < cells.len() <= u32::MAX by the encode assert)
-            keys.push((*cell, row as u32));
+impl<'a> Keys<'a> {
+    /// Add a non-NULL cell, first widening the keys one type at a time
+    /// until they cover it.
+    fn push(&mut self, cell: Cell<'a>, row: u32) {
+        match (&mut *self, cell) {
+            (Keys::Int(keys), Cell::Int(i)) => keys.push((i, row)),
+            (Keys::Float(keys), Cell::Int(_) | Cell::Float(_)) => keys.push((cell, row)),
+            (Keys::Text(keys), _) => keys.push((text_key(cell), row)),
+            (Keys::Int(keys), _) => {
+                *self = Keys::Float(rekey(keys, |&i| Cell::Int(i)));
+                self.push(cell, row);
+            }
+            (Keys::Float(keys), _) => {
+                *self = Keys::Text(rekey(keys, |&c| text_key(c)));
+                self.push(cell, row);
+            }
         }
     }
-    keys.sort_unstable_by(|a, b| a.0.order(&b.0).then(a.1.cmp(&b.1)));
-    rank_runs(
-        &keys,
-        |a, b| a.order(b) == Ordering::Equal,
-        |cell| cell.to_value(),
-        codes,
-        dictionary,
-    );
+
+    /// Sort the keys and give each run of equal ones the next dense rank.
+    fn rank(self, codes: &mut [u32], dictionary: &mut Vec<Value>) {
+        match self {
+            Keys::Int(mut keys) => {
+                keys.sort_unstable();
+                rank_runs(&keys, |a, b| a == b, |&i| Value::Int(i), codes, dictionary);
+            }
+            Keys::Float(mut keys) => {
+                keys.sort_unstable_by(|a, b| a.0.order(&b.0).then(a.1.cmp(&b.1)));
+                rank_runs(
+                    &keys,
+                    |a, b| a.order(b) == Ordering::Equal,
+                    |cell| cell.to_value(),
+                    codes,
+                    dictionary,
+                );
+            }
+            Keys::Text(mut keys) => {
+                keys.sort_unstable();
+                rank_runs(
+                    &keys,
+                    |a, b| a == b,
+                    |text| Value::Str(text.as_ref().to_owned()),
+                    codes,
+                    dictionary,
+                );
+            }
+        }
+    }
+}
+
+/// `keys` with every key mapped by `f`, rows and order kept.
+fn rekey<A, B>(keys: &[(A, u32)], f: impl Fn(&A) -> B) -> Vec<(B, u32)> {
+    keys.iter().map(|(key, row)| (f(key), *row)).collect()
 }
 
 /// Give each run of equal keys in `sorted` the next dense rank, appending
 /// the run's first key — its lowest row, as ties sort by row — to the
 /// dictionary.
-// lint: allow(panic-reachability, every row is an enumerate index of the encoded column, so row < cells.len() == codes.len())
+// lint: allow(panic-reachability, every row is a row id below the encoded column's row count, so row < codes.len())
 fn rank_runs<K>(
     sorted: &[(K, u32)],
     same: impl Fn(&K, &K) -> bool,
@@ -374,8 +431,7 @@ mod tests {
     }
 
     fn encode(name: &str, values: Vec<Value>) -> Column {
-        let cells: Vec<Cell<'_>> = values.iter().map(Cell::of).collect();
-        Column::encode_cells(name.to_owned(), &cells, TypingMode::Infer)
+        Column::encode(name.to_owned(), &values.as_slice(), TypingMode::Infer)
     }
 
     #[test]
@@ -485,8 +541,7 @@ mod tests {
             Value::Float(-0.0),
             Value::Str("10".into()),
         ];
-        let cells: Vec<Cell<'_>> = vals.iter().map(Cell::of).collect();
-        let col = Column::encode_cells("t".into(), &cells, TypingMode::Infer);
+        let col = encode("t", vals.to_vec());
         assert_eq!(col.meta.data_type, DataType::Str);
         // NULL < "-0" < "10" (twice: Int(10) displays as "10") < "9".
         assert_eq!(col.codes, vec![2, 3, 0, 1, 2]);

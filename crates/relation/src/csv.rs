@@ -3,15 +3,22 @@
 //! Supports quoted fields with embedded separators, quotes (`""` escape) and
 //! newlines; configurable separator and NULL tokens; optional header row.
 //!
-//! Reading is one pass over the input bytes that appends every field to its
-//! column as a slice of the input — copied only when a `""` escape or a
-//! dropped `\r` splits the field's content — after which each column is rank
-//! encoded straight from those slices. No record matrix and no per-cell
-//! `String` or [`crate::Value`] is built; only distinct values are copied.
+//! Reading runs on every core ([`crate::pool::par_map`]) in two steps.
+//! The input is cut into one run of whole records per worker, at `\n`
+//! bytes outside quotes (found by quote parity), and each run is scanned
+//! in one pass that appends every field to its column as a slice of the
+//! input — copied only when a `""` escape or a dropped `\r` splits the
+//! field's content. Then the columns are handed out one at a time, and
+//! each is rank encoded straight from its runs' slices, in run order. No
+//! record matrix and no per-cell `String` or [`crate::Value`] is built;
+//! only distinct values are copied. If any run reports a syntax error or
+//! a ragged record, the whole input is scanned again on one thread, so
+//! the relation and every error are the same at every thread count.
 
-use crate::column::Column;
+use crate::column::{CellSource, Column};
 use crate::datatype::TypingMode;
 use crate::error::{Error, Result};
+use crate::pool::{available_threads, par_map};
 use crate::relation::Relation;
 use crate::value::Cell;
 use std::borrow::Cow;
@@ -201,73 +208,198 @@ impl<'a> Tokens<'a> {
         }
     }
 
-    /// Every field classified as [`crate::Value::parse`] would.
-    fn classify(&self, null_tokens: &[&str]) -> Vec<Cell<'_>> {
-        let mut cells: Vec<Cell<'_>> = self
-            .slices
-            .iter()
-            .map(|slice| Cell::parse(slice, null_tokens))
-            .collect();
-        for (row, copy) in &self.copied {
-            cells[*row] = Cell::parse(copy, null_tokens);
-        }
-        cells
+    /// Every field in row order, classified as [`crate::Value::parse`]
+    /// would.
+    fn cells<'s>(&'s self, null_tokens: &'s [&str]) -> impl Iterator<Item = Cell<'s>> {
+        let mut copied = self.copied.iter().peekable();
+        self.slices.iter().enumerate().map(move |(row, &slice)| {
+            let field = match copied.next_if(|(at, _)| *at == row) {
+                Some((_, copy)) => copy.as_str(),
+                None => slice,
+            };
+            Cell::parse(field, null_tokens)
+        })
     }
 }
 
-/// Parse CSV text into a [`Relation`].
-///
-/// Ragged records are reported with their record number (the header is
-/// line 1), after any syntax error anywhere in the input.
-pub fn read_csv_str(text: &str, opts: &CsvOptions) -> Result<Relation> {
-    let mut names: Vec<String> = Vec::new();
-    let mut columns: Vec<Tokens<'_>> = Vec::new();
-    // Completed records (header included) and fields of the current one.
+/// One column's fields: one [`Tokens`] per chunk, read in chunk order
+/// without concatenating them.
+struct ColumnFields<'a, 'n> {
+    chunks: Vec<Tokens<'a>>,
+    null_tokens: &'n [&'n str],
+}
+
+impl CellSource for ColumnFields<'_, '_> {
+    fn rows(&self) -> usize {
+        self.chunks.iter().map(|t| t.slices.len()).sum()
+    }
+
+    fn cells(&self) -> impl Iterator<Item = Cell<'_>> {
+        self.chunks
+            .iter()
+            .flat_map(|tokens| tokens.cells(self.null_tokens))
+    }
+}
+
+/// A run of whole records, scanned into per-column fields.
+struct Records<'a> {
+    /// The first record's fields, when that record is the header.
+    header: Vec<String>,
+    /// Per column, the fields of every other record. The first record
+    /// sets the number of columns.
+    columns: Vec<Tokens<'a>>,
+    /// The first record whose field count differs from the first
+    /// record's, numbered from 1 at the first record.
+    ragged: Option<Error>,
+}
+
+/// Scan `text` into per-column fields; its first record is the header
+/// when `header` is set.
+fn scan_records(text: &str, sep: char, header: bool) -> Result<Records<'_>> {
+    let mut out = Records {
+        header: Vec::new(),
+        columns: Vec::new(),
+        ragged: None,
+    };
+    // Completed records and fields of the current one.
     let mut records = 0usize;
     let mut fields = 0usize;
-    let mut ragged = None;
-    scan(text, opts.separator, |field, ends_record| {
-        if records == 0 {
-            if opts.has_header {
-                names.push(field.into_owned());
-            } else {
-                names.push(format!("col{fields}"));
-                let mut column = Tokens::default();
-                column.add_field(field);
-                columns.push(column);
-            }
-        } else if ragged.is_none() {
-            if let Some(column) = columns.get_mut(fields) {
+    scan(text, sep, |field, ends_record| {
+        if records == 0 && header {
+            out.header.push(field.into_owned());
+        } else if records == 0 {
+            let mut column = Tokens::default();
+            column.add_field(field);
+            out.columns.push(column);
+        } else if out.ragged.is_none() {
+            if let Some(column) = out.columns.get_mut(fields) {
                 column.add_field(field);
             }
         }
         fields += 1;
         if ends_record {
             if records == 0 {
-                columns.resize_with(fields, Tokens::default);
-            } else if fields != names.len() && ragged.is_none() {
-                ragged = Some(Error::Csv {
+                out.columns.resize_with(fields, Tokens::default);
+            } else if fields != out.columns.len() && out.ragged.is_none() {
+                out.ragged = Some(Error::Csv {
                     line: records + 1,
-                    message: format!("expected {} fields, found {fields}", names.len()),
+                    message: format!("expected {} fields, found {fields}", out.columns.len()),
                 });
             }
             records += 1;
             fields = 0;
         }
     })?;
-    if let Some(err) = ragged {
-        return Err(err);
+    Ok(out)
+}
+
+/// Cut `text` into at most `pieces` runs of whole records, of about equal
+/// length. A cut follows a `\n` outside quotes, found by quote parity:
+/// every valid quoted field holds an even number of `"`, so a `\n` with
+/// an even number of `"` before it ends a record. The first run holds the
+/// first record. In invalid input a cut can land inside a record; the
+/// reader then reads the text whole.
+fn record_chunks(text: &str, pieces: usize) -> Vec<&str> {
+    let bytes = text.as_bytes();
+    let step = bytes.len() / pieces.max(1);
+    let mut chunks = Vec::with_capacity(pieces);
+    // Start of the current run, the byte reached, and the quotes before it.
+    let (mut start, mut at, mut quotes) = (0usize, 0usize, 0usize);
+    for k in 1..pieces {
+        let target = step * k;
+        if target <= at {
+            continue;
+        }
+        quotes += bytes[at..target].iter().filter(|&&b| b == b'"').count();
+        at = target;
+        while let Some(&b) = bytes.get(at) {
+            at += 1;
+            if b == b'"' {
+                quotes += 1;
+            } else if b == b'\n' && quotes % 2 == 0 {
+                break;
+            }
+        }
+        if at == bytes.len() {
+            break;
+        }
+        chunks.push(&text[start..at]);
+        start = at;
+    }
+    chunks.push(&text[start..]);
+    chunks
+}
+
+/// Parse CSV text into a [`Relation`], on every core the host offers
+/// (see [`crate::pool`]); the relation and every error are the same at
+/// every thread count.
+///
+/// Ragged records are reported with their record number (the header is
+/// line 1), after any syntax error anywhere in the input.
+pub fn read_csv_str(text: &str, opts: &CsvOptions) -> Result<Relation> {
+    read_csv_on(text, opts, available_threads())
+}
+
+/// [`read_csv_str`] on `threads` workers. The text is cut into up to
+/// `threads` runs of whole records ([`record_chunks`]), each scanned into
+/// its own per-column fields; then every column is classified from its
+/// runs in order, without concatenating them, and rank encoded.
+pub(crate) fn read_csv_on(text: &str, opts: &CsvOptions, threads: usize) -> Result<Relation> {
+    let sep = opts.separator;
+    let chunks: Vec<(bool, &str)> = record_chunks(text, threads)
+        .into_iter()
+        .enumerate()
+        .map(|(k, chunk)| (k == 0 && opts.has_header, chunk))
+        .collect();
+    let mut parts = par_map(chunks, threads, |&(header, chunk)| {
+        scan_records(chunk, sep, header)
+    });
+    let arity = match parts.first() {
+        Some(Ok(first)) => first.columns.len(),
+        _ => 0,
+    };
+    let whole = |part: &Result<Records<'_>>| {
+        part.as_ref()
+            .is_ok_and(|p| p.ragged.is_none() && p.columns.len() == arity)
+    };
+    if !parts.iter().all(whole) {
+        // Re-read serially, so every error keeps its kind, text and line.
+        parts = vec![scan_records(text, sep, opts.has_header)];
     }
 
-    let num_rows = columns.first().map_or(0, |column| column.slices.len());
+    let mut names = Vec::new();
+    let mut columns: Vec<Vec<Tokens<'_>>> = Vec::new();
+    for (k, part) in parts.into_iter().enumerate() {
+        let part = part?;
+        if let Some(err) = part.ragged {
+            return Err(err);
+        }
+        if k == 0 {
+            names = part.header;
+            columns.resize_with(part.columns.len(), Vec::new);
+        }
+        for (column, tokens) in columns.iter_mut().zip(part.columns) {
+            column.push(tokens);
+        }
+    }
+    if !opts.has_header {
+        names = (0..columns.len()).map(|c| format!("col{c}")).collect();
+    }
+
     let null_tokens: Vec<&str> = opts.null_tokens.iter().map(String::as_str).collect();
-    let columns = names
+    let columns: Vec<(String, ColumnFields<'_, '_>)> = names
         .into_iter()
         .zip(columns)
-        .map(|(name, tokens)| {
-            Column::encode_cells(name, &tokens.classify(&null_tokens), opts.typing)
+        .map(|(name, chunks)| {
+            let fields = ColumnFields {
+                chunks,
+                null_tokens: &null_tokens,
+            };
+            (name, fields)
         })
         .collect();
+    let num_rows = columns.first().map_or(0, |(_, fields)| fields.rows());
+    let columns = Column::encode_all(columns, opts.typing, threads);
     Ok(Relation::from_encoded(columns, num_rows))
 }
 
@@ -449,9 +581,14 @@ mod tests {
     #[test]
     fn csv_errors_keep_their_lines_and_precedence() {
         let err = |text: &str| {
-            read_csv_str(text, &CsvOptions::default())
+            let want = read_csv_on(text, &CsvOptions::default(), 1)
                 .unwrap_err()
-                .to_string()
+                .to_string();
+            for threads in 2..=4 {
+                let got = read_csv_on(text, &CsvOptions::default(), threads).unwrap_err();
+                assert_eq!(got.to_string(), want, "{threads} threads");
+            }
+            want
         };
         assert_eq!(
             err("a,b\n1,2\n3\n4,5\n"),
@@ -823,7 +960,10 @@ mod oracle {
             },
         };
         let arity = 1 + g.below(4);
-        let rows = g.below(10);
+        let rows = g.below(40);
+        // Ragged records and syntax errors only in some documents, so most
+        // documents of 40 rows still parse.
+        let dirty = g.percent(40);
         // Per column: integers only, numbers, or anything.
         let pools: Vec<Vec<&str>> = (0..arity)
             .map(|_| match g.below(3) {
@@ -847,9 +987,9 @@ mod oracle {
             newline(&mut out, &mut g);
         }
         for _ in 0..rows {
-            let fields = match g.below(25) {
-                0 => arity.saturating_sub(1).max(1),
-                1 => arity + 1,
+            let fields = match g.below(if dirty { 60 } else { 1 }) {
+                1 => arity.saturating_sub(1).max(1),
+                2 => arity + 1,
                 _ => arity,
             };
             for c in 0..fields {
@@ -859,9 +999,9 @@ mod oracle {
                 let token = g.pick(&pools[c.min(arity - 1)]);
                 write_field(&mut out, token, sep, &mut g);
             }
-            match g.below(60) {
-                0 => out.push_str("x\"y"),    // quote inside an unquoted field
-                1 => out.push_str(",\"open"), // unterminated quoted field
+            match g.below(if dirty { 150 } else { 1 }) {
+                1 => out.push_str("x\"y"),    // quote inside an unquoted field
+                2 => out.push_str(",\"open"), // unterminated quoted field
                 _ => {}
             }
             newline(&mut out, &mut g);
@@ -878,19 +1018,40 @@ mod oracle {
         #[test]
         fn single_pass_reader_matches_reference(seed in 0u64..u64::MAX) {
             let (text, opts) = generate_csv(seed);
-            match (read_csv_str(&text, &opts), read_csv_reference(&text, &opts)) {
-                (Ok(got), Ok(want)) => {
-                    let same = same_relation(&got, &want);
-                    prop_assert!(same.is_ok(), "{text:?} {opts:?}: {}", same.unwrap_err());
-                    prop_assert_eq!(got.column_names(), want.column_names());
+            let want = read_csv_reference(&text, &opts);
+            for threads in 1..=4 {
+                // On valid input every cut is a record boundary, so no run
+                // fails and the reader never falls back to one thread.
+                if want.is_ok() {
+                    for chunk in record_chunks(&text, threads) {
+                        let clean = scan_records(chunk, opts.separator, false)
+                            .is_ok_and(|run| run.ragged.is_none());
+                        prop_assert!(clean, "{text:?} {threads} threads: run {chunk:?}");
+                    }
                 }
-                (Err(got), Err(want)) => prop_assert_eq!(got.to_string(), want.to_string()),
-                (got, want) => prop_assert!(
-                    false,
-                    "{text:?} {opts:?}: {:?} vs {:?}",
-                    got.map(|r| r.num_rows()),
-                    want.map(|r| r.num_rows())
-                ),
+                match (read_csv_on(&text, &opts, threads), &want) {
+                    (Ok(got), Ok(want)) => {
+                        let same = same_relation(&got, want);
+                        prop_assert!(
+                            same.is_ok(),
+                            "{text:?} {opts:?} {threads} threads: {}",
+                            same.unwrap_err()
+                        );
+                        prop_assert_eq!(got.column_names(), want.column_names());
+                    }
+                    (Err(got), Err(want)) => prop_assert_eq!(
+                        got.to_string(),
+                        want.to_string(),
+                        "{} threads",
+                        threads
+                    ),
+                    (got, want) => prop_assert!(
+                        false,
+                        "{text:?} {opts:?} {threads} threads: {:?} vs {:?}",
+                        got.map(|r| r.num_rows()),
+                        want.as_ref().map(|r| r.num_rows())
+                    ),
+                }
             }
         }
 
@@ -923,10 +1084,14 @@ mod oracle {
                     (format!("c{c}"), vals)
                 })
                 .collect();
-            let got = Relation::from_columns_typed(named.clone(), mode).unwrap();
-            let want = from_columns_typed(named, mode);
-            let same = same_relation(&got, &want);
-            prop_assert!(same.is_ok(), "{}", same.unwrap_err());
+            let slices = || named.iter().map(|(name, vals)| (name.as_str(), vals.as_slice()));
+            let want = from_columns_typed(named.clone(), mode);
+            for threads in 1..=4 {
+                let got = Relation::from_column_slices_on(slices(), mode, threads).unwrap();
+                let same = same_relation(&got, &want);
+                prop_assert!(same.is_ok(), "{threads} threads: {}", same.unwrap_err());
+                prop_assert_eq!(got.column_names(), want.column_names());
+            }
         }
     }
 

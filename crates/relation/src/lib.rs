@@ -24,6 +24,8 @@
 //!   ([`CodeWidth`]) in portable, safe Rust that LLVM autovectorizes.
 //! * Deterministic, seeded row sampling ([`sample`]) — provenance-carrying
 //!   sample relations for the sample-first approximate discovery pipeline.
+//! * The one worker pool of this crate and ocdd-core ([`pool::par_map`]),
+//!   on which CSV ingest and the column reduction run.
 //!
 //! # Example
 //!
@@ -49,6 +51,7 @@ pub mod csv;
 pub mod datatype;
 pub mod error;
 pub mod manifest;
+pub mod pool;
 pub mod pretty;
 pub mod relation;
 pub mod sample;

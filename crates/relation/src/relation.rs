@@ -3,7 +3,8 @@
 use crate::column::{CodeWidth, Column, ColumnMeta, NarrowCodes};
 use crate::datatype::TypingMode;
 use crate::error::{Error, Result};
-use crate::value::{Cell, Value};
+use crate::pool::available_threads;
+use crate::value::Value;
 
 /// Index of a column within a relation (attribute identifier).
 pub type ColumnId = usize;
@@ -48,12 +49,28 @@ impl Relation {
     /// numbers in a `Str` column are stored as their display strings, and
     /// the column is rank encoded. Only distinct values are copied.
     ///
+    /// The columns are encoded on every core the host offers, one column
+    /// per worker at a time (see [`crate::pool`]); the relation is the same
+    /// at every thread count.
+    ///
     /// All columns must have the same length.
     pub fn from_column_slices<'a>(
         named: impl IntoIterator<Item = (&'a str, &'a [Value])>,
         mode: TypingMode,
     ) -> Result<Relation> {
-        let named: Vec<(&str, &[Value])> = named.into_iter().collect();
+        Self::from_column_slices_on(named, mode, available_threads())
+    }
+
+    /// [`Relation::from_column_slices`] on `threads` workers.
+    pub(crate) fn from_column_slices_on<'a>(
+        named: impl IntoIterator<Item = (&'a str, &'a [Value])>,
+        mode: TypingMode,
+        threads: usize,
+    ) -> Result<Relation> {
+        let named: Vec<(String, &[Value])> = named
+            .into_iter()
+            .map(|(name, vals)| (name.to_owned(), vals))
+            .collect();
         let num_rows = named.first().map_or(0, |(_, v)| v.len());
         for (_, vals) in &named {
             if vals.len() != num_rows {
@@ -63,13 +80,7 @@ impl Relation {
                 });
             }
         }
-        let columns = named
-            .into_iter()
-            .map(|(name, vals)| {
-                let cells: Vec<Cell<'_>> = vals.iter().map(Cell::of).collect();
-                Column::encode_cells(name.to_owned(), &cells, mode)
-            })
-            .collect();
+        let columns = Column::encode_all(named, mode, threads);
         Ok(Relation { columns, num_rows })
     }
 

@@ -232,7 +232,7 @@ fn pack_keys(rel: &Relation, cols: &[ColumnId], rows: impl Iterator<Item = u32>)
         .iter()
         .map(|&c| (c, code_bits(rel.meta(c).distinct)))
         .collect();
-    rows.map(|r| {
+    rows.map(|r: u32| {
         let mut key = 0u64;
         for &(c, bits) in &widths {
             key = (key << bits) | u64::from(rel.code(r as usize, c));

@@ -16,7 +16,9 @@
 //! `--threads N` runs the work-stealing scheduler on N workers when N > 1
 //! and the sequential search otherwise, for `--algo ocdd`, `approx` and
 //! `bidi` alike; results are identical either way. N above
-//! [`MAX_WORKERS`] is a usage error. `--top-k` needs `--algo ocdd` and
+//! [`MAX_WORKERS`] is a usage error. It governs only the search: reading
+//! the CSV always uses every core the host offers, with the same relation
+//! at any core count. `--top-k` needs `--algo ocdd` and
 //! `--epsilon` needs `--algo approx`; with another algorithm they are
 //! refused.
 //!
@@ -71,7 +73,8 @@ fn usage() -> ExitCode {
          [--stratify COL]\n  \
          ocdd dump-dot <dump.json|DIR> [--csv file.csv] [--no-header] [--sep C]\n  \
          ocdd dataset <name> [--rows N]\n  \
-         ocdd simplify <file.csv> --order-by a,b,c\n  ocdd list"
+         ocdd simplify <file.csv> --order-by a,b,c\n  ocdd list\n\
+         --threads N sets the search workers; reading the CSV uses every core"
     );
     ExitCode::from(2)
 }
