@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo gate: invariant lint, format, lints, docs, full test suite,
-# perfbench and criterion smoke runs. Opt-in concurrency-audit lanes:
+# examples, perfbench and criterion smoke runs. Opt-in concurrency-audit
+# lanes:
 #   OCDD_CI_LOOM=1  — loom interleaving models (scheduler + epoch cache)
 #   OCDD_CI_TSAN=1  — ThreadSanitizer pass (needs a nightly toolchain)
 #   OCDD_CI_MIRI=1  — Miri pass over ocdd-core (needs the miri component)
@@ -113,6 +114,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "==> cargo test"
 cargo test --workspace -q
+
+echo "==> examples (each run once)"
+# cargo test only compiles the examples; running them sends, among
+# others, the demotion, class-split and OD-breaking batches of
+# examples/incremental.rs through the append path.
+for example in examples/*.rs; do
+    example="$(basename "$example" .rs)"
+    cargo run -q --example "$example" >/dev/null
+    echo "example $example: ok"
+done
 
 echo "==> cargo test --features fault-injection"
 cargo test -q --features fault-injection

@@ -26,6 +26,20 @@
 //! [`crate::reduction`] pair pass per (representative, member) pair — and
 //! the fallback re-run is itself just [`crate::discover`], so correctness
 //! never depends on the fast path.
+//!
+//! The relation grows through [`Relation::append_rows`], which merges each
+//! batch into the column dictionaries and re-encodes no column that keeps
+//! its type; no copy of the original values is kept. The grown relation
+//! is therefore defined on *decoded* values: it equals
+//! [`Relation::from_columns`] over the previous relation's values, as its
+//! dictionaries decode them, followed by the batch (a deletion equals it
+//! over the kept rows, through [`Relation::select_rows`]). Decoding keeps
+//! one value of each run of equal ones, which changes a result in one case
+//! only: a `Float` column holding both `0` and `-0.0` that a later string
+//! retypes ranks one `"0"` (or `"-0"`, whichever its dictionary kept),
+//! where the original values would rank `"-0"` and `"0"` apart. A `Float`
+//! column whose values all equal `Int`s likewise grows as an `Int` column;
+//! both order numerically, so that is no retyping.
 
 use crate::check::{check_ocd, check_od};
 use crate::config::{CheckerBackend, DiscoveryConfig};
@@ -34,7 +48,7 @@ use crate::reduction::pair_pass;
 use crate::results::DiscoveryResult;
 use crate::search::discover;
 use crate::sorted_partitions::PartitionChecker;
-use ocdd_relation::{DataType, Error, Relation, Result, TypingMode, Value};
+use ocdd_relation::{DataType, Error, Relation, Result, Value};
 
 /// What an append or deletion changed.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -75,8 +89,6 @@ impl Delta {
 /// Maintains a discovery result across row appends.
 #[derive(Debug)]
 pub struct IncrementalDiscovery {
-    names: Vec<String>,
-    data: Vec<Vec<Value>>, // column-major raw values
     config: DiscoveryConfig,
     relation: Relation,
     result: DiscoveryResult,
@@ -85,34 +97,12 @@ pub struct IncrementalDiscovery {
 impl IncrementalDiscovery {
     /// Run the initial discovery over `rel`.
     pub fn new(rel: &Relation, config: DiscoveryConfig) -> IncrementalDiscovery {
-        let names: Vec<String> = rel.column_names().iter().map(|s| s.to_string()).collect();
-        let data: Vec<Vec<Value>> = (0..rel.num_columns())
-            .map(|c| {
-                (0..rel.num_rows())
-                    .map(|r| rel.value(r, c).clone())
-                    .collect()
-            })
-            .collect();
         let result = discover(rel, &config);
         IncrementalDiscovery {
-            names,
-            data,
             config,
             relation: rel.clone(),
             result,
         }
-    }
-
-    /// Rank-encode the current raw values, borrowing them (the encoder
-    /// copies only distinct values into the dictionaries).
-    fn encode(&self) -> Result<Relation> {
-        Relation::from_column_slices(
-            self.names
-                .iter()
-                .map(String::as_str)
-                .zip(self.data.iter().map(Vec::as_slice)),
-            TypingMode::Infer,
-        )
     }
 
     /// The current dependency state.
@@ -126,31 +116,23 @@ impl IncrementalDiscovery {
     }
 
     /// Append a batch of rows and update the dependency state, returning
-    /// what changed.
+    /// what changed. The grown relation is [`Relation::append_rows`]'s: the
+    /// batch merged into the column dictionaries (see the module doc).
     pub fn append_rows(&mut self, rows: Vec<Vec<Value>>) -> Result<Delta> {
-        for row in &rows {
-            if row.len() != self.names.len() {
-                return Err(Error::ArityMismatch {
-                    expected: self.names.len(),
-                    got: row.len(),
-                });
-            }
+        if rows.is_empty() {
+            return Ok(Delta::default());
         }
-        for row in rows {
-            for (col, v) in self.data.iter_mut().zip(row) {
-                col.push(v);
-            }
-        }
-        // Rebuild the relation: rank codes are global, so appends re-encode.
         let old_types: Vec<DataType> = self.relation.schema().map(|m| m.data_type).collect();
-        self.relation = self.encode()?;
+        self.relation.append_rows(&rows)?;
 
         let mut delta = Delta::default();
 
-        // Structural checks first.
+        // Structural checks first. Between `Int` and `Float` the numeric
+        // order stays (a `Float` column whose values all equal `Int`s
+        // decodes, and so appends, as `Int`).
+        let numeric = |t: DataType| t != DataType::Str;
         for (c, (old, new)) in old_types.iter().zip(self.relation.schema()).enumerate() {
-            let keeps_order = *old == new.data_type
-                || (*old == DataType::Int && new.data_type == DataType::Float);
+            let keeps_order = *old == new.data_type || (numeric(*old) && numeric(new.data_type));
             if !keeps_order {
                 delta.retyped_columns.push(c);
             }
@@ -293,25 +275,26 @@ impl IncrementalDiscovery {
     /// pruning in ways a patch-up cannot track cheaply, so deletions run a
     /// full re-discovery and report the difference.
     pub fn remove_rows(&mut self, row_ids: &[usize]) -> Result<Delta> {
-        let current_rows = self.data.first().map_or(0, Vec::len);
+        let current_rows = self.relation.num_rows();
+        let mut dropped = vec![false; current_rows];
         for &r in row_ids {
-            if r >= current_rows {
-                return Err(Error::ColumnOutOfRange {
-                    index: r,
-                    len: current_rows,
-                });
+            match dropped.get_mut(r) {
+                Some(slot) => *slot = true,
+                None => {
+                    return Err(Error::RowOutOfRange {
+                        index: r,
+                        len: current_rows,
+                    })
+                }
             }
         }
-        let drop: std::collections::HashSet<usize> = row_ids.iter().copied().collect();
-        for col in self.data.iter_mut() {
-            let mut idx = 0usize;
-            col.retain(|_| {
-                let keep = !drop.contains(&idx);
-                idx += 1;
-                keep
-            });
-        }
-        self.relation = self.encode()?;
+        // Row ids are u32 by the relation contract.
+        let kept: Vec<u32> = (0..current_rows)
+            .zip(&dropped)
+            .filter(|&(_, &d)| !d)
+            .filter_map(|(r, _)| u32::try_from(r).ok())
+            .collect();
+        self.relation = self.relation.select_rows(&kept);
 
         let old = std::mem::replace(&mut self.result, discover(&self.relation, &self.config));
         let old_ocds: std::collections::HashSet<&Ocd> = old.ocds.iter().collect();
@@ -453,31 +436,84 @@ mod tests {
         }
     }
 
+    /// A batch cell: NULL, a new minimum or maximum, or a value inside
+    /// the initial range `0..4`, some of them between two old ones.
+    fn random_cell(rng: &mut rand::rngs::StdRng) -> Value {
+        use rand::RngExt;
+        match rng.random_range(0..20) {
+            0..=2 => Value::Null,
+            3 => Value::Int(rng.random_range(-3..0)),
+            4 => Value::Int(rng.random_range(4..7)),
+            5 => Value::Float(1.5),
+            _ => Value::Int(rng.random_range(0..4)),
+        }
+    }
+
+    /// A row `a, b, c, k` with `b = ⌊a / 2⌋`, `c = a` and `k = 7`, where
+    /// each of `b`, `c` and `k` is a random cell instead one time in
+    /// `noise` (never when `noise` is 0).
+    fn structured_row(rng: &mut rand::rngs::StdRng, a: Value, noise: u32) -> Vec<Value> {
+        use rand::RngExt;
+        let half = match a {
+            Value::Int(i) => Value::Int(i.div_euclid(2)),
+            ref other => other.clone(),
+        };
+        let mut row = vec![a.clone(), half, a, Value::Int(7)];
+        for v in &mut row[1..] {
+            if noise > 0 && rng.random_range(0..noise) == 0 {
+                *v = random_cell(rng);
+            }
+        }
+        row
+    }
+
     /// Appends under `config` leave the state of a from-scratch run of the
-    /// faithful default configuration.
+    /// faithful default configuration after every batch.
     fn state_matches_full_rerun(config: &DiscoveryConfig) {
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};
         let tag = format!("{:?}", config.checker);
-        for seed in 0..15u64 {
+        let same_state = |inc: &IncrementalDiscovery, what: &str| {
+            let fresh = discover(inc.relation(), &DiscoveryConfig::default());
+            let state = inc.result();
+            assert_eq!(state.ocds, fresh.ocds, "{tag}: {what}");
+            assert_eq!(state.ods, fresh.ods, "{tag}: {what}");
+            assert_eq!(
+                state.equivalence_classes, fresh.equivalence_classes,
+                "{tag}: {what}"
+            );
+            assert_eq!(state.constants, fresh.constants, "{tag}: {what}");
+        };
+        // Appends that broke an OD on the cheap path (re-opening what it
+        // pruned), and appends that re-ran discovery.
+        let (mut cheap, mut reruns) = (0, 0);
+        for seed in 0..20u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let gen_row = |rng: &mut StdRng| -> Vec<Value> {
-                (0..3).map(|_| Value::Int(rng.random_range(0..3))).collect()
-            };
-            let mut b = RelationBuilder::new(vec!["a", "b", "c"]);
+            // Initially a -> b holds, {a, c} is a class and k is constant.
+            let mut b = RelationBuilder::new(vec!["a", "b", "c", "k"]);
             for _ in 0..10 {
-                b.push_row(gen_row(&mut rng)).unwrap();
+                let a = Value::Int(rng.random_range(0..4));
+                b.push_row(structured_row(&mut rng, a, 0)).unwrap();
             }
             let initial = b.finish();
             let mut inc = IncrementalDiscovery::new(&initial, config.clone());
-            for _ in 0..3 {
-                let batch: Vec<Vec<Value>> = (0..4).map(|_| gen_row(&mut rng)).collect();
-                inc.append_rows(batch).unwrap();
+            for batch_no in 0..4 {
+                let batch: Vec<Vec<Value>> = (0..rng.random_range(1..5))
+                    .map(|_| {
+                        let a = random_cell(&mut rng);
+                        structured_row(&mut rng, a, 8)
+                    })
+                    .collect();
+                let delta = inc.append_rows(batch).unwrap();
+                same_state(&inc, &format!("seed {seed}, batch {batch_no}"));
+                reruns += usize::from(delta.full_rerun);
+                cheap += usize::from(!delta.full_rerun && !delta.invalidated_ods.is_empty());
             }
-            let fresh = discover(inc.relation(), &DiscoveryConfig::default());
-            assert_eq!(inc.result().ocds, fresh.ocds, "{tag}: seed {seed}");
-            assert_eq!(inc.result().ods, fresh.ods, "{tag}: seed {seed}");
         }
+        assert!(
+            cheap > 0 && reruns > 0,
+            "{tag}: {cheap} cheap, {reruns} reruns"
+        );
 
         // The class {a, b} meets NULLs in b. NULL sorts first, so one next
         // to the smallest a keeps the class; one next to the largest a
@@ -503,14 +539,7 @@ mod tests {
         ] {
             let delta = inc.append_rows(batch).unwrap();
             assert_eq!(delta.split_classes.len(), usize::from(splits), "{delta:?}");
-            let fresh = discover(inc.relation(), &DiscoveryConfig::default());
-            assert_eq!(inc.result().ocds, fresh.ocds, "{tag}: NULL split {splits}");
-            assert_eq!(inc.result().ods, fresh.ods, "{tag}: NULL split {splits}");
-            assert_eq!(
-                inc.result().equivalence_classes,
-                fresh.equivalence_classes,
-                "{tag}: NULL split {splits}"
-            );
+            same_state(&inc, &format!("NULL split {splits}"));
         }
     }
 
@@ -556,13 +585,30 @@ mod tests {
             assert_eq!(inc.result().ods, fresh.ods, "{checker:?}");
 
             // A float in an Int column keeps the numeric order.
-            let mut inc = IncrementalDiscovery::new(&r, config);
+            let mut inc = IncrementalDiscovery::new(&r, config.clone());
             let delta = inc
                 .append_rows(vec![vec![Value::Float(20.5), Value::Int(4)]])
                 .unwrap();
             assert!(!delta.full_rerun, "{checker:?}: {delta:?}");
             assert!(delta.retyped_columns.is_empty());
             assert_eq!(inc.relation().meta(0).data_type, DataType::Float);
+
+            // So does the way back: a Float column whose every value
+            // equals an Int decodes, and so appends, as Int.
+            let floats = Relation::from_columns(vec![
+                (
+                    "a".into(),
+                    vec![Value::Int(2), Value::Float(2.0), Value::Int(3)],
+                ),
+                ("c".into(), ints(&[1, 2, 3])),
+            ])
+            .unwrap();
+            assert_eq!(floats.meta(0).data_type, DataType::Float);
+            let mut inc = IncrementalDiscovery::new(&floats, config);
+            let delta = inc.append_rows(vec![ints(&[4, 4])]).unwrap();
+            assert!(!delta.full_rerun, "{checker:?}: {delta:?}");
+            assert!(delta.retyped_columns.is_empty());
+            assert_eq!(inc.relation().meta(0).data_type, DataType::Int);
         }
     }
 
@@ -637,7 +683,15 @@ mod tests {
     fn deletion_rejects_out_of_range() {
         let r = rel(&[("a", &[1, 2])]);
         let mut inc = IncrementalDiscovery::new(&r, DiscoveryConfig::default());
-        assert!(inc.remove_rows(&[5]).is_err());
+        let err = inc.remove_rows(&[5]).unwrap_err();
+        assert!(
+            matches!(err, Error::RowOutOfRange { index: 5, len: 2 }),
+            "{err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "row index 5 out of range for relation with 2 rows"
+        );
         assert_eq!(inc.relation().num_rows(), 2);
     }
 

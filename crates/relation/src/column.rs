@@ -136,6 +136,48 @@ impl CellSource for &[Value] {
     }
 }
 
+/// Column `col` of row-major rows, each holding more than `col` values.
+pub(crate) struct RowsColumn<'a> {
+    pub(crate) rows: &'a [Vec<Value>],
+    pub(crate) col: usize,
+}
+
+impl CellSource for RowsColumn<'_> {
+    fn rows(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn cells(&self) -> impl Iterator<Item = Cell<'_>> {
+        self.rows
+            .iter()
+            .map(|row| row.get(self.col).map_or(Cell::Null, Cell::of))
+    }
+}
+
+/// A column's decoded values followed by a batch's cells: what
+/// [`Column::append`] re-encodes when it cannot merge.
+struct Extended<'a, S> {
+    column: &'a Column,
+    batch: &'a S,
+}
+
+impl<S: CellSource + Sync> CellSource for Extended<'_, S> {
+    fn rows(&self) -> usize {
+        self.column.len() + self.batch.rows()
+    }
+
+    fn cells(&self) -> impl Iterator<Item = Cell<'_>> {
+        let Column {
+            codes, dictionary, ..
+        } = self.column;
+        codes
+            .iter()
+            // lint: allow(panic-reachability, codes are dense ranks below the dictionary length)
+            .map(|&code: &u32| Cell::of(&dictionary[code as usize]))
+            .chain(self.batch.cells())
+    }
+}
+
 impl Column {
     /// The rank encoder: every column of every relation — CSV ingest and
     /// [`crate::Relation::from_columns_typed`] — is built here from
@@ -258,6 +300,107 @@ impl Column {
             },
             dictionary,
         }
+    }
+
+    /// Append the rows of `batch`, leaving the column [`Column::encode`]
+    /// builds from this column's decoded values followed by the batch.
+    ///
+    /// The batch is ranked alone — as text when the column is already
+    /// `Str`, so numbers are keyed by display form — and its dictionary is
+    /// merged into this one in one pass in [`Value`] order; where an old
+    /// and a new value compare equal, the old one stays. Old codes are
+    /// remapped only when a new value sorts below an old one (a first
+    /// NULL always does). A column that the batch retypes (a string in an
+    /// `Int` or `Float` column), or that held no non-NULL value, is
+    /// re-encoded from its decoded values followed by the batch.
+    pub(crate) fn append(&mut self, batch: &(impl CellSource + Sync)) {
+        let holds_values = self.dictionary.len() > usize::from(self.meta.has_nulls);
+        if holds_values {
+            let typing = match self.meta.data_type {
+                DataType::Str => TypingMode::ForceLexicographic,
+                DataType::Int | DataType::Float => TypingMode::Infer,
+            };
+            let added = Column::encode(String::new(), batch, typing);
+            let added_values = added.dictionary.len() > usize::from(added.meta.has_nulls);
+            let retypes = added_values
+                && added.meta.data_type == DataType::Str
+                && self.meta.data_type != DataType::Str;
+            if !retypes {
+                // The type covers the decoded values and the batch's
+                // cells. Decoded, a `Float` column whose every value
+                // equals an `Int` holds only `Int`s.
+                let mut data_type = match self.meta.data_type {
+                    DataType::Float => infer_type(&self.dictionary),
+                    other => other,
+                };
+                if added_values {
+                    data_type = data_type.widen(added.meta.data_type);
+                }
+                self.meta.data_type = data_type;
+                self.merge(added);
+                return;
+            }
+        }
+        let extended = Extended {
+            column: &*self,
+            batch,
+        };
+        *self = Column::encode(self.meta.name.clone(), &extended, TypingMode::Infer);
+    }
+
+    /// Merge the codes and dictionary of `added`, the batch ranked alone,
+    /// into this column (see [`Column::append`]).
+    fn merge(&mut self, added: Column) {
+        // Walk both sorted dictionaries once, recording the merged rank of
+        // every old and every added code.
+        let old_values = std::mem::take(&mut self.dictionary);
+        let mut old_rank = Vec::with_capacity(old_values.len());
+        let mut added_rank = Vec::with_capacity(added.dictionary.len());
+        let mut dictionary = Vec::with_capacity(old_values.len() + added.dictionary.len());
+        let mut old = old_values.into_iter().peekable();
+        let mut new = added.dictionary.into_iter().peekable();
+        loop {
+            let order = match (old.peek(), new.peek()) {
+                (Some(a), Some(b)) => a.cmp(b),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => break,
+            };
+            // lint: allow(lossy-cast, the dictionary holds at most one entry per row, and rows <= u32::MAX by the append_rows assert)
+            let code = dictionary.len() as u32;
+            match order {
+                Ordering::Less => {
+                    old_rank.push(code);
+                    dictionary.extend(old.next());
+                }
+                Ordering::Greater => {
+                    added_rank.push(code);
+                    dictionary.extend(new.next());
+                }
+                Ordering::Equal => {
+                    old_rank.push(code);
+                    added_rank.push(code);
+                    dictionary.extend(old.next());
+                    new.next();
+                }
+            }
+        }
+        // Merged ranks rise strictly and never fall below the old ones, so
+        // the old codes keep their ranks iff the last one does.
+        if old_rank
+            .last()
+            .is_some_and(|&rank: &u32| rank as usize + 1 != old_rank.len())
+        {
+            for code in &mut self.codes {
+                *code = old_rank[*code as usize];
+            }
+        }
+        self.codes
+            .extend(added.codes.iter().map(|&c| added_rank[c as usize]));
+        self.meta.has_nulls |= added.meta.has_nulls;
+        self.meta.distinct = dictionary.len();
+        self.narrow = NarrowCodes::build(&self.codes, self.meta.distinct);
+        self.dictionary = dictionary;
     }
 
     /// The column ranked in reverse: code `distinct − 1 − c` for code `c`

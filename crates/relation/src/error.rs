@@ -21,6 +21,13 @@ pub enum Error {
         /// Number of columns in the relation.
         len: usize,
     },
+    /// A row index was out of range.
+    RowOutOfRange {
+        /// The offending index.
+        index: usize,
+        /// Number of rows in the relation.
+        len: usize,
+    },
     /// Malformed CSV input.
     Csv {
         /// 1-based line number of the offending record.
@@ -46,6 +53,12 @@ impl fmt::Display for Error {
                 write!(
                     f,
                     "column index {index} out of range for relation with {len} columns"
+                )
+            }
+            Error::RowOutOfRange { index, len } => {
+                write!(
+                    f,
+                    "row index {index} out of range for relation with {len} rows"
                 )
             }
             Error::Csv { line, message } => write!(f, "CSV error at line {line}: {message}"),
@@ -90,6 +103,12 @@ mod tests {
 
         let e = Error::ColumnOutOfRange { index: 9, len: 4 };
         assert!(e.to_string().contains("9"));
+
+        let e = Error::RowOutOfRange { index: 5, len: 2 };
+        assert_eq!(
+            e.to_string(),
+            "row index 5 out of range for relation with 2 rows"
+        );
 
         let e = Error::Csv {
             line: 17,

@@ -6,6 +6,7 @@
 //! only place in this crate that spawns threads (the `spawn-confinement`
 //! lint rule holds every other module to that).
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -25,11 +26,13 @@ enum Slot<T, R> {
 /// results in input order — the vector `items.iter().map(f).collect()`
 /// builds.
 ///
-/// Items are handed out one at a time, so one costly item keeps one
-/// worker busy while the others drain the rest. Each item is dropped as
-/// soon as its result is in, which frees what it owns before the map
-/// ends. An item whose worker panics is recomputed on the calling
-/// thread, so no result is ever lost; a second panic there propagates.
+/// The calling thread is one of the workers, so a map on `k` workers
+/// spawns `k − 1` threads. Items are handed out one at a time, so one
+/// costly item keeps one worker busy while the others drain the rest.
+/// Each item is dropped as soon as its result is in, which frees what it
+/// owns before the map ends. An item whose worker panics is recomputed on
+/// the calling thread once every worker is done, so no result is ever
+/// lost; a second panic there propagates.
 pub fn par_map<T: Send, R: Send>(
     items: Vec<T>,
     threads: usize,
@@ -58,9 +61,10 @@ pub fn par_map<T: Send, R: Send>(
         }
     };
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
-        // A dead worker's claimed item stays `Todo`; joining here keeps
-        // its panic from reaching the caller.
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        // A dead worker's claimed item stays `Todo`; catching the calling
+        // thread's panic and joining the others keeps it from the caller.
+        let _ = catch_unwind(AssertUnwindSafe(work));
         for handle in handles {
             let _ = handle.join();
         }

@@ -1,6 +1,6 @@
 //! The [`Relation`] type: an immutable, rank-encoded, column-major table.
 
-use crate::column::{CodeWidth, Column, ColumnMeta, NarrowCodes};
+use crate::column::{CodeWidth, Column, ColumnMeta, NarrowCodes, RowsColumn};
 use crate::datatype::TypingMode;
 use crate::error::{Error, Result};
 use crate::pool::available_threads;
@@ -82,6 +82,43 @@ impl Relation {
         }
         let columns = Column::encode_all(named, mode, threads);
         Ok(Relation { columns, num_rows })
+    }
+
+    /// Append `rows`, each holding one value per column in schema order.
+    ///
+    /// The result is [`Relation::from_columns`] over this relation's
+    /// decoded values followed by the batch. Each column ranks the batch
+    /// alone and merges it into its sorted dictionary, remapping the old
+    /// codes only when a new value sorts below an old one (a first NULL
+    /// always does); a column the batch retypes (a string in an `Int` or
+    /// `Float` column) or that held no non-NULL value is encoded again
+    /// from its decoded values followed by the batch. Decoding keeps one
+    /// value per run of equal ones, so a `Float` column holding both `0`
+    /// and `-0.0` that a string later retypes ranks one `"0"` (or `"-0"`,
+    /// whichever its dictionary kept), not both.
+    ///
+    /// Every column must rank its values in ascending order, as every
+    /// constructor but [`Relation::with_descending_twins`] leaves it. A
+    /// row of the wrong arity is an [`Error::ArityMismatch`], returned
+    /// before any column changes.
+    pub fn append_rows(&mut self, rows: &[Vec<Value>]) -> Result<()> {
+        let arity = self.columns.len();
+        if let Some(row) = rows.iter().find(|row| row.len() != arity) {
+            return Err(Error::ArityMismatch {
+                expected: arity,
+                got: row.len(),
+            });
+        }
+        let grown = self.num_rows + rows.len();
+        assert!(
+            grown <= u32::MAX as usize,
+            "row ids are u32: {grown} rows exceed the supported maximum"
+        );
+        for (col, column) in self.columns.iter_mut().enumerate() {
+            column.append(&RowsColumn { rows, col });
+        }
+        self.num_rows = self.columns.first().map_or(0, Column::len);
+        Ok(())
     }
 
     /// A relation over already-encoded columns of `num_rows` rows each.
@@ -289,6 +326,7 @@ impl RelationBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datatype::DataType;
 
     fn sample() -> Relation {
         let mut b = RelationBuilder::new(vec!["a", "b", "c"]);
@@ -466,7 +504,65 @@ mod tests {
         .unwrap()
     }
 
+    /// `got` and `want` agree in rows, codes, dictionaries (variant and
+    /// sign included, so `Int(2)` differs from `Float(2.0)`), metadata,
+    /// narrow mirrors and manifest hash.
+    fn same_relation(
+        got: &Relation,
+        want: &Relation,
+    ) -> std::result::Result<(), proptest::TestCaseError> {
+        proptest::prop_assert_eq!(got.num_rows(), want.num_rows());
+        proptest::prop_assert_eq!(got.num_columns(), want.num_columns());
+        for (g, w) in got.columns.iter().zip(&want.columns) {
+            proptest::prop_assert_eq!(&g.codes, &w.codes);
+            proptest::prop_assert_eq!(format!("{:?}", g.dictionary), format!("{:?}", w.dictionary));
+            proptest::prop_assert_eq!(&g.meta, &w.meta);
+            proptest::prop_assert_eq!(&g.narrow, &w.narrow);
+        }
+        proptest::prop_assert_eq!(
+            crate::manifest::manifest_hash(got),
+            crate::manifest::manifest_hash(want)
+        );
+        Ok(())
+    }
+
+    /// [`Relation::from_columns`] over `rel`'s decoded values followed by
+    /// `batch`: the defined result of [`Relation::append_rows`].
+    fn reencoded(rel: &Relation, batch: &[Vec<Value>]) -> Relation {
+        let named = (0..rel.num_columns())
+            .map(|c| {
+                let vals = (0..rel.num_rows())
+                    .map(|r| rel.value(r, c).clone())
+                    .chain(batch.iter().map(|row| row[c].clone()))
+                    .collect();
+                (rel.meta(c).name.clone(), vals)
+            })
+            .collect();
+        Relation::from_columns(named).unwrap()
+    }
+
+    /// A random cell: NULL, an `Int` in `-span..=span`, a `Float` (`2.0`,
+    /// `0.0` and `-0.0` among them, equal to `Int`s) within about the same
+    /// range or, when `text`, a string (some of them numerals).
+    fn random_cell(rng: &mut rand::rngs::StdRng, span: i64, text: bool) -> Value {
+        use rand::RngExt;
+        const FLOATS: [f64; 7] = [2.0, 0.0, -0.0, 0.5, -1.5, 4.5, -3.5];
+        const TEXTS: [&str; 5] = ["a", "10", "9", "-0", "2"];
+        match rng.random_range(0..10) {
+            0 | 1 => Value::Null,
+            2..=5 => Value::Int(rng.random_range(-span..=span)),
+            6 | 7 => {
+                let f = FLOATS[rng.random_range(0..FLOATS.len())];
+                // Keep the initial relation's floats inside its Int range.
+                Value::Float(if f.abs() > span as f64 { f / 2.0 } else { f })
+            }
+            _ if text => Value::Str(TEXTS[rng.random_range(0..TEXTS.len())].into()),
+            _ => Value::Int(rng.random_range(-span..=span)),
+        }
+    }
+
     proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
         #[test]
         fn select_rows_equals_from_columns_over_the_selected_values(
             rows in proptest::collection::vec(0u32..24, 0..40)
@@ -482,21 +578,99 @@ mod tests {
                     })
                     .collect();
                 let want = Relation::from_columns(named).unwrap();
-                proptest::prop_assert_eq!(got.num_rows(), want.num_rows());
-                for c in 0..got.num_columns() {
-                    proptest::prop_assert_eq!(got.codes(c), want.codes(c));
-                    proptest::prop_assert_eq!(got.meta(c), want.meta(c));
-                    proptest::prop_assert_eq!(got.narrow_codes(c), want.narrow_codes(c));
-                    for r in 0..got.num_rows() {
-                        proptest::prop_assert_eq!(got.value(r, c), want.value(r, c));
-                    }
-                }
-                proptest::prop_assert_eq!(
-                    crate::manifest::manifest_hash(&got),
-                    crate::manifest::manifest_hash(&want)
-                );
+                same_relation(&got, &want)?;
             }
         }
+
+        /// Starting relations of 0–5 rows whose columns hold only `Int`s
+        /// (no NULL, so a first NULL remaps), mixed numbers with NULLs,
+        /// strings, or only NULLs; then 1–4 batches of 0–3 rows whose
+        /// numbers reach twice as far out (new minima and maxima, values
+        /// between and equal to old ones, `Int` → `Float`) and which put a
+        /// string into a column a quarter of the time.
+        #[test]
+        fn append_equals_from_columns_over_decoded_values_and_batch(seed in 0u64..u64::MAX) {
+            use rand::{RngExt, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let rows = if rng.random_bool(0.2) { 0 } else { rng.random_range(1..6) };
+            let named = (0..4)
+                .map(|c| {
+                    let kind = rng.random_range(0..4);
+                    let vals = (0..rows)
+                        .map(|_| match kind {
+                            0 => Value::Int(rng.random_range(-2..=2)),
+                            1 => random_cell(&mut rng, 2, false),
+                            2 => random_cell(&mut rng, 2, true),
+                            _ => Value::Null,
+                        })
+                        .collect();
+                    (format!("c{c}"), vals)
+                })
+                .collect();
+            let mode = if rng.random_bool(0.2) {
+                TypingMode::ForceLexicographic
+            } else {
+                TypingMode::Infer
+            };
+            let mut got = Relation::from_columns_typed(named, mode).unwrap();
+            for _ in 0..rng.random_range(1..=4) {
+                let text: Vec<bool> = (0..4).map(|_| rng.random_bool(0.25)).collect();
+                let batch: Vec<Vec<Value>> = (0..rng.random_range(0..4))
+                    .map(|_| text.iter().map(|&t| random_cell(&mut rng, 4, t)).collect())
+                    .collect();
+                let want = reencoded(&got, &batch);
+                got.append_rows(&batch).unwrap();
+                same_relation(&got, &want)?;
+            }
+        }
+    }
+
+    #[test]
+    fn append_remaps_old_codes_only_below_an_old_value() {
+        let mut r =
+            Relation::from_columns(vec![("a".into(), vec![Value::Int(5), Value::Int(1)])]).unwrap();
+        // New maxima and repeats leave the old codes as they were.
+        r.append_rows(&[vec![Value::Int(9)], vec![Value::Int(1)]])
+            .unwrap();
+        assert_eq!(r.codes(0), &[1, 0, 2, 0]);
+        // A value between old ones moves the codes above it.
+        r.append_rows(&[vec![Value::Float(2.5)]]).unwrap();
+        assert_eq!(r.codes(0), &[2, 0, 3, 0, 1]);
+        assert_eq!(r.meta(0).data_type, DataType::Float);
+        // A first NULL moves every code.
+        r.append_rows(&[vec![Value::Null]]).unwrap();
+        assert_eq!(r.codes(0), &[3, 1, 4, 1, 2, 0]);
+        assert!(r.meta(0).has_nulls);
+        // A row of the wrong arity changes nothing.
+        let before = crate::manifest::manifest_hash(&r);
+        let err = r
+            .append_rows(&[vec![Value::Int(1)], vec![Value::Int(1), Value::Int(2)]])
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            Error::ArityMismatch {
+                expected: 1,
+                got: 2
+            }
+        ));
+        assert_eq!(crate::manifest::manifest_hash(&r), before);
+    }
+
+    #[test]
+    fn a_retyping_append_ranks_decoded_values() {
+        // `0` and `-0.0` are one value of the Float column, kept as the
+        // first row's `Int(0)`, so the string that retypes the column
+        // meets one "0", not "0" and "-0".
+        let mut r = Relation::from_columns(vec![(
+            "f".into(),
+            vec![Value::Int(0), Value::Float(-0.0), Value::Float(0.5)],
+        )])
+        .unwrap();
+        r.append_rows(&[vec![Value::Str("x".into())]]).unwrap();
+        assert_eq!(r.meta(0).data_type, DataType::Str);
+        assert_eq!(r.meta(0).distinct, 3);
+        assert_eq!(r.codes(0), &[0, 0, 1, 2]);
+        assert_eq!(r.value(1, 0), &Value::Str("0".into()));
     }
 
     #[test]
