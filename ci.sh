@@ -279,6 +279,15 @@ echo "==> perfbench smoke + work-counter gate (every workload, seed 1, 1 s, untr
 # timing) must equal its line in results/perfbench_counters.txt, one
 # "<workload> <counter> <value>" line each, so a change in checks, sorts
 # or rows scanned fails here unless the same change re-records the file.
+# Building perfbench rewrites its tracked Cargo.lock (the lock still lists
+# a deleted shim); keep a copy and put it back however the smoke ends.
+perfbench_lock="$(mktemp)"
+cp perfbench/Cargo.lock "$perfbench_lock"
+restore_perfbench_lock() {
+    cp "$perfbench_lock" perfbench/Cargo.lock
+    rm -f "$perfbench_lock"
+}
+trap 'restore_perfbench_lock; rm -rf "$SMOKE_DIR"' EXIT
 counters_now="$(mktemp)"
 for workload in dense_search tall_ingest approx_sample append_stream; do
     perfbench_out="$(CARGO_TARGET_DIR=.bench_build cargo run --quiet --offline --release \
@@ -301,6 +310,8 @@ for workload in dense_search tall_ingest approx_sample append_stream; do
             sed "s/^/$workload $config./" >>"$counters_now"
     done
 done
+restore_perfbench_lock
+trap 'rm -rf "$SMOKE_DIR"' EXIT
 if ! diff results/perfbench_counters.txt "$counters_now"; then
     echo "perfbench counters: the work above (< recorded, > this run) drifted from"
     echo "results/perfbench_counters.txt. If the change is intended, re-record with"

@@ -70,18 +70,17 @@ use crate::config::DiscoveryConfig;
 use crate::deps::{AttrList, Ocd, Od};
 use crate::runtime::TerminationReason;
 use crate::snapshot::{to_micros, ApproxMeta, SearchSnapshot, SnapshotError};
-use ocdd_relation::scan::{note_scan, select_kernel, BlockEq, ScanKernel, BLOCK_PAIRS};
-use ocdd_relation::sort::{cmp_rows, sort_index_by};
+use ocdd_relation::sort::{rank_keys, sort_index_by};
 use ocdd_relation::{manifest_hash, ColumnId, Relation, Sample, SampleSpec, SampleStrategy};
 
 /// Row passes one error decomposition costs — the documented cost model
 /// behind [`ApproxStats::sample_row_scans`] / [`ApproxStats::full_row_scans`]
 /// (one fused checker scan costs one pass). A decomposition runs the
-/// `(lhs, rhs)` sort, two projection-rank scans (LHS ranks along that
-/// sort, RHS ranks along an RHS index) and one fused walk that feeds the
-/// LNDS and reads the split count off the LHS classes. The model stays at
-/// the four passes it has always charged, so row-scan counts remain
-/// comparable across revisions.
+/// `(lhs, rhs)` sort, one pass that builds the LHS and RHS rank keys and
+/// one fused walk that feeds the LNDS and reads the split count off the
+/// LHS classes. The model over-counts that work: it stays at the four
+/// passes it has always charged, so row-scan counts remain comparable
+/// across revisions.
 pub const ERR_PASSES: u64 = 4;
 
 /// Error decomposition of an OD candidate.
@@ -128,97 +127,11 @@ impl OdError {
     }
 }
 
-/// Rank lookup by permuted row id; `r` always comes from a permutation of
-/// `0..ranks.len()`, so the fallback is unreachable.
+/// Key lookup by permuted row id; `r` always comes from a permutation of
+/// `0..keys.len()`, so the fallback is unreachable.
 #[inline]
-fn rank_at(ranks: &[u64], r: u32) -> u64 {
-    ranks.get(r as usize).copied().unwrap_or(0)
-}
-
-/// Rank of each row's `cols` projection as a single `u64` (dense rank over
-/// the lexicographic order of projections).
-///
-/// The adjacent-equality walk over the sorted index runs on the blockwise
-/// [`BlockEq`] kernels ([`select_kernel`] keeps sub-block inputs on the
-/// scalar oracle), so the estimate phase shares the PR 6 scan kernels with
-/// the exact checkers instead of per-pair [`cmp_rows`] calls.
-fn projection_ranks(rel: &Relation, cols: &AttrList) -> Vec<u64> {
-    let index = sort_index_by(rel, cols.as_slice());
-    projection_ranks_on(rel, cols, &index)
-}
-
-/// [`projection_ranks`] over a pre-built index sorted by `cols` (ties may
-/// be ordered by further columns, as in [`SortedRows`]).
-fn projection_ranks_on(rel: &Relation, cols: &AttrList, index: &[u32]) -> Vec<u64> {
-    let m = index.len();
-    let mut ranks = vec![0u64; m];
-    if m < 2 {
-        return ranks;
-    }
-    let pairs = m - 1;
-    let kernel = select_kernel(pairs);
-    note_scan(kernel);
-    if kernel == ScanKernel::Scalar {
-        return projection_ranks_scalar(rel, cols, index);
-    }
-    let mut rank = 0u64;
-    let mut eq = BlockEq::default();
-    let mut start = 0usize;
-    // lint: allow(unprobed-loop, blockwise walk over one projection's sample index, bounded by the sample pairs)
-    while start < pairs {
-        let n = (pairs - start).min(BLOCK_PAIRS);
-        let Some(window) = index.get(start..start + n + 1) else {
-            break;
-        };
-        eq.reset(n);
-        for &col in cols.as_slice() {
-            eq.fold_column(rel, col, window);
-            if eq.none() {
-                break;
-            }
-        }
-        // A zero mask byte is a rank boundary: the pair's rows differ on
-        // some projection column.
-        for (j, &e) in eq.mask().iter().take(n).enumerate() {
-            rank += u64::from(e == 0);
-            if let Some(&row) = window.get(j + 1) {
-                if let Some(slot) = ranks.get_mut(row as usize) {
-                    *slot = rank;
-                }
-            }
-        }
-        start += n;
-    }
-    ranks
-}
-
-/// Scalar oracle for [`projection_ranks_on`]: the per-pair [`cmp_rows`]
-/// walk the blockwise path is differentially pinned against.
-fn projection_ranks_scalar(rel: &Relation, cols: &AttrList, index: &[u32]) -> Vec<u64> {
-    let mut ranks = vec![0u64; index.len()];
-    let mut rank = 0u64;
-    // lint: allow(unprobed-loop, scalar oracle walks one sample index, bounded by the sample rows)
-    for (pos, &row) in index.iter().enumerate() {
-        if pos > 0 {
-            let prev = rank_at_u32(index, pos - 1);
-            if cmp_rows(rel, cols.as_slice(), prev as usize, row as usize)
-                != std::cmp::Ordering::Equal
-            {
-                rank += 1;
-            }
-        }
-        if let Some(slot) = ranks.get_mut(row as usize) {
-            *slot = rank;
-        }
-    }
-    ranks
-}
-
-/// Index lookup with an unreachable fallback (`pos` stays in bounds by the
-/// enumerate loop).
-#[inline]
-fn rank_at_u32(index: &[u32], pos: usize) -> u32 {
-    index.get(pos).copied().unwrap_or(0)
+fn key_at(keys: &[u64], r: u32) -> u64 {
+    keys.get(r as usize).copied().unwrap_or(0)
 }
 
 /// Patience-sorting state of a longest non-decreasing subsequence:
@@ -232,10 +145,15 @@ struct Patience {
 impl Patience {
     /// Push the next value and return the `k` whose chain (of length
     /// `k + 1`) it now ends. Equal values extend a chain, so `v` replaces
-    /// the first tail strictly greater than it.
+    /// the first tail strictly greater than it. A value at or above the
+    /// last tail extends the longest chain without a search: on
+    /// co-monotone inputs that is almost every push.
     #[inline]
     fn push(&mut self, v: u64) -> usize {
-        let k = self.tails.partition_point(|&t| t <= v);
+        let k = match self.tails.last() {
+            Some(&last) if last > v => self.tails.partition_point(|&t| t <= v),
+            _ => self.tails.len(),
+        };
         match self.tails.get_mut(k) {
             Some(t) => *t = v,
             None => self.tails.push(v),
@@ -256,7 +174,7 @@ struct Class {
     start: usize,
     /// One past its last position.
     end: usize,
-    /// The class's most frequent RHS rank (the smallest on a tie).
+    /// The class's most frequent RHS key (the smallest on a tie).
     plurality: u64,
     /// Rows of the class carrying `plurality`.
     count: usize,
@@ -277,22 +195,19 @@ impl Class {
 /// and inside a run the rows ascend by their RHS projection, so rows equal
 /// on both sides are adjacent. This is the `(lhs_rank, rhs_rank)` order
 /// the decomposition is defined over, up to the order among rows equal on
-/// both sides, which all carry the same RHS rank.
+/// both sides, which all carry the same RHS key.
 struct SortedRows {
     /// Row ids in `(lhs, rhs)` order.
     order: Vec<u32>,
-    /// Dense LHS projection rank per row id, read off `order`.
-    lhs_rank: Vec<u64>,
-    /// Dense RHS projection rank per row id.
-    rhs_rank: Vec<u64>,
+    /// LHS rank key per row id ([`rank_keys`]): equal exactly on rows of
+    /// one LHS class.
+    lhs_key: Vec<u64>,
+    /// RHS rank key per row id, ordered as the RHS projections.
+    rhs_key: Vec<u64>,
 }
 
 impl SortedRows {
     fn new(rel: &Relation, lhs: &AttrList, rhs: &AttrList) -> SortedRows {
-        debug_assert!(
-            rel.num_rows() <= u32::MAX as usize,
-            "row ids are u32 by the relation contract"
-        );
         let mut key: Vec<ColumnId> = Vec::with_capacity(lhs.len() + rhs.len());
         // lint: allow(unprobed-loop, one pass over the two attribute lists, bounded by the schema width)
         for &c in lhs.as_slice().iter().chain(rhs.as_slice()) {
@@ -300,36 +215,33 @@ impl SortedRows {
                 key.push(c);
             }
         }
-        let order = sort_index_by(rel, &key);
-        let lhs_rank = projection_ranks_on(rel, lhs, &order);
-        let rhs_rank = projection_ranks(rel, rhs);
         SortedRows {
-            order,
-            lhs_rank,
-            rhs_rank,
+            order: sort_index_by(rel, &key),
+            lhs_key: rank_keys(rel, lhs.as_slice()),
+            rhs_key: rank_keys(rel, rhs.as_slice()),
         }
     }
 
-    /// The fused walk over `order`: hands every position and its RHS rank
+    /// The fused walk over `order`: hands every position and its RHS key
     /// to `step` (the LNDS input), and every LHS class to `class` once its
     /// run ends.
     fn walk(&self, mut step: impl FnMut(usize, u64), mut class: impl FnMut(Class)) {
         let Some(&first) = self.order.first() else {
             return;
         };
-        let mut lhs = rank_at(&self.lhs_rank, first);
+        let mut lhs = key_at(&self.lhs_key, first);
         let mut cur = Class {
             start: 0,
             end: 0,
-            plurality: rank_at(&self.rhs_rank, first),
+            plurality: key_at(&self.rhs_key, first),
             count: 0,
         };
-        // RHS rank and length of the current equal-rank run in the class;
-        // RHS ranks ascend inside a class, so each rank is one run.
-        let (mut run_rank, mut run) = (cur.plurality, 0usize);
+        // RHS key and length of the current equal-key run in the class;
+        // RHS keys ascend inside a class, so each key is one run.
+        let (mut run_key, mut run) = (cur.plurality, 0usize);
         // lint: allow(unprobed-loop, fused LNDS and split walk over one decomposition's sorted rows, bounded by the rows of the measured instance)
         for (pos, &row) in self.order.iter().enumerate() {
-            let (l, y) = (rank_at(&self.lhs_rank, row), rank_at(&self.rhs_rank, row));
+            let (l, y) = (key_at(&self.lhs_key, row), key_at(&self.rhs_key, row));
             step(pos, y);
             if l != lhs {
                 cur.end = pos;
@@ -342,10 +254,10 @@ impl SortedRows {
                     count: 0,
                 };
                 run = 0;
-            } else if y != run_rank {
+            } else if y != run_key {
                 run = 0;
             }
-            run_rank = y;
+            run_key = y;
             run += 1;
             if run > cur.count {
                 cur.count = run;
@@ -360,9 +272,9 @@ impl SortedRows {
 /// Compute the exact error decomposition of the OD `lhs → rhs`.
 ///
 /// Both components come from one `(lhs, rhs)` sort and one walk over it:
-/// the swap component is `m − LNDS` of the RHS ranks in that order, and
+/// the swap component is `m − LNDS` of the RHS keys in that order, and
 /// the split component sums each LHS class's rows outside its plurality
-/// RHS rank.
+/// RHS key.
 pub fn od_error(rel: &Relation, lhs: &AttrList, rhs: &AttrList) -> OdError {
     let sorted = SortedRows::new(rel, lhs, rhs);
     let mut lnds = Patience::default();
@@ -403,7 +315,7 @@ pub fn removal_witnesses(rel: &Relation, lhs: &AttrList, rhs: &AttrList) -> Vec<
     let mut witnesses: Vec<u32> = Vec::new();
     // Swap side: patience sorting with predecessor links recovers one
     // longest non-decreasing chain of positions. It keeps every run of
-    // equal RHS ranks whole, so which rows it keeps does not depend on
+    // equal RHS keys whole, so which rows it keeps does not depend on
     // the order among rows equal on both sides.
     let mut lnds = Patience::default();
     let mut ends: Vec<usize> = Vec::new(); // ends[k]: position ending chain k
@@ -426,7 +338,7 @@ pub fn removal_witnesses(rel: &Relation, lhs: &AttrList, rhs: &AttrList) -> Vec<
             witnesses.extend(
                 rows.iter()
                     .copied()
-                    .filter(|&r| rank_at(&sorted.rhs_rank, r) != c.plurality),
+                    .filter(|&r| key_at(&sorted.rhs_key, r) != c.plurality),
             );
         },
     );
@@ -997,8 +909,8 @@ pub fn discover_approximate_resume(
 /// `(lhs_rank, rhs_rank)` pairs in a map.
 #[cfg(test)]
 mod oracle {
-    use super::{projection_ranks_scalar, rank_at, AttrList, OdError, Relation};
-    use ocdd_relation::sort::sort_index_by_comparator;
+    use super::{key_at, AttrList, OdError, Relation};
+    use ocdd_relation::sort::{cmp_rows, sort_index_by_comparator};
     use std::collections::BTreeMap;
 
     /// Length of the longest non-decreasing subsequence (patience sorting,
@@ -1020,8 +932,26 @@ mod oracle {
         tails.len()
     }
 
+    /// Dense rank of each row's `cols` projection: a comparator sort, then
+    /// a per-pair [`cmp_rows`] walk that starts a new rank wherever two
+    /// neighbours differ.
     fn ranks(rel: &Relation, cols: &AttrList) -> Vec<u64> {
-        projection_ranks_scalar(rel, cols, &sort_index_by_comparator(rel, cols.as_slice()))
+        let index = sort_index_by_comparator(rel, cols.as_slice());
+        let mut ranks = vec![0u64; index.len()];
+        let mut rank = 0u64;
+        for (pos, &row) in index.iter().enumerate() {
+            if let Some(&prev) = pos.checked_sub(1).and_then(|p| index.get(p)) {
+                if cmp_rows(rel, cols.as_slice(), prev as usize, row as usize)
+                    != std::cmp::Ordering::Equal
+                {
+                    rank += 1;
+                }
+            }
+            if let Some(slot) = ranks.get_mut(row as usize) {
+                *slot = rank;
+            }
+        }
+        ranks
     }
 
     /// Both sides' ranks, the rows in `(lhs_rank, rhs_rank)` order, and
@@ -1036,7 +966,7 @@ mod oracle {
         let lhs_rank = ranks(rel, lhs);
         let rhs_rank = ranks(rel, rhs);
         let mut order: Vec<u32> = (0..m as u32).collect();
-        order.sort_unstable_by_key(|&r| (rank_at(&lhs_rank, r), rank_at(&rhs_rank, r)));
+        order.sort_unstable_by_key(|&r| (key_at(&lhs_rank, r), key_at(&rhs_rank, r)));
         let mut counts: BTreeMap<(u64, u64), usize> = BTreeMap::new();
         for (&l, &y) in lhs_rank.iter().zip(rhs_rank.iter()) {
             *counts.entry((l, y)).or_insert(0) += 1;
@@ -1047,7 +977,7 @@ mod oracle {
     pub(super) fn od_error(rel: &Relation, lhs: &AttrList, rhs: &AttrList) -> OdError {
         let m = rel.num_rows();
         let (_, rhs_rank, order, counts) = decompose(rel, lhs, rhs);
-        let rhs_seq: Vec<u64> = order.iter().map(|&r| rank_at(&rhs_rank, r)).collect();
+        let rhs_seq: Vec<u64> = order.iter().map(|&r| key_at(&rhs_rank, r)).collect();
         let swap_removals = m - longest_nondecreasing_subsequence(&rhs_seq);
         // Per lhs class, keep the plurality rhs projection (the map groups
         // the (l, y) pairs by l).
@@ -1078,7 +1008,7 @@ mod oracle {
 
         // Swap side: patience sorting with predecessor links recovers one
         // longest non-decreasing subsequence; everything outside it goes.
-        let seq: Vec<u64> = order.iter().map(|&r| rank_at(&rhs_rank, r)).collect();
+        let seq: Vec<u64> = order.iter().map(|&r| key_at(&rhs_rank, r)).collect();
         let mut tails: Vec<usize> = Vec::new(); // positions into seq
         let mut prev: Vec<Option<usize>> = vec![None; seq.len()];
         for (pos, &v) in seq.iter().enumerate() {
@@ -1224,17 +1154,107 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(200))]
 
-        /// Past one scan block the LHS and RHS ranks come from the
-        /// blockwise kernels instead of the scalar walk.
+        /// Up to 400 rows: longer LHS classes, equal-key runs and LNDS
+        /// chains than the 60-row cases above.
         #[test]
         fn one_sort_decomposition_matches_oracle_past_one_block(
-            rows in BLOCK_PAIRS + 1..=400,
+            rows in 65usize..=400,
             seed in 0u64..1 << 32,
             lhs in proptest::collection::vec(0usize..4, 1..=3),
             rhs in proptest::collection::vec(0usize..4, 1..=3),
         ) {
             let r = nully_relation(rows, seed);
             matches_oracle(&r, &l(&lhs), &l(&rhs))?;
+        }
+    }
+
+    /// The four columns of [`nully_relation`] followed by two groups of
+    /// four 9-bit columns. Each group's columns are different orders of
+    /// one base column with 257 values, 251 of them on a single row, so
+    /// rows equal on one column of a group are equal on all four: eight
+    /// of the wide columns make a side of 72 bits whose classes are not
+    /// all singletons.
+    fn wide_relation(rows: usize, seed: u64) -> Relation {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        let narrow = nully_relation(rows, seed);
+        let mut cols: Vec<(String, Vec<Value>)> = (0..narrow.num_columns())
+            .map(|c| {
+                let vals = (0..rows).map(|r| narrow.value(r, c).clone()).collect();
+                (format!("c{c}"), vals)
+            })
+            .collect();
+        for group in 0..2 {
+            let mut base: Vec<usize> = (0..rows)
+                .map(|r| if r < 257 { r } else { rng.random_range(0..6) })
+                .collect();
+            base.shuffle(&mut rng);
+            for k in 0..4 {
+                let mut order: Vec<i64> = (0..257).collect();
+                order.shuffle(&mut rng);
+                let vals = base.iter().map(|&b| Value::Int(order[b])).collect();
+                cols.push((format!("w{group}{k}"), vals));
+            }
+        }
+        Relation::from_columns(cols).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(100))]
+
+        /// Sides past 64 code bits: a wide side is 8–10 columns of the two
+        /// wide groups (repeats allowed), a narrow one 1–3 columns of any
+        /// kind. Wide sides take their rank keys from the chained
+        /// refinement, and the shared sort is chained unless repeats bring
+        /// the deduplicated key back under 64 bits.
+        #[test]
+        fn one_sort_decomposition_matches_oracle_past_64_bits(
+            rows in 257usize..=400,
+            seed in 0u64..1 << 32,
+            shape in 0usize..4,
+            wide in proptest::collection::vec(proptest::collection::vec(4usize..12, 8..=10), 2..=2),
+            narrow in proptest::collection::vec(proptest::collection::vec(0usize..12, 1..=3), 2..=2),
+        ) {
+            let r = wide_relation(rows, seed);
+            proptest::prop_assert!((4..12).all(|c| r.meta(c).distinct == 257));
+            // Bit 0 of `shape` widens the LHS, bit 1 the RHS.
+            let side = |i: usize| l(if shape >> i & 1 == 1 { &wide[i] } else { &narrow[i] });
+            let (lhs, rhs) = (side(0), side(1));
+            matches_oracle(&r, &lhs, &rhs)?;
+            matches_oracle(&r, &lhs.concat(&rhs), &rhs.concat(&lhs))?;
+        }
+    }
+
+    #[test]
+    fn patience_matches_the_lnds_oracle() {
+        use oracle::longest_nondecreasing_subsequence as lnds;
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let mixed: Vec<u64> = [0u64, 1, 2, 2, 2, 9, 3, 3, 4, 1, 1, 5, 5, 0, 8, 8, 7]
+            .into_iter()
+            .chain((0..20).map(|i| 20 - i / 3))
+            .chain((0..20).map(|i| 10 + i % 4))
+            .collect();
+        let random: Vec<u64> = (0..200).map(|_| rng.random_range(0..12)).collect();
+        let cases: [(&str, Vec<u64>); 5] = [
+            ("ascending", (0..40).collect()),
+            ("plateau", vec![7; 40]),
+            ("descending", (0..40).rev().collect()),
+            ("mixed", mixed),
+            ("random", random),
+        ];
+        for (name, seq) in &cases {
+            let mut patience = Patience::default();
+            for (i, &v) in seq.iter().enumerate() {
+                // The longest chain ending at `v` extends the longest one
+                // among the earlier values not above it.
+                let earlier: Vec<u64> = seq[..i].iter().copied().filter(|&u| u <= v).collect();
+                assert_eq!(patience.push(v), lnds(&earlier), "{name}: push {i} of {v}");
+            }
+            assert_eq!(patience.len(), lnds(seq), "{name}");
         }
     }
 
@@ -1283,32 +1303,6 @@ mod tests {
                     err.is_exact(),
                     check_od(&r, &x, &y).is_valid(),
                     "seed {seed}: error {err:?} vs checker on {x} -> {y}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn projection_ranks_blockwise_matches_scalar_oracle() {
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
-        // Rows past BLOCK_PAIRS exercise the blockwise path, including
-        // ragged tails and block-boundary rank carries.
-        for seed in 0..12u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let rows = 64 + (seed as usize * 13) % 140;
-            let card = 1 + (seed as i64 % 5);
-            let va: Vec<i64> = (0..rows)
-                .map(|_| rng.random_range(0..card.max(2)))
-                .collect();
-            let vb: Vec<i64> = (0..rows).map(|_| rng.random_range(0..3)).collect();
-            let r = rel(&[("a", &va), ("b", &vb)]);
-            for cols in [l(&[0]), l(&[1]), l(&[0, 1]), l(&[1, 0])] {
-                let index = sort_index_by(&r, cols.as_slice());
-                assert_eq!(
-                    projection_ranks_on(&r, &cols, &index),
-                    projection_ranks_scalar(&r, &cols, &index),
-                    "seed {seed} cols {cols}"
                 );
             }
         }

@@ -11,9 +11,14 @@
 //!
 //! * `[]` — identity permutation.
 //! * `[A]` — one **counting sort** over `[0, distinct(A))`: `O(m + d)`.
-//! * Short lists whose code widths sum to ≤ 64 bits — rows are packed into
-//!   a single `u64` key and sorted by a stable **LSD radix sort**:
-//!   `O(p·(m + 2^digit))` for `p = ⌈bits/digit⌉` passes.
+//! * Lists whose code widths sum to ≤ 64 bits — each row's codes are
+//!   packed, column by column, into one `u64` key and sorted by a stable
+//!   **LSD radix sort**: `O(p·(m + 2^digit))` for `p` passes. The key bits
+//!   are cut into `p` balanced digits no wider than `⌊log2 m⌋` clamped to
+//!   8–11 bits; one sweep builds every digit's histogram, and a digit that
+//!   every key shares is skipped. When the row id fits below the key bits
+//!   in the same word it rides there, so a pass moves one `u64`; otherwise
+//!   a pass moves a `(key, row)` pair.
 //! * Anything else — **chained counting refinement**: the list is processed
 //!   column by column, each step two stable counting scatters
 //!   (`O(m + d_i)`), carrying run ids so earlier columns stay dominant.
@@ -22,6 +27,10 @@
 //! like the comparison sorts they replace. The comparator path survives as
 //! [`sort_index_by_comparator`] — the differential-test oracle and the
 //! paper-literal fallback.
+//!
+//! [`rank_keys`] gives each row a `u64` whose order and equality match its
+//! projection: the packed codes, with no sort, when they fit in 64 bits,
+//! and the chained refinement's run ids otherwise.
 //!
 //! [`kernel_stats`] counts which kernel ran (process-global relaxed
 //! atomics; snapshot deltas feed the discovery result and the ablation
@@ -177,24 +186,19 @@ pub mod kernel_stats {
 /// Bits needed to store codes of a column with `distinct` values
 /// (0 for constant columns — they never affect an ordering).
 #[inline]
-fn code_bits(distinct: usize) -> u32 {
+fn code_bits(distinct: usize) -> usize {
     if distinct <= 1 {
         0
     } else {
-        usize::BITS - (distinct - 1).leading_zeros()
+        (distinct - 1).ilog2() as usize + 1
     }
 }
 
 /// Total packed-key width of `cols`, or `None` when it exceeds 64 bits.
-fn packed_bits(rel: &Relation, cols: &[ColumnId]) -> Option<u32> {
-    let mut total = 0u32;
+fn packed_bits(rel: &Relation, cols: &[ColumnId]) -> Option<usize> {
+    let mut total = 0;
     for &c in cols {
-        let bits = code_bits(rel.meta(c).distinct);
-        debug_assert!(
-            total <= 64 && bits <= 64,
-            "the early return below keeps the running width at most 64"
-        );
-        total += bits;
+        total += code_bits(rel.meta(c).distinct);
         if total > 64 {
             return None;
         }
@@ -225,62 +229,109 @@ fn counting_sort_single(codes: &[u32], distinct: usize) -> Vec<u32> {
     out
 }
 
-/// Pack each row's codes on `cols` into one `u64` (leftmost column in the
-/// most significant bits). Constant columns contribute zero bits.
-fn pack_keys(rel: &Relation, cols: &[ColumnId], rows: impl Iterator<Item = u32>) -> Vec<u64> {
-    let widths: Vec<(ColumnId, u32)> = cols
-        .iter()
-        .map(|&c| (c, code_bits(rel.meta(c).distinct)))
-        .collect();
-    rows.map(|r: u32| {
-        let mut key = 0u64;
-        for &(c, bits) in &widths {
-            key = (key << bits) | u64::from(rel.code(r as usize, c));
+/// Each row's codes on `cols`, `bits` wide in total, packed into one `u64`
+/// above `shift` zero low bits (leftmost column in the most significant
+/// bits). Built column by column; constant columns contribute zero bits.
+fn pack_codes(rel: &Relation, cols: &[ColumnId], bits: usize, shift: usize) -> Vec<u64> {
+    let mut keys = vec![0u64; rel.num_rows()];
+    let mut offset = shift + bits;
+    for &c in cols {
+        let width = code_bits(rel.meta(c).distinct);
+        if width == 0 {
+            continue;
         }
-        key
-    })
-    .collect()
+        offset -= width;
+        for (key, &code) in keys.iter_mut().zip(rel.codes(c)) {
+            *key |= u64::from(code) << offset;
+        }
+    }
+    keys
 }
 
-/// Stable LSD radix sort of `(keys, rows)` pairs by `total_bits` key bits.
-// lint: allow(panic-reachability, digits are masked to buckets-1 with starts sized buckets+1, and scatter targets are sized m)
-fn radix_sort_packed(mut keys: Vec<u64>, mut rows: Vec<u32>, total_bits: u32) -> Vec<u32> {
-    kernel_stats::bump_packed_radix();
-    let m = rows.len();
-    if m <= 1 || total_bits == 0 {
-        return rows;
+/// Widest radix digit for an `m`-row sort: a bucket table no larger than
+/// the row count, between 2^8 and 2^11 entries (2^11 `u32` counters are
+/// 8 KiB, so the tables stay cache-resident on large inputs).
+fn max_digit_bits(m: usize) -> usize {
+    (m.max(1).ilog2() as usize).clamp(8, 11)
+}
+
+/// Stable LSD radix sort of `items` by the `bits`-bit field at bit `lo` of
+/// `key(item)` (every key bit above that field is zero).
+///
+/// The field is cut into balanced digits no wider than
+/// [`max_digit_bits`]; one sweep builds every digit's histogram, and a
+/// digit that every key shares costs no scatter.
+// lint: allow(panic-reachability, digits are masked below buckets and each table spans buckets counters of counts; a table's exclusive prefix sums over the m items keep every scatter slot below m)
+fn radix_sort<T: Copy>(
+    mut items: Vec<T>,
+    key: impl Fn(&T) -> u64,
+    lo: usize,
+    bits: usize,
+) -> Vec<T> {
+    let m = items.len();
+    if m <= 1 || bits == 0 {
+        return items;
     }
-    // Narrow digits keep the bucket table cache-resident for small inputs.
-    let digit_bits: u32 = if m < (1 << 14) { 8 } else { 16 };
-    let buckets = 1usize << digit_bits;
-    let mask = (buckets - 1) as u64;
-
-    let mut scratch_keys = vec![0u64; m];
-    let mut scratch_rows = vec![0u32; m];
-    let mut starts = vec![0u32; buckets + 1];
-
-    let mut shift = 0u32;
-    while shift < total_bits {
-        starts.fill(0);
-        for &k in &keys {
-            starts[((k >> shift) & mask) as usize + 1] += 1;
+    let passes = bits.div_ceil(max_digit_bits(m));
+    let width = bits.div_ceil(passes);
+    let buckets = 1usize << width;
+    let mask = (1u64 << width) - 1;
+    let mut counts = vec![0u32; passes * buckets];
+    for item in &items {
+        let k = key(item) >> lo;
+        for pass in 0..passes {
+            let digit = (k >> (pass * width)) & mask;
+            counts[pass * buckets + digit as usize] += 1;
         }
-        for i in 1..=buckets {
-            starts[i] += starts[i - 1];
+    }
+    let mut scratch = items.clone();
+    for pass in 0..passes {
+        let table = &mut counts[pass * buckets..(pass + 1) * buckets];
+        if table.iter().any(|&n| n as usize == m) {
+            continue;
         }
-        for i in 0..m {
-            let digit = ((keys[i] >> shift) & mask) as usize;
-            let slot = &mut starts[digit];
-            scratch_keys[*slot as usize] = keys[i];
-            scratch_rows[*slot as usize] = rows[i];
+        let mut sum = 0;
+        for n in table.iter_mut() {
+            let count = *n;
+            *n = sum;
+            sum += count;
+        }
+        let shift = lo + pass * width;
+        for item in &items {
+            let slot = &mut table[((key(item) >> shift) & mask) as usize];
+            scratch[*slot as usize] = *item;
             *slot += 1;
         }
-        std::mem::swap(&mut keys, &mut scratch_keys);
-        std::mem::swap(&mut rows, &mut scratch_rows);
-        debug_assert!(shift <= 64, "packed keys are at most 64 bits wide");
-        shift += digit_bits;
+        std::mem::swap(&mut items, &mut scratch);
     }
-    rows
+    items
+}
+
+/// Stable sort of the rows by their `bits`-bit packed codes on `cols`.
+///
+/// When the row id fits beside the codes in one word, it rides in the low
+/// bits: a pass moves one `u64`, and rows with equal codes keep their
+/// original order. Otherwise each pass moves a `(key, row)` pair.
+fn radix_sort_packed(rel: &Relation, cols: &[ColumnId], bits: usize) -> Vec<u32> {
+    kernel_stats::bump_packed_radix();
+    let m = rel.num_rows();
+    let row_bits = code_bits(m);
+    if bits + row_bits <= 64 {
+        let mut words = pack_codes(rel, cols, bits, row_bits);
+        for (row, word) in (0u64..).zip(words.iter_mut()) {
+            *word |= row;
+        }
+        let row_mask = (1u64 << row_bits) - 1;
+        let sorted = radix_sort(words, |&w| w, row_bits, bits);
+        sorted.into_iter().map(|w| (w & row_mask) as u32).collect()
+    } else {
+        let pairs: Vec<(u64, u32)> = pack_codes(rel, cols, bits, 0)
+            .into_iter()
+            .zip(0u32..)
+            .collect();
+        let sorted = radix_sort(pairs, |&(k, _)| k, 0, bits);
+        sorted.into_iter().map(|(_, row)| row).collect()
+    }
 }
 
 /// State carried by the chained counting-refinement kernel: a permutation
@@ -373,6 +424,16 @@ impl RefineState {
     }
 }
 
+/// The chained counting refinement of all rows by `cols`, column by
+/// column.
+fn refine_all(rel: &Relation, cols: &[ColumnId]) -> RefineState {
+    let mut state = RefineState::identity(rel.num_rows());
+    for &c in cols {
+        state.refine_by(rel, c);
+    }
+    state
+}
+
 /// Row-id permutation sorting `rel` by the attribute list `cols`.
 ///
 /// The sort is stable, so ties keep their original row order; callers that
@@ -387,18 +448,30 @@ pub fn sort_index_by(rel: &Relation, cols: &[ColumnId]) -> Vec<u32> {
         [] => (0..m as u32).collect(),
         [single] => counting_sort_single(rel.codes(*single), rel.meta(*single).distinct),
         _ => match packed_bits(rel, cols) {
-            Some(bits) => {
-                let keys = pack_keys(rel, cols, 0..m as u32);
-                radix_sort_packed(keys, (0..m as u32).collect(), bits)
-            }
-            None => {
-                let mut state = RefineState::identity(m);
-                for &c in cols {
-                    state.refine_by(rel, c);
-                }
-                state.rows
-            }
+            Some(bits) => radix_sort_packed(rel, cols, bits),
+            None => refine_all(rel, cols).rows,
         },
+    }
+}
+
+/// A key per row whose order and equality match the row's projection on
+/// `cols` (lexicographic, NULLS FIRST, as [`sort_index_by`] orders rows).
+///
+/// When the codes of `cols` fit in 64 bits the key is the packed codes,
+/// built without a sort; otherwise it is the row's run id after the
+/// chained counting refinement by `cols`.
+// lint: allow(panic-reachability, refine_all returns a permutation of 0..m, so every row id indexes the m keys)
+pub fn rank_keys(rel: &Relation, cols: &[ColumnId]) -> Vec<u64> {
+    match packed_bits(rel, cols) {
+        Some(bits) => pack_codes(rel, cols, bits, 0),
+        None => {
+            let state = refine_all(rel, cols);
+            let mut keys = vec![0u64; state.rows.len()];
+            for (&row, &run) in state.rows.iter().zip(&state.runs) {
+                keys[row as usize] = u64::from(run);
+            }
+            keys
+        }
     }
 }
 
@@ -496,16 +569,21 @@ mod tests {
         }
     }
 
-    /// Deterministic pseudo-random relation with `cols` columns over a small
-    /// domain (many ties, many runs).
-    fn pseudo_random_relation(cols: usize, rows: usize, domain: i64, seed: u64) -> Relation {
+    /// Deterministic xorshift64 stream seeded from `seed`.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut next = move || {
+        move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
-        };
+        }
+    }
+
+    /// Deterministic pseudo-random relation with `cols` columns over a small
+    /// domain (many ties, many runs).
+    fn pseudo_random_relation(cols: usize, rows: usize, domain: i64, seed: u64) -> Relation {
+        let mut next = xorshift(seed);
         let named = (0..cols)
             .map(|c| {
                 (
@@ -541,40 +619,150 @@ mod tests {
         }
     }
 
-    #[test]
-    fn chained_kernel_matches_oracle_beyond_packing_width() {
-        // Eight near-key columns at ~9 bits each exceed 64 packed bits,
-        // forcing the chained counting-refinement kernel.
-        let rows = 512;
-        let r = pseudo_random_relation(8, rows, 60_000, 99);
-        let cols: Vec<ColumnId> = (0..8).collect();
-        assert!(
-            packed_bits(&r, &cols).is_none(),
-            "test must exercise the non-packable path"
-        );
+    /// Relation whose column `c` holds exactly `distinct[c]` values (each
+    /// at least once, the rest of its `rows` cells drawn at random), so
+    /// every column's code width is known. Needs `distinct[c] <= rows`.
+    fn relation_with_distinct(rows: usize, distinct: &[usize], seed: u64) -> Relation {
+        let mut next = xorshift(seed);
+        let named = distinct
+            .iter()
+            .enumerate()
+            .map(|(c, &d)| {
+                assert!(d <= rows.max(1), "column {c} cannot hold {d} values");
+                let mut vals: Vec<u64> = (0..rows as u64)
+                    .map(|r| if r < d as u64 { r } else { next() % d as u64 })
+                    .collect();
+                for i in (1..vals.len()).rev() {
+                    vals.swap(i, (next() % (i as u64 + 1)) as usize);
+                }
+                let vals = vals.into_iter().map(|v| Value::Int(v as i64)).collect();
+                (format!("c{c}"), vals)
+            })
+            .collect();
+        Relation::from_columns(named).unwrap()
+    }
+
+    /// Distinct counts whose code widths sum to exactly `bits`: a 3-bit
+    /// and a 2-bit column (many ties) first, then columns at most
+    /// `max_width` bits wide.
+    fn distinct_for_width(bits: usize, max_width: usize) -> Vec<usize> {
+        let mut out = vec![5, 3];
+        let mut left = bits - 5;
+        while left > 0 {
+            let w = left.min(max_width);
+            out.push((1usize << (w - 1)) + 1);
+            left -= w;
+        }
+        out
+    }
+
+    fn assert_matches_oracle(r: &Relation, cols: &[ColumnId], tag: &str) {
         assert_eq!(
-            sort_index_by(&r, &cols),
-            sort_index_by_comparator(&r, &cols)
+            sort_index_by(r, cols),
+            sort_index_by_comparator(r, cols),
+            "{tag}: cols {cols:?}"
         );
     }
 
     #[test]
-    fn packed_radix_large_input_uses_wide_digits() {
-        // > 2^14 rows exercises the 16-bit digit path.
-        let rows = 20_000;
-        let r = pseudo_random_relation(2, rows, 300, 7);
-        let sorted = sort_index_by(&r, &[0, 1]);
-        assert_eq!(sorted.len(), rows);
-        for w in sorted.windows(2) {
-            assert_ne!(
-                cmp_rows(&r, &[0, 1], w[0] as usize, w[1] as usize),
-                Ordering::Greater
-            );
+    fn packed_radix_branches_match_comparator_oracle() {
+        // Row counts on both sides of the narrowest (8-bit, below 2^9
+        // rows) and the widest (11-bit, from 2^11 rows) digit limit, and
+        // two larger ones; on each, key widths on both sides of
+        // 64 - row_bits, where the row id leaves the key word.
+        for (i, rows) in [511usize, 513, 2047, 2049, 16_385, 65_537]
+            .into_iter()
+            .enumerate()
+        {
+            let row_bits = code_bits(rows);
+            let mut distinct = distinct_for_width(64 - row_bits, row_bits - 1);
+            distinct.push(2);
+            let r = relation_with_distinct(rows, &distinct, i as u64 + 1);
+            let all: Vec<ColumnId> = (0..distinct.len()).collect();
+            let (in_word, beside) = (&all[..all.len() - 1], &all[..]);
+            assert_eq!(packed_bits(&r, in_word), Some(64 - row_bits));
+            assert_eq!(packed_bits(&r, beside), Some(65 - row_bits));
+            assert_matches_oracle(&r, in_word, &format!("{rows} rows, row id in the key"));
+            assert_matches_oracle(&r, beside, &format!("{rows} rows, row id beside"));
         }
-        // Stability: ties keep ascending row order.
-        for w in sorted.windows(2) {
-            if cmp_rows(&r, &[0, 1], w[0] as usize, w[1] as usize) == Ordering::Equal {
-                assert!(w[0] < w[1], "stable sort keeps original order on ties");
+    }
+
+    #[test]
+    fn packed_and_chained_kernels_match_oracle_around_64_bits() {
+        // Over 600 rows (10-bit row ids): eight 9-bit columns of 300 values
+        // (each value on about two rows, so every column leaves ties for
+        // the next), a 1-bit and a 2-bit column, a constant column and
+        // repeats. 54 key bits leave room for the row id, 63 and 64 do
+        // not, 65 and 72 no longer pack.
+        let mut distinct = vec![300; 8];
+        distinct.extend([2, 3, 1]);
+        let r = relation_with_distinct(600, &distinct, 17);
+        let nine: Vec<ColumnId> = (0..8).collect();
+        let (bit, two_bits, constant) = (8, 9, 10);
+        let lists: Vec<(Vec<ColumnId>, Option<usize>)> = vec![
+            (nine[..6].to_vec(), Some(54)),
+            (nine[..7].to_vec(), Some(63)),
+            ([&[bit], &nine[..7]].concat(), Some(64)),
+            ([&[two_bits], &nine[..7]].concat(), None),
+            (nine.clone(), None),
+            (vec![constant, bit, constant, 1], Some(10)),
+            (vec![two_bits, 1, two_bits, 2, 1], Some(31)),
+            (vec![constant, bit], Some(1)),
+            (vec![constant, constant], Some(0)),
+        ];
+        for (cols, bits) in &lists {
+            assert_eq!(packed_bits(&r, cols), *bits, "cols {cols:?}");
+            assert_matches_oracle(&r, cols, "600 rows");
+        }
+    }
+
+    #[test]
+    fn radix_sort_skips_a_shared_digit_and_stays_stable() {
+        // 300 keys of 24 bits whose middle 8-bit digit is the same in
+        // every key: the pass over it is skipped, the others still sort.
+        let mut next = xorshift(3);
+        let keys: Vec<u64> = (0..300)
+            .map(|_| {
+                let r = next();
+                ((r % 7) << 16) | (0x5A << 8) | ((r >> 40) % 5)
+            })
+            .collect();
+        let pairs: Vec<(u64, u32)> = keys.iter().copied().zip(0u32..).collect();
+        let mut want = pairs.clone();
+        want.sort_by_key(|&(k, _)| k);
+        assert_eq!(radix_sort(pairs, |&(k, _)| k, 0, 24), want);
+    }
+
+    #[test]
+    fn rank_keys_order_and_equate_rows_like_the_comparator() {
+        // Lists under 64 bits take the packed codes, the 72-bit list the
+        // chained refinement's run ids.
+        let mut distinct = vec![300; 8];
+        distinct.extend([2, 1]);
+        let r = relation_with_distinct(600, &distinct, 29);
+        let lists: Vec<Vec<ColumnId>> = vec![
+            vec![],
+            vec![9],
+            vec![3],
+            vec![8, 0],
+            vec![0, 8, 0],
+            (0..7).collect(),
+            (0..8).collect(),
+            (0..10).rev().collect(),
+        ];
+        for cols in &lists {
+            let keys = rank_keys(&r, cols);
+            assert_eq!(keys.len(), r.num_rows());
+            let order = sort_index_by_comparator(&r, cols);
+            for w in order.windows(2) {
+                let (a, b) = (w[0] as usize, w[1] as usize);
+                let want = cmp_rows(&r, cols, a, b);
+                assert_ne!(want, Ordering::Greater, "comparator order");
+                assert_eq!(
+                    keys[a].cmp(&keys[b]),
+                    want,
+                    "cols {cols:?}, rows {a} and {b}"
+                );
             }
         }
     }
