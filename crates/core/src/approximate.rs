@@ -70,17 +70,19 @@ use crate::config::DiscoveryConfig;
 use crate::deps::{AttrList, Ocd, Od};
 use crate::runtime::TerminationReason;
 use crate::snapshot::{to_micros, ApproxMeta, SearchSnapshot, SnapshotError};
-use ocdd_relation::sort::{rank_keys, sort_index_by};
+use ocdd_relation::sort::{ClassOrder, RowKeys};
 use ocdd_relation::{manifest_hash, ColumnId, Relation, Sample, SampleSpec, SampleStrategy};
 
 /// Row passes one error decomposition costs — the documented cost model
 /// behind [`ApproxStats::sample_row_scans`] / [`ApproxStats::full_row_scans`]
-/// (one fused checker scan costs one pass). A decomposition runs the
-/// `(lhs, rhs)` sort, one pass that builds the LHS and RHS rank keys and
-/// one fused walk that feeds the LNDS and reads the split count off the
-/// LHS classes. The model over-counts that work: it stays at the four
-/// passes it has always charged, so row-scan counts remain comparable
-/// across revisions.
+/// (one fused checker scan costs one pass). A decomposition runs one
+/// counting sort of the rows by the key's first column and one fused walk
+/// that orders each class of that column as it arrives, reads both sides'
+/// keys, feeds the LNDS and reads the split count off the LHS classes.
+/// The model over-counts that work, most of all for a walk that stops at
+/// its reject after a few hundred rows: it stays at the four passes it has
+/// always charged, so row-scan counts remain comparable across
+/// revisions.
 pub const ERR_PASSES: u64 = 4;
 
 /// Error decomposition of an OD candidate.
@@ -127,13 +129,6 @@ impl OdError {
     }
 }
 
-/// Key lookup by permuted row id; `r` always comes from a permutation of
-/// `0..keys.len()`, so the fallback is unreachable.
-#[inline]
-fn key_at(keys: &[u64], r: u32) -> u64 {
-    keys.get(r as usize).copied().unwrap_or(0)
-}
-
 /// Patience-sorting state of a longest non-decreasing subsequence:
 /// `tails[k]` is the smallest value ending a non-decreasing chain of
 /// length `k + 1` among the values pushed so far (`O(log m)` per push).
@@ -170,9 +165,9 @@ impl Patience {
 /// One LHS equivalence class, as a [`SortedRows::walk`] reports it.
 #[derive(Clone, Copy)]
 struct Class {
-    /// First position of the class's run in [`SortedRows::order`].
+    /// Walk position of the class's first row.
     start: usize,
-    /// One past its last position.
+    /// One past its last row's position.
     end: usize,
     /// The class's most frequent RHS key (the smallest on a tie).
     plurality: u64,
@@ -187,27 +182,89 @@ impl Class {
     }
 }
 
-/// The rows of one error decomposition, sorted once.
-///
-/// `order` sorts the rows by `lhs ++ rhs` with already-seen columns
-/// dropped (a repeated column cannot reorder rows its first occurrence
-/// left tied). Each LHS class is therefore one contiguous run of `order`,
-/// and inside a run the rows ascend by their RHS projection, so rows equal
-/// on both sides are adjacent. This is the `(lhs_rank, rhs_rank)` order
-/// the decomposition is defined over, up to the order among rows equal on
-/// both sides, which all carry the same RHS key.
-struct SortedRows {
-    /// Row ids in `(lhs, rhs)` order.
-    order: Vec<u32>,
-    /// LHS rank key per row id ([`rank_keys`]): equal exactly on rows of
-    /// one LHS class.
-    lhs_key: Vec<u64>,
-    /// RHS rank key per row id, ordered as the RHS projections.
-    rhs_key: Vec<u64>,
+/// The smallest removal counts at which a caller's verdict test rejects a
+/// decomposition: the swap count with no split, and the split count with
+/// no swap. A walk whose lower bound on either count reaches its entry has
+/// its verdict settled, whatever the rows it has not walked hold.
+#[derive(Clone, Copy)]
+struct RejectAt {
+    swap: usize,
+    split: usize,
 }
 
-impl SortedRows {
-    fn new(rel: &Relation, lhs: &AttrList, rhs: &AttrList) -> SortedRows {
+impl RejectAt {
+    /// Never stop: the walk measures every row.
+    const NEVER: RejectAt = RejectAt {
+        swap: usize::MAX,
+        split: usize::MAX,
+    };
+
+    /// The entries for a decomposition of `rows` rows and the verdict test
+    /// `rejects`, which must be monotone: a test that rejects some counts
+    /// rejects every larger count. Each entry is the least count in
+    /// `0..=rows` it rejects, found by a binary search that runs `rejects`
+    /// itself, or `usize::MAX` when it rejects none.
+    fn new(rows: usize, rejects: impl Fn(&OdError) -> bool) -> RejectAt {
+        let least = |error: &dyn Fn(usize) -> OdError| {
+            if !rejects(&error(rows)) {
+                return usize::MAX;
+            }
+            // `rejects` holds at `hi` and fails below `lo`.
+            let (mut lo, mut hi) = (0, rows);
+            // lint: allow(unprobed-loop, binary search over 0..=rows: at most 33 halvings of a u32 row count)
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if rejects(&error(mid)) {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            lo
+        };
+        RejectAt {
+            swap: least(&|k| OdError {
+                swap_removals: k,
+                split_removals: 0,
+                rows,
+            }),
+            split: least(&|k| OdError {
+                swap_removals: 0,
+                split_removals: k,
+                rows,
+            }),
+        }
+    }
+}
+
+/// The rows of one error decomposition in `(lhs, rhs)` order, ordered as
+/// the walk reaches them.
+///
+/// The order is `sort_index_by(lhs ++ rhs)` with already-seen columns
+/// dropped (a repeated column cannot reorder rows its first occurrence
+/// left tied), built one class of the first column at a time
+/// ([`ClassOrder`]). Each LHS class is therefore one contiguous run of
+/// the walk, and inside a run the rows ascend by their RHS projection, so
+/// rows equal on both sides are adjacent. This is the
+/// `(lhs_rank, rhs_rank)` order the decomposition is defined over, up to
+/// the order among rows equal on both sides, which all carry the same RHS
+/// key.
+struct SortedRows<'r> {
+    /// The rows in `(lhs, rhs)` order.
+    order: ClassOrder<'r>,
+    /// LHS key of a row ([`RowKeys`]): equal exactly on rows of one LHS
+    /// class. `None` when both sides hold the same columns, as in the OCD
+    /// form `XY → YX`: then rows equal on one side are equal on the other,
+    /// and the RHS key tells the LHS classes apart.
+    lhs: Option<RowKeys<'r>>,
+    /// RHS key of a row, ordered as the RHS projections.
+    rhs: RowKeys<'r>,
+    /// Rows of the relation.
+    rows: usize,
+}
+
+impl<'r> SortedRows<'r> {
+    fn new(rel: &'r Relation, lhs: &AttrList, rhs: &AttrList) -> SortedRows<'r> {
         let mut key: Vec<ColumnId> = Vec::with_capacity(lhs.len() + rhs.len());
         // lint: allow(unprobed-loop, one pass over the two attribute lists, bounded by the schema width)
         for &c in lhs.as_slice().iter().chain(rhs.as_slice()) {
@@ -215,82 +272,124 @@ impl SortedRows {
                 key.push(c);
             }
         }
+        let same_columns = key.iter().all(|&c| lhs.contains(c) && rhs.contains(c));
         SortedRows {
-            order: sort_index_by(rel, &key),
-            lhs_key: rank_keys(rel, lhs.as_slice()),
-            rhs_key: rank_keys(rel, rhs.as_slice()),
+            order: ClassOrder::new(rel, &key),
+            lhs: (!same_columns).then(|| RowKeys::new(rel, lhs.as_slice())),
+            rhs: RowKeys::new(rel, rhs.as_slice()),
+            rows: rel.num_rows(),
         }
     }
 
-    /// The fused walk over `order`: hands every position and its RHS key
-    /// to `step` (the LNDS input), and every LHS class to `class` once its
-    /// run ends.
-    fn walk(&self, mut step: impl FnMut(usize, u64), mut class: impl FnMut(Class)) {
-        let Some(&first) = self.order.first() else {
-            return;
-        };
-        let mut lhs = key_at(&self.lhs_key, first);
+    /// The fused walk: feeds each row's RHS key to the LNDS and reads the
+    /// split count off the LHS classes. It hands every row, its RHS key
+    /// and the LNDS chain it ends to `visit`, and every LHS class to
+    /// `close` once its run ends.
+    ///
+    /// After each row the walk holds a lower bound on both removal
+    /// counts: the rows walked minus the LNDS length, and the minority
+    /// rows of the classes seen so far, the open one included. It stops at
+    /// the first row where either bound reaches its `stop` entry and
+    /// returns the bounds; otherwise it returns the exact decomposition.
+    fn walk(
+        self,
+        stop: RejectAt,
+        mut visit: impl FnMut(u32, u64, usize),
+        mut close: impl FnMut(Class),
+    ) -> OdError {
+        let SortedRows {
+            mut order,
+            lhs,
+            rhs,
+            rows,
+        } = self;
+        let mut lnds = Patience::default();
+        // The open class and its LHS key; the RHS key and length of its
+        // current equal-key run (RHS keys ascend inside a class, so each
+        // key is one run); the minority rows of the closed classes.
+        let mut open: Option<u64> = None;
         let mut cur = Class {
             start: 0,
             end: 0,
-            plurality: key_at(&self.rhs_key, first),
+            plurality: 0,
             count: 0,
         };
-        // RHS key and length of the current equal-key run in the class;
-        // RHS keys ascend inside a class, so each key is one run.
-        let (mut run_key, mut run) = (cur.plurality, 0usize);
-        // lint: allow(unprobed-loop, fused LNDS and split walk over one decomposition's sorted rows, bounded by the rows of the measured instance)
-        for (pos, &row) in self.order.iter().enumerate() {
-            let (l, y) = (key_at(&self.lhs_key, row), key_at(&self.rhs_key, row));
-            step(pos, y);
-            if l != lhs {
-                cur.end = pos;
-                class(cur);
-                lhs = l;
-                cur = Class {
-                    start: pos,
-                    end: pos,
-                    plurality: y,
-                    count: 0,
-                };
-                run = 0;
-            } else if y != run_key {
-                run = 0;
-            }
-            run_key = y;
-            run += 1;
-            if run > cur.count {
-                cur.count = run;
-                cur.plurality = y;
+        let (mut run_key, mut run, mut closed, mut walked) = (0u64, 0usize, 0usize, 0usize);
+        // lint: allow(unprobed-loop, fused LNDS and split walk over one decomposition's rows, bounded by the rows of the measured instance)
+        'walk: for i in 0..order.classes() {
+            for &row in order.class(i) {
+                let y = rhs.key(row);
+                let l = lhs.as_ref().map_or(y, |lhs| lhs.key(row));
+                visit(row, y, lnds.push(y));
+                if open != Some(l) {
+                    if open.is_some() {
+                        cur.end = walked;
+                        closed += cur.minority();
+                        close(cur);
+                    }
+                    open = Some(l);
+                    cur = Class {
+                        start: walked,
+                        end: walked,
+                        plurality: y,
+                        count: 0,
+                    };
+                    run = 0;
+                } else if y != run_key {
+                    run = 0;
+                }
+                run_key = y;
+                run += 1;
+                if run > cur.count {
+                    cur.count = run;
+                    cur.plurality = y;
+                }
+                walked += 1;
+                if walked - lnds.len() >= stop.swap
+                    || closed + (walked - cur.start - cur.count) >= stop.split
+                {
+                    break 'walk;
+                }
             }
         }
-        cur.end = self.order.len();
-        class(cur);
+        #[cfg(test)]
+        tests::note_walked(walked);
+        cur.end = walked;
+        if walked == rows && open.is_some() {
+            close(cur);
+        }
+        OdError {
+            swap_removals: walked - lnds.len(),
+            split_removals: closed + cur.minority(),
+            rows,
+        }
     }
 }
 
 /// Compute the exact error decomposition of the OD `lhs → rhs`.
 ///
-/// Both components come from one `(lhs, rhs)` sort and one walk over it:
-/// the swap component is `m − LNDS` of the RHS keys in that order, and
-/// the split component sums each LHS class's rows outside its plurality
-/// RHS key.
+/// Both components come from one walk over the rows in `(lhs, rhs)`
+/// order: the swap component is `m − LNDS` of the RHS keys in that order,
+/// and the split component sums each LHS class's rows outside its
+/// plurality RHS key.
 pub fn od_error(rel: &Relation, lhs: &AttrList, rhs: &AttrList) -> OdError {
-    let sorted = SortedRows::new(rel, lhs, rhs);
-    let mut lnds = Patience::default();
-    let mut split_removals = 0usize;
-    sorted.walk(
-        |_, y| {
-            lnds.push(y);
-        },
-        |c| split_removals += c.minority(),
-    );
-    let m = sorted.order.len();
-    OdError {
-        swap_removals: m - lnds.len(),
-        split_removals,
-        rows: m,
-    }
+    SortedRows::new(rel, lhs, rhs).walk(RejectAt::NEVER, |_, _, _| {}, |_| {})
+}
+
+/// [`od_error`] cut short once the verdict test `rejects` is settled: the
+/// walk stops at the first row where the removals seen so far already
+/// make `rejects` hold whatever the rest of the rows hold, and returns
+/// those lower bounds, which `rejects` rejects. A decomposition `rejects`
+/// does not reject is walked to the end and exact. `rejects` must be
+/// monotone (see [`RejectAt::new`]).
+fn bounded_od_error(
+    rel: &Relation,
+    lhs: &AttrList,
+    rhs: &AttrList,
+    rejects: impl Fn(&OdError) -> bool,
+) -> OdError {
+    let stop = RejectAt::new(rel.num_rows(), rejects);
+    SortedRows::new(rel, lhs, rhs).walk(stop, |_, _, _| {}, |_| {})
 }
 
 /// Error of the OCD `x ~ y`: the swap component of `XY → YX`. Its split
@@ -310,38 +409,39 @@ pub fn ocd_error(rel: &Relation, x: &AttrList, y: &AttrList) -> OdError {
 /// witnesses are exact for each component (see [`od_error`]), and removing
 /// them always yields an instance on which the OD holds.
 pub fn removal_witnesses(rel: &Relation, lhs: &AttrList, rhs: &AttrList) -> Vec<u32> {
-    let sorted = SortedRows::new(rel, lhs, rhs);
-    let m = sorted.order.len();
-    let mut witnesses: Vec<u32> = Vec::new();
+    let m = rel.num_rows();
+    // Each walked row with its RHS key, and the LHS classes.
+    let mut walked: Vec<(u32, u64)> = Vec::with_capacity(m);
+    let mut classes: Vec<Class> = Vec::new();
     // Swap side: patience sorting with predecessor links recovers one
     // longest non-decreasing chain of positions. It keeps every run of
     // equal RHS keys whole, so which rows it keeps does not depend on
     // the order among rows equal on both sides.
-    let mut lnds = Patience::default();
     let mut ends: Vec<usize> = Vec::new(); // ends[k]: position ending chain k
-    let mut prev: Vec<Option<usize>> = vec![None; m];
-    sorted.walk(
-        |pos, y| {
-            let k = lnds.push(y);
-            let link = k.checked_sub(1).and_then(|j| ends.get(j)).copied();
-            if let Some(p) = prev.get_mut(pos) {
-                *p = link;
-            }
+    let mut prev: Vec<Option<usize>> = Vec::with_capacity(m);
+    SortedRows::new(rel, lhs, rhs).walk(
+        RejectAt::NEVER,
+        |row, y, k| {
+            let pos = walked.len();
+            walked.push((row, y));
+            prev.push(k.checked_sub(1).and_then(|j| ends.get(j)).copied());
             match ends.get_mut(k) {
                 Some(e) => *e = pos,
                 None => ends.push(pos),
             }
         },
-        // Split side: rows disagreeing with their LHS class plurality.
-        |c| {
-            let rows = sorted.order.get(c.start..c.end).unwrap_or_default();
-            witnesses.extend(
-                rows.iter()
-                    .copied()
-                    .filter(|&r| key_at(&sorted.rhs_key, r) != c.plurality),
-            );
-        },
+        |c| classes.push(c),
     );
+    // Split side: rows disagreeing with their LHS class plurality.
+    let mut witnesses: Vec<u32> = Vec::new();
+    for c in &classes {
+        let rows = walked.get(c.start..c.end).unwrap_or_default();
+        witnesses.extend(
+            rows.iter()
+                .filter(|&&(_, y)| y != c.plurality)
+                .map(|&(row, _)| row),
+        );
+    }
     let mut keep = vec![false; m];
     let mut cursor = ends.last().copied();
     while let Some(p) = cursor {
@@ -351,12 +451,11 @@ pub fn removal_witnesses(rel: &Relation, lhs: &AttrList, rhs: &AttrList) -> Vec<
         cursor = prev.get(p).copied().flatten();
     }
     witnesses.extend(
-        sorted
-            .order
+        walked
             .iter()
             .zip(&keep)
             .filter(|&(_, &kept)| !kept)
-            .map(|(&row, _)| row),
+            .map(|(&(row, _), _)| row),
     );
 
     witnesses.sort_unstable();
@@ -631,6 +730,28 @@ pub(crate) struct TriagedOcd {
 }
 
 impl SampleTriage<'_> {
+    /// The verdict on an OCD's sample estimate.
+    fn ocd_verdict(&self, est: &OdError) -> Triage {
+        triage(est.swap_error(), self.half_width, self.epsilon)
+    }
+
+    /// The verdict on an OD direction's sample estimate: on the worse of
+    /// its two error components.
+    fn od_verdict(&self, est: &OdError) -> Triage {
+        let worst = est.swap_error().max(est.split_error());
+        triage(worst, self.half_width, self.epsilon)
+    }
+
+    /// Whether an OCD's full-data error holds at ε.
+    fn ocd_holds(&self, e: &OdError) -> bool {
+        e.swap_error() <= self.epsilon
+    }
+
+    /// Whether an OD direction's full-data error holds at ε.
+    fn od_holds(&self, e: &OdError) -> bool {
+        e.is_exact() || e.holds_at(self.epsilon)
+    }
+
     /// Charge one sample estimate to `tally`.
     fn charge_estimate(&self, est: &OdError, tally: &mut TriageTally) {
         tally.estimated += 1;
@@ -644,7 +765,8 @@ impl SampleTriage<'_> {
 
     /// The OCD `x ~ y` at ε, or `None` when it fails. A borderline
     /// estimate escalates to `exact`, the checker's full-data check, and
-    /// when that fails at ε > 0 to the full error decomposition.
+    /// when that fails at ε > 0 to the full error decomposition. Both
+    /// decompositions stop as soon as their verdict is a reject.
     pub(crate) fn ocd(
         &self,
         x: &AttrList,
@@ -652,9 +774,12 @@ impl SampleTriage<'_> {
         tally: &mut TriageTally,
         exact: impl FnOnce() -> bool,
     ) -> Option<TriagedOcd> {
-        let est = ocd_error(self.sample, x, y);
+        let (xy, yx) = (x.concat(y), y.concat(x));
+        let est = bounded_od_error(self.sample, &xy, &yx, |e| {
+            self.ocd_verdict(e) == Triage::Reject
+        });
         self.charge_estimate(&est, tally);
-        match triage(est.swap_error(), self.half_width, self.epsilon) {
+        match self.ocd_verdict(&est) {
             Triage::Reject => {
                 tally.rejected_by_sample += 1;
                 None
@@ -683,9 +808,9 @@ impl SampleTriage<'_> {
                 if self.epsilon <= 0.0 {
                     return None;
                 }
-                let e = ocd_error(self.rel, x, y);
+                let e = bounded_od_error(self.rel, &xy, &yx, |e| !self.ocd_holds(e));
                 tally.full_row_scans += ERR_PASSES * m as u64;
-                (e.swap_error() <= self.epsilon).then_some(TriagedOcd {
+                self.ocd_holds(&e).then_some(TriagedOcd {
                     removals: e.swap_removals,
                     rows: e.rows,
                     full_exact: false,
@@ -701,7 +826,8 @@ impl SampleTriage<'_> {
     /// full-data-exact OCD to `fused`, which re-runs the checker's OCD
     /// check and then its split-only scan (`None` when the OCD check
     /// fails); otherwise, or when that scan fails at ε > 0, to the full
-    /// error decomposition.
+    /// error decomposition. Both decompositions stop as soon as their
+    /// verdict is a reject.
     pub(crate) fn od(
         &self,
         lhs: &AttrList,
@@ -710,10 +836,11 @@ impl SampleTriage<'_> {
         tally: &mut TriageTally,
         fused: impl FnOnce() -> Option<bool>,
     ) -> bool {
-        let est = od_error(self.sample, lhs, rhs);
+        let est = bounded_od_error(self.sample, lhs, rhs, |e| {
+            self.od_verdict(e) == Triage::Reject
+        });
         self.charge_estimate(&est, tally);
-        let worst = est.swap_error().max(est.split_error());
-        match triage(worst, self.half_width, self.epsilon) {
+        match self.od_verdict(&est) {
             Triage::Accept => {
                 tally.accepted_by_sample += 1;
                 return true;
@@ -736,9 +863,9 @@ impl SampleTriage<'_> {
                 }
             }
         }
-        let e = od_error(self.rel, lhs, rhs);
+        let e = bounded_od_error(self.rel, lhs, rhs, |e| !self.od_holds(e));
         tally.full_row_scans += ERR_PASSES * m;
-        e.is_exact() || e.holds_at(self.epsilon)
+        self.od_holds(&e)
     }
 }
 
@@ -909,9 +1036,15 @@ pub fn discover_approximate_resume(
 /// `(lhs_rank, rhs_rank)` pairs in a map.
 #[cfg(test)]
 mod oracle {
-    use super::{key_at, AttrList, OdError, Relation};
+    use super::{AttrList, OdError, Relation};
     use ocdd_relation::sort::{cmp_rows, sort_index_by_comparator};
     use std::collections::BTreeMap;
+
+    /// Key lookup by permuted row id; `r` always comes from a permutation
+    /// of `0..keys.len()`, so the fallback is unreachable.
+    fn key_at(keys: &[u64], r: u32) -> u64 {
+        keys.get(r as usize).copied().unwrap_or(0)
+    }
 
     /// Length of the longest non-decreasing subsequence (patience sorting,
     /// `O(m log m)`).
@@ -1225,6 +1358,146 @@ mod tests {
             matches_oracle(&r, &lhs, &rhs)?;
             matches_oracle(&r, &lhs.concat(&rhs), &rhs.concat(&lhs))?;
         }
+    }
+
+    thread_local! {
+        /// Rows walked by the error decompositions of this test thread.
+        static WALKED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Count `rows` walked by one decomposition (called by every walk).
+    pub(super) fn note_walked(rows: usize) {
+        WALKED.with(|w| w.set(w.get() + rows));
+    }
+
+    /// Rows the decompositions run by `f` on this thread walk.
+    fn walked_by(f: impl FnOnce()) -> usize {
+        let before = WALKED.with(std::cell::Cell::get);
+        f();
+        WALKED.with(std::cell::Cell::get) - before
+    }
+
+    #[test]
+    fn reject_at_finds_the_least_rejecting_counts() {
+        // 10% of 100 rows: 11 removals are the first that exceed it.
+        let stop = RejectAt::new(100, |e| e.swap_error().max(e.split_error()) > 0.1);
+        assert_eq!((stop.swap, stop.split), (11, 11));
+        let stop = RejectAt::new(100, |e| e.swap_error() > 0.1);
+        assert_eq!((stop.swap, stop.split), (11, usize::MAX));
+        // A test that rejects nothing, or everything.
+        let stop = RejectAt::new(100, |_| false);
+        assert_eq!((stop.swap, stop.split), (usize::MAX, usize::MAX));
+        let stop = RejectAt::new(100, |_| true);
+        assert_eq!((stop.swap, stop.split), (0, 0));
+        let stop = RejectAt::new(0, |e| e.swap_error() > 0.0);
+        assert_eq!((stop.swap, stop.split), (usize::MAX, usize::MAX));
+    }
+
+    /// The bounded and the full decomposition of `lhs → rhs` settle the
+    /// same verdict under `verdict`, and agree on the error whenever it is
+    /// not a reject.
+    fn same_verdict<V: PartialEq + std::fmt::Debug>(
+        r: &Relation,
+        lhs: &AttrList,
+        rhs: &AttrList,
+        verdict: impl Fn(&OdError) -> V,
+        reject: V,
+    ) -> Result<(), proptest::TestCaseError> {
+        let full = od_error(r, lhs, rhs);
+        let bounded = bounded_od_error(r, lhs, rhs, |e| verdict(e) == reject);
+        proptest::prop_assert_eq!(verdict(&bounded), verdict(&full), "{} -> {}", lhs, rhs);
+        if verdict(&full) != reject {
+            proptest::prop_assert_eq!(bounded, full, "{} -> {}", lhs, rhs);
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(300))]
+
+        /// The triage's four verdict tests — the sample estimate of an OCD
+        /// and of an OD direction, and the two escalations' full-data
+        /// tests — on relations with NULLs, repeated columns and sides
+        /// over 64 bits, at ε in [0, 0.5] and half-widths 0, small and ∞.
+        #[test]
+        fn bounded_decomposition_settles_the_same_verdicts(
+            rows in 0usize..=400,
+            seed in 0u64..1 << 32,
+            shape in 0usize..4,
+            wide in proptest::collection::vec(proptest::collection::vec(4usize..12, 8..=10), 2..=2),
+            narrow in proptest::collection::vec(proptest::collection::vec(0usize..12, 1..=3), 2..=2),
+            eps_micros in 0u64..=500_000,
+            width in 0usize..3,
+            small in 1u64..=100_000,
+        ) {
+            let r = wide_relation(rows, seed);
+            let side = |i: usize| l(if shape >> i & 1 == 1 { &wide[i] } else { &narrow[i] });
+            let (x, y) = (side(0), side(1));
+            let t = SampleTriage {
+                rel: &r,
+                sample: &r,
+                half_width: [0.0, small as f64 / 1e6, f64::INFINITY][width],
+                epsilon: eps_micros as f64 / 1e6,
+                exhaustive: false,
+            };
+            let (xy, yx) = (x.concat(&y), y.concat(&x));
+            same_verdict(&r, &xy, &yx, |e| t.ocd_verdict(e), Triage::Reject)?;
+            same_verdict(&r, &xy, &yx, |e| t.ocd_holds(e), false)?;
+            for (lhs, rhs) in [(&x, &y), (&y, &x)] {
+                same_verdict(&r, lhs, rhs, |e| t.od_verdict(e), Triage::Reject)?;
+                same_verdict(&r, lhs, rhs, |e| t.od_holds(e), false)?;
+            }
+        }
+    }
+
+    #[test]
+    fn a_rejecting_estimate_walks_a_fraction_of_the_rows() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(3);
+        let rows = 5_000;
+        let mut random = || {
+            (0..rows)
+                .map(|_| rng.random_range(0..1_000))
+                .collect::<Vec<i64>>()
+        };
+        let (va, vb) = (random(), random());
+        let r = rel(&[("a", &va), ("b", &vb)]);
+        let t = SampleTriage {
+            rel: &r,
+            sample: &r,
+            half_width: hoeffding_half_width(rows, 0.95),
+            epsilon: 0.01,
+            exhaustive: false,
+        };
+        let (a, b) = (l(&[0]), l(&[1]));
+        let mut tally = TriageTally::default();
+        let walked = walked_by(|| {
+            let ocd = t.ocd(&a, &b, &mut tally, || panic!("a reject never escalates"));
+            assert!(ocd.is_none());
+        });
+        assert_eq!(tally.rejected_by_sample, 1);
+        assert!(walked < rows / 10, "the OCD estimate walked {walked} rows");
+        let walked = walked_by(|| {
+            let full_exact = TriagedOcd {
+                removals: 0,
+                rows,
+                full_exact: true,
+            };
+            let od = t.od(&a, &b, full_exact, &mut tally, || {
+                panic!("a reject never escalates")
+            });
+            assert!(!od);
+        });
+        assert_eq!(tally.rejected_by_sample, 2);
+        assert!(walked < rows / 10, "the OD estimate walked {walked} rows");
+        // The cost model charges a stopped walk in full.
+        assert_eq!(tally.sample_row_scans, 2 * ERR_PASSES * rows as u64);
+        // The full decomposition walks every row.
+        assert_eq!(
+            walked_by(|| assert_eq!(od_error(&r, &a, &b).rows, rows)),
+            rows
+        );
     }
 
     #[test]

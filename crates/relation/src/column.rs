@@ -505,10 +505,16 @@ impl<'a> Keys<'a> {
     }
 
     /// Sort the keys and give each run of equal ones the next dense rank.
+    ///
+    /// `Int` and `Text` keys sort by the key alone: equal keys decode to
+    /// the same [`Value`], so their order changes no code and no
+    /// dictionary entry. Equal `Float` keys can be distinct values
+    /// (`Int(2)`/`Float(2.0)`, `0`/`-0.0`), so they tie by row, which puts
+    /// the lowest row's value first for the representative rule.
     fn rank(self, codes: &mut [u32], dictionary: &mut Vec<Value>) {
         match self {
             Keys::Int(mut keys) => {
-                keys.sort_unstable();
+                keys.sort_unstable_by_key(|&(key, _)| key);
                 rank_runs(&keys, |a, b| a == b, |&i| Value::Int(i), codes, dictionary);
             }
             Keys::Float(mut keys) => {
@@ -522,7 +528,7 @@ impl<'a> Keys<'a> {
                 );
             }
             Keys::Text(mut keys) => {
-                keys.sort_unstable();
+                keys.sort_unstable_by(|a, b| a.0.cmp(&b.0));
                 rank_runs(
                     &keys,
                     |a, b| a == b,
@@ -541,8 +547,8 @@ fn rekey<A, B>(keys: &[(A, u32)], f: impl Fn(&A) -> B) -> Vec<(B, u32)> {
 }
 
 /// Give each run of equal keys in `sorted` the next dense rank, appending
-/// the run's first key — its lowest row, as ties sort by row — to the
-/// dictionary.
+/// the run's first key to the dictionary (for `Float` keys, which tie by
+/// row, the lowest row's).
 // lint: allow(panic-reachability, every row is a row id below the encoded column's row count, so row < codes.len())
 fn rank_runs<K>(
     sorted: &[(K, u32)],

@@ -8,8 +8,10 @@
 //! bytes outside quotes (found by quote parity), and each run is scanned
 //! in one pass that appends every field to its column as a slice of the
 //! input — copied only when a `""` escape or a dropped `\r` splits the
-//! field's content. Then the columns are handed out one at a time, and
-//! each is rank encoded straight from its runs' slices, in run order. No
+//! field's content. Then the columns are handed out one at a time, most
+//! field bytes first, and each is rank encoded straight from its runs'
+//! slices, in run order. Text under 40,000 bytes is read on one worker,
+//! where a second thread costs more than it saves. No
 //! record matrix and no per-cell `String` or [`crate::Value`] is built;
 //! only distinct values are copied. If any run reports a syntax error or
 //! a ragged record, the whole input is scanned again on one thread, so
@@ -18,7 +20,7 @@
 use crate::column::{CellSource, Column};
 use crate::datatype::TypingMode;
 use crate::error::{Error, Result};
-use crate::pool::{available_threads, par_map};
+use crate::pool::{ingest_threads, par_map, SERIAL_CSV_BYTES};
 use crate::relation::Relation;
 use crate::value::Cell;
 use std::borrow::Cow;
@@ -195,10 +197,13 @@ fn scan<'a>(text: &'a str, sep: char, mut emit: impl FnMut(Cow<'a, str>, bool)) 
 struct Tokens<'a> {
     slices: Vec<&'a str>,
     copied: Vec<(usize, String)>,
+    /// Bytes in the fields.
+    bytes: usize,
 }
 
 impl<'a> Tokens<'a> {
     fn add_field(&mut self, field: Cow<'a, str>) {
+        self.bytes += field.len();
         match field {
             Cow::Borrowed(slice) => self.slices.push(slice),
             Cow::Owned(copy) => {
@@ -227,6 +232,13 @@ impl<'a> Tokens<'a> {
 struct ColumnFields<'a, 'n> {
     chunks: Vec<Tokens<'a>>,
     null_tokens: &'n [&'n str],
+}
+
+impl ColumnFields<'_, '_> {
+    /// Bytes in the column's fields: what its encoding costs, roughly.
+    fn bytes(&self) -> usize {
+        self.chunks.iter().map(|tokens| tokens.bytes).sum()
+    }
 }
 
 impl CellSource for ColumnFields<'_, '_> {
@@ -330,14 +342,14 @@ fn record_chunks(text: &str, pieces: usize) -> Vec<&str> {
     chunks
 }
 
-/// Parse CSV text into a [`Relation`], on every core the host offers
-/// (see [`crate::pool`]); the relation and every error are the same at
-/// every thread count.
+/// Parse CSV text into a [`Relation`], on every core the host offers, or
+/// on one for text under 40,000 bytes (see [`crate::pool`]); the relation
+/// and every error are the same at every thread count.
 ///
 /// Ragged records are reported with their record number (the header is
 /// line 1), after any syntax error anywhere in the input.
 pub fn read_csv_str(text: &str, opts: &CsvOptions) -> Result<Relation> {
-    read_csv_on(text, opts, available_threads())
+    read_csv_on(text, opts, ingest_threads(text.len() < SERIAL_CSV_BYTES))
 }
 
 /// [`read_csv_str`] on `threads` workers. The text is cut into up to
@@ -399,7 +411,19 @@ pub(crate) fn read_csv_on(text: &str, opts: &CsvOptions, threads: usize) -> Resu
         })
         .collect();
     let num_rows = columns.first().map_or(0, |(_, fields)| fields.rows());
-    let columns = Column::encode_all(columns, opts.typing, threads);
+    // Hand out the columns with the most field bytes first, so the
+    // costliest encodes start early instead of one of them running alone
+    // at the end; then put the encoded columns back in schema order.
+    let mut columns: Vec<(usize, (String, ColumnFields<'_, '_>))> =
+        columns.into_iter().enumerate().collect();
+    columns.sort_by_key(|(_, (_, fields))| std::cmp::Reverse(fields.bytes()));
+    let (slots, columns): (Vec<usize>, Vec<_>) = columns.into_iter().unzip();
+    let mut encoded: Vec<(usize, Column)> = slots
+        .into_iter()
+        .zip(Column::encode_all(columns, opts.typing, threads))
+        .collect();
+    encoded.sort_unstable_by_key(|&(slot, _)| slot);
+    let columns = encoded.into_iter().map(|(_, column)| column).collect();
     Ok(Relation::from_encoded(columns, num_rows))
 }
 

@@ -10,10 +10,28 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-/// The number of threads the host can run at once: the worker count of
-/// CSV ingest, which does not depend on it for its result.
-pub(crate) fn available_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+/// Inputs of fewer cells than this are encoded on one worker: on them,
+/// starting and joining a second thread costs about as much as it saves,
+/// or more. Timed as `read_csv_str` of integer CSVs on one and on two
+/// threads, best of 50 runs on a 2-vCPU x86-64 host, two rounds: one
+/// thread won at 1,920 cells (64 × 30: 133–241 against 250–301 µs), two
+/// threads at 30,720 (1,024 × 30: 1.76–1.80 against 1.89–2.97 ms), and at
+/// 7,680 and 12,288 cells the two stayed within run-to-run noise.
+pub(crate) const SERIAL_CELLS: usize = 10_000;
+
+/// CSV text shorter than this is read on one worker: [`SERIAL_CELLS`] at
+/// about 4 bytes a cell, separator included (the timed inputs took 3).
+pub(crate) const SERIAL_CSV_BYTES: usize = 4 * SERIAL_CELLS;
+
+/// The worker count of an ingest: one for an input below the cut-off
+/// (see [`SERIAL_CELLS`]), otherwise the number of threads the host can
+/// run at once. Ingest does not depend on it for its result.
+pub(crate) fn ingest_threads(tiny: bool) -> usize {
+    if tiny {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    }
 }
 
 /// An item waiting for its worker, or the result that replaced it.

@@ -3,7 +3,7 @@
 use crate::column::{CodeWidth, Column, ColumnMeta, NarrowCodes, RowsColumn};
 use crate::datatype::TypingMode;
 use crate::error::{Error, Result};
-use crate::pool::available_threads;
+use crate::pool::{ingest_threads, SERIAL_CELLS};
 use crate::value::Value;
 
 /// Index of a column within a relation (attribute identifier).
@@ -50,15 +50,17 @@ impl Relation {
     /// the column is rank encoded. Only distinct values are copied.
     ///
     /// The columns are encoded on every core the host offers, one column
-    /// per worker at a time (see [`crate::pool`]); the relation is the same
-    /// at every thread count.
+    /// per worker at a time, or on one worker below 10,000 cells (see
+    /// [`crate::pool`]); the relation is the same at every thread count.
     ///
     /// All columns must have the same length.
     pub fn from_column_slices<'a>(
         named: impl IntoIterator<Item = (&'a str, &'a [Value])>,
         mode: TypingMode,
     ) -> Result<Relation> {
-        Self::from_column_slices_on(named, mode, available_threads())
+        let named: Vec<(&str, &[Value])> = named.into_iter().collect();
+        let cells: usize = named.iter().map(|(_, vals)| vals.len()).sum();
+        Self::from_column_slices_on(named, mode, ingest_threads(cells < SERIAL_CELLS))
     }
 
     /// [`Relation::from_column_slices`] on `threads` workers.

@@ -10,10 +10,11 @@
 //!
 //! [`Sample::build`] therefore uses a fully specified SplitMix64
 //! generator (no `std` hasher, no platform entropy) and carries
-//! provenance — the parent's [`manifest_hash`], the seed, the strategy,
-//! and the ascending row map — so a checkpoint dump can record exactly
+//! provenance — the seed, the strategy, the ascending row map and the
+//! sample's [`manifest_hash`] — so a checkpoint dump can record exactly
 //! which sample a run was taken on, and a resume can rebuild and verify
-//! it (rejecting on any mismatch, mirroring the manifest check).
+//! it (rejecting on any mismatch, mirroring the manifest check the resume
+//! runs on the parent itself).
 //!
 //! Two strategies are provided:
 //!
@@ -87,8 +88,6 @@ impl SampleSpec {
 /// parent relation and to reject a resume against the wrong sample.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SampleProvenance {
-    /// [`manifest_hash`] of the parent relation.
-    pub parent_manifest: u64,
     /// Row count of the parent relation.
     pub parent_rows: usize,
     /// Seed the rows were drawn with.
@@ -139,9 +138,10 @@ impl Sample {
                     stratified(parent, col, take, spec.seed)
                 }
                 // Out-of-range stratification column: fall back to
-                // uniform rather than panicking — the provenance still
-                // records the requested strategy, so a resume under a
-                // different schema is caught by the parent manifest.
+                // uniform rather than panicking. The provenance still
+                // records the requested strategy; a resume against a
+                // different schema fails the manifest check it runs on
+                // the parent.
                 SampleStrategy::Stratified(_) => {
                     let mut rng = SplitMix64::new(spec.seed);
                     reservoir(&mut (0..m as u32), take, &mut rng)
@@ -151,7 +151,6 @@ impl Sample {
         row_map.sort_unstable();
         let relation = parent.select_rows(&row_map);
         let provenance = SampleProvenance {
-            parent_manifest: manifest_hash(parent),
             parent_rows: m,
             seed: spec.seed,
             strategy: spec.strategy,

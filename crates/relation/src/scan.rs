@@ -50,7 +50,7 @@ const ZERO_SEL: [u8; BLOCK_PAIRS] = [0; BLOCK_PAIRS];
 /// Which scan-kernel family classified a scan (reported through
 /// [`kernel_stats`] and `DiscoveryResult.kernels`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanKernel {
+pub(crate) enum ScanKernel {
     /// Per-pair `cmp_rows` walk — small inputs and the differential
     /// oracle.
     Scalar,
@@ -61,7 +61,7 @@ pub enum ScanKernel {
 /// Kernel the dispatcher picks for a scan of `pairs` adjacent pairs:
 /// scalar below one block (the gather+fold setup doesn't amortize),
 /// blockwise otherwise.
-pub fn select_kernel(pairs: usize) -> ScanKernel {
+pub(crate) fn select_kernel(pairs: usize) -> ScanKernel {
     if pairs < BLOCK_PAIRS {
         ScanKernel::Scalar
     } else {
@@ -70,9 +70,8 @@ pub fn select_kernel(pairs: usize) -> ScanKernel {
 }
 
 /// Record one scan in the process-global kernel counters (see
-/// [`kernel_stats`]); exposed so the sorted-partition walk in the core
-/// crate reports through the same counters.
-pub fn note_scan(kernel: ScanKernel) {
+/// [`kernel_stats`]).
+pub(crate) fn note_scan(kernel: ScanKernel) {
     match kernel {
         ScanKernel::Scalar => kernel_stats::bump_scan_scalar(),
         ScanKernel::Block => kernel_stats::bump_scan_block(),
@@ -88,7 +87,7 @@ pub fn note_scan(kernel: ScanKernel) {
 /// verdict [`cmp_rows`] returns, computed branchlessly for the whole
 /// block at once.
 #[derive(Debug, Clone)]
-pub struct BlockLex {
+pub(crate) struct BlockLex {
     eq: [u8; BLOCK_PAIRS],
     lt: [u8; BLOCK_PAIRS],
     gt: [u8; BLOCK_PAIRS],
@@ -180,32 +179,13 @@ impl BlockLex {
         }
         None
     }
-
-    /// First selected pair that is not tied: `sel & (lt | gt)` — the
-    /// split predicate. `sel` must be zero past the live pair count.
-    pub fn first_split_violation(&self, sel: &[u8; BLOCK_PAIRS]) -> Option<usize> {
-        let mut base = 0;
-        for ((g8, l8), s8) in self
-            .gt
-            .chunks_exact(8)
-            .zip(self.lt.chunks_exact(8))
-            .zip(sel.chunks_exact(8))
-        {
-            let v = word64(s8) & (word64(l8) | word64(g8));
-            if v != 0 {
-                return Some(base + (v.trailing_zeros() as usize) / 8);
-            }
-            base += 8;
-        }
-        None
-    }
 }
 
 /// Per-pair equality state of one block: `0xFF` while the pair's rows
 /// are equal on every folded column. The `lhs`-tie mask of the index
 /// scans, and the cheap `rhs` state of the split-only scan.
 #[derive(Debug, Clone)]
-pub struct BlockEq {
+pub(crate) struct BlockEq {
     eq: [u8; BLOCK_PAIRS],
 }
 
@@ -337,8 +317,9 @@ fn fold_eq<T: Copy + Eq>(buf: &[T], eq: &mut [u8]) {
 /// violating the OD `lhs → rhs`: the pair decreases on `rhs`, or is tied
 /// on `lhs` while changing on `rhs`. `None` when the OD holds.
 ///
-/// Dispatches per [`select_kernel`]; byte-identical to
-/// [`od_scan_scalar`] on every input.
+/// Scans of fewer than [`BLOCK_PAIRS`] pairs run the scalar kernel, longer
+/// ones the blockwise kernels; byte-identical to [`od_scan_scalar`] on
+/// every input.
 pub fn od_scan(rel: &Relation, lhs: &[ColumnId], rhs: &[ColumnId], index: &[u32]) -> Option<usize> {
     if index.len() < 2 {
         note_scan(ScanKernel::Scalar);
@@ -358,8 +339,9 @@ pub fn od_scan(rel: &Relation, lhs: &[ColumnId], rhs: &[ColumnId], index: &[u32]
 /// the fused direction check (sound as a full OD check only when a swap
 /// is impossible). `None` when no split exists.
 ///
-/// Dispatches per [`select_kernel`]; byte-identical to
-/// [`split_scan_scalar`] on every input.
+/// Scans of fewer than [`BLOCK_PAIRS`] pairs run the scalar kernel, longer
+/// ones the blockwise kernels; byte-identical to [`split_scan_scalar`] on
+/// every input.
 pub fn split_scan(
     rel: &Relation,
     lhs: &[ColumnId],

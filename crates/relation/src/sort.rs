@@ -30,7 +30,14 @@
 //!
 //! [`rank_keys`] gives each row a `u64` whose order and equality match its
 //! projection: the packed codes, with no sort, when they fit in 64 bits,
-//! and the chained refinement's run ids otherwise.
+//! and the chained refinement's run ids otherwise. [`RowKeys`] reads the
+//! same key one row at a time.
+//!
+//! [`ClassOrder`] gives [`sort_index_by`]'s order one class of the first
+//! column at a time: a counting sort by that column up front, and each
+//! class sorted by the rest of the list only when a caller reads it. The
+//! ε-error decomposition walks it and may stop long before the last
+//! class.
 //!
 //! [`kernel_stats`] counts which kernel ran (process-global relaxed
 //! atomics; snapshot deltas feed the discovery result and the ablation
@@ -206,9 +213,11 @@ fn packed_bits(rel: &Relation, cols: &[ColumnId]) -> Option<usize> {
     Some(total)
 }
 
-/// Stable counting sort of the identity permutation by one code column.
+/// Stable counting sort of the identity permutation by one code column:
+/// the sorted row ids, and for each code `c` below `distinct.max(1)` the
+/// position one past the last row with code `c` (the end of its class).
 // lint: allow(panic-reachability, codes are dense ranks < distinct and starts is sized distinct+1, so every histogram index is in bounds)
-fn counting_sort_single(codes: &[u32], distinct: usize) -> Vec<u32> {
+fn counting_sort_classes(codes: &[u32], distinct: usize) -> (Vec<u32>, Vec<u32>) {
     kernel_stats::bump_counting();
     let m = codes.len();
     let d = distinct.max(1);
@@ -226,7 +235,9 @@ fn counting_sort_single(codes: &[u32], distinct: usize) -> Vec<u32> {
         out[*slot as usize] = row as u32;
         *slot += 1;
     }
-    out
+    // Each code's slot has moved from its class's start to its end.
+    starts.truncate(d);
+    (out, starts)
 }
 
 /// Each row's codes on `cols`, `bits` wide in total, packed into one `u64`
@@ -446,7 +457,7 @@ pub fn sort_index_by(rel: &Relation, cols: &[ColumnId]) -> Vec<u32> {
     );
     match cols {
         [] => (0..m as u32).collect(),
-        [single] => counting_sort_single(rel.codes(*single), rel.meta(*single).distinct),
+        [single] => counting_sort_classes(rel.codes(*single), rel.meta(*single).distinct).0,
         _ => match packed_bits(rel, cols) {
             Some(bits) => radix_sort_packed(rel, cols, bits),
             None => refine_all(rel, cols).rows,
@@ -472,6 +483,162 @@ pub fn rank_keys(rel: &Relation, cols: &[ColumnId]) -> Vec<u64> {
             }
             keys
         }
+    }
+}
+
+/// A key per row on a column list, read one row at a time: the key
+/// [`rank_keys`] gives the row. When the list's codes fit in 64 bits the
+/// key is the row's packed codes, built only for the rows that are read;
+/// otherwise [`RowKeys::new`] runs [`rank_keys`] for every row up front.
+pub struct RowKeys<'r> {
+    /// Width of every key in bits (for ranked keys, of the row count).
+    bits: usize,
+    keys: Keys<'r>,
+}
+
+/// How [`RowKeys`] reads a key.
+enum Keys<'r> {
+    /// Each non-constant column's codes, and the shift of its field in
+    /// the packed key.
+    Packed(Vec<(&'r [u32], usize)>),
+    /// [`rank_keys`] of a list over 64 bits.
+    Ranked(Vec<u64>),
+}
+
+impl<'r> RowKeys<'r> {
+    /// The keys of `rel`'s rows on `cols`.
+    pub fn new(rel: &'r Relation, cols: &[ColumnId]) -> RowKeys<'r> {
+        match packed_bits(rel, cols) {
+            Some(bits) => {
+                let mut offset = bits;
+                let fields = cols
+                    .iter()
+                    .filter_map(|&c| {
+                        let width = code_bits(rel.meta(c).distinct);
+                        (width > 0).then(|| {
+                            offset -= width;
+                            (rel.codes(c), offset)
+                        })
+                    })
+                    .collect();
+                RowKeys {
+                    bits,
+                    keys: Keys::Packed(fields),
+                }
+            }
+            None => RowKeys {
+                bits: code_bits(rel.num_rows()),
+                keys: Keys::Ranked(rank_keys(rel, cols)),
+            },
+        }
+    }
+
+    /// The key of row `row`, which must be a row of the relation (any
+    /// other row reads as 0).
+    #[inline]
+    pub fn key(&self, row: u32) -> u64 {
+        let row = row as usize;
+        match &self.keys {
+            Keys::Packed(fields) => fields.iter().fold(0, |key, &(codes, shift)| {
+                key | u64::from(codes.get(row).copied().unwrap_or(0)) << shift
+            }),
+            Keys::Ranked(keys) => keys.get(row).copied().unwrap_or(0),
+        }
+    }
+}
+
+/// The rows sorted by a column list exactly as [`sort_index_by`] sorts
+/// them, ordered one class of the list's first column at a time.
+///
+/// One counting sort groups the rows by their code in the first column;
+/// each group — a *class* — holds its rows in row order. [`Self::class`]
+/// orders a class by the rest of the list when a caller reads it, on the
+/// rest's [`RowKeys`] with the row id breaking ties. The classes in code
+/// order thus put together `sort_index_by(rel, cols)`, and a caller that
+/// stops reading early never orders the classes it did not reach.
+///
+/// A class is ordered by one `sort_unstable` of `u64` words, each a row's
+/// rest key above its row id, or of `(key, row)` pairs when the two do not
+/// fit in one word. The counting sort counts as one
+/// [`kernel_stats`] `counting` sort; the class sorts count as none.
+pub struct ClassOrder<'r> {
+    /// Row ids grouped by their first-column code.
+    rows: Vec<u32>,
+    /// One past the last position of each class in `rows`.
+    ends: Vec<u32>,
+    /// Keys of the rest of the list.
+    rest: RowKeys<'r>,
+    /// Bits of the relation's row ids.
+    row_bits: usize,
+    /// Scratch of one class's sort words.
+    words: Vec<u64>,
+    /// Scratch of one class's sort pairs.
+    pairs: Vec<(u64, u32)>,
+}
+
+impl<'r> ClassOrder<'r> {
+    /// Group `rel`'s rows by the first column of `cols`; an empty list
+    /// makes one class of every row, in row order.
+    pub fn new(rel: &'r Relation, cols: &[ColumnId]) -> ClassOrder<'r> {
+        let m = rel.num_rows();
+        debug_assert!(
+            m <= u32::MAX as usize,
+            "row ids are u32 by the relation contract"
+        );
+        let ((rows, ends), rest) = match cols.split_first() {
+            Some((&first, rest)) => (
+                counting_sort_classes(rel.codes(first), rel.meta(first).distinct),
+                rest,
+            ),
+            None => (((0..m as u32).collect(), vec![m as u32]), cols),
+        };
+        ClassOrder {
+            rows,
+            ends,
+            rest: RowKeys::new(rel, rest),
+            row_bits: code_bits(m),
+            words: Vec::new(),
+            pairs: Vec::new(),
+        }
+    }
+
+    /// Number of classes: the first column's distinct count (at least 1).
+    pub fn classes(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The rows of class `i` — the rows whose first-column code is `i` —
+    /// ordered by the rest of the list, ties in row order (empty from
+    /// [`Self::classes`] on).
+    pub fn class(&mut self, i: usize) -> &[u32] {
+        let start = i
+            .checked_sub(1)
+            .and_then(|j| self.ends.get(j))
+            .map_or(0, |&e: &u32| e as usize);
+        let end = self.ends.get(i).map_or(start, |&e: &u32| e as usize);
+        let rows = self.rows.get_mut(start..end).unwrap_or_default();
+        let (rest, row_bits) = (&self.rest, self.row_bits);
+        if rows.len() < 2 || rest.bits == 0 {
+            return rows;
+        }
+        if rest.bits + row_bits <= 64 {
+            let mask = (1u64 << row_bits) - 1;
+            self.words.clear();
+            self.words
+                .extend(rows.iter().map(|&r| rest.key(r) << row_bits | u64::from(r)));
+            self.words.sort_unstable();
+            for (slot, &word) in rows.iter_mut().zip(&self.words) {
+                *slot = (word & mask) as u32;
+            }
+        } else {
+            self.pairs.clear();
+            self.pairs.extend(rows.iter().map(|&r| (rest.key(r), r)));
+            self.pairs.sort_unstable();
+            for (slot, &(_, row)) in rows.iter_mut().zip(&self.pairs) {
+                *slot = row;
+            }
+        }
+        rows
     }
 }
 
@@ -764,6 +931,117 @@ mod tests {
                     "cols {cols:?}, rows {a} and {b}"
                 );
             }
+        }
+    }
+
+    /// The classes of a [`ClassOrder`] on `cols`, put together.
+    fn class_by_class(r: &Relation, cols: &[ColumnId]) -> Vec<u32> {
+        let mut order = ClassOrder::new(r, cols);
+        let mut out = Vec::new();
+        for i in 0..order.classes() {
+            out.extend_from_slice(order.class(i));
+        }
+        assert!(order.class(order.classes()).is_empty());
+        out
+    }
+
+    #[test]
+    fn class_order_matches_sort_index_by() {
+        // 600 rows (10-bit row ids): eight 9-bit columns of 300 values, a
+        // 1-bit, a 2-bit and a constant column. Each list names which way
+        // its classes are sorted: the rest's packed key with the row id in
+        // the word, beside it in a pair, or the rest's rank keys.
+        let mut distinct = vec![300; 8];
+        distinct.extend([2, 3, 1]);
+        let r = relation_with_distinct(600, &distinct, 41);
+        let nine: Vec<ColumnId> = (0..8).collect();
+        let (bit, two_bits, constant) = (8, 9, 10);
+        let in_word = |cols: &[ColumnId]| {
+            let rest = RowKeys::new(&r, &cols[1..]);
+            (
+                rest.bits + code_bits(600) <= 64,
+                matches!(rest.keys, Keys::Ranked(_)),
+            )
+        };
+        let lists: Vec<(Vec<ColumnId>, (bool, bool))> = vec![
+            (vec![3], (true, false)),
+            (vec![3, 5], (true, false)),
+            (nine[..6].to_vec(), (true, false)),
+            // 54 + 10 bits: the row id just fits beside the rest.
+            ([&[bit], &nine[..6]].concat(), (true, false)),
+            // 63 bits of rest plus the row id: pairs.
+            ([&[bit], &nine[..7]].concat(), (false, false)),
+            ([&[two_bits], &nine[..7]].concat(), (false, false)),
+            // Seven copies of one column: rows tie on the whole rest.
+            ([&[bit], &[0; 7][..]].concat(), (false, false)),
+            ([&[bit], &[0; 8][..]].concat(), (true, true)),
+            // Over 64 bits in all; the rest packs or is ranked.
+            (nine.clone(), (false, false)),
+            ([&[bit], &nine[..]].concat(), (true, true)),
+            ([&[4], &nine[..], &[two_bits]].concat(), (true, true)),
+            // A constant and a two-valued first column.
+            (vec![constant, 3, 4], (true, false)),
+            (vec![bit, 2, 1], (true, false)),
+            (vec![bit], (true, false)),
+            // Repeated columns.
+            (vec![two_bits, 1, two_bits, 2, 1], (true, false)),
+            (vec![4, 4], (true, false)),
+            (vec![constant, constant], (true, false)),
+        ];
+        for (cols, path) in &lists {
+            assert_eq!(in_word(cols), *path, "cols {cols:?}");
+            assert_eq!(
+                class_by_class(&r, cols),
+                sort_index_by(&r, cols),
+                "cols {cols:?}"
+            );
+        }
+        assert_eq!(class_by_class(&r, &[]), sort_index_by(&r, &[]));
+    }
+
+    #[test]
+    fn class_order_matches_sort_index_by_with_nulls_and_tiny_relations() {
+        let mut next = xorshift(5);
+        for rows in [0usize, 1, 2, 97] {
+            let named = (0..3)
+                .map(|c| {
+                    let vals = (0..rows)
+                        .map(|_| match next() % (c as u64 + 3) {
+                            0 => Value::Null,
+                            v => Value::Int(v as i64),
+                        })
+                        .collect();
+                    (format!("c{c}"), vals)
+                })
+                .collect();
+            let r = Relation::from_columns(named).unwrap();
+            for cols in [vec![], vec![0], vec![2, 0], vec![0, 1, 2], vec![1, 1, 0, 1]] {
+                assert_eq!(
+                    class_by_class(&r, &cols),
+                    sort_index_by(&r, &cols),
+                    "{rows} rows, cols {cols:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn row_keys_read_the_rank_keys() {
+        let mut distinct = vec![300; 8];
+        distinct.extend([2, 1]);
+        let r = relation_with_distinct(600, &distinct, 31);
+        for cols in [
+            vec![],
+            vec![9],
+            vec![3, 9, 3],
+            (0..7).collect(),
+            (0..9).collect(),
+        ] {
+            let keys = RowKeys::new(&r, &cols);
+            let want = rank_keys(&r, &cols);
+            assert!(want.iter().all(|&k| keys.bits == 64 || k >> keys.bits == 0));
+            let got: Vec<u64> = (0..600).map(|row| keys.key(row)).collect();
+            assert_eq!(got, want, "cols {cols:?}");
         }
     }
 
