@@ -313,6 +313,16 @@ done
 restore_perfbench_lock
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 if ! diff results/perfbench_counters.txt "$counters_now"; then
+    # Re-recording is the answer to a kernel-count change, not to a change
+    # in the search's own work: name a drift outside `*.kernels.*` (the
+    # reduction's checks, checks, candidates, levels, approx.*,
+    # incremental.*) on its own, so a re-record cannot hide it.
+    if ! search_drift="$(diff <(grep -v '\.kernels\.' results/perfbench_counters.txt) \
+        <(grep -v '\.kernels\.' "$counters_now"))"; then
+        echo "perfbench counters: the search work drifted, not only kernel counts:"
+        echo "$search_drift"
+        echo "A re-record must explain why the search checks or finds something else."
+    fi
     echo "perfbench counters: the work above (< recorded, > this run) drifted from"
     echo "results/perfbench_counters.txt. If the change is intended, re-record with"
     echo "  cp $counters_now results/perfbench_counters.txt"

@@ -1,6 +1,6 @@
 //! Candidate checking (§4.3 of the paper).
 //!
-//! The checker validates an OD candidate `X → Y` by sorting a row index on
+//! The paper validates an OD candidate `X → Y` by sorting a row index on
 //! `X` (`generateIndex`, Algorithm 2) and scanning adjacent rows. Because
 //! the index groups `X`-equal rows contiguously and the lexicographic order
 //! on `Y` is total, a single adjacent-pair scan classifies the candidate:
@@ -15,9 +15,21 @@
 //! `XY → YX` (Theorem 4.1). Ties on `XY` imply equality on every attribute
 //! of `X` and `Y`, so an OCD check can only produce `Valid` or `Swap`.
 //!
-//! The scan exits early at the first violation (the paper's early
-//! termination), so invalid candidates are usually much cheaper than valid
-//! ones. Worst case is `O(m log m + m·|Y|)` comparisons for `m` rows.
+//! The scan exits at the first violation (the paper's early
+//! termination), and here the sort stops with it. [`check_od`] (so also
+//! [`check_ocd`]) and [`check_od_after_ocd`] scan the rows in the order
+//! of `ocdd_relation::sort::ClassOrder` on `X` (`scan::od_walk`,
+//! `scan::split_walk`): one counting sort by the first attribute of `X`,
+//! each class of it ordered by the rest of `X` only when the scan reaches
+//! it. Those are the rows in the paper's order and the same first
+//! violating pair, so every verdict and witness equals that of the whole
+//! sort, kept as the oracles [`check_od_scalar`], [`scan_sorted_scalar`]
+//! and [`scan_sorted_splits_only_scalar`]. A failing candidate costs the
+//! `O(m + d)` counting sort over the `d` values of its first attribute
+//! plus the classes up to its first violation. A valid one orders every
+//! class; its worst case, a constant first attribute, is one sort of all
+//! `m` rows plus the full scan, `O(m log m + m·(|X| + |Y|))` code
+//! comparisons.
 
 use crate::deps::AttrList;
 use ocdd_relation::scan;
@@ -57,9 +69,9 @@ impl CheckOutcome {
     }
 }
 
-/// Classify the violating adjacent pair `(row_a, row_b)` that a scan
-/// kernel found: the index is `lhs`-sorted, so `lhs` compares `Equal`
-/// (split) or `Less` (the `rhs` must have decreased — swap).
+/// Classify the violating adjacent pair `(row_a, row_b)` of an
+/// `lhs`-sorted order that a scan found: split when the rows tie on
+/// `lhs`, swap otherwise.
 fn classify_violation(rel: &Relation, lhs: &[ColumnId], row_a: u32, row_b: u32) -> CheckOutcome {
     if cmp_rows(rel, lhs, row_a as usize, row_b as usize) == Ordering::Equal {
         CheckOutcome::Split { row_a, row_b }
@@ -68,23 +80,11 @@ fn classify_violation(rel: &Relation, lhs: &[ColumnId], row_a: u32, row_b: u32) 
     }
 }
 
-/// Classify adjacent pairs of `index` (pre-sorted by `lhs`) against `rhs`,
-/// dispatching to the width-adaptive scan kernels ([`scan::od_scan`]):
-/// blockwise branchless compares over the narrowed code mirrors, scalar
-/// below one block. The kernel reports the first violating pair position;
-/// classification into split/swap is one extra `lhs` comparison.
-// lint: allow(panic-reachability, od_scan returns i < index.len() - 1, so index[i] and index[i + 1] are in bounds)
-fn scan_sorted(rel: &Relation, lhs: &[ColumnId], rhs: &[ColumnId], index: &[u32]) -> CheckOutcome {
-    match scan::od_scan(rel, lhs, rhs, index) {
-        None => CheckOutcome::Valid,
-        Some(i) => classify_violation(rel, lhs, index[i], index[i + 1]),
-    }
-}
-
-/// Scalar oracle for `scan_sorted`: the per-pair `cmp_rows` walk
-/// ([`scan::od_scan_scalar`]), kept public for differential tests and the
-/// pinned-scalar bench configs. Identical `CheckOutcome` — including
-/// witness rows — to the dispatched kernels on every input.
+/// Scalar oracle for the scan of [`check_od`]: the per-pair `cmp_rows`
+/// walk ([`scan::od_scan_scalar`]) over an index sorted by `lhs`, kept
+/// public for differential tests and the pinned-scalar bench configs.
+/// Over `sort_index_by(lhs)` it returns the same `CheckOutcome` —
+/// including witness rows — as [`check_od`] on every input.
 // lint: allow(panic-reachability, od_scan_scalar returns i < index.len() - 1, so index[i] and index[i + 1] are in bounds)
 pub fn scan_sorted_scalar(
     rel: &Relation,
@@ -102,20 +102,9 @@ pub fn scan_sorted_scalar(
 /// iff some pair of `lhs`-tied rows differs on `rhs`. Adjacent pairs
 /// suffice — the index groups `lhs`-ties contiguously, and if every
 /// adjacent pair inside a tie group agrees on `rhs`, all rows of the group
-/// do. Sound as a *full* OD check only when a swap is impossible; see
-/// [`check_od_after_ocd`]. Dispatches like [`scan_sorted`].
-fn scan_sorted_splits_only(
-    rel: &Relation,
-    lhs: &[ColumnId],
-    rhs: &[ColumnId],
-    index: &[u32],
-) -> bool {
-    scan::split_scan(rel, lhs, rhs, index).is_none()
-}
-
-/// Scalar oracle for the splits-only scan (`scan_sorted_splits_only`,
-/// i.e. [`scan::split_scan_scalar`] plus outcome mapping), public for
-/// differential tests and the pinned-scalar bench configs.
+/// do. The scalar oracle of [`check_od_after_ocd`]
+/// ([`scan::split_scan_scalar`]), public for differential tests and the
+/// pinned-scalar bench configs.
 pub fn scan_sorted_splits_only_scalar(
     rel: &Relation,
     lhs: &[ColumnId],
@@ -125,14 +114,21 @@ pub fn scan_sorted_splits_only_scalar(
     scan::split_scan_scalar(rel, lhs, rhs, index).is_none()
 }
 
-/// Check the OD candidate `lhs → rhs` by index sort + adjacent scan.
+/// Check the OD candidate `lhs → rhs`: scan the rows in `lhs` order
+/// ([`scan::od_walk`]), ordering them only as far as the scan gets, and
+/// classify the first violating adjacent pair: the rows are in `lhs`
+/// order, so `lhs` compares `Equal` (split) or `Less` (the `rhs` must
+/// have decreased — swap).
 pub fn check_od(rel: &Relation, lhs: &AttrList, rhs: &AttrList) -> CheckOutcome {
-    let index = sort_index_by(rel, lhs.as_slice());
-    scan_sorted(rel, lhs.as_slice(), rhs.as_slice(), &index)
+    match scan::od_walk(rel, lhs.as_slice(), rhs.as_slice()) {
+        None => CheckOutcome::Valid,
+        Some((row_a, row_b)) => classify_violation(rel, lhs.as_slice(), row_a, row_b),
+    }
 }
 
-/// [`check_od`] pinned to the scalar scan kernel: the historical per-pair
-/// checker, kept as the differential oracle.
+/// [`check_od`] by the paper's whole-index sort and the scalar scan
+/// kernel: the historical per-pair checker, kept as the differential
+/// oracle.
 pub fn check_od_scalar(rel: &Relation, lhs: &AttrList, rhs: &AttrList) -> CheckOutcome {
     let index = sort_index_by(rel, lhs.as_slice());
     scan_sorted_scalar(rel, lhs.as_slice(), rhs.as_slice(), &index)
@@ -145,13 +141,13 @@ pub fn check_od_scalar(rel: &Relation, lhs: &AttrList, rhs: &AttrList) -> CheckO
 /// increasing and `rhs` strictly decreasing would also order
 /// `lhs·rhs` against `rhs·lhs` inconsistently, contradicting the single
 /// check `XY → YX` of Theorem 4.1. The OD can then only fail by *split*,
-/// so a split-only early-exit scan over the `lhs`-sorted index decides it
-/// — same verdict as [`check_od`], typically fewer column comparisons
-/// (only `lhs`-tied pairs ever touch `rhs`). The search calls this for
-/// both directions of every candidate that survives its OCD check.
+/// so a split-only early-exit scan of the rows in `lhs` order
+/// ([`scan::split_walk`]) decides it — same verdict as [`check_od`],
+/// typically fewer column comparisons (only `lhs`-tied pairs ever touch
+/// `rhs`). The search calls this for both directions of every candidate
+/// that survives its OCD check.
 pub fn check_od_after_ocd(rel: &Relation, lhs: &AttrList, rhs: &AttrList) -> bool {
-    let index = sort_index_by(rel, lhs.as_slice());
-    scan_sorted_splits_only(rel, lhs.as_slice(), rhs.as_slice(), &index)
+    scan::split_walk(rel, lhs.as_slice(), rhs.as_slice()).is_none()
 }
 
 /// Check the OCD candidate `x ~ y` via the single OD check `XY → YX`
@@ -386,8 +382,11 @@ mod tests {
         assert!(check_od_pairwise(&r, &l(&[1]), &l(&[0])));
     }
 
-    /// Deterministic pseudo-random integer columns (xorshift).
-    fn random_columns(cols: usize, rows: usize, domains: &[i64], seed: u64) -> Relation {
+    /// A relation for the lazy checks: column 0 the first column of every
+    /// checked list, shaped by `first` (0 all singletons, 1 two-valued,
+    /// 2 constant, 3 with NULLs); 1 with three values; 2 constant; 3 with
+    /// about two thirds as many values as rows; 4 with 40 values.
+    fn lazy_relation(rows: usize, first: usize, seed: u64) -> Relation {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut next = move || {
             state ^= state << 13;
@@ -395,49 +394,128 @@ mod tests {
             state ^= state << 17;
             state
         };
-        Relation::from_columns(
-            (0..cols)
-                .map(|c| {
-                    let d = domains[c % domains.len()];
-                    (
-                        format!("c{c}"),
-                        (0..rows)
-                            .map(|_| Value::Int((next() % d as u64) as i64))
-                            .collect(),
-                    )
+        let mut ids: Vec<i64> = (0..rows as i64).collect();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, (next() % (i as u64 + 1)) as usize);
+        }
+        let first: Vec<Value> = match first {
+            0 => ids.into_iter().map(Value::Int).collect(),
+            1 => (0..rows).map(|_| Value::Int((next() % 2) as i64)).collect(),
+            2 => vec![Value::Int(7); rows],
+            _ => (0..rows)
+                .map(|_| match next() % 4 {
+                    0 => Value::Null,
+                    v => Value::Int(v as i64),
                 })
                 .collect(),
-        )
+        };
+        let mut column = |d: u64| (0..rows).map(|_| Value::Int((next() % d) as i64)).collect();
+        let (few, wide, forty) = (column(3), column(rows.max(1) as u64), column(40));
+        Relation::from_columns(vec![
+            ("first".to_string(), first),
+            ("few".to_string(), few),
+            ("constant".to_string(), vec![Value::Int(1); rows]),
+            ("wide".to_string(), wide),
+            ("forty".to_string(), forty),
+        ])
         .unwrap()
     }
 
-    // Inputs beyond one block force the blockwise path; the
-    // full CheckOutcome — including witness rows — must be byte-identical
-    // to the pinned scalar oracle, and the fused split-only scan must
-    // agree with its oracle on the same index.
+    /// `rel` with one more column, on which `lhs → [that column]` holds
+    /// along `index` (`lhs`-sorted) except at the adjacent pair `p`: a
+    /// split when the pair's rows tie on `lhs`, a swap otherwise.
+    fn violated_at(rel: &Relation, lhs: &[ColumnId], index: &[u32], p: usize) -> Relation {
+        let m = index.len() as i64;
+        let tied = |k: usize| {
+            cmp_rows(rel, lhs, index[k] as usize, index[k + 1] as usize) == Ordering::Equal
+        };
+        let shift = if tied(p) { 1 } else { -2 * m - 2 };
+        let mut vals = vec![Value::Null; index.len()];
+        let mut class = 0i64;
+        for (k, &row) in index.iter().enumerate() {
+            if k > 0 && !tied(k - 1) {
+                class += 1;
+            }
+            vals[row as usize] = Value::Int(2 * class + if k > p { shift } else { 0 });
+        }
+        let mut named: Vec<(String, Vec<Value>)> = (0..rel.num_columns())
+            .map(|c| {
+                let col = (0..rel.num_rows()).map(|r| rel.value(r, c).clone());
+                (rel.meta(c).name.clone(), col.collect())
+            })
+            .collect();
+        named.push(("violated".to_string(), vals));
+        Relation::from_columns(named).unwrap()
+    }
+
+    /// A pair position along `index` (`x`-sorted) by `place`: inside the
+    /// first class of `x`'s first column (0), on a class boundary (1), on
+    /// the boundary of the walk's first window (2), in the last class (3).
+    /// The walk's first window runs to the end of the first class that
+    /// reaches 65 rows.
+    fn pair_at(rel: &Relation, x: &[ColumnId], index: &[u32], place: usize, pick: u64) -> usize {
+        let m = index.len();
+        let mut ends: Vec<usize> = (1..m)
+            .filter(|&k| rel.code(index[k - 1] as usize, x[0]) != rel.code(index[k] as usize, x[0]))
+            .collect();
+        ends.push(m);
+        let pick = pick as usize;
+        let p = match place {
+            0 => pick % ends[0].saturating_sub(1).max(1),
+            1 => ends[pick % ends.len()] - 1,
+            2 => {
+                let window = ends.iter().copied().find(|&e| e >= 65).unwrap_or(m);
+                window - 1 - pick % 2
+            }
+            _ => {
+                let last = ends.len().checked_sub(2).map_or(0, |j| ends[j]);
+                last + pick % (m - last)
+            }
+        };
+        p.min(m - 2)
+    }
+
+    // The lazy checks walk the rows class by class; their full
+    // CheckOutcome — including witness rows — must equal the whole sort's
+    // followed by the scalar scan, at every row count around one block,
+    // first-column shape and rest width, with the first violation placed
+    // at each kind of boundary.
     proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3))]
 
         #[test]
-        fn dispatched_kernels_match_scalar_oracle_with_witnesses(
-            seed in 0u64..1 << 32,
-            rows in 2usize..260,
-        ) {
+        fn lazy_checks_match_the_whole_sort_oracles(seed in 0u64..1 << 32) {
             use proptest::prop_assert_eq;
-            let r = random_columns(3, rows, &[3, 40, 5000], seed);
-            for (x, y) in [
-                (l(&[0]), l(&[1])),
-                (l(&[1]), l(&[2])),
-                (l(&[2]), l(&[0])),
-                (l(&[0, 1]), l(&[2])),
-                (l(&[0, 1, 2]), l(&[2, 1, 0])),
-            ] {
-                prop_assert_eq!(check_od(&r, &x, &y), check_od_scalar(&r, &x, &y));
-                let index = sort_index_by(&r, x.as_slice());
-                prop_assert_eq!(
-                    scan_sorted_splits_only(&r, x.as_slice(), y.as_slice(), &index),
-                    scan_sorted_splits_only_scalar(&r, x.as_slice(), y.as_slice(), &index)
-                );
+            // Rests of 0 bits, under 64 bits and, from 64 rows on, over 64.
+            let lists = [vec![0], vec![0, 2], vec![0, 1, 3], [&[0][..], &[3; 12]].concat()];
+            let shapes = [0, 1, 2, 64, 65, 66, 131, 260]
+                .into_iter()
+                .flat_map(|rows| (0..4).map(move |first| (rows, first)));
+            for (rows, first) in shapes {
+            let base = lazy_relation(rows, first, seed ^ rows as u64);
+            for (x, place) in lists.iter().flat_map(|x| (0..5).map(move |place| (x, place))) {
+                let index = sort_index_by(&base, x);
+                let r = if place < 4 && rows >= 2 {
+                    let p = pair_at(&base, x, &index, place, seed >> 8);
+                    let r = violated_at(&base, x, &index, p);
+                    prop_assert_eq!(scan::od_scan_scalar(&r, x, &[5], &index), Some(p));
+                    r
+                } else {
+                    base.clone()
+                };
+                let x = l(x);
+                for y in (1..r.num_columns()).map(|c| l(&[c])) {
+                    prop_assert_eq!(check_od(&r, &x, &y), check_od_scalar(&r, &x, &y));
+                    prop_assert_eq!(
+                        check_ocd(&r, &x, &y),
+                        check_od_scalar(&r, &x.concat(&y), &y.concat(&x))
+                    );
+                    prop_assert_eq!(
+                        check_od_after_ocd(&r, &x, &y),
+                        scan_sorted_splits_only_scalar(&r, x.as_slice(), y.as_slice(), &index)
+                    );
+                }
+            }
             }
         }
     }

@@ -21,13 +21,20 @@
 //!    exact scalar first-witness by classifying (or rescanning) the hit
 //!    block scalar-wise.
 //!
-//! Two scan shapes cover every checker: [`od_scan`] (full OD predicate —
-//! `rhs` decreasing, or `lhs`-tied while `rhs` differs) and
-//! [`split_scan`] (splits only, for the fused direction check after a
-//! validated OCD, where swaps are impossible). Both return the position
-//! of the first violating *adjacent pair* and are differentially pinned
-//! against the scalar oracles [`od_scan_scalar`] / [`split_scan_scalar`]
-//! — same `Option<usize>`, bit for bit, on every width and backend.
+//! Two scan shapes cover every checker: the full OD predicate (`rhs`
+//! decreasing, or `lhs`-tied while `rhs` differs) and splits only (for
+//! the fused direction check after a validated OCD, where swaps are
+//! impossible). The paper's checks (`Resort`) run them through
+//! [`od_walk`] / [`split_walk`], which do not sort the whole index first:
+//! they read the rows of a [`ClassOrder`] on `lhs` — one counting sort by
+//! its first column, each class ordered by the rest when the walk gets
+//! there — in windows that share their boundary row, and stop at the
+//! first violating adjacent pair, so the classes past it are never
+//! ordered. [`od_scan`] runs the full predicate over an index the caller
+//! sorted. All of them find the same first violating *adjacent pair* as
+//! the scalar oracles [`od_scan_scalar`] / [`split_scan_scalar`] over
+//! [`sort_index_by`](crate::sort::sort_index_by)'s order, bit for bit,
+//! on every width and backend.
 //!
 //! Beyond-block state convention: a block of `n < BLOCK_PAIRS` live
 //! pairs resets `eq` to zero past `n`, so folds always process the full
@@ -36,7 +43,7 @@
 
 use crate::column::NarrowCodes;
 use crate::relation::{ColumnId, Relation};
-use crate::sort::{cmp_rows, kernel_stats};
+use crate::sort::{cmp_rows, kernel_stats, ClassOrder};
 use std::cmp::Ordering;
 
 /// Adjacent pairs processed per block: 64 keeps the three per-pair state
@@ -313,6 +320,43 @@ fn fold_eq<T: Copy + Eq>(buf: &[T], eq: &mut [u8]) {
     }
 }
 
+/// Rows a walk wants ordered past the first row of its next window: the
+/// boundary row and one block of pairs, so every window but the last
+/// feeds the blockwise kernels whenever the relation has a block of pairs.
+const WINDOW_ROWS: usize = BLOCK_PAIRS + 1;
+
+/// Which adjacent pairs of a row order a scan reports.
+#[derive(Debug, Clone, Copy)]
+enum Violation {
+    /// Pairs violating the OD: `rhs` decreasing, or `lhs`-tied while
+    /// `rhs` differs.
+    Od,
+    /// `lhs`-tied pairs that differ on `rhs`.
+    Split,
+}
+
+impl Violation {
+    /// Position of the first violating adjacent pair of `index`
+    /// (pre-sorted by `lhs`), found by the kernel [`select_kernel`] picks
+    /// for its pairs, and that kernel. Counts no scan.
+    fn first(
+        self,
+        rel: &Relation,
+        lhs: &[ColumnId],
+        rhs: &[ColumnId],
+        index: &[u32],
+    ) -> (Option<usize>, ScanKernel) {
+        let kernel = select_kernel(index.len().saturating_sub(1));
+        let hit = match (self, kernel) {
+            (Violation::Od, ScanKernel::Scalar) => first_od_pair(rel, lhs, rhs, index),
+            (Violation::Split, ScanKernel::Scalar) => first_split_pair(rel, lhs, rhs, index),
+            (Violation::Od, ScanKernel::Block) => od_scan_blocks(rel, lhs, rhs, index),
+            (Violation::Split, ScanKernel::Block) => split_scan_blocks(rel, lhs, rhs, index),
+        };
+        (hit, kernel)
+    }
+}
+
 /// Position of the first adjacent pair of `index` (pre-sorted by `lhs`)
 /// violating the OD `lhs → rhs`: the pair decreases on `rhs`, or is tied
 /// on `lhs` while changing on `rhs`. `None` when the OD holds.
@@ -321,44 +365,65 @@ fn fold_eq<T: Copy + Eq>(buf: &[T], eq: &mut [u8]) {
 /// ones the blockwise kernels; byte-identical to [`od_scan_scalar`] on
 /// every input.
 pub fn od_scan(rel: &Relation, lhs: &[ColumnId], rhs: &[ColumnId], index: &[u32]) -> Option<usize> {
-    if index.len() < 2 {
-        note_scan(ScanKernel::Scalar);
-        return None;
-    }
-    match select_kernel(index.len() - 1) {
-        ScanKernel::Scalar => od_scan_scalar(rel, lhs, rhs, index),
-        k => {
-            note_scan(k);
-            od_scan_blocks(rel, lhs, rhs, index)
-        }
-    }
+    let (hit, kernel) = Violation::Od.first(rel, lhs, rhs, index);
+    note_scan(kernel);
+    hit
 }
 
-/// Position of the first adjacent pair of `index` (pre-sorted by `lhs`)
-/// that is tied on `lhs` but differs on `rhs` — the split-only scan of
-/// the fused direction check (sound as a full OD check only when a swap
-/// is impossible). `None` when no split exists.
+/// The first adjacent pair of rows, in the order
+/// [`sort_index_by`](crate::sort::sort_index_by) gives on `lhs`, that
+/// violates the OD `lhs → rhs` — the pair [`od_scan`] finds in that
+/// order — or `None` when the OD holds.
 ///
-/// Scans of fewer than [`BLOCK_PAIRS`] pairs run the scalar kernel, longer
-/// ones the blockwise kernels; byte-identical to [`split_scan_scalar`] on
-/// every input.
-pub fn split_scan(
+/// The walk reads a [`ClassOrder`] on `lhs` in place and orders its
+/// classes only as far as it scans. Each window of the ordered rows runs
+/// from the last row of the previous window to the end of the first class
+/// that reaches [`BLOCK_PAIRS`] pairs past it, so windows share their
+/// boundary row and every adjacent pair is scanned once, in order. The
+/// walk stops at the first violating pair and leaves the classes past
+/// its window unordered. It counts one scan: blockwise when any window
+/// ran the blockwise kernels, scalar otherwise.
+pub fn od_walk(rel: &Relation, lhs: &[ColumnId], rhs: &[ColumnId]) -> Option<(u32, u32)> {
+    walk(rel, lhs, rhs, Violation::Od)
+}
+
+/// The first adjacent pair of rows, in the order
+/// [`sort_index_by`](crate::sort::sort_index_by) gives on `lhs`, that is
+/// tied on `lhs` but differs on `rhs` — the split-only scan of the fused
+/// direction check, sound as a full OD check only when a swap is
+/// impossible — or `None` when no split exists. Walks like [`od_walk`].
+pub fn split_walk(rel: &Relation, lhs: &[ColumnId], rhs: &[ColumnId]) -> Option<(u32, u32)> {
+    walk(rel, lhs, rhs, Violation::Split)
+}
+
+/// The walk of [`od_walk`] and [`split_walk`].
+fn walk(
     rel: &Relation,
     lhs: &[ColumnId],
     rhs: &[ColumnId],
-    index: &[u32],
-) -> Option<usize> {
-    if index.len() < 2 {
-        note_scan(ScanKernel::Scalar);
-        return None;
-    }
-    match select_kernel(index.len() - 1) {
-        ScanKernel::Scalar => split_scan_scalar(rel, lhs, rhs, index),
-        k => {
-            note_scan(k);
-            split_scan_blocks(rel, lhs, rhs, index)
+    violation: Violation,
+) -> Option<(u32, u32)> {
+    let mut order = ClassOrder::new(rel, lhs);
+    let mut kernel = ScanKernel::Scalar;
+    // First row of the next window.
+    let mut start = 0;
+    let hit = loop {
+        let ordered = order.prefix(start + WINDOW_ROWS);
+        let window = ordered.get(start..).unwrap_or_default();
+        let (hit, ran) = violation.first(rel, lhs, rhs, window);
+        if ran == ScanKernel::Block {
+            kernel = ran;
         }
-    }
+        if let Some(i) = hit {
+            break window.get(i).zip(window.get(i + 1)).map(|(&a, &b)| (a, b));
+        }
+        if ordered.len() < start + WINDOW_ROWS {
+            break None; // every class is ordered and scanned
+        }
+        start = ordered.len() - 1;
+    };
+    note_scan(kernel);
+    hit
 }
 
 /// Scalar oracle for [`od_scan`]: the per-pair `cmp_rows` walk, kept as
@@ -366,7 +431,6 @@ pub fn split_scan(
 /// `lhs`-sorted, so `lhs` can never compare `Greater` across an adjacent
 /// pair — a decreasing `rhs` therefore violates regardless of `lhs`, and
 /// an increasing `rhs` violates exactly when `lhs` is tied.
-// lint: allow(panic-reachability, w[0]/w[1] index length-2 slices produced by windows(2))
 pub fn od_scan_scalar(
     rel: &Relation,
     lhs: &[ColumnId],
@@ -374,6 +438,30 @@ pub fn od_scan_scalar(
     index: &[u32],
 ) -> Option<usize> {
     note_scan(ScanKernel::Scalar);
+    first_od_pair(rel, lhs, rhs, index)
+}
+
+/// Scalar oracle for the split-only scan: the first adjacent pair of
+/// `index` (pre-sorted by `lhs`) tied on `lhs` but differing on `rhs`,
+/// by the per-pair `cmp_rows` walk.
+pub fn split_scan_scalar(
+    rel: &Relation,
+    lhs: &[ColumnId],
+    rhs: &[ColumnId],
+    index: &[u32],
+) -> Option<usize> {
+    note_scan(ScanKernel::Scalar);
+    first_split_pair(rel, lhs, rhs, index)
+}
+
+/// The scalar kernel of [`od_scan_scalar`], counting no scan.
+// lint: allow(panic-reachability, w[0]/w[1] index length-2 slices produced by windows(2))
+fn first_od_pair(
+    rel: &Relation,
+    lhs: &[ColumnId],
+    rhs: &[ColumnId],
+    index: &[u32],
+) -> Option<usize> {
     for (i, w) in index.windows(2).enumerate() {
         let (p, q) = (w[0] as usize, w[1] as usize);
         match cmp_rows(rel, rhs, p, q) {
@@ -391,15 +479,14 @@ pub fn od_scan_scalar(
     None
 }
 
-/// Scalar oracle for [`split_scan`].
+/// The scalar kernel of [`split_scan_scalar`], counting no scan.
 // lint: allow(panic-reachability, w[0]/w[1] index length-2 slices produced by windows(2))
-pub fn split_scan_scalar(
+fn first_split_pair(
     rel: &Relation,
     lhs: &[ColumnId],
     rhs: &[ColumnId],
     index: &[u32],
 ) -> Option<usize> {
-    note_scan(ScanKernel::Scalar);
     for (i, w) in index.windows(2).enumerate() {
         let (p, q) = (w[0] as usize, w[1] as usize);
         if cmp_rows(rel, lhs, p, q) == Ordering::Equal
@@ -463,7 +550,7 @@ fn od_scan_blocks(
     None
 }
 
-/// Blockwise [`split_scan`]: fold the `lhs` tie mask first — when no
+/// Blockwise split-only scan: fold the `lhs` tie mask first — when no
 /// pair of the block is `lhs`-tied (key-like prefixes), the `rhs`
 /// gathers are skipped entirely.
 // lint: allow(panic-reachability, start + n ≤ index.len() - 1 by the loop bound, so the window slice is in bounds)
@@ -515,7 +602,7 @@ mod tests {
     use super::*;
     use crate::column::CodeWidth;
     use crate::relation::Relation;
-    use crate::sort::sort_index_by;
+    use crate::sort::{class_count, sort_index_by};
     use crate::value::Value;
     use proptest::prelude::*;
 
@@ -572,9 +659,11 @@ mod tests {
                 min.label()
             );
         }
-        // The public dispatch must agree with the oracle too.
+        // The public dispatch and the walks must agree with the oracles too.
+        let pair = |hit: Option<usize>| hit.map(|i| (index[i], index[i + 1]));
         assert_eq!(od_scan(rel, lhs, rhs, &index), od_oracle);
-        assert_eq!(split_scan(rel, lhs, rhs, &index), split_oracle);
+        assert_eq!(od_walk(rel, lhs, rhs), pair(od_oracle));
+        assert_eq!(split_walk(rel, lhs, rhs), pair(split_oracle));
     }
 
     #[test]
@@ -717,6 +806,193 @@ mod tests {
         }
     }
 
+    /// Deterministic xorshift64 stream seeded from `seed`.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// The shapes of a walk's first column.
+    const FIRST_COLUMNS: [&str; 4] = ["singletons", "two-valued", "constant", "nulls"];
+
+    /// A relation of `rows` rows for walks over `lhs = [0, rest..]`:
+    /// column 0 shaped by `first` (one of [`FIRST_COLUMNS`]), column 1
+    /// with few values, column 2 constant, column 3 with about two thirds
+    /// as many values as rows; and the list rests `[]` and `[2]` (0 key
+    /// bits), `[1, 3]` (under 64) and twelve copies of column 3 (over 64
+    /// bits from 64 rows on).
+    fn walk_relation(rows: usize, first: &str, seed: u64) -> (Relation, Vec<Vec<ColumnId>>) {
+        let mut next = xorshift(seed);
+        let first: Vec<Value> = match first {
+            "singletons" => {
+                let mut ids: Vec<i64> = (0..rows as i64).collect();
+                for i in (1..ids.len()).rev() {
+                    ids.swap(i, (next() % (i as u64 + 1)) as usize);
+                }
+                ids.into_iter().map(Value::Int).collect()
+            }
+            "two-valued" => (0..rows).map(|_| Value::Int((next() % 2) as i64)).collect(),
+            "constant" => vec![Value::Int(7); rows],
+            _ => (0..rows)
+                .map(|_| match next() % 4 {
+                    0 => Value::Null,
+                    v => Value::Int(v as i64),
+                })
+                .collect(),
+        };
+        let few = (0..rows).map(|_| Value::Int((next() % 3) as i64)).collect();
+        let wide = (0..rows)
+            .map(|_| Value::Int((next() % rows as u64) as i64))
+            .collect();
+        let named = vec![
+            ("c0".to_string(), first),
+            ("c1".to_string(), few),
+            ("c2".to_string(), vec![Value::Int(1); rows]),
+            ("c3".to_string(), wide),
+        ];
+        let rel = Relation::from_columns(named).unwrap();
+        let lhs = vec![
+            vec![0],
+            vec![0, 2],
+            vec![0, 1, 3],
+            [&[0][..], &[3; 12]].concat(),
+        ];
+        (rel, lhs)
+    }
+
+    /// Values of a column on which `lhs → rhs` holds along `index`
+    /// (`lhs`-sorted) except at the adjacent pair `p`: a split when the
+    /// pair's rows tie on `lhs`, a swap otherwise.
+    fn violated_at(rel: &Relation, lhs: &[ColumnId], index: &[u32], p: usize) -> Vec<Value> {
+        let m = index.len() as i64;
+        let tied = |k: usize| cmp_rows(rel, lhs, index[k] as usize, index[k + 1] as usize).is_eq();
+        let shift = if tied(p) { 1 } else { -2 * m - 2 };
+        let mut vals = vec![Value::Null; index.len()];
+        let mut class = 0i64;
+        for (k, &row) in index.iter().enumerate() {
+            if k > 0 && !tied(k - 1) {
+                class += 1;
+            }
+            let v = 2 * class + if k > p { shift } else { 0 };
+            vals[row as usize] = Value::Int(v);
+        }
+        vals
+    }
+
+    /// Both walks of `lhs → rhs` return the rows of the pair the scalar
+    /// oracles find over `sort_index_by(rel, lhs)`.
+    fn walks_match_oracles(rel: &Relation, lhs: &[ColumnId], rhs: &[ColumnId]) -> Option<usize> {
+        let index = sort_index_by(rel, lhs);
+        let pair = |hit: Option<usize>| hit.map(|i| (index[i], index[i + 1]));
+        let od = od_scan_scalar(rel, lhs, rhs, &index);
+        assert_eq!(od_walk(rel, lhs, rhs), pair(od), "od, lhs {lhs:?}");
+        let split = split_scan_scalar(rel, lhs, rhs, &index);
+        assert_eq!(split_walk(rel, lhs, rhs), pair(split), "split, lhs {lhs:?}");
+        od
+    }
+
+    #[test]
+    fn walks_find_a_violation_at_every_position() {
+        // Every pair position once: inside the first class, on class and
+        // window boundaries, in the last class.
+        let _counters = counters_guard();
+        for rows in [0usize, 1, 2, 64, 65, 66, 131] {
+            for (f, first) in FIRST_COLUMNS.into_iter().enumerate() {
+                let (rel, lists) = walk_relation(rows, first, (rows * 4 + f) as u64);
+                let rest_bits: usize = lists[3][1..]
+                    .iter()
+                    .map(|&c| {
+                        (rel.meta(c).distinct.max(1) as u64)
+                            .next_power_of_two()
+                            .ilog2() as usize
+                    })
+                    .sum();
+                assert!(
+                    rows < 64 || rest_bits > 64,
+                    "{rows} rows: {rest_bits} rest bits"
+                );
+                for lhs in &lists {
+                    let index = sort_index_by(&rel, lhs);
+                    walks_match_oracles(&rel, lhs, &[1]);
+                    walks_match_oracles(&rel, lhs, &[3]);
+                    for p in 0..rows.saturating_sub(1) {
+                        let mut named: Vec<(String, Vec<Value>)> = (0..4)
+                            .map(|c| {
+                                (
+                                    format!("c{c}"),
+                                    (0..rows).map(|r| rel.value(r, c).clone()).collect(),
+                                )
+                            })
+                            .collect();
+                        named.push(("v".to_string(), violated_at(&rel, lhs, &index, p)));
+                        let r = Relation::from_columns(named).unwrap();
+                        let hit = walks_match_oracles(&r, lhs, &[4]);
+                        assert_eq!(hit, Some(p), "{rows} rows, {first}, lhs {lhs:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn walks_count_one_counting_sort_and_one_scan() {
+        let _counters = counters_guard();
+        for (rows, block) in [(0usize, false), (64, false), (65, true), (300, true)] {
+            let rel = rel_from(vec![(0..rows as i64).map(|i| i % 5).collect(); 2]);
+            for scan in [od_walk, split_walk] {
+                let before = kernel_stats::snapshot();
+                scan(&rel, &[0, 1], &[1]);
+                let delta = kernel_stats::snapshot().since(&before);
+                assert_eq!((delta.counting, delta.total()), (1, 1), "{rows} rows");
+                assert_eq!(delta.total_scans(), 1, "{rows} rows");
+                assert_eq!(delta.scan_block, u64::from(block), "{rows} rows");
+            }
+        }
+    }
+
+    #[test]
+    fn a_failing_walk_orders_a_fraction_of_the_classes() {
+        // 5,000 rows in 500 classes of `a`, each ordered by `b`; `b → c`
+        // with `c` increasing along the order but for one swap early on.
+        let _counters = counters_guard();
+        let rows = 5_000i64;
+        let a: Vec<i64> = (0..rows).map(|i| (i * 7) % 500).collect();
+        let b: Vec<i64> = (0..rows).map(|i| (i * 13) % 97).collect();
+        let rel = rel_from(vec![a, b]);
+        let index = sort_index_by(&rel, &[0, 1]);
+        let mut c = vec![Value::Null; rows as usize];
+        for (k, &row) in index.iter().enumerate() {
+            c[row as usize] = Value::Int(if k == 30 { -1 } else { k as i64 });
+        }
+        let mut named: Vec<(String, Vec<Value>)> = (0..2)
+            .map(|col| {
+                (
+                    format!("c{col}"),
+                    (0..rows as usize)
+                        .map(|r| rel.value(r, col).clone())
+                        .collect(),
+                )
+            })
+            .collect();
+        named.push(("c".to_string(), c));
+        let rel = Relation::from_columns(named).unwrap();
+        for scan in [od_walk, split_walk] {
+            let (_, classes) = class_count::during(|| scan(&rel, &[0, 1], &[0, 1]));
+            assert_eq!(classes, 500, "a valid walk orders every class");
+        }
+        let (hit, classes) = class_count::during(|| od_walk(&rel, &[0, 1], &[2]));
+        assert_eq!(hit, Some((index[29], index[30])));
+        assert!(
+            classes <= 10,
+            "the failing walk ordered {classes} of 500 classes"
+        );
+    }
+
     /// Derive three correlated columns from one random word stream:
     /// tie-heavy (mod 3), mid-cardinality (mod 7) and spread (mod 1000).
     fn columns_from_words(words: &[u64]) -> Relation {
@@ -761,6 +1037,21 @@ mod tests {
                 r.widen_code_width(min);
                 prop_assert_eq!(od_scan_blocks(&r, &lhs, &rhs, &index), od_oracle);
                 prop_assert_eq!(split_scan_blocks(&r, &lhs, &rhs, &index), split_oracle);
+            }
+        }
+
+        #[test]
+        fn walks_match_the_scalar_oracles(
+            seed in 0u64..1 << 32,
+            rows in 0usize..200,
+            first in 0usize..4,
+        ) {
+            let _counters = counters_guard();
+            let (rel, lists) = walk_relation(rows, FIRST_COLUMNS[first], seed);
+            for lhs in &lists {
+                for rhs in [vec![1], vec![3], vec![0, 3], vec![2]] {
+                    walks_match_oracles(&rel, lhs, &rhs);
+                }
             }
         }
 
