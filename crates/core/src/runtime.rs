@@ -189,7 +189,7 @@ impl Budget {
                     .is_some_and(RunController::is_cancelled)
                 {
                     self.trip(StopCause::Cancelled);
-                } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
+                } else if self.deadline.is_some_and(|d| now() >= d) {
                     self.trip(StopCause::TimeBudget);
                 }
             }
@@ -215,7 +215,7 @@ impl Budget {
             .is_some_and(RunController::is_cancelled)
         {
             self.trip(StopCause::Cancelled);
-        } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
+        } else if self.deadline.is_some_and(|d| now() >= d) {
             self.trip(StopCause::TimeBudget);
         }
         // lint: allow(atomics-audit, stop code is write-once via CAS in trip(); re-read is idempotent)
@@ -256,10 +256,11 @@ impl Budget {
 
 /// The single sanctioned wall-clock read of the core crates.
 ///
-/// The `clock-confinement` lint rule confines `Instant::now` to this
-/// module: every elapsed-time measurement and budget deadline routes
-/// through here, so a determinism audit has exactly one place to look for
-/// time dependence.
+/// The crate's `clippy.toml` bans `Instant::now` and `SystemTime`
+/// everywhere else: every elapsed-time measurement and budget deadline
+/// routes through here, so a determinism audit has exactly one place to
+/// look for time dependence.
+#[allow(clippy::disallowed_methods)]
 pub(crate) fn now() -> Instant {
     Instant::now()
 }
@@ -390,7 +391,7 @@ mod tests {
             max_checks: Some(2),
             ..DiscoveryConfig::default()
         };
-        let b = Budget::new(&config, Instant::now(), 0);
+        let b = Budget::new(&config, now(), 0);
         b.record(100);
         assert!(b.probe());
         assert_eq!(b.cause(), None);
@@ -404,7 +405,7 @@ mod tests {
             controller: Some(controller.clone()),
             ..DiscoveryConfig::default()
         };
-        let b = Budget::new(&config, Instant::now(), 0);
+        let b = Budget::new(&config, now(), 0);
         assert!(b.probe());
         controller.cancel();
         let mut stopped_after = None;
@@ -426,7 +427,7 @@ mod tests {
             controller: Some(controller.clone()),
             ..DiscoveryConfig::default()
         };
-        let b = Budget::new(&config, Instant::now(), 0);
+        let b = Budget::new(&config, now(), 0);
         assert!(b.probe_now());
         controller.cancel();
         assert!(!b.probe_now(), "batch boundary poll must not amortize");
@@ -439,7 +440,7 @@ mod tests {
             time_budget: Some(Duration::ZERO),
             ..DiscoveryConfig::default()
         };
-        let b = Budget::new(&config, Instant::now(), 0);
+        let b = Budget::new(&config, now(), 0);
         assert!(!b.probe(), "call 0 is a probe boundary");
         assert_eq!(b.cause(), Some(StopCause::TimeBudget));
     }
@@ -450,7 +451,7 @@ mod tests {
             time_budget: Some(Duration::ZERO),
             ..DiscoveryConfig::default()
         };
-        let b = Budget::new(&config, Instant::now(), 0);
+        let b = Budget::new(&config, now(), 0);
         assert!(!b.probe());
         b.trip(StopCause::Cancelled);
         assert_eq!(b.cause(), Some(StopCause::TimeBudget));

@@ -196,6 +196,8 @@ mod tests {
     }
 
     #[test]
+    // Test threads contend for the deques on purpose.
+    #[allow(clippy::disallowed_methods)]
     fn every_batch_surfaces_exactly_once_under_contention() {
         let workers = 4;
         let batches = 257;
@@ -224,6 +226,8 @@ mod tests {
     }
 
     #[test]
+    // A test thread panics while holding a deque's lock, to poison it.
+    #[allow(clippy::disallowed_methods)]
     fn pop_recovers_from_a_poisoned_queue() {
         let q = std::sync::Arc::new(StealQueues::new(2, 4));
         let q2 = std::sync::Arc::clone(&q);

@@ -1073,6 +1073,9 @@ fn run_batch<'r>(
 ///
 /// Returns the panic text of a worker that died (isolation itself
 /// failing): its outcomes died with it and its slots stay `None`.
+// The level driver's workers are core's one sanctioned spawn site: the
+// driver's panic quarantine owns their lifecycle.
+#[allow(clippy::disallowed_methods)]
 fn run_workers<'r, T: Send>(
     checkers: &mut [Checker<'r>],
     wstats: &mut [WorkerSchedStats],
@@ -2561,6 +2564,8 @@ mod tests {
     }
 
     #[test]
+    // A test thread cancels the run from outside, as a caller would.
+    #[allow(clippy::disallowed_methods)]
     fn concurrent_cancel_stops_a_running_search() {
         // Exponential workload; the 30 s time budget is only a failsafe so
         // a broken cancellation path fails the assert instead of hanging.

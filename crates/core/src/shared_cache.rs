@@ -475,6 +475,8 @@ mod tests {
     }
 
     #[test]
+    // Test threads read the published snapshot concurrently on purpose.
+    #[allow(clippy::disallowed_methods)]
     fn epoch_concurrent_readers_race_free() {
         let cache: Arc<EpochPrefixCache<Vec<u32>>> = Arc::new(EpochPrefixCache::new(1 << 22));
         cache.publish((0..32u32).map(|i| (vec![i as ColumnId], idx(&[i; 8]))));

@@ -165,13 +165,6 @@ impl Workspace {
     /// contribute no fns to the graph.
     pub fn build(files: Vec<(String, String)>) -> Workspace {
         let models: Vec<FileModel> = files.iter().map(|(p, c)| FileModel::parse(p, c)).collect();
-        Workspace::from_models(models)
-    }
-
-    /// Assemble the model from already-parsed files — the incremental
-    /// driver ([`crate::incremental`]) parses `FileModel`s in parallel and
-    /// hands them over here.
-    pub fn from_models(models: Vec<FileModel>) -> Workspace {
         let mut fns: Vec<FnItem> = Vec::new();
         for (fi, m) in models.iter().enumerate() {
             if !in_analysis_scope(&m.src.path) {

@@ -35,13 +35,7 @@ const GROWTH_COMPOUND: &[(&str, &str)] = &[("+=", "+"), ("*=", "*"), ("<<=", "<<
 /// Run the three interval rules over the workspace. Returns diagnostics
 /// sorted in (path, line, rule) order.
 pub fn interval_rules(ws: &Workspace, uses: &mut AllowUses) -> Vec<Diagnostic> {
-    let ctx = build_ctx(ws);
-    interval_rules_with_ctx(ws, &ctx, uses)
-}
-
-/// As [`interval_rules`], with a caller-built [`Ctx`] (the driver reuses
-/// the context for its `--stats` breakdown).
-pub fn interval_rules_with_ctx(ws: &Workspace, ctx: &Ctx, uses: &mut AllowUses) -> Vec<Diagnostic> {
+    let ctx = &build_ctx(ws);
     // Overflow scope: fns reachable from the scan/sort/sample roots.
     let roots = ws.fns.iter().enumerate().filter_map(|(id, f)| {
         (!f.is_test && OVERFLOW_ROOT_FILES.contains(&ws.files[f.file].src.path.as_str()))

@@ -1,13 +1,12 @@
-//! `ocdd-lint` — the workspace-specific static-analysis pass (ISSUE 4,
-//! upgraded to a cross-file semantic analyzer in ISSUE 5).
+//! `ocdd-lint` — the workspace-specific static-analysis pass: line rules
+//! on masked text plus a cross-file semantic analyzer.
 //!
 //! The compiler cannot see the invariants this reproduction's correctness
 //! rests on: byte-identical results across Sequential/WorkStealing
 //! runs, panic-quarantined workers, and `Relaxed` stats counters that
 //! must never feed back into results. `ocdd-lint` enforces them over every
-//! workspace `.rs` file — line rules on masked text, and three semantic
-//! rules over a token-level workspace model with a conservative call
-//! graph:
+//! workspace `.rs` file — line rules on masked text, and semantic rules
+//! over a token-level workspace model with a conservative call graph:
 //!
 //! | rule | kind | invariant |
 //! |---|---|---|
@@ -20,10 +19,15 @@
 //! | `lossy-cast` | semantic | every `as` narrowing cast proven in-range (intervals) |
 //! | `overflow-prone-arith` | semantic | hot-path add/mul/shift proven wrap-free (intervals) |
 //! | `untracked-index-arith` | semantic | fixed-buffer indices proven in-bounds (intervals) |
-//! | `clock-confinement` | line | `Instant::now`/`SystemTime` only in `runtime.rs` |
-//! | `spawn-confinement` | line | thread spawns in core/relation only in core `search.rs` and relation `pool.rs` |
 //! | `atomics-audit` | line | every `Ordering::Relaxed` justified or allowlisted |
 //! | `lock-discipline` | line | `.lock().unwrap()` banned; poison is recovered |
+//!
+//! Three confinement rules live in `clippy.toml` instead, as clippy's
+//! `disallowed-methods` / `disallowed-types`: clock reads (`Instant::now`,
+//! `SystemTime`) and thread spawns in core and relation (`clippy.toml`
+//! of each crate), and direct file writes (`fs::write`, `File::create`,
+//! `OpenOptions`) everywhere (the root `clippy.toml`). Each sanctioned
+//! site carries `#[allow(clippy::disallowed_methods)]` with its reason.
 //!
 //! A finding is silenced by `// lint: allow(<rule>, <reason>)` — trailing
 //! on the offending line, standalone on the line(s) above, or (for the
@@ -35,7 +39,8 @@
 //! cannot rot.
 //!
 //! Run as `cargo run -p ocdd-lint` from the workspace root (ci.sh gates on
-//! it before clippy); the binary exits non-zero on any finding. See
+//! it before clippy); the binary exits non-zero on any finding. Every run
+//! is one [`analyze`] pass over the whole workspace. See
 //! [`crate::callgraph`], [`crate::locks`], [`crate::taint`] for the
 //! semantic passes and `--explain <rule>` for the rationale of each rule.
 
@@ -43,7 +48,6 @@ pub mod absint;
 pub mod callgraph;
 pub mod casts;
 pub mod dataflow;
-pub mod incremental;
 pub mod intervals;
 pub mod locks;
 pub mod loops;
@@ -53,7 +57,6 @@ pub mod source;
 pub mod taint;
 pub mod tokens;
 
-pub use incremental::{analyze_incremental, EngineStats};
 pub use rules::{canonical_rule, check_file, explain, Diagnostic, ALL_RULES};
 pub use source::SourceFile;
 
@@ -138,7 +141,7 @@ pub struct Analysis {
 }
 
 /// Analyze a set of `(path, content)` files as one workspace: line rules
-/// per file, then the three semantic passes over the shared model, then
+/// per file, then the semantic passes over the shared model, then
 /// annotation hygiene across everything.
 pub fn analyze(files: Vec<(String, String)>) -> Analysis {
     let files_scanned = files.len();
@@ -154,15 +157,19 @@ pub fn analyze(files: Vec<(String, String)>) -> Analysis {
         }
     }
 
-    diagnostics.extend(semantic_passes(&ws, &mut uses));
+    diagnostics.extend(callgraph::panic_reachability(&ws, &mut uses));
+    diagnostics.extend(locks::lock_order(&ws, &mut uses));
+    diagnostics.extend(taint::determinism_taint(&ws, &mut uses));
+    diagnostics.extend(dataflow::unprobed_loops(&ws, &mut uses));
+    diagnostics.extend(dataflow::hot_loop_alloc(&ws, &mut uses));
+    diagnostics.extend(schema::schema_parity(&ws, &mut uses));
+    diagnostics.extend(casts::interval_rules(&ws, &mut uses));
 
     // Annotation hygiene, after every pass has had its chance to consume
     // an allow.
     let mut stale_allows = Vec::new();
     for (fi, model) in ws.files.iter().enumerate() {
-        let (hyg, stale) = hygiene(model, |line, canon| uses.is_used(fi, line, canon));
-        diagnostics.extend(hyg);
-        stale_allows.extend(stale);
+        hygiene(fi, model, &uses, &mut diagnostics, &mut stale_allows);
     }
 
     diagnostics.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
@@ -174,31 +181,18 @@ pub fn analyze(files: Vec<(String, String)>) -> Analysis {
     }
 }
 
-/// Run every semantic pass over the workspace model in the canonical
-/// order (also the order the incremental driver times them in).
-pub(crate) fn semantic_passes(ws: &Workspace, uses: &mut AllowUses) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    out.extend(callgraph::panic_reachability(ws, uses));
-    out.extend(locks::lock_order(ws, uses));
-    out.extend(taint::determinism_taint(ws, uses));
-    out.extend(dataflow::unprobed_loops(ws, uses));
-    out.extend(dataflow::hot_loop_alloc(ws, uses));
-    out.extend(schema::schema_parity(ws, uses));
-    out.extend(casts::interval_rules(ws, uses));
-    out
-}
-
-/// Annotation hygiene for one file: `unknown-allow` for bad rule names,
-/// `unused-allow` (plus a [`StaleAllow`]) for annotations `is_used`
-/// reports as consumed by nothing. Allows targeting test-only lines are
-/// exempt: test code is outside every rule's scope, so "unused there"
-/// carries no signal.
-pub(crate) fn hygiene(
+/// Annotation hygiene for file `fi`: `unknown-allow` for bad rule names,
+/// `unused-allow` (plus a [`StaleAllow`]) for annotations `uses` records
+/// as consumed by nothing. Allows targeting test-only lines are exempt:
+/// test code is outside every rule's scope, so "unused there" carries no
+/// signal.
+fn hygiene(
+    fi: usize,
     model: &FileModel,
-    mut is_used: impl FnMut(usize, &'static str) -> bool,
-) -> (Vec<Diagnostic>, Vec<StaleAllow>) {
-    let mut diagnostics = Vec::new();
-    let mut stale_allows = Vec::new();
+    uses: &AllowUses,
+    diagnostics: &mut Vec<Diagnostic>,
+    stale_allows: &mut Vec<StaleAllow>,
+) {
     for (target_line, allows) in model.src.allows_for_line.iter().enumerate() {
         for a in allows {
             if model.is_test_line(target_line) {
@@ -218,7 +212,7 @@ pub(crate) fn hygiene(
                 });
                 continue;
             };
-            if !is_used(target_line, canon) {
+            if !uses.is_used(fi, target_line, canon) {
                 diagnostics.push(Diagnostic {
                     path: model.src.path.clone(),
                     line: a.line,
@@ -238,7 +232,6 @@ pub(crate) fn hygiene(
             }
         }
     }
-    (diagnostics, stale_allows)
 }
 
 /// Analyze one file's `content` as workspace-relative `rel_path`, running
@@ -269,9 +262,6 @@ fn emitted_rules() -> Vec<&'static str> {
 ///   "schema": "ocdd-lint/3",
 ///   "count": 1,
 ///   "rules": {"panic-reachability": 1, "lock-order": 0, "...": 0},
-///   "stats": {"files_scanned": 40, "files_reanalyzed": 2,
-///             "semantic_reran": true, "elapsed_ms": 120},
-///   "timings_ms": {"parse": 12, "line-rules": 3, "lossy-cast": 20},
 ///   "findings": [
 ///     {"rule": "...", "file": "...", "line": 1, "message": "...",
 ///      "chain": ["root (file:line)", "... at file:line"]}
@@ -279,16 +269,13 @@ fn emitted_rules() -> Vec<&'static str> {
 /// }
 /// ```
 ///
-/// `/2` extended `/1` with the `rules` object: per-rule finding counts for
-/// *every* known rule (zeros included), so the ci.sh baseline gate and
-/// `scripts/lint_diff.sh` can diff per rule without parsing findings.
-/// `/3` adds the optional `stats` and `timings_ms` objects (emitted only
-/// when the incremental engine ran, i.e. under `--stats`), placed *after*
-/// the `rules` line so `/2` consumers that `sed`-extract the single-line
-/// `rules` object keep working unchanged. `chain` is the call-chain /
-/// flow witness for semantic rules, outermost first; empty for line
-/// rules. Fields are emitted in exactly this order.
-pub fn to_json(diags: &[Diagnostic], stats: Option<&EngineStats>) -> String {
+/// The `rules` object carries per-rule finding counts for *every* known
+/// rule (zeros included) on one line, so the ci.sh baseline gate and
+/// `scripts/lint_diff.sh` can `sed`-extract it and diff per rule without
+/// parsing findings. `chain` is the call-chain / flow witness for
+/// semantic rules, outermost first; empty for line rules. Fields are
+/// emitted in exactly this order.
+pub fn to_json(diags: &[Diagnostic]) -> String {
     let mut s = String::new();
     s.push_str("{\n  \"schema\": \"ocdd-lint/3\",\n");
     s.push_str(&format!("  \"count\": {},\n", diags.len()));
@@ -301,21 +288,6 @@ pub fn to_json(diags: &[Diagnostic], stats: Option<&EngineStats>) -> String {
         s.push_str(&format!("{}: {n}", quoted(rule)));
     }
     s.push_str("},\n");
-    if let Some(st) = stats {
-        s.push_str(&format!(
-            "  \"stats\": {{\"files_scanned\": {}, \"files_reanalyzed\": {}, \
-             \"semantic_reran\": {}, \"elapsed_ms\": {}}},\n",
-            st.files_scanned, st.files_reanalyzed, st.semantic_reran, st.elapsed_ms
-        ));
-        s.push_str("  \"timings_ms\": {");
-        for (i, (stage, ms)) in st.timings_ms.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("{}: {ms}", quoted(stage)));
-        }
-        s.push_str("},\n");
-    }
     s.push_str("  \"findings\": [");
     for (i, d) in diags.iter().enumerate() {
         if i > 0 {
@@ -392,7 +364,9 @@ pub fn to_sarif(diags: &[Diagnostic]) -> String {
 /// Compute (and with `apply` perform) the deletions for stale allow
 /// annotations under `root`. Returns the stale allows that were (or would
 /// be) removed. Annotation-only lines are deleted whole; trailing
-/// annotations are stripped back to the code they ride on.
+/// annotations are stripped back to the code they ride on, found as
+/// [`source::comment_start`] finds them (a `//` inside a string literal
+/// never counts).
 pub fn fix_allows(root: &Path, apply: bool) -> std::io::Result<Vec<StaleAllow>> {
     let analysis = analyze(collect_files(root)?);
     if analysis.stale_allows.is_empty() || !apply {
@@ -406,6 +380,7 @@ pub fn fix_allows(root: &Path, apply: bool) -> std::io::Result<Vec<StaleAllow>> 
     for (path, stales) in by_path {
         let abs = root.join(path);
         let content = std::fs::read_to_string(&abs)?;
+        let masked = SourceFile::parse(path, &content).masked_lines;
         let had_trailing_newline = content.ends_with('\n');
         let mut lines: Vec<String> = content.split('\n').map(str::to_owned).collect();
         if had_trailing_newline {
@@ -416,8 +391,12 @@ pub fn fix_allows(root: &Path, apply: bool) -> std::io::Result<Vec<StaleAllow>> 
         sorted.sort_by_key(|sa| std::cmp::Reverse(sa.line));
         for sa in sorted {
             let idx = sa.line - 1;
-            let Some(line) = lines.get(idx) else { continue };
-            let Some(pos) = line.find("//") else { continue };
+            let Some((line, masked)) = lines.get(idx).zip(masked.get(idx)) else {
+                continue;
+            };
+            let Some(pos) = source::comment_start(line, masked) else {
+                continue;
+            };
             if line[..pos].trim().is_empty() {
                 lines.remove(idx);
             } else {
@@ -503,7 +482,7 @@ mod tests {
             message: "a \"quoted\" message".into(),
             chain: vec!["root (a.rs:1)".into(), "`.unwrap()` at b.rs:2".into()],
         }];
-        let json = to_json(&diags, None);
+        let json = to_json(&diags);
         assert!(json.contains("\"schema\": \"ocdd-lint/3\""));
         assert!(json.contains("\"count\": 1"));
         assert!(json.contains("\"rules\": {\"panic-reachability\": 1, \"lock-order\": 0,"));
@@ -519,35 +498,7 @@ mod tests {
              \"line\": 3, \"message\": \"a \\\"quoted\\\" message\", \
              \"chain\": [\"root (a.rs:1)\", \"`.unwrap()` at b.rs:2\"]}"
         ));
-        assert!(!json.contains("\"stats\""), "no stats without the engine");
-        assert!(to_json(&[], None).contains("\"findings\": []"));
-    }
-
-    #[test]
-    fn json_stats_sit_after_the_rules_line() {
-        let stats = EngineStats {
-            files_scanned: 40,
-            files_reanalyzed: 2,
-            semantic_reran: true,
-            elapsed_ms: 120,
-            timings_ms: vec![("parse".into(), 12), ("lossy-cast".into(), 20)],
-        };
-        let json = to_json(&[], Some(&stats));
-        assert!(json.contains(
-            "\"stats\": {\"files_scanned\": 40, \"files_reanalyzed\": 2, \
-             \"semantic_reran\": true, \"elapsed_ms\": 120}"
-        ));
-        assert!(json.contains("\"timings_ms\": {\"parse\": 12, \"lossy-cast\": 20}"));
-        let rules_at = json.find("\"rules\"").unwrap();
-        let stats_at = json.find("\"stats\"").unwrap();
-        let findings_at = json.find("\"findings\"").unwrap();
-        assert!(rules_at < stats_at && stats_at < findings_at);
-        // The `rules` object stays a single sed-extractable line.
-        let rules_line = json
-            .lines()
-            .find(|l| l.trim_start().starts_with("\"rules\""))
-            .unwrap();
-        assert!(rules_line.ends_with("},"));
+        assert!(to_json(&[]).contains("\"findings\": []"));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! * default — scan the workspace, print human-readable findings (with
 //!   call-chain witnesses for the semantic rules), exit 1 on any finding.
 //!   ci.sh runs this as a hard gate before clippy.
-//! * `--emit json` — print the stable `ocdd-lint/2` JSON document instead
+//! * `--emit json` — print the stable `ocdd-lint/3` JSON document instead
 //!   (schema, count, per-rule counts, findings with rule, file, line,
 //!   message, chain); same exit-code contract. ci.sh uploads this to
 //!   `results/lint_findings.json` and gates the per-rule counts against
@@ -18,20 +18,32 @@
 //! * `--explain <rule>` — print what a rule enforces and why, then exit 0.
 //! * `--fix-allows` — list stale `lint: allow` annotations (dry run);
 //!   add `--apply` to delete them in place.
-//! * `--cache FILE` — fingerprint cache location for the incremental
-//!   engine (default `<root>/results/lint_cache.json`). Warm runs replay
-//!   cached per-file results and skip the semantic passes entirely when
-//!   no in-scope file changed. `--cache none` disables caching and forces
-//!   a cold, single-shot analysis.
-//! * `--stats` — include the engine's timing report in the output: with
-//!   `--emit json` the document grows `stats` / `timings_ms` objects;
-//!   in human mode a per-phase timing table is printed to stderr.
+//!
+//! Every scan is one `ocdd_lint::analyze` pass over the whole workspace.
 
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: ocdd-lint [root] [--emit json|sarif] [--out FILE] [--explain <rule>] \
-                     [--fix-allows [--apply]] [--cache FILE|none] [--stats]";
+                     [--fix-allows [--apply]]";
+
+/// Write `text` to standard output. A reader that closed the pipe early
+/// (`ocdd-lint | head`) ends the output quietly, where `print!` would
+/// panic on the `EPIPE`: the crate forbids `unsafe`, so it cannot restore
+/// SIGPIPE's default action. The run keeps the exit status it would have
+/// had.
+fn print_out(text: &str) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        if e.kind() != ErrorKind::BrokenPipe {
+            eprintln!("ocdd-lint: cannot write to stdout: {e}");
+        }
+    }
+}
 
 /// Machine-readable output format selected by `--emit`.
 #[derive(Clone, Copy, PartialEq)]
@@ -48,8 +60,6 @@ fn main() -> ExitCode {
     let mut explain_rule: Option<String> = None;
     let mut fix_allows = false;
     let mut apply = false;
-    let mut cache_arg: Option<String> = None;
-    let mut stats = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -81,16 +91,8 @@ fn main() -> ExitCode {
             },
             "--fix-allows" => fix_allows = true,
             "--apply" => apply = true,
-            "--stats" => stats = true,
-            "--cache" => match args.next() {
-                Some(path) => cache_arg = Some(path),
-                None => {
-                    eprintln!("ocdd-lint: --cache needs a file path (or `none`)\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--help" | "-h" => {
-                println!("{USAGE}");
+                print_out(&format!("{USAGE}\n"));
                 return ExitCode::SUCCESS;
             }
             flag if flag.starts_with('-') => {
@@ -108,7 +110,7 @@ fn main() -> ExitCode {
     if let Some(rule) = explain_rule {
         return match ocdd_lint::explain(&rule) {
             Some(text) => {
-                println!("{text}");
+                print_out(&format!("{text}\n"));
                 ExitCode::SUCCESS
             }
             None => {
@@ -146,23 +148,25 @@ fn main() -> ExitCode {
     if fix_allows {
         return match ocdd_lint::fix_allows(&root, apply) {
             Ok(stale) => {
-                for sa in &stale {
-                    println!(
-                        "{}:{}: stale allow({}) {}",
-                        sa.path,
-                        sa.line,
-                        sa.rule,
-                        if apply { "removed" } else { "would be removed" }
-                    );
-                }
-                if apply {
-                    println!("ocdd-lint: {} stale allow(s) removed", stale.len());
+                let verdict = if apply { "removed" } else { "would be removed" };
+                let mut text: String = stale
+                    .iter()
+                    .map(|sa| {
+                        format!(
+                            "{}:{}: stale allow({}) {verdict}\n",
+                            sa.path, sa.line, sa.rule
+                        )
+                    })
+                    .collect();
+                text.push_str(&if apply {
+                    format!("ocdd-lint: {} stale allow(s) removed\n", stale.len())
                 } else {
-                    println!(
-                        "ocdd-lint: {} stale allow(s) found (dry run — pass --apply to remove)",
+                    format!(
+                        "ocdd-lint: {} stale allow(s) found (dry run — pass --apply to remove)\n",
                         stale.len()
-                    );
-                }
+                    )
+                });
+                print_out(&text);
                 ExitCode::SUCCESS
             }
             Err(e) => {
@@ -172,58 +176,33 @@ fn main() -> ExitCode {
         };
     }
 
-    let cache_path = match cache_arg.as_deref() {
-        Some("none") => None,
-        Some(p) => Some(PathBuf::from(p)),
-        None => Some(root.join("results").join("lint_cache.json")),
-    };
-    let scanned = match &cache_path {
-        Some(cp) => ocdd_lint::analyze_incremental(&root, cp).map(|(a, s)| (a, Some(s))),
-        None => ocdd_lint::scan_workspace(&root).map(|a| (a, None)),
-    };
-    match scanned {
-        Ok((analysis, engine_stats)) => {
-            let stats_ref = if stats { engine_stats.as_ref() } else { None };
+    match ocdd_lint::scan_workspace(&root) {
+        Ok(analysis) => {
             let doc = match emit {
-                Emit::Json => Some(ocdd_lint::to_json(&analysis.diagnostics, stats_ref)),
-                Emit::Sarif => Some(ocdd_lint::to_sarif(&analysis.diagnostics)),
-                Emit::Human => None,
+                Emit::Json => ocdd_lint::to_json(&analysis.diagnostics),
+                Emit::Sarif => ocdd_lint::to_sarif(&analysis.diagnostics),
+                Emit::Human => {
+                    let mut text: String = analysis
+                        .diagnostics
+                        .iter()
+                        .map(|d| format!("{d}\n"))
+                        .collect();
+                    text.push_str(&format!(
+                        "ocdd-lint: {} file(s) scanned, {} violation(s)\n",
+                        analysis.files_scanned,
+                        analysis.diagnostics.len()
+                    ));
+                    text
+                }
             };
-            if let Some(doc) = doc {
-                match &out_file {
-                    Some(path) => {
-                        if let Err(e) = ocdd_iosafe::atomic_write_str(path, &doc) {
-                            eprintln!("ocdd-lint: cannot write {}: {e}", path.display());
-                            return ExitCode::FAILURE;
-                        }
+            match &out_file {
+                Some(path) => {
+                    if let Err(e) = ocdd_iosafe::atomic_write_str(path, &doc) {
+                        eprintln!("ocdd-lint: cannot write {}: {e}", path.display());
+                        return ExitCode::FAILURE;
                     }
-                    None => print!("{doc}"),
                 }
-            } else {
-                for d in &analysis.diagnostics {
-                    println!("{d}");
-                }
-                println!(
-                    "ocdd-lint: {} file(s) scanned, {} violation(s)",
-                    analysis.files_scanned,
-                    analysis.diagnostics.len()
-                );
-            }
-            if let Some(es) = stats_ref {
-                eprintln!(
-                    "ocdd-lint: {} file(s) scanned, {} re-analyzed, semantic passes {}, {} ms",
-                    es.files_scanned,
-                    es.files_reanalyzed,
-                    if es.semantic_reran {
-                        "re-ran"
-                    } else {
-                        "replayed"
-                    },
-                    es.elapsed_ms
-                );
-                for (phase, ms) in &es.timings_ms {
-                    eprintln!("ocdd-lint:   {phase:<24} {ms:>6} ms");
-                }
+                None => print_out(&doc),
             }
             if analysis.diagnostics.is_empty() {
                 ExitCode::SUCCESS

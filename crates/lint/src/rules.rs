@@ -8,7 +8,9 @@
 //! [`crate::locks`], [`crate::taint`]) computed over the whole-workspace
 //! token model. The old per-line `no-panic` and `determinism-hash` rules
 //! are subsumed by `panic-reachability` and `determinism-taint`; their
-//! names remain valid in annotations as aliases.
+//! names remain valid in annotations as aliases. Clock, spawn and file
+//! write confinement are clippy's `disallowed-methods` /
+//! `disallowed-types` in the workspace's `clippy.toml` files.
 
 use crate::source::SourceFile;
 
@@ -20,18 +22,11 @@ pub const LOCK_ORDER: &str = "lock-order";
 /// Semantic rule: nondeterministic iteration/clock values must not flow
 /// into results or emission buffers.
 pub const DETERMINISM_TAINT: &str = "determinism-taint";
-/// Rule identifier: wall-clock reads confined to `runtime.rs`.
-pub const CLOCK_CONFINEMENT: &str = "clock-confinement";
-/// Rule identifier: thread spawns in core and relation confined to
-/// core's `search.rs` and relation's `pool.rs`.
-pub const SPAWN_CONFINEMENT: &str = "spawn-confinement";
 /// Rule identifier: `Ordering::Relaxed` requires a justification outside
 /// the shared-cache stats counters.
 pub const ATOMICS_AUDIT: &str = "atomics-audit";
 /// Rule identifier: `.lock().unwrap()` banned in favor of poison recovery.
 pub const LOCK_DISCIPLINE: &str = "lock-discipline";
-/// Rule identifier: file writes confined to the `ocdd-iosafe` helper.
-pub const IO_CONFINEMENT: &str = "io-confinement";
 /// Semantic rule (ISSUE 9): every loop reachable from the `discover*`
 /// entry points must probe the cancellation budget.
 pub const UNPROBED_LOOP: &str = "unprobed-loop";
@@ -61,11 +56,8 @@ pub const ALL_RULES: &[&str] = &[
     PANIC_REACHABILITY,
     LOCK_ORDER,
     DETERMINISM_TAINT,
-    CLOCK_CONFINEMENT,
-    SPAWN_CONFINEMENT,
     ATOMICS_AUDIT,
     LOCK_DISCIPLINE,
-    IO_CONFINEMENT,
     UNPROBED_LOOP,
     SCHEMA_PARITY,
     HOT_LOOP_ALLOC,
@@ -139,22 +131,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              contents are sorted before escape are fine — this rule\n\
              subsumes the old blanket HashMap ban."
         }
-        CLOCK_CONFINEMENT => {
-            "clock-confinement\n\
-             \n\
-             `Instant::now`/`SystemTime` reads are confined to runtime.rs\n\
-             (`runtime::now()`), so determinism reviews have one audit\n\
-             point for wall-clock entering the system."
-        }
-        SPAWN_CONFINEMENT => {
-            "spawn-confinement\n\
-             \n\
-             Thread spawns in crates/core and crates/relation are confined\n\
-             to core's search.rs (the level driver's workers) and\n\
-             relation's pool.rs (`par_map`, the one pool of ingest and the\n\
-             column reduction): worker lifecycles must stay under the\n\
-             driver's panic quarantine or the pool's recompute-on-panic."
-        }
         ATOMICS_AUDIT => {
             "atomics-audit\n\
              \n\
@@ -168,18 +144,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              `.lock().unwrap()` turns poisoning into a second panic; use\n\
              the poison-recovery idiom\n\
              `unwrap_or_else(PoisonError::into_inner)`."
-        }
-        IO_CONFINEMENT => {
-            "io-confinement\n\
-             \n\
-             Direct file writes (`fs::write`, `File::create`,\n\
-             `OpenOptions`) are confined to crates/iosafe: every artifact\n\
-             the workspace persists — checkpoint dumps, BENCH_approx.json,\n\
-             lint findings, bench TSVs — must go through\n\
-             `ocdd_iosafe::atomic_write` (tmp + fsync + rename), so a\n\
-             crash or SIGKILL can truncate a private tmp file but never a\n\
-             published one. The checkpoint/resume contract (DESIGN.md §13)\n\
-             depends on dumps being whole-or-absent."
         }
         UNPROBED_LOOP => {
             "unprobed-loop\n\
@@ -330,15 +294,6 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// Scope: the panic-free core crates.
-fn in_core_or_relation(path: &str) -> bool {
-    path.starts_with("crates/core/src/") || path.starts_with("crates/relation/src/")
-}
-
-/// The files of core and relation that may spawn threads: the level
-/// driver's workers and the worker pool.
-const SPAWN_SITES: [&str; 2] = ["crates/core/src/search.rs", "crates/relation/src/pool.rs"];
-
 /// Stats-counter field accesses allowlisted for `Ordering::Relaxed` inside
 /// `shared_cache.rs` — observability counters that, by construction, never
 /// feed back into discovery results.
@@ -389,37 +344,6 @@ pub fn check_file(f: &SourceFile) -> (Vec<Diagnostic>, Vec<(usize, &'static str)
             continue;
         }
 
-        if in_core_or_relation(&f.path)
-            && f.path != "crates/core/src/runtime.rs"
-            && (masked.contains("Instant::now") || masked.contains("SystemTime"))
-        {
-            finding(
-                &mut out,
-                &mut used,
-                i,
-                CLOCK_CONFINEMENT,
-                "wall-clock read outside runtime.rs — route it through \
-                 `crate::runtime::now()` so determinism reviews have one audit point"
-                    .to_owned(),
-            );
-        }
-
-        if in_core_or_relation(&f.path)
-            && !SPAWN_SITES.contains(&f.path.as_str())
-            && masked.contains("spawn(")
-        {
-            finding(
-                &mut out,
-                &mut used,
-                i,
-                SPAWN_CONFINEMENT,
-                "thread spawn outside core search.rs and relation pool.rs — worker \
-                 lifecycles must stay under the driver's quarantine or the pool's \
-                 recompute-on-panic"
-                    .to_owned(),
-            );
-        }
-
         if masked.contains("::Relaxed") {
             let allowlisted = f.path == "crates/core/src/shared_cache.rs"
                 && SHARED_CACHE_STATS_FIELDS
@@ -446,22 +370,6 @@ pub fn check_file(f: &SourceFile) -> (Vec<Diagnostic>, Vec<(usize, &'static str)
                 LOCK_DISCIPLINE,
                 "`.lock().unwrap()` propagates poisoning as a second panic — use the \
                  poison-recovery idiom (`unwrap_or_else(PoisonError::into_inner)`)"
-                    .to_owned(),
-            );
-        }
-
-        if !f.path.starts_with("crates/iosafe/src/")
-            && (masked.contains("fs::write(")
-                || masked.contains("File::create(")
-                || masked.contains("OpenOptions"))
-        {
-            finding(
-                &mut out,
-                &mut used,
-                i,
-                IO_CONFINEMENT,
-                "direct file write outside crates/iosafe — route it through \
-                 `ocdd_iosafe::atomic_write` so a crash never publishes a torn file"
                     .to_owned(),
             );
         }

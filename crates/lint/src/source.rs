@@ -312,6 +312,15 @@ fn parse_allow(comment: &str, line: usize) -> Option<Allow> {
     })
 }
 
+/// Byte offset in `raw` of the line comment that ends it, given its
+/// `masked` twin: the comment starts at the first `//` past the point
+/// where the masked line turns blank through the end of the line, so a
+/// `//` inside a string literal on the code before it never counts.
+pub fn comment_start(raw: &str, masked: &str) -> Option<usize> {
+    let code_end = masked.trim_end().len();
+    raw.get(code_end..)?.find("//").map(|pos| code_end + pos)
+}
+
 /// Attach annotations to the lines they justify: a trailing annotation
 /// justifies its own line; a standalone annotation line (possibly several,
 /// stacked) justifies the next line that carries code.
@@ -323,9 +332,7 @@ fn collect_allows(raw_lines: &[String], masked_lines: &[String]) -> Vec<Vec<Allo
         let raw = &raw_lines[i];
         let masked = &masked_lines[i];
         let has_code = !masked.trim().is_empty();
-        let annotation = raw
-            .find("//")
-            .and_then(|pos| parse_allow(&raw[pos..], i + 1));
+        let annotation = comment_start(raw, masked).and_then(|pos| parse_allow(&raw[pos..], i + 1));
         match (has_code, annotation) {
             (true, Some(a)) => {
                 // Trailing annotation: applies here, along with pending.

@@ -24,17 +24,16 @@ fn panics_fixture_exact_diagnostics() {
     assert_eq!(
         shape(&diags),
         vec![
-            (6, rules::PANIC_REACHABILITY),
-            (10, rules::PANIC_REACHABILITY),
-            (14, rules::CLOCK_CONFINEMENT),
+            (5, rules::PANIC_REACHABILITY),
+            (9, rules::PANIC_REACHABILITY),
         ],
         "{diags:#?}"
     );
     assert_eq!(
         diags[0].chain,
         vec![
-            "core::check::helper (crates/core/src/check.rs:5)",
-            "`.unwrap()` at crates/core/src/check.rs:6",
+            "core::check::helper (crates/core/src/check.rs:4)",
+            "`.unwrap()` at crates/core/src/check.rs:5",
         ]
     );
 }
@@ -47,11 +46,23 @@ fn panic_reachability_is_scoped_to_hot_roots() {
         "crates/core/src/fixture.rs",
         include_str!("fixtures/panics.rs"),
     );
-    assert_eq!(
-        shape(&diags),
-        vec![(14, rules::CLOCK_CONFINEMENT), (18, rules::UNUSED_ALLOW)],
-        "{diags:#?}"
-    );
+    assert_eq!(shape(&diags), vec![(13, rules::UNUSED_ALLOW)], "{diags:#?}");
+}
+
+#[test]
+fn an_allow_after_slashes_in_a_string_is_honoured() {
+    // The annotation's `//` is the first one past the code, not the one
+    // inside the string literal before it.
+    let content = "pub fn f(v: Option<u32>) -> u32 {\n\
+                   \x20   let _u = \"http://example.org\"; v.unwrap() \
+                   // lint: allow(panic-reachability, fixture: caller always passes Some)\n\
+                   }\n";
+    let diags = scan_content("crates/core/src/check.rs", content);
+    assert!(diags.is_empty(), "{diags:#?}");
+    // Without the unwrap the same annotation is stale, and reported.
+    let stale = content.replace(" v.unwrap()", " 1");
+    let diags = scan_content("crates/core/src/check.rs", &stale);
+    assert_eq!(shape(&diags), vec![(2, rules::UNUSED_ALLOW)], "{diags:#?}");
 }
 
 #[test]
@@ -180,67 +191,11 @@ fn atomics_fixture_exact_diagnostics() {
         shape(&diags),
         vec![
             (10, rules::ATOMICS_AUDIT),
-            (19, rules::SPAWN_CONFINEMENT),
-            (23, rules::LOCK_DISCIPLINE),
-            (23, rules::PANIC_REACHABILITY),
+            (19, rules::LOCK_DISCIPLINE),
+            (19, rules::PANIC_REACHABILITY),
         ],
         "{diags:#?}"
     );
-}
-
-#[test]
-fn iosafe_fixture_exact_diagnostics() {
-    let diags = scan_content(
-        "crates/bench/src/report.rs",
-        include_str!("fixtures/iosafe.rs"),
-    );
-    assert_eq!(
-        shape(&diags),
-        vec![
-            (8, rules::IO_CONFINEMENT),
-            (12, rules::IO_CONFINEMENT),
-            (16, rules::IO_CONFINEMENT),
-        ],
-        "{diags:#?}"
-    );
-}
-
-#[test]
-fn direct_writes_are_allowed_inside_iosafe() {
-    let diags = scan_content(
-        "crates/iosafe/src/lib.rs",
-        include_str!("fixtures/iosafe.rs"),
-    );
-    assert!(
-        !diags.iter().any(|d| d.rule == rules::IO_CONFINEMENT),
-        "{diags:#?}"
-    );
-}
-
-#[test]
-fn spawn_is_allowed_in_search_and_the_pool() {
-    for path in ["crates/core/src/search.rs", "crates/relation/src/pool.rs"] {
-        let diags = scan_content(path, include_str!("fixtures/stray_spawn.rs"));
-        assert!(
-            !diags.iter().any(|d| d.rule == rules::SPAWN_CONFINEMENT),
-            "{path}: {diags:#?}"
-        );
-    }
-}
-
-#[test]
-fn stray_spawn_in_relation_is_a_finding() {
-    // The relation crate spawns only in its pool, and core's runtime.rs
-    // not at all.
-    for path in ["crates/relation/src/csv.rs", "crates/core/src/runtime.rs"] {
-        let diags = scan_content(path, include_str!("fixtures/stray_spawn.rs"));
-        assert_eq!(
-            shape(&diags),
-            vec![(6, rules::SPAWN_CONFINEMENT)],
-            "{path}: {diags:#?}"
-        );
-        assert!(diags[0].message.contains("relation pool.rs"), "{diags:#?}");
-    }
 }
 
 #[test]
@@ -502,6 +457,8 @@ fn shared_cache_stats_counters_are_allowlisted() {
 }
 
 /// Build a throwaway mini-workspace under a unique temp dir.
+// Throwaway test inputs need no atomic write.
+#[allow(clippy::disallowed_methods)]
 fn mini_workspace(tag: &str, files: &[(&str, &str)]) -> std::path::PathBuf {
     let root = std::env::temp_dir().join(format!("ocdd-lint-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
@@ -551,6 +508,32 @@ fn binary_fails_on_violating_workspace_and_passes_on_this_one() {
         "workspace has lint findings:\n{}",
         String::from_utf8_lossy(&out.stdout)
     );
+}
+
+#[test]
+fn a_reader_closing_the_pipe_early_ends_the_output_quietly() {
+    // Enough findings to overflow the pipe buffer, so the binary is still
+    // writing when the reader goes away after one line.
+    let body: String = (0..1500)
+        .map(|i| format!("pub fn f{i}(v: Option<u32>) -> u32 {{\n    v.unwrap()\n}}\n"))
+        .collect();
+    let root = mini_workspace("epipe", &[("crates/core/src/check.rs", &body)]);
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_ocdd-lint"))
+        .arg(&root)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn ocdd-lint");
+    let mut first = String::new();
+    let stdout = child.stdout.take().expect("piped stdout");
+    std::io::BufRead::read_line(&mut std::io::BufReader::new(stdout), &mut first)
+        .expect("read the first finding");
+    let out = child.wait_with_output().expect("wait for ocdd-lint");
+    std::fs::remove_dir_all(&root).ok();
+    assert!(first.contains("panic-reachability"), "{first}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(1), "the findings' exit status");
 }
 
 #[test]
@@ -714,6 +697,10 @@ fn fix_allows_dry_run_then_apply() {
                   \n\
                   pub fn trailing() -> u32 {\n\
                   \x20   2 // lint: allow(determinism-hash, stale trailing annotation)\n\
+                  }\n\
+                  \n\
+                  pub fn url() -> &'static str {\n\
+                  \x20   \"http://example.org\" // lint: allow(no-panic, stale after a string)\n\
                   }\n";
     let root = mini_workspace("fix", &[("crates/core/src/check.rs", before)]);
     let file = root.join("crates/core/src/check.rs");
@@ -733,6 +720,10 @@ fn fix_allows_dry_run_then_apply() {
         stdout.contains(
             "crates/core/src/check.rs:12: stale allow(determinism-hash) would be removed"
         ),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("crates/core/src/check.rs:16: stale allow(no-panic) would be removed"),
         "{stdout}"
     );
     assert_eq!(
@@ -764,6 +755,10 @@ fn fix_allows_dry_run_then_apply() {
                     \n\
                     pub fn trailing() -> u32 {\n\
                     \x20   2\n\
+                    }\n\
+                    \n\
+                    pub fn url() -> &'static str {\n\
+                    \x20   \"http://example.org\"\n\
                     }\n";
     assert_eq!(after, expected);
 

@@ -1,5 +1,5 @@
 //! Fixture: one bare Relaxed (finding) and one justified Relaxed (clean),
-//! plus a spawn outside the confinement modules and a lock().unwrap().
+//! plus a lock().unwrap().
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -13,10 +13,6 @@ pub fn bump() {
 pub fn bump_justified() {
     // lint: allow(atomics-audit, fixture counter; written once and never read)
     N.fetch_add(1, Ordering::Relaxed);
-}
-
-pub fn escapee() {
-    std::thread::spawn(|| {}).join().ok();
 }
 
 pub fn peek(m: &Mutex<u32>) -> u32 {

@@ -1,6 +1,5 @@
-//! Fixture: direct panic sources plus a clock-confinement violation
-//! (scanned as crates/core/src/check.rs — a hot-path root file — by the
-//! integration tests).
+//! Fixture: direct panic sources (scanned as crates/core/src/check.rs — a
+//! hot-path root file — by the integration tests).
 
 pub fn helper(v: Option<u32>) -> u32 {
     v.unwrap()
@@ -8,10 +7,6 @@ pub fn helper(v: Option<u32>) -> u32 {
 
 pub fn message() -> String {
     panic!("fixture")
-}
-
-pub fn deadline() -> std::time::Instant {
-    std::time::Instant::now()
 }
 
 pub fn annotated(v: Option<u32>) -> u32 {

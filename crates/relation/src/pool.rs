@@ -3,8 +3,8 @@
 //!
 //! CSV ingest scans row chunks and encodes columns through it, and the
 //! column reduction of `ocdd-core` runs its pair passes on it. It is the
-//! only place in this crate that spawns threads (the `spawn-confinement`
-//! lint rule holds every other module to that).
+//! only place in this crate that spawns threads (the crate's `clippy.toml`
+//! holds every other module to that).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -51,6 +51,9 @@ enum Slot<T, R> {
 /// owns before the map ends. An item whose worker panics is recomputed on
 /// the calling thread once every worker is done, so no result is ever
 /// lost; a second panic there propagates.
+// The pool is the crate's one sanctioned spawn site: its recompute-on-panic
+// owns the lifecycle of every worker it starts.
+#[allow(clippy::disallowed_methods)]
 pub fn par_map<T: Send, R: Send>(
     items: Vec<T>,
     threads: usize,
@@ -128,6 +131,9 @@ mod tests {
     }
 
     #[test]
+    // The test's deadline only bounds a broken pool's wait; it reads the
+    // clock directly because relation cannot call core's `runtime::now`.
+    #[allow(clippy::disallowed_methods)]
     fn one_costly_item_does_not_hold_up_the_rest() {
         // Item 0 runs until every other item is done. Dealing items one at
         // a time lets the second worker drain them all meanwhile; a worker

@@ -30,10 +30,8 @@ cleanup() {
 trap cleanup EXIT
 
 # Scan the workspace at $1 and leave its `--emit json` document at $2.
-# The cache is disabled: the two sides are different trees, and a shared
-# fingerprint store would let one side replay the other's diagnostics.
 scan() {
-    cargo run -q -p ocdd-lint -- "$1" --emit json --cache none >"$2" || true
+    cargo run -q -p ocdd-lint -- "$1" --emit json >"$2" || true
 }
 
 # Reduce a findings document to one "rule file:line" per finding, sorted.

@@ -1,5 +1,9 @@
 //! End-to-end tests of the `ocdd` CLI binary.
 
+// The tests write throwaway CSV inputs to the temp dir, which need no
+// atomic write.
+#![allow(clippy::disallowed_methods)]
+
 use ocdd_iosafe::json::{parse, Json};
 use std::process::Command;
 

@@ -10,6 +10,9 @@
 //! `cargo test --features fault-injection --test crash_resume`.
 
 #![cfg(feature = "fault-injection")]
+// The tests write throwaway CSV inputs to the temp dir, which need no
+// atomic write.
+#![allow(clippy::disallowed_methods)]
 
 use ocdd_iosafe::json::{parse, Json};
 use std::path::{Path, PathBuf};

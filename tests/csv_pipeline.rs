@@ -46,6 +46,8 @@ fn csv_with_nulls_round_trips_semantics() {
 }
 
 #[test]
+// A throwaway input in the temp dir needs no atomic write.
+#[allow(clippy::disallowed_methods)]
 fn profile_arbitrary_csv_from_disk() {
     let dir = std::env::temp_dir().join("ocdd_csv_pipeline");
     std::fs::create_dir_all(&dir).unwrap();

@@ -25,6 +25,8 @@ use std::time::Duration;
 
 /// Compare `actual` with the fixture's bytes; on a mismatch, leave the
 /// actual bytes in the temp dir and fail naming both files.
+// A diagnostic dump in the temp dir needs no atomic write.
+#[allow(clippy::disallowed_methods)]
 fn assert_golden(actual: &str, expected: &str, fixture: &str) {
     if actual != expected {
         let path = std::env::temp_dir().join(format!("{fixture}.actual"));
