@@ -71,7 +71,27 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy -D warnings"
+# cargo keeps a crate's clippy verdict until the crate's sources change,
+# and a clippy.toml is not one of them: a config added, edited or removed
+# would pass unchecked on a warm target dir. Fingerprint every clippy
+# config (paths and contents); when it differs from the fingerprint of the
+# last clean run, recorded under target/, touch every workspace crate root
+# so clippy lints the whole workspace again under the new configs.
+clippy_configs="$(find . \( -path ./.git -o -path ./target -o -path ./.bench_build \
+    -o -path ./perfbench/target \) -prune -o \( -name clippy.toml -o -name .clippy.toml \) \
+    -print | LC_ALL=C sort)"
+clippy_fingerprint="$(for config in $clippy_configs; do
+    echo "$config"
+    cat "$config"
+done | sha256sum | cut -d' ' -f1)"
+clippy_recorded=target/clippy-configs.sha256
+if [[ "$(cat "$clippy_recorded" 2>/dev/null)" != "$clippy_fingerprint" ]]; then
+    echo "clippy configs changed since the last clean run: linting every crate again"
+    find src crates \( -name lib.rs -o -name main.rs \) -exec touch {} +
+fi
 cargo clippy --workspace --all-targets -- -D warnings
+mkdir -p target
+echo "$clippy_fingerprint" >"$clippy_recorded"
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

@@ -76,8 +76,9 @@ use ocdd_relation::{manifest_hash, ColumnId, Relation, Sample, SampleSpec, Sampl
 /// Row passes one error decomposition costs — the documented cost model
 /// behind [`ApproxStats::sample_row_scans`] / [`ApproxStats::full_row_scans`]
 /// (one fused checker scan costs one pass). A decomposition runs one
-/// counting sort of the rows by the key's first column and one fused walk
-/// that orders each class of that column as it arrives, reads both sides'
+/// fused walk over the relation's rank order of the key's first column
+/// ([`Relation::rank_order`], sorted once per relation and column) that
+/// orders each class of that column as it arrives, reads both sides'
 /// keys, feeds the LNDS and reads the split count off the LHS classes.
 /// The model over-counts that work, most of all for a walk that stops at
 /// its reject after a few hundred rows: it stays at the four passes it has

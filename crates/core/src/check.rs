@@ -19,17 +19,18 @@
 //! termination), and here the sort stops with it. [`check_od`] (so also
 //! [`check_ocd`]) and [`check_od_after_ocd`] scan the rows in the order
 //! of `ocdd_relation::sort::ClassOrder` on `X` (`scan::od_walk`,
-//! `scan::split_walk`): one counting sort by the first attribute of `X`,
-//! each class of it ordered by the rest of `X` only when the scan reaches
-//! it. Those are the rows in the paper's order and the same first
-//! violating pair, so every verdict and witness equals that of the whole
-//! sort, kept as the oracles [`check_od_scalar`], [`scan_sorted_scalar`]
-//! and [`scan_sorted_splits_only_scalar`]. A failing candidate costs the
-//! `O(m + d)` counting sort over the `d` values of its first attribute
-//! plus the classes up to its first violation. A valid one orders every
-//! class; its worst case, a constant first attribute, is one sort of all
-//! `m` rows plus the full scan, `O(m log m + m·(|X| + |Y|))` code
-//! comparisons.
+//! `scan::split_walk`): the rank order of the first attribute of `X`,
+//! which the relation sorts once and keeps (`Relation::rank_order`), each
+//! class of it ordered by the rest of `X` only when the scan reaches it.
+//! Those are the rows in the paper's order and the same first violating
+//! pair, so every verdict and witness equals that of the whole sort, kept
+//! as the oracles [`check_od_scalar`], [`scan_sorted_scalar`] and
+//! [`scan_sorted_splits_only_scalar`]. A failing candidate costs the
+//! classes up to its first violation, plus, for the first check on its
+//! first attribute, the `O(m + d)` counting sort over that attribute's
+//! `d` values. A valid one orders every class; its worst case, a constant
+//! first attribute, is one sort of all `m` rows plus the full scan,
+//! `O(m log m + m·(|X| + |Y|))` code comparisons.
 
 use crate::deps::AttrList;
 use ocdd_relation::scan;

@@ -24,7 +24,9 @@
 //! `O(m)` walk with no sort:
 //!
 //! * **OC `{C}: A ~ B`** — visit the rows in `A`'s rank order, one group
-//!   of equal `A` per step. A row whose `B` code lies below the running
+//!   of equal `A` per step. The relation keeps that order
+//!   ([`Relation::rank_order`]), so every worker of a run reads the one
+//!   sorted on its first use. A row whose `B` code lies below the running
 //!   maximum of its context class swaps with an earlier row. The group
 //!   raises the maxima only after all its rows are checked, since rows
 //!   with equal `A` cannot swap.
@@ -42,7 +44,7 @@
 use crate::deps::AttrList;
 use crate::reduction::PairVerdicts;
 use crate::shared_cache::{CacheWeight, EpochPrefixCache, EpochTier};
-use ocdd_relation::sort::sort_index_by_single;
+use ocdd_relation::sort::RankOrder;
 use ocdd_relation::{ColumnId, Relation};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -163,32 +165,10 @@ impl CacheWeight for ContextPartition {
     }
 }
 
-/// The rows in one column's rank order, cut into groups of equal code.
-struct RankOrder {
-    rows: Vec<u32>,
-    /// End offset of each group within `rows`.
-    ends: Vec<usize>,
-}
-
-impl RankOrder {
-    // lint: allow(panic-reachability, row ids from the counting sort index codes, which is num_rows long, and i - 1 and i stay below rows.len())
-    fn new(rel: &Relation, col: ColumnId) -> RankOrder {
-        let rows: Vec<u32> = sort_index_by_single(rel, col);
-        let codes = rel.codes(col);
-        let mut ends: Vec<usize> = (1..rows.len())
-            .filter(|&i| codes[rows[i - 1] as usize] != codes[rows[i] as usize])
-            .collect();
-        if !rows.is_empty() {
-            ends.push(rows.len());
-        }
-        RankOrder { rows, ends }
-    }
-}
-
 /// `{C}: A ~ B` over the partition of `C`, with `order` the rank order of
-/// `A`. `max` is scratch for the running maximum of each class, reset here
-/// so no fact inherits another's maxima.
-// lint: allow(panic-reachability, group ends are increasing offsets into order.rows, row ids index class_of and codes_b, both num_rows long, and class ids other than SINGLETON are below classes, the length of max)
+/// `A` ([`Relation::rank_order`]). `max` is scratch for the running maximum
+/// of each class, reset here so no fact inherits another's maxima.
+// lint: allow(panic-reachability, row ids index class_of and codes_b, both num_rows long, and class ids other than SINGLETON are below classes, the length of max)
 fn oc_walk(
     part: &ContextPartition,
     order: &RankOrder,
@@ -200,9 +180,8 @@ fn oc_walk(
     }
     max.clear();
     max.resize(part.classes, 0);
-    let mut start = 0;
-    for &end in &order.ends {
-        let group = &order.rows[start..end];
+    for i in 0..order.ends().len() {
+        let group = order.class(i);
         for &r in group {
             let c = part.class_of[r as usize];
             if c != SINGLETON && codes_b[r as usize] < max[c as usize] {
@@ -216,7 +195,6 @@ fn oc_walk(
                 *m = (*m).max(codes_b[r as usize]);
             }
         }
-        start = end;
     }
     true
 }
@@ -273,8 +251,6 @@ pub struct PartitionChecker<'r> {
     oc: HashMap<(usize, ColumnId, ColumnId), bool>,
     /// `{C} → B` verdicts keyed `(C, B)`.
     fd: HashMap<(usize, ColumnId), bool>,
-    /// Each column's rank order, built on first use.
-    orders: Vec<Option<RankOrder>>,
     /// Per-class scratch of one walk.
     scratch: Vec<u32>,
     /// Partitions built by refining a non-empty subset.
@@ -319,7 +295,6 @@ impl<'r> PartitionChecker<'r> {
             partitions: vec![None],
             oc: HashMap::new(),
             fd: HashMap::new(),
-            orders: (0..rel.num_columns()).map(|_| None).collect(),
             scratch: Vec::new(),
             refinements: 0,
             base_builds: 0,
@@ -389,7 +364,6 @@ impl<'r> PartitionChecker<'r> {
         self.check_ocd(lhs, rhs) && self.check_od_after_ocd(lhs, rhs)
     }
 
-    // lint: allow(panic-reachability, ctx is an interned id below sets.len())
     fn oc_fact(&mut self, ctx: usize, a: ColumnId, b: ColumnId) -> bool {
         let (a, b) = (a.min(b), a.max(b));
         if ctx == EMPTY {
@@ -401,8 +375,12 @@ impl<'r> PartitionChecker<'r> {
             return holds;
         }
         let part = self.partition(ctx);
-        let order = self.orders[a].get_or_insert_with(|| RankOrder::new(self.rel, a));
-        let holds = oc_walk(&part, order, self.rel.codes(b), &mut self.scratch);
+        let holds = oc_walk(
+            &part,
+            self.rel.rank_order(a),
+            self.rel.codes(b),
+            &mut self.scratch,
+        );
         self.oc.insert((ctx, a, b), holds);
         holds
     }

@@ -67,6 +67,6 @@ pub use error::{Error, Result};
 pub use manifest::manifest_hash;
 pub use relation::{ColumnId, Relation, RelationBuilder};
 pub use sample::{Sample, SampleProvenance, SampleSpec, SampleStrategy};
-pub use sort::{sort_index_by, sort_index_by_single};
+pub use sort::sort_index_by;
 pub use stats::{column_entropy, ColumnStats};
 pub use value::Value;

@@ -4,7 +4,9 @@ use crate::column::{CodeWidth, Column, ColumnMeta, NarrowCodes, RowsColumn};
 use crate::datatype::TypingMode;
 use crate::error::{Error, Result};
 use crate::pool::{ingest_threads, SERIAL_CELLS};
+use crate::sort::RankOrder;
 use crate::value::Value;
+use std::sync::{Arc, OnceLock};
 
 /// Index of a column within a relation (attribute identifier).
 pub type ColumnId = usize;
@@ -18,6 +20,28 @@ pub type ColumnId = usize;
 pub struct Relation {
     columns: Vec<Column>,
     num_rows: usize,
+    orders: RankOrders,
+}
+
+/// Each column's [`RankOrder`], built on its first read
+/// ([`Relation::rank_order`]). Clones of a relation share the slots: their
+/// codes are equal until one of them appends rows, which gives that one
+/// new, empty slots.
+#[derive(Clone)]
+struct RankOrders(Arc<[OnceLock<RankOrder>]>);
+
+impl RankOrders {
+    /// One empty slot per column.
+    fn new(columns: usize) -> RankOrders {
+        RankOrders((0..columns).map(|_| OnceLock::new()).collect())
+    }
+}
+
+impl std::fmt::Debug for RankOrders {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let built = self.0.iter().filter(|slot| slot.get().is_some()).count();
+        write!(f, "RankOrders({built} of {} built)", self.0.len())
+    }
 }
 
 impl Relation {
@@ -83,7 +107,7 @@ impl Relation {
             }
         }
         let columns = Column::encode_all(named, mode, threads);
-        Ok(Relation { columns, num_rows })
+        Ok(Relation::from_encoded(columns, num_rows))
     }
 
     /// Append `rows`, each holding one value per column in schema order.
@@ -102,7 +126,8 @@ impl Relation {
     /// Every column must rank its values in ascending order, as every
     /// constructor but [`Relation::with_descending_twins`] leaves it. A
     /// row of the wrong arity is an [`Error::ArityMismatch`], returned
-    /// before any column changes.
+    /// before any column changes. The rank orders built so far are
+    /// dropped; each is built again from the new codes on its next read.
     pub fn append_rows(&mut self, rows: &[Vec<Value>]) -> Result<()> {
         let arity = self.columns.len();
         if let Some(row) = rows.iter().find(|row| row.len() != arity) {
@@ -120,13 +145,18 @@ impl Relation {
             column.append(&RowsColumn { rows, col });
         }
         self.num_rows = self.columns.first().map_or(0, Column::len);
+        self.orders = RankOrders::new(arity);
         Ok(())
     }
 
     /// A relation over already-encoded columns of `num_rows` rows each.
     pub(crate) fn from_encoded(columns: Vec<Column>, num_rows: usize) -> Relation {
         debug_assert!(columns.iter().all(|c| c.len() == num_rows));
-        Relation { columns, num_rows }
+        Relation {
+            orders: RankOrders::new(columns.len()),
+            columns,
+            num_rows,
+        }
     }
 
     /// Number of tuples `|r|`.
@@ -165,6 +195,15 @@ impl Relation {
     // lint: allow(panic-reachability, ColumnId contract: callers pass col < num_columns())
     pub fn codes(&self, col: ColumnId) -> &[u32] {
         &self.columns[col].codes
+    }
+
+    /// Column `col`'s rank order: its rows grouped by code, in row order
+    /// inside each class — `sort_index_by(self, &[col])` cut into its
+    /// classes. One counting sort builds it on the first read, which
+    /// concurrent readers wait for, and the relation keeps it until
+    /// [`Relation::append_rows`] changes the codes.
+    pub fn rank_order(&self, col: ColumnId) -> &RankOrder {
+        self.orders.0[col].get_or_init(|| RankOrder::new(self.codes(col), self.meta(col).distinct))
     }
 
     /// Storage width of column `col`'s narrowest code mirror.
@@ -220,10 +259,7 @@ impl Relation {
             })?;
             columns.push(col.clone());
         }
-        Ok(Relation {
-            columns,
-            num_rows: self.num_rows,
-        })
+        Ok(Relation::from_encoded(columns, self.num_rows))
     }
 
     /// A new relation in which every column is followed by its descending
@@ -236,10 +272,7 @@ impl Relation {
             .iter()
             .flat_map(|c| [c.clone(), c.reversed()])
             .collect();
-        Relation {
-            columns,
-            num_rows: self.num_rows,
-        }
+        Relation::from_encoded(columns, self.num_rows)
     }
 
     /// A new relation containing only the first `n` rows.
@@ -270,10 +303,7 @@ impl Relation {
             .filter(|&r| r < self.num_rows)
             .collect();
         let columns = self.columns.iter().map(|c| c.select(&keep)).collect();
-        Relation {
-            columns,
-            num_rows: keep.len(),
-        }
+        Relation::from_encoded(columns, keep.len())
     }
 }
 
@@ -589,10 +619,13 @@ mod tests {
         /// strings, or only NULLs; then 1–4 batches of 0–3 rows whose
         /// numbers reach twice as far out (new minima and maxima, values
         /// between and equal to old ones, `Int` → `Float`) and which put a
-        /// string into a column a quarter of the time.
+        /// string into a column a quarter of the time. Every column's rank
+        /// order is read before each batch and must be the grown codes'
+        /// after it.
         #[test]
         fn append_equals_from_columns_over_decoded_values_and_batch(seed in 0u64..u64::MAX) {
             use rand::{RngExt, SeedableRng};
+            let _counters = crate::sort::kernel_stats::counters_guard();
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let rows = if rng.random_bool(0.2) { 0 } else { rng.random_range(1..6) };
             let named = (0..4)
@@ -621,10 +654,29 @@ mod tests {
                     .map(|_| text.iter().map(|&t| random_cell(&mut rng, 4, t)).collect())
                     .collect();
                 let want = reencoded(&got, &batch);
+                for c in 0..got.num_columns() {
+                    got.rank_order(c);
+                }
                 got.append_rows(&batch).unwrap();
                 same_relation(&got, &want)?;
+                for c in 0..got.num_columns() {
+                    let (rows, ends) = stable_order(got.codes(c), got.meta(c).distinct);
+                    proptest::prop_assert_eq!(got.rank_order(c).rows(), &rows[..]);
+                    proptest::prop_assert_eq!(got.rank_order(c).ends(), &ends[..]);
+                }
             }
         }
+    }
+
+    /// The rows of a column with `codes`, dense ranks below `distinct`, in
+    /// a stable sort by code, and one past the last position of each code.
+    fn stable_order(codes: &[u32], distinct: usize) -> (Vec<u32>, Vec<u32>) {
+        let mut rows: Vec<u32> = (0..codes.len() as u32).collect();
+        rows.sort_by_key(|&r| codes[r as usize]);
+        let ends = (0..distinct.max(1) as u32)
+            .map(|code| codes.iter().filter(|&&c| c <= code).count() as u32)
+            .collect();
+        (rows, ends)
     }
 
     #[test]

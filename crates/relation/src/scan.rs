@@ -26,10 +26,10 @@
 //! the fused direction check after a validated OCD, where swaps are
 //! impossible). The paper's checks (`Resort`) run them through
 //! [`od_walk`] / [`split_walk`], which do not sort the whole index first:
-//! they read the rows of a [`ClassOrder`] on `lhs` — one counting sort by
-//! its first column, each class ordered by the rest when the walk gets
-//! there — in windows that share their boundary row, and stop at the
-//! first violating adjacent pair, so the classes past it are never
+//! they read the rows of a [`ClassOrder`] on `lhs` — the relation's rank
+//! order of its first column, each class ordered by the rest when the
+//! walk gets there — in windows that share their boundary row, and stop
+//! at the first violating adjacent pair, so the classes past it are never
 //! ordered. [`od_scan`] runs the full predicate over an index the caller
 //! sorted. All of them find the same first violating *adjacent pair* as
 //! the scalar oracles [`od_scan_scalar`] / [`split_scan_scalar`] over
@@ -375,14 +375,17 @@ pub fn od_scan(rel: &Relation, lhs: &[ColumnId], rhs: &[ColumnId], index: &[u32]
 /// violates the OD `lhs → rhs` — the pair [`od_scan`] finds in that
 /// order — or `None` when the OD holds.
 ///
-/// The walk reads a [`ClassOrder`] on `lhs` in place and orders its
-/// classes only as far as it scans. Each window of the ordered rows runs
+/// The walk reads a [`ClassOrder`] on `lhs` and orders its classes only
+/// as far as it scans. Each window of the ordered rows runs
 /// from the last row of the previous window to the end of the first class
 /// that reaches [`BLOCK_PAIRS`] pairs past it, so windows share their
 /// boundary row and every adjacent pair is scanned once, in order. The
 /// walk stops at the first violating pair and leaves the classes past
 /// its window unordered. It counts one scan: blockwise when any window
-/// ran the blockwise kernels, scalar otherwise.
+/// ran the blockwise kernels, scalar otherwise; and no sort, apart from
+/// the first read of `lhs`'s first column's rank order
+/// ([`Relation::rank_order`]) and the refinements that rank a rest of
+/// `lhs` over 64 bits.
 pub fn od_walk(rel: &Relation, lhs: &[ColumnId], rhs: &[ColumnId]) -> Option<(u32, u32)> {
     walk(rel, lhs, rhs, Violation::Od)
 }
@@ -602,6 +605,7 @@ mod tests {
     use super::*;
     use crate::column::CodeWidth;
     use crate::relation::Relation;
+    use crate::sort::kernel_stats::counters_guard;
     use crate::sort::{class_count, sort_index_by};
     use crate::value::Value;
     use proptest::prelude::*;
@@ -619,17 +623,6 @@ mod tests {
             })
             .collect();
         Relation::from_columns(named).unwrap()
-    }
-
-    /// Held by every test that records scans in the process-global
-    /// kernel counters, so `scans_bump_kernel_counters` sees exactly its
-    /// own scan while the test runner runs the others in parallel.
-    static SCAN_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn counters_guard() -> std::sync::MutexGuard<'static, ()> {
-        SCAN_COUNTERS
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Run the blockwise scans directly (bypassing the small-input
@@ -940,17 +933,30 @@ mod tests {
     }
 
     #[test]
-    fn walks_count_one_counting_sort_and_one_scan() {
+    fn walks_count_one_scan_and_each_rank_order_once() {
+        // The first walk on a column builds its rank order, one counting
+        // sort; later walks on it count no sort, and appending rows makes
+        // the grown relation build the order again. A walk that sorted its
+        // whole index would count a packed radix sort here.
         let _counters = counters_guard();
-        for (rows, block) in [(0usize, false), (64, false), (65, true), (300, true)] {
-            let rel = rel_from(vec![(0..rows as i64).map(|i| i % 5).collect(); 2]);
-            for scan in [od_walk, split_walk] {
-                let before = kernel_stats::snapshot();
-                scan(&rel, &[0, 1], &[1]);
-                let delta = kernel_stats::snapshot().since(&before);
-                assert_eq!((delta.counting, delta.total()), (1, 1), "{rows} rows");
-                assert_eq!(delta.total_scans(), 1, "{rows} rows");
-                assert_eq!(delta.scan_block, u64::from(block), "{rows} rows");
+        for rows in [0usize, 64, 65, 300] {
+            let mut rel = rel_from(vec![(0..rows as i64).map(|i| i % 5).collect(); 2]);
+            for grown in [false, true] {
+                if grown {
+                    rel.append_rows(&[vec![Value::Int(2), Value::Int(9)]])
+                        .unwrap();
+                }
+                let block = rel.num_rows() > BLOCK_PAIRS;
+                for (k, scan) in [od_walk, split_walk, od_walk].into_iter().enumerate() {
+                    let tag = format!("{} rows, walk {k}", rel.num_rows());
+                    let before = kernel_stats::snapshot();
+                    scan(&rel, &[0, 1], &[1]);
+                    let delta = kernel_stats::snapshot().since(&before);
+                    let first = u64::from(k == 0);
+                    assert_eq!((delta.counting, delta.total()), (first, first), "{tag}");
+                    assert_eq!(delta.total_scans(), 1, "{tag}");
+                    assert_eq!(delta.scan_block, u64::from(block), "{tag}");
+                }
             }
         }
     }

@@ -33,20 +33,28 @@
 //! and the chained refinement's run ids otherwise. [`RowKeys`] reads the
 //! same key one row at a time.
 //!
+//! A column's [`RankOrder`] is the `[A]` counting sort cut into its
+//! classes of equal code. The relation caches one per column
+//! ([`Relation::rank_order`]), built on first read, so the order that
+//! depends on the column alone is sorted once per relation, not once per
+//! check.
+//!
 //! [`ClassOrder`] gives [`sort_index_by`]'s order one class of the first
-//! column at a time: a counting sort by that column up front, and each
-//! class sorted by the rest of the list only when a caller reads it. It
-//! serves the paper's checks: the `Resort` checker scans it in place
+//! column at a time: the first column's cached rank order, and each class
+//! sorted by the rest of the list only when a caller reads it. It serves
+//! the paper's checks: the `Resort` checker scans it
 //! ([`crate::scan::od_walk`], [`crate::scan::split_walk`]) and stops
 //! ordering at the first violation, where `generateIndex` would have
 //! sorted every row. The ε-error decomposition walks it too and may stop
-//! long before the last class.
+//! long before the last class. [`sort_index_by`] keeps sorting on its
+//! own, so the whole-sort oracles never read a cached order.
 //!
 //! [`kernel_stats`] counts which kernel ran (process-global relaxed
 //! atomics; snapshot deltas feed the discovery result and the ablation
 //! bench).
 
 use crate::relation::{ColumnId, Relation};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// Compare rows `a` and `b` of `rel` on the attribute list `cols`
@@ -72,15 +80,19 @@ pub mod kernel_stats {
     //! The count rule: [`super::sort_index_by`] counts one `counting` or
     //! `packed_radix` sort, or one `chained_refine` per column it
     //! refines, and [`super::sort_index_by_comparator`] one `comparator`
-    //! sort; [`super::rank_keys`] counts the refinements it runs. A
-    //! [`super::ClassOrder`] counts one `counting` sort, its first
-    //! column's, however many classes it orders, plus the refinements
-    //! that rank a rest over 64 bits; the class sorts count as none. A
-    //! lazily walked check ([`crate::scan::od_walk`],
-    //! [`crate::scan::split_walk`]) therefore counts its order's sorts and
-    //! one scan, `block` when any of its windows ran the blockwise kernels
-    //! and `scalar` otherwise. [`crate::scan::od_scan`] and the scalar
-    //! oracles count one scan each.
+    //! sort; [`super::rank_keys`] counts the refinements it runs.
+    //! Building a column's [`super::RankOrder`] counts one `counting`
+    //! sort, once per relation: [`crate::Relation::rank_order`] builds it
+    //! on the first read and keeps it until [`crate::Relation::append_rows`]
+    //! changes the codes, so a grown relation counts it again. A
+    //! [`super::ClassOrder`] counts no sort of its own, only the first read
+    //! of its first column's rank order and the refinements that rank a
+    //! rest over 64 bits; the class sorts count as none. A lazily walked
+    //! check ([`crate::scan::od_walk`], [`crate::scan::split_walk`])
+    //! therefore counts no sort, apart from those refinements and that
+    //! first read, and one scan, `block` when any of its windows ran the
+    //! blockwise kernels and `scalar` otherwise. [`crate::scan::od_scan`]
+    //! and the scalar oracles count one scan each.
 
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -160,8 +172,9 @@ pub mod kernel_stats {
 
         /// Field-wise sum — used by checkpoint resume to add the kernel
         /// work recorded in a snapshot to the counters of the resuming
-        /// process, so `resumed == uninterrupted` holds for kernel totals
-        /// too.
+        /// process. The sum is the work both processes did, which is not
+        /// an uninterrupted run's: the resuming process builds the rank
+        /// orders it reads again, so its `counting` total can be larger.
         pub fn plus(&self, other: &KernelCounts) -> KernelCounts {
             KernelCounts {
                 counting: self.counting + other.counting,
@@ -184,6 +197,17 @@ pub mod kernel_stats {
         pub fn total_scans(&self) -> u64 {
             self.scan_scalar + self.scan_block + self.scan_simd
         }
+    }
+
+    /// Held by every test of this crate that asserts exact counter deltas
+    /// or sorts heavily, so the deltas see only their own test's kernels
+    /// while the test runner runs the others in parallel.
+    #[cfg(test)]
+    pub(crate) fn counters_guard() -> std::sync::MutexGuard<'static, ()> {
+        static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        COUNTERS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Read the current totals.
@@ -254,6 +278,50 @@ fn counting_sort_classes(codes: &[u32], distinct: usize) -> (Vec<u32>, Vec<u32>)
     // Each code's slot has moved from its class's start to its end.
     starts.truncate(d);
     (out, starts)
+}
+
+/// One column's rank order: the row ids grouped by code, in row order
+/// inside each group (a *class*), and where each class ends — the order
+/// [`sort_index_by`] gives on the column alone, cut into its classes.
+///
+/// [`Relation::rank_order`] builds a column's order by one counting sort
+/// on its first read and keeps it, so every check whose list starts with
+/// the column reads the same order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RankOrder {
+    rows: Vec<u32>,
+    ends: Vec<u32>,
+}
+
+impl RankOrder {
+    /// The counting sort of a column's `codes`, dense ranks below
+    /// `distinct`.
+    pub(crate) fn new(codes: &[u32], distinct: usize) -> RankOrder {
+        let (rows, ends) = counting_sort_classes(codes, distinct);
+        RankOrder { rows, ends }
+    }
+
+    /// The row ids, grouped by code in code order.
+    pub fn rows(&self) -> &[u32] {
+        &self.rows
+    }
+
+    /// One past the last position in [`Self::rows`] of each class: one
+    /// entry per code below the column's distinct count, and at least one.
+    pub fn ends(&self) -> &[u32] {
+        &self.ends
+    }
+
+    /// The rows of class `i`, the rows whose code is `i`, in row order
+    /// (empty from the last class on).
+    pub fn class(&self, i: usize) -> &[u32] {
+        let start = i
+            .checked_sub(1)
+            .and_then(|j| self.ends.get(j))
+            .map_or(0, |&e: &u32| e as usize);
+        let end = self.ends.get(i).map_or(start, |&e: &u32| e as usize);
+        self.rows.get(start..end).unwrap_or_default()
+    }
 }
 
 /// Each row's codes on `cols`, `bits` wide in total, packed into one `u64`
@@ -589,31 +657,43 @@ fn radix_class(rows: usize, bits: usize) -> bool {
 /// The rows sorted by a column list exactly as [`sort_index_by`] sorts
 /// them, ordered one class of the list's first column at a time.
 ///
-/// One counting sort groups the rows by their code in the first column;
-/// each group — a *class* — holds its rows in row order. [`Self::class`]
-/// orders a class by the rest of the list when a caller reads it, on the
-/// rest's [`RowKeys`] with the row id breaking ties. The classes in code
-/// order thus put together `sort_index_by(rel, cols)`, and a caller that
-/// stops reading early never orders the classes it did not reach.
-/// [`Self::prefix`] orders the classes in code order, each once, and
-/// hands out every row ordered so far, so a scan can read across class
-/// boundaries in place.
+/// The classes are those of the first column's [`RankOrder`], which the
+/// relation keeps ([`Relation::rank_order`]); the order is borrowed, not
+/// sorted again. [`Self::class`] orders a class by the rest of the list
+/// when a caller reads it, on the rest's [`RowKeys`] with the row id
+/// breaking ties, in a buffer of its own. The classes in code order thus
+/// put together `sort_index_by(rel, cols)`, and a caller that stops
+/// reading early never orders the classes it did not reach.
+/// [`Self::prefix`] orders the classes in code order, each once, into a
+/// buffer that holds every row ordered so far, so a scan can read across
+/// class boundaries in place. When the rest of the list has no key bits,
+/// every class is in order already and both hand out the rank order
+/// itself.
 ///
 /// A class is ordered by one sort of `u64` words, each a row's rest key
 /// above its row id, or of `(key, row)` pairs when the two do not fit in
 /// one word: `sort_unstable`, or the stable radix sort by the key bits
 /// for a large class whose keys take few digits (from 128 rows at one
 /// digit, from 512 at two).
-/// The counting sort counts as one [`kernel_stats`] `counting` sort; the
-/// class sorts count as none.
+/// A class order counts no [`kernel_stats`] sort of its own: the rank
+/// order's build counts one `counting` sort, once per column and
+/// relation, and the class sorts count as none.
 pub struct ClassOrder<'r> {
-    /// Row ids grouped by their first-column code.
-    rows: Vec<u32>,
-    /// One past the last position of each class in `rows`.
-    ends: Vec<u32>,
-    /// Classes [`Self::prefix`] has ordered: every class when the rest of
-    /// the list has no key bits, since each class is then in order.
-    ordered: usize,
+    /// The first column's rank order: every row in one class, in row
+    /// order, for an empty list.
+    first: Cow<'r, RankOrder>,
+    /// Classes [`Self::prefix`] has ordered into `ordered`.
+    reached: usize,
+    /// The rows of the classes [`Self::prefix`] reached, in order.
+    ordered: Vec<u32>,
+    /// The rows of the class [`Self::class`] ordered last.
+    class: Vec<u32>,
+    /// Orders one class by the rest of the list.
+    sorter: ClassSorter<'r>,
+}
+
+/// The keys and scratch that order one class of a [`ClassOrder`].
+struct ClassSorter<'r> {
     /// Keys of the rest of the list.
     rest: RowKeys<'r>,
     /// Bits of the relation's row ids.
@@ -622,6 +702,41 @@ pub struct ClassOrder<'r> {
     words: Vec<u64>,
     /// Scratch of one class's sort pairs.
     pairs: Vec<(u64, u32)>,
+}
+
+impl ClassSorter<'_> {
+    /// Append the rows of `class`, one class of the first column, to
+    /// `out`, ordered by the rest of the list with ties in row order.
+    fn extend_ordered(&mut self, class: &[u32], out: &mut Vec<u32>) {
+        let (rest, row_bits) = (&self.rest, self.row_bits);
+        if rest.bits == 0 || class.len() < 2 {
+            out.extend_from_slice(class);
+            return;
+        }
+        #[cfg(test)]
+        class_count::note();
+        if rest.bits + row_bits <= 64 {
+            let mask = (1u64 << row_bits) - 1;
+            self.words.clear();
+            self.words.extend(
+                class
+                    .iter()
+                    .map(|&r| rest.key(r) << row_bits | u64::from(r)),
+            );
+            if radix_class(class.len(), rest.bits) {
+                let words = std::mem::take(&mut self.words);
+                self.words = radix_sort(words, |&w| w, row_bits, rest.bits);
+            } else {
+                self.words.sort_unstable();
+            }
+            out.extend(self.words.iter().map(|&word| (word & mask) as u32));
+        } else {
+            self.pairs.clear();
+            self.pairs.extend(class.iter().map(|&r| (rest.key(r), r)));
+            self.pairs.sort_unstable();
+            out.extend(self.pairs.iter().map(|&(_, row)| row));
+        }
+    }
 }
 
 impl<'r> ClassOrder<'r> {
@@ -633,101 +748,65 @@ impl<'r> ClassOrder<'r> {
             m <= u32::MAX as usize,
             "row ids are u32 by the relation contract"
         );
-        let ((rows, ends), rest) = match cols.split_first() {
-            Some((&first, rest)) => (
-                counting_sort_classes(rel.codes(first), rel.meta(first).distinct),
-                rest,
+        let (first, rest) = match cols.split_first() {
+            Some((&first, rest)) => (Cow::Borrowed(rel.rank_order(first)), rest),
+            None => (
+                Cow::Owned(RankOrder {
+                    rows: (0..m as u32).collect(),
+                    ends: vec![m as u32],
+                }),
+                cols,
             ),
-            None => (((0..m as u32).collect(), vec![m as u32]), cols),
         };
-        let rest = RowKeys::new(rel, rest);
         ClassOrder {
-            ordered: if rest.bits == 0 { ends.len() } else { 0 },
-            rows,
-            ends,
-            rest,
-            row_bits: code_bits(m),
-            words: Vec::new(),
-            pairs: Vec::new(),
+            first,
+            reached: 0,
+            ordered: Vec::new(),
+            class: Vec::new(),
+            sorter: ClassSorter {
+                rest: RowKeys::new(rel, rest),
+                row_bits: code_bits(m),
+                words: Vec::new(),
+                pairs: Vec::new(),
+            },
         }
     }
 
     /// Number of classes: the first column's distinct count (at least 1).
     pub fn classes(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// Position one past the last row of the classes before class `i`.
-    fn start(&self, i: usize) -> usize {
-        i.checked_sub(1)
-            .and_then(|j| self.ends.get(j))
-            .map_or(0, |&e: &u32| e as usize)
+        self.first.ends.len()
     }
 
     /// The rows of class `i` — the rows whose first-column code is `i` —
     /// ordered by the rest of the list, ties in row order (empty from
     /// [`Self::classes`] on).
     pub fn class(&mut self, i: usize) -> &[u32] {
-        let start = self.start(i);
-        let end = self.ends.get(i).map_or(start, |&e: &u32| e as usize);
-        if end > start + 1 {
-            self.sort(start, end);
+        if self.sorter.rest.bits == 0 {
+            return self.first.class(i);
         }
-        self.rows.get(start..end).unwrap_or_default()
+        self.class.clear();
+        self.sorter
+            .extend_ordered(self.first.class(i), &mut self.class);
+        &self.class
     }
 
     /// The rows of the first classes, in order: orders the next classes in
     /// code order, each once, until at least `len` rows are ordered or
     /// none is left, then takes the one-row classes that follow, and
-    /// returns every row ordered so far. Mixed with [`Self::class`], it
-    /// orders again the classes that call ordered.
+    /// returns every row ordered so far.
     pub fn prefix(&mut self, len: usize) -> &[u32] {
-        let mut end = self.start(self.ordered);
-        while let Some(next) = self.ends.get(self.ordered).map(|&e: &u32| e as usize) {
-            if next > end + 1 {
-                if end >= len {
-                    break;
-                }
-                self.sort(end, next);
-            }
-            end = next;
-            self.ordered += 1;
+        if self.sorter.rest.bits == 0 {
+            return &self.first.rows;
         }
-        self.rows.get(..end).unwrap_or_default()
-    }
-
-    /// Order the rows at positions `start..end` of `rows`, one class of at
-    /// least two rows, by the rest of the list.
-    fn sort(&mut self, start: usize, end: usize) {
-        let rows = self.rows.get_mut(start..end).unwrap_or_default();
-        let (rest, row_bits) = (&self.rest, self.row_bits);
-        if rest.bits == 0 {
-            return;
+        while self.reached < self.classes() {
+            let class = self.first.class(self.reached);
+            if class.len() > 1 && self.ordered.len() >= len {
+                break;
+            }
+            self.sorter.extend_ordered(class, &mut self.ordered);
+            self.reached += 1;
         }
-        #[cfg(test)]
-        class_count::note();
-        if rest.bits + row_bits <= 64 {
-            let mask = (1u64 << row_bits) - 1;
-            self.words.clear();
-            self.words
-                .extend(rows.iter().map(|&r| rest.key(r) << row_bits | u64::from(r)));
-            if radix_class(rows.len(), rest.bits) {
-                let words = std::mem::take(&mut self.words);
-                self.words = radix_sort(words, |&w| w, row_bits, rest.bits);
-            } else {
-                self.words.sort_unstable();
-            }
-            for (slot, &word) in rows.iter_mut().zip(&self.words) {
-                *slot = (word & mask) as u32;
-            }
-        } else {
-            self.pairs.clear();
-            self.pairs.extend(rows.iter().map(|&r| (rest.key(r), r)));
-            self.pairs.sort_unstable();
-            for (slot, &(_, row)) in rows.iter_mut().zip(&self.pairs) {
-                *slot = row;
-            }
-        }
+        &self.ordered
     }
 }
 
@@ -750,12 +829,6 @@ pub(crate) mod class_count {
         let out = f();
         (out, CLASSES.with(std::cell::Cell::get) - before)
     }
-}
-
-/// Row-id permutation for a single column (common fast path for level-2
-/// candidates and column reduction).
-pub fn sort_index_by_single(rel: &Relation, col: ColumnId) -> Vec<u32> {
-    sort_index_by(rel, &[col])
 }
 
 /// Comparison-sort implementation of [`sort_index_by`]: the paper-literal
@@ -799,7 +872,7 @@ mod tests {
     #[test]
     fn single_column_sort() {
         let r = rel(&[(3, 0), (1, 0), (2, 0)]);
-        assert_eq!(sort_index_by_single(&r, 0), vec![1, 2, 0]);
+        assert_eq!(sort_index_by(&r, &[0]), vec![1, 2, 0]);
     }
 
     #[test]
@@ -831,7 +904,7 @@ mod tests {
         b.push_row(vec![Value::Null]).unwrap();
         b.push_row(vec![Value::Int(-5)]).unwrap();
         let r = b.finish();
-        assert_eq!(sort_index_by_single(&r, 0), vec![1, 2, 0]);
+        assert_eq!(sort_index_by(&r, &[0]), vec![1, 2, 0]);
     }
 
     #[test]
