@@ -45,13 +45,15 @@ pub const CANCELLATION_SCOPE_FILES: &[&str] = &[
 ];
 
 /// Files whose non-test fns root the hot-loop allocation audit: the
-/// single-check kernel, the sorted-partition walk, and the relation
-/// scan/sort kernels.
+/// single-check kernel, the sorted-partition walk, the relation
+/// scan/sort kernels, and CSV ingest with its rank encoder.
 pub const HOT_ALLOC_ROOT_FILES: &[&str] = &[
     "crates/core/src/check.rs",
     "crates/core/src/sorted_partitions.rs",
     "crates/relation/src/scan.rs",
     "crates/relation/src/sort.rs",
+    "crates/relation/src/csv.rs",
+    "crates/relation/src/column.rs",
 ];
 
 /// BFS over call edges from `roots`, skipping test fns. Returns

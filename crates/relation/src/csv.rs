@@ -6,24 +6,29 @@
 //! Reading runs on every core ([`crate::pool::par_map`]) in two steps.
 //! The input is cut into one run of whole records per worker, at `\n`
 //! bytes outside quotes (found by quote parity), and each run is scanned
-//! in one pass that appends every field to its column as a slice of the
-//! input — copied only when a `""` escape or a dropped `\r` splits the
-//! field's content. Then the columns are handed out one at a time, most
-//! field bytes first, and each is rank encoded straight from its runs'
-//! slices, in run order. Text under 40,000 bytes is read on one worker,
-//! where a second thread costs more than it saves. No
-//! record matrix and no per-cell `String` or [`crate::Value`] is built;
-//! only distinct values are copied. If any run reports a syntax error or
-//! a ragged record, the whole input is scanned again on one thread, so
-//! the relation and every error are the same at every thread count.
+//! in one pass that classifies every field as it is emitted, so each field
+//! is read once. While a run's column holds only integers and NULLs it is
+//! stored as one `i64` per row with its NULL rows noted aside; from its
+//! first other field on, each field is appended as a slice of the input —
+//! copied only when a `""` escape or a dropped `\r` splits its content —
+//! and classified when it is encoded. Then the columns are handed out one
+//! at a time, most field bytes first, and each is rank encoded straight
+//! from its runs in run order: the integer stores copied whole, the
+//! slices cell by cell. Text under 40,000 bytes is read on one worker,
+//! where a second thread costs more than it saves. No record matrix and
+//! no per-cell `String` or [`crate::Value`] is built; only distinct values
+//! are copied. If any run reports a syntax error or a ragged record, the
+//! whole input is scanned again on one thread, so the relation and every
+//! error are the same at every thread count.
 
-use crate::column::{CellSource, Column};
+use crate::column::{CellSource, Column, Run};
 use crate::datatype::TypingMode;
 use crate::error::{Error, Result};
 use crate::pool::{ingest_threads, par_map, SERIAL_CSV_BYTES};
 use crate::relation::Relation;
-use crate::value::Cell;
+use crate::value::{Cell, Value};
 use std::borrow::Cow;
+use std::fmt::Write;
 use std::io::Read;
 use std::path::Path;
 
@@ -189,21 +194,42 @@ fn scan<'a>(text: &'a str, sep: char, mut emit: impl FnMut(Cow<'a, str>, bool)) 
     Ok(())
 }
 
-/// One column's fields as scanned: slices of the input, plus the few
-/// fields whose content had to be copied, by row (their slice is `""`).
-/// A `Vec<Cow<str>>` would take 24 bytes per field instead of 16, which
-/// is most of ingest's peak memory on a large input.
+/// One column's fields in one run, as scanned. While they are all
+/// integers or NULL they are stored classified: one `i64` per row (0 on a
+/// NULL row) with the NULL rows noted aside. From the first other field
+/// on, each field is a slice of the input, or `""` with its copy noted by
+/// row when its content had to be copied. A `Vec<Cow<str>>` would take 24
+/// bytes per field instead of 16, which is most of ingest's peak memory
+/// on a large input.
 #[derive(Default)]
 struct Tokens<'a> {
+    /// The leading integer or NULL fields.
+    ints: Vec<i64>,
+    /// The rows of `ints` that are NULL, ascending.
+    null_rows: Vec<usize>,
+    /// The fields from the first other one on.
     slices: Vec<&'a str>,
+    /// The copied fields among `slices`, by index into it.
     copied: Vec<(usize, String)>,
     /// Bytes in the fields.
     bytes: usize,
 }
 
 impl<'a> Tokens<'a> {
-    fn add_field(&mut self, field: Cow<'a, str>) {
+    /// Add the next field, classified as [`crate::Value::parse`] would
+    /// while every field so far is an integer or NULL.
+    fn add_field(&mut self, field: Cow<'a, str>, null_tokens: &[&str]) {
         self.bytes += field.len();
+        if self.slices.is_empty() {
+            match Cell::parse(&field, null_tokens) {
+                Cell::Int(i) => return self.ints.push(i),
+                Cell::Null => {
+                    self.null_rows.push(self.ints.len());
+                    return self.ints.push(0);
+                }
+                Cell::Float(_) | Cell::Str(_) => {}
+            }
+        }
         match field {
             Cow::Borrowed(slice) => self.slices.push(slice),
             Cow::Owned(copy) => {
@@ -213,17 +239,28 @@ impl<'a> Tokens<'a> {
         }
     }
 
+    fn rows(&self) -> usize {
+        self.ints.len() + self.slices.len()
+    }
+
     /// Every field in row order, classified as [`crate::Value::parse`]
-    /// would.
-    fn cells<'s>(&'s self, null_tokens: &'s [&str]) -> impl Iterator<Item = Cell<'s>> {
+    /// would: the integer store, then the slices.
+    fn runs<'s>(&'s self, null_tokens: &'s [&str]) -> [Run<'s, impl Iterator<Item = Cell<'s>>>; 2] {
         let mut copied = self.copied.iter().peekable();
-        self.slices.iter().enumerate().map(move |(row, &slice)| {
-            let field = match copied.next_if(|(at, _)| *at == row) {
+        let rest = self.slices.iter().enumerate().map(move |(at, &slice)| {
+            let field = match copied.next_if(|(copy_at, _)| *copy_at == at) {
                 Some((_, copy)) => copy.as_str(),
                 None => slice,
             };
             Cell::parse(field, null_tokens)
-        })
+        });
+        [
+            Run::Ints {
+                keys: &self.ints,
+                null_rows: &self.null_rows,
+            },
+            Run::Cells(rest),
+        ]
     }
 }
 
@@ -243,13 +280,13 @@ impl ColumnFields<'_, '_> {
 
 impl CellSource for ColumnFields<'_, '_> {
     fn rows(&self) -> usize {
-        self.chunks.iter().map(|t| t.slices.len()).sum()
+        self.chunks.iter().map(Tokens::rows).sum()
     }
 
-    fn cells(&self) -> impl Iterator<Item = Cell<'_>> {
+    fn runs(&self) -> impl Iterator<Item = Run<'_, impl Iterator<Item = Cell<'_>>>> {
         self.chunks
             .iter()
-            .flat_map(|tokens| tokens.cells(self.null_tokens))
+            .flat_map(|tokens| tokens.runs(self.null_tokens))
     }
 }
 
@@ -265,9 +302,14 @@ struct Records<'a> {
     ragged: Option<Error>,
 }
 
-/// Scan `text` into per-column fields; its first record is the header
-/// when `header` is set.
-fn scan_records(text: &str, sep: char, header: bool) -> Result<Records<'_>> {
+/// Scan `text` into per-column fields, classifying them against
+/// `null_tokens`; its first record is the header when `header` is set.
+fn scan_records<'a>(
+    text: &'a str,
+    sep: char,
+    null_tokens: &[&str],
+    header: bool,
+) -> Result<Records<'a>> {
     let mut out = Records {
         header: Vec::new(),
         columns: Vec::new(),
@@ -281,11 +323,11 @@ fn scan_records(text: &str, sep: char, header: bool) -> Result<Records<'_>> {
             out.header.push(field.into_owned());
         } else if records == 0 {
             let mut column = Tokens::default();
-            column.add_field(field);
+            column.add_field(field, null_tokens);
             out.columns.push(column);
         } else if out.ragged.is_none() {
             if let Some(column) = out.columns.get_mut(fields) {
-                column.add_field(field);
+                column.add_field(field, null_tokens);
             }
         }
         fields += 1;
@@ -358,13 +400,14 @@ pub fn read_csv_str(text: &str, opts: &CsvOptions) -> Result<Relation> {
 /// runs in order, without concatenating them, and rank encoded.
 pub(crate) fn read_csv_on(text: &str, opts: &CsvOptions, threads: usize) -> Result<Relation> {
     let sep = opts.separator;
+    let null_tokens: Vec<&str> = opts.null_tokens.iter().map(String::as_str).collect();
     let chunks: Vec<(bool, &str)> = record_chunks(text, threads)
         .into_iter()
         .enumerate()
         .map(|(k, chunk)| (k == 0 && opts.has_header, chunk))
         .collect();
     let mut parts = par_map(chunks, threads, |&(header, chunk)| {
-        scan_records(chunk, sep, header)
+        scan_records(chunk, sep, &null_tokens, header)
     });
     let arity = match parts.first() {
         Some(Ok(first)) => first.columns.len(),
@@ -376,7 +419,7 @@ pub(crate) fn read_csv_on(text: &str, opts: &CsvOptions, threads: usize) -> Resu
     };
     if !parts.iter().all(whole) {
         // Re-read serially, so every error keeps its kind, text and line.
-        parts = vec![scan_records(text, sep, opts.has_header)];
+        parts = vec![scan_records(text, sep, &null_tokens, opts.has_header)];
     }
 
     let mut names = Vec::new();
@@ -388,6 +431,7 @@ pub(crate) fn read_csv_on(text: &str, opts: &CsvOptions, threads: usize) -> Resu
         }
         if k == 0 {
             names = part.header;
+            // lint: allow(hot-loop-alloc, once per read: only the first run sizes the columns)
             columns.resize_with(part.columns.len(), Vec::new);
         }
         for (column, tokens) in columns.iter_mut().zip(part.columns) {
@@ -398,7 +442,6 @@ pub(crate) fn read_csv_on(text: &str, opts: &CsvOptions, threads: usize) -> Resu
         names = (0..columns.len()).map(|c| format!("col{c}")).collect();
     }
 
-    let null_tokens: Vec<&str> = opts.null_tokens.iter().map(String::as_str).collect();
     let columns: Vec<(String, ColumnFields<'_, '_>)> = names
         .into_iter()
         .zip(columns)
@@ -434,31 +477,48 @@ pub fn read_csv_path(path: impl AsRef<Path>, opts: &CsvOptions) -> Result<Relati
     read_csv_str(&text, opts)
 }
 
-/// Quote a field if it contains the separator, quotes or newlines.
-fn quote_field(field: &str, sep: char) -> String {
-    if field.contains(sep) || field.contains('"') || field.contains('\n') {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_owned()
+/// Append `field` to `out`, quoted (with `""` escapes) when it holds a
+/// comma, a quote or a newline.
+fn push_field(out: &mut String, field: &str) {
+    if !field.contains([',', '"', '\n']) {
+        out.push_str(field);
+        return;
     }
+    out.push('"');
+    for (k, part) in field.split('"').enumerate() {
+        if k > 0 {
+            out.push_str("\"\"");
+        }
+        out.push_str(part);
+    }
+    out.push('"');
 }
 
-/// Serialize a relation back to CSV text (header included).
+/// Serialize a relation back to CSV text (header included), writing each
+/// field straight into the output.
 pub fn write_csv(rel: &Relation) -> String {
-    let sep = ',';
     let mut out = String::new();
-    let header: Vec<String> = rel
-        .column_names()
-        .iter()
-        .map(|n| quote_field(n, sep))
-        .collect();
-    out.push_str(&header.join(","));
+    for (c, name) in rel.column_names().into_iter().enumerate() {
+        if c > 0 {
+            out.push(',');
+        }
+        push_field(&mut out, name);
+    }
     out.push('\n');
     for row in 0..rel.num_rows() {
-        let fields: Vec<String> = (0..rel.num_columns())
-            .map(|c| quote_field(&rel.value(row, c).to_string(), sep))
-            .collect();
-        out.push_str(&fields.join(","));
+        for c in 0..rel.num_columns() {
+            if c > 0 {
+                out.push(',');
+            }
+            match rel.value(row, c) {
+                Value::Str(text) => push_field(&mut out, text),
+                // A number's display form holds no comma, quote or newline,
+                // and NULL's is empty.
+                value => {
+                    let _ = write!(out, "{value}");
+                }
+            }
+        }
         out.push('\n');
     }
     out
@@ -643,7 +703,7 @@ mod tests {
 #[cfg(test)]
 mod oracle {
     use super::*;
-    use crate::column::{ColumnMeta, NarrowCodes};
+    use crate::column::{counted, ColumnMeta, NarrowCodes};
     use crate::datatype::{homogenize, infer_type};
     use crate::manifest::manifest_hash;
     use crate::value::Value;
@@ -938,25 +998,37 @@ mod oracle {
     const SEPARATORS: [char; 4] = [',', ';', '\t', '│'];
 
     /// Append one field: quoted when it must be (or by chance), with stray
-    /// `\r`s outside and inside quotes.
-    fn write_field(out: &mut String, token: &str, sep: char, g: &mut Gen) {
+    /// `\r`s outside and, unless `exact`, inside quotes, or with its tail
+    /// after the closing quote of its quoted head. An `exact` field reads
+    /// back as `token`.
+    fn write_field(out: &mut String, token: &str, sep: char, exact: bool, g: &mut Gen) {
         let must_quote = token.contains(sep) || token.contains('"') || token.contains('\n');
+        let cut = |g: &mut Gen| {
+            token
+                .char_indices()
+                .map(|(i, _)| i)
+                .nth(g.below(token.chars().count()))
+                .unwrap_or(0)
+        };
         if must_quote || g.percent(15) {
             out.push('"');
             out.push_str(&token.replace('"', "\"\""));
-            if g.percent(5) {
+            if g.percent(5) && !exact {
                 out.push('\r'); // kept: inside quotes
             }
             out.push('"');
+        } else if token.chars().count() > 1 && g.percent(5) {
+            // Text after a closing quote still belongs to the field.
+            let at = cut(g).max(token.chars().next().map_or(0, char::len_utf8));
+            out.push('"');
+            out.push_str(&token[..at]);
+            out.push('"');
+            out.push_str(&token[at..]);
         } else if !token.is_empty() && g.percent(5) {
-            let cut = token
-                .char_indices()
-                .map(|(i, _)| i)
-                .nth(g.below(token.chars().count()));
-            let cut = cut.unwrap_or(0);
-            out.push_str(&token[..cut]);
+            let at = cut(g);
+            out.push_str(&token[..at]);
             out.push('\r'); // dropped: outside quotes
-            out.push_str(&token[cut..]);
+            out.push_str(&token[at..]);
         } else {
             out.push_str(token);
         }
@@ -965,8 +1037,35 @@ mod oracle {
         }
     }
 
-    /// A generated CSV document and the options to read it with.
-    fn generate_csv(seed: u64) -> (String, CsvOptions) {
+    /// Where [`generate_csv`] puts the record at which a column's integer
+    /// fields end, relative to the runs [`record_chunks`] cuts at `threads`.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Fallback {
+        /// Inside the first run.
+        FirstRun,
+        /// The first record of a later run.
+        OnCut,
+        /// Inside a later run.
+        LaterRun,
+    }
+
+    /// A column of a generated document that holds integer and NULL
+    /// fields up to a record and any field from there on.
+    #[derive(Debug)]
+    struct Switch {
+        column: usize,
+        /// The first field that is neither, as a data record index.
+        record: usize,
+        placement: Fallback,
+        /// The thread count whose runs the record is placed in.
+        threads: usize,
+        /// Whether the record landed where it was placed.
+        landed: bool,
+    }
+
+    /// A generated CSV document, the options to read it with, and its
+    /// switching column, if it has one.
+    fn generate_csv(seed: u64) -> (String, CsvOptions, Option<Switch>) {
         let mut g = Gen(seed);
         let sep = SEPARATORS[g.below(SEPARATORS.len())];
         let opts = CsvOptions {
@@ -996,44 +1095,163 @@ mod oracle {
                 _ => [INT_TOKENS, FLOAT_TOKENS, TEXT_TOKENS].concat(),
             })
             .collect();
-        let mut out = String::new();
+        // The column that switches: integer and NULL fields (NaN is NULL)
+        // up to its fallback record, which is neither, and anything after.
+        let switch = g.percent(50).then(|| g.below(arity));
+        let nulls: Vec<&str> = opts.null_tokens.iter().map(String::as_str).collect();
+        let classified =
+            |token: &&str| matches!(Cell::parse(token, &nulls), Cell::Int(_) | Cell::Null);
+        let any = [INT_TOKENS, FLOAT_TOKENS, TEXT_TOKENS].concat();
+        let leading: Vec<&str> = any.iter().copied().filter(classified).collect();
+        let fallback: Vec<&str> = any.iter().copied().filter(|t| !classified(t)).collect();
+
+        let mut header = String::new();
         let newline = |out: &mut String, g: &mut Gen| {
             out.push_str(if g.percent(30) { "\r\n" } else { "\n" });
         };
         if opts.has_header {
             for c in 0..arity {
                 if c > 0 {
-                    out.push(sep);
+                    header.push(sep);
                 }
                 let name = format!("c{c}{}", g.pick(&["", "x", ",", " y", "\"q\""]));
-                write_field(&mut out, &name, sep, &mut g);
+                write_field(&mut header, &name, sep, false, &mut g);
             }
-            newline(&mut out, &mut g);
+            newline(&mut header, &mut g);
         }
+        // Each record as the text before and after its switch field (all
+        // of it before when it has none), and that field written as a
+        // leading, a fallback and an any field.
+        let mut records: Vec<(String, [String; 3], String)> = Vec::new();
         for _ in 0..rows {
             let fields = match g.below(if dirty { 60 } else { 1 }) {
                 1 => arity.saturating_sub(1).max(1),
                 2 => arity + 1,
                 _ => arity,
             };
+            let (mut before, mut variants, mut after) =
+                (String::new(), <[String; 3]>::default(), String::new());
             for c in 0..fields {
+                let out = if switch.is_some_and(|s| s < c) {
+                    &mut after
+                } else {
+                    &mut before
+                };
                 if c > 0 {
                     out.push(sep);
                 }
-                let token = g.pick(&pools[c.min(arity - 1)]);
-                write_field(&mut out, token, sep, &mut g);
+                if switch == Some(c) {
+                    let fork = g.next();
+                    let pools = [&leading, &fallback, &any];
+                    for ((variant, pool), exact) in
+                        variants.iter_mut().zip(pools).zip([true, false, false])
+                    {
+                        let mut g = Gen(fork);
+                        let token = g.pick(pool);
+                        write_field(variant, token, sep, exact, &mut g);
+                    }
+                } else {
+                    let token = g.pick(&pools[c.min(arity - 1)]);
+                    write_field(out, token, sep, false, &mut g);
+                }
             }
+            let out = if switch.is_some_and(|s| s < fields) {
+                &mut after
+            } else {
+                &mut before
+            };
             match g.below(if dirty { 150 } else { 1 }) {
                 1 => out.push_str("x\"y"),    // quote inside an unquoted field
                 2 => out.push_str(",\"open"), // unterminated quoted field
                 _ => {}
             }
-            newline(&mut out, &mut g);
+            newline(out, &mut g);
+            records.push((before, variants, after));
         }
-        if g.percent(30) {
-            out.pop(); // no trailing newline
+        let end_early = g.percent(30);
+        // Record `row`'s text when the switch column falls back at `k`.
+        let record = |row: usize, k: usize| {
+            let (before, variants, after) = &records[row];
+            [
+                before,
+                &variants[usize::from(row >= k) + usize::from(row > k)],
+                after,
+            ]
+        };
+        // The document whose switch column falls back at record `k`.
+        let document = |k: usize| {
+            let mut out = header.clone();
+            for row in 0..rows {
+                out.extend(record(row, k).map(String::as_str));
+            }
+            if end_early {
+                out.pop(); // no trailing newline
+            }
+            out
+        };
+        let Some(column) = switch.filter(|_| rows > 0) else {
+            return (document(rows), opts, None);
+        };
+        // Place the fallback record: cut the document at `k` into runs,
+        // move `k` to where the placement wants it in those runs, and
+        // repeat while that moves the cuts.
+        let placement = [Fallback::FirstRun, Fallback::OnCut, Fallback::LaterRun][g.below(3)];
+        let threads = 2 + g.below(3);
+        let pick = g.next();
+        let mut k = rows / 2;
+        for _ in 0..8 {
+            let text = document(k);
+            // The data record each run starts at (the first run, header
+            // included, at record 0); runs that start inside a record
+            // (only in invalid documents) round down.
+            let mut starts: Vec<usize> = Vec::new();
+            let (mut at, mut row, mut bytes) = (0usize, 0usize, header.len());
+            for chunk in record_chunks(&text, threads) {
+                while row < rows && bytes < at {
+                    bytes += record(row, k).iter().map(|part| part.len()).sum::<usize>();
+                    row += 1;
+                }
+                starts.push(if at == 0 || bytes == at { row } else { row - 1 });
+                at += chunk.len();
+            }
+            starts.push(rows);
+            let runs = starts.len() - 1;
+            let later = 1 + (pick as usize) % runs.saturating_sub(1).max(1);
+            let (from, to) = match placement {
+                Fallback::FirstRun => (starts[0], starts[1]),
+                _ if runs < 2 => (starts[0], starts[1]),
+                _ => (starts[later], starts[later + 1]),
+            };
+            let next = match placement {
+                Fallback::OnCut => from,
+                _ => from + 1 + (pick as usize) % (to - from).max(2).saturating_sub(1),
+            }
+            .min(rows - 1);
+            if next == k {
+                let landed = match placement {
+                    Fallback::OnCut => runs >= 2 && starts[1..runs].contains(&k),
+                    Fallback::FirstRun => k < starts[1],
+                    Fallback::LaterRun => runs >= 2 && k > starts[1] && !starts.contains(&k),
+                };
+                let switch = Switch {
+                    column,
+                    record: k,
+                    placement,
+                    threads,
+                    landed,
+                };
+                return (text, opts, Some(switch));
+            }
+            k = next;
         }
-        (out, opts)
+        let switch = Switch {
+            column,
+            record: k,
+            placement,
+            threads,
+            landed: false,
+        };
+        (document(k), opts, Some(switch))
     }
 
     proptest! {
@@ -1041,14 +1259,15 @@ mod oracle {
 
         #[test]
         fn single_pass_reader_matches_reference(seed in 0u64..u64::MAX) {
-            let (text, opts) = generate_csv(seed);
+            let (text, opts, _) = generate_csv(seed);
             let want = read_csv_reference(&text, &opts);
+            let null_tokens: Vec<&str> = opts.null_tokens.iter().map(String::as_str).collect();
             for threads in 1..=4 {
                 // On valid input every cut is a record boundary, so no run
                 // fails and the reader never falls back to one thread.
                 if want.is_ok() {
                     for chunk in record_chunks(&text, threads) {
-                        let clean = scan_records(chunk, opts.separator, false)
+                        let clean = scan_records(chunk, opts.separator, &null_tokens, false)
                             .is_ok_and(|run| run.ragged.is_none());
                         prop_assert!(clean, "{text:?} {threads} threads: run {chunk:?}");
                     }
@@ -1116,6 +1335,189 @@ mod oracle {
                 prop_assert!(same.is_ok(), "{threads} threads: {}", same.unwrap_err());
                 prop_assert_eq!(got.column_names(), want.column_names());
             }
+        }
+    }
+
+    /// An `Int` column of `rows` rows whose non-NULL keys span exactly
+    /// `span` values from `lo` (a span of 0 stands for all of `i64`), with
+    /// both ends present when there are two keys or more; `nulls` is the
+    /// percentage of NULL rows. Also returns whether the counting rank
+    /// applies: some key, and a span of at most the cut-off times the keys,
+    /// worked out from the keys themselves.
+    fn int_column(g: &mut Gen, rows: usize, nulls: u64, lo: i64, span: u64) -> (Vec<Value>, bool) {
+        let mut vals: Vec<Value> = (0..rows)
+            .map(|_| {
+                if g.percent(nulls) {
+                    Value::Null
+                } else {
+                    let offset = if span == 0 { g.next() } else { g.next() % span };
+                    Value::Int(lo.wrapping_add_unsigned(offset))
+                }
+            })
+            .collect();
+        let keyed: Vec<usize> = (0..rows).filter(|&r| !vals[r].is_null()).collect();
+        if let [.., at_lo, at_hi] = keyed[..] {
+            vals[at_lo] = Value::Int(lo);
+            vals[at_hi] = Value::Int(lo.wrapping_add_unsigned(span.wrapping_sub(1)));
+        }
+        let keys = keyed.iter().map(|&r| match vals[r] {
+            Value::Int(key) => key,
+            _ => unreachable!("keyed rows hold integers"),
+        });
+        let (min, max) = (keys.clone().min(), keys.max());
+        let cut = crate::column::COUNTING_SPAN_ROWS as u128 * keyed.len() as u128;
+        let counted = min
+            .zip(max)
+            // A span of max − min + 1 within the cut-off.
+            .is_some_and(|(min, max)| u128::from(max.abs_diff(min)) < cut);
+        (vals, counted)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `Int` columns whose span lies below, at or just above the
+        /// counting cut-off or far above it (all of `i64` included), with
+        /// negative keys, one distinct key, NULLs among the keys or only
+        /// NULLs, ranked through `Relation::from_columns` and through CSV
+        /// text at 1–4 threads: each equals the reference, dictionary
+        /// variants included, and is ranked by counting exactly when the
+        /// span is within the cut-off.
+        #[test]
+        fn int_ranking_matches_reference_across_the_cut_off(seed in 0u64..u64::MAX) {
+            let mut g = Gen(seed);
+            let rows = 1 + g.below(48);
+            let nulls = [0, 0, 25, 60, 100][g.below(5)];
+            let cut = crate::column::COUNTING_SPAN_ROWS as u64 * rows as u64;
+            let span = match g.below(8) {
+                0 => 1,
+                1 => cut.saturating_sub(1).max(1),
+                2 => cut,
+                3 => cut + 1,
+                4 => 1 + g.next() % cut,
+                5 => cut + 1 + g.next() % (1 << 40),
+                6 => 0,
+                _ => 1 + g.next() % 64,
+            };
+            let lo = match (span, g.below(4)) {
+                (0, _) => i64::MIN,
+                (_, 0) => i64::MIN,
+                (_, 1) => i64::MAX.wrapping_sub_unsigned(span - 1),
+                (_, 2) => -(g.below(1000) as i64),
+                _ => (g.next() >> 2) as i64 - (1 << 61),
+            };
+            let (vals, counts) = int_column(&mut g, rows, nulls, lo, span);
+            let want = from_columns_typed(vec![("k".to_owned(), vals.clone())], TypingMode::Infer);
+            let (got, counted) = counted::during(|| {
+                Relation::from_columns(vec![("k".to_owned(), vals.clone())]).unwrap()
+            });
+            let same_values = |got: &Relation| {
+                (0..rows).all(|r| format!("{:?}", got.value(r, 0)) == format!("{:?}", want.value(r, 0)))
+            };
+            let same = same_relation(&got, &want);
+            prop_assert!(same.is_ok(), "from_columns: {}", same.unwrap_err());
+            prop_assert!(same_values(&got));
+            prop_assert_eq!(counted, usize::from(counts));
+            let text: String = std::iter::once("k".to_owned())
+                .chain(vals.iter().map(Value::to_string))
+                .map(|field| field + "\n")
+                .collect();
+            for threads in 1..=4 {
+                let (got, counted) =
+                    counted::during(|| read_csv_on(&text, &CsvOptions::default(), threads).unwrap());
+                let same = same_relation(&got, &want);
+                prop_assert!(same.is_ok(), "{threads} threads: {}", same.unwrap_err());
+                prop_assert!(same_values(&got), "{} threads", threads);
+                prop_assert_eq!(counted, usize::from(counts), "{} threads", threads);
+            }
+        }
+    }
+
+    /// Most generated switching columns land where they were placed, and
+    /// in a valid document the typed scan of each run up to the fallback
+    /// record's keeps exactly the switching column's fields before that
+    /// record as integers.
+    #[test]
+    fn generated_fallbacks_land_where_placed() {
+        let mut asked = [0usize; 3];
+        let mut landed = [0usize; 3];
+        for seed in 0..600 {
+            let (text, opts, Some(switch)) = generate_csv(seed) else {
+                continue;
+            };
+            asked[switch.placement as usize] += 1;
+            landed[switch.placement as usize] += usize::from(switch.landed);
+            if read_csv_reference(&text, &opts).is_err() {
+                continue;
+            }
+            let nulls: Vec<&str> = opts.null_tokens.iter().map(String::as_str).collect();
+            let mut first = 0;
+            for (k, chunk) in record_chunks(&text, switch.threads).into_iter().enumerate() {
+                let run =
+                    scan_records(chunk, opts.separator, &nulls, k == 0 && opts.has_header).unwrap();
+                let tokens = &run.columns[switch.column];
+                if first <= switch.record {
+                    let leading = (switch.record - first).min(tokens.rows());
+                    assert_eq!(tokens.ints.len(), leading, "seed {seed}: {switch:?}");
+                }
+                first += tokens.rows();
+            }
+        }
+        for (asked, landed) in asked.into_iter().zip(landed) {
+            assert!(landed * 2 >= asked, "{landed} of {asked}");
+        }
+    }
+
+    /// `write_csv` as it was before it wrote fields in place: one `String`
+    /// per field and a `join` per record.
+    fn write_csv_reference(rel: &Relation) -> String {
+        let quote_field = |field: &str| {
+            if field.contains(',') || field.contains('"') || field.contains('\n') {
+                format!("\"{}\"", field.replace('"', "\"\""))
+            } else {
+                field.to_owned()
+            }
+        };
+        let mut out = String::new();
+        let header: Vec<String> = rel.column_names().iter().map(|n| quote_field(n)).collect();
+        out.push_str(&header.join(","));
+        out.push('\n');
+        for row in 0..rel.num_rows() {
+            let fields: Vec<String> = (0..rel.num_columns())
+                .map(|c| quote_field(&rel.value(row, c).to_string()))
+                .collect();
+            out.push_str(&fields.join(","));
+            out.push('\n');
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `write_csv` writes the bytes the one-`String`-per-field writer
+        /// wrote, on tables of every type whose names and text need quotes.
+        #[test]
+        fn writer_matches_the_per_field_writer(seed in 0u64..u64::MAX) {
+            let mut g = Gen(seed);
+            let rows = g.below(20);
+            let named: Vec<(String, Vec<Value>)> = (0..1 + g.below(4))
+                .map(|c| {
+                    let kind = g.below(4);
+                    let vals = (0..rows)
+                        .map(|_| match (kind, g.below(4)) {
+                            (_, 0) => Value::Null,
+                            (0, _) => Value::Int([0, -7, i64::MIN, i64::MAX, 1 << 53][g.below(5)]),
+                            (1, _) => Value::Float([-0.0, 2.5, 1e300, 5e-324, f64::INFINITY, f64::NEG_INFINITY][g.below(6)]),
+                            _ => Value::Str(g.pick(TEXT_TOKENS).to_owned()),
+                        })
+                        .collect();
+                    (format!("c{c}{}", g.pick(&["", ",", "\"q\"", "a\nb"])), vals)
+                })
+                .collect();
+            let mode = if g.percent(30) { TypingMode::ForceLexicographic } else { TypingMode::Infer };
+            let rel = Relation::from_columns_typed(named, mode).unwrap();
+            prop_assert_eq!(write_csv(&rel), write_csv_reference(&rel));
         }
     }
 

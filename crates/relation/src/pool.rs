@@ -12,11 +12,13 @@ use std::sync::{Mutex, PoisonError};
 
 /// Inputs of fewer cells than this are encoded on one worker: on them,
 /// starting and joining a second thread costs about as much as it saves,
-/// or more. Timed as `read_csv_str` of integer CSVs on one and on two
-/// threads, best of 50 runs on a 2-vCPU x86-64 host, two rounds: one
-/// thread won at 1,920 cells (64 × 30: 133–241 against 250–301 µs), two
-/// threads at 30,720 (1,024 × 30: 1.76–1.80 against 1.89–2.97 ms), and at
-/// 7,680 and 12,288 cells the two stayed within run-to-run noise.
+/// or more. Timed as `read_csv_str` of integer CSVs (values below 100) on
+/// one and on two threads, best of 50 runs on a 2-vCPU x86-64 host, two
+/// rounds, with the scan storing integer fields as `i64`s and integer
+/// columns ranked by counting: one thread won at 1,920 cells (64 × 30:
+/// 89–152 against 168–172 µs), two threads at 30,720 (1,024 × 30: 586–634
+/// against 845–850 µs), and at 7,680 and 12,300 cells (256 and 410 × 30)
+/// each won one round, so the crossover stays inside run-to-run noise.
 pub(crate) const SERIAL_CELLS: usize = 10_000;
 
 /// CSV text shorter than this is read on one worker: [`SERIAL_CELLS`] at

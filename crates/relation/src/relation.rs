@@ -621,16 +621,18 @@ mod tests {
         /// between and equal to old ones, `Int` → `Float`) and which put a
         /// string into a column a quarter of the time. Every column's rank
         /// order is read before each batch and must be the grown codes'
-        /// after it.
+        /// after it. The `Int`-only columns are ranked by counting.
         #[test]
         fn append_equals_from_columns_over_decoded_values_and_batch(seed in 0u64..u64::MAX) {
             use rand::{RngExt, SeedableRng};
             let _counters = crate::sort::kernel_stats::counters_guard();
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let rows = if rng.random_bool(0.2) { 0 } else { rng.random_range(1..6) };
-            let named = (0..4)
-                .map(|c| {
-                    let kind = rng.random_range(0..4);
+            let kinds: Vec<u32> = (0..4).map(|_| rng.random_range(0..4)).collect();
+            let named = kinds
+                .iter()
+                .enumerate()
+                .map(|(c, &kind)| {
                     let vals = (0..rows)
                         .map(|_| match kind {
                             0 => Value::Int(rng.random_range(-2..=2)),
@@ -647,7 +649,15 @@ mod tests {
             } else {
                 TypingMode::Infer
             };
-            let mut got = Relation::from_columns_typed(named, mode).unwrap();
+            let (mut got, counted) = crate::column::counted::during(|| {
+                Relation::from_columns_typed(named, mode).unwrap()
+            });
+            // Every `Int`-only column is ranked by counting (its span is at
+            // most 5), so the appends below merge onto counted columns.
+            if mode == TypingMode::Infer && rows > 0 {
+                let int_only = kinds.iter().filter(|&&kind| kind == 0).count();
+                proptest::prop_assert!(counted >= int_only, "{counted} < {int_only}");
+            }
             for _ in 0..rng.random_range(1..=4) {
                 let text: Vec<bool> = (0..4).map(|_| rng.random_bool(0.25)).collect();
                 let batch: Vec<Vec<Value>> = (0..rng.random_range(0..4))
