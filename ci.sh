@@ -19,12 +19,12 @@ cargo test -q -p ocdd-lint
 echo "==> ocdd-lint (workspace invariant rules)"
 # Hard gate before clippy: panic-reachability over the call graph,
 # lock-order acyclicity, determinism taint, the loop-aware dataflow rules
-# (unprobed-loop, schema-parity, hot-loop-alloc — DESIGN.md §15), plus the
-# interval abstract-interpretation rules (lossy-cast,
-# overflow-prone-arith, untracked-index-arith — DESIGN.md §16) and the
-# line rules atomics-audit and lock-discipline (DESIGN.md §10–§11; clock,
-# spawn and io confinement are clippy's, in the clippy.toml files, and
-# gated by the clippy step below). One scan writes the stable JSON
+# (unprobed-loop, schema-parity, hot-loop-alloc — DESIGN.md §15) and the
+# line rules atomics-audit and lock-discipline (DESIGN.md §10–§11). Clock,
+# spawn and io confinement (the clippy.toml files) and the narrowing-cast
+# checks (cast_possible_truncation, cast_possible_wrap and cast_sign_loss,
+# crate attributes of core, relation and iosafe — DESIGN.md §10.3) are
+# clippy's, gated by the clippy step below. One scan writes the stable JSON
 # findings document to results/ for revision-to-revision diffing
 # (scripts/lint_diff.sh), a second its SARIF twin for code-review
 # annotation UIs, and the per-rule counts are gated against the checked-in

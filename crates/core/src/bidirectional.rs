@@ -35,7 +35,7 @@ use crate::deps::AttrList;
 use crate::reduction::columns_reduction_with_threads;
 use crate::runtime::{Budget, TerminationReason};
 use crate::search::{run_levels, shared_cache, worker_count, LevelCursor, SearchAccumulator};
-use ocdd_relation::{ColumnId, Relation};
+use ocdd_relation::{row_ids, ColumnId, Relation};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -221,12 +221,7 @@ pub fn cmp_rows_marked(rel: &Relation, list: &MarkedList, a: usize, b: usize) ->
 /// Check the bidirectional OD `lhs → rhs` by index sort + adjacent scan
 /// (the direction-aware analogue of [`crate::check::check_od`]).
 pub fn check_bidi_od(rel: &Relation, lhs: &MarkedList, rhs: &MarkedList) -> CheckOutcome {
-    let m = rel.num_rows();
-    debug_assert!(
-        m <= u32::MAX as usize,
-        "row ids are u32 by the relation contract"
-    );
-    let mut index: Vec<u32> = (0..m as u32).collect();
+    let mut index: Vec<u32> = row_ids(rel.num_rows()).collect();
     index.sort_by(|&a, &b| cmp_rows_marked(rel, lhs, a as usize, b as usize));
     for w in index.windows(2) {
         let (p, q) = (w[0] as usize, w[1] as usize);

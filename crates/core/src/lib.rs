@@ -46,6 +46,19 @@
 //! | [`entropy`] | §5.4 | interestingness ranking of columns |
 
 #![deny(missing_docs)]
+// Narrowing casts name the invariant that bounds them in an
+// `#[expect(.., reason = "..")]`, and every lint exemption states its
+// reason and fails once stale; test code is exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 pub mod approximate;
 pub mod axioms;
 pub mod bidirectional;

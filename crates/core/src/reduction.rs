@@ -133,11 +133,9 @@ pub(crate) fn pair_pass(rel: &Relation, a: ColumnId, b: ColumnId) -> PairVerdict
     let mut b_of_a = vec![(u32::MAX, 0u32); rel.meta(a).distinct];
     let mut a_of_b = vec![(u32::MAX, 0u32); rel.meta(b).distinct];
     for (&ca, &cb) in codes_a.iter().zip(codes_b) {
-        // lint: allow(lossy-cast, ca is a u32 rank code in [0, u32::MAX], so the cast to usize widens)
         let e = &mut b_of_a[ca as usize];
         e.0 = e.0.min(cb);
         e.1 = e.1.max(cb);
-        // lint: allow(lossy-cast, cb is a u32 rank code in [0, u32::MAX], so the cast to usize widens)
         let e = &mut a_of_b[cb as usize];
         e.0 = e.0.min(ca);
         e.1 = e.1.max(ca);

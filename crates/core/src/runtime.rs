@@ -260,7 +260,10 @@ impl Budget {
 /// everywhere else: every elapsed-time measurement and budget deadline
 /// routes through here, so a determinism audit has exactly one place to
 /// look for time dependence.
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the single sanctioned wall-clock read of the core crates"
+)]
 pub(crate) fn now() -> Instant {
     Instant::now()
 }

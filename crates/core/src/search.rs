@@ -152,7 +152,13 @@ pub(crate) fn shared_cache(config: &DiscoveryConfig) -> SharedCache {
     if !config.shared_cache || config.checker != CheckerBackend::SortedPartitions {
         return None;
     }
-    #[allow(unused_mut)]
+    #[cfg_attr(
+        not(any(test, feature = "fault-injection")),
+        expect(
+            unused_mut,
+            reason = "only test and fault-injection builds set a fault plan"
+        )
+    )]
     let mut cache = EpochPrefixCache::new(config.cache_budget_bytes);
     #[cfg(any(test, feature = "fault-injection"))]
     cache.set_fault_plan(config.fault.clone());
@@ -702,7 +708,10 @@ fn branch_states(queue: &[(Candidate, u64)]) -> HashMap<(ColumnId, ColumnId), Br
 /// truncated at exactly the candidate a branch-at-a-time traversal would
 /// stop at — speculative work past that point is dropped, keeping results
 /// and `checks` byte-identical whatever the worker count.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the level's outcomes, branch states, accumulators and next-level buffers are separate borrows of the driver's state"
+)]
 fn absorb_level_outcomes(
     level: &[Candidate],
     outcomes: Vec<SpecOutcome>,
@@ -891,7 +900,10 @@ fn pair_of(x: &AttrList, y: &AttrList) -> CandidatePair {
 /// error and the triage counters (the `approx` object). Panic-free
 /// and IO-error-swallowing by the recorder's contract — a checkpoint
 /// failure must never kill the search.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a dump reads every part of the driver's state, each a separate borrow"
+)]
 fn record_checkpoint(
     rec: &mut CheckpointRecorder,
     level_no: usize,
@@ -999,7 +1011,10 @@ fn prefix_batches<T>(items: &[T], prefix: impl Fn(&T) -> &AttrList) -> Vec<(Attr
 /// *resumes after the panicked member*, so sibling branches sharing the
 /// prefix are not lost (their outcomes stand; the failed candidate's own
 /// branch is quarantined by the post-filter).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a batch reads the driver's shared state and writes its own checker and outcome buffer"
+)]
 fn run_batch<'r>(
     rel: &'r Relation,
     reduction: &Reduction,
@@ -1073,9 +1088,10 @@ fn run_batch<'r>(
 ///
 /// Returns the panic text of a worker that died (isolation itself
 /// failing): its outcomes died with it and its slots stay `None`.
-// The level driver's workers are core's one sanctioned spawn site: the
-// driver's panic quarantine owns their lifecycle.
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the level driver's workers are core's one sanctioned spawn site: the driver's panic quarantine owns their lifecycle"
+)]
 fn run_workers<'r, T: Send>(
     checkers: &mut [Checker<'r>],
     wstats: &mut [WorkerSchedStats],
@@ -1160,7 +1176,10 @@ fn run_workers<'r, T: Send>(
 /// surviving workers still drain the remaining deques. With `triage`, every
 /// checker runs the ε-triage of an approximate run. Returns the scheduler
 /// counters under `WorkStealing`, `None` under `Sequential`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the level driver is shared by exact, approximate, bidirectional and resumed runs, each supplying its own state"
+)]
 pub(crate) fn run_levels<'r>(
     rel: &'r Relation,
     reduction: &'r Reduction,
@@ -1652,7 +1671,10 @@ fn run_reduction(rel: &Relation, config: &DiscoveryConfig) -> Reduction {
 /// filtering and termination ([`SearchAccumulator::settle`]), canonical
 /// ordering, the checkpoint recorder's end-of-run GC, and the result
 /// assembly.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the result assembles the reduction, accumulator, counters and recorder of one run"
+)]
 fn finalize_result(
     reduction: Reduction,
     mut acc: SearchAccumulator,

@@ -238,6 +238,11 @@ pub struct ApproxMeta {
 }
 
 /// Convert a `[0, 1]` fraction to exact micro-units for a dump.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the clamp bounds the rounded product to an integer in [0, 1_000_000] (NaN casts to 0); std has no checked float-to-integer conversion"
+)]
 pub fn to_micros(fraction: f64) -> u64 {
     (fraction.clamp(0.0, 1.0) * 1_000_000.0).round() as u64
 }

@@ -27,6 +27,19 @@
 //! environment block.
 
 #![deny(missing_docs)]
+// Narrowing casts name the invariant that bounds them in an
+// `#[expect(.., reason = "..")]`, and every lint exemption states its
+// reason and fails once stale; test code is exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod json;
 
@@ -59,9 +72,10 @@ fn staging_path(path: &Path) -> PathBuf {
 ///
 /// Parent directories are created if missing, so callers can write
 /// `results/foo.json` without a separate `mkdir -p` step.
-// The one sanctioned direct file creation of the workspace: the staging
-// file is private until the rename publishes it whole.
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned direct file creation of the workspace: the staging file is private until the rename publishes it whole"
+)]
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {

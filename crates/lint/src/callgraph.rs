@@ -155,8 +155,6 @@ pub struct Workspace {
     /// Loop regions per fn, in header-token order (outer before nested);
     /// see [`crate::loops`].
     pub loops: Vec<Vec<LoopRegion>>,
-    /// Fn id by `(file, def_line)`.
-    pub fn_of_file_line: HashMap<(usize, usize), usize>,
 }
 
 impl Workspace {
@@ -298,11 +296,6 @@ impl Workspace {
             loops.push(ls);
         }
 
-        let mut fn_of_file_line = HashMap::new();
-        for (id, f) in fns.iter().enumerate() {
-            fn_of_file_line.insert((f.file, f.def_line), id);
-        }
-
         Workspace {
             files: models,
             fns,
@@ -310,7 +303,6 @@ impl Workspace {
             sources,
             call_sites,
             loops,
-            fn_of_file_line,
         }
     }
 

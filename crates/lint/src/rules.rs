@@ -36,16 +36,6 @@ pub const SCHEMA_PARITY: &str = "schema-parity";
 /// Semantic rule (ISSUE 9): no allocation inside loops reachable from the
 /// scan/check/sort hot-path roots.
 pub const HOT_LOOP_ALLOC: &str = "hot-loop-alloc";
-/// Semantic rule (ISSUE 10): `as` narrowing cast whose inferred source
-/// interval may exceed the target type's range.
-pub const LOSSY_CAST: &str = "lossy-cast";
-/// Semantic rule (ISSUE 10): add/mul/shift on narrow unsigned types in
-/// the scan/sort/sample hot paths whose operand intervals admit
-/// wraparound.
-pub const OVERFLOW_PRONE_ARITH: &str = "overflow-prone-arith";
-/// Semantic rule (ISSUE 10): derived index into a fixed scratch buffer
-/// in the block kernels not provably within bounds.
-pub const UNTRACKED_INDEX_ARITH: &str = "untracked-index-arith";
 /// Meta rule: an annotation that suppressed nothing.
 pub const UNUSED_ALLOW: &str = "unused-allow";
 /// Meta rule: an annotation naming a rule that does not exist.
@@ -61,9 +51,6 @@ pub const ALL_RULES: &[&str] = &[
     UNPROBED_LOOP,
     SCHEMA_PARITY,
     HOT_LOOP_ALLOC,
-    LOSSY_CAST,
-    OVERFLOW_PRONE_ARITH,
-    UNTRACKED_INDEX_ARITH,
 ];
 
 /// Canonical rule id for an annotation's rule name. The pre-ISSUE-5 names
@@ -204,56 +191,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              site instead. Suppress documented scratch-buffer reuse or\n\
              setup-phase sites with\n\
              `lint: allow(hot-loop-alloc, <why this is not per-row>)`."
-        }
-        LOSSY_CAST => {
-            "lossy-cast\n\
-             \n\
-             Interval abstract interpretation (DESIGN.md §16) infers a\n\
-             value range for the operand of every `as` cast in the core\n\
-             and relation crates. A cast whose inferred source interval\n\
-             is not contained in the target type's guaranteed range may\n\
-             silently truncate — exactly the failure mode that would\n\
-             corrupt the width-adaptive rank codes (u8/u16/u32\n\
-             NarrowCodes) and with them every downstream OD verdict.\n\
-             Guards are understood: `if distinct <= 1 << 8 { .. }`\n\
-             narrows `distinct` inside the branch, `assert!(x <= u8::MAX)`\n\
-             narrows for the rest of the fn, and calls such as\n\
-             `widen_code_width` never havoc a tracked local. `usize` is\n\
-             modeled asymmetrically (source 64-bit, target guaranteed\n\
-             only 32-bit), so `u64 as usize` and `usize as u32` both\n\
-             flag while `u32 as usize` stays clean. The witness carries\n\
-             the inferred range and the definition site of the operand's\n\
-             root variable. Suppress with\n\
-             `lint: allow(lossy-cast, <concrete range justification>)`."
-        }
-        OVERFLOW_PRONE_ARITH => {
-            "overflow-prone-arith\n\
-             \n\
-             Within fns reachable from the scan/sort/sample hot-path\n\
-             roots, flags `+`, `*`, `<<` (and their compound forms) on\n\
-             narrow unsigned types (u8/u16/u32) whose operand intervals\n\
-             admit a mathematical result outside the type's range: in\n\
-             release builds that wraps silently and corrupts rank codes\n\
-             or reservoir allocations. `checked_*` / `saturating_*` /\n\
-             `wrapping_*` calls and explicit promotion (`a as u64 * b as\n\
-             u64`) are recognized as cleanses — method transfer functions\n\
-             stay inside the type's range and promoted operands type the\n\
-             expression at u64. Suppress with\n\
-             `lint: allow(overflow-prone-arith, <range bound>)`."
-        }
-        UNTRACKED_INDEX_ARITH => {
-            "untracked-index-arith\n\
-             \n\
-             The 64-pair block kernels index fixed scratch buffers\n\
-             (`[T; BLOCK_PAIRS + 1]`) with derived expressions. For every\n\
-             index into an array whose length the analysis knows, the\n\
-             inferred interval of the index expression must be provably\n\
-             within `[0, len-1]`; otherwise a refactor of the index\n\
-             arithmetic can turn into an out-of-bounds panic (or a\n\
-             masked wrap) in the hottest loop of the system. Loop ranges\n\
-             (`for i in 0..BLOCK_PAIRS`), `while` conditions and\n\
-             `assert!` bounds refine the index interval. Suppress with\n\
-             `lint: allow(untracked-index-arith, <bound argument>)`."
         }
         _ => return None,
     })

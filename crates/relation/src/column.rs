@@ -61,12 +61,14 @@ pub enum NarrowCodes {
 impl NarrowCodes {
     /// Build the narrowest mirror that fits `distinct` dense ranks
     /// (ranks are `0..distinct`, so `distinct ≤ 2^w` fits width `w`).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "codes are dense ranks < distinct, and distinct <= 2^8 on the u8 arm and <= 2^16 on the u16 arm, so each fits"
+    )]
     pub(crate) fn build(codes: &[u32], distinct: usize) -> NarrowCodes {
         if distinct <= 1 << 8 {
-            // lint: allow(lossy-cast, codes are dense ranks < distinct <= 2^8 on this arm, so each fits u8)
             NarrowCodes::U8(codes.iter().map(|&c| c as u8).collect())
         } else if distinct <= 1 << 16 {
-            // lint: allow(lossy-cast, codes are dense ranks < distinct <= 2^16 on this arm, so each fits u16)
             NarrowCodes::U16(codes.iter().map(|&c| c as u16).collect())
         } else {
             NarrowCodes::U32
@@ -254,6 +256,10 @@ impl Column {
     /// values compare equal (`Int(2)`/`Float(2.0)`, `0`/`-0.0`, only
     /// possible in a `Float` column), the dictionary keeps the value of the
     /// *lowest* row.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "row < m <= u32::MAX by the assert at the top"
+    )]
     pub(crate) fn encode(name: String, source: &impl CellSource, typing: TypingMode) -> Column {
         // Row ids are u32 across the whole pipeline; encoding is where a
         // column's rows first get ids, so the bound is enforced here.
@@ -284,7 +290,6 @@ impl Column {
                 Run::Cells(cells) => {
                     for cell in cells {
                         nulls += usize::from(matches!(cell, Cell::Null));
-                        // lint: allow(lossy-cast, row < m <= u32::MAX by the assert above)
                         keys.push(cell, row as u32);
                         row += 1;
                     }
@@ -342,6 +347,10 @@ impl Column {
     /// into new ranks, and only their dictionary entries are copied. Type,
     /// NULL flag and distinct count are re-derived from those entries,
     /// which gives exactly what re-encoding the selected values would.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the dictionary has at most one entry per parent row, and rows <= u32::MAX by the encode assert"
+    )]
     pub(crate) fn select(&self, keep: &[usize]) -> Column {
         // Mark the codes in use (1), then overwrite each mark with its
         // exclusive prefix sum: the number of used codes below it.
@@ -352,7 +361,6 @@ impl Column {
         let mut dictionary = Vec::new();
         for (value, slot) in self.dictionary.iter().zip(rank.iter_mut()) {
             if *slot == 1 {
-                // lint: allow(lossy-cast, the dictionary has at most one entry per parent row, and rows <= u32::MAX by the encode assert)
                 *slot = dictionary.len() as u32;
                 // lint: allow(hot-loop-alloc, once per distinct value in use: the copy is the new column's dictionary entry)
                 dictionary.push(value.clone());
@@ -441,7 +449,10 @@ impl Column {
                 (None, Some(_)) => Ordering::Greater,
                 (None, None) => break,
             };
-            // lint: allow(lossy-cast, the dictionary holds at most one entry per row, and rows <= u32::MAX by the append_rows assert)
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the dictionary holds at most one entry per row, and rows <= u32::MAX by the append_rows assert"
+            )]
             let code = dictionary.len() as u32;
             match order {
                 Ordering::Less => {
@@ -512,7 +523,10 @@ impl Column {
         }
         self.narrow = match min {
             CodeWidth::U8 => NarrowCodes::build(&self.codes, self.meta.distinct),
-            // lint: allow(lossy-cast, widening only: the current mirror is U8, so every code fits u8 and a fortiori u16)
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "widening only: the current mirror is U8, so every code fits u8 and a fortiori u16"
+            )]
             CodeWidth::U16 => NarrowCodes::U16(self.codes.iter().map(|&c| c as u16).collect()),
             CodeWidth::U32 => NarrowCodes::U32,
         };
@@ -596,6 +610,10 @@ impl<'a> Keys<'a> {
     /// Add the rows of an [`Run::Ints`] run starting at row `first`:
     /// copied whole while every key so far is an `Int`, pushed as cells
     /// otherwise.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "row < m <= u32::MAX by the encode assert"
+    )]
     fn extend_ints(&mut self, ints: &[i64], null_rows: &[usize], first: usize) {
         if let Keys::Int {
             keys,
@@ -607,7 +625,6 @@ impl<'a> Keys<'a> {
             return;
         }
         for (row, cell) in (first..).zip(int_cells(ints, null_rows)) {
-            // lint: allow(lossy-cast, row < m <= u32::MAX by the encode assert)
             self.push(cell, row as u32);
         }
     }
@@ -712,6 +729,10 @@ pub(crate) const COUNTING_SPAN_ROWS: usize = 32;
 /// read a key's rank as its word's count plus the marks below it in the
 /// word. The distinct keys are appended to `dictionary` in order, and each
 /// key's code is its rank after the entries already there.
+#[expect(
+    clippy::cast_possible_wrap,
+    reason = "at <= hi − lo <= 2^37, so the cast is exact and lo + at <= hi"
+)]
 // lint: allow(panic-reachability, every key lies in lo..=hi, so its offset indexes a word of the bitmap over the span)
 fn rank_by_counting(
     keys: &[i64],
@@ -722,7 +743,10 @@ fn rank_by_counting(
 ) {
     #[cfg(test)]
     counted::note();
-    // lint: allow(lossy-cast, the span is at most COUNTING_SPAN_ROWS × rows <= 2^37, so offsets fit usize)
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the span is at most COUNTING_SPAN_ROWS × rows <= 2^37, so offsets fit usize"
+    )]
     let offset = |key: i64| key.abs_diff(lo) as usize;
     let mut marks = vec![0u64; offset(hi) / 64 + 1];
     for &key in keys {
@@ -730,7 +754,10 @@ fn rank_by_counting(
         marks[at / 64] |= 1 << (at % 64);
     }
     let mut before = Vec::with_capacity(marks.len());
-    // lint: allow(lossy-cast, the dictionary holds at most one entry per row, and rows <= u32::MAX by the encode assert)
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the dictionary holds at most one entry per row, and rows <= u32::MAX by the encode assert"
+    )]
     let mut seen = dictionary.len() as u32;
     for (word, &bits) in marks.iter().enumerate() {
         before.push(seen);
@@ -738,7 +765,6 @@ fn rank_by_counting(
         let mut rest = bits;
         while rest != 0 {
             let at = word * 64 + rest.trailing_zeros() as usize;
-            // lint: allow(lossy-cast, at <= hi − lo <= 2^37, so the cast is exact and lo + at <= hi)
             dictionary.push(Value::Int(lo + at as i64));
             rest &= rest - 1;
         }
@@ -778,6 +804,10 @@ fn rekey<A, B>(keys: &[(A, u32)], f: impl Fn(&A) -> B) -> Vec<(B, u32)> {
 /// Give each run of equal keys in `sorted` the next dense rank, appending
 /// the run's first key to the dictionary (for `Float` keys, which tie by
 /// row, the lowest row's).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the dictionary holds at most one entry per row, and rows <= u32::MAX by the encode assert"
+)]
 // lint: allow(panic-reachability, every row is a row id below the encoded column's row count, so row < codes.len())
 fn rank_runs<K>(
     sorted: &[(K, u32)],
@@ -790,12 +820,10 @@ fn rank_runs<K>(
     let mut code = 0u32;
     for (key, row) in sorted {
         if !run.is_some_and(|first| same(first, key)) {
-            // lint: allow(lossy-cast, the dictionary holds at most one entry per row, and rows <= u32::MAX by the encode assert)
             code = dictionary.len() as u32;
             dictionary.push(decode(key));
             run = Some(key);
         }
-        // lint: allow(lossy-cast, row is a u32 row id in [0, u32::MAX], so the cast to usize widens)
         codes[*row as usize] = code;
     }
 }

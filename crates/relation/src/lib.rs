@@ -46,6 +46,19 @@
 // I/O and user-input paths must surface errors as `Result`, never panic;
 // test code may still assert with unwrap.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+// Narrowing casts name the invariant that bounds them in an
+// `#[expect(.., reason = "..")]`, and every lint exemption states its
+// reason and fails once stale; test code is exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 pub mod column;
 pub mod csv;
 pub mod datatype;
@@ -65,7 +78,7 @@ pub use csv::{read_csv_path, read_csv_str, write_csv, CsvOptions};
 pub use datatype::{DataType, TypingMode};
 pub use error::{Error, Result};
 pub use manifest::manifest_hash;
-pub use relation::{ColumnId, Relation, RelationBuilder};
+pub use relation::{row_ids, ColumnId, Relation, RelationBuilder};
 pub use sample::{Sample, SampleProvenance, SampleSpec, SampleStrategy};
 pub use sort::sort_index_by;
 pub use stats::{column_entropy, ColumnStats};

@@ -53,9 +53,10 @@ enum Slot<T, R> {
 /// owns before the map ends. An item whose worker panics is recomputed on
 /// the calling thread once every worker is done, so no result is ever
 /// lost; a second panic there propagates.
-// The pool is the crate's one sanctioned spawn site: its recompute-on-panic
-// owns the lifecycle of every worker it starts.
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the pool is the crate's one sanctioned spawn site: its recompute-on-panic owns the lifecycle of every worker it starts"
+)]
 pub fn par_map<T: Send, R: Send>(
     items: Vec<T>,
     threads: usize,

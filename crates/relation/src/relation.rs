@@ -6,10 +6,26 @@ use crate::error::{Error, Result};
 use crate::pool::{ingest_threads, SERIAL_CELLS};
 use crate::sort::RankOrder;
 use crate::value::Value;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Index of a column within a relation (attribute identifier).
 pub type ColumnId = usize;
+
+/// The row ids `0..m` of an `m`-row relation. Row ids are `u32`: encoding
+/// and appends refuse more than `u32::MAX` rows, so every row count fits.
+#[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "row ids are u32 by the relation contract"
+)]
+pub fn row_ids(m: usize) -> Range<u32> {
+    debug_assert!(
+        m <= u32::MAX as usize,
+        "row ids are u32 by the relation contract"
+    );
+    0..m as u32
+}
 
 /// An immutable instance `r` of a relation `R`, stored column-major with
 /// rank-encoded cells.
@@ -279,12 +295,7 @@ impl Relation {
     /// Columns are re-encoded so ranks stay dense. Used by the
     /// row-scalability experiments.
     pub fn head(&self, n: usize) -> Relation {
-        let k = n.min(self.num_rows);
-        debug_assert!(
-            k <= u32::MAX as usize,
-            "row ids are u32 by the relation contract"
-        );
-        let rows: Vec<u32> = (0..k as u32).collect();
+        let rows: Vec<u32> = row_ids(n.min(self.num_rows)).collect();
         self.select_rows(&rows)
     }
 

@@ -31,7 +31,7 @@
 //! case the pipeline's exactness differential is built on.
 
 use crate::manifest::manifest_hash;
-use crate::relation::{ColumnId, Relation};
+use crate::relation::{row_ids, ColumnId, Relation};
 
 /// How sample rows are drawn from the parent relation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,18 +121,14 @@ impl Sample {
     /// parent relation re-encoded (rank-identical, equal manifest).
     pub fn build(parent: &Relation, spec: &SampleSpec) -> Sample {
         let m = parent.num_rows();
-        debug_assert!(
-            m <= u32::MAX as usize,
-            "row ids are u32 by the relation contract"
-        );
         let take = spec.rows.min(m);
         let mut row_map: Vec<u32> = if take == m {
-            (0..m as u32).collect()
+            row_ids(m).collect()
         } else {
             match spec.strategy {
                 SampleStrategy::Uniform => {
                     let mut rng = SplitMix64::new(spec.seed);
-                    reservoir(&mut (0..m as u32), take, &mut rng)
+                    reservoir(&mut row_ids(m), take, &mut rng)
                 }
                 SampleStrategy::Stratified(col) if col < parent.num_columns() => {
                     stratified(parent, col, take, spec.seed)
@@ -144,7 +140,7 @@ impl Sample {
                 // the parent.
                 SampleStrategy::Stratified(_) => {
                     let mut rng = SplitMix64::new(spec.seed);
-                    reservoir(&mut (0..m as u32), take, &mut rng)
+                    reservoir(&mut row_ids(m), take, &mut rng)
                 }
             }
         };
@@ -259,9 +255,10 @@ fn stratified(parent: &Relation, col: ColumnId, take: usize, seed: u64) -> Vec<u
     let mut remainders: Vec<(u64, usize)> = Vec::with_capacity(classes);
     for (class, &count) in counts.iter().enumerate() {
         let exact_num = count * extra as u64;
-        let floor = (exact_num / m as u64) as usize;
+        let floor = usize::try_from(exact_num / m as u64).unwrap_or(usize::MAX);
         if let Some(q) = quota.get_mut(class) {
-            let add = floor.min((count as usize).saturating_sub(*q));
+            let count = usize::try_from(count).unwrap_or(usize::MAX);
+            let add = floor.min(count.saturating_sub(*q));
             *q += add;
             spent += add;
         }
@@ -291,7 +288,7 @@ fn stratified(parent: &Relation, col: ColumnId, take: usize, seed: u64) -> Vec<u
         .collect();
     let mut pools: Vec<Vec<u32>> = quota.iter().map(|&q| Vec::with_capacity(q)).collect();
     let mut seen = vec![0u64; classes];
-    for (row, &code) in codes.iter().enumerate() {
+    for (row, &code) in row_ids(m).zip(codes) {
         let class = code as usize;
         let (Some(pool), Some(rng), Some(n), Some(&q)) = (
             pools.get_mut(class),
@@ -302,16 +299,14 @@ fn stratified(parent: &Relation, col: ColumnId, take: usize, seed: u64) -> Vec<u
             continue;
         };
         if pool.len() < q {
-            // lint: allow(lossy-cast, row indexes the parent's code column and the parent holds at most u32::MAX rows)
-            pool.push(row as u32);
+            pool.push(row);
         } else if q > 0 {
             // Same 32-bit saturation as `reservoir`: a draw past usize
             // skips the replacement rather than wrapping the index.
             let j = usize::try_from(rng.below(*n + 1)).unwrap_or(usize::MAX);
             if j < q {
                 if let Some(slot) = pool.get_mut(j) {
-                    // lint: allow(lossy-cast, row indexes the parent's code column and the parent holds at most u32::MAX rows)
-                    *slot = row as u32;
+                    *slot = row;
                 }
             }
         }

@@ -53,7 +53,7 @@
 //! atomics; snapshot deltas feed the discovery result and the ablation
 //! bench).
 
-use crate::relation::{ColumnId, Relation};
+use crate::relation::{row_ids, ColumnId, Relation};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
@@ -256,6 +256,10 @@ fn packed_bits(rel: &Relation, cols: &[ColumnId]) -> Option<usize> {
 /// Stable counting sort of the identity permutation by one code column:
 /// the sorted row ids, and for each code `c` below `distinct.max(1)` the
 /// position one past the last row with code `c` (the end of its class).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "row indexes codes, whose length is the relation's row count (at most u32::MAX)"
+)]
 // lint: allow(panic-reachability, codes are dense ranks < distinct and starts is sized distinct+1, so every histogram index is in bounds)
 fn counting_sort_classes(codes: &[u32], distinct: usize) -> (Vec<u32>, Vec<u32>) {
     kernel_stats::bump_counting();
@@ -271,7 +275,6 @@ fn counting_sort_classes(codes: &[u32], distinct: usize) -> (Vec<u32>, Vec<u32>)
     let mut out = vec![0u32; m];
     for (row, &c) in codes.iter().enumerate() {
         let slot = &mut starts[c as usize];
-        // lint: allow(lossy-cast, row indexes codes, whose length is the relation's row count (at most u32::MAX))
         out[*slot as usize] = row as u32;
         *slot += 1;
     }
@@ -356,6 +359,10 @@ fn max_digit_bits(m: usize) -> usize {
 /// The field is cut into balanced digits no wider than
 /// [`max_digit_bits`]; one sweep builds every digit's histogram, and a
 /// digit that every key shares costs no scatter.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "digits are masked below buckets <= 2^11, so they fit usize"
+)]
 // lint: allow(panic-reachability, digits are masked below buckets and each table spans buckets counters of counts; a table's exclusive prefix sums over the m items keep every scatter slot below m)
 fn radix_sort<T: Copy>(
     mut items: Vec<T>,
@@ -407,6 +414,10 @@ fn radix_sort<T: Copy>(
 /// When the row id fits beside the codes in one word, it rides in the low
 /// bits: a pass moves one `u64`, and rows with equal codes keep their
 /// original order. Otherwise each pass moves a `(key, row)` pair.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the row mask keeps the low code_bits(m) bits, a row id < m <= u32::MAX"
+)]
 fn radix_sort_packed(rel: &Relation, cols: &[ColumnId], bits: usize) -> Vec<u32> {
     kernel_stats::bump_packed_radix();
     let m = rel.num_rows();
@@ -441,12 +452,8 @@ struct RefineState {
 impl RefineState {
     /// Everything in one run, original row order: the empty-prefix state.
     fn identity(m: usize) -> RefineState {
-        debug_assert!(
-            m <= u32::MAX as usize,
-            "row ids are u32 by the relation contract"
-        );
         RefineState {
-            rows: (0..m as u32).collect(),
+            rows: row_ids(m).collect(),
             runs: vec![0; m],
             num_runs: if m == 0 { 0 } else { 1 },
         }
@@ -508,7 +515,6 @@ impl RefineState {
             if runs_old[i] != runs_old[i - 1]
                 || codes[rows_out[i] as usize] != codes[rows_out[i - 1] as usize]
             {
-                // lint: allow(overflow-prone-arith, current increments at most once per row and m <= u32::MAX by the row-id contract)
                 current += 1;
             }
             runs_new[i] = current;
@@ -534,13 +540,8 @@ fn refine_all(rel: &Relation, cols: &[ColumnId]) -> RefineState {
 /// The sort is stable, so ties keep their original row order; callers that
 /// scan adjacent pairs must treat equal-`cols` neighbours explicitly.
 pub fn sort_index_by(rel: &Relation, cols: &[ColumnId]) -> Vec<u32> {
-    let m = rel.num_rows();
-    debug_assert!(
-        m <= u32::MAX as usize,
-        "row ids are u32 by the relation contract"
-    );
     match cols {
-        [] => (0..m as u32).collect(),
+        [] => row_ids(rel.num_rows()).collect(),
         [single] => counting_sort_classes(rel.codes(*single), rel.meta(*single).distinct).0,
         _ => match packed_bits(rel, cols) {
             Some(bits) => radix_sort_packed(rel, cols, bits),
@@ -707,6 +708,10 @@ struct ClassSorter<'r> {
 impl ClassSorter<'_> {
     /// Append the rows of `class`, one class of the first column, to
     /// `out`, ordered by the rest of the list with ties in row order.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the mask keeps the low row_bits bits, a row id < m <= u32::MAX"
+    )]
     fn extend_ordered(&mut self, class: &[u32], out: &mut Vec<u32>) {
         let (rest, row_bits) = (&self.rest, self.row_bits);
         if rest.bits == 0 || class.len() < 2 {
@@ -744,19 +749,16 @@ impl<'r> ClassOrder<'r> {
     /// makes one class of every row, in row order.
     pub fn new(rel: &'r Relation, cols: &[ColumnId]) -> ClassOrder<'r> {
         let m = rel.num_rows();
-        debug_assert!(
-            m <= u32::MAX as usize,
-            "row ids are u32 by the relation contract"
-        );
         let (first, rest) = match cols.split_first() {
             Some((&first, rest)) => (Cow::Borrowed(rel.rank_order(first)), rest),
-            None => (
-                Cow::Owned(RankOrder {
-                    rows: (0..m as u32).collect(),
-                    ends: vec![m as u32],
-                }),
-                cols,
-            ),
+            None => {
+                let rows = row_ids(m);
+                let order = RankOrder {
+                    ends: vec![rows.end],
+                    rows: rows.collect(),
+                };
+                (Cow::Owned(order), cols)
+            }
         };
         ClassOrder {
             first,
@@ -835,12 +837,7 @@ pub(crate) mod class_count {
 /// path, kept as the differential-test oracle and fallback.
 pub fn sort_index_by_comparator(rel: &Relation, cols: &[ColumnId]) -> Vec<u32> {
     kernel_stats::bump_comparator();
-    let m = rel.num_rows();
-    debug_assert!(
-        m <= u32::MAX as usize,
-        "row ids are u32 by the relation contract"
-    );
-    let mut index: Vec<u32> = (0..m as u32).collect();
+    let mut index: Vec<u32> = row_ids(rel.num_rows()).collect();
     match cols {
         [] => index,
         [single] => {

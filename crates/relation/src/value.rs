@@ -142,7 +142,10 @@ fn cmp_int_float(i: i64, f: f64) -> Ordering {
         return Ordering::Greater;
     }
     let whole = f.trunc();
-    // lint: allow(lossy-cast, whole is integral and in [-2^63, 2^63) by the two guards above, so the cast is exact)
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "whole is integral and in [-2^63, 2^63) by the two guards above, so the cast is exact"
+    )]
     let whole_int = whole as i64;
     let fraction = f - whole;
     let by_fraction = 0.0f64
@@ -184,13 +187,16 @@ impl std::hash::Hash for Value {
                 1u8.hash(state);
                 i.hash(state);
             }
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the branch guard pins f to an integral value within [-2^63, 2^63), so the cast is exact"
+            )]
             Value::Float(f) => {
                 // Hash consistent with Ord/Eq: an integral float in the
                 // i64 range hashes like the equal Int (Int(2) == Float(2.0)
                 // under our Ord); no other float equals an Int.
                 if f.fract() == 0.0 && *f >= -TWO_POW_63 && *f < TWO_POW_63 {
                     1u8.hash(state);
-                    // lint: allow(lossy-cast, the branch guard pins f to an integral value within [-2^63, 2^63), so the cast is exact)
                     (*f as i64).hash(state);
                 } else {
                     2u8.hash(state);
